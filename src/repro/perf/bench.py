@@ -97,7 +97,7 @@ SUITES: Dict[str, BenchSuite] = {
         ("list", "SONTM", 4),
     ), seeds=2, profile="test"),
     # the flat-loop refactor's simulated-behaviour pin (ISSUE 6): high
-    # thread counts through the specialized fast path; the host-side
+    # thread counts, where run() bursts are longest; the host-side
     # dispatch measurement lives in the artifact's advisory section
     # (see repro.perf.micro)
     "flat_loop": BenchSuite("flat_loop", (

@@ -11,13 +11,14 @@ dispatches on this machine.  Two pinned grids cover the two regimes:
   issues long runs of unit-cost :class:`~repro.tm.ops.Compute` ops
   while the other 63 threads issue few, very expensive ones.  The
   driver therefore stays the schedule minimum for hundreds of
-  consecutive steps, which is exactly the shape the flat fast loop's
-  consecutive-run burst batching accelerates (no heap traffic, no
-  per-step thread-state stores).  Writes land on per-thread private
-  lines, so aborts are exactly zero and the measurement isolates
-  engine dispatch from TM behaviour.  The flat-loop refactor's
-  headline claim (ISSUE 6 / ``BENCH_flat_loop.json``) is recorded
-  against this grid.
+  consecutive steps, which is exactly the shape ``Engine.run``'s
+  burst scheduling accelerates (no heap traffic while a thread stays
+  the minimum).  Writes land on per-thread private lines, so aborts
+  are exactly zero and the measurement isolates engine dispatch from
+  TM behaviour.  No grid the repo runs looks like this one (pure
+  ``Compute``, no TM call), so the number is advisory and gates
+  nothing; ``docs/performance.md`` records why a loop that doubled it
+  was not kept.
 * the **full-stack micro** (:func:`run_fullstack_micro`) — 32 threads
   of mostly-disjoint read/write/compute transactions over one shared
   MVM array under SI-TM with near-zero aborts.  Every step crosses the
@@ -78,11 +79,12 @@ DISPATCH_SLOW_COST = 8000
 DISPATCH_SLOW_OPS = 4
 DISPATCH_SLOW_TXNS = 3
 
-#: steps/s measured with these exact grids on the commit *before* the
-#: flat-loop refactor (ISSUE 6), via a pristine worktree of that
-#: revision on the development host.  Host-specific — meaningful only
-#: relative to post-refactor numbers measured on the same host, which
-#: is how ``BENCH_flat_loop.json`` records the speedup.
+#: steps/s measured with these exact grids on the commit *before*
+#: ISSUE 6 (no burst scheduling, heap push + pop per step), via a
+#: pristine worktree of that revision on the development host.
+#: Host-specific — meaningful only relative to numbers measured on
+#: the same host; ``BENCH_flat_loop.json``'s advisory section records
+#: the ratio ISSUE 6's since-deleted second loop reached against it.
 PRE_REFACTOR_BASELINE: Dict[str, float] = {
     "dispatch": 732981.2,
     "fullstack": 285034.8,

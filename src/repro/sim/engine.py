@@ -13,6 +13,11 @@ Determinism: ties on the clock break by thread id, all randomness flows
 from :class:`~repro.common.rng.SplitRandom` streams, so a run is a pure
 function of (workload, system, seed).
 
+There is one loop: :meth:`Engine.run` schedules and the ``_step`` chain
+executes, for observed and unobserved runs alike.  Observers
+(telemetry, profiler, fault injector, retry policy) are ``is not None``
+tests inside that chain, so attaching one cannot change the schedule.
+
 Abort handling follows the TM API contract (:mod:`repro.tm.api`):
 
 * self-aborts surface as :class:`TransactionAborted` from ``read``,
@@ -38,7 +43,6 @@ from repro.common.errors import (
     SimulationError,
     TransactionAborted,
 )
-from repro.sim.machine import ThreadArrays
 from repro.sim.stats import RunStats
 from repro.tm.api import StallRequested, TMSystem, Txn
 from repro.tm.ops import Abort, Compute, Op, Read, Write
@@ -72,10 +76,11 @@ class TransactionSpec:
 class Tracer:
     """Observer interface for trace tools (write-skew tool, oracle).
 
-    The engine invokes these hooks for every transactional event; the
-    default implementations do nothing, so tracing costs one attribute
-    lookup per event when disabled.  ``on_read``/``on_write`` receive the
-    value observed/stored, giving full-history recorders
+    The engine invokes these hooks for every transactional event; with
+    no tracer given it holds a bare ``Tracer()``, whose hooks do
+    nothing, so tracing costs one no-op call per event when disabled.
+    ``on_read``/``on_write`` receive the value observed/stored, giving
+    full-history recorders
     (:class:`repro.oracle.history.HistoryRecorder`) everything the
     isolation checker needs; ``on_begin``/``on_commit`` fire after the
     system assigned ``txn.start_ts`` / ``txn.commit_ts``.
@@ -110,8 +115,7 @@ class _ThreadState:
 
     __slots__ = ("thread_id", "specs", "spec", "txn", "gen", "pending",
                  "retries", "clock", "done", "redo_op",
-                 "first_attempt_clock", "consecutive_stalls", "queued",
-                 "queued_clock")
+                 "first_attempt_clock", "consecutive_stalls", "queued")
 
     def __init__(self, thread_id: int, specs: Iterator[TransactionSpec]):
         self.thread_id = thread_id
@@ -134,26 +138,6 @@ class _ThreadState:
         self.consecutive_stalls = 0
         #: waiting in (or holding) the golden-token escalation queue
         self.queued = False
-        #: clock key of this thread's live entry in the scheduler heap —
-        #: lazy deletion: a popped entry whose clock differs is stale
-        #: (a fresher entry is already queued) and is simply dropped
-        self.queued_clock = 0
-
-
-class _FastLoopBail(Exception):
-    """Internal: a fatal condition detected inside the fast loop.
-
-    Raised instead of :class:`SimulationError` so the burst-local state
-    is flushed back onto the engine (the loop's ``finally`` blocks run
-    during unwinding) *before* the diagnostics snapshot is taken; the
-    fast loop's caller converts it, appending ``Engine.diagnostics``.
-    """
-
-    __slots__ = ("prefix",)
-
-    def __init__(self, prefix: str):
-        self.prefix = prefix
-        super().__init__(prefix)
 
 
 class Engine:
@@ -172,8 +156,7 @@ class Engine:
     def __init__(self, tm: TMSystem,
                  programs: Iterable[Iterable[TransactionSpec]],
                  tracer: Optional[Tracer] = None,
-                 promote_sites: Optional[set] = None,
-                 soa: Optional[bool] = None):
+                 promote_sites: Optional[set] = None):
         self.tm = tm
         self.machine = tm.machine
         #: telemetry registry (None when telemetry is off — the default)
@@ -225,403 +208,58 @@ class Engine:
         self._golden: Optional[int] = None
         #: consecutive no-progress steps (watchdog streak)
         self._no_progress = 0
-        #: scheduler-heap pushes (lazy-deletion bound: at most one live
-        #: entry per thread, so pushes never exceed steps + threads)
+        #: scheduler-heap pushes: run() is the only push site and pushes
+        #: at most once per step, so pushes never exceed steps + threads
         self._heap_pushes = 0
-        #: struct-of-arrays layout override for the fast path (None =
-        #: auto-select by thread count, see ThreadArrays.for_threads)
-        self._soa = soa
-        # Construction-time step-path selection: with no tracer, no
-        # telemetry, no profiler, no fault injector and no retry policy
-        # — the default — every observer hook in the per-operation path
-        # is provably dead, so `run` takes the flattened fast loop.
-        # Any observer present keeps the fully-guarded legacy path,
-        # preserving the zero-overhead contracts of the observability
-        # layers (each hook stays one `is not None` test).
-        self._fast = (tracer is None
-                      and self.metrics is None
-                      and self.profiler is None
-                      and self.faults is None
-                      and self.retry_policy is None)
 
     # ------------------------------------------------------------------
 
     def run(self, max_steps: Optional[int] = None) -> RunStats:
-        """Run every thread program to completion; return the statistics."""
-        if self._fast:
-            return self._run_fast(max_steps)
-        heap = []
-        for t in self.threads:
-            t.queued_clock = t.clock
-            heap.append((t.clock, t.thread_id))
+        """Run every thread program to completion; return the statistics.
+
+        The one scheduling loop: always step the thread with the
+        smallest ``(clock, thread_id)``.  The heap holds exactly one
+        entry per live thread that is off the CPU.
+        """
+        threads = self.threads
+        step = self._step
+        heappush = heapq.heappush
+        heappop = heapq.heappop
+        inf = float("inf")
+        limit = inf if max_steps is None else max_steps
+        heap = [(t.clock, t.thread_id) for t in threads]
         heapq.heapify(heap)
         self._heap_pushes += len(heap)
         while heap:
-            if max_steps is not None and self._steps >= max_steps:
-                raise SimulationError(
-                    f"exceeded {max_steps} engine steps\n"
-                    + self.diagnostics())
-            self._steps += 1
-            clock, tid = heapq.heappop(heap)
-            thread = self.threads[tid]
-            if clock != thread.queued_clock:
-                # stale lazy-deletion entry: the thread already has a
-                # fresher entry queued, so drop this one — re-pushing
-                # would leak one dead heap entry per reschedule
-                continue
-            if thread.clock != clock:
-                # the thread's clock moved outside _step (e.g. an
-                # external escalation charge); requeue at the new clock
-                thread.queued_clock = thread.clock
-                heapq.heappush(heap, (thread.clock, tid))
-                self._heap_pushes += 1
-                continue
-            self._step(thread)
-            if not thread.done:
-                thread.queued_clock = thread.clock
-                heapq.heappush(heap, (thread.clock, tid))
-                self._heap_pushes += 1
+            tid = heappop(heap)[1]
+            thread = threads[tid]
+            # Burst scheduling: the popped thread keeps the CPU while it
+            # is still the schedule minimum.  Popping the minimum right
+            # after pushing it is the identity, so skipping the pair
+            # cannot reorder the schedule; and the heap — hence its head,
+            # cached here as two scalars — cannot change meanwhile, the
+            # push below being the only one.
+            if heap:
+                head_clock, head_tid = heap[0]
             else:
-                self.stats.threads[tid].cycles = thread.clock
+                head_clock, head_tid = inf, -1
+            while True:
+                if self._steps >= limit:
+                    raise SimulationError(
+                        f"exceeded {max_steps} engine steps\n"
+                        + self.diagnostics())
+                self._steps += 1
+                step(thread)
+                if thread.done:
+                    self.stats.threads[tid].cycles = thread.clock
+                    break
+                clock = thread.clock
+                if head_clock < clock or (head_clock == clock
+                                          and head_tid < tid):
+                    heappush(heap, (clock, tid))
+                    self._heap_pushes += 1
+                    break
         return self.stats
-
-    # ------------------------------------------------------------------
-
-    def _run_fast(self, max_steps: Optional[int] = None) -> RunStats:
-        """The specialized hot loop for fully-unobserved runs.
-
-        Selected at construction when tracer, metrics, profiler, fault
-        injector and retry policy are all absent (the default).  The
-        schedule — and therefore every statistic, history and RNG draw —
-        is byte-identical to the legacy path (pinned by
-        ``tests/sim/test_fastpath_differential.py``); only the host-side
-        shape of the loop changes:
-
-        * per-op dispatch goes through a handler table of closures over
-          hoisted bound methods (``tm.read``, ``stats.record_commit``,
-          the op-count columns) instead of a ``type(op) is ...`` chain
-          behind three attribute hops; ``Compute`` — the only op with no
-          TM interaction and no failure path — is checked ahead of the
-          table and handled inline;
-        * the NACK-redo case re-enters the same dispatch site rather
-          than duplicating the ``try/except`` re-entry block;
-        * per-thread clocks and op counters live in struct-of-arrays
-          columns (:class:`~repro.sim.machine.ThreadArrays`), and while
-          one thread runs, its execution state (spec, txn, generator,
-          clock) lives in plain locals, flushed back to
-          ``_ThreadState`` by a ``finally`` when the thread leaves the
-          CPU — nothing reads that state mid-burst;
-        * while the running thread remains the schedule minimum it
-          keeps executing without any heap traffic — popping the
-          minimum right after pushing it is the identity, so skipping
-          the pair cannot reorder the schedule (thread ids break all
-          ties, and the heap — hence its head — cannot change while no
-          push happens).
-        """
-        threads = self.threads
-        stats = self.stats
-        arrays = ThreadArrays.for_threads(len(threads), self._soa)
-        clocks = arrays.clocks
-        reads = arrays.reads
-        writes = arrays.writes
-        thread_stats = stats.threads
-        for t in threads:
-            tid0 = t.thread_id
-            clocks[tid0] = t.clock
-            reads[tid0] = thread_stats[tid0].reads
-            writes[tid0] = thread_stats[tid0].writes
-        tm = self.tm
-        tm_begin = tm.begin
-        tm_read = tm.read
-        tm_write = tm.write
-        tm_commit = tm.commit
-        tm_abort = tm.abort
-        record_commit = stats.record_commit
-        record_abort = stats.record_abort
-        jitter = self._restart_jitter.randrange
-        compute_cost = self.machine.config.compute_cycles
-        promote_sites = self.promote_sites
-        retry_limit = self.machine.config.tm.max_retries
-        stall_cycles = self.STALL_CYCLES
-        watchdog = self.WATCHDOG_STALL_STEPS
-        heappush = heapq.heappush
-
-        steps = self._steps
-        no_progress = self._no_progress
-        pushes = self._heap_pushes
-
-        def sync() -> None:
-            """Flush loop-local state back onto the engine (idempotent)."""
-            self._steps = steps
-            self._no_progress = no_progress
-            self._heap_pushes = pushes
-            for t in threads:
-                tid = t.thread_id
-                t.clock = clocks[tid]
-                tstats = thread_stats[tid]
-                tstats.reads = reads[tid]
-                tstats.writes = writes[tid]
-
-        def on_read(tid, spec, txn, op):
-            promote = (op.promote
-                       or spec.serializable
-                       or (op.site in promote_sites
-                           if promote_sites else False))
-            value, cycles = tm_read(txn, op.addr, promote)
-            reads[tid] += 1
-            return value, cycles
-
-        def on_write(tid, spec, txn, op):
-            cycles = tm_write(txn, op.addr, op.value)
-            writes[tid] += 1
-            return None, cycles
-
-        handler_get = {Read: on_read, Write: on_write}.get
-
-        def do_abort(thread, spec, txn, gen, cause) -> int:
-            """Abort bookkeeping; returns the cycles to charge."""
-            nonlocal no_progress
-            cycles = tm_abort(txn, cause)
-            cycles += jitter(16)
-            record_abort(thread.thread_id, spec.label, cause)
-            no_progress = 0
-            if gen is not None:
-                gen.close()
-            retries = thread.retries + 1
-            thread.retries = retries
-            if retries > stats.max_attempts_seen:
-                stats.max_attempts_seen = retries
-            return cycles
-
-        limit = (1 << 62) if max_steps is None else max_steps
-        inf = float("inf")
-        heap = []
-        for t in threads:
-            t.queued_clock = clocks[t.thread_id]
-            heap.append((clocks[t.thread_id], t.thread_id))
-        heapq.heapify(heap)
-        pushes += len(heap)
-        heappop = heapq.heappop
-        try:
-            try:
-                while heap:
-                    clock, tid = heappop(heap)
-                    thread = threads[tid]
-                    if clock != thread.queued_clock:
-                        continue  # stale lazy-deletion entry
-                    # burst entry: this thread is the schedule minimum;
-                    # hoist its execution state into locals until it
-                    # leaves the CPU (nothing observes it mid-burst)
-                    spec = thread.spec
-                    txn = thread.txn
-                    gen = thread.gen
-                    send = gen.send if gen is not None else None
-                    pending = thread.pending
-                    redo = thread.redo_op
-                    myclock = clocks[tid]
-                    if heap:
-                        head = heap[0]
-                        head_clock = head[0]
-                        head_tid = head[1]
-                    else:
-                        head_clock = inf
-                        head_tid = -1
-                    try:
-                        while True:
-                            if steps >= limit:
-                                raise _FastLoopBail(
-                                    f"exceeded {max_steps} engine steps\n")
-                            steps += 1
-                            if spec is None:
-                                nxt = next(thread.specs, None)
-                                if nxt is None:
-                                    thread.done = True
-                                    thread_stats[tid].cycles = myclock
-                                    break
-                                spec = nxt
-                                thread.retries = 0
-                            if txn is None:
-                                txn, cycles = tm_begin(tid, spec.label,
-                                                       thread.retries)
-                                myclock += cycles
-                                if txn is None:
-                                    myclock += stall_cycles
-                                    thread.consecutive_stalls += 1
-                                    no_progress += 1
-                                    if no_progress >= watchdog:
-                                        raise _FastLoopBail(
-                                            f"engine watchdog: no progress"
-                                            f" in {no_progress} consecutive"
-                                            f" steps (permanent begin"
-                                            f" stall)\n")
-                                else:
-                                    thread.consecutive_stalls = 0
-                                    no_progress = 0
-                                    if thread.retries == 0:
-                                        thread.first_attempt_clock = myclock
-                                    gen = spec.body_factory()
-                                    send = gen.send
-                                    pending = None
-                            elif txn.doomed is not None:
-                                myclock += do_abort(thread, spec, txn,
-                                                    gen, txn.doomed)
-                                txn = None
-                                gen = None
-                                send = None
-                                redo = None
-                                if retry_limit \
-                                        and thread.retries > retry_limit:
-                                    raise _FastLoopBail(
-                                        f"transaction {spec.label!r} "
-                                        f"exceeded {retry_limit} "
-                                        f"retries\n")
-                            else:
-                                op = redo
-                                if op is not None:
-                                    redo = None
-                                    pending = None
-                                else:
-                                    try:
-                                        op = send(pending)
-                                    except StopIteration:
-                                        op = None
-                                        # body exhausted: commit now
-                                        if txn.doomed is not None:
-                                            myclock += do_abort(
-                                                thread, spec, txn,
-                                                gen, txn.doomed)
-                                            txn = None
-                                            gen = None
-                                            send = None
-                                            redo = None
-                                            if retry_limit and \
-                                                    thread.retries \
-                                                    > retry_limit:
-                                                raise _FastLoopBail(
-                                                    f"transaction "
-                                                    f"{spec.label!r} "
-                                                    f"exceeded "
-                                                    f"{retry_limit} "
-                                                    f"retries\n")
-                                        else:
-                                            try:
-                                                cycles = tm_commit(
-                                                    txn, myclock)
-                                            except TransactionAborted \
-                                                    as aborted:
-                                                myclock += do_abort(
-                                                    thread, spec, txn,
-                                                    gen, aborted.cause)
-                                                txn = None
-                                                gen = None
-                                                send = None
-                                                redo = None
-                                                if retry_limit and \
-                                                        thread.retries \
-                                                        > retry_limit:
-                                                    raise _FastLoopBail(
-                                                        f"transaction "
-                                                        f"{spec.label!r}"
-                                                        f" exceeded "
-                                                        f"{retry_limit} "
-                                                        f"retries\n")
-                                            else:
-                                                myclock += cycles
-                                                record_commit(
-                                                    tid, spec.label,
-                                                    thread.retries)
-                                                no_progress = 0
-                                                spec = None
-                                                txn = None
-                                                gen = None
-                                                send = None
-                                    except TransactionAborted as aborted:
-                                        op = None
-                                        myclock += do_abort(
-                                            thread, spec, txn,
-                                            gen, aborted.cause)
-                                        txn = None
-                                        gen = None
-                                        send = None
-                                        redo = None
-                                        if retry_limit and \
-                                                thread.retries \
-                                                > retry_limit:
-                                            raise _FastLoopBail(
-                                                f"transaction "
-                                                f"{spec.label!r} "
-                                                f"exceeded "
-                                                f"{retry_limit} "
-                                                f"retries\n")
-                                    else:
-                                        pending = None
-                                if op is not None:
-                                    no_progress = 0
-                                    cls = op.__class__
-                                    if cls is Compute:
-                                        myclock += (op.cycles
-                                                    * compute_cost)
-                                    else:
-                                        try:
-                                            handler = handler_get(cls)
-                                            if handler is not None:
-                                                pending, cycles = handler(
-                                                    tid, spec, txn, op)
-                                                myclock += cycles
-                                            elif cls is Abort:
-                                                raise TransactionAborted(
-                                                    AbortCause.EXPLICIT)
-                                            else:
-                                                raise SimulationError(
-                                                    f"unknown operation "
-                                                    f"{op!r}")
-                                        except StallRequested as stall:
-                                            myclock += stall.cycles
-                                            redo = op
-                                        except TransactionAborted \
-                                                as aborted:
-                                            myclock += do_abort(
-                                                thread, spec, txn,
-                                                gen, aborted.cause)
-                                            txn = None
-                                            gen = None
-                                            send = None
-                                            redo = None
-                                            if retry_limit and \
-                                                    thread.retries \
-                                                    > retry_limit:
-                                                raise _FastLoopBail(
-                                                    f"transaction "
-                                                    f"{spec.label!r} "
-                                                    f"exceeded "
-                                                    f"{retry_limit} "
-                                                    f"retries\n")
-                            # scheduling tail: keep the CPU while still
-                            # the schedule minimum (the heap head cannot
-                            # change during the burst: no pushes happen)
-                            if head_clock < myclock or (
-                                    head_clock == myclock
-                                    and head_tid < tid):
-                                thread.queued_clock = myclock
-                                heappush(heap, (myclock, tid))
-                                pushes += 1
-                                break
-                    finally:
-                        # burst exit (break, bail or foreign exception):
-                        # flush the hoisted locals back where the outer
-                        # loop, sync() and diagnostics expect them
-                        thread.spec = spec
-                        thread.txn = txn
-                        thread.gen = gen
-                        thread.pending = pending
-                        thread.redo_op = redo
-                        clocks[tid] = myclock
-            finally:
-                sync()
-        except _FastLoopBail as bail:
-            raise SimulationError(bail.prefix + self.diagnostics()) \
-                from None
-        return stats
 
     # ------------------------------------------------------------------
 
@@ -641,31 +279,23 @@ class Engine:
         if txn.doomed is not None:
             self._abort(thread, txn.doomed)
             return
-        if thread.redo_op is not None:
-            op, thread.redo_op = thread.redo_op, None
-            thread.pending = None
+        op = thread.redo_op
+        if op is not None:
+            # NACK-stalled operation: re-issue it instead of resuming
+            # the body
+            thread.redo_op = None
+        else:
             try:
-                self._dispatch(thread, txn, op)
-            except StallRequested as stall:
-                thread.clock += stall.cycles
-                if self.profiler is not None:
-                    self.profiler.account(thread.thread_id, "stall",
-                                          stall.cycles)
-                thread.redo_op = op
+                op = thread.gen.send(thread.pending)
+            except StopIteration:
+                try:
+                    self._commit(thread)
+                except TransactionAborted as aborted:
+                    self._abort(thread, aborted.cause)
+                return
             except TransactionAborted as aborted:
                 self._abort(thread, aborted.cause)
-            return
-        try:
-            op = thread.gen.send(thread.pending)
-        except StopIteration:
-            try:
-                self._commit(thread)
-            except TransactionAborted as aborted:
-                self._abort(thread, aborted.cause)
-            return
-        except TransactionAborted as aborted:
-            self._abort(thread, aborted.cause)
-            return
+                return
         thread.pending = None
         try:
             self._dispatch(thread, txn, op)

@@ -14,7 +14,6 @@ observe one coherent memory.
 
 from __future__ import annotations
 
-from array import array
 from typing import Optional
 
 from repro.common.config import SimConfig
@@ -26,53 +25,6 @@ from repro.mem.heap import Heap
 from repro.mem.interconnect import Interconnect
 from repro.mvm.controller import MVMController
 from repro.mvm.timestamps import GlobalClock
-
-
-#: thread count at or above which the struct-of-arrays layout switches
-#: to compact ``array('q')`` columns (one machine word per thread)
-SOA_THREAD_THRESHOLD = 32
-
-
-class ThreadArrays:
-    """Struct-of-arrays per-thread hot state: clocks and op counters.
-
-    The engine's specialized fast path keeps the per-thread local clock
-    and read/write counters in parallel columns indexed by thread id,
-    instead of attribute accesses spread over ``_ThreadState`` and
-    ``ThreadStats`` objects.  ``compact=True`` backs the columns with
-    ``array('q')`` (signed 64-bit, cache-dense, one word per thread);
-    plain lists are kept for small runs, where CPython's boxed-int item
-    access is faster than array unboxing.  The layout never leaks into
-    results: the engine flushes the columns back to the canonical
-    per-thread objects on every exit path.
-    """
-
-    __slots__ = ("compact", "clocks", "reads", "writes")
-
-    def __init__(self, num_threads: int, compact: bool = False):
-        self.compact = compact
-        zeros = [0] * num_threads
-        if compact:
-            self.clocks = array("q", zeros)
-            self.reads = array("q", zeros)
-            self.writes = array("q", zeros)
-        else:
-            self.clocks = zeros
-            self.reads = [0] * num_threads
-            self.writes = [0] * num_threads
-
-    @classmethod
-    def for_threads(cls, num_threads: int,
-                    compact: Optional[bool] = None) -> "ThreadArrays":
-        """Columns for ``num_threads``, auto-selecting the layout.
-
-        ``compact=None`` picks the ``array('q')`` layout at
-        :data:`SOA_THREAD_THRESHOLD` or more threads — the scale where
-        the column footprint starts to matter — and lists below it.
-        """
-        if compact is None:
-            compact = num_threads >= SOA_THREAD_THRESHOLD
-        return cls(num_threads, compact)
 
 
 class Machine:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.common.config import SimConfig
+from repro.common.config import MVMConfig, SimConfig, VersionCapPolicy
 from repro.common.rng import SplitRandom
 from repro.sim.engine import Engine, TransactionSpec
 from repro.sim.machine import Machine
@@ -30,6 +30,17 @@ def _isolated_result_cache(tmp_path, monkeypatch):
 def machine() -> Machine:
     """A cold machine with default (Table 1) configuration."""
     return Machine()
+
+
+@pytest.fixture
+def uncapped_machine() -> Machine:
+    """A cold machine that keeps every version (``UNBOUNDED`` cap).
+
+    What checkpointing workloads run on: a checkpoint pinned under the
+    default ``ABORT_WRITER`` cap warns about pin-induced livelock.
+    """
+    return Machine(SimConfig(
+        mvm=MVMConfig(cap_policy=VersionCapPolicy.UNBOUNDED)))
 
 
 @pytest.fixture

@@ -11,6 +11,12 @@ from repro.tm.ops import Read, Write
 from tests.conftest import run_program, spec
 
 
+@pytest.fixture
+def machine(uncapped_machine):
+    """None of these tests is about the version cap."""
+    return uncapped_machine
+
+
 def mutate(machine, addr, value, system="SI-TM", seed=1):
     def body():
         yield Write(addr, value)

@@ -162,14 +162,13 @@ def test_manager_needs_exactly_one_substrate():
         CheckpointManager()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_rollback_error_is_typed(machine):
+def test_rollback_error_is_typed(uncapped_machine):
     """In-flight transactions refuse rollback with the typed error."""
     from repro.tm import SnapshotIsolationTM
 
-    manager = CheckpointManager(machine)
+    manager = CheckpointManager(uncapped_machine)
     checkpoint = manager.create()
-    tm = SnapshotIsolationTM(machine, SplitRandom(1))
+    tm = SnapshotIsolationTM(uncapped_machine, SplitRandom(1))
     tm.begin(0, "t", 0)
     with pytest.raises(CheckpointRollbackError, match="in flight"):
         manager.rollback(checkpoint)
@@ -177,9 +176,9 @@ def test_rollback_error_is_typed(machine):
     assert issubclass(CheckpointRollbackError, MVMError)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_rollback_allowed_with_other_checkpoints_pinned(machine):
+def test_rollback_allowed_with_other_checkpoints_pinned(uncapped_machine):
     """Only *transactions* block rollback; sibling pins do not."""
+    machine = uncapped_machine
     manager = CheckpointManager(machine)
     addr = machine.mvmalloc(1)
     mutate(machine, addr, 1)
@@ -198,12 +197,9 @@ def test_capped_pin_warns_exactly_once():
         checkpoint_mod._warned_capped_pin = False
         mvm = bare(cap_policy=VersionCapPolicy.ABORT_WRITER)
         manager = CheckpointManager.for_controller(mvm)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
+        with pytest.warns(RuntimeWarning, match="ABORT_WRITER") as caught:
             manager.create()
         assert len(caught) == 1
-        assert issubclass(caught[0].category, RuntimeWarning)
-        assert "ABORT_WRITER" in str(caught[0].message)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             manager.create()

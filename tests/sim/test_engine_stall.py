@@ -106,16 +106,15 @@ class TestStallRedo:
 
 
 class TestHeapLazyDeletion:
-    """The scheduler heap must not leak dead entries under reschedule
-    storms.
+    """The scheduler heap holds one entry per off-CPU thread, never more.
 
-    The lazy-deletion scheme keeps at most one *live* entry per thread:
-    a popped entry whose clock no longer matches the thread's
-    ``queued_clock`` is dropped, never re-pushed.  Re-pushing stale
-    entries (the regression this pins) makes the heap grow by one dead
-    entry per reschedule, which a begin-stall storm turns into thousands
-    of extra pushes.  The invariant is ``pushes <= steps + threads``:
-    one push per step that reschedules, plus the initial heapify.
+    ``Engine.run`` is the only push site: one push per step that takes
+    a thread off the CPU, plus the initial heapify, so
+    ``pushes <= steps + threads`` holds by construction (bursts only
+    add slack).  The bound is pinned under begin-stall storms, the
+    reschedule-heavy shape that leaked one dead heap entry per
+    reschedule when an earlier loop re-pushed stale pops; the class
+    name dates from the lazy-deletion scheme that first fixed that.
     """
 
     THREADS = 4
@@ -151,13 +150,12 @@ class TestHeapLazyDeletion:
         engine = self._storm_engine(retry)
         stats = engine.run(max_steps=200_000)
         # the storm stalls begins constantly, so every thread is
-        # rescheduled over and over — exactly the shape that leaked
-        # dead entries before lazy deletion dropped stale pops
+        # rescheduled over and over
         assert stats.total_commits == self.THREADS * 6
         assert engine._heap_pushes <= engine.steps_taken + self.THREADS
         if retry:
-            # the tight policy escalates under the storm, exercising
-            # the externally-moved-clock requeue path as well
+            # the tight policy escalates under the storm, so quiesce
+            # parks and the golden token reschedule threads as well
             assert stats.escalations > 0
 
     @pytest.mark.parametrize("retry", [False, True],

@@ -1,33 +1,54 @@
-"""Fast-path differential: the flattened loop changes nothing observable.
+"""Observer passivity: attaching observers changes nothing observable.
 
-The engine selects a specialized step loop at construction when no
-observer (tracer, metrics, profiler, fault injector, retry policy) is
-present.  These tests pin the refactor's core contract: for every
-backend, over the persisted schedule corpus and the pinned micro grids,
-the fast path produces **byte-identical** results to the fully-guarded
-legacy path — the same :class:`RunStats` (including per-label insertion
-order), the same final memory, the same step count, and the same
-history of calls across the TM interface (operation order, arguments,
-results and cycle charges), which is the complete channel through which
-a run's schedule is observable without a tracer.
+The engine has one step loop; observers (tracer, telemetry registry,
+cycle profiler) are ``is not None`` tests inside it.  These tests pin
+that observers are *passive*: for every backend, over the persisted
+schedule corpus, generated schedules and the pinned micro grids, a run
+observed the way ``harness.runner`` composes telemetry + profiling
+(``MetricsRegistry`` + ``SpanRecorder`` + ``CycleProfiler``) produces
+**byte-identical** results to the bare run — the same
+:class:`RunStats` (including per-label insertion order), the same final
+memory, the same step count, and the same history of calls across the
+TM interface (operation order, arguments, results and cycle charges),
+which is the complete channel through which a run's schedule is
+observable without a tracer.
 
 The TM-interface history is captured by wrapping the backend in a
-recording proxy; the proxy works identically on both paths because the
-engine drives the backend the same way regardless of loop shape — that
-is exactly the property under test.
+recording proxy.
+
+Both variants share ``Engine.run``, so a scheduling bug would move them
+together.  The independent reference is stored: the second half of
+this file requires every bare run to reproduce a sha256 over
+``(stats, final memory, step count, TM call log)`` held in
+``tests/corpus/engine_golden.json``, recorded from the commit its
+header names (the last one with a second loop to agree with).  After an
+*intended* behaviour change, re-record from the repo root with
+``PYTHONPATH=src python -m tests.sim.test_fastpath_differential
+"<commit, why>"`` (the argument becomes the header's
+``recorded_from``).
+
+The file and test names predate the single loop and are kept so test
+ids stay stable across history: the ``test_fast_path_*`` tests
+compared a flattened fast loop against this one, and
+``test_soa_layout_is_byte_identical_on_corpus`` compared a
+struct-of-arrays thread layout against the default one — with both
+gone, the stored digest is what the bare run is byte-identical *to*.
 """
 
+import hashlib
 import json
 import pathlib
 
 import pytest
 
 from repro.common.rng import SplitRandom, derive_seed
+from repro.obs import CycleProfiler, MetricsRegistry, MultiTracer, \
+    SpanRecorder
 from repro.oracle.fuzz import _make_body, _patched_config, \
     generate_schedule
 from repro.perf.micro import _dispatch_programs, _fullstack_programs, \
     _machine
-from repro.sim.engine import Engine, Tracer, TransactionSpec
+from repro.sim.engine import Engine, TransactionSpec
 from repro.sim.machine import Machine
 from repro.tm import SYSTEMS
 
@@ -36,6 +57,10 @@ CORPUS_DIR = pathlib.Path(__file__).parent.parent / "corpus" / "schedules"
 CLEAN_CORPUS = sorted(p for p in CORPUS_DIR.glob("*.json")
                       if p.stem != "livelock_under_fault")
 ALL_SYSTEMS = sorted(SYSTEMS)
+#: randomized contended schedules from the fuzzer's schedule space
+#: (increments, transfers, scans, blind writes, write skew)
+GENERATED = [generate_schedule(11, index, threads=3, txns=2, cells=4, ops=3)
+             for index in range(6)]
 
 
 class RecordingTM:
@@ -115,9 +140,9 @@ class RecordingTM:
 
     def abort(self, txn, cause):
         cycles = self._inner.abort(txn, cause)
-        # killer provenance is part of the observable TM state: the
-        # fast path must attribute every doomed transaction to the
-        # same killer the legacy path does
+        # killer provenance is part of the observable TM state: every
+        # doomed transaction must be attributed to the same killer
+        # whether or not anyone is watching
         self._log.append(("abort", txn.thread_id, cause.name, cycles,
                           txn.killer_tid, txn.killer_uid,
                           txn.killer_label, txn.killer_ts))
@@ -129,7 +154,14 @@ def _load(path):
     return doc.get("schedule", doc)
 
 
-def _run_schedule_variant(schedule, system, observed, soa=None):
+def _observe(machine):
+    """Attach telemetry + profiling to ``machine``; return the tracer."""
+    registry = MetricsRegistry()
+    machine.enable_telemetry(registry)
+    return MultiTracer(SpanRecorder(metrics=registry), CycleProfiler())
+
+
+def _run_schedule_variant(schedule, system, observed):
     """Mirror ``repro.oracle.fuzz.run_schedule`` minus the recorder."""
     config = _patched_config(schedule.get("config"))
     machine = Machine(config)
@@ -150,9 +182,8 @@ def _run_schedule_variant(schedule, system, observed, soa=None):
         for thread in schedule["threads"]]
     total_ops = sum(len(txn["ops"]) + 2
                     for thread in schedule["threads"] for txn in thread)
-    kwargs = {} if soa is None else {"soa": soa}
     engine = Engine(tm, programs,
-                    tracer=Tracer() if observed else None, **kwargs)
+                    tracer=_observe(machine) if observed else None)
     engine.run(max_steps=1000 * max(1, total_ops) + 20_000)
     final = [machine.plain_load(base + cell * stride)
              for cell in range(len(initial))]
@@ -161,12 +192,7 @@ def _run_schedule_variant(schedule, system, observed, soa=None):
         "final": final,
         "steps": engine.steps_taken,
         "tm_log": log,
-        "fast": engine._fast,
     }
-
-
-def _strip(result):
-    return {k: result[k] for k in ("stats", "final", "steps", "tm_log")}
 
 
 def test_all_six_backends_are_covered():
@@ -182,58 +208,33 @@ def test_corpus_is_present():
 @pytest.mark.parametrize("system", ALL_SYSTEMS)
 def test_fast_path_is_byte_identical_on_corpus(path, system):
     schedule = _load(path)
-    fast = _run_schedule_variant(schedule, system, observed=False)
+    bare = _run_schedule_variant(schedule, system, observed=False)
     observed = _run_schedule_variant(schedule, system, observed=True)
-    assert not observed["fast"]
-    if not schedule.get("config") or not (
-            schedule["config"].get("faults")
-            or schedule["config"].get("retry")):
-        # no observer in the schedule's own config: the unobserved
-        # variant must actually have taken the specialized loop —
-        # otherwise this whole test is vacuously comparing legacy to
-        # legacy
-        assert fast["fast"]
-    assert _strip(fast) == _strip(observed)
+    assert bare == observed
 
 
-@pytest.mark.parametrize("path", CLEAN_CORPUS,
-                         ids=[p.stem for p in CLEAN_CORPUS])
-@pytest.mark.parametrize("system", ALL_SYSTEMS)
-def test_soa_layout_is_byte_identical_on_corpus(path, system):
-    schedule = _load(path)
-    auto = _run_schedule_variant(schedule, system, observed=False)
-    soa = _run_schedule_variant(schedule, system, observed=False, soa=True)
-    assert _strip(auto) == _strip(soa)
-
-
-@pytest.mark.parametrize("index", range(6))
+@pytest.mark.parametrize("index", range(len(GENERATED)))
 @pytest.mark.parametrize("system", ALL_SYSTEMS)
 def test_fast_path_is_byte_identical_on_generated_schedules(system, index):
     """Property over the fuzzer's schedule space: randomized contended
-    schedules (increments, transfers, scans, blind writes, write skew)
-    must agree between paths just like the curated corpus does."""
-    schedule = generate_schedule(11, index, threads=3, txns=2,
-                                 cells=4, ops=3)
-    fast = _run_schedule_variant(schedule, system, observed=False)
-    observed = _run_schedule_variant(schedule, system, observed=True)
-    assert fast["fast"] and not observed["fast"]
-    assert _strip(fast) == _strip(observed)
+    schedules must agree between variants just like the curated corpus
+    does."""
+    bare = _run_schedule_variant(GENERATED[index], system, observed=False)
+    observed = _run_schedule_variant(GENERATED[index], system, observed=True)
+    assert bare == observed
 
 
-def _run_grid_variant(programs_builder, threads, observed, soa=None):
+def _run_grid_variant(programs_builder, threads, observed):
     machine = _machine(threads)
-    tm = SYSTEMS["SI-TM"](machine, SplitRandom(7))
     log = []
-    tm = RecordingTM(tm, log)
-    kwargs = {} if soa is None else {"soa": soa}
+    tm = RecordingTM(SYSTEMS["SI-TM"](machine, SplitRandom(7)), log)
     engine = Engine(tm, programs_builder(machine),
-                    tracer=Tracer() if observed else None, **kwargs)
+                    tracer=_observe(machine) if observed else None)
     engine.run()
     return {
         "stats": engine.stats.to_dict(),
         "steps": engine.steps_taken,
         "tm_log": log,
-        "fast": engine._fast,
     }
 
 
@@ -248,16 +249,103 @@ def _dispatch(machine):
     return _dispatch_programs(machine, base, 64, 6, 40, 300, 2, 2)
 
 
-@pytest.mark.parametrize("builder,threads", [
-    (_fullstack, 32),
-    (_dispatch, 64),
-], ids=["fullstack32", "dispatch64"])
-def test_fast_path_is_byte_identical_on_micro_grids(builder, threads):
-    """32- and 64-thread grids: exercises bursts, SoA and batched commit."""
-    fast = _run_grid_variant(builder, threads, observed=False)
+MICRO_GRIDS = {"fullstack32": (_fullstack, 32), "dispatch64": (_dispatch, 64)}
+
+
+@pytest.mark.parametrize("grid", MICRO_GRIDS)
+def test_fast_path_is_byte_identical_on_micro_grids(grid):
+    """32- and 64-thread grids: long bursts and batched commits."""
+    builder, threads = MICRO_GRIDS[grid]
+    bare = _run_grid_variant(builder, threads, observed=False)
     observed = _run_grid_variant(builder, threads, observed=True)
-    soa = _run_grid_variant(builder, threads, observed=False, soa=True)
-    assert fast["fast"] and not observed["fast"] and soa["fast"]
-    for variant in (observed, soa):
-        assert {k: fast[k] for k in ("stats", "steps", "tm_log")} \
-            == {k: variant[k] for k in ("stats", "steps", "tm_log")}
+    assert bare == observed
+
+
+# --------------------------------------------------------------------
+# golden digests: the bare run against a stored reference
+# --------------------------------------------------------------------
+
+GOLDEN_PATH = CORPUS_DIR.parent / "engine_golden.json"
+DIGEST_RECIPE = ("sha256(json.dumps([stats, final, steps, tm_log], "
+                 "separators=(',', ':')))")
+
+
+def _digest(result):
+    # no sort_keys: RunStats insertion order (per_label, abort_causes)
+    # is part of what the digest pins
+    payload = json.dumps([result["stats"], result.get("final"),
+                          result["steps"], result["tm_log"]],
+                         separators=(",", ":"))
+    return hashlib.sha256(payload.encode()).hexdigest()
+
+
+def _corpus_digest(path, system):
+    return _digest(_run_schedule_variant(_load(path), system,
+                                         observed=False))
+
+
+def _generated_digest(index, system):
+    return _digest(_run_schedule_variant(GENERATED[index], system,
+                                         observed=False))
+
+
+def _micro_digest(grid):
+    builder, threads = MICRO_GRIDS[grid]
+    return _digest(_run_grid_variant(builder, threads, observed=False))
+
+
+def record(recorded_from):
+    """Rewrite the golden file from this checkout's bare runs."""
+    digests = {}
+    for system in ALL_SYSTEMS:
+        for path in CLEAN_CORPUS:
+            digests[f"corpus/{path.stem}/{system}"] = \
+                _corpus_digest(path, system)
+        for index in range(len(GENERATED)):
+            digests[f"generated/{index}/{system}"] = \
+                _generated_digest(index, system)
+    for grid in MICRO_GRIDS:
+        digests[f"micro/{grid}"] = _micro_digest(grid)
+    GOLDEN_PATH.write_text(json.dumps({
+        "recorded_from": recorded_from,
+        "digest": DIGEST_RECIPE,
+        "digests": dict(sorted(digests.items())),
+    }, indent=1) + "\n")
+
+
+@pytest.fixture(scope="module")
+def golden():
+    doc = json.loads(GOLDEN_PATH.read_text())
+    assert doc["digest"] == DIGEST_RECIPE
+    return doc["digests"]
+
+
+def test_golden_file_has_no_stale_entries(golden):
+    assert len(golden) == (len(ALL_SYSTEMS)
+                           * (len(CLEAN_CORPUS) + len(GENERATED))
+                           + len(MICRO_GRIDS))
+
+
+@pytest.mark.parametrize("path", CLEAN_CORPUS,
+                         ids=[p.stem for p in CLEAN_CORPUS])
+@pytest.mark.parametrize("system", ALL_SYSTEMS)
+def test_soa_layout_is_byte_identical_on_corpus(golden, path, system):
+    assert _corpus_digest(path, system) \
+        == golden[f"corpus/{path.stem}/{system}"]
+
+
+@pytest.mark.parametrize("index", range(len(GENERATED)))
+@pytest.mark.parametrize("system", ALL_SYSTEMS)
+def test_generated_digest(golden, system, index):
+    assert _generated_digest(index, system) \
+        == golden[f"generated/{index}/{system}"]
+
+
+@pytest.mark.parametrize("grid", MICRO_GRIDS)
+def test_micro_digest(golden, grid):
+    assert _micro_digest(grid) == golden[f"micro/{grid}"]
+
+
+if __name__ == "__main__":
+    import sys
+    record(sys.argv[1])

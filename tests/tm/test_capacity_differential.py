@@ -10,11 +10,12 @@ Three contracts pin the capacity feature:
   TM-interface call history.  The charge helpers sit on the hot
   read/write paths, so this is the "no perturbation" half of the
   feature's contract.
-* **path parity** — the flattened fast loop and the fully-observed
-  legacy loop agree under finite limits, both when the limits are
-  generous (charges execute but never fire) and when they bite
-  (HybridHTM's fallback keeps tight-limit runs terminating without a
-  retry policy, so both loop shapes cross the capacity-abort path).
+* **observer passivity** — the bare run and the fully-observed run
+  agree under finite limits, both when the limits are generous
+  (charges execute but never fire) and when they bite (HybridHTM's
+  fallback keeps tight-limit runs terminating without a retry policy,
+  so the capacity-abort path is crossed with no engine-level policy in
+  the way).
 * **declared causes** — every capacity abort carries its declared
   :class:`AbortCause` (``read-capacity``/``write-capacity``/
   ``version-capacity``), each backend's observed causes stay inside its
@@ -38,8 +39,7 @@ from repro.oracle.fuzz import apply_config_patch, check_schedule_run, \
 from repro.sim.retry import RetryPolicy
 from repro.tm import SYSTEMS
 from tests.sim.test_fastpath_differential import (CLEAN_CORPUS, _load,
-                                                  _run_schedule_variant,
-                                                  _strip)
+                                                  _run_schedule_variant)
 
 ALL_SYSTEMS = sorted(SYSTEMS)
 CAPACITY_CAUSES = {AbortCause.READ_CAPACITY.value,
@@ -73,11 +73,11 @@ def test_unbounded_limits_are_byte_identical_to_unset(path, system):
     huge = _with_limits(schedule, read=10**6, write=10**6, buffer=10**6)
     baseline = _run_schedule_variant(schedule, system, observed=False)
     limited = _run_schedule_variant(huge, system, observed=False)
-    assert _strip(baseline) == _strip(limited)
+    assert baseline == limited
 
 
 # --------------------------------------------------------------------
-# path parity under finite limits
+# observer passivity under finite limits
 # --------------------------------------------------------------------
 
 #: randomized contended schedules over 4 cells: any footprint fits in
@@ -90,19 +90,18 @@ CONTENDED = [generate_schedule(23, index, threads=3, txns=2, cells=4, ops=3)
 @pytest.mark.parametrize("system", ALL_SYSTEMS)
 def test_fast_path_parity_under_generous_finite_limits(system, index):
     schedule = _with_limits(CONTENDED[index], read=4, write=4, buffer=4)
-    fast = _run_schedule_variant(schedule, system, observed=False)
+    bare = _run_schedule_variant(schedule, system, observed=False)
     observed = _run_schedule_variant(schedule, system, observed=True)
-    assert fast["fast"] and not observed["fast"]
-    assert _strip(fast) == _strip(observed)
+    assert bare == observed
     # finite-but-roomy limits must never fire
-    assert not any("exceed limit" in entry[-1] for entry in fast["tm_log"]
+    assert not any("exceed limit" in entry[-1] for entry in bare["tm_log"]
                    if entry[0] in ("read!", "write!"))
 
 
 #: two-line writers under write_set_limit=1: hardware attempts must
 #: capacity-abort, and only HybridHTM's serialized fallback lets the
-#: run terminate WITHOUT a retry policy — which keeps the fast loop
-#: eligible, so both loop shapes cross the capacity-abort path
+#: run terminate WITHOUT a retry policy, so the capacity-abort path
+#: runs with nothing but the backend between abort and restart
 WIDE = {
     "name": "cap-wide",
     "initial": [0, 0, 0, 0],
@@ -117,14 +116,13 @@ WIDE = {
 
 def test_hybrid_capacity_aborts_agree_between_paths():
     schedule = _with_limits(WIDE, write=1)
-    fast = _run_schedule_variant(schedule, "HybridHTM", observed=False)
+    bare = _run_schedule_variant(schedule, "HybridHTM", observed=False)
     observed = _run_schedule_variant(schedule, "HybridHTM", observed=True)
-    assert fast["fast"] and not observed["fast"]
-    assert _strip(fast) == _strip(observed)
+    assert bare == observed
     assert any(entry[0] == "write!" and "exceed limit" in entry[-1]
-               for entry in fast["tm_log"])
+               for entry in bare["tm_log"])
     # the commutative totals survive the fallback commits
-    assert fast["final"] == [33, 6, 9, 16]
+    assert bare["final"] == [33, 6, 9, 16]
 
 
 # --------------------------------------------------------------------
