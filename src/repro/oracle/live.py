@@ -78,7 +78,10 @@ class LiveHistoryMonitor:
         self.dump_dir = pathlib.Path(dump_dir) if dump_dir else None
         self._windows = [_ShardWindow() for _ in range(shards)]
         self._addrs: Dict[str, int] = {}
+        #: canonical JSON -> value id, for the values a window still
+        #: references (:meth:`_forget_values`); ids are never reused
         self._value_ids: Dict[str, int] = {}
+        self._last_value_id = 0
         self.rows_seen = 0
         self.checks_run = 0
         self.violations: List[Violation] = []
@@ -101,8 +104,24 @@ class LiveHistoryMonitor:
         canonical = json.dumps(value, sort_keys=True)
         vid = self._value_ids.get(canonical)
         if vid is None:
-            vid = self._value_ids[canonical] = len(self._value_ids) + 1
+            self._last_value_id += 1
+            vid = self._value_ids[canonical] = self._last_value_id
         return vid
+
+    def _forget_values(self) -> None:
+        """Drop interned values no retained record or image refers to.
+
+        A value that comes back later gets a fresh id, which equals no
+        id still in a window — as its evicted id would not have.
+        """
+        live = set()
+        for window in self._windows:
+            live.update(window.initial.values())
+            for record in window.txns:
+                live.update(vid for _, vid, _ in record.reads)
+                live.update(vid for _, vid, _ in record.writes)
+        self._value_ids = {canonical: vid for canonical, vid
+                           in self._value_ids.items() if vid in live}
 
     # ------------------------------------------------------------------
     # ingest
@@ -249,6 +268,7 @@ class LiveHistoryMonitor:
                 self._dump(shard_id, window, new_here)
                 fresh.extend(new_here)
             self._fold(window)
+        self._forget_values()
         return fresh
 
     def _fold(self, window: _ShardWindow) -> None:

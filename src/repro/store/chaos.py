@@ -54,16 +54,17 @@ CHAOS_SITES = [
                "must abort the open transaction and unpin its "
                "snapshots"},
     {"site": "slow-loris",
-     "layer": "store/protocol.py:read_frame (whole-frame timeout)",
+     "layer": "store/protocol.py:ReadGuard (per-connection read "
+              "deadline)",
      "fields": "slow_loris_sessions, slow_loris_delay_ms",
      "effect": "peers trickle a partial frame; the server must "
                "disconnect them instead of holding a reader forever"},
     {"site": "shard-stall",
-     "layer": "store/shard.py:_run (inject_stall)",
+     "layer": "store/shard.py:submit/_run (inject_stall)",
      "fields": "stall_shard, stall_ms, stall_after_txns",
-     "effect": "the shard task sleeps before its next command; "
-               "deadlines must convert the backlog into structured "
-               "TIMEOUTs, not hangs"},
+     "effect": "the next command queues and the shard task sleeps "
+               "before serving it; deadlines must convert the backlog "
+               "into structured TIMEOUTs, not hangs"},
     {"site": "shard-crash",
      "layer": "store/shard.py:crash_now",
      "fields": "crash_shard, crash_after_txns",

@@ -18,14 +18,16 @@ exactly one logical transaction in flight, retrying it until it commits
 or its attempt budget is spent, then moves to the next.  The resulting
 stats map onto the repo's BENCH artifact schema via
 :func:`bench_artifact` (deterministic section: counts and rates under a
-pinned seed; advisory section: wall clock), so ``sitm-store bench``
-artifacts validate against :func:`repro.perf.bench.validate_artifact`
-and land next to the simulator's.
+pinned seed; advisory section: wall clock and per-transaction latency
+percentiles), so ``sitm-store bench`` artifacts validate against
+:func:`repro.perf.bench.validate_artifact` and land next to the
+simulator's.
 """
 
 from __future__ import annotations
 
 import asyncio
+import math
 import time
 from bisect import bisect_left
 from typing import Dict, List, Optional
@@ -135,6 +137,7 @@ async def _run_session(port: int, host: str, worker: int, txns: int,
     client = await StoreClient.connect(port, host)
     try:
         for txn_index in range(txns):
+            started = time.monotonic()
             for attempt in range(attempts_per_txn):
                 stats["attempts"] += 1
                 response = await client.begin(
@@ -159,6 +162,7 @@ async def _run_session(port: int, host: str, worker: int, txns: int,
                     failed = await client.commit()
                     if failed.get("ok"):
                         stats["commits"] += 1
+                        stats["latency_s"].append(time.monotonic() - started)
                         break
                 cause = failed.get("cause") or \
                     failed.get("error", "unknown").lower()
@@ -170,15 +174,28 @@ async def _run_session(port: int, host: str, worker: int, txns: int,
         client.close()
 
 
+def _percentile_ms(samples: List[float], pct: float) -> float:
+    """Nearest-rank percentile of ``samples`` (seconds), in ms."""
+    if not samples:
+        return 0.0
+    rank = max(1, math.ceil(pct / 100.0 * len(samples)))
+    return 1e3 * sorted(samples)[rank - 1]
+
+
 async def run_load(port: int, host: str = "127.0.0.1", sessions: int = 4,
                    txns_per_session: int = 50, keys: int = 64,
                    zipf_theta: float = 0.8, write_fraction: float = 0.5,
                    ops_per_txn: int = 4, attempts_per_txn: int = 8,
                    seed: int = 0) -> dict:
-    """Drive a running server with a closed Zipfian loop; return stats."""
+    """Drive a running server with a closed Zipfian loop; return stats.
+
+    ``txn_p50_ms``/``txn_p99_ms`` time each committed logical
+    transaction from its first ``BEGIN`` to the ``COMMIT`` ack, retries
+    and backoff included.
+    """
     zipf = ZipfKeys(keys, zipf_theta)
     stats = {"attempts": 0, "commits": 0, "shed": 0, "exhausted": 0,
-             "aborts": {}}
+             "aborts": {}, "latency_s": []}
     started = time.monotonic()
     await asyncio.gather(*[
         _run_session(port, host, worker, txns_per_session, zipf,
@@ -187,7 +204,10 @@ async def run_load(port: int, host: str = "127.0.0.1", sessions: int = 4,
         for worker in range(sessions)])
     wall = time.monotonic() - started
     total_aborts = sum(stats["aborts"].values())
+    latency = stats.pop("latency_s")
     stats.update({
+        "txn_p50_ms": _percentile_ms(latency, 50),
+        "txn_p99_ms": _percentile_ms(latency, 99),
         "sessions": sessions,
         "txns_per_session": txns_per_session,
         "wall_clock_s": wall,
@@ -236,5 +256,7 @@ def bench_artifact(stats: dict, label: str = "store",
         "advisory": {
             "wall_clock_s": round(stats["wall_clock_s"], 3),
             "cache_hit_rate": 0.0,
+            "txn_p50_ms": round(stats["txn_p50_ms"], 3),
+            "txn_p99_ms": round(stats["txn_p99_ms"], 3),
         },
     }

@@ -139,13 +139,14 @@ class StoreServer:
                                      now=self._now_ms()))
         self._next_session += 1
         self.sessions[session.session_id] = session
-        idle = self.config.idle_timeout_ms / 1000.0
+        guard = protocol.ReadGuard(reader,
+                                   self.config.idle_timeout_ms / 1000.0)
         try:
             while True:
                 try:
-                    request = await protocol.read_frame(reader, idle)
+                    request = await guard.read_frame()
                 except ProtocolError:
-                    break  # framing violation or slow-loris: drop peer
+                    break  # framing violation, idle or slow-loris peer
                 except (asyncio.IncompleteReadError, ConnectionError):
                     break
                 response = await self._dispatch(session, request)
@@ -155,6 +156,7 @@ class StoreServer:
                 except ConnectionError:
                     break
         finally:
+            guard.close()
             if session.txn is not None:
                 self._abort_txn(session, session.txn, "disconnect")
                 self.metrics.inc("store_disconnects_total")
@@ -297,11 +299,14 @@ class StoreServer:
     async def _shard_call(self, session: Session, txn: Txn, shard: Shard,
                           kind: str, payload: object = None
                           ) -> Tuple[str, object]:
-        """Submit to a shard and await, bounded by the txn deadline."""
+        """Submit to a shard; await, bounded by the txn deadline, only
+        a command that had to queue."""
         remaining = txn.deadline - asyncio.get_running_loop().time()
         if remaining <= 0:
             return (TIMEOUT, None)
         future = shard.submit(kind, txn, payload)
+        if future.done():
+            return future.result()
         try:
             return await asyncio.wait_for(future, remaining)
         except asyncio.TimeoutError:

@@ -7,14 +7,17 @@ Each shard is an independent snapshot-isolation domain — its own
 pins history, and a pinned checkpoint under the ABORT_WRITER cap is
 exactly the livelock footgun :mod:`repro.mvm.checkpoint` warns about).
 
-Concurrency model: **all mutation is serialized through one asyncio
-task** draining a bounded command queue (``snapshot``/``read``/
-``prepare``).  A full queue sheds the command with a structured
-``overloaded`` status — never silent queueing.  The commit *apply*
-phase, by contrast, is a synchronous method the coordinator calls with
-no intervening ``await``: in a single-threaded event loop that makes a
-multi-shard apply atomic — no reader anywhere can observe a
-half-applied cross-shard commit.
+Concurrency model: **the single-threaded event loop serializes all
+mutation**; no command body (``snapshot``/``read``/``prepare``) contains
+an ``await``.  A command runs in place, inside :meth:`Shard.submit`,
+when nothing is queued ahead of it; the bounded command queue and its
+single-writer task are where commands *wait* — a Δ-stalled snapshot, a
+prepare behind another reservation, an injected stall, or the backlog
+behind any of those — in FIFO order.  A full queue sheds the command
+with a structured ``overloaded`` status — never silent queueing.  The
+commit *apply* phase is a synchronous method the coordinator calls with
+no intervening ``await``, which makes a multi-shard apply atomic — no
+reader anywhere can observe a half-applied cross-shard commit.
 
 Crash/recovery (:meth:`Shard.crash_now`): the shard holds a recovery
 checkpoint pinned at the *publish frontier* — advanced to every
@@ -121,11 +124,19 @@ class Shard:
 
     def submit(self, kind: str, txn: Txn,
                payload: object = None) -> "asyncio.Future":
-        """Enqueue a command; a full queue sheds it as ``overloaded``."""
+        """Run a command, in place if nothing is ahead of it.
+
+        The returned future is already resolved unless the command has
+        to wait (backlog, pending stall, shard not started, or a deferred
+        snapshot/prepare); a full queue sheds it as ``overloaded``.
+        """
         future = asyncio.get_running_loop().create_future()
         command = ShardCommand(kind, txn, payload, future)
         if self._closed:
             command.resolve(SHUTDOWN)
+        elif (self._task is not None and not self._queue
+                and not self._stall_ms and self._execute(command)):
+            pass  # ran in place: nothing was ahead of it
         elif len(self._queue) >= self.config.shard_queue_depth:
             self.shed += 1
             command.resolve(OVERLOADED)
@@ -142,49 +153,50 @@ class Shard:
         return line
 
     # ------------------------------------------------------------------
-    # the single-writer loop
+    # the single-writer loop (where commands wait their turn)
 
     async def _run(self) -> None:
-        loop = asyncio.get_running_loop()
         while True:
             if not self._queue:
                 if self._closed:
                     return
                 self._wakeup.clear()
                 await self._wakeup.wait()
-                continue
-            if self._stall_ms:
+            elif self._stall_ms:
                 delay, self._stall_ms = self._stall_ms, 0.0
                 self.stalls += 1
                 await asyncio.sleep(delay / 1000.0)
-            command = self._queue.popleft()
-            if command.future.done():
-                continue
-            if command.txn.doomed is not None:
-                command.resolve(CONFLICT, command.txn.doomed)
-                continue
-            if loop.time() > command.txn.deadline:
-                command.resolve(TIMEOUT)
-                continue
-            if command.kind == "snapshot":
-                if not self._do_snapshot(command):
-                    # Δ-stall: a commit reservation is in flight; yield
-                    # so the coordinator can finish it, then retry
+            else:
+                command = self._queue.popleft()
+                if not self._execute(command):
+                    # yield so the coordinator holding the reservation
+                    # can finish it, then retry
                     self._queue.append(command)
                     await asyncio.sleep(0)
-            elif command.kind == "read":
-                self._do_read(command)
-            elif command.kind == "prepare":
-                if not self._do_prepare(command):
-                    # another commit holds this shard's reservation;
-                    # serializing prepares keeps applies in timestamp
-                    # order (prepares run in sorted shard order, so the
-                    # cross-shard wait-for graph stays acyclic, and the
-                    # deadline bounds the wait regardless)
-                    self._queue.append(command)
-                    await asyncio.sleep(0)
-            else:  # pragma: no cover - commands are created in-package
-                command.resolve(CONFLICT, f"unknown command {command.kind}")
+
+    def _execute(self, command: ShardCommand) -> bool:
+        """Run one command now; False means it must wait and be retried."""
+        if command.future.done():
+            return True
+        if command.txn.doomed is not None:
+            command.resolve(CONFLICT, command.txn.doomed)
+        elif asyncio.get_running_loop().time() > command.txn.deadline:
+            command.resolve(TIMEOUT)
+        elif command.kind == "read":
+            self._do_read(command)
+        elif command.kind == "snapshot":
+            # Δ-stall: waits while a commit reservation is in flight
+            return self._do_snapshot(command)
+        elif command.kind == "prepare":
+            # waits while another commit holds this shard's reservation:
+            # serializing prepares keeps applies in timestamp order
+            # (prepares run in sorted shard order, so the cross-shard
+            # wait-for graph stays acyclic, and the deadline bounds the
+            # wait regardless)
+            return self._do_prepare(command)
+        else:  # pragma: no cover - commands are created in-package
+            command.resolve(CONFLICT, f"unknown command {command.kind}")
+        return True
 
     def _do_snapshot(self, command: ShardCommand) -> bool:
         start_ts = self.mvm.clock.next_start()
@@ -288,7 +300,7 @@ class Shard:
     # chaos hooks
 
     def inject_stall(self, ms: float) -> None:
-        """Make the command task sleep ``ms`` before its next command."""
+        """Queue the next command behind a ``ms`` sleep of the task."""
         self._stall_ms += ms
 
     def crash_now(self, open_txns: Iterable[Txn]) -> List[Txn]:

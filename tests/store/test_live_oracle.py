@@ -206,6 +206,33 @@ class TestWatermarkFolding:
         assert monitor.retained() == 0
 
 
+    def test_interned_values_are_forgotten_with_their_records(self):
+        """A long run of overwrites keeps a handful of values, and an
+        evicted value that comes back never aliases a live one."""
+        monitor = LiveHistoryMonitor(shards=2, check_every=16)
+        for step in range(400):
+            shard = step % 2
+            monitor.feed_row(row([("r", "k", step - 2 if step > 1 else None),
+                                  ("w", "k", step)], shard=shard,
+                                 start_ts=step + 1, commit_ts=step + 2))
+            monitor.note_watermark(shard, step + 2)
+        assert monitor.check() == []
+        assert monitor.retained() == 0
+        # one live value per shard image; 400 ids were handed out
+        assert len(monitor._value_ids) == 2
+        assert monitor._last_value_id == 400
+        # value 0 was evicted long ago: written again it gets a new id,
+        # distinct from the images' — a reader claiming it is still
+        # wrong, one reading the image is still right
+        monitor.feed_row(row([("w", "other", 0)], start_ts=500,
+                             commit_ts=501))
+        assert monitor._value_ids["0"] == 401
+        monitor.feed_row(row([("r", "k", 398)], start_ts=502))
+        assert monitor.check() == []
+        monitor.feed_row(row([("r", "k", 0)], start_ts=503))
+        assert [v.rule for v in monitor.check()] != []
+
+
 class TestArtifacts:
     def test_violation_dump_is_replayable(self, tmp_path):
         monitor = LiveHistoryMonitor(shards=1, dump_dir=tmp_path)

@@ -8,6 +8,7 @@ import pytest
 from repro.common.errors import ProtocolError
 from repro.store.protocol import (ERROR_CODES, MAX_FRAME, OPS, encode_frame,
                                   error_response, ok_response, read_frame)
+from repro.store.protocol import ReadGuard
 
 
 def feed(data: bytes, eof: bool = True) -> asyncio.StreamReader:
@@ -107,3 +108,87 @@ class TestResponses:
 
     def test_declared_ops_are_canonical(self):
         assert OPS == ("BEGIN", "READ", "WRITE", "COMMIT", "ABORT", "PING")
+
+
+class TestReadGuard:
+    """The per-connection deadline ``read_frame(reader, timeout)`` arms."""
+
+    def guarded(self, scenario, timeout=0.05):
+        async def runner():
+            reader = asyncio.StreamReader()
+            guard = ReadGuard(reader, timeout)
+            try:
+                return await scenario(reader, guard)
+            finally:
+                guard.close()
+
+        return asyncio.run(runner())
+
+    @pytest.mark.parametrize("partial", [
+        b"\x00\x00", struct.pack(">I", 64) + b'{"op":'],
+        ids=["header", "body"])
+    def test_trickled_frame_is_dropped_in_time(self, partial):
+        async def scenario(reader, guard):
+            loop = asyncio.get_running_loop()
+            reader.feed_data(partial)
+            started = loop.time()
+            with pytest.raises(ProtocolError, match="idle/stalled"):
+                await guard.read_frame()
+            assert 0.04 <= loop.time() - started < 0.5
+            # the reader is failed for good, not just this read
+            with pytest.raises(ProtocolError):
+                await guard.read_frame()
+
+        self.guarded(scenario)
+
+    def test_progress_does_not_extend_the_deadline(self):
+        """One byte every 20 ms never completes a frame in 50 ms."""
+        async def scenario(reader, guard):
+            async def trickle():
+                for byte in encode_frame({"op": "PING"}):
+                    reader.feed_data(bytes([byte]))
+                    await asyncio.sleep(0.02)
+
+            feeder = asyncio.ensure_future(trickle())
+            with pytest.raises(ProtocolError, match="stalled"):
+                await guard.read_frame()
+            feeder.cancel()
+
+        self.guarded(scenario)
+
+    def test_time_between_reads_is_not_counted(self):
+        """Disarmed while the caller serves a request: only reads count."""
+        async def scenario(reader, guard):
+            for _ in range(3):
+                reader.feed_data(encode_frame({"op": "PING"}))
+                assert await guard.read_frame() == {"op": "PING"}
+                await asyncio.sleep(0.07)   # longer than the timeout
+            return guard
+
+        guard = self.guarded(scenario)
+        assert guard._timer is None
+
+    def test_one_timer_serves_many_frames(self):
+        async def scenario(reader, guard):
+            loop = asyncio.get_running_loop()
+            timers = []
+            call_at = loop.call_at
+            loop.call_at = lambda *a, **kw: (timers.append(a),
+                                             call_at(*a, **kw))[1]
+            try:
+                for _ in range(100):
+                    reader.feed_data(encode_frame({"op": "PING"}))
+                    await guard.read_frame()
+            finally:
+                del loop.call_at
+            return len(timers)
+
+        assert self.guarded(scenario, timeout=5.0) == 1
+
+    def test_read_frame_timeout_leaves_no_timer_behind(self):
+        async def runner():
+            loop = asyncio.get_running_loop()
+            await read_frame(feed(encode_frame({"op": "PING"})), 5.0)
+            return [h for h in loop._scheduled if not h.cancelled()]
+
+        assert asyncio.run(runner()) == []

@@ -89,6 +89,10 @@ class TestBench:
         artifact = json.loads(artifact_path.read_text(encoding="utf-8"))
         assert validate_artifact(artifact) == []
         assert "store/kv/t2" in artifact["deterministic"]
+        # latency is printed beside txn/s and lands in advisory only
+        assert 0 < stats["txn_p50_ms"] <= stats["txn_p99_ms"]
+        assert stats["throughput_txn_s"] > 0
+        assert artifact["advisory"]["txn_p50_ms"] > 0
         text = scrape.read_text(encoding="utf-8")
         assert "sitm_store_txn_commits_total" in text
 

@@ -326,6 +326,96 @@ class TestRobustness:
         drive(scenario)
 
 
+class TestIdleGuard:
+    """The connection's read deadline: idle and stalled peers, not
+    requests the server is busy serving."""
+
+    def test_idle_session_is_dropped_and_its_txn_aborted(self):
+        async def scenario(server, port):
+            client = await StoreClient.connect(port)
+            await client.begin()
+            await client.read("pin-me")
+            await asyncio.sleep(0.03)      # inside the budget: still up
+            assert (await client.read("pin-me"))["ok"]
+            await settle_sessions(server)  # silent for > 60 ms: dropped
+            assert server.sessions == {} and server.open_txns == {}
+            assert server.metrics.counter("store_txn_aborts_total",
+                                          cause="disconnect") == 1
+            assert all(s.pinned_transactions() == 0
+                       for s in server.shards)
+            assert await client.reader.read() == b""   # server hung up
+            client.close()
+
+        drive(scenario, cfg=config(idle_timeout_ms=60))
+
+    def test_request_served_longer_than_idle_timeout_is_not_cut(self):
+        """A stalled shard makes the READ take 150 ms against a 40 ms
+        idle timeout; the deadline (2 s) governs, the guard stays out."""
+        async def scenario(server, port):
+            client = await StoreClient.connect(port)
+            await client.begin()
+            sid = shard_of("slow", server.config.shards)
+            server.stall_shard(sid, 150)
+            loop = asyncio.get_running_loop()
+            started = loop.time()
+            reply = await client.read("slow")
+            assert reply == {"ok": True, "value": None}
+            assert loop.time() - started >= 0.14
+            # and the next read gets a fresh budget, not the leftovers
+            assert (await client.commit())["ok"]
+            assert len(server.sessions) == 1
+            client.close()
+
+        drive(scenario, cfg=config(idle_timeout_ms=40))
+
+
+class TestHopBudget:
+    def test_read_round_trip_costs_no_task_and_no_timer(self):
+        """Count what 200 READ round trips schedule on the loop.
+
+        Client and server share the loop, so the counts cover both: one
+        ``call_soon`` each per round trip (the stream reader waking the
+        task that awaits the frame) and nothing else — no ``Task``, no
+        timer, no shard-queue hop.  The bounds leave room for a stray
+        handle, not for a second hop per request.
+        """
+        requests = 200
+
+        async def scenario(server, port):
+            client = await StoreClient.connect(port)
+            await client.begin()
+            for i in range(8):             # pin every shard first
+                assert (await client.read(f"key-{i}"))["ok"]
+            loop = asyncio.get_running_loop()
+            counts = dict.fromkeys(("call_soon", "call_at", "create_task"),
+                                   0)
+
+            def counting(name):
+                real = getattr(loop, name)
+
+                def wrapper(*args, **kwargs):
+                    counts[name] += 1
+                    return real(*args, **kwargs)
+                return wrapper
+
+            for name in counts:
+                setattr(loop, name, counting(name))
+            try:
+                for i in range(requests):
+                    assert (await client.read(f"key-{i % 8}"))["ok"]
+            finally:
+                for name in counts:
+                    delattr(loop, name)
+            await client.commit()
+            client.close()
+            return counts
+
+        counts = drive(scenario)
+        assert counts["create_task"] == 0
+        assert counts["call_at"] <= 2          # amortised: none per request
+        assert counts["call_soon"] <= 2 * requests + 10
+
+
 class TestObservability:
     def test_metrics_endpoint_serves_prometheus_text(self):
         async def scenario(server, port):
@@ -384,6 +474,59 @@ class TestObservability:
         assert check_rows(rows, shards=2) == []
 
 
+class TestLateWrapping:
+    def test_wrappers_installed_on_a_built_server_see_every_command(
+            self, monkeypatch):
+        """perfbench's traced pass patches ``shard.submit``, the
+        ``_do_*`` bodies, ``shard.apply`` and ``protocol.encode_frame``
+        on a server that is already serving, so the request path has to
+        look them up per call; ``submit`` has to hand back a future."""
+        from repro.store import protocol
+
+        seen = {"submit": 0, "apply": 0, "frames": 0}
+        #: id -> command (held, so that no id is handed out twice)
+        executed = {}
+
+        def wrap(owner, attr, note):
+            real = getattr(owner, attr)
+
+            def wrapper(*args, **kwargs):
+                result = real(*args, **kwargs)
+                note(args, result)
+                return result
+            monkeypatch.setattr(owner, attr, wrapper)
+
+        def note_submit(args, future):
+            assert isinstance(future, asyncio.Future)
+            seen["submit"] += 1
+
+        def count(name):
+            def note(args, result):
+                seen[name] += 1
+            return note
+
+        async def scenario(server, port):
+            wrap(protocol, "encode_frame", count("frames"))
+            for shard in server.shards:
+                wrap(shard, "submit", note_submit)
+                for body in ("_do_snapshot", "_do_read", "_do_prepare"):
+                    wrap(shard, body, lambda args, _: executed.setdefault(
+                        id(args[0]), args[0]))
+                wrap(shard, "apply", count("apply"))
+            stats = await run_load(port, sessions=4, txns_per_session=50,
+                                   keys=32, seed=5)
+            await settle_sessions(server)
+            return stats, sum(s.commits for s in server.shards)
+
+        stats, applies = drive(scenario)
+        assert stats["commits"] == 200
+        # a clean load dooms and sheds nothing: each submitted command
+        # reached exactly one body (a deferred one more than once)
+        assert seen["submit"] == len(executed) > 200
+        assert seen["apply"] == applies > 0
+        assert seen["frames"] > 2 * seen["submit"]
+
+
 class TestLoadGenerator:
     def test_closed_loop_zipf_run_is_clean(self):
         monitor = LiveHistoryMonitor(shards=2, check_every=16)
@@ -413,3 +556,31 @@ class TestLoadGenerator:
         assert validate_artifact(artifact) == []
         cell = artifact["deterministic"]["store/kv/t2"]
         assert cell["commits"] == stats["commits"]
+
+    def test_latency_percentiles_are_advisory_only(self):
+        from repro.perf.bench import validate_artifact
+        from repro.store.loadgen import _percentile_ms, bench_artifact
+
+        async def scenario(server, port):
+            return await run_load(port, sessions=2, txns_per_session=10,
+                                  keys=8, seed=1)
+
+        stats = drive(scenario)
+        # a transaction's clock runs from its first BEGIN to the COMMIT
+        # ack, so it is at least the four request round trips long
+        assert 0 < stats["txn_p50_ms"] <= stats["txn_p99_ms"]
+        assert stats["txn_p99_ms"] <= 1e3 * stats["wall_clock_s"]
+        assert "latency_s" not in stats        # samples are not printed
+        artifact = bench_artifact(stats, label="unit", seed=1)
+        assert validate_artifact(artifact) == []
+        assert artifact["advisory"]["txn_p99_ms"] == \
+            round(stats["txn_p99_ms"], 3)
+        assert set(artifact["deterministic"]["store/kv/t2"]) == {
+            "throughput", "throughput_rel_stddev", "abort_rate",
+            "abort_rate_stddev", "commits", "aborts", "makespan_cycles",
+            "phase_shares"}
+        # nearest rank: p50 of four samples is the second, p99 the last
+        samples = [0.004, 0.001, 0.003, 0.002]
+        assert _percentile_ms(samples, 50) == 2.0
+        assert _percentile_ms(samples, 99) == 4.0
+        assert _percentile_ms([], 50) == 0.0
