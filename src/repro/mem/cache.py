@@ -141,16 +141,16 @@ class CacheHierarchy:
 
     def access(self, core_id: int, line: int) -> int:
         """Access ``line`` from ``core_id``; return latency in cycles."""
-        sharers = self._sharers.get(line)
-        if sharers is None:
-            sharers = self._sharers[line] = set()
-        sharers.add(core_id)
         core = self.cores[core_id]
         l1 = core.l1
         entries = l1._sets[line % l1._num_sets]
         if line in entries:
             # inlined L1 hit (the dominant case): same counter and LRU
-            # updates as SetAssociativeCache.lookup, minus three calls
+            # updates as SetAssociativeCache.lookup, minus three calls.
+            # The directory is left alone: a line resident in this L1 got
+            # there through _miss_path, which listed the core, and only
+            # invalidate_everywhere unlists a core — dropping its private
+            # copy in the same step.
             l1.hits += 1
             del entries[line]
             entries[line] = None
@@ -166,10 +166,6 @@ class CacheHierarchy:
         private hierarchy (its L2 victim), or ``None`` — SI-TM uses it to
         model transactional-line spills to the MVM (section 4.2).
         """
-        sharers = self._sharers.get(line)
-        if sharers is None:
-            sharers = self._sharers[line] = set()
-        sharers.add(core_id)
         core = self.cores[core_id]
         l1 = core.l1
         entries = l1._sets[line % l1._num_sets]
@@ -183,7 +179,16 @@ class CacheHierarchy:
         return self._miss_path(core, line)
 
     def _miss_path(self, core: CoreCaches, line: int):
-        """L1-missing access: probe L2, L3, memory; fill on the way in."""
+        """L1-missing access: probe L2, L3, memory; fill on the way in.
+
+        Every fill of a private cache passes through here, so this is
+        where the core joins the line's sharer set.
+        """
+        sharers = self._sharers.get(line)
+        if sharers is None:
+            self._sharers[line] = {core.core_id}
+        else:
+            sharers.add(core.core_id)
         if core.l2.lookup(line):
             core.l1.fill(line)
             self.level_counts[self.LEVEL_L2] += 1

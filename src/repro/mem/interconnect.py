@@ -50,21 +50,26 @@ class Interconnect:
         self.topology = topology
         self.broadcasts = 0
         self.multicasts = 0
-
-    def _diameter(self) -> int:
-        """Worst-case hop count across the die."""
-        side = math.ceil(math.sqrt(self.cores))
-        return 2 * side
+        #: worst-case hop count across the die (mesh)
+        self._diameter = 2 * math.ceil(math.sqrt(cores))
+        # cores and topology are fixed, so the two per-message costs the
+        # eager baselines pay on every first-touch access are constants
+        if topology == "ideal":
+            self._broadcast = self._point_to_point = self.BASE_CYCLES
+        elif topology == "bus":
+            self._broadcast = self.BASE_CYCLES + self.HOP_CYCLES * cores
+            self._point_to_point = self.BASE_CYCLES + self.HOP_CYCLES
+        else:
+            self._broadcast = (self.BASE_CYCLES
+                               + self.HOP_CYCLES * self._diameter)
+            self._point_to_point = (self.BASE_CYCLES + self.HOP_CYCLES
+                                    * (self._diameter // 2))
 
     def broadcast_cost(self) -> int:
         """Cycles for a broadcast that every core snoops (get-shared/
         get-exclusive of the eager baselines)."""
         self.broadcasts += 1
-        if self.topology == "ideal":
-            return self.BASE_CYCLES
-        if self.topology == "bus":
-            return self.BASE_CYCLES + self.HOP_CYCLES * self.cores
-        return self.BASE_CYCLES + self.HOP_CYCLES * self._diameter()
+        return self._broadcast
 
     def multicast_cost(self, recipients: int) -> int:
         """Cycles to deliver to ``recipients`` specific cores (directory
@@ -77,16 +82,12 @@ class Interconnect:
         if self.topology == "bus":
             return self.BASE_CYCLES + self.HOP_CYCLES * recipients
         # mesh: the farthest recipient dominates; delivery fans out
-        return (self.BASE_CYCLES + self.HOP_CYCLES * self._diameter()
+        return (self.BASE_CYCLES + self.HOP_CYCLES * self._diameter
                 + max(0, recipients - 1))
 
     def point_to_point_cost(self) -> int:
         """Cycles for one average-distance message (token handoff etc.)."""
-        if self.topology == "ideal":
-            return self.BASE_CYCLES
-        if self.topology == "bus":
-            return self.BASE_CYCLES + self.HOP_CYCLES
-        return self.BASE_CYCLES + self.HOP_CYCLES * (self._diameter() // 2)
+        return self._point_to_point
 
     def stats(self) -> dict:
         """Message counters."""

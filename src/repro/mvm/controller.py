@@ -363,7 +363,8 @@ class MVMController:
     def plain_read(self, line: int) -> Optional[LineData]:
         """Non-transactional read: the newest version."""
         vlist = self._lines.get(line)
-        return vlist.newest_data() if vlist else None
+        # an emptied list answers None itself; no need to measure it
+        return vlist.newest_data() if vlist is not None else None
 
     def plain_write(self, line: int, data: LineData) -> None:
         """Non-transactional write: modify the most current version in place."""

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from repro.sim.machine import Machine
 from repro.structures.base import TxGen, TxStructure, read, write
+from repro.tm.ops import Read, Write
 
 
 class TxArray(TxStructure):
@@ -40,23 +41,23 @@ class TxArray(TxStructure):
 
     def add(self, index: int, delta: int) -> TxGen:
         """Read-modify-write one cell."""
-        value = yield from read(self._addr(index), site="array.add:read")
-        yield from write(self._addr(index), value + delta,
-                         site="array.add:write")
+        value = yield Read(self._addr(index), site="array.add:read")
+        yield Write(self._addr(index), value + delta,
+                    site="array.add:write")
         return value + delta
 
     def sum_all(self) -> TxGen:
         """Long-running read transaction: iterate every cell."""
         total = 0
         for index in range(self.size):
-            total += yield from read(self._addr(index), site="array.sum")
+            total += (yield Read(self._addr(index), site="array.sum"))
         return total
 
     def sum_range(self, start: int, stop: int) -> TxGen:
         """Sum a sub-range of cells."""
         total = 0
         for index in range(start, stop):
-            total += yield from read(self._addr(index), site="array.sum_range")
+            total += (yield Read(self._addr(index), site="array.sum_range"))
         return total
 
     # ------------------------------------------------------------------

@@ -37,6 +37,10 @@ NULL = 0
 TxGen = Generator[Op, object, object]
 
 
+# Methods with a body of their own yield ``Read``/``Write`` directly (a
+# helper generator per access is the simulator's per-op overhead in a
+# traversal loop); these two are for accessors that *return* a generator.
+
 def read(addr: int, site: str = "", promote: bool = False) -> TxGen:
     """Yield one transactional load and return its value."""
     value = yield Read(addr, promote=promote, site=site)

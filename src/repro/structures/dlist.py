@@ -15,7 +15,8 @@ Head and tail sentinels avoid edge cases.
 from __future__ import annotations
 
 from repro.sim.machine import Machine
-from repro.structures.base import NULL, TxGen, TxStructure, read, write
+from repro.structures.base import NULL, TxGen, TxStructure
+from repro.tm.ops import Read, Write
 
 _HEAD_KEY = -(1 << 62)
 _TAIL_KEY = 1 << 62
@@ -47,34 +48,34 @@ class TxDoublyLinkedList(TxStructure):
 
     def _find(self, value: int) -> TxGen:
         """Return the first node with ``node.value >= value`` (may be tail)."""
-        node = yield from read(self.head + _NEXT, site="dlist.find:next")
+        node = yield Read(self.head + _NEXT, site="dlist.find:next")
         steps = 0
         while True:
             steps += 1
             self._guard(steps, "dlist.find")
-            node_value = yield from read(node + _VALUE, site="dlist.find:value")
+            node_value = yield Read(node + _VALUE, site="dlist.find:value")
             if node_value >= value:
                 return node
-            node = yield from read(node + _NEXT, site="dlist.find:next")
+            node = yield Read(node + _NEXT, site="dlist.find:next")
 
     def lookup(self, value: int) -> TxGen:
         """True when ``value`` is present."""
         node = yield from self._find(value)
-        node_value = yield from read(node + _VALUE, site="dlist.lookup:value")
+        node_value = yield Read(node + _VALUE, site="dlist.lookup:value")
         return node_value == value
 
     def insert(self, value: int) -> TxGen:
         """Sorted insert; False when already present."""
         succ = yield from self._find(value)
-        succ_value = yield from read(succ + _VALUE, site="dlist.insert:value")
+        succ_value = yield Read(succ + _VALUE, site="dlist.insert:value")
         if succ_value == value:
             return False
-        pred = yield from read(succ + _PREV, site="dlist.insert:prev")
+        pred = yield Read(succ + _PREV, site="dlist.insert:prev")
         node = self._new_node(value)
-        yield from write(node + _NEXT, succ, site="dlist.insert:link")
-        yield from write(node + _PREV, pred, site="dlist.insert:link")
-        yield from write(pred + _NEXT, node, site="dlist.insert:link")
-        yield from write(succ + _PREV, node, site="dlist.insert:link")
+        yield Write(node + _NEXT, succ, site="dlist.insert:link")
+        yield Write(node + _PREV, pred, site="dlist.insert:link")
+        yield Write(pred + _NEXT, node, site="dlist.insert:link")
+        yield Write(succ + _PREV, node, site="dlist.insert:link")
         return True
 
     def remove(self, value: int) -> TxGen:
@@ -84,26 +85,26 @@ class TxDoublyLinkedList(TxStructure):
         concurrent adjacent removes have disjoint write sets under SI.
         """
         node = yield from self._find(value)
-        node_value = yield from read(node + _VALUE, site="dlist.remove:value")
+        node_value = yield Read(node + _VALUE, site="dlist.remove:value")
         if node_value != value:
             return False
-        pred = yield from read(node + _PREV, site="dlist.remove:prev")
-        succ = yield from read(node + _NEXT, site="dlist.remove:next")
-        yield from write(pred + _NEXT, succ, site="dlist.remove:unlink")
-        yield from write(succ + _PREV, pred, site="dlist.remove:unlink")
+        pred = yield Read(node + _PREV, site="dlist.remove:prev")
+        succ = yield Read(node + _NEXT, site="dlist.remove:next")
+        yield Write(pred + _NEXT, succ, site="dlist.remove:unlink")
+        yield Write(succ + _PREV, pred, site="dlist.remove:unlink")
         if self.skew_safe:
-            yield from write(node + _NEXT, NULL, site="dlist.remove:fix")
-            yield from write(node + _PREV, NULL, site="dlist.remove:fix")
+            yield Write(node + _NEXT, NULL, site="dlist.remove:fix")
+            yield Write(node + _PREV, NULL, site="dlist.remove:fix")
         return True
 
     def length(self) -> TxGen:
         """Transactionally count elements."""
         count = 0
-        node = yield from read(self.head + _NEXT, site="dlist.length:next")
+        node = yield Read(self.head + _NEXT, site="dlist.length:next")
         while node != self.tail:
             count += 1
             self._guard(count, "dlist.length")
-            node = yield from read(node + _NEXT, site="dlist.length:next")
+            node = yield Read(node + _NEXT, site="dlist.length:next")
         return count
 
     # ------------------------------------------------------------------

@@ -12,7 +12,8 @@ Node layout: ``word 0 = key``, ``word 1 = value``, ``word 2 = next``.
 from __future__ import annotations
 
 from repro.sim.machine import Machine
-from repro.structures.base import NULL, TxGen, TxStructure, read, write
+from repro.structures.base import NULL, TxGen, TxStructure
+from repro.tm.ops import Read, Write
 
 _KEY = 0
 _VALUE = 1
@@ -46,13 +47,13 @@ class TxHashMap(TxStructure):
 
     def get(self, key: int) -> TxGen:
         """Return the value for ``key``, or ``None`` when absent."""
-        node = yield from read(self._bucket(key), site="hash.get:bucket")
+        node = yield Read(self._bucket(key), site="hash.get:bucket")
         while node != NULL:
-            node_key = yield from read(node + _KEY, site="hash.get:key")
+            node_key = yield Read(node + _KEY, site="hash.get:key")
             if node_key == key:
-                value = yield from read(node + _VALUE, site="hash.get:value")
+                value = yield Read(node + _VALUE, site="hash.get:value")
                 return value
-            node = yield from read(node + _NEXT, site="hash.get:next")
+            node = yield Read(node + _NEXT, site="hash.get:next")
         return None
 
     def contains(self, key: int) -> TxGen:
@@ -63,54 +64,54 @@ class TxHashMap(TxStructure):
     def put(self, key: int, value: int) -> TxGen:
         """Insert or update; returns True when a new entry was created."""
         bucket = self._bucket(key)
-        head = yield from read(bucket, site="hash.put:bucket")
+        head = yield Read(bucket, site="hash.put:bucket")
         node = head
         while node != NULL:
-            node_key = yield from read(node + _KEY, site="hash.put:key")
+            node_key = yield Read(node + _KEY, site="hash.put:key")
             if node_key == key:
-                yield from write(node + _VALUE, value, site="hash.put:update")
+                yield Write(node + _VALUE, value, site="hash.put:update")
                 return False
-            node = yield from read(node + _NEXT, site="hash.put:next")
+            node = yield Read(node + _NEXT, site="hash.put:next")
         fresh = self._new_node(key, value, NULL)
-        yield from write(fresh + _NEXT, head, site="hash.put:link")
-        yield from write(bucket, fresh, site="hash.put:link")
+        yield Write(fresh + _NEXT, head, site="hash.put:link")
+        yield Write(bucket, fresh, site="hash.put:link")
         return True
 
     def increment(self, key: int, delta: int = 1) -> TxGen:
         """Read-modify-write the value for ``key`` (insert 0 if absent)."""
         bucket = self._bucket(key)
-        node = yield from read(bucket, site="hash.inc:bucket")
+        node = yield Read(bucket, site="hash.inc:bucket")
         while node != NULL:
-            node_key = yield from read(node + _KEY, site="hash.inc:key")
+            node_key = yield Read(node + _KEY, site="hash.inc:key")
             if node_key == key:
-                value = yield from read(node + _VALUE, site="hash.inc:value")
-                yield from write(node + _VALUE, value + delta,
-                                 site="hash.inc:update")
+                value = yield Read(node + _VALUE, site="hash.inc:value")
+                yield Write(node + _VALUE, value + delta,
+                            site="hash.inc:update")
                 return value + delta
-            node = yield from read(node + _NEXT, site="hash.inc:next")
-        head = yield from read(bucket, site="hash.inc:bucket")
+            node = yield Read(node + _NEXT, site="hash.inc:next")
+        head = yield Read(bucket, site="hash.inc:bucket")
         fresh = self._new_node(key, delta, NULL)
-        yield from write(fresh + _NEXT, head, site="hash.inc:link")
-        yield from write(bucket, fresh, site="hash.inc:link")
+        yield Write(fresh + _NEXT, head, site="hash.inc:link")
+        yield Write(bucket, fresh, site="hash.inc:link")
         return delta
 
     def remove(self, key: int) -> TxGen:
         """Remove ``key``; returns True when it was present."""
         bucket = self._bucket(key)
         prev = NULL
-        node = yield from read(bucket, site="hash.remove:bucket")
+        node = yield Read(bucket, site="hash.remove:bucket")
         while node != NULL:
-            node_key = yield from read(node + _KEY, site="hash.remove:key")
+            node_key = yield Read(node + _KEY, site="hash.remove:key")
             if node_key == key:
-                nxt = yield from read(node + _NEXT, site="hash.remove:next")
+                nxt = yield Read(node + _NEXT, site="hash.remove:next")
                 if prev == NULL:
-                    yield from write(bucket, nxt, site="hash.remove:unlink")
+                    yield Write(bucket, nxt, site="hash.remove:unlink")
                 else:
-                    yield from write(prev + _NEXT, nxt,
-                                     site="hash.remove:unlink")
+                    yield Write(prev + _NEXT, nxt,
+                                site="hash.remove:unlink")
                 return True
             prev = node
-            node = yield from read(node + _NEXT, site="hash.remove:next")
+            node = yield Read(node + _NEXT, site="hash.remove:next")
         return False
 
     # ------------------------------------------------------------------

@@ -24,7 +24,8 @@ the RSTM implementation.
 from __future__ import annotations
 
 from repro.sim.machine import Machine
-from repro.structures.base import NULL, TxGen, TxStructure, read, write
+from repro.structures.base import NULL, TxGen, TxStructure
+from repro.tm.ops import Read, Write
 
 #: sentinel key smaller than any user value
 _HEAD_KEY = -(1 << 62)
@@ -52,37 +53,37 @@ class TxLinkedList(TxStructure):
 
     def lookup(self, value: int) -> TxGen:
         """Return True when ``value`` is in the list."""
-        node = yield from read(self.head + _NEXT, site="list.lookup:next")
+        node = yield Read(self.head + _NEXT, site="list.lookup:next")
         steps = 0
         while node != NULL:
             steps += 1
             self._guard(steps, "list.lookup")
-            node_value = yield from read(node + _VALUE,
-                                         site="list.lookup:value")
+            node_value = yield Read(node + _VALUE,
+                                    site="list.lookup:value")
             if node_value >= value:
                 return node_value == value
-            node = yield from read(node + _NEXT, site="list.lookup:next")
+            node = yield Read(node + _NEXT, site="list.lookup:next")
         return False
 
     def insert(self, value: int) -> TxGen:
         """Insert ``value`` keeping the list sorted; False if present."""
         prev = self.head
-        nxt = yield from read(prev + _NEXT, site="list.insert:next")
+        nxt = yield Read(prev + _NEXT, site="list.insert:next")
         steps = 0
         while nxt != NULL:
             steps += 1
             self._guard(steps, "list.insert")
-            nxt_value = yield from read(nxt + _VALUE, site="list.insert:value")
+            nxt_value = yield Read(nxt + _VALUE, site="list.insert:value")
             if nxt_value >= value:
                 if nxt_value == value:
                     return False
                 break
             prev = nxt
-            nxt = yield from read(prev + _NEXT, site="list.insert:next")
+            nxt = yield Read(prev + _NEXT, site="list.insert:next")
         node = self._new_node(value, NULL)
         # link: node.next = nxt; prev.next = node
-        yield from write(node + _NEXT, nxt, site="list.insert:link")
-        yield from write(prev + _NEXT, node, site="list.insert:link")
+        yield Write(node + _NEXT, nxt, site="list.insert:link")
+        yield Write(prev + _NEXT, node, site="list.insert:link")
         return True
 
     def remove(self, value: int) -> TxGen:
@@ -93,37 +94,37 @@ class TxLinkedList(TxStructure):
         remove write skew under SI.
         """
         prev = self.head
-        nxt = yield from read(prev + _NEXT, site="list.remove:next")
+        nxt = yield Read(prev + _NEXT, site="list.remove:next")
         steps = 0
         while nxt != NULL:
             steps += 1
             self._guard(steps, "list.remove")
-            nxt_value = yield from read(nxt + _VALUE, site="list.remove:value")
+            nxt_value = yield Read(nxt + _VALUE, site="list.remove:value")
             if nxt_value >= value:
                 break
             prev = nxt
-            nxt = yield from read(prev + _NEXT, site="list.remove:next")
+            nxt = yield Read(prev + _NEXT, site="list.remove:next")
         if nxt == NULL:
             return False
-        nxt_value = yield from read(nxt + _VALUE, site="list.remove:value")
+        nxt_value = yield Read(nxt + _VALUE, site="list.remove:value")
         if nxt_value != value:
             return False
-        successor = yield from read(nxt + _NEXT, site="list.remove:succ")
-        yield from write(prev + _NEXT, successor, site="list.remove:unlink")
+        successor = yield Read(nxt + _NEXT, site="list.remove:succ")
+        yield Write(prev + _NEXT, successor, site="list.remove:unlink")
         if self.skew_safe:
             # Listing 2 line 10: force a write-write conflict between
             # concurrent removes of adjacent elements.
-            yield from write(nxt + _NEXT, NULL, site="list.remove:fix")
+            yield Write(nxt + _NEXT, NULL, site="list.remove:fix")
         return True
 
     def length(self) -> TxGen:
         """Transactionally count elements (long read transaction)."""
         count = 0
-        node = yield from read(self.head + _NEXT, site="list.length:next")
+        node = yield Read(self.head + _NEXT, site="list.length:next")
         while node != NULL:
             count += 1
             self._guard(count, "list.length")
-            node = yield from read(node + _NEXT, site="list.length:next")
+            node = yield Read(node + _NEXT, site="list.length:next")
         return count
 
     # ------------------------------------------------------------------

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from repro.common.errors import ReproError
 from repro.sim.machine import Machine
-from repro.structures.base import TxGen, TxStructure, read, write
+from repro.structures.base import TxGen, TxStructure, read
+from repro.tm.ops import Read, Write
 
 
 class QueueFull(ReproError):
@@ -39,30 +40,30 @@ class TxQueue(TxStructure):
 
     def enqueue(self, value: int) -> TxGen:
         """Append ``value``; returns False when the queue is full."""
-        head = yield from read(self.head_addr, site="queue.enq:head")
-        tail = yield from read(self.tail_addr, site="queue.enq:tail")
+        head = yield Read(self.head_addr, site="queue.enq:head")
+        tail = yield Read(self.tail_addr, site="queue.enq:tail")
         if tail - head >= self.capacity:
             return False
-        yield from write(self.slots + tail % self.capacity, value,
-                         site="queue.enq:slot")
-        yield from write(self.tail_addr, tail + 1, site="queue.enq:tail")
+        yield Write(self.slots + tail % self.capacity, value,
+                    site="queue.enq:slot")
+        yield Write(self.tail_addr, tail + 1, site="queue.enq:tail")
         return True
 
     def dequeue(self) -> TxGen:
         """Pop the oldest value; returns ``None`` when empty."""
-        head = yield from read(self.head_addr, site="queue.deq:head")
-        tail = yield from read(self.tail_addr, site="queue.deq:tail")
+        head = yield Read(self.head_addr, site="queue.deq:head")
+        tail = yield Read(self.tail_addr, site="queue.deq:tail")
         if head >= tail:
             return None
-        value = yield from read(self.slots + head % self.capacity,
-                                site="queue.deq:slot")
-        yield from write(self.head_addr, head + 1, site="queue.deq:head")
+        value = yield Read(self.slots + head % self.capacity,
+                           site="queue.deq:slot")
+        yield Write(self.head_addr, head + 1, site="queue.deq:head")
         return value
 
     def size(self) -> TxGen:
         """Transactionally read the element count."""
-        head = yield from read(self.head_addr, site="queue.size:head")
-        tail = yield from read(self.tail_addr, site="queue.size:tail")
+        head = yield Read(self.head_addr, site="queue.size:head")
+        tail = yield Read(self.tail_addr, site="queue.size:tail")
         return tail - head
 
     # ------------------------------------------------------------------
@@ -100,8 +101,8 @@ class TxCounter(TxStructure):
 
     def add(self, delta: int = 1) -> TxGen:
         """Read-modify-write increment; returns the new value."""
-        value = yield from read(self.addr, site="counter.add:read")
-        yield from write(self.addr, value + delta, site="counter.add:write")
+        value = yield Read(self.addr, site="counter.add:read")
+        yield Write(self.addr, value + delta, site="counter.add:write")
         return value + delta
 
     @property

@@ -24,7 +24,8 @@ pointers), forcing the write-write conflict.
 from __future__ import annotations
 
 from repro.sim.machine import Machine
-from repro.structures.base import NULL, TxGen, TxStructure, read, write
+from repro.structures.base import NULL, TxGen, TxStructure
+from repro.tm.ops import Read, Write
 
 MAX_HEIGHT = 8
 
@@ -75,18 +76,18 @@ class TxSkipList(TxStructure):
             while True:
                 steps += 1
                 self._guard(steps, "skiplist.find")
-                nxt = yield from read(node + _NEXT0 + level,
-                                      site="skiplist.find:next")
+                nxt = yield Read(node + _NEXT0 + level,
+                                 site="skiplist.find:next")
                 if nxt == NULL:
                     break
-                nxt_key = yield from read(nxt + _KEY,
-                                          site="skiplist.find:key")
+                nxt_key = yield Read(nxt + _KEY,
+                                     site="skiplist.find:key")
                 if nxt_key >= key:
                     break
                 node = nxt
             preds[level] = node
-        candidate = yield from read(node + _NEXT0,
-                                    site="skiplist.find:next")
+        candidate = yield Read(node + _NEXT0,
+                               site="skiplist.find:next")
         return preds, candidate
 
     # ------------------------------------------------------------------
@@ -97,32 +98,32 @@ class TxSkipList(TxStructure):
         _, candidate = yield from self._find_predecessors(key)
         if candidate == NULL:
             return None
-        candidate_key = yield from read(candidate + _KEY,
-                                        site="skiplist.lookup:key")
+        candidate_key = yield Read(candidate + _KEY,
+                                   site="skiplist.lookup:key")
         if candidate_key != key:
             return None
-        value = yield from read(candidate + _VALUE,
-                                site="skiplist.lookup:value")
+        value = yield Read(candidate + _VALUE,
+                           site="skiplist.lookup:value")
         return value
 
     def insert(self, key: int, value: int = 0) -> TxGen:
         """Insert ``key``; returns False when already present."""
         preds, candidate = yield from self._find_predecessors(key)
         if candidate != NULL:
-            candidate_key = yield from read(candidate + _KEY,
-                                            site="skiplist.insert:key")
+            candidate_key = yield Read(candidate + _KEY,
+                                       site="skiplist.insert:key")
             if candidate_key == key:
                 return False
         height = tower_height(key)
         node = self._new_node(key, value, height)
         for level in range(height):
-            succ = yield from read(preds[level] + _NEXT0 + level,
-                                   site="skiplist.insert:succ",
-                                   promote=self.skew_safe)
-            yield from write(node + _NEXT0 + level, succ,
-                             site="skiplist.insert:link")
-            yield from write(preds[level] + _NEXT0 + level, node,
-                             site="skiplist.insert:link")
+            succ = yield Read(preds[level] + _NEXT0 + level,
+                              site="skiplist.insert:succ",
+                              promote=self.skew_safe)
+            yield Write(node + _NEXT0 + level, succ,
+                        site="skiplist.insert:link")
+            yield Write(preds[level] + _NEXT0 + level, node,
+                        site="skiplist.insert:link")
         return True
 
     def remove(self, key: int) -> TxGen:
@@ -130,36 +131,36 @@ class TxSkipList(TxStructure):
         preds, candidate = yield from self._find_predecessors(key)
         if candidate == NULL:
             return False
-        candidate_key = yield from read(candidate + _KEY,
-                                        site="skiplist.remove:key")
+        candidate_key = yield Read(candidate + _KEY,
+                                   site="skiplist.remove:key")
         if candidate_key != key:
             return False
-        height = yield from read(candidate + _HEIGHT,
-                                 site="skiplist.remove:height")
+        height = yield Read(candidate + _HEIGHT,
+                            site="skiplist.remove:height")
         for level in range(height):
-            pred_next = yield from read(preds[level] + _NEXT0 + level,
-                                        site="skiplist.remove:prednext")
+            pred_next = yield Read(preds[level] + _NEXT0 + level,
+                                   site="skiplist.remove:prednext")
             if pred_next != candidate:
                 continue  # tower not linked at this level from this pred
-            succ = yield from read(candidate + _NEXT0 + level,
-                                   site="skiplist.remove:succ")
-            yield from write(preds[level] + _NEXT0 + level, succ,
-                             site="skiplist.remove:unlink")
+            succ = yield Read(candidate + _NEXT0 + level,
+                              site="skiplist.remove:succ")
+            yield Write(preds[level] + _NEXT0 + level, succ,
+                        site="skiplist.remove:unlink")
             if self.skew_safe:
-                yield from write(candidate + _NEXT0 + level, NULL,
-                                 site="skiplist.remove:fix")
+                yield Write(candidate + _NEXT0 + level, NULL,
+                            site="skiplist.remove:fix")
         return True
 
     def length(self) -> TxGen:
         """Transactionally count elements (level-0 walk)."""
         count = 0
-        node = yield from read(self.head + _NEXT0,
-                               site="skiplist.length:next")
+        node = yield Read(self.head + _NEXT0,
+                          site="skiplist.length:next")
         while node != NULL:
             count += 1
             self._guard(count, "skiplist.length")
-            node = yield from read(node + _NEXT0,
-                                   site="skiplist.length:next")
+            node = yield Read(node + _NEXT0,
+                              site="skiplist.length:next")
         return count
 
     # ------------------------------------------------------------------
@@ -172,13 +173,12 @@ class TxSkipList(TxStructure):
             self._run_plain(self.insert(int(key), int(value)))
 
     def _run_plain(self, gen):
-        from repro.tm.ops import Read as _Read, Write as _Write
         try:
             op = next(gen)
             while True:
-                if isinstance(op, _Read):
+                if isinstance(op, Read):
                     op = gen.send(self._plain(op.addr))
-                elif isinstance(op, _Write):
+                elif isinstance(op, Write):
                     self._plain_store(op.addr, op.value)
                     op = gen.send(None)
                 else:

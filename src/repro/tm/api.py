@@ -25,6 +25,7 @@ from typing import Dict, FrozenSet, Optional, Set, Tuple
 from repro.common.config import SimConfig
 from repro.common.errors import AbortCause, TMError
 from repro.common.rng import SplitRandom
+from repro.mem.address import MVM_REGION_BASE
 from repro.sim.machine import Machine
 from repro.sim.stats import RunStats
 from repro.tm.backoff import ExponentialBackoff, NoBackoff
@@ -258,6 +259,25 @@ class TMSystem:
         self.stats: Optional[RunStats] = None
         #: transactions currently in flight, by thread id
         self.active_txns: Dict[int, Txn] = {}
+        #: writer directory of the eager backends: line -> {thread id:
+        #: transaction} over the *active* transactions holding the line
+        #: in ``write_lines``.  A first-touch read finds its conflicting
+        #: writers with one probe, the way a coherence directory answers
+        #: a get-shared, instead of scanning every core's write set.
+        #: Filled by :meth:`_track_write`, emptied by :meth:`_deregister`;
+        #: lines with no writer are absent.
+        self._line_writers: Dict[int, Dict[int, Txn]] = {}
+        # hoisted hot-path state: the read paths run once per simulated
+        # memory operation, so attribute chains and repeated config
+        # lookups are paid here instead.  Bound methods are safe to
+        # cache — the machine never swaps its caches, controller,
+        # backing store or interconnect.
+        self._wpl = machine.address_map.words_per_line
+        self._l1_lat = machine.config.machine.l1d.latency_cycles
+        self._access = machine.caches.access
+        self._mvm_plain_read = machine.mvm.plain_read
+        self._backing_load = machine.backing.load
+        self._broadcast_cost = machine.interconnect.broadcast_cost
         #: declared capacity bounds, resolved once: tracked read lines,
         #: tracked write lines, speculative version-buffer entries.
         #: ``0`` = unbounded (the default, matching the paper's perfect
@@ -303,20 +323,6 @@ class TMSystem:
         """Transactional load; return ``(value, cycles)``."""
         raise NotImplementedError
 
-    def read_many(self, txn: Txn, addrs, promote: bool = False):
-        """Bulk transactional load: ``(value, cycles)`` per address.
-
-        Semantically a loop over :meth:`read` — and that is the default
-        implementation every backend inherits — but a single entry point
-        lets workloads that read a whole structure amortise the per-call
-        dispatch, and lets backends override with a genuinely batched
-        path (SI-TM's snapshot reads probe the MVM once per line).
-        Ordering matters: reads are issued in ``addrs`` order, so cache
-        and timing side effects are identical to the equivalent loop.
-        """
-        read = self.read
-        return [read(txn, addr, promote) for addr in addrs]
-
     def write(self, txn: Txn, addr: int, value: int) -> int:
         """Transactional store; return cycles."""
         raise NotImplementedError
@@ -347,7 +353,28 @@ class TMSystem:
 
     def _deregister(self, txn: Txn) -> None:
         txn.active = False
-        self.active_txns.pop(txn.thread_id, None)
+        tid = txn.thread_id
+        self.active_txns.pop(tid, None)
+        directory = self._line_writers
+        if directory:
+            # idempotent (a commit that raises deregisters, then the
+            # engine's abort does again): only an entry that is this
+            # very attempt is removed
+            for line in txn.write_lines:
+                writers = directory.get(line)
+                if writers is not None and writers.get(tid) is txn:
+                    del writers[tid]
+                    if not writers:
+                        del directory[line]
+
+    def _track_write(self, txn: Txn, line: int) -> None:
+        """Add ``line`` to ``txn``'s write set and the writer directory."""
+        txn.write_lines.add(line)
+        writers = self._line_writers.get(line)
+        if writers is None:
+            self._line_writers[line] = {txn.thread_id: txn}
+        else:
+            writers[txn.thread_id] = txn
 
     def others(self, txn: Txn):
         """Active transactions other than ``txn``."""
@@ -386,9 +413,18 @@ class TMSystem:
             profiler.sub_account(txn.thread_id, "commit", "token_wait",
                                  wait)
 
-    def _buffered_read(self, txn: Txn, addr: int) -> Optional[int]:
-        """Value from the transaction's own write buffer, if written."""
-        return txn.write_buffer.get(addr)
+    def _newest_word(self, addr: int, line: int) -> int:
+        """Newest committed value of the word at ``addr`` (in ``line``).
+
+        What :meth:`Machine.plain_load` returns, for a caller that has
+        the line already: one region test, one controller call.
+        """
+        if addr >= MVM_REGION_BASE:
+            data = self._mvm_plain_read(line)
+            if data is None:
+                return 0
+            return data[addr % self._wpl]
+        return self._backing_load(addr)
 
     def _check_version_buffer(self, txn: Txn) -> None:
         """Bounded-HTM version-buffer overflow (section 4.3).
@@ -488,9 +524,9 @@ class TMSystem:
 
     def plain_read(self, thread_id: int, addr: int) -> Tuple[int, int]:
         """Non-transactional load with cache timing."""
-        line = self.amap.line_of(addr)
-        cycles = self.machine.caches.access(thread_id, line)
-        return self.machine.plain_load(addr), cycles
+        line = addr // self._wpl
+        cycles = self._access(thread_id, line)
+        return self._newest_word(addr, line), cycles
 
     def plain_write(self, thread_id: int, addr: int, value: int) -> int:
         """Non-transactional store with cache timing."""

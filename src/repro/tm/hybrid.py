@@ -96,8 +96,13 @@ class HybridHTM(TwoPhaseLockingTM):
                 # serial section in progress: everyone else stalls
                 return None, cycles
             if self._fallback_waiting is not None \
-                    and self._fallback_waiting != thread_id:
-                # quiesce: no new speculation while a faller drains us
+                    and self._fallback_waiting != thread_id \
+                    and not self.capacity_suppressed:
+                # quiesce: no new speculation while a faller drains us.
+                # The engine's golden-token holder (capacity_suppressed)
+                # is exempt: it runs serially with nothing in flight,
+                # and the faller it would wait for is itself parked by
+                # the engine until the token is released
                 return None, cycles
             if wants_fallback:
                 if self.active_txns:
@@ -135,19 +140,19 @@ class HybridHTM(TwoPhaseLockingTM):
             # broadcasts, no capacity charge
             buffered = txn.write_buffer.get(addr)
             if buffered is not None:
-                return buffered, self.config.machine.l1d.latency_cycles
-            line = self.amap.line_of(addr)
-            cycles = self.machine.caches.access(txn.thread_id, line)
-            return self.machine.plain_load(addr), cycles
+                return buffered, self._l1_lat
+            line = addr // self._wpl
+            cycles = self._access(txn.thread_id, line)
+            return self._newest_word(addr, line), cycles
         return super().read(txn, addr, promote)
 
     def write(self, txn: Txn, addr: int, value: int) -> int:
         if txn.thread_id in self.fallback_threads:
             # write lines are kept only to cost the commit write-back;
             # nothing is broadcast and nothing charges capacity
-            txn.write_lines.add(self.amap.line_of(addr))
+            self._track_write(txn, addr // self._wpl)
             txn.write_buffer[addr] = value
-            return self.config.machine.l1d.latency_cycles
+            return self._l1_lat
         return super().write(txn, addr, value)
 
     def commit(self, txn: Txn, now: int) -> int:

@@ -72,10 +72,17 @@ class EagerLogTM(TMSystem):
 
     def _conflicting_owner(self, txn: Txn, line: int,
                            for_write: bool) -> Optional[Txn]:
+        if not for_write:
+            # a read conflicts with writers only: one directory probe
+            # (writes NACK on any other owner, so a line has one writer)
+            writers = self._line_writers.get(line)
+            if writers is not None:
+                for other in writers.values():
+                    if other is not txn:
+                        return other
+            return None
         for other in self.others(txn):
-            if line in other.write_lines:
-                return other
-            if for_write and line in other.read_lines:
+            if line in other.write_lines or line in other.read_lines:
                 return other
         return None
 
@@ -103,19 +110,19 @@ class EagerLogTM(TMSystem):
 
     def read(self, txn: Txn, addr: int, promote: bool = False,
              ) -> Tuple[int, int]:
-        line = self.amap.line_of(addr)
+        line = addr // self._wpl
         if line not in txn.read_lines and line not in txn.write_lines:
             owner = self._conflicting_owner(txn, line, for_write=False)
             if owner is not None:
                 self._nack(txn, line, owner)
         txn.consecutive_stalls = 0
-        cycles = self.machine.caches.access(txn.thread_id, line)
+        cycles = self._access(txn.thread_id, line)
         if line not in txn.read_lines:
-            cycles += self.machine.interconnect.broadcast_cost()
+            cycles += self._broadcast_cost()
             txn.read_lines.add(line)
             self._charge_read_capacity(txn, line)
         # eager versioning: memory always holds this txn's own writes
-        return self.machine.plain_load(addr), cycles
+        return self._newest_word(addr, line), cycles
 
     def write(self, txn: Txn, addr: int, value: int) -> int:
         line = self.amap.line_of(addr)
@@ -129,11 +136,11 @@ class EagerLogTM(TMSystem):
             cycles += self.machine.interconnect.broadcast_cost()
             self.machine.caches.invalidate_everywhere(
                 line, except_core=txn.thread_id)
-            txn.write_lines.add(line)
+            self._track_write(txn, line)
             self._check_version_buffer(txn)
             self._charge_write_capacity(txn, line)
         # in-place update with undo logging
-        txn.undo_log.append((addr, self.machine.plain_load(addr)))
+        txn.undo_log.append((addr, self._newest_word(addr, line)))
         self._charge_version_capacity(txn, line, len(txn.undo_log))
         self.machine.plain_store(addr, value)
         return cycles

@@ -84,14 +84,9 @@ class SnapshotIsolationTM(TMSystem):
         #: until the last doomed transaction drains and the MVM resets
         self._overflow_pending = False
         self.timestamp_overflows = 0
-        # hoisted hot-path state: the read/write paths run once per
-        # simulated memory operation, so attribute chains and repeated
-        # config lookups are paid here instead.  Bound methods are safe
-        # to cache — the machine never swaps its caches or controller.
-        self._wpl = machine.address_map.words_per_line
-        self._l1_lat = machine.config.machine.l1d.latency_cycles
+        # hoisted hot-path state on top of TMSystem's (``_wpl``,
+        # ``_l1_lat``, ``_access``, ``_backing_load``)
         self._l2_lat = machine.config.machine.l2.latency_cycles
-        self._access = machine.caches.access
         self._access_tracked = machine.caches.access_tracked
         self._snapshot_read = machine.mvm.snapshot_read
 
@@ -152,7 +147,7 @@ class SnapshotIsolationTM(TMSystem):
             return buffered, self._l1_lat
         cycles = self._access(txn.thread_id, line)
         if not is_mvm:
-            return self.machine.backing.load(addr), cycles
+            return self._backing_load(addr), cycles
         if cycles > self._l2_lat:
             # L2 miss: the access reaches the MVM controller and pays the
             # indirection lookup unless the translation cache hides it.

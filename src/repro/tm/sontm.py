@@ -80,24 +80,26 @@ class SONTM(TMSystem):
 
     def read(self, txn: Txn, addr: int, promote: bool = False,
              ) -> Tuple[int, int]:
-        buffered = self._buffered_read(txn, addr)
-        line = self.amap.line_of(addr)
+        buffered = txn.write_buffer.get(addr)
         if buffered is not None:
-            return buffered, self.config.machine.l1d.latency_cycles
-        cycles = self.machine.caches.access(txn.thread_id, line)
+            return buffered, self._l1_lat
+        line = addr // self._wpl
+        cycles = self._access(txn.thread_id, line)
         if line not in txn.read_lines:
-            cycles += self.machine.interconnect.broadcast_cost()
+            cycles += self._broadcast_cost()
             committed_writer = self.write_numbers.get(line)
             if committed_writer is not None:
                 # we read that writer's value -> serialise after it
                 txn.son_lo = max(txn.son_lo, committed_writer + 1)
-            for other in self.others(txn):
-                if line in other.write_lines:
-                    # we read the old value -> we precede the writer
-                    self._order(txn, other)
+            writers = self._line_writers.get(line)
+            if writers is not None:
+                for other in writers.values():
+                    if other is not txn:
+                        # we read the old value -> we precede the writer
+                        self._order(txn, other)
             txn.read_lines.add(line)
             self._charge_read_capacity(txn, line)
-        return self.machine.plain_load(addr), cycles
+        return self._newest_word(addr, line), cycles
 
     def write(self, txn: Txn, addr: int, value: int) -> int:
         line = self.amap.line_of(addr)
@@ -109,7 +111,7 @@ class SONTM(TMSystem):
                     # the concurrent reader saw (or concurrent writer will
                     # be overwritten by) the pre-write value: they precede us
                     self._order(other, txn)
-            txn.write_lines.add(line)
+            self._track_write(txn, line)
             self._check_version_buffer(txn)
             self._charge_write_capacity(txn, line)
         txn.write_buffer[addr] = value

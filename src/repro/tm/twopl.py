@@ -58,20 +58,23 @@ class TwoPhaseLockingTM(TMSystem):
 
     def read(self, txn: Txn, addr: int, promote: bool = False,
              ) -> Tuple[int, int]:
-        buffered = self._buffered_read(txn, addr)
-        line = self.amap.line_of(addr)
+        buffered = txn.write_buffer.get(addr)
         if buffered is not None:
-            return buffered, self.config.machine.l1d.latency_cycles
-        cycles = self.machine.caches.access(txn.thread_id, line)
+            return buffered, self._l1_lat
+        line = addr // self._wpl
+        cycles = self._access(txn.thread_id, line)
         if line not in txn.read_lines:
-            # get-shared broadcast: writers among concurrent txns abort
-            cycles += self.machine.interconnect.broadcast_cost()
-            for other in self.others(txn):
-                if line in other.write_lines:
-                    other.doom(AbortCause.READ_WRITE, line, txn)
+            # get-shared broadcast: the directory names the concurrent
+            # writers of the line, and they abort
+            cycles += self._broadcast_cost()
+            writers = self._line_writers.get(line)
+            if writers is not None:
+                for other in writers.values():
+                    if other is not txn:
+                        other.doom(AbortCause.READ_WRITE, line, txn)
             txn.read_lines.add(line)
             self._charge_read_capacity(txn, line)
-        return self.machine.plain_load(addr), cycles
+        return self._newest_word(addr, line), cycles
 
     def write(self, txn: Txn, addr: int, value: int) -> int:
         line = self.amap.line_of(addr)
@@ -86,7 +89,7 @@ class TwoPhaseLockingTM(TMSystem):
                     other.doom(AbortCause.READ_WRITE, line, txn)
             self.machine.caches.invalidate_everywhere(
                 line, except_core=txn.thread_id)
-            txn.write_lines.add(line)
+            self._track_write(txn, line)
             self._check_version_buffer(txn)
             self._charge_write_capacity(txn, line)
         txn.write_buffer[addr] = value
