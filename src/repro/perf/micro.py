@@ -4,7 +4,7 @@ The suite artifacts (:mod:`repro.perf.bench`) measure *simulated*
 throughput, which is deterministic and cannot move when only the host
 cost of the hot loop changes.  This module measures the other axis: how
 many engine steps per wall-clock second the discrete-event loop
-dispatches on this machine.  Two pinned grids cover the two regimes:
+dispatches on this machine.  Three pinned grids cover three regimes:
 
 * the **dispatch micro** (:func:`run_dispatch_micro`) — 64 simulated
   threads with deliberately skewed compute costs: one "driver" thread
@@ -25,11 +25,19 @@ dispatches on this machine.  Two pinned grids cover the two regimes:
   TM read/write path, cache timing and MVM snapshot reads, so this
   number moves with the whole stack, not just the engine loop.  It is
   recorded as *advisory* context next to the dispatch number.
+* the **escalation micro** (:func:`run_escalation_micro`) — 16 threads
+  of the list workload under 2PL and the ``capacity`` bench suite's
+  config: an 8-line read set every transaction overflows, so all but
+  two of the 320 commits go through golden-token escalation and at any
+  moment one thread runs while fifteen wait at a gated begin.  The
+  waiters' polls are charged in closed form (``docs/performance.md``,
+  "Parked begin waits"), so steps/s here is mostly steps nobody
+  executed; the grid also pins the exact step count, which is where a
+  dropped or doubled poll would show.  Advisory like the others.
 
-Both grids assert their expected commit/abort counts, so a refactor
-that changed observable behaviour fails loudly instead of producing a
-silently incomparable number.  ``min``-of-N wall-clock absorbs
-scheduler noise.
+Every grid asserts its expected counts, so a refactor that changed
+observable behaviour fails loudly instead of producing a silently
+incomparable number.  ``min``-of-N wall-clock absorbs scheduler noise.
 """
 
 from __future__ import annotations
@@ -39,11 +47,13 @@ import time
 from typing import Dict, List, Optional
 
 from repro.common.config import SimConfig
-from repro.common.rng import SplitRandom
+from repro.common.rng import SplitRandom, derive_seed
+from repro.perf.bench import SUITES
 from repro.sim.engine import Engine, TransactionSpec
 from repro.sim.machine import Machine
 from repro.tm import SYSTEMS
 from repro.tm.ops import Compute, Read, Write
+from repro.workloads import REGISTRY
 
 __all__ = [
     "MICRO_THREADS", "MICRO_TXNS_PER_THREAD", "MICRO_OPS_PER_TXN",
@@ -51,8 +61,9 @@ __all__ = [
     "DISPATCH_THREADS", "DISPATCH_DRIVER_TXNS",
     "DISPATCH_DRIVER_COMPUTES", "DISPATCH_SLOW_COST",
     "DISPATCH_SLOW_OPS", "DISPATCH_SLOW_TXNS",
+    "ESCALATION_THREADS", "ESCALATION_EXPECTED",
     "PRE_REFACTOR_BASELINE",
-    "run_dispatch_micro", "run_fullstack_micro",
+    "run_dispatch_micro", "run_fullstack_micro", "run_escalation_micro",
 ]
 
 # ---------------------------------------------------------------------------
@@ -79,6 +90,15 @@ DISPATCH_SLOW_COST = 8000
 DISPATCH_SLOW_OPS = 4
 DISPATCH_SLOW_TXNS = 3
 
+#: escalation grid: list/2PL, quick profile, harness seed 1, under
+#: ``SUITES["capacity"].config`` — a cell of perfbench's ``sim_observed``
+ESCALATION_THREADS = 16
+#: what that cell must reproduce exactly; ``steps`` counts the polls of
+#: parked waiters along with the steps that ran
+ESCALATION_EXPECTED: Dict[str, int] = {
+    "commits": 320, "aborts": 57, "escalations": 318, "steps": 1033941,
+}
+
 #: steps/s measured with these exact grids on the commit *before*
 #: ISSUE 6 (no burst scheduling, heap push + pop per step), via a
 #: pristine worktree of that revision on the development host.
@@ -91,8 +111,8 @@ PRE_REFACTOR_BASELINE: Dict[str, float] = {
 }
 
 
-def _machine(threads: int) -> Machine:
-    config = SimConfig()
+def _machine(threads: int, config: Optional[SimConfig] = None) -> Machine:
+    config = config or SimConfig()
     if threads > config.machine.cores:
         config = config.replace(
             machine=dataclasses.replace(config.machine, cores=threads))
@@ -156,8 +176,11 @@ def _dispatch_programs(machine: Machine, base: int, threads: int,
     return programs
 
 
-def _timed_runs(factory, reps: int, expected_commits: int):
-    """min-of-``reps`` cold runs; returns (steps, best_wall_s)."""
+def _timed_runs(factory, reps: int, expected: Dict[str, int]):
+    """min-of-``reps`` cold runs; returns (steps, best_wall_s).
+
+    ``expected`` pins any of commits / aborts / escalations / steps.
+    """
     steps = 0
     best = None
     for _ in range(max(1, reps)):
@@ -165,15 +188,15 @@ def _timed_runs(factory, reps: int, expected_commits: int):
         started = time.perf_counter()
         stats = engine.run()
         elapsed = time.perf_counter() - started
-        if stats.total_commits != expected_commits:
-            raise AssertionError(
-                f"micro-benchmark must commit {expected_commits} txns, "
-                f"got {stats.total_commits}")
-        if stats.total_aborts:
-            raise AssertionError(
-                f"micro-benchmark grid must not abort, "
-                f"got {stats.total_aborts} aborts")
         steps = engine.steps_taken
+        counts = {"commits": stats.total_commits,
+                  "aborts": stats.total_aborts,
+                  "escalations": stats.escalations, "steps": steps}
+        observed = {key: counts[key] for key in expected}
+        if observed != expected:
+            raise AssertionError(
+                f"micro-benchmark grid must reproduce {expected}, "
+                f"got {observed}")
         best = elapsed if best is None else min(best, elapsed)
     return steps, best
 
@@ -216,8 +239,9 @@ def run_dispatch_micro(threads: int = DISPATCH_THREADS,
             DISPATCH_SLOW_COST, DISPATCH_SLOW_OPS, DISPATCH_SLOW_TXNS)
         return Engine(SYSTEMS[system](machine, SplitRandom(7)), programs)
 
-    expected = driver_txns + (threads - 1) * DISPATCH_SLOW_TXNS
-    steps, best = _timed_runs(factory, reps, expected)
+    commits = driver_txns + (threads - 1) * DISPATCH_SLOW_TXNS
+    steps, best = _timed_runs(factory, reps,
+                              {"commits": commits, "aborts": 0})
     return _result("dispatch", steps, best, baseline_steps_per_s, {
         "threads": threads,
         "driver_txns": driver_txns,
@@ -239,7 +263,8 @@ def run_fullstack_micro(threads: int = MICRO_THREADS,
         programs = _fullstack_programs(base, threads, txns, ops)
         return Engine(SYSTEMS[system](machine, SplitRandom(7)), programs)
 
-    steps, best = _timed_runs(factory, reps, threads * txns)
+    steps, best = _timed_runs(factory, reps,
+                              {"commits": threads * txns, "aborts": 0})
     return _result("fullstack", steps, best, baseline_steps_per_s, {
         "threads": threads,
         "txns_per_thread": txns,
@@ -247,9 +272,33 @@ def run_fullstack_micro(threads: int = MICRO_THREADS,
     })
 
 
+def run_escalation_micro(reps: int = 3) -> Dict[str, float]:
+    """Time the golden-token grid; return the measurement dict.
+
+    Built the way ``harness.runner.run_once`` builds the cell, so the
+    pinned counts are the harness's own.
+    """
+    threads = ESCALATION_THREADS
+
+    def factory() -> Engine:
+        machine = _machine(threads, SUITES["capacity"].config)
+        rng = SplitRandom(derive_seed(1, "list", "2PL", threads))
+        instance = REGISTRY.create("list", profile="quick").setup(
+            machine, threads, rng.split("workload"))
+        return Engine(SYSTEMS["2PL"](machine, rng.split("tm")),
+                      instance.programs)
+
+    steps, best = _timed_runs(factory, reps, ESCALATION_EXPECTED)
+    return _result("escalation", steps, best, None, {
+        "threads": threads,
+        "escalations": ESCALATION_EXPECTED["escalations"],
+    })
+
+
 def main() -> None:
-    """CLI entry: run both grids and print one line each."""
-    for result in (run_dispatch_micro(), run_fullstack_micro()):
+    """CLI entry: run every grid and print one line each."""
+    for result in (run_dispatch_micro(), run_fullstack_micro(),
+                   run_escalation_micro()):
         print(f"{result['grid']}: {result['system_steps']} steps in "
               f"{result['wall_s']}s = {result['steps_per_s']:,.0f} "
               f"steps/s")

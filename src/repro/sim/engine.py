@@ -110,12 +110,30 @@ class Tracer:
         pass
 
 
+def skipped_polls(clock: int, thread_id: int, now: int, waker: int,
+                  period: int) -> int:
+    """Polls a parked thread would have taken before another's step.
+
+    A thread polling every ``period`` cycles from ``clock`` is scheduled
+    at ``(clock + period * i, thread_id)`` for i = 0, 1, ...; this
+    counts the keys that sort before ``(now, waker)``, the key the
+    other thread's step was scheduled at.
+    """
+    behind = now - clock
+    if behind < 0:
+        return 0
+    polls, rest = divmod(behind, period)
+    # a poll at exactly ``now`` runs first only on the lower thread id
+    return polls + (rest != 0 or thread_id < waker)
+
+
 class _ThreadState:
     """Mutable execution state of one simulated thread."""
 
     __slots__ = ("thread_id", "specs", "spec", "txn", "gen", "pending",
                  "retries", "clock", "done", "redo_op",
-                 "first_attempt_clock", "consecutive_stalls", "queued")
+                 "first_attempt_clock", "consecutive_stalls", "queued",
+                 "parked")
 
     def __init__(self, thread_id: int, specs: Iterator[TransactionSpec]):
         self.thread_id = thread_id
@@ -138,6 +156,10 @@ class _ThreadState:
         self.consecutive_stalls = 0
         #: waiting in (or holding) the golden-token escalation queue
         self.queued = False
+        #: off the scheduler heap at a gated begin: its polls are
+        #: charged in closed form (_catch_up) until the gate opens
+        #: (_wake_head)
+        self.parked = False
 
 
 class Engine:
@@ -145,12 +167,16 @@ class Engine:
 
     #: cycles charged when a begin must stall (Δ-protocol, section 4.2)
     STALL_CYCLES = 20
-    #: consecutive no-progress steps (begin stalls, escalation parks)
-    #: before the watchdog raises: a permanent begin-stall — a backend
-    #: whose ``begin`` returns None forever, or an unsuppressible stall
-    #: storm — would otherwise spin silently to ``max_steps``.  Any
-    #: dispatch, successful begin, commit or abort resets the streak, so
-    #: a healthy Δ-protocol or overflow-drain stall can never trip it.
+    #: consecutive begin stalls *executed as steps* before the watchdog
+    #: raises: a permanent begin-stall — a backend whose ``begin``
+    #: returns None forever, an unsuppressible stall storm, a gate only
+    #: threads that are themselves gated could open — would otherwise
+    #: spin silently to ``max_steps``.  Any dispatch, successful begin,
+    #: commit or abort resets the streak, so a healthy Δ-protocol or
+    #: overflow-drain stall can never trip it.  The polls of a parked
+    #: thread are not steps and do not count: a parked thread is waiting
+    #: on a thread that runs, and if none is left ``run`` raises the
+    #: same error at once instead of counting to it.
     WATCHDOG_STALL_STEPS = 20_000
 
     def __init__(self, tm: TMSystem,
@@ -208,9 +234,15 @@ class Engine:
         self._golden: Optional[int] = None
         #: consecutive no-progress steps (watchdog streak)
         self._no_progress = 0
-        #: scheduler-heap pushes: run() is the only push site and pushes
-        #: at most once per step, so pushes never exceed steps + threads
+        #: scheduler-heap pushes: run() pushes at most once per executed
+        #: step and not after the step that parks a thread, which pays
+        #: for that thread's one wake push — so pushes never exceed
+        #: steps + threads
         self._heap_pushes = 0
+        #: the scheduler heap of the run in progress: one entry per live
+        #: thread that is off the CPU and not parked
+        self._heap: List[tuple] = []
+        self._max_steps = float("inf")
 
     # ------------------------------------------------------------------
 
@@ -219,15 +251,17 @@ class Engine:
 
         The one scheduling loop: always step the thread with the
         smallest ``(clock, thread_id)``.  The heap holds exactly one
-        entry per live thread that is off the CPU.
+        entry per live thread that is off the CPU, except threads
+        parked at a gated begin (:meth:`_begin`), which rejoin it when
+        the gate opens (:meth:`_wake_head`).
         """
         threads = self.threads
         step = self._step
         heappush = heapq.heappush
         heappop = heapq.heappop
         inf = float("inf")
-        limit = inf if max_steps is None else max_steps
-        heap = [(t.clock, t.thread_id) for t in threads]
+        limit = self._max_steps = inf if max_steps is None else max_steps
+        heap = self._heap = [(t.clock, t.thread_id) for t in threads]
         heapq.heapify(heap)
         self._heap_pushes += len(heap)
         while heap:
@@ -237,48 +271,63 @@ class Engine:
             # is still the schedule minimum.  Popping the minimum right
             # after pushing it is the identity, so skipping the pair
             # cannot reorder the schedule; and the heap — hence its head,
-            # cached here as two scalars — cannot change meanwhile, the
-            # push below being the only one.
+            # cached here as two scalars — changes meanwhile only when a
+            # step wakes a parked thread, which the step reports.
             if heap:
                 head_clock, head_tid = heap[0]
             else:
                 head_clock, head_tid = inf, -1
             while True:
                 if self._steps >= limit:
-                    raise SimulationError(
-                        f"exceeded {max_steps} engine steps\n"
-                        + self.diagnostics())
+                    raise self._step_limit_error()
                 self._steps += 1
-                step(thread)
-                if thread.done:
-                    self.stats.threads[tid].cycles = thread.clock
-                    break
+                if step(thread):
+                    # the rare outcomes: finished, parked, or woke a
+                    # parked thread (a push, so the cached head is stale)
+                    if thread.done:
+                        self.stats.threads[tid].cycles = thread.clock
+                        break
+                    if thread.parked:
+                        break
+                    head_clock, head_tid = heap[0]
                 clock = thread.clock
                 if head_clock < clock or (head_clock == clock
                                           and head_tid < tid):
                     heappush(heap, (clock, tid))
                     self._heap_pushes += 1
                     break
+        if any(t.parked for t in threads):
+            raise SimulationError(
+                "engine watchdog: every runnable thread finished while "
+                "others wait parked at a gated begin (permanent begin "
+                "stall)\n" + self.diagnostics())
         return self.stats
+
+    def _step_limit_error(self) -> SimulationError:
+        return SimulationError(
+            f"exceeded {self._max_steps} engine steps\n"
+            + self.diagnostics())
 
     # ------------------------------------------------------------------
 
-    def _step(self, thread: _ThreadState) -> None:
-        """Execute one operation (or begin/commit/abort) of ``thread``."""
+    def _step(self, thread: _ThreadState) -> bool:
+        """Execute one operation (or begin/commit/abort) of ``thread``.
+
+        Truthy when the scheduler must look: the thread finished, it
+        parked at a gated begin, or the step woke a parked thread.
+        """
         if thread.spec is None:
             nxt = next(thread.specs, None)
             if nxt is None:
                 thread.done = True
-                return
+                return True
             thread.spec = nxt
             thread.retries = 0
         if thread.txn is None:
-            self._begin(thread)
-            return
+            return self._begin(thread)
         txn = thread.txn
         if txn.doomed is not None:
-            self._abort(thread, txn.doomed)
-            return
+            return self._abort(thread, txn.doomed)
         op = thread.redo_op
         if op is not None:
             # NACK-stalled operation: re-issue it instead of resuming
@@ -289,13 +338,11 @@ class Engine:
                 op = thread.gen.send(thread.pending)
             except StopIteration:
                 try:
-                    self._commit(thread)
+                    return self._commit(thread)
                 except TransactionAborted as aborted:
-                    self._abort(thread, aborted.cause)
-                return
+                    return self._abort(thread, aborted.cause)
             except TransactionAborted as aborted:
-                self._abort(thread, aborted.cause)
-                return
+                return self._abort(thread, aborted.cause)
         thread.pending = None
         try:
             self._dispatch(thread, txn, op)
@@ -306,7 +353,8 @@ class Engine:
                                       stall.cycles)
             thread.redo_op = op
         except TransactionAborted as aborted:
-            self._abort(thread, aborted.cause)
+            return self._abort(thread, aborted.cause)
+        return False
 
     def _dispatch(self, thread: _ThreadState, txn: Txn, op: Op) -> None:
         self._no_progress = 0
@@ -340,17 +388,31 @@ class Engine:
         else:
             raise SimulationError(f"unknown operation {op!r}")
 
-    def _begin(self, thread: _ThreadState) -> None:
+    def _begin(self, thread: _ThreadState) -> bool:
+        """Begin ``thread``'s next attempt, or stall; True when it parked."""
         if not self._may_begin(thread):
             # escalation quiesce: a starving thread heads the queue, so
-            # everyone else parks at begin until it commits serially
+            # everyone else waits at begin until it commits serially
             self._stall(thread)
-            return
+            if thread.queued and self._heap:
+                # Until this thread heads the queue with nothing in
+                # flight, each of its steps would be this same stall: a
+                # queued thread skips the starvation test and the fault
+                # site sits behind the gate.  So it leaves the heap, and
+                # _catch_up charges the polls it does not take.  (A
+                # gated thread not yet queued keeps polling: the stall
+                # that exhausts its budget fixes its place in the queue.
+                # And the last runnable thread never parks, so a wait
+                # nobody can end still meets the watchdog.)
+                thread.parked = True
+                return True
+            return False
+        self._catch_up(thread)
         if self.faults is not None and self.faults.begin_stall():
             # injected stall storm: the begin request never reaches the
             # TM system (a saturated timestamp-issue port)
             self._stall(thread)
-            return
+            return False
         txn, cycles = self.tm.begin(
             thread.thread_id, thread.spec.label, thread.retries)
         thread.clock += cycles
@@ -358,7 +420,7 @@ class Engine:
             self.profiler.account(thread.thread_id, "begin", cycles)
         if txn is None:
             self._stall(thread)
-            return
+            return False
         thread.consecutive_stalls = 0
         self._no_progress = 0
         if thread.retries == 0:
@@ -367,19 +429,11 @@ class Engine:
         thread.gen = thread.spec.body_factory()
         thread.pending = None
         self.tracer.on_begin(txn)
+        return False
 
     def _stall(self, thread: _ThreadState) -> None:
         """Charge one begin stall; detect stall starvation and no-progress."""
-        thread.clock += self.STALL_CYCLES
-        if self.profiler is not None:
-            self.profiler.account(thread.thread_id, "begin_stall",
-                                  self.STALL_CYCLES)
-        if self.metrics is not None:
-            self.metrics.inc("engine_begin_stalls")
-            self.metrics.inc("engine_begin_stall_cycles",
-                             self.STALL_CYCLES)
-        self.tracer.on_stall(thread.thread_id, self.STALL_CYCLES)
-        thread.consecutive_stalls += 1
+        self._charge_stalls(thread, 1)
         policy = self.retry_policy
         if (policy is not None and policy.escalation
                 and not thread.queued
@@ -391,6 +445,27 @@ class Engine:
                 f"engine watchdog: no progress in {self._no_progress} "
                 f"consecutive steps (permanent begin stall)\n"
                 + self.diagnostics())
+
+    def _charge_stalls(self, thread: _ThreadState, polls: int) -> None:
+        """What ``polls`` consecutive begin stalls cost ``thread``."""
+        stall = self.STALL_CYCLES
+        cycles = polls * stall
+        if self.profiler is not None:
+            self.profiler.account(thread.thread_id, "begin_stall", cycles)
+        if self.metrics is not None:
+            self.metrics.inc("engine_begin_stalls", polls)
+            self.metrics.inc("engine_begin_stall_cycles", cycles)
+        on_stall = self.tracer.on_stall
+        if getattr(on_stall, "__func__", None) is Tracer.on_stall:
+            # the base class's no-op hook: nothing would see the calls
+            thread.clock += cycles
+        else:
+            # one call per stall, each at the clock it is charged at
+            # (TimeSeriesSampler windows stalls by that clock)
+            for _ in range(polls):
+                thread.clock += stall
+                on_stall(thread.thread_id, stall)
+        thread.consecutive_stalls += polls
 
     # -- golden-token escalation (repro.sim.retry) ---------------------
 
@@ -437,18 +512,59 @@ class Engine:
         if self.faults is not None:
             self.faults.suppressed = False
 
-    def _commit(self, thread: _ThreadState) -> None:
+    def _catch_up(self, thread: _ThreadState) -> None:
+        """Charge parked threads the polls due before ``thread``'s step.
+
+        Called with ``thread.clock`` still the clock its step was
+        scheduled at, before each begin, commit and abort (a no-op
+        while the queue is empty): those are the calls that change what
+        a stall hook can observe (the MVM's version lists, sampled by
+        ``TimeSeriesSampler`` as windows close), so every replayed hook
+        sees the state its poll would have seen.
+        """
+        for tid in self._escalation_queue:
+            parked = self.threads[tid]
+            if not parked.parked:
+                continue
+            polls = skipped_polls(parked.clock, tid, thread.clock,
+                                  thread.thread_id, self.STALL_CYCLES)
+            if polls:
+                self._steps += polls
+                if self._steps > self._max_steps:
+                    raise self._step_limit_error()
+                self._charge_stalls(parked, polls)
+
+    def _wake_head(self) -> bool:
+        """Un-park the queue head if its gate is open; True when it was.
+
+        The head may begin once no token is held and nothing is in
+        flight (:meth:`_may_begin`), which only a commit or an abort
+        brings about; both call this last, having caught the head up to
+        their own step first, so it rejoins the heap at its next poll.
+        """
+        queue = self._escalation_queue
+        if not queue or self._golden is not None or self.tm.active_txns:
+            return False
+        head = self.threads[queue[0]]
+        if not head.parked:
+            return False
+        head.parked = False
+        heapq.heappush(self._heap, (head.clock, head.thread_id))
+        self._heap_pushes += 1
+        return True
+
+    def _commit(self, thread: _ThreadState) -> bool:
+        """Commit ``thread``'s transaction; truthy as for :meth:`_step`."""
         txn = thread.txn
         assert txn is not None
         if txn.doomed is not None:
-            self._abort(thread, txn.doomed)
-            return
+            return self._abort(thread, txn.doomed)
         if self.faults is not None and self.faults.spurious_abort():
             # injected conflict-detection false positive, surfaced with
             # the backend's own declared cause so oracle cause checks
             # treat it like any legal abort
-            self._abort(thread, self.tm.SPURIOUS_ABORT_CAUSE)
-            return
+            return self._abort(thread, self.tm.SPURIOUS_ABORT_CAUSE)
+        self._catch_up(thread)
         cycles = self.tm.commit(txn, thread.clock)
         thread.clock += cycles
         if self.profiler is not None:
@@ -462,10 +578,13 @@ class Engine:
         thread.spec = None
         thread.txn = None
         thread.gen = None
+        return self._wake_head()
 
-    def _abort(self, thread: _ThreadState, cause: AbortCause) -> None:
+    def _abort(self, thread: _ThreadState, cause: AbortCause) -> bool:
+        """Abort ``thread``'s transaction; truthy as for :meth:`_step`."""
         txn = thread.txn
         assert txn is not None
+        self._catch_up(thread)
         cycles = self.tm.abort(txn, cause)
         jitter = self._restart_jitter.randrange(16)
         thread.clock += cycles + jitter
@@ -508,6 +627,7 @@ class Engine:
             raise SimulationError(
                 f"transaction {thread.spec.label!r} exceeded {limit} "
                 f"retries\n" + self.diagnostics())
+        return self._wake_head()
 
     # ------------------------------------------------------------------
 
@@ -539,11 +659,13 @@ class Engine:
                 f"  thread {thread.thread_id}: clock={thread.clock} "
                 f"spec={label!r} retries={thread.retries} {state} "
                 f"commits={tstats.commits} aborts={tstats.aborts} "
-                f"stalls={thread.consecutive_stalls}")
+                f"stalls={thread.consecutive_stalls}"
+                + (" parked" if thread.parked else ""))
         if self._golden is not None or self._escalation_queue:
             lines.append(
                 f"  escalation: golden={self._golden} "
                 f"queue={self._escalation_queue} "
+                f"parked={[t.thread_id for t in self.threads if t.parked]} "
                 f"escalations={self.stats.escalations}")
         if self._no_progress:
             lines.append(f"  no-progress streak: {self._no_progress} steps")

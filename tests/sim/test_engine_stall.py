@@ -108,10 +108,13 @@ class TestStallRedo:
 class TestHeapLazyDeletion:
     """The scheduler heap holds one entry per off-CPU thread, never more.
 
-    ``Engine.run`` is the only push site: one push per step that takes
-    a thread off the CPU, plus the initial heapify, so
-    ``pushes <= steps + threads`` holds by construction (bursts only
-    add slack).  The bound is pinned under begin-stall storms, the
+    ``Engine.run`` pushes once per step that takes a thread off the
+    CPU, plus the initial heapify; the one other push, waking a thread
+    parked at a gated begin, is paid for by the step that parked it
+    (``run`` does not push after that one).  So
+    ``pushes <= steps + threads`` holds by construction (bursts and
+    skipped polls only add slack).  The bound is pinned under
+    begin-stall storms, the
     reschedule-heavy shape that leaked one dead heap entry per
     reschedule when an earlier loop re-pushed stale pops; the class
     name dates from the lazy-deletion scheme that first fixed that.
