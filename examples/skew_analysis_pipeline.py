@@ -6,7 +6,7 @@ Three ways to find the same linked-list anomaly:
 
 1. **dynamic online** — run schedules under SI-TM with tracing and
    analyse the dependency graph in process (the paper's tool);
-2. **dynamic offline** — dump the trace to JSONL during execution and
+2. **dynamic offline** — dump the recorded history to JSON and
    post-process it separately (how the paper's PIN tool actually works);
 3. **static footprints** — extract per-operation read/write footprints
    from ONE state and check pairs for the skew precondition, no schedule
@@ -15,15 +15,10 @@ Three ways to find the same linked-list anomaly:
 Run:  python examples/skew_analysis_pipeline.py
 """
 
-import io
-
 from repro import Machine, TransactionSpec, SplitRandom
 from repro.sim.engine import Engine
-from repro.skew import (
-    FootprintAnalyzer,
-    TraceRecorder,
-    find_write_skews,
-)
+from repro.sim.history import History, HistoryRecorder
+from repro.skew import FootprintAnalyzer, find_write_skews
 from repro.structures import TxLinkedList
 from repro.tm import SnapshotIsolationTM
 
@@ -37,30 +32,27 @@ def build(machine):
 def dynamic_online():
     machine = Machine()
     lst = build(machine)
-    recorder = TraceRecorder()
     programs = [[TransactionSpec(lambda: lst.remove(2), "rm2")],
                 [TransactionSpec(lambda: lst.remove(3), "rm3")]]
     tm = SnapshotIsolationTM(machine, SplitRandom(4))
+    recorder = HistoryRecorder.for_system(tm)
     Engine(tm, programs, tracer=recorder).run()
-    report = find_write_skews(recorder)
-    return recorder, report
+    return recorder.history, find_write_skews(recorder.history)
 
 
 def main():
     print("=== 1. dynamic online analysis ===")
-    recorder, report = dynamic_online()
-    print(f"trace events: {len(recorder.events)}, "
+    history, report = dynamic_online()
+    print(f"trace events: {len(history.events)}, "
           f"witnesses: {len(report.witnesses)}")
     for witness in report.witnesses:
         print(f"  cycle {witness.labels} via reads at "
               f"{sorted(witness.read_sites)}")
 
     print("\n=== 2. dynamic offline (JSONL round trip) ===")
-    buffer = io.StringIO()
-    recorder.dump_jsonl(buffer)
-    print(f"dumped {buffer.tell()} bytes of JSONL")
-    loaded = TraceRecorder.load_jsonl(buffer.getvalue().splitlines())
-    offline = find_write_skews(loaded)
+    dumped = history.dumps()  # one History document on one line
+    print(f"dumped {len(dumped)} bytes of JSONL")
+    offline = find_write_skews(History.loads(dumped))
     print(f"offline analysis found {len(offline.witnesses)} witnesses "
           f"(same as online: {len(offline.witnesses) == len(report.witnesses)})")
 

@@ -19,7 +19,7 @@ from repro import (
     TransactionSpec,
     Write,
 )
-from repro.sim.timeline import TimelineRecorder
+from repro.obs import SpanRecorder, render_timeline
 from repro.tm import SYSTEMS
 
 CELLS = 64
@@ -63,15 +63,13 @@ def main():
         rng = SplitRandom(11)
         machine = Machine()
         programs = build_programs(machine, rng)
-        timeline = TimelineRecorder()
+        recorder = SpanRecorder()
         tm = SYSTEMS[name](machine, rng.split("tm"))
-        engine = Engine(tm, programs, tracer=timeline)
-        timeline.attach(engine)
-        stats = engine.run()
+        stats = Engine(tm, programs, tracer=recorder).run()
         print(f"=== {name}: {stats.total_commits} commits, "
               f"{stats.total_aborts} aborts, "
               f"makespan {stats.makespan_cycles} cycles ===")
-        print(timeline.render(width=96))
+        print(render_timeline(recorder.spans, width=96))
         print()
     print("T0 is the scanner. Under 2PL its row is mostly 'x' — every "
           "concurrent update aborts the scan, and the whole run takes "

@@ -6,9 +6,10 @@ reproduction:
 * :mod:`repro.obs.metrics` — labeled counter/gauge/histogram registry
   the engine, TM systems and MVM controller emit into;
 * :mod:`repro.obs.spans` — per-transaction lifecycle spans
-  (:class:`SpanRecorder`) and tracer fan-out (:class:`MultiTracer`);
-* :mod:`repro.obs.export` — JSONL span logs and Perfetto-loadable
-  Chrome traces;
+  (:class:`SpanRecorder`, the attempt ledger; retention is its ``cap``
+  parameter) and tracer fan-out (:class:`MultiTracer`);
+* :mod:`repro.obs.export` — JSONL span logs, Perfetto-loadable
+  Chrome traces and ASCII Gantt timelines over spans;
 * :mod:`repro.obs.profile` — deterministic cycle-attribution profiler
   (:class:`CycleProfiler`), conservation-checked phase accounting with
   collapsed-stack (flamegraph) export;
@@ -40,11 +41,12 @@ span schema and profiler phases.
 
 from repro.obs.metrics import MetricsRegistry, collect_run_metrics
 from repro.obs.spans import (MultiTracer, Span, SpanRecorder,
-                             StreamingSpanRecorder, merge_span_aggregates)
-from repro.obs.export import (SPAN_SCHEMA_VERSION, chrome_trace,
-                              chrome_trace_events, load_spans_jsonl,
-                              spans_to_jsonl, validate_span_log,
-                              write_chrome_trace)
+                             merge_span_aggregates)
+from repro.obs.export import (SPAN_SCHEMA_VERSION, aborted_fraction,
+                              chrome_trace, chrome_trace_events,
+                              load_spans_jsonl, render_timeline,
+                              spans_to_jsonl, summary_by_label,
+                              validate_span_log, write_chrome_trace)
 from repro.obs.profile import (CycleProfiler, collapsed_stacks,
                                phase_shares)
 from repro.obs.provenance import (ProvenanceReport, blame_table,
@@ -65,10 +67,10 @@ from repro.obs.prom import prometheus_exposition
 
 __all__ = [
     "MetricsRegistry", "collect_run_metrics",
-    "MultiTracer", "Span", "SpanRecorder", "StreamingSpanRecorder",
-    "merge_span_aggregates",
-    "SPAN_SCHEMA_VERSION", "chrome_trace", "chrome_trace_events",
-    "load_spans_jsonl", "spans_to_jsonl", "validate_span_log",
+    "MultiTracer", "Span", "SpanRecorder", "merge_span_aggregates",
+    "SPAN_SCHEMA_VERSION", "aborted_fraction", "chrome_trace",
+    "chrome_trace_events", "load_spans_jsonl", "render_timeline",
+    "spans_to_jsonl", "summary_by_label", "validate_span_log",
     "write_chrome_trace",
     "CycleProfiler", "collapsed_stacks", "phase_shares",
     "ProvenanceReport", "blame_table", "build_provenance",

@@ -1,6 +1,6 @@
-"""Telemetry exporters: JSONL span logs and Chrome trace events.
+"""Telemetry exporters: JSONL span logs, Chrome trace events, ASCII Gantt.
 
-Two formats, two audiences:
+Three formats, three audiences:
 
 * **JSONL** — one span per line, trivially greppable/streamable, the
   format persisted next to fuzzer repros so a shrunk failure's
@@ -9,7 +9,11 @@ Two formats, two audiences:
   Perfetto (https://ui.perfetto.dev) and ``chrome://tracing``: each
   run is a *process*, each simulated thread a *track*, each
   transaction attempt a duration slice (``ph: "X"``) colored by
-  outcome, with cause/retry/footprint details in ``args``.
+  outcome, with cause/retry/footprint details in ``args``;
+* **ASCII Gantt** (:func:`render_timeline`) — the same tracks drawn in
+  a terminal: under 2PL you can watch a long reader get shot repeatedly
+  by writers (runs of ``x``) and retried, while under SI-TM the same
+  rows are solid committed ``#`` spans.
 
 Time unit: one simulated cycle is exported as one microsecond
 (Perfetto's native slice unit), so a 20k-cycle transaction renders as
@@ -26,6 +30,7 @@ from repro.obs.spans import Span
 
 __all__ = ["spans_to_jsonl", "load_spans_jsonl", "chrome_trace",
            "chrome_trace_events", "write_chrome_trace",
+           "render_timeline", "aborted_fraction", "summary_by_label",
            "validate_span_log", "SPAN_SCHEMA_VERSION"]
 
 #: span-log JSONL schema version, stamped on every exported line.
@@ -204,3 +209,53 @@ def write_chrome_trace(path, trace: dict) -> pathlib.Path:
     target.write_text(json.dumps(trace, sort_keys=True) + "\n",
                       encoding="utf-8")
     return target
+
+
+def _closed(spans: Sequence[Span]) -> List[Span]:
+    return [span for span in spans if span.end_cycle is not None]
+
+
+def aborted_fraction(spans: Sequence[Span]) -> float:
+    """Fraction of closed attempts that aborted."""
+    closed = _closed(spans)
+    if not closed:
+        return 0.0
+    return sum(1 for s in closed if s.outcome == "abort") / len(closed)
+
+
+def summary_by_label(spans: Sequence[Span]) -> Dict[str, Dict[str, int]]:
+    """Per-label attempt counts and cycle totals over closed spans."""
+    out: Dict[str, Dict[str, int]] = {}
+    for span in _closed(spans):
+        entry = out.setdefault(span.label, {
+            "commits": 0, "aborts": 0, "cycles": 0})
+        entry["commits" if span.outcome == "commit" else "aborts"] += 1
+        entry["cycles"] += span.duration
+    return out
+
+
+def render_timeline(spans: Sequence[Span], width: int = 80) -> str:
+    """ASCII Gantt: one row per thread, ``#`` committed, ``x`` aborted.
+
+    Later attempts overwrite earlier ones in shared columns, so dense
+    retry storms show as runs of ``x``.
+    """
+    closed = _closed(spans)
+    if not closed:
+        return "(no transactions recorded)"
+    makespan = max(1, max(span.end_cycle for span in closed))
+    threads = sorted({span.thread_id for span in closed})
+    rows = {tid: [" "] * width for tid in threads}
+    # aborts first, so a commit sharing a column wins it
+    for span in sorted(closed, key=lambda s: s.outcome == "commit"):
+        lo = min(width - 1, span.begin_cycle * width // makespan)
+        hi = min(width - 1,
+                 max(lo, (span.end_cycle * width - 1) // makespan))
+        mark = "#" if span.outcome == "commit" else "x"
+        row = rows[span.thread_id]
+        for col in range(lo, hi + 1):
+            row[col] = mark
+    lines = [f"cycles 0..{makespan}  (#=committed span, x=aborted attempt)"]
+    for tid in threads:
+        lines.append(f"T{tid:<3d}|{''.join(rows[tid])}|")
+    return "\n".join(lines)

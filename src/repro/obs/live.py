@@ -199,13 +199,15 @@ class TimeSeriesSampler(Tracer):
         self._closed_upto = 0
         #: per-thread last-seen clock (the watermark inputs)
         self._thread_clock: Dict[int, int] = {}
+        #: the running thread whose last-seen clock is the watermark
+        #: (None until the first event, and once every thread is done)
+        self._holder: Optional[int] = None
         #: per-thread open-transaction (begin_clock, label)
         self._open: Dict[int, tuple] = {}
         #: per-thread last-harvested backoff/commit-wait totals
         self._last_backoff: Dict[int, int] = {}
         self._last_wait: Dict[int, int] = {}
         self._last_escalations = 0
-        self._seeded = False
         self._finished = False
 
     def attach_engine(self, engine) -> None:
@@ -228,24 +230,35 @@ class TimeSeriesSampler(Tracer):
 
     def _note(self, thread_id: int, clock: int) -> None:
         """Record the event clock and close fully-past windows."""
-        if not self._seeded and self._engine is not None:
-            # seed every thread at its current clock so an early event
-            # from a fast thread cannot advance the watermark past a
-            # thread that has not produced its first event yet
-            for thread in self._engine.threads:
-                self._thread_clock.setdefault(thread.thread_id,
-                                              thread.clock)
-            self._seeded = True
-        self._thread_clock[thread_id] = clock
         engine = self._engine
         if engine is None:
             return
         threads = engine.threads
-        live = [c for tid, c in self._thread_clock.items()
-                if not threads[tid].done]
-        if not live:
+        if not self._thread_clock:
+            # seed every thread at its current clock so an early event
+            # from a fast thread cannot advance the watermark past a
+            # thread that has not produced its first event yet
+            for thread in threads:
+                self._thread_clock[thread.thread_id] = thread.clock
+        self._thread_clock[thread_id] = clock
+        holder = self._holder
+        if holder is not None and holder != thread_id \
+                and not threads[holder].done:
+            # clocks only rise, so an event from any other thread
+            # cannot lower the minimum the holder still pins
             return
-        watermark = min(live)
+        self._advance_watermark(threads)
+
+    def _advance_watermark(self, threads) -> None:
+        """Full rescan: the holder's clock moved or its thread finished."""
+        watermark = holder = None
+        for tid, clock in self._thread_clock.items():
+            if (watermark is None or clock < watermark) \
+                    and not threads[tid].done:
+                watermark, holder = clock, tid
+        self._holder = holder
+        if holder is None:
+            return
         # window W is fully past once every running thread's clock is
         # at or beyond its end — no future event can land inside it
         target = watermark // self.window_cycles

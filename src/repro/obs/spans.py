@@ -13,7 +13,7 @@ hook signatures stay unchanged and every existing tracer keeps working.
 The engine has a single tracer slot; :class:`MultiTracer` fans one
 slot out to several tracers in a fixed order, which is how telemetry
 composes with the isolation oracle's
-:class:`~repro.oracle.history.HistoryRecorder` — attaching a span
+:class:`~repro.sim.history.HistoryRecorder` — attaching a span
 recorder must never change the history the checker sees
 (``tests/obs/test_spans.py`` pins this).
 """
@@ -29,8 +29,8 @@ from repro.common.rng import derive_seed
 from repro.sim.engine import Tracer
 from repro.tm.api import Txn
 
-__all__ = ["Span", "SpanRecorder", "StreamingSpanRecorder",
-           "MultiTracer", "merge_span_aggregates"]
+__all__ = ["Span", "SpanRecorder", "MultiTracer",
+           "merge_span_aggregates"]
 
 #: span outcomes
 COMMIT, ABORT, OPEN = "commit", "abort", "open"
@@ -126,13 +126,59 @@ class SpanRecorder(Tracer):
     ``txn_cycles``/``txn_reads``/``txn_writes`` histograms labeled by
     outcome, so distributions survive even when spans themselves are
     discarded.
+
+    Retention is the ``cap`` parameter.  ``cap=None`` keeps every span,
+    in begin order, in ``spans``.  A positive ``cap`` bounds memory for
+    arbitrarily long runs; ``spans`` then stays empty and each closed
+    span goes through this policy instead:
+
+    * **aborts are always kept** — they are what provenance analysis
+      consumes, and they are rare by construction on healthy runs;
+      without a sink the newest ``cap`` aborts survive (ring buffer),
+      with a sink older aborts reach the JSONL file before rotation;
+    * **commits are reservoir-sampled** (Algorithm R, seeded by
+      ``seed``) down to ``cap`` — a uniform sample of the flush window;
+    * every closed span feeds the online per-outcome aggregates
+      (power-of-two histograms of cycles/reads/footprints), which are
+      exact and mergeable (:func:`merge_span_aggregates`) no matter
+      how many spans were discarded.
+
+    With ``sink`` set (it needs a cap), retained spans append to the
+    JSONL file every ``flush_every`` closed spans (and whenever the
+    abort buffer hits the cap), so disk gets a complete abort log plus
+    sampled commits while memory stays at O(``cap``).
     """
 
-    def __init__(self, metrics=None):
+    def __init__(self, metrics=None, cap: Optional[int] = None,
+                 seed: int = 0, sink=None, flush_every: int = 0):
+        if cap is not None and cap <= 0:
+            raise ValueError(f"span cap must be positive, got {cap}")
+        if cap is None and sink is not None:
+            raise ValueError("a span sink needs a cap to flush against")
         self.spans: List[Span] = []
         self.metrics = metrics
+        self.cap = cap
+        self.sink = sink
+        self.flush_every = flush_every
         self._engine = None
         self._open: Dict[int, Span] = {}  # thread_id -> open span
+        self.total_begun = 0
+        # -- bounded retention (all idle while cap is None) --
+        self._rng = random.Random(derive_seed(seed, "span-reservoir"))
+        self._commits: List[Span] = []
+        self._aborts: List[Span] = []
+        #: commits seen in the current flush window (reservoir size base)
+        self._commit_seen = 0
+        self._closed_since_flush = 0
+        self.total_commits = 0
+        self.total_aborts = 0
+        #: spans discarded without reaching memory or the sink
+        self.commits_sampled_out = 0
+        self.aborts_dropped = 0
+        self.flushed_spans = 0
+        #: high-water mark of retained closed spans (memory-cap proof)
+        self.max_retained = 0
+        self._aggregates: Dict[str, Dict[str, object]] = {}
 
     def attach_engine(self, engine) -> None:
         """Called by the engine so spans can read thread clocks."""
@@ -147,15 +193,17 @@ class SpanRecorder(Tracer):
 
     def on_begin(self, txn: Txn) -> None:
         # the TM mints txn.uid in global begin order, which is exactly
-        # the order this hook fires in, so uid == len(spans) whenever
+        # the order this hook fires in, so uid == total_begun whenever
         # the transaction came from a real backend; the fallback keeps
         # hand-built tracer tests working
         uid = txn.uid if getattr(txn, "uid", None) is not None \
-            else len(self.spans)
+            else self.total_begun
         span = Span(uid=uid, thread_id=txn.thread_id,
                     label=txn.label, begin_cycle=self._clock(txn.thread_id),
                     retries=txn.attempt, start_ts=txn.start_ts)
-        self.spans.append(span)
+        self.total_begun += 1
+        if self.cap is None:
+            self.spans.append(span)
         self._open[txn.thread_id] = span
 
     def on_read(self, txn: Txn, addr: int, site: str,
@@ -195,121 +243,9 @@ class SpanRecorder(Tracer):
                                  outcome=outcome)
             self.metrics.observe("txn_reads", span.reads, outcome=outcome)
             self.metrics.observe("txn_writes", span.writes, outcome=outcome)
-
-    def __len__(self) -> int:
-        return len(self.spans)
-
-
-def _merge_histogram_dicts(a: Optional[dict],
-                           b: Optional[dict]) -> Optional[dict]:
-    """Merge two power-of-two histogram dicts (``_Histogram.to_dict``)."""
-    if a is None:
-        return None if b is None else dict(b, buckets=dict(b["buckets"]))
-    if b is None:
-        return dict(a, buckets=dict(a["buckets"]))
-    buckets = dict(a["buckets"])
-    for bound, count in b["buckets"].items():
-        buckets[bound] = buckets.get(bound, 0) + count
-    mins = [m for m in (a["min"], b["min"]) if m is not None]
-    maxs = [m for m in (a["max"], b["max"]) if m is not None]
-    return {"buckets": {k: buckets[k]
-                        for k in sorted(buckets, key=int)},
-            "count": a["count"] + b["count"],
-            "sum": a["sum"] + b["sum"],
-            "min": min(mins) if mins else None,
-            "max": max(maxs) if maxs else None}
-
-
-def merge_span_aggregates(*aggregates: dict) -> dict:
-    """Merge :meth:`StreamingSpanRecorder.aggregate` outputs.
-
-    The aggregates are mergeable by construction (power-of-two bucket
-    histograms plus counters), so per-shard streaming runs combine into
-    one summary without ever holding the spans themselves.
-    """
-    merged: dict = {"total_spans": 0, "outcomes": {}}
-    for agg in aggregates:
-        merged["total_spans"] += agg["total_spans"]
-        for outcome, stats in agg["outcomes"].items():
-            into = merged["outcomes"].get(outcome)
-            if into is None:
-                merged["outcomes"][outcome] = {
-                    key: _merge_histogram_dicts(value, None)
-                    for key, value in stats.items()}
-            else:
-                for key, value in stats.items():
-                    into[key] = _merge_histogram_dicts(into.get(key),
-                                                       value)
-    merged["outcomes"] = {k: merged["outcomes"][k]
-                          for k in sorted(merged["outcomes"])}
-    return merged
-
-
-class StreamingSpanRecorder(SpanRecorder):
-    """Bounded-memory span recording for arbitrarily long runs.
-
-    Retention policy per closed span:
-
-    * **aborts are always kept** — they are what provenance analysis
-      consumes, and they are rare by construction on healthy runs;
-      without a sink the newest ``cap`` aborts survive (ring buffer),
-      with a sink older aborts reach the JSONL file before rotation;
-    * **commits are reservoir-sampled** (Algorithm R, seeded) down to
-      ``cap`` — a uniform sample of the flush window;
-    * every closed span feeds the online per-outcome aggregates
-      (power-of-two histograms of cycles/reads/footprints), which are
-      exact and mergeable (:func:`merge_span_aggregates`) no matter
-      how many spans were discarded.
-
-    With ``sink`` set, retained spans append to the JSONL file every
-    ``flush_every`` closed spans (and whenever the abort buffer hits
-    the cap), so disk gets a complete abort log plus sampled commits
-    while memory stays at O(``cap``).
-    """
-
-    def __init__(self, cap: int = 1024, seed: int = 0, metrics=None,
-                 sink=None, flush_every: int = 0):
-        if cap <= 0:
-            raise ValueError(f"span cap must be positive, got {cap}")
-        super().__init__(metrics=metrics)
-        self.cap = cap
-        self.sink = sink
-        self.flush_every = flush_every
-        self._rng = random.Random(derive_seed(seed, "span-reservoir"))
-        self._commits: List[Span] = []
-        self._aborts: List[Span] = []
-        #: commits seen in the current flush window (reservoir size base)
-        self._commit_seen = 0
-        self._closed_since_flush = 0
-        self.total_begun = 0
-        self.total_commits = 0
-        self.total_aborts = 0
-        #: spans discarded without reaching memory or the sink
-        self.commits_sampled_out = 0
-        self.aborts_dropped = 0
-        self.flushed_spans = 0
-        #: high-water mark of retained closed spans (memory-cap proof)
-        self.max_retained = 0
-        self._aggregates: Dict[str, Dict[str, object]] = {}
-
-    # -- tracer hooks ----------------------------------------------------
-
-    def on_begin(self, txn: Txn) -> None:
-        uid = txn.uid if getattr(txn, "uid", None) is not None \
-            else self.total_begun
-        span = Span(uid=uid, thread_id=txn.thread_id,
-                    label=txn.label, begin_cycle=self._clock(txn.thread_id),
-                    retries=txn.attempt, start_ts=txn.start_ts)
-        self.total_begun += 1
-        self._open[txn.thread_id] = span
-
-    def _close(self, txn: Txn, outcome: str, cause: Optional[str]) -> None:
-        span = self._open.get(txn.thread_id)
-        super()._close(txn, outcome, cause)
-        if span is None:
-            return
-        self._aggregate(span)
-        self._retain(span)
+        if self.cap is not None:
+            self._aggregate(span)
+            self._retain(span)
 
     # -- retention -------------------------------------------------------
 
@@ -326,12 +262,11 @@ class StreamingSpanRecorder(SpanRecorder):
             if len(self._commits) < self.cap:
                 self._commits.append(span)
             else:
+                # either this span or the one it evicts is dropped
+                self.commits_sampled_out += 1
                 slot = self._rng.randrange(self._commit_seen)
                 if slot < self.cap:
-                    self.commits_sampled_out += 1
                     self._commits[slot] = span
-                else:
-                    self.commits_sampled_out += 1
         self.max_retained = max(self.max_retained,
                                 len(self._commits) + len(self._aborts))
         self._closed_since_flush += 1
@@ -343,7 +278,8 @@ class StreamingSpanRecorder(SpanRecorder):
 
     def retained(self) -> List[Span]:
         """Closed spans currently held in memory, in begin (uid) order."""
-        return sorted(self._commits + self._aborts,
+        closed = [span for span in self.spans if span.outcome != OPEN]
+        return sorted(closed + self._commits + self._aborts,
                       key=lambda span: span.uid)
 
     def flush(self) -> int:
@@ -379,7 +315,7 @@ class StreamingSpanRecorder(SpanRecorder):
         stats["writes"].observe(span.writes)
 
     def aggregate(self) -> dict:
-        """Canonical mergeable summary of *every* closed span.
+        """Canonical mergeable summary of *every* span closed under a cap.
 
         Exact regardless of sampling: aggregation happens before
         retention, so the histograms cover spans the reservoir dropped.
@@ -394,52 +330,121 @@ class StreamingSpanRecorder(SpanRecorder):
         }
 
     def __len__(self) -> int:
-        return len(self._commits) + len(self._aborts)
+        return len(self.spans) + len(self._commits) + len(self._aborts)
+
+
+def _merge_histogram_dicts(a: Optional[dict],
+                           b: Optional[dict]) -> Optional[dict]:
+    """Merge two power-of-two histogram dicts (``_Histogram.to_dict``)."""
+    if a is None:
+        return None if b is None else dict(b, buckets=dict(b["buckets"]))
+    if b is None:
+        return dict(a, buckets=dict(a["buckets"]))
+    buckets = dict(a["buckets"])
+    for bound, count in b["buckets"].items():
+        buckets[bound] = buckets.get(bound, 0) + count
+    mins = [m for m in (a["min"], b["min"]) if m is not None]
+    maxs = [m for m in (a["max"], b["max"]) if m is not None]
+    return {"buckets": {k: buckets[k]
+                        for k in sorted(buckets, key=int)},
+            "count": a["count"] + b["count"],
+            "sum": a["sum"] + b["sum"],
+            "min": min(mins) if mins else None,
+            "max": max(maxs) if maxs else None}
+
+
+def merge_span_aggregates(*aggregates: dict) -> dict:
+    """Merge :meth:`SpanRecorder.aggregate` outputs.
+
+    The aggregates are mergeable by construction (power-of-two bucket
+    histograms plus counters), so per-shard streaming runs combine into
+    one summary without ever holding the spans themselves.
+    """
+    merged: dict = {"total_spans": 0, "outcomes": {}}
+    for agg in aggregates:
+        merged["total_spans"] += agg["total_spans"]
+        for outcome, stats in agg["outcomes"].items():
+            into = merged["outcomes"].get(outcome)
+            if into is None:
+                merged["outcomes"][outcome] = {
+                    key: _merge_histogram_dicts(value, None)
+                    for key, value in stats.items()}
+            else:
+                for key, value in stats.items():
+                    into[key] = _merge_histogram_dicts(into.get(key),
+                                                       value)
+    merged["outcomes"] = {k: merged["outcomes"][k]
+                          for k in sorted(merged["outcomes"])}
+    return merged
+
+
+#: the engine's tracer hooks, as :class:`~repro.sim.engine.Tracer` names them
+_HOOKS = ("on_begin", "on_read", "on_write", "on_commit", "on_abort",
+          "on_stall")
 
 
 class MultiTracer(Tracer):
     """Fans the engine's single tracer slot out to several tracers.
 
-    Hooks are forwarded to every child in construction order, so a
-    deterministic engine drives every child identically whether it is
-    alone in the slot or composed — the property that lets telemetry
-    ride alongside the oracle's history recording.
+    Each hook is forwarded, in construction order, to the children that
+    implement it — a child that inherits the base class's no-op is
+    skipped — so a deterministic engine drives every child identically
+    whether it is alone in the slot or composed: the property that lets
+    telemetry ride alongside the oracle's history recording.
     """
 
     def __init__(self, *tracers: Tracer):
         self.tracers = [t for t in tracers if t is not None]
+        self._resolve()
+
+    def _resolve(self) -> None:
+        """Per hook, the children with an implementation of their own."""
+        for hook in _HOOKS:
+            noop = getattr(Tracer, hook)
+            targets = []
+            for tracer in self.tracers:
+                method = getattr(tracer, hook, None)
+                if method is not None \
+                        and getattr(method, "__func__", None) is not noop:
+                    targets.append(tracer)
+            setattr(self, "_" + hook, targets)
 
     def attach_engine(self, engine) -> None:
-        """Forward the engine reference to children that want it."""
+        """Forward the engine reference to children that want it.
+
+        Hook targets are resolved again here, so a hook set on a child
+        instance between construction and the engine attaching is seen.
+        """
         for tracer in self.tracers:
             attach = getattr(tracer, "attach_engine", None)
             if attach is not None:
                 attach(engine)
+        self._resolve()
 
     def on_begin(self, txn: Txn) -> None:
-        for tracer in self.tracers:
+        for tracer in self._on_begin:
             tracer.on_begin(txn)
 
     def on_read(self, txn: Txn, addr: int, site: str,
                 value: object = None) -> None:
-        for tracer in self.tracers:
+        for tracer in self._on_read:
             tracer.on_read(txn, addr, site, value)
 
     def on_write(self, txn: Txn, addr: int, site: str,
                  value: object = None) -> None:
-        for tracer in self.tracers:
+        for tracer in self._on_write:
             tracer.on_write(txn, addr, site, value)
 
     def on_commit(self, txn: Txn) -> None:
-        for tracer in self.tracers:
+        for tracer in self._on_commit:
             tracer.on_commit(txn)
 
     def on_abort(self, txn: Txn, cause: AbortCause) -> None:
-        for tracer in self.tracers:
+        for tracer in self._on_abort:
             tracer.on_abort(txn, cause)
 
     def on_stall(self, thread_id: int, cycles: int) -> None:
-        for tracer in self.tracers:
+        for tracer in self._on_stall:
             tracer.on_stall(thread_id, cycles)
 
     def __len__(self) -> int:

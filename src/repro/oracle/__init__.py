@@ -2,7 +2,7 @@
 
 The oracle closes the loop the paper leaves implicit: every TM system
 *declares* an isolation level (:class:`repro.tm.api.IsolationLevel`) and
-this package *verifies* it.  A :class:`~repro.oracle.history.HistoryRecorder`
+this package *verifies* it.  A :class:`~repro.sim.history.HistoryRecorder`
 captures the complete global history of a run — begins with start
 timestamps, reads with the value observed, writes, commits with end
 timestamps, aborts with their cause — and the Adya-style checker
@@ -16,7 +16,7 @@ them, and shrinks any violation to a minimal persisted repro
 from repro.oracle.checker import Violation, check_history
 from repro.oracle.fuzz import (FuzzResult, FuzzSpec, fuzz_batch,
                                generate_schedule, run_schedule)
-from repro.oracle.history import History, HistoryRecorder, TxnRecord
+from repro.sim.history import History, HistoryRecorder, TxnRecord
 from repro.oracle.shrink import persist_repro, shrink_schedule
 
 __all__ = [

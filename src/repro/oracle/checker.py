@@ -1,6 +1,6 @@
 """Adya-style isolation checking of recorded histories.
 
-:func:`check_history` verifies a :class:`~repro.oracle.history.History`
+:func:`check_history` verifies a :class:`~repro.sim.history.History`
 against the isolation level its system declared
 (:class:`repro.tm.api.IsolationLevel`) and returns the violations found
 (empty = the history is consistent with the declaration):
@@ -42,7 +42,7 @@ from typing import Dict, List, Optional, Tuple
 import networkx as nx
 
 from repro.common.errors import SkewToolError
-from repro.oracle.history import History
+from repro.sim.history import History
 from repro.skew.graph import rw_antidependency_edges
 from repro.skew.serialization import precedence_graph, si_anomaly_cycles
 from repro.tm.api import IsolationLevel
@@ -245,7 +245,7 @@ def _check_si_cycles(history: History) -> List[Violation]:
     ww/wr dependencies, Adya's G1c — is not.
     """
     try:
-        si_anomaly_cycles(history.to_trace())
+        si_anomaly_cycles(history)
     except SkewToolError as exc:
         return [Violation("si-cycle", str(exc))]
     return []
@@ -294,7 +294,7 @@ def _check_latest_reads(history: History) -> List[Violation]:
 def _check_serializable(history: History,
                         read_mode: str) -> List[Violation]:
     """The direct serialization graph of committed txns must be acyclic."""
-    graph = precedence_graph(history.to_trace(), read_mode=read_mode)
+    graph = precedence_graph(history, read_mode=read_mode)
     if nx.is_directed_acyclic_graph(graph):
         return []
     cycle = [edge[0] for edge in nx.find_cycle(graph)]
@@ -314,10 +314,9 @@ def _check_no_committed_pivot(history: History) -> List[Violation]:
     (section 5.2 / Cahill); a fully committed pivot means the detection
     missed an edge.
     """
-    committed = history.to_trace().committed_transactions()
     inbound: Dict[int, Tuple[int, int]] = {}
     outbound: Dict[int, Tuple[int, int]] = {}
-    for reader, writer, addr, _ in rw_antidependency_edges(committed):
+    for reader, writer, addr, _ in rw_antidependency_edges(history):
         outbound.setdefault(reader.uid, (writer.uid, addr))
         inbound.setdefault(writer.uid, (reader.uid, addr))
     found = []

@@ -13,7 +13,7 @@ Operations: ``["r", cell]`` read, ``["w", cell, value]`` blind write,
 :func:`generate_schedule` derives randomized schedules from a seed
 (pure function of ``(seed, index, shape)``), :func:`run_schedule` runs
 one schedule under one backend with a
-:class:`~repro.oracle.history.HistoryRecorder` attached, and
+:class:`~repro.sim.history.HistoryRecorder` attached, and
 :class:`FuzzSpec` packages a single (schedule, system) cell in the same
 canonical-JSON shape as :class:`~repro.harness.spec.ExperimentSpec`, so
 fuzz batches fan out across the harness executor's process pool and
@@ -48,7 +48,7 @@ from repro.common.config import SimConfig
 from repro.common.errors import SimulationError
 from repro.common.rng import SplitRandom, derive_seed
 from repro.oracle.checker import Violation, check_history
-from repro.oracle.history import History, HistoryRecorder
+from repro.sim.history import History, HistoryRecorder
 from repro.sim.engine import Engine, TransactionSpec
 from repro.sim.machine import Machine
 from repro.tm import SYSTEMS

@@ -1,7 +1,7 @@
 """Live SI monitoring: stream store sessions through the oracle checker.
 
 The offline oracle (:mod:`repro.oracle.checker`) consumes complete
-:class:`~repro.oracle.history.History` objects recorded by the engine.
+:class:`~repro.sim.history.History` objects recorded by the engine.
 The live store cannot wait for "the end of the run" — it streams one
 **session row** per completed transaction (the same span-schema-
 compatible JSONL it persists as corpus artifacts), and
@@ -41,8 +41,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.common.errors import StoreError
 from repro.oracle.checker import Violation, check_history
-from repro.oracle.history import (ABORT, BEGIN, COMMIT, READ, WRITE,
-                                  History, HistoryEvent, TxnRecord)
+from repro.sim.history import (ABORT, BEGIN, COMMIT, READ, WRITE,
+                               History, HistoryEvent, TxnRecord)
 
 __all__ = ["LiveHistoryMonitor", "STORE_ABORT_CAUSES", "check_rows"]
 

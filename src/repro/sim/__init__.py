@@ -4,12 +4,9 @@ from repro.sim.engine import Engine, Tracer, TransactionSpec
 from repro.sim.machine import Machine
 from repro.sim.retry import RetryPolicy
 from repro.sim.stats import RunStats, ThreadStats
-from repro.sim.timeline import Interval, TimelineRecorder
 
 __all__ = [
     "Engine",
-    "Interval",
-    "TimelineRecorder",
     "Machine",
     "RetryPolicy",
     "RunStats",

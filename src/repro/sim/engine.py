@@ -81,7 +81,7 @@ class Tracer:
     nothing, so tracing costs one no-op call per event when disabled.
     ``on_read``/``on_write`` receive the value observed/stored, giving
     full-history recorders
-    (:class:`repro.oracle.history.HistoryRecorder`) everything the
+    (:class:`repro.sim.history.HistoryRecorder`) everything the
     isolation checker needs; ``on_begin``/``on_commit`` fire after the
     system assigned ``txn.start_ts`` / ``txn.commit_ts``.
     """
@@ -191,10 +191,10 @@ class Engine:
         #: a CycleProfiler in the tracer slot overrides this via
         #: attach_engine below
         self.profiler = getattr(tm.machine, "profiler", None)
-        # explicit None test: a tracer with __len__ (e.g. TraceRecorder)
+        # explicit None test: a tracer with __len__ (e.g. HistoryRecorder)
         # is falsy while empty and must not be discarded
         self.tracer = tracer if tracer is not None else Tracer()
-        # tracers that need cycle timestamps (SpanRecorder) read thread
+        # tracers that need cycle timestamps, like SpanRecorder, read thread
         # clocks straight off the engine rather than widening the hook
         # signatures every existing tracer implements
         attach = getattr(self.tracer, "attach_engine", None)

@@ -1,42 +1,36 @@
-"""Full-history recording for the isolation oracle.
+"""The event log: one globally ordered, value-carrying history per run.
 
-The write-skew tool's :class:`~repro.skew.trace.TraceRecorder` records
-*which* addresses were touched; verifying an isolation level needs more —
-the **value** every read observed, every write stored, and the start/end
-timestamps the system assigned.  :class:`HistoryRecorder` is an engine
-:class:`~repro.sim.engine.Tracer` capturing exactly that into a
-serializable :class:`History`, which the checker
-(:mod:`repro.oracle.checker`) consumes and the fuzzer persists as JSON
-repros.
+The paper's write-skew tool (section 5.1) instruments applications with
+PIN, intercepting TM BEGIN / TM READ / TM WRITE / TM COMMIT into a
+globally ordered trace with the source location of every access, and
+defers analysis to post-processing.  Here the TM runtime *is* ours, so
+the recorder is simply an engine :class:`~repro.sim.engine.Tracer` —
+strictly easier, equally faithful (see DESIGN.md).  Verifying an
+isolation level needs the same trace plus the **value** every read
+observed, every write stored, and the start/end timestamps the system
+assigned.
 
-A :class:`History` converts losslessly to a
-:class:`~repro.skew.trace.TraceRecorder` (:meth:`History.to_trace`), so
-all the serialization-graph machinery of :mod:`repro.skew` applies to it
-unchanged.
+:class:`HistoryRecorder` captures all of that into one serializable
+:class:`History`: the object the write-skew and serialization-graph
+analyses of :mod:`repro.skew` and the isolation checker
+(:mod:`repro.oracle.checker`) both consume directly, and the fuzzer
+persists as JSON repros.  Recording appends one event object per
+operation and nothing more, minimising perturbation of the schedule
+under test.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.common.errors import AbortCause
 from repro.sim.engine import Tracer
-from repro.skew.trace import (EventKind, TracedTransaction, TraceEvent,
-                              TraceRecorder)
 from repro.tm.api import TMSystem, Txn
 
 #: event kinds, as the short strings used in serialized histories
 BEGIN, READ, WRITE, COMMIT, ABORT = "begin", "read", "write", "commit", "abort"
-
-_TRACE_KINDS = {
-    BEGIN: EventKind.BEGIN,
-    READ: EventKind.READ,
-    WRITE: EventKind.WRITE,
-    COMMIT: EventKind.COMMIT,
-    ABORT: EventKind.ABORT,
-}
 
 
 @dataclass(frozen=True)
@@ -102,6 +96,23 @@ class TxnRecord:
         """True when this attempt aborted."""
         return self.abort_cause is not None
 
+    @property
+    def read_addrs(self) -> Set[int]:
+        """Distinct read addresses."""
+        return {addr for addr, _, _ in self.reads}
+
+    @property
+    def write_addrs(self) -> Set[int]:
+        """Distinct written addresses."""
+        return {addr for addr, _, _ in self.writes}
+
+    def concurrent_with(self, other: "TxnRecord") -> bool:
+        """Did the two committed attempts overlap in the event order?"""
+        if self.commit_index is None or other.commit_index is None:
+            return False
+        return (self.begin_index < other.commit_index
+                and other.begin_index < self.commit_index)
+
     def final_writes(self) -> Dict[int, int]:
         """Last written value per address — what a commit publishes."""
         return {addr: value for addr, value, _ in self.writes}
@@ -163,31 +174,14 @@ class History:
         return sorted((t for t in self.transactions.values() if t.aborted),
                       key=lambda t: t.begin_index)
 
-    def to_trace(self) -> TraceRecorder:
-        """Project onto the write-skew tool's trace representation.
+    def sites(self, ops: List[Tuple[int, int, int]]
+              ) -> List[Tuple[int, str]]:
+        """``(addr, site)`` per access of a record's ``reads``/``writes``.
 
-        The projection drops values and timestamps, keeping the global
-        event order — everything :mod:`repro.skew.serialization` needs.
+        Source sites live on the events only; a record's triples reach
+        them through the event index they carry.
         """
-        recorder = TraceRecorder()
-        for ev in self.events:
-            recorder.events.append(TraceEvent(
-                ev.index, _TRACE_KINDS[ev.kind], ev.txn_uid, ev.thread_id,
-                ev.label, ev.addr, ev.site))
-        for uid, rec in self.transactions.items():
-            traced = TracedTransaction(
-                uid, rec.thread_id, rec.label, rec.begin_index,
-                rec.commit_index, rec.aborted)
-            traced.reads = [(addr, self._site_of(idx))
-                            for addr, _, idx in rec.reads]
-            traced.writes = [(addr, self._site_of(idx))
-                             for addr, _, idx in rec.writes]
-            recorder.transactions[uid] = traced
-            recorder._next_uid = max(recorder._next_uid, uid + 1)
-        return recorder
-
-    def _site_of(self, index: int) -> str:
-        return self.events[index].site
+        return [(addr, self.events[index].site) for addr, _, index in ops]
 
     def to_dict(self) -> dict:
         """JSON-safe form of the whole history."""
@@ -234,7 +228,6 @@ class HistoryRecorder(Tracer):
         self.history = History(system=system, isolation=isolation,
                                abort_causes=tuple(sorted(abort_causes)),
                                initial=dict(initial or {}))
-        self._next_uid = 0
         self._open: Dict[int, int] = {}  # thread_id -> txn uid
 
     @classmethod
@@ -254,15 +247,13 @@ class HistoryRecorder(Tracer):
         return event
 
     def on_begin(self, txn: Txn) -> None:
-        uid = self._next_uid
-        self._next_uid += 1
-        self._open[txn.thread_id] = uid
+        # one record per attempt, so the record count mints the uid —
+        # global begin order, the same order the TM mints ``txn.uid`` in
+        uid = self._open[txn.thread_id] = len(self.history.transactions)
+        event = self._append(BEGIN, txn)
         self.history.transactions[uid] = TxnRecord(
-            uid, txn.thread_id, txn.label,
-            begin_index=len(self.history.events), start_ts=txn.start_ts,
-            epoch=getattr(txn, "epoch", 0))
-        self.history.events.append(HistoryEvent(
-            len(self.history.events), BEGIN, uid, txn.thread_id, txn.label))
+            uid, txn.thread_id, txn.label, begin_index=event.index,
+            start_ts=txn.start_ts, epoch=getattr(txn, "epoch", 0))
 
     def on_read(self, txn: Txn, addr: int, site: str,
                 value: object = None) -> None:

@@ -19,15 +19,8 @@ from repro.skew.static import (
     StaticReport,
 )
 from repro.skew.tool import Scenario, ToolResult, WriteSkewTool
-from repro.skew.trace import (
-    EventKind,
-    TracedTransaction,
-    TraceEvent,
-    TraceRecorder,
-)
 
 __all__ = [
-    "EventKind",
     "Footprint",
     "FootprintAnalyzer",
     "SkewCandidate",
@@ -36,9 +29,6 @@ __all__ = [
     "SkewReport",
     "SkewWitness",
     "ToolResult",
-    "TraceEvent",
-    "TraceRecorder",
-    "TracedTransaction",
     "WriteSkewTool",
     "build_graph",
     "cycles",

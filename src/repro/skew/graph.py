@@ -1,6 +1,6 @@
 """Write-skew dependency-graph analysis (section 5.1, after Cahill [11]).
 
-From a recorded trace we build the *write-skew dependency graph*: vertices
+From a recorded :class:`~repro.sim.history.History` we build the *write-skew dependency graph*: vertices
 are committed transactions; a directed edge ``R -> W`` exists when ``R``
 transactionally read an address that concurrent transaction ``W``
 transactionally wrote (a read-write antidependency between overlapping
@@ -18,11 +18,11 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Set, Tuple
 
 import networkx as nx
 
-from repro.skew.trace import TracedTransaction, TraceRecorder
+from repro.sim.history import History, TxnRecord
 
 
 @dataclass(frozen=True)
@@ -67,26 +67,28 @@ class SkewReport:
         return labels
 
 
-def rw_antidependency_edges(transactions: Sequence[TracedTransaction]):
+def rw_antidependency_edges(history: History):
     """Yield (reader, writer, addr, read_site) antidependency edges.
 
     An edge reader ``rw->`` writer means the reader read an address that a
     *concurrent* committed transaction wrote.  Shared by the write-skew
     tool below and by the SSI dangerous-structure check in
     :mod:`repro.oracle.checker`.  Indexes writers by address first so the
-    pass is near-linear in trace size rather than quadratic in
+    pass is near-linear in history size rather than quadratic in
     transactions.
     """
-    writers_of: Dict[int, List[TracedTransaction]] = defaultdict(list)
-    for txn in transactions:
+    committed = history.committed()
+    writers_of: Dict[int, List[TxnRecord]] = defaultdict(list)
+    for txn in committed:
         for addr in txn.write_addrs:
             writers_of[addr].append(txn)
-    for reader in transactions:
-        for addr, site in reader.reads:
+    for reader in committed:
+        own_writes = reader.write_addrs
+        for addr, site in history.sites(reader.reads):
             for writer in writers_of.get(addr, ()):
                 if writer.uid == reader.uid:
                     continue
-                if addr in reader.write_addrs:
+                if addr in own_writes:
                     # write-write conflicts are detected by SI itself;
                     # both committing means they were not concurrent
                     continue
@@ -94,26 +96,25 @@ def rw_antidependency_edges(transactions: Sequence[TracedTransaction]):
                     yield reader, writer, addr, site
 
 
-def build_graph(trace: TraceRecorder) -> "nx.MultiDiGraph":
-    """Build the write-skew dependency graph from a trace."""
+def build_graph(history: History) -> "nx.MultiDiGraph":
+    """Build the write-skew dependency graph from a history."""
     graph = nx.MultiDiGraph()
-    committed = trace.committed_transactions()
-    for txn in committed:
+    for txn in history.committed():
         graph.add_node(txn.uid, label=txn.label)
-    for reader, writer, addr, site in rw_antidependency_edges(committed):
+    for reader, writer, addr, site in rw_antidependency_edges(history):
         graph.add_edge(reader.uid, writer.uid, addr=addr, site=site)
     return graph
 
 
-def find_write_skews(trace: TraceRecorder,
+def find_write_skews(history: History,
                      max_cycle_length: int = 6) -> SkewReport:
-    """Analyse a trace and report dependency cycles (write-skew witnesses).
+    """Analyse a history and report dependency cycles (skew witnesses).
 
     ``max_cycle_length`` bounds the cycle search: real write skews are
     short (the canonical anomaly is a 2-cycle); very long cycles are
     overwhelmingly false positives and expensive to enumerate.
     """
-    graph = build_graph(trace)
+    graph = build_graph(history)
     report = SkewReport(committed=graph.number_of_nodes(),
                         edges=graph.number_of_edges())
     seen: Set[FrozenSet[int]] = set()

@@ -1,7 +1,7 @@
 """Serialization-graph testing oracle.
 
 Builds the classic precedence (conflict) graph over the *committed*
-transactions of a recorded trace: an edge ``A -> B`` means A must precede
+transactions of a recorded history: an edge ``A -> B`` means A must precede
 B in any equivalent serial order, induced by
 
 * **ww** — A and B wrote the same address; writes serialise in commit
@@ -11,7 +11,7 @@ B in any equivalent serial order, induced by
 
 A history is conflict-serializable iff this graph is acyclic — so the
 graph is an *oracle*: run any workload under a TM system with a
-:class:`~repro.skew.trace.TraceRecorder` attached and assert acyclicity
+:class:`~repro.sim.history.HistoryRecorder` attached and assert acyclicity
 for the serializable systems (2PL, SONTM, SSI-TM, LogTM).  For plain
 SI-TM, cycles are exactly the write-skew anomalies of section 5 — and by
 the classic SI theorem every such cycle must contain two consecutive
@@ -36,20 +36,20 @@ from typing import Dict, List, Optional, Tuple
 import networkx as nx
 
 from repro.common.errors import SkewToolError
-from repro.skew.trace import TracedTransaction, TraceRecorder
+from repro.sim.history import READ, WRITE, History, TxnRecord
 
 READ_MODES = ("latest", "snapshot")
 
 
-def _writer_history(trace: TraceRecorder):
+def _committed_writers(history: History):
     """Per-address committed writers sorted by commit index."""
-    history: Dict[int, List[Tuple[int, int]]] = defaultdict(list)
-    for txn in trace.committed_transactions():
+    by_addr: Dict[int, List[Tuple[int, int]]] = defaultdict(list)
+    for txn in history.committed():
         for addr in txn.write_addrs:
-            history[addr].append((txn.commit_index, txn.uid))
-    for writers in history.values():
+            by_addr[addr].append((txn.commit_index, txn.uid))
+    for writers in by_addr.values():
         writers.sort()
-    return history
+    return by_addr
 
 
 def _version_read(writers: List[Tuple[int, int]],
@@ -64,43 +64,43 @@ def _version_read(writers: List[Tuple[int, int]],
     return position, writers[position][1]
 
 
-def _read_events(trace: TraceRecorder, txn: TracedTransaction):
+def _read_events(history: History, txn: TxnRecord):
     """(addr, event_index) for the first read of each address, skipping
     reads that followed the transaction's own write to that address."""
     own_written = set()
     first_reads = {}
-    for event in trace.events[txn.begin_index:txn.commit_index or 0]:
+    for event in history.events[txn.begin_index:txn.commit_index or 0]:
         if event.txn_uid != txn.uid:
             continue
-        if event.kind.value == "TM_WRITE":
+        if event.kind == WRITE:
             own_written.add(event.addr)
-        elif event.kind.value == "TM_READ":
+        elif event.kind == READ:
             if event.addr not in own_written \
                     and event.addr not in first_reads:
                 first_reads[event.addr] = event.index
     return first_reads.items()
 
 
-def precedence_graph(trace: TraceRecorder,
+def precedence_graph(history: History,
                      read_mode: str = "latest") -> "nx.DiGraph":
     """The conflict graph over committed transactions."""
     if read_mode not in READ_MODES:
         raise SkewToolError(
             f"unknown read mode {read_mode!r}; expected one of {READ_MODES}")
     graph = nx.DiGraph()
-    committed = trace.committed_transactions()
+    committed = history.committed()
     for txn in committed:
         graph.add_node(txn.uid, label=txn.label)
-    history = _writer_history(trace)
+    by_addr = _committed_writers(history)
 
     # ww: writers of an address serialise in commit order
-    for writers in history.values():
+    for writers in by_addr.values():
         for (_, earlier), (_, later) in zip(writers, writers[1:]):
             graph.add_edge(earlier, later, kind="ww")
 
     for txn in committed:
-        for addr, read_index in _read_events(trace, txn):
-            writers = history.get(addr, [])
+        for addr, read_index in _read_events(history, txn):
+            writers = by_addr.get(addr, [])
             if not writers:
                 continue
             reference = (read_index if read_mode == "latest"
@@ -119,16 +119,16 @@ def precedence_graph(trace: TraceRecorder,
     return graph
 
 
-def is_conflict_serializable(trace: TraceRecorder,
+def is_conflict_serializable(history: History,
                              read_mode: str = "latest") -> bool:
     """True when the committed history has an acyclic conflict graph."""
-    return nx.is_directed_acyclic_graph(precedence_graph(trace, read_mode))
+    return nx.is_directed_acyclic_graph(precedence_graph(history, read_mode))
 
 
-def cycles(trace: TraceRecorder, read_mode: str = "latest",
+def cycles(history: History, read_mode: str = "latest",
            limit: int = 20) -> List[List[int]]:
     """Up to ``limit`` simple cycles of the conflict graph."""
-    graph = precedence_graph(trace, read_mode)
+    graph = precedence_graph(history, read_mode)
     found = []
     for cycle in nx.simple_cycles(graph):
         found.append(cycle)
@@ -137,11 +137,11 @@ def cycles(trace: TraceRecorder, read_mode: str = "latest",
     return found
 
 
-def si_anomaly_cycles(trace: TraceRecorder) -> List[List[int]]:
+def si_anomaly_cycles(history: History) -> List[List[int]]:
     """Cycles of an SI history (snapshot reads) — each must contain two
     consecutive ``rw`` edges, per the classic SI serializability theorem;
     a violation would indicate an oracle or runtime bug."""
-    graph = precedence_graph(trace, read_mode="snapshot")
+    graph = precedence_graph(history, read_mode="snapshot")
     anomalies = []
     for cycle in nx.simple_cycles(graph):
         ring = list(cycle) + [cycle[0], cycle[1]]

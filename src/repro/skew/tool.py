@@ -1,7 +1,7 @@
 """The write-skew detection and prevention tool (section 5.1).
 
 A best-effort *dynamic* analyser: it executes a transactional program
-under SI-TM across many seeds (schedules), records traces, builds the
+under SI-TM across many seeds (schedules), records histories, builds the
 dependency graph, and reports write-skew witnesses with source
 attribution.  Like the paper's PIN-based tool it is not sound in the
 "finds every skew" sense — quality grows with schedule coverage — but it
@@ -23,9 +23,9 @@ from typing import Callable, List, Optional, Sequence, Set
 from repro.common.errors import SkewToolError
 from repro.common.rng import SplitRandom
 from repro.sim.engine import Engine, TransactionSpec
+from repro.sim.history import HistoryRecorder
 from repro.sim.machine import Machine
 from repro.skew.graph import SkewReport, find_write_skews
-from repro.skew.trace import TraceRecorder
 from repro.tm.sitm import SnapshotIsolationTM
 
 #: builds one scenario: returns (machine, per-thread program lists)
@@ -90,18 +90,18 @@ class WriteSkewTool:
         self._promote_sites = set(promote_sites or ())
 
     def analyse(self) -> ToolResult:
-        """Run all schedules under SI-TM with tracing and analyse traces."""
+        """Run all schedules under SI-TM, recording and analysing each."""
         result = ToolResult()
         for i in range(self._schedules):
             rng = self._root.split("schedule", i)
             scenario = self._factory(rng)
-            recorder = TraceRecorder()
             tm = SnapshotIsolationTM(scenario.machine, rng.split("tm"))
+            recorder = HistoryRecorder.for_system(tm)
             engine = Engine(tm, scenario.programs, tracer=recorder,
                             promote_sites=self._promote_sites)
             engine.run()
             result.schedules_run += 1
-            result.reports.append(find_write_skews(recorder))
+            result.reports.append(find_write_skews(recorder.history))
             if scenario.check is not None and not scenario.check():
                 result.inconsistent_schedules += 1
         return result

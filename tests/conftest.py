@@ -7,6 +7,7 @@ import pytest
 from repro.common.config import MVMConfig, SimConfig, VersionCapPolicy
 from repro.common.rng import SplitRandom
 from repro.sim.engine import Engine, TransactionSpec
+from repro.sim.history import History, HistoryRecorder
 from repro.sim.machine import Machine
 from repro.tm import SYSTEMS
 from repro.tm.ops import Read, Write
@@ -77,6 +78,15 @@ def run_program(machine: Machine, system: str, programs, seed: int = 7,
     tm = SYSTEMS[system](machine, SplitRandom(seed))
     engine = Engine(tm, programs, tracer=tracer, promote_sites=promote_sites)
     return engine.run()
+
+
+def record_history(machine: Machine, system: str, programs,
+                   seed: int = 7) -> History:
+    """Run per-thread spec lists under the named system; return the log."""
+    tm = SYSTEMS[system](machine, SplitRandom(seed))
+    recorder = HistoryRecorder.for_system(tm)
+    Engine(tm, programs, tracer=recorder).run()
+    return recorder.history
 
 
 def single_thread(machine: Machine, system: str, bodies, seed: int = 7):

@@ -20,10 +20,11 @@ from repro.oracle.checker import check_history
 from repro.oracle.fuzz import (_make_body, _patched_config, addonly_cells,
                                check_schedule_run, expected_counters,
                                run_schedule, schedule_violations)
-from repro.oracle.history import HistoryRecorder
 from repro.oracle.shrink import load_repro
 from repro.sim.engine import Engine, TransactionSpec
+from repro.sim.history import HistoryRecorder
 from repro.sim.machine import Machine
+from repro.skew import find_write_skews, precedence_graph
 from repro.tm import SYSTEMS
 
 CORPUS_DIR = pathlib.Path(__file__).parent / "schedules"
@@ -78,6 +79,24 @@ def test_write_skew_separates_si_from_ssi():
     # SSI breaks the dangerous structure by aborting one attempt
     assert any(rec.abort_cause == "dangerous-structure"
                for rec in ssi.aborts())
+
+
+def test_one_history_serves_oracle_and_skew_tool():
+    # recorded once; the same History object — no projection, no second
+    # recorder — answers the isolation oracle (the skew is legal under
+    # plain SI), the write-skew tool (a 2-cycle through each doctor's
+    # read of the other's cell) and the serialization-graph test (the
+    # same cycle as two consecutive rw antidependencies)
+    schedule = load(CORPUS_DIR / "write_skew.json")
+    history, _ = run_schedule(schedule, "SI-TM")
+    a, b = (rec.uid for rec in history.committed())
+    assert check_history(history) == []
+    (witness,) = find_write_skews(history).witnesses
+    assert witness.cycle == (a, b)
+    assert witness.labels == ("doctor-a", "doctor-b")
+    assert witness.read_sites == {"doctor-a:r3", "doctor-b:r2"}
+    graph = precedence_graph(history, read_mode="snapshot")
+    assert sorted(graph.edges(data="kind")) == [(a, b, "rw"), (b, a, "rw")]
 
 
 def test_overflow_retry_exercises_version_cap():

@@ -11,8 +11,8 @@ import json
 import pytest
 
 from repro.obs import (MetricsRegistry, MultiTracer, Span, SpanRecorder,
-                       StreamingSpanRecorder, load_spans_jsonl,
-                       merge_span_aggregates, validate_span_log)
+                       load_spans_jsonl, merge_span_aggregates,
+                       validate_span_log)
 from repro.oracle.fuzz import generate_schedule, run_schedule
 from repro.tm.ops import Compute, Read, Write
 
@@ -100,6 +100,10 @@ class _CallLog:
         self.calls.append((self.tag, "abort"))
 
 
+class _Txn:
+    thread_id = 0
+
+
 class TestMultiTracer:
     def test_forwards_in_construction_order(self):
         calls = []
@@ -113,6 +117,42 @@ class TestMultiTracer:
                          ("a", "read"), ("b", "read"),
                          ("a", "write"), ("b", "write"),
                          ("a", "commit"), ("b", "commit")]
+
+    def test_base_noop_hooks_are_not_forwarded(self, monkeypatch):
+        from repro.sim.engine import Tracer
+
+        class OnlyStalls(Tracer):
+            def __init__(self):
+                self.stalls = 0
+
+            def on_stall(self, thread_id, cycles):
+                self.stalls += 1
+
+        def poisoned(self, *args, **kwargs):
+            raise AssertionError("base no-op hook reached through fan-out")
+
+        stalls, calls = OnlyStalls(), []
+        multi = MultiTracer(stalls, _CallLog("a", calls))
+        for hook in ("on_begin", "on_read", "on_write", "on_commit",
+                     "on_abort"):
+            monkeypatch.setattr(Tracer, hook, poisoned)
+        txn = object()
+        multi.on_begin(txn)
+        multi.on_read(txn, 0, "s")
+        multi.on_stall(0, 20)
+        assert calls == [("a", "begin"), ("a", "read")]
+        assert stalls.stalls == 1
+
+    def test_hook_set_on_a_child_before_attach_is_seen(self):
+        from repro.sim.engine import Tracer
+
+        seen = []
+        child = Tracer()
+        multi = MultiTracer(child, SpanRecorder())
+        child.on_read = lambda txn, addr, site, value=None: seen.append(addr)
+        multi.attach_engine(None)
+        multi.on_read(_Txn(), 7, "s")
+        assert seen == [7]
 
     def test_none_children_filtered(self):
         calls = []
@@ -129,7 +169,8 @@ class TestMultiTracer:
 
 
 class TestStreamingSpanRecorder:
-    """Bounded-memory recording: cap held, aborts kept, exact aggregates."""
+    """Bounded-memory recording (``SpanRecorder(cap=N)``): cap held,
+    aborts kept, exact aggregates."""
 
     def _contended(self, machine, tracer, txns=25, threads=4,
                    system="2PL"):
@@ -140,12 +181,12 @@ class TestStreamingSpanRecorder:
 
     def test_cap_must_be_positive(self):
         with pytest.raises(ValueError):
-            StreamingSpanRecorder(cap=0)
+            SpanRecorder(cap=0)
         with pytest.raises(ValueError):
-            StreamingSpanRecorder(cap=-4)
+            SpanRecorder(cap=-4)
 
     def test_memory_held_at_cap(self, machine):
-        streaming = StreamingSpanRecorder(cap=8, seed=1)
+        streaming = SpanRecorder(cap=8, seed=1)
         stats = self._contended(machine, streaming, txns=40)
         closed = stats.total_commits + stats.total_aborts
         assert closed > 4 * streaming.cap  # sampling actually engaged
@@ -162,7 +203,7 @@ class TestStreamingSpanRecorder:
 
     def test_aborts_always_kept(self, machine):
         full = SpanRecorder()
-        streaming = StreamingSpanRecorder(cap=512, seed=0)
+        streaming = SpanRecorder(cap=512, seed=0)
         self._contended(machine, MultiTracer(full, streaming))
         aborted = sorted(s.uid for s in full.spans if s.outcome == "abort")
         assert aborted, "contended counter run should abort"
@@ -174,7 +215,7 @@ class TestStreamingSpanRecorder:
 
     def test_aggregate_exact_despite_sampling(self, machine):
         full = SpanRecorder()
-        streaming = StreamingSpanRecorder(cap=4, seed=2)
+        streaming = SpanRecorder(cap=4, seed=2)
         self._contended(machine, MultiTracer(full, streaming), txns=30)
         closed = [s for s in full.spans if s.outcome != "open"]
         assert streaming.commits_sampled_out > 0
@@ -192,10 +233,10 @@ class TestStreamingSpanRecorder:
             assert reads["sum"] == sum(s.reads for s in matching)
 
     def test_merge_span_aggregates_sums_shards(self, machine):
-        shard_a = StreamingSpanRecorder(cap=4, seed=0)
+        shard_a = SpanRecorder(cap=4, seed=0)
         self._contended(machine, shard_a, txns=10)
         addr = machine.mvmalloc(1)
-        shard_b = StreamingSpanRecorder(cap=4, seed=0)
+        shard_b = SpanRecorder(cap=4, seed=0)
         run_program(machine, "SI-TM",
                     [[spec(counter_body(addr)) for _ in range(8)]
                      for _ in range(2)],
@@ -213,7 +254,7 @@ class TestStreamingSpanRecorder:
     def test_sink_flush_round_trips_and_validates(self, machine, tmp_path):
         sink = tmp_path / "spans.jsonl"
         full = SpanRecorder()
-        streaming = StreamingSpanRecorder(cap=8, seed=3, sink=str(sink),
+        streaming = SpanRecorder(cap=8, seed=3, sink=str(sink),
                                           flush_every=16)
         self._contended(machine, MultiTracer(full, streaming))
         streaming.flush()
@@ -247,7 +288,7 @@ class TestStreamingComposition:
         alone = SpanRecorder()
         self._run(alone)
         composed = SpanRecorder()
-        streaming = StreamingSpanRecorder(cap=2, seed=0)
+        streaming = SpanRecorder(cap=2, seed=0)
         self._run(MultiTracer(composed, streaming))
         assert [s.to_dict() for s in composed.spans] \
             == [s.to_dict() for s in alone.spans]
@@ -257,9 +298,9 @@ class TestStreamingComposition:
             assert span.to_dict() == by_uid[span.uid]
 
     def test_reservoir_deterministic_for_equal_seeds(self):
-        first = StreamingSpanRecorder(cap=2, seed=7)
+        first = SpanRecorder(cap=2, seed=7)
         self._run(first)
-        second = StreamingSpanRecorder(cap=2, seed=7)
+        second = SpanRecorder(cap=2, seed=7)
         self._run(second)
         assert [s.to_dict() for s in first.retained()] \
             == [s.to_dict() for s in second.retained()]

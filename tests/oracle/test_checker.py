@@ -1,14 +1,14 @@
 """Checker unit tests: each violation rule on hand-built histories.
 
-A tiny builder assembles :class:`~repro.oracle.history.History` objects
+A tiny builder assembles :class:`~repro.sim.history.History` objects
 event by event, keeping the event list, per-transaction records and
 timestamps consistent, so each test states its scenario as a readable
 interleaving and asserts exactly which rules fire.
 """
 
 from repro.oracle.checker import Violation, check_history
-from repro.oracle.history import (ABORT, BEGIN, COMMIT, READ, WRITE,
-                                  History, HistoryEvent, TxnRecord)
+from repro.sim.history import (ABORT, BEGIN, COMMIT, READ, WRITE,
+                               History, HistoryEvent, TxnRecord)
 
 SI_CAUSES = ("write-write", "version-overflow", "snapshot-too-old",
              "timestamp-overflow", "explicit")

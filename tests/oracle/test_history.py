@@ -1,8 +1,8 @@
 """History recording: completeness, uids per attempt, serialization."""
 
 from repro.oracle.fuzz import run_schedule
-from repro.oracle.history import (ABORT, BEGIN, COMMIT, READ, WRITE,
-                                  History)
+from repro.sim.history import (ABORT, BEGIN, COMMIT, READ, WRITE,
+                               History)
 from repro.skew.serialization import is_conflict_serializable
 
 CONTENDED = {
@@ -82,19 +82,18 @@ class TestSerialization:
             list(range(len(history.events)))
 
 
-class TestTraceProjection:
-    def test_to_trace_feeds_skew_machinery(self):
+class TestSkewView:
+    def test_history_feeds_skew_machinery(self):
         history, _ = recorded("2PL")
-        trace = history.to_trace()
-        assert len(trace.committed_transactions()) == 4
-        assert is_conflict_serializable(trace, read_mode="latest")
+        assert len(history.committed()) == 4
+        assert is_conflict_serializable(history, read_mode="latest")
 
-    def test_projection_preserves_read_write_sets(self):
+    def test_sites_and_addr_sets_follow_read_write_triples(self):
         history, _ = recorded()
-        trace = history.to_trace()
-        for uid, rec in history.transactions.items():
-            traced = trace.transactions[uid]
-            assert [a for a, _ in traced.reads] == \
+        for rec in history.transactions.values():
+            assert [a for a, _ in history.sites(rec.reads)] == \
                 [a for a, _, _ in rec.reads]
-            assert [a for a, _ in traced.writes] == \
+            assert [a for a, _ in history.sites(rec.writes)] == \
                 [a for a, _, _ in rec.writes]
+            assert rec.read_addrs == {a for a, _, _ in rec.reads}
+            assert rec.write_addrs == {a for a, _, _ in rec.writes}

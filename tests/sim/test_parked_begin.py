@@ -156,6 +156,35 @@ def test_sampler_windows_match_the_polling_engine(golden):
         == result.metrics["counters"]["engine_begin_stalls"]
 
 
+def test_sampler_rescans_only_when_the_watermark_holder_moves(monkeypatch):
+    """Nearly every event of an escalated run is a replayed begin stall
+    of a thread that is *not* the slowest; only an event from the thread
+    holding the watermark (or that thread finishing) may cost a scan of
+    every thread's clock."""
+    config, workload, system, threads, _ = WINDOW_CELL
+    sampler = live.TimeSeriesSampler
+    note, rescan = sampler._note, sampler._advance_watermark
+    counts = {"events": 0, "from_holder": 0, "rescans": 0}
+
+    def counting_note(self, thread_id, clock):
+        counts["events"] += 1
+        counts["from_holder"] += thread_id == self._holder
+        note(self, thread_id, clock)
+
+    def counting_rescan(self, engine_threads):
+        counts["rescans"] += 1
+        rescan(self, engine_threads)
+
+    monkeypatch.setattr(sampler, "_note", counting_note)
+    monkeypatch.setattr(sampler, "_advance_watermark", counting_rescan)
+    runner.run_once(workload, system, threads, SEED, PROFILE,
+                    CONFIGS[config], telemetry=True, profiling=True)
+    # beyond the holder's own events: the first event (no holder yet)
+    # and at most one rescan per holder that finished
+    assert counts["rescans"] <= counts["from_holder"] + threads + 1
+    assert counts["from_holder"] * 20 < counts["events"]
+
+
 # --------------------------------------------------------------------
 # a wait nobody can end
 # --------------------------------------------------------------------

@@ -1,23 +1,19 @@
-"""Timeline-recorder tests."""
+"""Timeline rendering and summaries over recorded spans."""
 
-import pytest
-
-from repro.common.errors import SimulationError
 from repro.common.rng import SplitRandom
 from repro.sim.engine import Engine, TransactionSpec
+from repro.obs import (SpanRecorder, aborted_fraction, render_timeline,
+                       summary_by_label)
 from repro.sim.machine import Machine
-from repro.sim.timeline import TimelineRecorder
 from repro.tm import SnapshotIsolationTM, TwoPhaseLockingTM
 from repro.tm.ops import Compute, Read, Write
 
 
 def run_with_timeline(system_cls, machine, programs, seed=3):
-    timeline = TimelineRecorder()
+    recorder = SpanRecorder()
     tm = system_cls(machine, SplitRandom(seed))
-    engine = Engine(tm, programs, tracer=timeline)
-    timeline.attach(engine)
-    engine.run()
-    return timeline
+    Engine(tm, programs, tracer=recorder).run()
+    return recorder.spans
 
 
 def counter_program(machine, threads=2, txns=10):
@@ -36,42 +32,33 @@ class TestRecording:
     def test_intervals_cover_all_attempts(self):
         machine = Machine()
         programs = counter_program(machine)
-        timeline = run_with_timeline(SnapshotIsolationTM, machine, programs)
-        commits = sum(1 for i in timeline.intervals if i.committed)
+        spans = run_with_timeline(SnapshotIsolationTM, machine, programs)
+        commits = sum(1 for s in spans if s.outcome == "commit")
         assert commits == 20
-        assert all(i.end >= i.start for i in timeline.intervals)
+        assert all(s.end_cycle >= s.begin_cycle for s in spans)
 
     def test_aborts_recorded_with_cause(self):
         machine = Machine()
         programs = counter_program(machine, threads=4, txns=15)
-        timeline = run_with_timeline(TwoPhaseLockingTM, machine, programs)
-        aborted = [i for i in timeline.intervals if not i.committed]
+        spans = run_with_timeline(TwoPhaseLockingTM, machine, programs)
+        aborted = [s for s in spans if s.outcome == "abort"]
         assert aborted
-        assert all(i.cause is not None for i in aborted)
-        assert 0 < timeline.aborted_fraction() < 1
-
-    def test_unattached_recorder_raises(self):
-        machine = Machine()
-        programs = counter_program(machine)
-        timeline = TimelineRecorder()
-        tm = SnapshotIsolationTM(machine, SplitRandom(1))
-        engine = Engine(tm, programs, tracer=timeline)
-        with pytest.raises(SimulationError):
-            engine.run()
+        assert all(s.cause is not None for s in aborted)
+        assert 0 < aborted_fraction(spans) < 1
 
     def test_makespan_positive(self):
         machine = Machine()
-        timeline = run_with_timeline(SnapshotIsolationTM, machine,
-                                     counter_program(machine))
-        assert timeline.makespan > 0
+        spans = run_with_timeline(SnapshotIsolationTM, machine,
+                                  counter_program(machine))
+        assert max(s.end_cycle for s in spans) > 0
 
 
 class TestRendering:
     def test_render_shape(self):
         machine = Machine()
-        timeline = run_with_timeline(SnapshotIsolationTM, machine,
-                                     counter_program(machine, threads=3))
-        art = timeline.render(width=60)
+        spans = run_with_timeline(SnapshotIsolationTM, machine,
+                                  counter_program(machine, threads=3))
+        art = render_timeline(spans, width=60)
         lines = art.splitlines()
         assert len(lines) == 4  # header + 3 threads
         assert all(len(line.split("|")[1]) == 60 for line in lines[1:])
@@ -79,18 +66,18 @@ class TestRendering:
 
     def test_aborts_visible_in_render(self):
         machine = Machine()
-        timeline = run_with_timeline(
+        spans = run_with_timeline(
             TwoPhaseLockingTM, machine,
             counter_program(machine, threads=4, txns=20))
-        assert "x" in timeline.render()
+        assert "x" in render_timeline(spans)
 
     def test_empty_render(self):
-        assert "no transactions" in TimelineRecorder().render()
+        assert "no transactions" in render_timeline([])
 
     def test_summary_by_label(self):
         machine = Machine()
-        timeline = run_with_timeline(SnapshotIsolationTM, machine,
-                                     counter_program(machine))
-        summary = timeline.summary_by_label()
+        spans = run_with_timeline(SnapshotIsolationTM, machine,
+                                  counter_program(machine))
+        summary = summary_by_label(spans)
         assert summary["inc"]["commits"] == 20
         assert summary["inc"]["cycles"] > 0

@@ -2,16 +2,14 @@
 
 from repro.sim.machine import Machine
 from repro.skew.graph import build_graph, find_write_skews
-from repro.skew.trace import TraceRecorder
 from repro.tm.ops import Compute, Read, Write
 
-from tests.conftest import run_program, spec
+from tests.conftest import record_history, spec
 
 
 def analyse(machine, programs, seed=7):
-    recorder = TraceRecorder()
-    run_program(machine, "SI-TM", programs, seed=seed, tracer=recorder)
-    return find_write_skews(recorder)
+    return find_write_skews(
+        record_history(machine, "SI-TM", programs, seed=seed))
 
 
 class TestWriteSkewDetection:
@@ -87,11 +85,10 @@ class TestGraphShape:
             yield Compute(30)
             yield Write(a, value + 1)
 
-        recorder = TraceRecorder()
-        run_program(machine, "SI-TM",
-                    [[spec(rmw) for _ in range(3)],
-                     [spec(rmw) for _ in range(3)]], tracer=recorder)
-        graph = build_graph(recorder)
+        history = record_history(machine, "SI-TM",
+                                 [[spec(rmw) for _ in range(3)],
+                                  [spec(rmw) for _ in range(3)]])
+        graph = build_graph(history)
         assert graph.number_of_nodes() == 6
 
     def test_witness_carries_labels_and_addrs(self, machine):

@@ -1,12 +1,10 @@
-"""Trace JSONL persistence tests (offline post-processing, §5.1)."""
-
-import io
+"""History persistence tests (offline post-processing, §5.1)."""
 
 from repro.skew.graph import find_write_skews
-from repro.skew.trace import TraceRecorder
+from repro.sim.history import History
 from repro.tm.ops import Compute, Read, Write
 
-from tests.conftest import run_program, spec
+from tests.conftest import record_history, spec
 
 
 def skewy_trace(machine):
@@ -22,45 +20,30 @@ def skewy_trace(machine):
         yield Compute(50)
         yield Write(a, 1, site="t2.w")
 
-    recorder = TraceRecorder()
-    run_program(machine, "SI-TM", [[spec(t1, "t1")], [spec(t2, "t2")]],
-                tracer=recorder)
-    return recorder
+    return record_history(machine, "SI-TM",
+                          [[spec(t1, "t1")], [spec(t2, "t2")]])
 
 
 class TestRoundTrip:
     def test_events_survive(self, machine):
-        recorder = skewy_trace(machine)
-        buffer = io.StringIO()
-        count = recorder.dump_jsonl(buffer)
-        assert count == len(recorder.events)
-        loaded = TraceRecorder.load_jsonl(buffer.getvalue().splitlines())
-        assert len(loaded.events) == len(recorder.events)
-        for original, restored in zip(recorder.events, loaded.events):
+        history = skewy_trace(machine)
+        loaded = History.loads(history.dumps())
+        assert len(loaded.events) == len(history.events)
+        for original, restored in zip(history.events, loaded.events):
             assert original == restored
 
     def test_transactions_reassembled(self, machine):
-        recorder = skewy_trace(machine)
-        buffer = io.StringIO()
-        recorder.dump_jsonl(buffer)
-        loaded = TraceRecorder.load_jsonl(buffer.getvalue().splitlines())
-        assert len(loaded.committed_transactions()) == \
-            len(recorder.committed_transactions())
-        for orig, rest in zip(recorder.committed_transactions(),
-                              loaded.committed_transactions()):
+        history = skewy_trace(machine)
+        loaded = History.loads(history.dumps())
+        assert len(loaded.committed()) == len(history.committed())
+        for orig, rest in zip(history.committed(), loaded.committed()):
             assert orig.reads == rest.reads
             assert orig.writes == rest.writes
+            assert history.sites(orig.reads) == loaded.sites(rest.reads)
 
     def test_offline_analysis_matches_online(self, machine):
-        recorder = skewy_trace(machine)
-        online = find_write_skews(recorder)
-        buffer = io.StringIO()
-        recorder.dump_jsonl(buffer)
-        loaded = TraceRecorder.load_jsonl(buffer.getvalue().splitlines())
-        offline = find_write_skews(loaded)
+        history = skewy_trace(machine)
+        online = find_write_skews(history)
+        offline = find_write_skews(History.loads(history.dumps()))
         assert len(offline.witnesses) == len(online.witnesses)
         assert offline.all_read_sites() == online.all_read_sites()
-
-    def test_blank_lines_ignored(self):
-        loaded = TraceRecorder.load_jsonl(["", "  ", ""])
-        assert len(loaded.events) == 0

@@ -10,6 +10,7 @@ consecutive rw antidependencies (the classic SI theorem).
 import pytest
 
 from repro.common.rng import SplitRandom
+from repro.sim.history import History
 from repro.sim.machine import Machine
 from repro.skew.serialization import (
     cycles,
@@ -17,10 +18,9 @@ from repro.skew.serialization import (
     precedence_graph,
     si_anomaly_cycles,
 )
-from repro.skew.trace import TraceRecorder
 from repro.tm.ops import Compute, Read, Write
 
-from tests.conftest import run_program, spec
+from tests.conftest import record_history, spec
 
 SERIALIZABLE = [("2PL", "latest"), ("SONTM", "latest"),
                 ("SSI-TM", "snapshot"), ("LogTM", "latest")]
@@ -66,9 +66,7 @@ def record(system, seed):
     machine = Machine()
     rng = SplitRandom(seed)
     programs = contended_programs(machine, rng)
-    recorder = TraceRecorder()
-    run_program(machine, system, programs, seed=seed, tracer=recorder)
-    return recorder
+    return record_history(machine, system, programs, seed=seed)
 
 
 class TestSerializableSystems:
@@ -111,14 +109,13 @@ class TestSnapshotIsolation:
 
         anomaly_seen = False
         for seed in range(8):
-            recorder = TraceRecorder()
-            run_program(machine, "SI-TM",
-                        [[spec(withdraw(True), "w1")],
-                         [spec(withdraw(False), "w2")]],
-                        seed=seed, tracer=recorder)
+            history = record_history(machine, "SI-TM",
+                                     [[spec(withdraw(True), "w1")],
+                                      [spec(withdraw(False), "w2")]],
+                                     seed=seed)
             machine.plain_store(checking, 60)
             machine.plain_store(saving, 60)
-            found = si_anomaly_cycles(recorder)
+            found = si_anomaly_cycles(history)
             if found:
                 anomaly_seen = True
         assert anomaly_seen
@@ -134,11 +131,10 @@ class TestGraphMechanics:
         def reader():
             yield Read(addr)
 
-        recorder = TraceRecorder()
-        run_program(machine, "2PL", [[spec(writer, "w"), spec(reader, "r")]],
-                    tracer=recorder)
-        graph = precedence_graph(recorder, "latest")
-        writer_txn, reader_txn = recorder.committed_transactions()
+        history = record_history(machine, "2PL",
+                                 [[spec(writer, "w"), spec(reader, "r")]])
+        graph = precedence_graph(history, "latest")
+        writer_txn, reader_txn = history.committed()
         assert graph.has_edge(writer_txn.uid, reader_txn.uid)
         assert graph[writer_txn.uid][reader_txn.uid]["kind"] == "wr"
 
@@ -150,12 +146,10 @@ class TestGraphMechanics:
                 yield Write(addr, value)
             return body
 
-        recorder = TraceRecorder()
-        run_program(machine, "2PL",
-                    [[spec(writer(1), "a"), spec(writer(2), "b")]],
-                    tracer=recorder)
-        graph = precedence_graph(recorder, "latest")
-        first, second = recorder.committed_transactions()
+        history = record_history(
+            machine, "2PL", [[spec(writer(1), "a"), spec(writer(2), "b")]])
+        graph = precedence_graph(history, "latest")
+        first, second = history.committed()
         assert graph.has_edge(first.uid, second.uid)
 
     def test_own_writes_no_self_edges(self, machine):
@@ -166,14 +160,13 @@ class TestGraphMechanics:
             value = yield Read(addr)
             yield Write(addr, value + 1)
 
-        recorder = TraceRecorder()
-        run_program(machine, "SI-TM", [[spec(rmw, "rmw")]],
-                    tracer=recorder)
-        graph = precedence_graph(recorder, "snapshot")
+        history = record_history(machine, "SI-TM", [[spec(rmw, "rmw")]])
+        graph = precedence_graph(history, "snapshot")
         assert not any(a == b for a, b in graph.edges)
 
     def test_unknown_mode_rejected(self, machine):
         from repro.common.errors import SkewToolError
 
         with pytest.raises(SkewToolError):
-            precedence_graph(TraceRecorder(), read_mode="psychic")
+            precedence_graph(History("none", "snapshot"),
+                             read_mode="psychic")

@@ -1,16 +1,14 @@
-"""Trace-recorder tests."""
+"""Event-log recording as the write-skew tool sees it."""
 
 from repro.sim.machine import Machine
-from repro.skew.trace import EventKind, TraceRecorder
+from repro.sim.history import BEGIN, COMMIT, READ, WRITE
 from repro.tm.ops import Read, Write
 
-from tests.conftest import run_program, spec
+from tests.conftest import record_history, spec
 
 
 def record(machine, programs, system="SI-TM", seed=7):
-    recorder = TraceRecorder()
-    run_program(machine, system, programs, seed=seed, tracer=recorder)
-    return recorder
+    return record_history(machine, system, programs, seed=seed)
 
 
 class TestRecording:
@@ -21,10 +19,9 @@ class TestRecording:
             value = yield Read(addr, site="r")
             yield Write(addr, value + 1, site="w")
 
-        recorder = record(machine, [[spec(body)]])
-        kinds = [e.kind for e in recorder.events]
-        assert kinds == [EventKind.BEGIN, EventKind.READ,
-                         EventKind.WRITE, EventKind.COMMIT]
+        history = record(machine, [[spec(body)]])
+        kinds = [e.kind for e in history.events]
+        assert kinds == [BEGIN, READ, WRITE, COMMIT]
 
     def test_sites_recorded(self, machine):
         addr = machine.mvmalloc(1)
@@ -33,10 +30,10 @@ class TestRecording:
             yield Read(addr, site="my.site")
             yield Write(addr, 1, site="other.site")
 
-        recorder = record(machine, [[spec(body)]])
-        txn = recorder.committed_transactions()[0]
-        assert txn.reads == [(addr, "my.site")]
-        assert txn.writes == [(addr, "other.site")]
+        history = record(machine, [[spec(body)]])
+        txn = history.committed()[0]
+        assert history.sites(txn.reads) == [(addr, "my.site")]
+        assert history.sites(txn.writes) == [(addr, "other.site")]
 
     def test_abort_marks_transaction(self, machine):
         addr = machine.mvmalloc(1)
@@ -47,12 +44,12 @@ class TestRecording:
 
         programs = [[spec(writer) for _ in range(5)],
                     [spec(writer) for _ in range(5)]]
-        recorder = record(machine, programs)
-        aborted = [t for t in recorder.transactions.values() if t.aborted]
-        committed = recorder.committed_transactions()
+        history = record(machine, programs)
+        aborted = [t for t in history.transactions.values() if t.aborted]
+        committed = history.committed()
         assert len(committed) == 10
         # retried attempts appear as separate transactions
-        assert len(recorder.transactions) == 10 + len(aborted)
+        assert len(history.transactions) == 10 + len(aborted)
 
     def test_distinct_uids(self, machine):
         addr = machine.mvmalloc(1)
@@ -60,8 +57,8 @@ class TestRecording:
         def body():
             yield Write(addr, 1)
 
-        recorder = record(machine, [[spec(body), spec(body)]])
-        uids = [t.uid for t in recorder.transactions.values()]
+        history = record(machine, [[spec(body), spec(body)]])
+        uids = [t.uid for t in history.transactions.values()]
         assert len(uids) == len(set(uids))
 
 
@@ -77,9 +74,9 @@ class TestConcurrency:
         def short_body():
             yield Write(b, 1)
 
-        recorder = record(machine, [[spec(long_body, "long")],
+        history = record(machine, [[spec(long_body, "long")],
                                     [spec(short_body, "short")]])
-        txns = recorder.committed_transactions()
+        txns = history.committed()
         long_txn = next(t for t in txns if t.label == "long")
         short_txn = next(t for t in txns if t.label == "short")
         assert long_txn.concurrent_with(short_txn)
@@ -91,6 +88,6 @@ class TestConcurrency:
         def body():
             yield Write(addr + 0, 1)
 
-        recorder = record(machine, [[spec(body), spec(body)]])
-        first, second = recorder.committed_transactions()
+        history = record(machine, [[spec(body), spec(body)]])
+        first, second = history.committed()
         assert not first.concurrent_with(second)

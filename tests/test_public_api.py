@@ -58,11 +58,11 @@ class TestSubpackageExports:
     def test_skew(self):
         from repro.skew import (
             SkewReport,
-            TraceRecorder,
             WriteSkewTool,
             find_write_skews,
         )
-        assert all((SkewReport, TraceRecorder, WriteSkewTool,
+        from repro.sim.history import History, HistoryRecorder
+        assert all((SkewReport, History, HistoryRecorder, WriteSkewTool,
                     find_write_skews))
 
     def test_harness(self):
