@@ -30,6 +30,11 @@ def derive_seed(root: int, *keys: object) -> int:
 class SplitRandom(random.Random):
     """A :class:`random.Random` that can spawn independent child streams."""
 
+    def __new__(cls, *args: object, **kwargs: object) -> "SplitRandom":
+        # before Python 3.11 ``Random.__new__`` takes the seed itself and
+        # rejects ``path``; seeding is ``__init__``'s business here
+        return super().__new__(cls)
+
     def __init__(self, seed: int, path: Sequence[object] = ()):  # noqa: D107
         self._root_seed = int(seed)
         self._path = tuple(path)

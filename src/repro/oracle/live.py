@@ -46,6 +46,10 @@ from repro.sim.history import (ABORT, BEGIN, COMMIT, READ, WRITE,
 
 __all__ = ["LiveHistoryMonitor", "STORE_ABORT_CAUSES", "check_rows"]
 
+#: canonical form of a JSON value; ``json.dumps(value, sort_keys=True)``
+#: without building a ``JSONEncoder`` per operation
+_canonical = json.JSONEncoder(sort_keys=True).encode
+
 #: abort causes the store declares legal in its histories
 STORE_ABORT_CAUSES = ("disconnect", "explicit", "overloaded",
                       "shard-crashed", "timeout", "write-write")
@@ -101,7 +105,7 @@ class LiveHistoryMonitor:
         """Intern a JSON value; ``None`` is the never-written value 0."""
         if value is None:
             return 0
-        canonical = json.dumps(value, sort_keys=True)
+        canonical = _canonical(value)
         vid = self._value_ids.get(canonical)
         if vid is None:
             self._last_value_id += 1

@@ -48,17 +48,18 @@ __all__ = ["CHAOS_SITES", "ChaosPlan", "run_chaos_campaign"]
 #: (rendered into the chaos-site table in ``docs/robustness.md``)
 CHAOS_SITES = [
     {"site": "client-disconnect",
-     "layer": "store/server.py:_handle_connection (finally)",
+     "layer": "store/server.py:_Connection.connection_lost",
      "fields": "disconnect_rate",
      "effect": "drops the connection mid-transaction; the session GC "
                "must abort the open transaction and unpin its "
                "snapshots"},
     {"site": "slow-loris",
-     "layer": "store/protocol.py:ReadGuard (per-connection read "
-              "deadline)",
+     "layer": "store/server.py:_Connection._check_deadline "
+              "(per-connection read deadline)",
      "fields": "slow_loris_sessions, slow_loris_delay_ms",
      "effect": "peers trickle a partial frame; the server must "
-               "disconnect them instead of holding a reader forever"},
+               "disconnect them instead of holding a connection "
+               "forever"},
     {"site": "shard-stall",
      "layer": "store/shard.py:submit/_run (inject_stall)",
      "fields": "stall_shard, stall_ms, stall_after_txns",
@@ -378,7 +379,7 @@ async def _campaign(plan: ChaosPlan, config: StoreConfig, broken: str,
                     _flood(port, plan.flood_sessions, stats)))
             await asyncio.gather(*tasks)
         probe_ok = await _probe(port, server)
-        # let the per-connection handlers observe their EOFs and GC
+        # let the connections observe their EOFs and GC their sessions
         waited = 0.0
         while server.sessions and waited < 2.0:
             await asyncio.sleep(0.005)

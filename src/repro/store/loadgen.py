@@ -6,7 +6,10 @@ discipline the server's structured errors prescribe (honor
 ``retry_after_ms``, re-begin after ``ABORTED``/``OVERLOADED``/
 ``TIMEOUT``).  Both the bench (:func:`run_load`) and the chaos campaign
 (:mod:`repro.store.chaos`) drive the server through it, so the client
-loop the tests exercise is the one real callers would copy.
+loop the tests exercise is the one real callers would copy.  It is an
+``asyncio.Protocol`` with one request in flight: ``request`` writes the
+frame and awaits a future that ``data_received`` resolves with the
+response, so a round trip wakes the calling task once and nothing else.
 
 :class:`ZipfKeys` draws keys from a Zipf(``theta``) popularity ranking
 — the standard KV-store skew knob (theta 0 = uniform; 0.99 ≈ YCSB) —
@@ -18,10 +21,10 @@ exactly one logical transaction in flight, retrying it until it commits
 or its attempt budget is spent, then moves to the next.  The resulting
 stats map onto the repo's BENCH artifact schema via
 :func:`bench_artifact` (deterministic section: counts and rates under a
-pinned seed; advisory section: wall clock and per-transaction latency
-percentiles), so ``sitm-store bench`` artifacts validate against
+pinned seed; advisory section: wall clock and latency percentiles), so ``sitm-store bench`` artifacts validate against
 :func:`repro.perf.bench.validate_artifact` and land next to the
-simulator's.
+simulator's.  Beside the transaction, every ``READ``, ``WRITE`` and
+``COMMIT`` round trip is timed (``read_p50_ms`` ... ``commit_p99_ms``).
 """
 
 from __future__ import annotations
@@ -32,11 +35,15 @@ import time
 from bisect import bisect_left
 from typing import Dict, List, Optional
 
-from repro.common.errors import ConfigError
+from repro.common.errors import ConfigError, ProtocolError
 from repro.common.rng import SplitRandom
 from repro.store import protocol
 
 __all__ = ["StoreClient", "ZipfKeys", "run_load", "bench_artifact"]
+
+#: what :func:`run_load` times: the logical transaction, and each
+#: round trip of the three operations inside one
+LATENCIES = ("txn", "read", "write", "commit")
 
 
 class ZipfKeys:
@@ -63,26 +70,58 @@ class ZipfKeys:
         return self.keys[bisect_left(self._cdf, point)]
 
 
-class StoreClient:
-    """One wire connection to the store (asyncio streams)."""
+class StoreClient(asyncio.Protocol):
+    """One wire connection to the store: a request, then its response."""
 
-    def __init__(self, reader: asyncio.StreamReader,
-                 writer: asyncio.StreamWriter):
-        self.reader = reader
-        self.writer = writer
+    def __init__(self) -> None:
+        self._transport: Optional[asyncio.Transport] = None
+        self._frames = protocol.FrameParser()
+        #: resolved by the response to the request in flight
+        self._response: Optional["asyncio.Future"] = None
 
     @classmethod
     async def connect(cls, port: int,
                       host: str = "127.0.0.1") -> "StoreClient":
         """Open a connection to a running store server."""
-        reader, writer = await asyncio.open_connection(host, port)
-        return cls(reader, writer)
+        _, client = await asyncio.get_running_loop().create_connection(
+            cls, host, port)
+        return client
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self._transport = transport
+
+    def data_received(self, data: bytes) -> None:
+        self._frames.feed(data)
+        try:
+            response = self._frames.next_frame()
+        except ProtocolError as exc:
+            self._transport.close()
+            self._settle(exc)
+        else:
+            if response is not None:
+                self._settle(response)
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        # what a stream read meeting EOF failed the pending request with
+        self._settle(exc or asyncio.IncompleteReadError(b"", None))
+
+    def _settle(self, outcome: object) -> None:
+        """Hand the request in flight its response, or its failure."""
+        waiter, self._response = self._response, None
+        if waiter is None or waiter.done():
+            return  # nothing in flight, or its caller gave up
+        if isinstance(outcome, BaseException):
+            waiter.set_exception(outcome)
+        else:
+            waiter.set_result(outcome)
 
     async def request(self, **fields) -> dict:
         """Send one request frame and await its response frame."""
-        self.writer.write(protocol.encode_frame(fields))
-        await self.writer.drain()
-        return await protocol.read_frame(self.reader)
+        if self._transport.is_closing():
+            raise ConnectionResetError("Connection lost")
+        self._response = asyncio.get_running_loop().create_future()
+        self._transport.write(protocol.encode_frame(fields))
+        return await self._response
 
     async def begin(self, deadline_ms: Optional[int] = None,
                     label: Optional[str] = None) -> dict:
@@ -116,7 +155,7 @@ class StoreClient:
 
     def close(self) -> None:
         """Drop the connection (the server GCs the session)."""
-        self.writer.close()
+        self._transport.close()
 
 
 async def _backoff(response: dict, cap_s: float = 0.1) -> None:
@@ -134,6 +173,7 @@ async def _run_session(port: int, host: str, worker: int, txns: int,
                        seed: int, stats: dict) -> None:
     """One closed-loop worker: ``txns`` logical transactions, serially."""
     rng = SplitRandom(seed, ("loadgen", worker))
+    latency = stats["latency_s"]
     client = await StoreClient.connect(port, host)
     try:
         for txn_index in range(txns):
@@ -149,20 +189,26 @@ async def _run_session(port: int, host: str, worker: int, txns: int,
                 failed = None
                 for _ in range(ops_per_txn):
                     key = zipf.pick(rng)
+                    sent = time.monotonic()
                     if rng.random() < write_fraction:
                         reply = await client.write(
                             key, {"w": worker, "t": txn_index,
                                   "r": rng.randrange(1 << 30)})
+                        latency["write"].append(time.monotonic() - sent)
                     else:
                         reply = await client.read(key)
+                        latency["read"].append(time.monotonic() - sent)
                     if not reply.get("ok"):
                         failed = reply
                         break
                 if failed is None:
+                    sent = time.monotonic()
                     failed = await client.commit()
+                    now = time.monotonic()
+                    latency["commit"].append(now - sent)
                     if failed.get("ok"):
                         stats["commits"] += 1
-                        stats["latency_s"].append(time.monotonic() - started)
+                        latency["txn"].append(now - started)
                         break
                 cause = failed.get("cause") or \
                     failed.get("error", "unknown").lower()
@@ -191,11 +237,13 @@ async def run_load(port: int, host: str = "127.0.0.1", sessions: int = 4,
 
     ``txn_p50_ms``/``txn_p99_ms`` time each committed logical
     transaction from its first ``BEGIN`` to the ``COMMIT`` ack, retries
-    and backoff included.
+    and backoff included; ``read_*``/``write_*``/``commit_*`` time every
+    round trip of that operation, whatever it answered.
     """
     zipf = ZipfKeys(keys, zipf_theta)
     stats = {"attempts": 0, "commits": 0, "shed": 0, "exhausted": 0,
-             "aborts": {}, "latency_s": []}
+             "aborts": {},
+             "latency_s": {name: [] for name in LATENCIES}}
     started = time.monotonic()
     await asyncio.gather(*[
         _run_session(port, host, worker, txns_per_session, zipf,
@@ -205,9 +253,10 @@ async def run_load(port: int, host: str = "127.0.0.1", sessions: int = 4,
     wall = time.monotonic() - started
     total_aborts = sum(stats["aborts"].values())
     latency = stats.pop("latency_s")
+    for name, samples in latency.items():
+        stats[f"{name}_p50_ms"] = _percentile_ms(samples, 50)
+        stats[f"{name}_p99_ms"] = _percentile_ms(samples, 99)
     stats.update({
-        "txn_p50_ms": _percentile_ms(latency, 50),
-        "txn_p99_ms": _percentile_ms(latency, 99),
         "sessions": sessions,
         "txns_per_session": txns_per_session,
         "wall_clock_s": wall,
@@ -256,7 +305,7 @@ def bench_artifact(stats: dict, label: str = "store",
         "advisory": {
             "wall_clock_s": round(stats["wall_clock_s"], 3),
             "cache_hit_rate": 0.0,
-            "txn_p50_ms": round(stats["txn_p50_ms"], 3),
-            "txn_p99_ms": round(stats["txn_p99_ms"], 3),
+            **{f"{name}_{pct}_ms": round(stats[f"{name}_{pct}_ms"], 3)
+               for name in LATENCIES for pct in ("p50", "p99")},
         },
     }

@@ -29,7 +29,12 @@ Responses are ``{"ok": true, ...}`` on success or
 
 The framing helpers here are shared by the server, the load-generator
 client and the chaos harness, so a framing change cannot desynchronise
-them.
+them.  Both ends of a store connection are ``asyncio.Protocol`` objects
+that :class:`FrameParser` the bytes their transport hands them;
+:func:`read_frame` applies the same limits and the same
+:func:`decode_payload` to a ``StreamReader``, for the peers that are
+written against streams (the chaos harness's slow loris, raw-socket
+tests, perfbench's protocol replay).
 """
 
 from __future__ import annotations
@@ -41,8 +46,8 @@ from typing import Optional
 
 from repro.common.errors import ProtocolError
 
-__all__ = ["MAX_FRAME", "ERROR_CODES", "OPS", "ReadGuard", "encode_frame",
-           "read_frame", "error_response", "ok_response"]
+__all__ = ["MAX_FRAME", "ERROR_CODES", "OPS", "FrameParser", "encode_frame",
+           "decode_payload", "read_frame", "error_response", "ok_response"]
 
 #: largest accepted frame payload, in bytes
 MAX_FRAME = 1 << 20
@@ -55,6 +60,7 @@ ERROR_CODES = ("BAD_REQUEST", "NO_TXN", "TXN_OPEN", "OVERLOADED",
                "TIMEOUT", "ABORTED", "SERVER_SHUTDOWN")
 
 _LEN = struct.Struct(">I")
+_HEADER = _LEN.size
 _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
@@ -68,28 +74,8 @@ def encode_frame(obj: dict) -> bytes:
     return _LEN.pack(len(payload)) + payload
 
 
-async def read_frame(reader: asyncio.StreamReader,
-                     timeout: Optional[float] = None) -> dict:
-    """Read one frame; raises on EOF, oversize, junk, or idle timeout.
-
-    ``timeout`` (seconds) bounds the *whole* frame — header and body —
-    so a slow-loris peer trickling one byte per second cannot hold a
-    connection open: the clock starts with the read and is not reset by
-    partial progress.  It is a :class:`ReadGuard` armed for this one
-    frame, and like the guard it fails the reader for good.
-    """
-    if timeout is not None:
-        guard = ReadGuard(reader, timeout)
-        try:
-            return await guard.read_frame()
-        finally:
-            guard.close()
-    header = await reader.readexactly(_LEN.size)
-    (length,) = _LEN.unpack(header)
-    if length > MAX_FRAME:
-        raise ProtocolError(
-            f"peer announced a {length}-byte frame (limit {MAX_FRAME})")
-    payload = await reader.readexactly(length)
+def decode_payload(payload: bytes) -> dict:
+    """One frame's payload as the JSON object it must encode."""
     try:
         obj = json.loads(payload.decode("utf-8"))
     except ValueError as exc:  # UnicodeDecodeError is a ValueError
@@ -99,54 +85,58 @@ async def read_frame(reader: asyncio.StreamReader,
     return obj
 
 
-class ReadGuard:
-    """The idle / slow-loris deadline of one connection's reads.
+def _payload_length(header: bytes) -> int:
+    (length,) = _LEN.unpack_from(header)
+    if length > MAX_FRAME:
+        raise ProtocolError(
+            f"peer announced a {length}-byte frame (limit {MAX_FRAME})")
+    return length
 
-    Each :meth:`read_frame` must finish within ``timeout`` seconds of
-    being called, idle wait included; an overrun fails the reader with
-    :class:`ProtocolError`, so that read and every later one raise.
-    Between reads the guard is off: how long *serving* a request may
-    take is the transaction deadline's business, not the peer's fault.
 
-    It is one ``call_at`` timer per connection that re-arms itself when
-    it fires.  A timer made and cancelled per frame costs half of what
-    dropping the per-frame ``Task`` gains: cancelled timers pile up in
-    the loop's heap (``docs/performance.md``, "Store request path").
+class FrameParser:
+    """Incremental frame decoder of one connection's incoming bytes.
+
+    :meth:`feed` what the transport delivers, in whatever pieces, then
+    take whole frames off with :meth:`next_frame` until it returns
+    ``None``.  A violation raises :class:`ProtocolError` as soon as the
+    bytes that prove it are in — an oversize announcement with the
+    header, before any of the body is buffered — and the connection is
+    then beyond repair: the owner closes it.
     """
 
-    def __init__(self, reader: asyncio.StreamReader, timeout: float):
-        self._reader = reader
-        self._timeout = timeout
-        self._loop = asyncio.get_running_loop()
-        #: loop time the read in progress must finish by (None: no read)
-        self._deadline: Optional[float] = None
-        self._timer: Optional[asyncio.TimerHandle] = None
+    __slots__ = ("_buffer",)
 
-    async def read_frame(self) -> dict:
-        """:func:`read_frame` on the guarded reader, under the deadline."""
-        self._deadline = self._loop.time() + self._timeout
-        if self._timer is None:
-            self._timer = self._loop.call_at(self._deadline, self._check)
-        try:
-            return await read_frame(self._reader)
-        finally:
-            self._deadline = None
+    def __init__(self) -> None:
+        self._buffer = bytearray()
 
-    def _check(self) -> None:
-        self._timer = None
-        if self._deadline is None:
-            return  # between reads; the next read starts a new timer
-        if self._loop.time() < self._deadline:
-            self._timer = self._loop.call_at(self._deadline, self._check)
-        else:
-            self._reader.set_exception(ProtocolError(
-                f"peer idle/stalled beyond {self._timeout:.3f}s"))
+    def __len__(self) -> int:
+        """Bytes fed and not yet taken off as frames."""
+        return len(self._buffer)
 
-    def close(self) -> None:
-        """Drop the timer (the connection is going away)."""
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
+    def feed(self, data: bytes) -> None:
+        self._buffer += data
+
+    def next_frame(self) -> Optional[dict]:
+        """The next whole frame, or ``None`` while only part of one is in."""
+        buffer = self._buffer
+        if len(buffer) < _HEADER:
+            return None
+        end = _HEADER + _payload_length(buffer)
+        if len(buffer) < end:
+            return None
+        payload = buffer[_HEADER:end]
+        del buffer[:end]
+        return decode_payload(payload)
+
+
+async def read_frame(reader: asyncio.StreamReader) -> dict:
+    """Read one frame off a stream; raises on EOF, oversize or junk.
+
+    The store's own endpoints parse with :class:`FrameParser`; this is
+    the same decoding for callers that hold a ``StreamReader``.
+    """
+    header = await reader.readexactly(_HEADER)
+    return decode_payload(await reader.readexactly(_payload_length(header)))
 
 
 def ok_response(**fields: object) -> dict:

@@ -1,8 +1,18 @@
 """The store server: asyncio front-end, commit coordinator, monitor feed.
 
 One :class:`StoreServer` owns the shard set, the session table, the
-admission counters, and (optionally) a live oracle monitor.  The
-robustness contract, end to end:
+admission counters, and (optionally) a live oracle monitor.  Each client
+connection is an ``asyncio.Protocol`` (:class:`_Connection`) that parses
+frames out of what the transport delivers and **answers a request where
+it arrives**: ``data_received`` steps :meth:`StoreServer._dispatch` and
+writes the response before it returns.  Nearly every request finishes
+that way — a shard command runs in place when nothing is ahead of it —
+so a round trip costs the server no ``Task``, no future wake-up and no
+turn of the event loop.  The request path waits in two places only, a
+shard command that had to queue and the golden gate, both through
+:func:`_within`; a dispatch that reaches one is carried on by a task
+created at that moment, and the connection serves its later frames when
+that task has answered.  The robustness contract, end to end:
 
 * **Admission**: a ``BEGIN`` past ``max_inflight`` open transactions is
   shed immediately with ``OVERLOADED`` plus a backoff hint — the server
@@ -11,6 +21,11 @@ robustness contract, end to end:
   enforced at command arrival, inside shard queues, and around every
   shard wait; expiry aborts the transaction server-side and answers
   ``TIMEOUT``.
+* **Peers**: a connection that does not deliver a whole frame within
+  ``idle_timeout_ms`` of the server starting to wait for one — idle, or
+  trickling bytes — is closed; so is one that sends an oversize, junk
+  or non-object frame.  A peer that stops reading its responses stops
+  being read from.
 * **Commit protocol**: writes prepare on each touched shard in sorted
   shard order (pending-lock check, first-committer-wins validation,
   end-timestamp reservation, line locks); once every shard prepared,
@@ -23,9 +38,11 @@ robustness contract, end to end:
   session's next transaction takes the server-wide **golden token**,
   and other commits touching its home shard wait until it finishes —
   the store-side analogue of the engine's serial escalation.
-* **Session GC**: a disconnect mid-transaction aborts it in the
-  ``finally`` path of the connection handler, unpinning its snapshots
-  so the active-transaction table cannot leak and wedge version GC.
+* **Session GC**: a lost connection ends its session in
+  ``connection_lost`` — a request still waiting is cancelled first —
+  and an open transaction is aborted with ``disconnect``, unpinning its
+  snapshots so the active-transaction table cannot leak and wedge
+  version GC.
 * **Monitoring**: every completed transaction is fed to the
   :class:`~repro.oracle.live.LiveHistoryMonitor` as a span-schema-
   compatible session row (also persisted when ``record_path`` is set),
@@ -33,14 +50,16 @@ robustness contract, end to end:
   the monitor can fold its windows.
 
 A second tiny listener serves the Prometheus exposition of the metrics
-registry on ``/metrics`` (:func:`repro.obs.prom.exposition_http_response`).
+registry on ``/metrics`` (:func:`repro.obs.prom.exposition_http_response`);
+one request per connection, it stays on asyncio streams.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
-from typing import Dict, List, Optional, Tuple
+import types
+from typing import Dict, Generator, List, Optional, Tuple
 
 from repro.common.errors import ProtocolError
 from repro.obs.export import SPAN_SCHEMA_VERSION
@@ -57,8 +76,176 @@ from repro.common.rng import SplitRandom
 __all__ = ["StoreServer"]
 
 
+@types.coroutine
+def _within(seconds: float, future: "asyncio.Future") -> Generator:
+    """``future``'s result, or ``asyncio.TimeoutError`` after ``seconds``
+    (what is left of a transaction's deadline): the one way a request
+    waits.
+
+    A request is first stepped in place, outside any task, by
+    :meth:`_Connection._serve`.  The bare ``yield`` is the suspension it
+    sees; the task it then creates resumes here, so ``wait_for`` runs
+    inside that task.  Called from the in-place step ``wait_for`` works
+    on Python 3.10 and 3.11 and raises ``RuntimeError: Timeout should be
+    used inside a task`` on 3.12 and later.
+    """
+    if asyncio.current_task() is None:
+        yield
+    return (yield from asyncio.wait_for(future, seconds))
+
+
+class _Connection(asyncio.Protocol):
+    """One client connection: its session, its frames, its read deadline.
+
+    ``data_received`` answers a request where it arrives: it steps
+    :meth:`StoreServer._dispatch` once and writes the response when that
+    finishes without waiting, which is every request that meets no
+    queued shard command and no golden gate.  A dispatch that suspends
+    (:func:`_within`) is carried on by a task made at that moment;
+    until it answers, later frames stay in the parser, so a connection
+    has one request in flight and responses keep request order.
+
+    The read deadline is one ``call_at`` timer per connection that
+    re-arms itself when it fires (a timer made and cancelled per frame
+    piles cancelled handles up in the loop's heap:
+    ``docs/performance.md``, "Store request path").  It starts when the
+    server starts waiting for a frame — on connect and after each
+    response — and only a whole frame satisfies it, so an idle peer and
+    one trickling bytes are both dropped ``idle_timeout_ms`` later,
+    progress or not.  While a request is served it is off: how long
+    that may take is the transaction deadline's business, not the
+    peer's fault.
+    """
+
+    def __init__(self, server: "StoreServer"):
+        self._server = server
+        self._loop = asyncio.get_running_loop()
+        self._timeout = server.config.idle_timeout_ms / 1000.0
+        self._frames = protocol.FrameParser()
+        self._transport: Optional[asyncio.Transport] = None
+        self._session: Optional[Session] = None
+        #: loop time the awaited frame must be whole by (None: not
+        #: waiting for one — a request is being served, or the peer is
+        #: not taking our responses)
+        self._deadline: Optional[float] = None
+        self._timer: Optional[asyncio.TimerHandle] = None
+        #: the task carrying on a request that had to wait
+        self._carrying: Optional["asyncio.Task"] = None
+        self._write_paused = False
+        self._lost = False
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self._transport = transport
+        self._session = self._server._open_session()
+        self._await_frame()
+
+    # -- read deadline
+
+    def _await_frame(self) -> None:
+        self._deadline = self._loop.time() + self._timeout
+        if self._timer is None:
+            self._timer = self._loop.call_at(self._deadline,
+                                             self._check_deadline)
+
+    def _check_deadline(self) -> None:
+        self._timer = None
+        if self._deadline is None:
+            return  # not waiting for a frame; the next wait starts a timer
+        if self._loop.time() < self._deadline:
+            self._timer = self._loop.call_at(self._deadline,
+                                             self._check_deadline)
+        else:
+            self._transport.close()  # idle or slow-loris peer
+
+    # -- requests
+
+    def data_received(self, data: bytes) -> None:
+        self._frames.feed(data)
+        if self._carrying is None and not self._write_paused:
+            self._serve()
+        elif len(self._frames) > protocol.MAX_FRAME:
+            # enough pipelined behind the peer's own waiting request
+            self._transport.pause_reading()
+
+    def _serve(self) -> None:
+        """Answer the buffered frames, in order, until one has to wait."""
+        dispatch, session = self._server._dispatch, self._session
+        try:
+            while not self._write_paused:
+                request = self._frames.next_frame()
+                if request is None:
+                    return
+                step = dispatch(session, request)
+                try:
+                    step.send(None)
+                except StopIteration as finished:
+                    self._respond(finished.value)
+                else:
+                    self._deadline = None
+                    self._carrying = self._loop.create_task(step)
+                    self._carrying.add_done_callback(self._carried)
+                    return
+        except ProtocolError:
+            self._transport.close()  # framing violation
+
+    def _respond(self, response: dict) -> None:
+        self._transport.write(protocol.encode_frame(response))
+        if not self._write_paused:
+            self._await_frame()
+
+    def _carried(self, task: "asyncio.Task") -> None:
+        """The request that waited is done: answer it, serve what queued."""
+        self._carrying = None
+        if self._lost:
+            self._end_session()
+        elif task.cancelled():  # the loop is shutting down
+            self._transport.close()
+        else:
+            try:
+                self._respond(task.result())
+            except BaseException:
+                self._transport.close()
+                raise
+            if not self._write_paused:
+                self._transport.resume_reading()
+                self._serve()
+
+    # -- flow control and teardown
+
+    def pause_writing(self) -> None:
+        self._write_paused = True
+        self._deadline = None
+        self._transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        self._write_paused = False
+        self._transport.resume_reading()
+        if self._carrying is None:
+            self._await_frame()
+            self._serve()
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self._lost = True
+        if self._timer is not None:
+            self._timer.cancel()
+            self._timer = None
+        if self._carrying is not None:
+            # the session ends in _carried, once the request has unwound:
+            # a commit past its last wait must not be aborted under it
+            self._carrying.cancel()
+        else:
+            self._end_session()
+
+    def _end_session(self) -> None:
+        server, session = self._server, self._session
+        if session.txn is not None:
+            server._abort_txn(session, session.txn, "disconnect")
+            server.metrics.inc("store_disconnects_total")
+        del server.sessions[session.session_id]
+
+
 class StoreServer:
-    """A sharded SI transactional KV service over asyncio streams."""
+    """A sharded SI transactional KV service over asyncio transports."""
 
     def __init__(self, config: Optional[StoreConfig] = None,
                  monitor: Optional[LiveHistoryMonitor] = None,
@@ -78,8 +265,8 @@ class StoreServer:
         # golden-token escalation state
         self._golden_holder: Optional[int] = None  # txn uid
         self._golden_home: Optional[int] = None    # shard id
-        self._golden_free = asyncio.Event()
-        self._golden_free.set()
+        #: resolved when the holder finishes (made when the token is taken)
+        self._golden_released: Optional["asyncio.Future"] = None
         self.escalations = 0
         self._server: Optional[asyncio.AbstractServer] = None
         self._metrics_server: Optional[asyncio.AbstractServer] = None
@@ -99,8 +286,8 @@ class StoreServer:
             self._record = path.open("w", encoding="utf-8")
         for shard in self.shards:
             shard.start()
-        self._server = await asyncio.start_server(
-            self._handle_connection, host, port)
+        self._server = await asyncio.get_running_loop().create_server(
+            lambda: _Connection(self), host, port)
         return self._server.sockets[0].getsockname()[1]
 
     async def start_metrics(self, host: str = "127.0.0.1",
@@ -128,8 +315,7 @@ class StoreServer:
     # ------------------------------------------------------------------
     # connection handling
 
-    async def _handle_connection(self, reader: asyncio.StreamReader,
-                                 writer: asyncio.StreamWriter) -> None:
+    def _open_session(self) -> Session:
         # seed first_attempt_at with the current clock: the starvation
         # age is wall time since the session's first attempt, not since
         # the epoch
@@ -139,29 +325,7 @@ class StoreServer:
                                      now=self._now_ms()))
         self._next_session += 1
         self.sessions[session.session_id] = session
-        guard = protocol.ReadGuard(reader,
-                                   self.config.idle_timeout_ms / 1000.0)
-        try:
-            while True:
-                try:
-                    request = await guard.read_frame()
-                except ProtocolError:
-                    break  # framing violation, idle or slow-loris peer
-                except (asyncio.IncompleteReadError, ConnectionError):
-                    break
-                response = await self._dispatch(session, request)
-                writer.write(protocol.encode_frame(response))
-                try:
-                    await writer.drain()
-                except ConnectionError:
-                    break
-        finally:
-            guard.close()
-            if session.txn is not None:
-                self._abort_txn(session, session.txn, "disconnect")
-                self.metrics.inc("store_disconnects_total")
-            del self.sessions[session.session_id]
-            writer.close()
+        return session
 
     async def _handle_metrics(self, reader: asyncio.StreamReader,
                               writer: asyncio.StreamWriter) -> None:
@@ -213,7 +377,7 @@ class StoreServer:
                 pong=True,
                 generations=[s.generation for s in self.shards])
         if op == "BEGIN":
-            return await self._do_begin(session, request)
+            return self._do_begin(session, request)
         txn = session.txn
         if txn is None:
             return protocol.error_response("NO_TXN",
@@ -251,10 +415,17 @@ class StoreServer:
     # ------------------------------------------------------------------
     # operations
 
-    async def _do_begin(self, session: Session, request: dict) -> dict:
+    def _do_begin(self, session: Session, request: dict) -> dict:
         if session.txn is not None:
             return protocol.error_response(
                 "TXN_OPEN", "session already has an open transaction")
+        # validated before anything below touches the session's retry
+        # state; bool is an int, and ``true`` is not a deadline
+        deadline_ms = request.get("deadline_ms", self.config.deadline_ms)
+        if (not isinstance(deadline_ms, int) or isinstance(deadline_ms, bool)
+                or deadline_ms < 1):
+            return protocol.error_response(
+                "BAD_REQUEST", f"bad deadline_ms {deadline_ms!r}")
         if len(self.open_txns) >= self.config.max_inflight:
             session.retry.note_stall()
             self.metrics.inc("store_shed_total", reason="admission")
@@ -269,10 +440,6 @@ class StoreServer:
         starving = session.retry.starving(self._now_ms())
         session.retry.note_progress()
         session.retry.note_first_attempt(self._now_ms())
-        deadline_ms = request.get("deadline_ms", self.config.deadline_ms)
-        if not isinstance(deadline_ms, int) or deadline_ms < 1:
-            return protocol.error_response(
-                "BAD_REQUEST", f"bad deadline_ms {deadline_ms!r}")
         deadline_ms = min(deadline_ms, self.config.max_deadline_ms)
         label = request.get("label", f"session-{session.session_id}")
         self._seq += 1
@@ -291,7 +458,8 @@ class StoreServer:
                 and starving):
             self._golden_holder = txn.uid
             self._golden_home = None  # set at first shard touch
-            self._golden_free.clear()
+            self._golden_released = \
+                asyncio.get_running_loop().create_future()
             self.escalations += 1
             self.metrics.inc("store_escalations_total")
         return protocol.ok_response(txn=txn.uid)
@@ -308,7 +476,7 @@ class StoreServer:
         if future.done():
             return future.result()
         try:
-            return await asyncio.wait_for(future, remaining)
+            return await _within(remaining, future)
         except asyncio.TimeoutError:
             txn.doom("timeout")
             # the command may still run later; doom makes it a no-op,
@@ -464,8 +632,10 @@ class StoreServer:
             if remaining <= 0:
                 return False
             try:
-                await asyncio.wait_for(
-                    asyncio.shield(self._golden_free.wait()), remaining)
+                # shielded: a timeout cancels what it waited on, and
+                # this future is every waiter's
+                await _within(remaining,
+                              asyncio.shield(self._golden_released))
             except asyncio.TimeoutError:
                 return False
         return True
@@ -477,7 +647,7 @@ class StoreServer:
         if self._golden_holder == txn.uid:
             self._golden_holder = None
             self._golden_home = None
-            self._golden_free.set()
+            self._golden_released.set_result(None)
 
     def _abort_txn(self, session: Session, txn: Txn, cause: str) -> None:
         """Server-side abort: shard cleanup, unpin, session bookkeeping."""

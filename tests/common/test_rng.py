@@ -39,6 +39,20 @@ class TestSplitRandom:
         root = SplitRandom(5)
         assert root.split("a").split("b").path == ("a", "b")
 
+    def test_constructed_with_a_path_and_split(self):
+        """``Random.__new__`` rejects a second positional argument before
+        Python 3.11; the path has to reach ``__init__`` alone."""
+        import random
+
+        rng = SplitRandom(5, ("store", "retry"))
+        assert rng.path == ("store", "retry")
+        plain = random.Random(derive_seed(5, "store", "retry"))
+        assert rng.random() == plain.random()
+        child = rng.split(3)
+        assert child.path == ("store", "retry", 3)
+        assert child.random() == SplitRandom(5, path=("store", "retry",
+                                                      3)).random()
+
     def test_distinct_values(self):
         values = SplitRandom(5).distinct(10, 0, 100)
         assert len(values) == 10

@@ -6,25 +6,32 @@ import struct
 import pytest
 
 from repro.common.errors import ProtocolError
-from repro.store.protocol import (ERROR_CODES, MAX_FRAME, OPS, encode_frame,
-                                  error_response, ok_response, read_frame)
-from repro.store.protocol import ReadGuard
+from repro.store.protocol import (ERROR_CODES, MAX_FRAME, OPS, FrameParser,
+                                  encode_frame, error_response, ok_response,
+                                  read_frame)
+from repro.store.server import StoreServer
+from repro.store.session import StoreConfig
 
 
-def feed(data: bytes, eof: bool = True) -> asyncio.StreamReader:
+def feed(data: bytes) -> asyncio.StreamReader:
     """A StreamReader preloaded with ``data`` (call under a running loop)."""
     reader = asyncio.StreamReader()
     reader.feed_data(data)
-    if eof:
-        reader.feed_eof()
+    reader.feed_eof()
     return reader
 
 
-def read_one(data: bytes, timeout=None, eof: bool = True) -> dict:
+def read_one(data: bytes) -> dict:
     async def runner() -> dict:
-        return await read_frame(feed(data, eof=eof), timeout)
+        return await read_frame(feed(data))
 
     return asyncio.run(runner())
+
+
+def parse_one(data: bytes) -> dict:
+    parser = FrameParser()
+    parser.feed(data)
+    return parser.next_frame()
 
 
 class TestFraming:
@@ -71,16 +78,56 @@ class TestFraming:
         with pytest.raises(ProtocolError, match="exceeds"):
             encode_frame({"blob": "x" * (MAX_FRAME + 1)})
 
-    def test_slow_loris_header_times_out(self):
-        """A trickled header must not hold the read open past timeout."""
-        with pytest.raises(ProtocolError, match="stalled"):
-            read_one(b"\x00\x00", timeout=0.05, eof=False)
 
-    def test_slow_loris_body_times_out(self):
-        """The timeout covers the whole frame, not just the header."""
-        partial = struct.pack(">I", 64) + b'{"op":'
-        with pytest.raises(ProtocolError, match="stalled"):
-            read_one(partial, timeout=0.05, eof=False)
+class TestFrameParser:
+    FRAMES = [{"op": "WRITE", "key": "k", "value": "héllo ☃"},
+              {"op": "PING"}]
+
+    def test_every_split_point_of_two_frames(self):
+        data = b"".join(encode_frame(frame) for frame in self.FRAMES)
+        for cut in range(len(data) + 1):
+            parser, frames = FrameParser(), []
+            for piece in (data[:cut], data[cut:]):
+                parser.feed(piece)
+                while True:
+                    frame = parser.next_frame()
+                    if frame is None:
+                        break
+                    frames.append(frame)
+            assert frames == self.FRAMES, cut
+            assert len(parser) == 0
+
+    def test_byte_at_a_time(self):
+        parser, frames = FrameParser(), []
+        for byte in encode_frame(self.FRAMES[0]):
+            assert parser.next_frame() is None
+            parser.feed(bytes([byte]))
+        assert parser.next_frame() == self.FRAMES[0]
+        assert parser.next_frame() is None
+
+    @pytest.mark.parametrize("body, complaint", [
+        (b"{not json", "not JSON"),
+        (b'{"k":"\xff\xfe"}', "not JSON"),
+        (b"[1,2,3]", "object"),
+        (b"7", "object")],
+        ids=["junk", "invalid-utf8", "array", "number"])
+    def test_bad_payloads_are_refused(self, body, complaint):
+        with pytest.raises(ProtocolError, match=complaint):
+            parse_one(struct.pack(">I", len(body)) + body)
+
+    def test_oversize_is_refused_on_the_header_alone(self):
+        parser = FrameParser()
+        parser.feed(struct.pack(">I", MAX_FRAME + 1)[:3])
+        assert parser.next_frame() is None
+        parser.feed(struct.pack(">I", MAX_FRAME + 1)[3:])
+        with pytest.raises(ProtocolError, match="limit"):
+            parser.next_frame()
+
+    def test_largest_frame_is_accepted(self):
+        body = b'{"v":"' + b"x" * (MAX_FRAME - 8) + b'"}'
+        assert len(body) == MAX_FRAME
+        frame = parse_one(struct.pack(">I", len(body)) + body)
+        assert len(frame["v"]) == MAX_FRAME - 8
 
 
 class TestResponses:
@@ -110,66 +157,102 @@ class TestResponses:
         assert OPS == ("BEGIN", "READ", "WRITE", "COMMIT", "ABORT", "PING")
 
 
+def connected(scenario, timeout_ms=50):
+    """Run ``scenario(server, reader, writer)`` on a fresh raw connection."""
+    async def runner():
+        server = StoreServer(StoreConfig(shards=2,
+                                         idle_timeout_ms=timeout_ms))
+        port = await server.start()
+        reader, writer = await asyncio.open_connection("127.0.0.1", port)
+        try:
+            return await scenario(server, reader, writer)
+        finally:
+            writer.close()
+            await server.stop()
+
+    return asyncio.run(runner())
+
+
+async def hung_up(reader) -> bool:
+    """Does the server close the connection (within 2 s)?"""
+    return await asyncio.wait_for(reader.read(), 2.0) == b""
+
+
+class TestFramingViolations:
+    @pytest.mark.parametrize("bad", [
+        struct.pack(">I", MAX_FRAME + 1),
+        struct.pack(">I", 9) + b"{not json",
+        struct.pack(">I", 7) + b"[1,2,3]",
+        struct.pack(">I", 10) + b'{"k":"\xff"}'],
+        ids=["oversize", "junk", "non-object", "invalid-utf8"])
+    def test_violation_closes_the_connection(self, bad):
+        async def scenario(server, reader, writer):
+            writer.write(encode_frame({"op": "BEGIN"}) + bad
+                         + encode_frame({"op": "PING"}))
+            assert (await read_frame(reader))["ok"]
+            assert await hung_up(reader)     # and the PING went unanswered
+            assert server.sessions == {} and server.open_txns == {}
+            assert server.metrics.counter("store_txn_aborts_total",
+                                          cause="disconnect") == 1
+
+        connected(scenario, timeout_ms=5000)
+
+
 class TestReadGuard:
-    """The per-connection deadline ``read_frame(reader, timeout)`` arms."""
-
-    def guarded(self, scenario, timeout=0.05):
-        async def runner():
-            reader = asyncio.StreamReader()
-            guard = ReadGuard(reader, timeout)
-            try:
-                return await scenario(reader, guard)
-            finally:
-                guard.close()
-
-        return asyncio.run(runner())
+    """The read deadline of a server connection, over a raw socket: the
+    peer has ``idle_timeout_ms`` from when the server starts waiting for
+    a frame to deliver all of it."""
 
     @pytest.mark.parametrize("partial", [
         b"\x00\x00", struct.pack(">I", 64) + b'{"op":'],
         ids=["header", "body"])
     def test_trickled_frame_is_dropped_in_time(self, partial):
-        async def scenario(reader, guard):
+        async def scenario(server, reader, writer):
             loop = asyncio.get_running_loop()
-            reader.feed_data(partial)
             started = loop.time()
-            with pytest.raises(ProtocolError, match="idle/stalled"):
-                await guard.read_frame()
+            writer.write(encode_frame({"op": "BEGIN"}) + partial)
+            assert (await read_frame(reader))["ok"]
+            assert await hung_up(reader)
             assert 0.04 <= loop.time() - started < 0.5
-            # the reader is failed for good, not just this read
-            with pytest.raises(ProtocolError):
-                await guard.read_frame()
+            # and the open transaction went with the session
+            assert server.sessions == {} and server.open_txns == {}
+            assert server.metrics.counter("store_txn_aborts_total",
+                                          cause="disconnect") == 1
 
-        self.guarded(scenario)
+        connected(scenario)
 
     def test_progress_does_not_extend_the_deadline(self):
         """One byte every 20 ms never completes a frame in 50 ms."""
-        async def scenario(reader, guard):
+        async def scenario(server, reader, writer):
+            loop = asyncio.get_running_loop()
+            started = loop.time()
+
             async def trickle():
                 for byte in encode_frame({"op": "PING"}):
-                    reader.feed_data(bytes([byte]))
+                    writer.write(bytes([byte]))
                     await asyncio.sleep(0.02)
 
             feeder = asyncio.ensure_future(trickle())
-            with pytest.raises(ProtocolError, match="stalled"):
-                await guard.read_frame()
+            assert await hung_up(reader)
+            assert loop.time() - started < 0.2  # 16 bytes would take 0.3
             feeder.cancel()
 
-        self.guarded(scenario)
+        connected(scenario)
 
     def test_time_between_reads_is_not_counted(self):
-        """Disarmed while the caller serves a request: only reads count."""
-        async def scenario(reader, guard):
-            for _ in range(3):
-                reader.feed_data(encode_frame({"op": "PING"}))
-                assert await guard.read_frame() == {"op": "PING"}
-                await asyncio.sleep(0.07)   # longer than the timeout
-            return guard
+        """Each wait for a frame gets the whole budget: 40 ms of silence
+        before every request adds up to far more than 50 ms."""
+        async def scenario(server, reader, writer):
+            for _ in range(4):
+                await asyncio.sleep(0.04)
+                writer.write(encode_frame({"op": "PING"}))
+                assert (await read_frame(reader))["pong"]
+            assert len(server.sessions) == 1
 
-        guard = self.guarded(scenario)
-        assert guard._timer is None
+        connected(scenario)
 
     def test_one_timer_serves_many_frames(self):
-        async def scenario(reader, guard):
+        async def scenario(server, reader, writer):
             loop = asyncio.get_running_loop()
             timers = []
             call_at = loop.call_at
@@ -177,18 +260,24 @@ class TestReadGuard:
                                              call_at(*a, **kw))[1]
             try:
                 for _ in range(100):
-                    reader.feed_data(encode_frame({"op": "PING"}))
-                    await guard.read_frame()
+                    writer.write(encode_frame({"op": "PING"}))
+                    assert (await read_frame(reader))["pong"]
             finally:
                 del loop.call_at
             return len(timers)
 
-        assert self.guarded(scenario, timeout=5.0) == 1
+        # the connection's one timer was armed before the count began
+        assert connected(scenario, timeout_ms=5000) == 0
 
-    def test_read_frame_timeout_leaves_no_timer_behind(self):
-        async def runner():
+    def test_closed_connection_leaves_no_timer_behind(self):
+        async def scenario(server, reader, writer):
             loop = asyncio.get_running_loop()
-            await read_frame(feed(encode_frame({"op": "PING"})), 5.0)
-            return [h for h in loop._scheduled if not h.cancelled()]
+            writer.write(encode_frame({"op": "PING"}))
+            assert (await read_frame(reader))["pong"]
+            writer.close()
+            while server.sessions:
+                await asyncio.sleep(0.005)
+            return [h for h in loop._scheduled if not h.cancelled()
+                    and "_check_deadline" in repr(h)]
 
-        assert asyncio.run(runner()) == []
+        assert connected(scenario, timeout_ms=5000) == []

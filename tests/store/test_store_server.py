@@ -8,8 +8,11 @@ snapshot pins, watermarks, crash generations).
 
 import asyncio
 
+import pytest
+
 from repro.oracle.live import LiveHistoryMonitor
 from repro.store.loadgen import StoreClient, run_load
+from repro.store.protocol import encode_frame, read_frame
 from repro.store.server import StoreServer
 from repro.store.session import StoreConfig, shard_of
 
@@ -40,6 +43,27 @@ async def settle_sessions(server, timeout=2.0):
     while server.sessions and waited < timeout:
         await asyncio.sleep(0.005)
         waited += 0.005
+
+
+#: what a request on a connection the server dropped fails with
+LOST = (asyncio.IncompleteReadError, ConnectionError)
+
+
+def keys_by_shard(shards=2, prefix="k"):
+    """One key per shard: shard id -> key."""
+    keys, counter = {}, 0
+    while len(keys) < shards:
+        key = f"{prefix}-{counter}"
+        keys.setdefault(shard_of(key, shards), key)
+        counter += 1
+    return keys
+
+
+def is_clean(server):
+    """No open transaction, pin, commit reservation or line lock left."""
+    return (server.open_txns == {}
+            and all(s.pinned_transactions() == 0 and not s._prepared
+                    and not s._locks for s in server.shards))
 
 
 class TestTransactions:
@@ -181,6 +205,9 @@ class TestStructuredErrors:
                 "BAD_REQUEST"
             assert (await client.request(
                 op="BEGIN", deadline_ms="soon"))["error"] == "BAD_REQUEST"
+            # bool is an int: ``true`` must not be taken for 1 ms
+            assert (await client.request(
+                op="BEGIN", deadline_ms=True))["error"] == "BAD_REQUEST"
             await client.begin()
             assert (await client.request(
                 op="READ", key=7))["error"] == "BAD_REQUEST"
@@ -188,6 +215,28 @@ class TestStructuredErrors:
                                               value=None)
             assert null_write["error"] == "BAD_REQUEST"
             assert "sentinel" in null_write["detail"]
+            await client.abort()
+            client.close()
+
+        drive(scenario)
+
+    def test_rejected_begin_leaves_retry_state_alone(self):
+        """BEGIN validates before it resets the session's stall streak
+        and stamps its starvation age."""
+        async def scenario(server, port):
+            client = await StoreClient.connect(port)
+            (session,) = server.sessions.values()
+            session.retry.consecutive_stalls = 3
+            session.retry.first_attempt_at = -5
+            for bad in ("soon", 0, -1, 1.5, True, False, None):
+                reply = await client.request(op="BEGIN", deadline_ms=bad)
+                assert reply["error"] == "BAD_REQUEST", bad
+            assert session.txn is None and server.open_txns == {}
+            assert session.retry.consecutive_stalls == 3
+            assert session.retry.first_attempt_at == -5
+            assert (await client.begin(deadline_ms=50))["ok"]
+            assert session.retry.consecutive_stalls == 0
+            assert session.retry.first_attempt_at >= 0
             await client.abort()
             client.close()
 
@@ -291,12 +340,7 @@ class TestRobustness:
         commit must abort instead of applying onto the recovered state.
         """
         async def scenario(server, port):
-            keys = {}
-            counter = 0
-            while len(keys) < 2:
-                key = f"race-{counter}"
-                keys.setdefault(shard_of(key, server.config.shards), key)
-                counter += 1
+            keys = keys_by_shard(prefix="race")
             client = await StoreClient.connect(port)
             await client.begin()
             for key in keys.values():
@@ -343,7 +387,8 @@ class TestIdleGuard:
                                           cause="disconnect") == 1
             assert all(s.pinned_transactions() == 0
                        for s in server.shards)
-            assert await client.reader.read() == b""   # server hung up
+            with pytest.raises(LOST):                  # server hung up
+                await client.ping()
             client.close()
 
         drive(scenario, cfg=config(idle_timeout_ms=60))
@@ -373,11 +418,12 @@ class TestHopBudget:
     def test_read_round_trip_costs_no_task_and_no_timer(self):
         """Count what 200 READ round trips schedule on the loop.
 
-        Client and server share the loop, so the counts cover both: one
-        ``call_soon`` each per round trip (the stream reader waking the
-        task that awaits the frame) and nothing else — no ``Task``, no
-        timer, no shard-queue hop.  The bounds leave room for a stray
-        handle, not for a second hop per request.
+        Client and server share the loop, so the counts cover both: the
+        server answers inside ``data_received`` and schedules nothing;
+        the one ``call_soon`` per round trip is the client's response
+        future waking the task that awaits it.  No ``Task``, no timer,
+        no shard-queue hop.  The bounds leave room for a stray handle,
+        not for a second hop per request.
         """
         requests = 200
 
@@ -413,7 +459,140 @@ class TestHopBudget:
         counts = drive(scenario)
         assert counts["create_task"] == 0
         assert counts["call_at"] <= 2          # amortised: none per request
-        assert counts["call_soon"] <= 2 * requests + 10
+        assert counts["call_soon"] <= requests + 10
+
+
+class TestWaitingPath:
+    """The requests ``data_received`` cannot answer in place: a task
+    carries them on, bounded by the transaction deadline."""
+
+    def test_frames_pipelined_behind_a_stalled_read_keep_their_order(self):
+        async def scenario(server, port):
+            reader, writer = await asyncio.open_connection("127.0.0.1",
+                                                           port)
+            writer.write(encode_frame({"op": "BEGIN"}))
+            assert (await read_frame(reader))["ok"]
+            (session,) = server.sessions.values()
+            server.stall_shard(shard_of("slow", server.config.shards), 100)
+            writer.write(
+                encode_frame({"op": "READ", "key": "slow"})
+                + encode_frame({"op": "WRITE", "key": "slow", "value": 1})
+                + encode_frame({"op": "READ", "key": "slow"}))
+            await asyncio.sleep(0.03)
+            # the READ waits in the shard's queue, and the WRITE behind
+            # it — which would need no wait — has not been served
+            assert session.txn.ops == [] and session.txn.writes == {}
+            assert await read_frame(reader) == {"ok": True, "value": None}
+            assert await read_frame(reader) == {"ok": True}
+            assert await read_frame(reader) == {"ok": True, "value": 1}
+            assert [op[0] for op in session.txn.ops] == ["r", "w", "r"]
+            writer.write(encode_frame({"op": "COMMIT"}))
+            assert (await read_frame(reader))["ok"]
+            writer.close()
+
+        drive(scenario)
+
+    def test_deadline_expiring_in_the_wait_leaves_nothing(self):
+        """Shard 0 has prepared (reservation, line lock) when shard 1's
+        prepare queues behind a stall that outlasts the deadline."""
+        async def scenario(server, port):
+            keys = keys_by_shard()
+            client = await StoreClient.connect(port)
+            await client.begin(deadline_ms=60)
+            for key in keys.values():           # pin both shards in place
+                await client.read(key)
+                await client.write(key, 1)
+            server.stall_shard(1, 250)
+            loop = asyncio.get_running_loop()
+            started = loop.time()
+            reply = await client.commit()
+            assert reply["error"] == "TIMEOUT"
+            assert loop.time() - started < 0.2  # the deadline, not the stall
+            assert is_clean(server)
+            assert server.metrics.counter("store_txn_aborts_total",
+                                          cause="timeout") == 1
+            # the abandoned prepare is a no-op when the stall ends
+            await client.begin()
+            assert (await client.read(keys[1]))["value"] is None
+            assert (await client.commit())["ok"]
+            assert is_clean(server)
+            client.close()
+
+        drive(scenario)
+
+    def test_disconnect_during_the_wait_cancels_it_and_aborts(self):
+        async def scenario(server, port):
+            client = await StoreClient.connect(port)
+            await client.begin()
+            await client.read("slow")           # a pin to leak
+            server.stall_shard(shard_of("slow", server.config.shards), 300)
+            loop = asyncio.get_running_loop()
+            started = loop.time()
+            pending = asyncio.ensure_future(client.read("slow"))
+            await asyncio.sleep(0.02)
+            client.close()
+            await settle_sessions(server)
+            assert loop.time() - started < 0.2  # not the stall's length
+            assert server.sessions == {} and is_clean(server)
+            assert server.metrics.counter("store_txn_aborts_total",
+                                          cause="disconnect") == 1
+            with pytest.raises(LOST):
+                await pending
+            with pytest.raises(LOST):           # and every later request
+                await client.ping()
+
+        drive(scenario)
+
+    def test_crash_during_the_wait_is_shard_crashed(self):
+        async def scenario(server, port):
+            sid = shard_of("slow", server.config.shards)
+            client = await StoreClient.connect(port)
+            await client.begin()
+            await client.read("slow")
+            server.stall_shard(sid, 300)
+            loop = asyncio.get_running_loop()
+            started = loop.time()
+            pending = asyncio.ensure_future(client.read("slow"))
+            await asyncio.sleep(0.02)
+            server.crash_shard(sid)
+            reply = await pending
+            assert reply["error"] == "ABORTED"
+            assert reply["cause"] == "shard-crashed"
+            assert loop.time() - started < 0.2
+            assert is_clean(server)
+            client.close()
+
+        drive(scenario)
+
+    def test_golden_gate_wait_times_out_and_is_released(self):
+        async def scenario(server, port):
+            keys = [f"gate-{i}" for i in range(40)
+                    if shard_of(f"gate-{i}", server.config.shards) == 0][:3]
+            holder = await StoreClient.connect(port)
+            (session,) = server.sessions.values()
+            session.retry.attempts = server.config.retry.attempt_budget
+            begun = await holder.begin()        # starving: takes the token
+            assert server.golden_holder == begun["txn"]
+            await holder.read(keys[0])          # shard 0 is its home now
+            late = await StoreClient.connect(port)
+            await late.begin(deadline_ms=60)
+            await late.write(keys[1], 1)
+            reply = await late.commit()
+            assert reply["error"] == "TIMEOUT"
+            assert "escalation" in reply["detail"]
+            patient = await StoreClient.connect(port)
+            await patient.begin()
+            await patient.write(keys[2], 2)
+            waiting = asyncio.ensure_future(patient.commit())
+            await asyncio.sleep(0.03)
+            assert not waiting.done()
+            assert (await holder.commit())["ok"]
+            assert (await waiting)["ok"]
+            assert server.golden_holder is None and is_clean(server)
+            for client in (holder, late, patient):
+                client.close()
+
+        drive(scenario)
 
 
 class TestObservability:
@@ -571,10 +750,20 @@ class TestLoadGenerator:
         assert 0 < stats["txn_p50_ms"] <= stats["txn_p99_ms"]
         assert stats["txn_p99_ms"] <= 1e3 * stats["wall_clock_s"]
         assert "latency_s" not in stats        # samples are not printed
+        # per operation: one round trip each, so no longer than the
+        # transaction they are part of at the same rank
+        for op in ("read", "write", "commit"):
+            assert 0 < stats[f"{op}_p50_ms"] <= stats[f"{op}_p99_ms"]
+            assert stats[f"{op}_p99_ms"] <= stats["txn_p99_ms"]
         artifact = bench_artifact(stats, label="unit", seed=1)
         assert validate_artifact(artifact) == []
-        assert artifact["advisory"]["txn_p99_ms"] == \
-            round(stats["txn_p99_ms"], 3)
+        assert set(artifact["advisory"]) == {
+            "wall_clock_s", "cache_hit_rate",
+            "txn_p50_ms", "txn_p99_ms", "read_p50_ms", "read_p99_ms",
+            "write_p50_ms", "write_p99_ms", "commit_p50_ms",
+            "commit_p99_ms"}
+        for name in ("txn_p99_ms", "read_p50_ms", "commit_p99_ms"):
+            assert artifact["advisory"][name] == round(stats[name], 3)
         assert set(artifact["deterministic"]["store/kv/t2"]) == {
             "throughput", "throughput_rel_stddev", "abort_rate",
             "abort_rate_stddev", "commits", "aborts", "makespan_cycles",
