@@ -39,8 +39,6 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-import networkx as nx
-
 from repro.common.errors import SkewToolError
 from repro.sim.history import History
 from repro.skew.graph import rw_antidependency_edges
@@ -294,6 +292,10 @@ def _check_latest_reads(history: History) -> List[Violation]:
 def _check_serializable(history: History,
                         read_mode: str) -> List[Violation]:
     """The direct serialization graph of committed txns must be acyclic."""
+    # not at module level: the store's live monitor imports this module
+    # for Violation and never builds a graph
+    import networkx as nx
+
     graph = precedence_graph(history, read_mode=read_mode)
     if nx.is_directed_acyclic_graph(graph):
         return []

@@ -1,142 +1,139 @@
-"""Live SI monitoring: stream store sessions through the oracle checker.
+"""Live SI monitoring: check each store transaction once, as it arrives.
 
-The offline oracle (:mod:`repro.oracle.checker`) consumes complete
-:class:`~repro.sim.history.History` objects recorded by the engine.
-The live store cannot wait for "the end of the run" — it streams one
-**session row** per completed transaction (the same span-schema-
-compatible JSONL it persists as corpus artifacts), and
-:class:`LiveHistoryMonitor` turns that stream into checkable per-shard
-histories:
+The offline oracle (:mod:`repro.oracle.checker`) consumes a complete
+:class:`~repro.sim.history.History`.  The live store cannot wait for
+"the end of the run" — it streams one **session row** per completed
+transaction (the span-schema-compatible JSONL it also persists), and
+:class:`LiveHistoryMonitor` checks that row, when it is fed, against a
+small index per shard (each shard is its own SI domain with its own
+timestamps):
 
-* each shard is an independent SI domain, so the monitor maintains one
-  window of transaction records *per shard*, keyed by the per-shard
-  ``start_ts``/``commit_ts`` the row carries;
-* string keys are interned to integer addresses and JSON values to
-  integer value ids (canonical ``json.dumps`` form; a missing key reads
-  as 0, matching the checker's ``initial`` default), so exact value
-  replay works over arbitrary JSON payloads;
-* every ``check()`` rebuilds each shard's window as a ``History`` and
-  runs the standard snapshot checks — abort causes, timestamp
-  coherence, snapshot-read value replay, first-committer-wins, and the
-  SI-theorem cycle check;
-* **watermark folding** bounds memory: once the server reports that no
-  future transaction can start below timestamp ``W`` on a shard
-  (:meth:`note_watermark`, fed from the shard's oldest pinned
-  snapshot), committed writers with ``commit_ts <= W`` are folded into
-  the window's initial image in commit order and dropped, and checked
-  aborts/read-only commits are dropped immediately — so an always-on
-  monitor retains only the overlap frontier, not the whole run.
+* the **image** (``addr -> value`` at the watermark), the **retained
+  versions** of each address and their **writers**, in commit order;
+* a row's slice on a shard is checked for abort-cause legality and
+  timestamp coherence; every read is replayed in op order (own earlier
+  write, else the newest retained version with ``commit_ts <=
+  start_ts``, else the image); every written address is tested for
+  first-committer-wins against the retained versions of that address —
+  the offline checker's rules, which the differential test in
+  ``tests/store/test_live_oracle.py`` holds this module to;
+* **the arrival invariant** makes one pass enough: a shard hands out a
+  snapshot only while no commit is in flight, and the server applies a
+  commit and feeds its row in one step of the event loop
+  (``StoreServer._do_commit``, phase 2), so every version a transaction
+  can see and every overlapping writer that committed first is fed
+  before its own row.  It is not trusted: a version arriving with
+  ``commit_ts <=`` the ``start_ts`` of a retained writer re-replays
+  that writer's reads of the address;
+* values compare by identity (the server feeds the objects it stored),
+  else by canonical JSON; nothing is interned;
+* **watermark folding** bounds memory: once no future transaction can
+  start below ``W`` on a shard (:meth:`note_watermark`), writers with
+  ``commit_ts <= W`` fold into the image — nothing later can overlap
+  them or read beneath them.  Aborts, read-only commits and writers
+  without a commit timestamp are never retained.
 
-Violations are deduplicated, kept on :attr:`violations`, and — when a
-dump directory is configured — dumped as a replayable JSONL artifact of
-the retained rows (``sitm-store check`` replays them offline, and the
-golden corpus under ``tests/corpus/store/`` pins the format).
+There is no cycle rule: a row stream carries no order but the
+timestamps replay already uses, so Adya's G1c surfaces as
+``snapshot-read`` (``tests/corpus/store/g1c_pair.jsonl``).  Violations
+are deduplicated, kept on :attr:`violations`, and — with a dump
+directory — written as a replayable JSONL artifact of the offending row
+plus the shard's retained writers (``sitm-store check`` replays it).
 """
 
 from __future__ import annotations
 
 import json
 import pathlib
-from typing import Dict, List, Optional, Sequence, Tuple
+from bisect import bisect_right
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.common.errors import StoreError
-from repro.oracle.checker import Violation, check_history
-from repro.sim.history import (ABORT, BEGIN, COMMIT, READ, WRITE,
-                               History, HistoryEvent, TxnRecord)
+from repro.oracle.checker import Violation
 
 __all__ = ["LiveHistoryMonitor", "STORE_ABORT_CAUSES", "check_rows"]
 
 #: canonical form of a JSON value; ``json.dumps(value, sort_keys=True)``
-#: without building a ``JSONEncoder`` per operation
+#: without building a ``JSONEncoder`` per call
 _canonical = json.JSONEncoder(sort_keys=True).encode
 
 #: abort causes the store declares legal in its histories
 STORE_ABORT_CAUSES = ("disconnect", "explicit", "overloaded",
                       "shard-crashed", "timeout", "write-write")
 
+_INF = float("inf")
 
-class _ShardWindow:
-    """One shard's retained transactions plus its folded initial image."""
+#: one operation of a row on one shard: (kind, addr, value, op position)
+_Op = Tuple[str, int, object, int]
+#: one retained version: (commit_ts, uid, value, start_ts, label)
+_Version = Tuple[int, int, object, Optional[int], str]
 
-    __slots__ = ("txns", "raw", "initial", "watermark")
+
+def _differ(a: object, b: object) -> bool:
+    """Two JSON values differ (``None`` is the never-written value)."""
+    return a is not b and _canonical(a) != _canonical(b)
+
+
+class _Writer(NamedTuple):
+    """A retained committed writer's slice on one shard."""
+
+    commit_ts: int
+    start_ts: Optional[int]
+    uid: int
+    label: str
+    ops: List[_Op]
+    #: addr -> the value its commit published there
+    final: Dict[int, object]
+    row: dict
+
+
+class _ShardIndex:
+    """What one shard's future rows can still be checked against."""
+
+    __slots__ = ("image", "versions", "writers", "watermark",
+                 "newest_start")
 
     def __init__(self) -> None:
-        #: retained (record, committed_writer) pairs in arrival order
-        self.txns: List[TxnRecord] = []
-        #: uid -> raw row (for violation dumps / replay artifacts)
-        self.raw: Dict[int, dict] = {}
-        self.initial: Dict[int, int] = {}
-        self.watermark: Optional[int] = None
+        #: addr -> newest value committed at or below the watermark
+        self.image: Dict[int, object] = {}
+        #: addr -> versions above the watermark, in commit order
+        self.versions: Dict[int, List[_Version]] = {}
+        #: the writers of those versions, in commit order
+        self.writers: List[_Writer] = []
+        self.watermark = -1
+        #: highest start_ts a retained writer has carried; a version
+        #: that arrives at or below it may be late for one of them
+        self.newest_start = -1
 
 
 class LiveHistoryMonitor:
-    """Streams completed store transactions through the SI checker."""
+    """Checks each completed store transaction against the SI rules."""
 
-    def __init__(self, shards: int, dump_dir: Optional[object] = None,
-                 check_every: int = 64, si_cycle_check: bool = True):
+    def __init__(self, shards: int, dump_dir: Optional[object] = None):
         if shards < 1:
             raise StoreError("monitor needs at least one shard")
         self.shards = shards
-        self.check_every = max(1, check_every)
-        self.si_cycle_check = si_cycle_check
         self.dump_dir = pathlib.Path(dump_dir) if dump_dir else None
-        self._windows = [_ShardWindow() for _ in range(shards)]
+        self._shards = [_ShardIndex() for _ in range(shards)]
         self._addrs: Dict[str, int] = {}
-        #: canonical JSON -> value id, for the values a window still
-        #: references (:meth:`_forget_values`); ids are never reused
-        self._value_ids: Dict[str, int] = {}
-        self._last_value_id = 0
         self.rows_seen = 0
-        self.checks_run = 0
         self.violations: List[Violation] = []
         self._seen_violations: set = set()
+        #: how many of :attr:`violations` :meth:`check` has handed out
+        self._checked = 0
         self.dumps: List[pathlib.Path] = []
-
-    # ------------------------------------------------------------------
-    # interning
-
-    def _addr_of(self, key: str) -> int:
-        addr = self._addrs.get(key)
-        if addr is None:
-            addr = self._addrs[key] = len(self._addrs) + 1
-        return addr
-
-    def _value_id(self, value: object) -> int:
-        """Intern a JSON value; ``None`` is the never-written value 0."""
-        if value is None:
-            return 0
-        canonical = _canonical(value)
-        vid = self._value_ids.get(canonical)
-        if vid is None:
-            self._last_value_id += 1
-            vid = self._value_ids[canonical] = self._last_value_id
-        return vid
-
-    def _forget_values(self) -> None:
-        """Drop interned values no retained record or image refers to.
-
-        A value that comes back later gets a fresh id, which equals no
-        id still in a window — as its evicted id would not have.
-        """
-        live = set()
-        for window in self._windows:
-            live.update(window.initial.values())
-            for record in window.txns:
-                live.update(vid for _, vid, _ in record.reads)
-                live.update(vid for _, vid, _ in record.writes)
-        self._value_ids = {canonical: vid for canonical, vid
-                           in self._value_ids.items() if vid in live}
 
     # ------------------------------------------------------------------
     # ingest
 
     def feed_row(self, row: dict) -> List[Violation]:
-        """Ingest one completed transaction's session row.
+        """Check one completed transaction's session row.
 
-        Returns the *new* violations surfaced by any check this row
-        triggered (empty on quiet rows).  Malformed rows raise
-        :class:`~repro.common.errors.StoreError` — the monitor is the
-        correctness instrument, so it refuses garbage loudly.
+        Returns the *new* violations this row surfaced (empty on quiet
+        rows).  Malformed rows raise
+        :class:`~repro.common.errors.StoreError` before any shard index
+        is touched — the monitor is the correctness instrument, so it
+        refuses garbage loudly and whole.
         """
         store = row.get("store")
         if not isinstance(store, dict):
@@ -146,49 +143,47 @@ class LiveHistoryMonitor:
             raise StoreError(f"session row outcome {outcome!r} is not "
                              "a completed transaction")
         uid = row["uid"]
-        shard_meta: Dict[str, dict] = store.get("shards", {})
-        ops: Sequence = store.get("ops", ())
-        per_shard_ops: Dict[int, List[Tuple[str, int, int, int]]] = {}
-        for position, op in enumerate(ops):
-            kind, shard_id, key, value = op
+        label = row["label"]
+        cause = row.get("cause")
+        addrs = self._addrs
+        slices: Dict[int, Tuple[dict, List[_Op]]] = {
+            int(shard): (times, [])
+            for shard, times in store.get("shards", {}).items()}
+        for position, (kind, shard_id, key, value) in enumerate(
+                store.get("ops", ())):
             if kind == "w" and value is None:
                 raise StoreError(
                     f"txn {uid} wrote null to {key!r}; null is the "
                     "never-written sentinel, not a storable value")
-            per_shard_ops.setdefault(int(shard_id), []).append(
-                (kind, self._addr_of(key), self._value_id(value),
-                 position))
-        touched = set(per_shard_ops) | {int(s) for s in shard_meta}
-        for shard_id in sorted(touched):
+            addr = addrs.get(key)
+            if addr is None:
+                addr = addrs[key] = len(addrs) + 1
+            touched = slices.get(shard_id)
+            if touched is None:
+                touched = slices[int(shard_id)] = ({}, [])
+            touched[1].append((kind, addr, value, position))
+        for shard_id in slices:
             if not 0 <= shard_id < self.shards:
                 raise StoreError(f"txn {uid} names unknown shard "
                                  f"{shard_id}")
-            meta = shard_meta.get(str(shard_id), {})
-            record = TxnRecord(
-                uid=uid, thread_id=row["thread"], label=row["label"],
-                begin_index=-1,  # assigned when the window is built
-                start_ts=meta.get("start_ts"),
-                commit_ts=meta.get("commit_ts"),
-                abort_cause=row.get("cause") if outcome == "abort"
-                else None)
+        fresh: List[Violation] = []
+        for shard_id in sorted(slices):
+            times, ops = slices[shard_id]
+            index = self._shards[shard_id]
             if outcome == "commit":
-                record.commit_index = -1
-            # the op position rides in the index slot so the rebuilt
-            # history can interleave reads and writes in true op order
-            # (read-your-own-write replay depends on it)
-            for kind, addr, vid, position in per_shard_ops.get(
-                    shard_id, ()):
-                if kind == "r":
-                    record.reads.append((addr, vid, position))
-                else:
-                    record.writes.append((addr, vid, position))
-            window = self._windows[shard_id]
-            window.txns.append(record)
-            window.raw[uid] = row
+                found = self._check_commit(
+                    index, row, uid, label, times.get("start_ts"),
+                    times.get("commit_ts"), ops)
+            elif cause not in STORE_ABORT_CAUSES:
+                found = [Violation(
+                    "abort-cause", f"{label} (uid {uid}) aborted with "
+                    f"undeclared cause {cause!r}", (uid,))]
+            else:
+                continue
+            if found:
+                fresh += self._report(shard_id, index, row, found)
         self.rows_seen += 1
-        if self.rows_seen % self.check_every == 0:
-            return self.check()
-        return []
+        return fresh
 
     def note_watermark(self, shard_id: int, watermark: Optional[int]
                        ) -> None:
@@ -197,150 +192,163 @@ class LiveHistoryMonitor:
         The server feeds each shard's oldest pinned snapshot (open
         transactions plus the recovery checkpoint at the publish
         frontier); shard clocks are monotonic, so every later begin
-        gets a strictly larger start timestamp.
+        gets a start timestamp at or above it.  When it advances,
+        writers with ``commit_ts <= watermark`` fold into the image in
+        commit order: no later row can overlap them, and every later
+        snapshot sees the newest of them unless a retained version is
+        newer still.
         """
-        if watermark is not None:
-            self._windows[shard_id].watermark = watermark
+        index = self._shards[shard_id]
+        if watermark is None or watermark <= index.watermark:
+            return
+        index.watermark = watermark
+        folded = 0
+        for writer in index.writers:
+            if writer.commit_ts > watermark:
+                break
+            folded += 1
+            for addr, value in writer.final.items():
+                index.image[addr] = value
+                entries = index.versions.get(addr)
+                if entries is not None:
+                    del entries[:bisect_right(entries, (watermark, _INF))]
+                    if not entries:
+                        del index.versions[addr]
+        del index.writers[:folded]
 
     # ------------------------------------------------------------------
-    # checking
+    # the rules (``repro.oracle.checker``'s, one transaction at a time)
 
-    def _build_history(self, window: _ShardWindow) -> History:
-        """Materialise a window as a checkable per-shard History.
+    def _check_commit(self, index: _ShardIndex, row: dict, uid: int,
+                      label: str, start_ts: Optional[int],
+                      commit_ts: Optional[int], ops: List[_Op]
+                      ) -> List[Violation]:
+        """Timestamps, replay and first-committer-wins for one slice."""
+        found: List[Violation] = []
+        final = {addr: value for kind, addr, value, _ in ops
+                 if kind == "w"}
+        incoherent = None
+        if start_ts is None:
+            incoherent = "has no start timestamp"
+        elif final and commit_ts is None:
+            incoherent = "wrote but has no commit timestamp"
+        elif commit_ts is not None and commit_ts <= start_ts:
+            incoherent = f"commit_ts {commit_ts} <= start_ts {start_ts}"
+        if incoherent:
+            found.append(Violation(
+                "timestamps", f"committed {label} (uid {uid}) "
+                f"{incoherent}", (uid,)))
+        if not final or commit_ts is None:
+            if start_ts is not None:
+                found += self._replay(index, uid, label, start_ts, ops)
+            return found
+        # publish first: the checker lets a transaction whose commit_ts
+        # is not above its start_ts see its own versions, and flags it
+        for addr, value in final.items():
+            entries = index.versions.setdefault(addr, [])
+            at = bisect_right(entries, (commit_ts, uid))
+            entries.insert(at, (commit_ts, uid, value, start_ts, label))
+            if start_ts is not None and len(entries) > 1:
+                found += _first_committer_wins(addr, entries, at)
+        if start_ts is not None:
+            found += self._replay(index, uid, label, start_ts, ops)
+        if commit_ts <= index.newest_start:
+            # published into the past of a retained writer: what that
+            # writer read there was replayed without this version
+            for writer in index.writers:
+                if (writer.start_ts is not None
+                        and writer.start_ts >= commit_ts):
+                    found += self._replay(
+                        index, writer.uid, writer.label, writer.start_ts,
+                        writer.ops, only=final)
+        if start_ts is not None and start_ts > index.newest_start:
+            index.newest_start = start_ts
+        writers = index.writers
+        writers.append(_Writer(commit_ts, start_ts, uid, label, ops,
+                               final, row))
+        if len(writers) > 1 and writers[-2].commit_ts > commit_ts:
+            writers.sort(key=lambda writer: writer.commit_ts)
+        return found
 
-        Events are synthesized in arrival (completion) order with
-        sequential indices; op order within a transaction is preserved,
-        which is all the value-replay and cycle checks need.
-        """
-        history = History(system="sitm-store", isolation="snapshot",
-                          abort_causes=STORE_ABORT_CAUSES,
-                          initial=dict(window.initial))
-        for record in window.txns:
-            rebuilt = TxnRecord(
-                uid=record.uid, thread_id=record.thread_id,
-                label=record.label,
-                begin_index=len(history.events),
-                start_ts=record.start_ts, commit_ts=record.commit_ts,
-                abort_cause=record.abort_cause)
-            history.events.append(HistoryEvent(
-                len(history.events), BEGIN, record.uid,
-                record.thread_id, record.label))
-            ordered = sorted(
-                [(position, READ, addr, vid)
-                 for addr, vid, position in record.reads]
-                + [(position, WRITE, addr, vid)
-                   for addr, vid, position in record.writes])
-            for _, kind, addr, vid in ordered:
-                index = len(history.events)
-                history.events.append(HistoryEvent(
-                    index, kind, record.uid, record.thread_id,
-                    record.label, addr, vid))
-                if kind is READ:
-                    rebuilt.reads.append((addr, vid, index))
-                else:
-                    rebuilt.writes.append((addr, vid, index))
-            closing = COMMIT if record.committed else ABORT
-            index = len(history.events)
-            history.events.append(HistoryEvent(
-                index, closing, record.uid, record.thread_id,
-                record.label))
-            if record.committed:
-                rebuilt.commit_index = index
-            history.transactions[record.uid] = rebuilt
-        return history
-
-    def check(self) -> List[Violation]:
-        """Check every shard window now; fold and return new violations."""
-        self.checks_run += 1
-        fresh: List[Violation] = []
-        for shard_id, window in enumerate(self._windows):
-            if not window.txns:
+    @staticmethod
+    def _replay(index: _ShardIndex, uid: int, label: str, start_ts: int,
+                ops: List[_Op], only: Optional[Dict[int, object]] = None
+                ) -> List[Violation]:
+        """Exact value replay of a slice's reads against its snapshot."""
+        found = []
+        own: Dict[int, object] = {}
+        versions, image = index.versions, index.image
+        for kind, addr, value, position in ops:
+            if kind == "w":
+                own[addr] = value
                 continue
-            history = self._build_history(window)
-            found = check_history(history)
-            if not self.si_cycle_check:
-                found = [v for v in found if v.rule != "si-cycle"]
-            new_here: List[Violation] = []
-            for violation in found:
-                dedup = (violation.rule, violation.txns, violation.addr)
-                if dedup in self._seen_violations:
-                    continue
+            if only is not None and addr not in only:
+                continue
+            writer: Optional[int] = None
+            if addr in own:
+                expected, writer = own[addr], uid
+            else:
+                entries = versions.get(addr)
+                at = (bisect_right(entries, (start_ts, _INF))
+                      if entries else 0)
+                if at:
+                    _, writer, expected, _, _ = entries[at - 1]
+                else:
+                    expected = image.get(addr)
+            if _differ(value, expected):
+                found.append(Violation(
+                    "snapshot-read",
+                    f"{label} (uid {uid}, start_ts {start_ts}) read "
+                    f"{_canonical(value)} at op {position} but its "
+                    f"snapshot holds {_canonical(expected)} (from "
+                    f"{'the folded image' if writer is None else f'uid {writer}'})",
+                    (uid,), addr))
+        return found
+
+    # ------------------------------------------------------------------
+    # findings
+
+    def _report(self, shard_id: int, index: _ShardIndex, row: dict,
+                found: List[Violation]) -> List[Violation]:
+        """Keep, and dump, the findings not reported before."""
+        fresh = []
+        for violation in found:
+            dedup = (violation.rule, violation.txns, violation.addr)
+            if dedup not in self._seen_violations:
                 self._seen_violations.add(dedup)
-                self.violations.append(violation)
-                new_here.append(violation)
-            if new_here:
-                self._dump(shard_id, window, new_here)
-                fresh.extend(new_here)
-            self._fold(window)
-        self._forget_values()
+                fresh.append(violation)
+        if fresh:
+            self.violations += fresh
+            self._dump(shard_id, index, row, fresh)
         return fresh
 
-    def _fold(self, window: _ShardWindow) -> None:
-        """Drop checked rows that can no longer constrain the future.
+    def check(self) -> List[Violation]:
+        """The violations found since the previous call.
 
-        Aborts and read-only commits drop immediately (their replay is
-        done and they constrain nothing later).  A committed writer
-        folds into the initial image only when **both** hold:
-
-        * ``commit_ts <= watermark`` — no future transaction's snapshot
-          can predate it, and
-        * ``commit_ts <=`` every *remaining* record's ``start_ts`` — no
-          retained transaction's replay still needs the pre-write value
-          (folding collapses versions, so a writer inside a retained
-          transaction's snapshot window must stay).
-
-        What survives is exactly the overlap frontier.
+        Every row is fully checked when it is fed, so nothing is left
+        to run here: a caller that polls gets each finding once.
         """
-        watermark = window.watermark
-        writers = [r for r in window.txns
-                   if r.committed and r.commit_ts is not None]
-        folded: set = set()
-        if watermark is not None:
-            # stage 1: once the watermark passes a writer's commit_ts,
-            # no future transaction can overlap it — every replay and
-            # cycle check involving its reads has already run, so the
-            # reads are stripped and stop blocking folds (this is what
-            # keeps retention bounded under continuous overlap chains)
-            for record in writers:
-                if record.reads and record.commit_ts <= watermark:
-                    record.reads = []
-            # stage 2: fold in commit order while no remaining record
-            # still replays a snapshot older than the writer's commit
-            ordered = sorted(writers, key=lambda r: r.commit_ts)
-            for index, record in enumerate(ordered):
-                if record.commit_ts > watermark:
-                    break
-                later = [r.start_ts for r in ordered[index + 1:]
-                         if r.reads and r.start_ts is not None]
-                if later and record.commit_ts > min(later):
-                    break  # a live replay still needs pre-fold values
-                for addr, vid, _ in record.writes:
-                    window.initial[addr] = vid
-                folded.add(id(record))
-        window.txns = [r for r in writers if id(r) not in folded]
-        keep = {r.uid for r in window.txns}
-        window.raw = {uid: row for uid, row in window.raw.items()
-                      if uid in keep}
+        fresh = self.violations[self._checked:]
+        self._checked = len(self.violations)
+        return fresh
 
     def retained(self) -> int:
-        """Transactions currently retained across all shard windows."""
-        return sum(len(w.txns) for w in self._windows)
+        """Committed writers currently retained across all shards."""
+        return sum(len(index.writers) for index in self._shards)
 
-    # ------------------------------------------------------------------
-    # violation artifacts
-
-    def _dump(self, shard_id: int, window: _ShardWindow,
+    def _dump(self, shard_id: int, index: _ShardIndex, row: dict,
               violations: List[Violation]) -> None:
         if self.dump_dir is None:
             return
         self.dump_dir.mkdir(parents=True, exist_ok=True)
         path = (self.dump_dir
                 / f"store-violation-{len(self.dumps):03d}.jsonl")
-        rows = sorted(window.raw.values(),
-                      key=lambda r: r.get("end_cycle") or 0)
+        rows = [writer.row for writer in index.writers
+                if writer.row is not row] + [row]
+        rows.sort(key=lambda r: r.get("end_cycle") or 0)
         with path.open("w", encoding="utf-8") as handle:
-            for row in rows:
-                handle.write(json.dumps(row, sort_keys=True) + "\n")
+            for retained in rows:
+                handle.write(json.dumps(retained, sort_keys=True) + "\n")
         summary = path.with_suffix(".violations.json")
         summary.write_text(json.dumps(
             {"shard": shard_id,
@@ -349,18 +357,40 @@ class LiveHistoryMonitor:
         self.dumps.append(path)
 
 
-def check_rows(rows: Sequence[dict], shards: int,
-               si_cycle_check: bool = True) -> List[Violation]:
+def _first_committer_wins(addr: int, entries: List[_Version], at: int
+                          ) -> List[Violation]:
+    """Test the version at ``entries[at]`` against the others there.
+
+    Two committed writers overlap iff each began before the other
+    committed; writers of the *same value* are tolerated (a silent
+    store is unobservable either way).  ``txns`` names the earlier
+    committer first, as :func:`repro.oracle.checker.check_history` does.
+    """
+    commit_ts, _, value, start_ts, _ = entries[at]
+    found = []
+    for position, other in enumerate(entries):
+        if (position != at and other[3] is not None
+                and other[3] < commit_ts and start_ts < other[0]
+                and _differ(other[2], value)):
+            a, b = sorted((other, entries[at]), key=lambda v: v[:2])
+            found.append(Violation(
+                "first-committer-wins",
+                f"overlapping writers both committed: {a[4]} (uid "
+                f"{a[1]}, [{a[3]},{a[0]}]) wrote {_canonical(a[2])}, "
+                f"{b[4]} (uid {b[1]}, [{b[3]},{b[0]}]) wrote "
+                f"{_canonical(b[2])}", (a[1], b[1]), addr))
+    return found
+
+
+def check_rows(rows: Sequence[dict], shards: int) -> List[Violation]:
     """Replay session rows through a fresh monitor; return violations.
 
     The offline half of the live monitor: ``sitm-store check`` and the
     corpus replay test feed persisted JSONL rows through exactly the
-    ingest/check path the live server uses, so live-path regressions are
-    caught without a running server.
+    path the live server uses, so live-path regressions are caught
+    without a running server.
     """
-    monitor = LiveHistoryMonitor(shards=shards,
-                                 si_cycle_check=si_cycle_check)
+    monitor = LiveHistoryMonitor(shards=shards)
     for row in rows:
         monitor.feed_row(row)
-    monitor.check()
     return monitor.violations

@@ -18,11 +18,12 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Set, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, FrozenSet, List, Set, Tuple
 
 from repro.sim.history import History, TxnRecord
+
+if TYPE_CHECKING:  # at run time, where a graph is built (serialization.py)
+    import networkx as nx
 
 
 @dataclass(frozen=True)
@@ -98,6 +99,7 @@ def rw_antidependency_edges(history: History):
 
 def build_graph(history: History) -> "nx.MultiDiGraph":
     """Build the write-skew dependency graph from a history."""
+    import networkx as nx
     graph = nx.MultiDiGraph()
     for txn in history.committed():
         graph.add_node(txn.uid, label=txn.label)
@@ -114,6 +116,7 @@ def find_write_skews(history: History,
     short (the canonical anomaly is a 2-cycle); very long cycles are
     overwhelmingly false positives and expensive to enumerate.
     """
+    import networkx as nx
     graph = build_graph(history)
     report = SkewReport(committed=graph.number_of_nodes(),
                         edges=graph.number_of_edges())

@@ -31,12 +31,15 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import defaultdict
-from typing import Dict, List, Optional, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.common.errors import SkewToolError
 from repro.sim.history import READ, WRITE, History, TxnRecord
+
+if TYPE_CHECKING:
+    # imported inside the functions that build a graph: the store's live
+    # monitor loads this package and never builds one
+    import networkx as nx
 
 READ_MODES = ("latest", "snapshot")
 
@@ -84,6 +87,7 @@ def _read_events(history: History, txn: TxnRecord):
 def precedence_graph(history: History,
                      read_mode: str = "latest") -> "nx.DiGraph":
     """The conflict graph over committed transactions."""
+    import networkx as nx
     if read_mode not in READ_MODES:
         raise SkewToolError(
             f"unknown read mode {read_mode!r}; expected one of {READ_MODES}")
@@ -122,12 +126,14 @@ def precedence_graph(history: History,
 def is_conflict_serializable(history: History,
                              read_mode: str = "latest") -> bool:
     """True when the committed history has an acyclic conflict graph."""
+    import networkx as nx
     return nx.is_directed_acyclic_graph(precedence_graph(history, read_mode))
 
 
 def cycles(history: History, read_mode: str = "latest",
            limit: int = 20) -> List[List[int]]:
     """Up to ``limit`` simple cycles of the conflict graph."""
+    import networkx as nx
     graph = precedence_graph(history, read_mode)
     found = []
     for cycle in nx.simple_cycles(graph):
@@ -141,6 +147,7 @@ def si_anomaly_cycles(history: History) -> List[List[int]]:
     """Cycles of an SI history (snapshot reads) — each must contain two
     consecutive ``rw`` edges, per the classic SI serializability theorem;
     a violation would indicate an oracle or runtime bug."""
+    import networkx as nx
     graph = precedence_graph(history, read_mode="snapshot")
     anomalies = []
     for cycle in nx.simple_cycles(graph):

@@ -345,8 +345,7 @@ def _label_counters(snapshot: dict, name: str) -> Dict[str, float]:
 
 async def _campaign(plan: ChaosPlan, config: StoreConfig, broken: str,
                     out_dir: Optional[object]) -> dict:
-    monitor = LiveHistoryMonitor(config.shards, dump_dir=out_dir,
-                                 check_every=16)
+    monitor = LiveHistoryMonitor(config.shards, dump_dir=out_dir)
     server = StoreServer(config, monitor=monitor)
     port = await server.start()
     initial_watermarks = [shard.watermark for shard in server.shards]
@@ -384,7 +383,6 @@ async def _campaign(plan: ChaosPlan, config: StoreConfig, broken: str,
         while server.sessions and waited < 2.0:
             await asyncio.sleep(0.005)
             waited += 0.005
-        monitor.check()
         snapshot = server.metrics.snapshot()
         sessions_leaked = len(server.sessions)
         active_txns = len(server.open_txns)
@@ -417,7 +415,6 @@ async def _campaign(plan: ChaosPlan, config: StoreConfig, broken: str,
                 snapshot, "store_txn_aborts_total"),
             "escalations": server.escalations,
             "rows_checked": monitor.rows_seen,
-            "checks_run": monitor.checks_run,
             "retained_rows": monitor.retained(),
             "sessions_leaked": sessions_leaked,
             "active_txns": active_txns,

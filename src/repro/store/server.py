@@ -47,7 +47,10 @@ that task has answered.  The robustness contract, end to end:
   :class:`~repro.oracle.live.LiveHistoryMonitor` as a span-schema-
   compatible session row (also persisted when ``record_path`` is set),
   and the per-shard GC watermark is reported after each completion so
-  the monitor can fold its windows.
+  the monitor can fold what no later transaction can overlap.  The
+  monitor checks a row once, when it is fed, and relies on arrival
+  order for that: a commit is applied and its row fed with no ``await``
+  between (``_do_commit`` phase 2 into ``_finish_txn``).
 
 A second tiny listener serves the Prometheus exposition of the metrics
 registry on ``/metrics`` (:func:`repro.obs.prom.exposition_http_response`);
@@ -298,7 +301,7 @@ class StoreServer:
         return self._metrics_server.sockets[0].getsockname()[1]
 
     async def stop(self) -> None:
-        """Stop listeners and shard tasks; final monitor check runs."""
+        """Stop listeners and shard tasks; close the session record."""
         self._shutting_down = True
         for server in (self._server, self._metrics_server):
             if server is not None:
@@ -306,8 +309,6 @@ class StoreServer:
                 await server.wait_closed()
         for shard in self.shards:
             await shard.stop()
-        if self.monitor is not None:
-            self.monitor.check()
         if self._record is not None:
             self._record.close()
             self._record = None

@@ -16,14 +16,22 @@ format, not a hand-written imitation:
   ``write-write`` abort);
 * ``broken_no_fcw.jsonl`` — the same race with validation disabled:
   both commit, and the replay test asserts the checker flags
-  ``first-committer-wins``.
+  ``first-committer-wins``;
+* ``g1c_pair.jsonl`` — the one file no server wrote: two committed
+  transactions that each read the other's write (uid 1 ``[1,3]`` reads
+  y and writes x, uid 2 ``[2,4]`` reads x and writes y — Adya's G1c),
+  laid out in the server's row format.  The live monitor has no cycle
+  rule; the replay test asserts the pair is caught as ``snapshot-read``
+  on both transactions.
 
 All runs use 2 shards and fixed seeds.
 """
 
 import asyncio
+import json
 import pathlib
 
+from repro.obs.export import SPAN_SCHEMA_VERSION
 from repro.store.loadgen import StoreClient, run_load
 from repro.store.server import StoreServer
 from repro.store.session import StoreConfig
@@ -74,6 +82,32 @@ async def _write_skew(port: int) -> None:
         b.close()
 
 
+def _g1c_pair(name: str) -> None:
+    """Two commits that each observed the other's write (hand-built)."""
+    def row(uid, start_ts, commit_ts, read_key, read_value, write_key):
+        return {
+            "uid": uid, "thread": uid, "label": f"g1c-{uid}",
+            "begin_cycle": uid, "end_cycle": uid + 2,
+            "outcome": "commit", "cause": None, "retries": 0,
+            "reads": 1, "writes": 1,
+            "start_ts": start_ts, "commit_ts": commit_ts,
+            "schema_version": SPAN_SCHEMA_VERSION,
+            "store": {
+                "shards": {"0": {"start_ts": start_ts,
+                                 "commit_ts": commit_ts}},
+                "ops": [["r", 0, read_key, read_value],
+                        ["w", 0, write_key, f"from-{uid}"]],
+            },
+        }
+
+    rows = [row(1, 1, 3, "g1c-y", "from-2", "g1c-x"),
+            row(2, 2, 4, "g1c-x", "from-1", "g1c-y")]
+    (HERE / name).write_text("".join(
+        json.dumps(r, sort_keys=True) + "\n" for r in rows),
+        encoding="utf-8")
+    print(f"wrote {name}")
+
+
 async def _make(name: str, scenario, validate_fcw: bool = True) -> None:
     config = StoreConfig(shards=SHARDS, seed=42,
                          validate_fcw=validate_fcw)
@@ -96,6 +130,7 @@ async def main() -> None:
     await _make("fcw_abort.jsonl", lambda port: _race(port, "fcw"))
     await _make("broken_no_fcw.jsonl",
                 lambda port: _race(port, "broken"), validate_fcw=False)
+    _g1c_pair("g1c_pair.jsonl")
 
 
 if __name__ == "__main__":

@@ -3,8 +3,10 @@
 The JSONL files under ``tests/corpus/store/`` are real server
 recordings (see ``make_corpus.py`` there for regeneration).  They pin
 the wire-to-monitor row format: every row must stay span-schema valid,
-clean recordings must replay quietly, and the deliberately-broken
-recording must keep tripping the first-committer-wins check.
+clean recordings must replay quietly, the deliberately-broken
+recording must keep tripping the first-committer-wins check, and the
+hand-built G1c pair (the live monitor has no cycle rule) must keep
+surfacing as two snapshot-read violations.
 """
 
 import json
@@ -19,7 +21,7 @@ CORPUS = pathlib.Path(__file__).parent.parent / "corpus" / "store"
 SHARDS = 2  # every corpus run used 2 shards (make_corpus.py)
 
 FILES = ("clean_sessions.jsonl", "fcw_abort.jsonl",
-         "broken_no_fcw.jsonl")
+         "broken_no_fcw.jsonl", "g1c_pair.jsonl")
 
 
 def load(name: str):
@@ -73,6 +75,14 @@ class TestReplay:
         _, rows = load("broken_no_fcw.jsonl")
         violations = check_rows(rows, shards=SHARDS)
         assert any(v.rule == "first-committer-wins" for v in violations)
+
+    @pytest.mark.parametrize("order", (1, -1))
+    def test_g1c_pair_is_caught_by_replay_on_both_uids(self, order):
+        """Each read the other's write: no timestamp order admits it."""
+        _, rows = load("g1c_pair.jsonl")
+        violations = check_rows(rows[::order], shards=SHARDS)
+        assert {(v.rule, v.txns) for v in violations} == {
+            ("snapshot-read", (1,)), ("snapshot-read", (2,))}
 
     @pytest.mark.parametrize("name", FILES)
     def test_replay_is_deterministic(self, name):

@@ -3,16 +3,28 @@
 The server integration tests feed the monitor real traffic; these
 tests pin its semantics row by row — what it flags, what it tolerates,
 what it refuses to ingest, and how watermark folding bounds retention
-without losing violations.
+without losing violations.  The monitor checks each row once, on
+arrival, against a small index; the offline checker over the *whole*
+stream is its reference (:class:`TestAgainstTheOfflineChecker`), and
+its cost per row must not depend on how many rows came before
+(:class:`TestCostIsFlat`).
 """
 
 import json
+import sys
+from statistics import median
 
 import pytest
 
 from repro.common.errors import StoreError
+from repro.common.rng import SplitRandom
+from repro.oracle.checker import check_history
 from repro.oracle.live import (LiveHistoryMonitor, STORE_ABORT_CAUSES,
                                check_rows)
+from repro.sim.history import (ABORT, BEGIN, COMMIT, READ, WRITE,
+                               History, HistoryEvent, TxnRecord)
+from repro.store.cli import main as store_cli
+from tests.store.test_corpus_replay import CORPUS, load
 
 _UID = [0]
 
@@ -105,13 +117,45 @@ class TestViolations:
         assert monitor.check() == []  # same finding, reported once
         assert monitor.violations == first
 
-    def test_check_every_triggers_on_ingest(self):
-        monitor = LiveHistoryMonitor(shards=1, check_every=2)
+    def test_violation_surfaces_on_the_row_that_completes_it(self):
+        monitor = LiveHistoryMonitor(shards=1)
         assert monitor.feed_row(row([("w", "k", "a")], start_ts=1,
                                     commit_ts=2)) == []
         fresh = monitor.feed_row(row([("w", "k", "b")], start_ts=1,
                                      commit_ts=3))
-        assert any(v.rule == "first-committer-wins" for v in fresh)
+        assert [v.rule for v in fresh] == ["first-committer-wins"]
+        # check() is the barrier: it hands the same finding out once
+        assert monitor.check() == fresh
+        assert monitor.check() == []
+
+    def test_same_value_writers_are_tolerated(self):
+        """A silent store past a concurrent writer is unobservable; the
+        values are equal as JSON, not as objects."""
+        monitor = LiveHistoryMonitor(shards=1)
+        monitor.feed_row(row([("w", "k", {"a": 1, "b": [2]})],
+                             start_ts=1, commit_ts=2))
+        monitor.feed_row(row([("w", "k", {"b": [2], "a": 1})],
+                             start_ts=1, commit_ts=3))
+        assert monitor.check() == []
+
+    def test_json_distinguishes_what_python_equates(self):
+        monitor = LiveHistoryMonitor(shards=1)
+        monitor.feed_row(row([("w", "k", 1)], start_ts=1, commit_ts=2))
+        monitor.feed_row(row([("r", "k", True)], start_ts=3))
+        assert [v.rule for v in monitor.check()] == ["snapshot-read"]
+
+    def test_version_published_under_a_retained_snapshot(self):
+        """The arrival invariant broken: a writer that already replayed
+        cleanly is replayed again when a version lands in its past."""
+        monitor = LiveHistoryMonitor(shards=1)
+        monitor.feed_row(row([("w", "k", "old")], start_ts=1, commit_ts=2))
+        reader = row([("r", "k", "old"), ("w", "other", 1)],
+                     start_ts=10, commit_ts=11)
+        assert monitor.feed_row(reader) == []
+        late = monitor.feed_row(row([("w", "k", "late")], start_ts=5,
+                                    commit_ts=6))
+        assert [(v.rule, v.txns) for v in late] == [
+            ("snapshot-read", (reader["uid"],))]
 
 
 class TestIngestValidation:
@@ -136,6 +180,39 @@ class TestIngestValidation:
         with pytest.raises(StoreError, match="unknown shard"):
             monitor.feed_row(row([("w", "k", 1)], start_ts=1,
                                  commit_ts=2, shard=5))
+
+    def test_rejected_row_leaves_the_monitor_untouched(self):
+        """A row is refused whole: shard 0's slice of a row that also
+        names unknown shard 7 must not reach shard 0's index."""
+        monitor = LiveHistoryMonitor(shards=2)
+        monitor.feed_row(row([("w", "k", 1)], start_ts=1, commit_ts=2))
+        monitor.note_watermark(0, 2)
+        monitor.feed_row(row([("w", "k", 2)], start_ts=3, commit_ts=4))
+
+        def state():
+            return (monitor.retained(), monitor.rows_seen,
+                    [dict(index.image) for index in monitor._shards],
+                    [{addr: list(entries) for addr, entries
+                      in index.versions.items()}
+                     for index in monitor._shards])
+
+        before = state()
+        bad = row([("w", "k", 3)], start_ts=5, commit_ts=6)
+        bad["store"]["ops"].append(["w", 7, "elsewhere", 1])
+        with pytest.raises(StoreError, match="unknown shard 7"):
+            monitor.feed_row(bad)
+        bad = row([("w", "k", 3)], start_ts=5, commit_ts=6)
+        bad["store"]["shards"]["7"] = {"start_ts": 1, "commit_ts": 2}
+        with pytest.raises(StoreError, match="unknown shard 7"):
+            monitor.feed_row(bad)
+        bad = row([("w", "k", 3), ("w", "j", None)], start_ts=5,
+                  commit_ts=6)
+        with pytest.raises(StoreError, match="sentinel"):
+            monitor.feed_row(bad)
+        assert state() == before
+        # and the stream goes on as if the rows had never been offered
+        monitor.feed_row(row([("r", "k", 2)], start_ts=7))
+        assert monitor.check() == []
 
     def test_monitor_needs_a_shard(self):
         with pytest.raises(StoreError):
@@ -207,9 +284,11 @@ class TestWatermarkFolding:
 
 
     def test_interned_values_are_forgotten_with_their_records(self):
-        """A long run of overwrites keeps a handful of values, and an
-        evicted value that comes back never aliases a live one."""
-        monitor = LiveHistoryMonitor(shards=2, check_every=16)
+        """A long run of overwrites keeps one value per address: values
+        are held by the slots that refer to them and by nothing else
+        (there is no interning table to sweep), and a value that was
+        folded over long ago is still a wrong read when it comes back."""
+        monitor = LiveHistoryMonitor(shards=2)
         for step in range(400):
             shard = step % 2
             monitor.feed_row(row([("r", "k", step - 2 if step > 1 else None),
@@ -218,15 +297,12 @@ class TestWatermarkFolding:
             monitor.note_watermark(shard, step + 2)
         assert monitor.check() == []
         assert monitor.retained() == 0
-        # one live value per shard image; 400 ids were handed out
-        assert len(monitor._value_ids) == 2
-        assert monitor._last_value_id == 400
-        # value 0 was evicted long ago: written again it gets a new id,
-        # distinct from the images' — a reader claiming it is still
-        # wrong, one reading the image is still right
+        addr = monitor._addrs["k"]
+        assert [index.image for index in monitor._shards] == [
+            {addr: 398}, {addr: 399}]
+        assert [index.versions for index in monitor._shards] == [{}, {}]
         monitor.feed_row(row([("w", "other", 0)], start_ts=500,
                              commit_ts=501))
-        assert monitor._value_ids["0"] == 401
         monitor.feed_row(row([("r", "k", 398)], start_ts=502))
         assert monitor.check() == []
         monitor.feed_row(row([("r", "k", 0)], start_ts=503))
@@ -265,3 +341,446 @@ class TestArtifacts:
         broken = [row([("w", "k", 1)], start_ts=1, commit_ts=2),
                   row([("w", "k", 2)], start_ts=1, commit_ts=3)]
         assert check_rows(broken, shards=1) != []
+
+    def test_offending_row_is_dumped_even_when_it_is_never_retained(
+            self, tmp_path, capsys):
+        """A read-only or aborted row leaves the index at once; the
+        dump must still carry it, or the artifact replays clean."""
+        monitor = LiveHistoryMonitor(shards=1, dump_dir=tmp_path)
+        monitor.feed_row(row([("w", "k", "old")], start_ts=1, commit_ts=2))
+        monitor.feed_row(row([("w", "k", "new")], start_ts=3, commit_ts=4))
+        monitor.feed_row(row([("r", "k", "old")], start_ts=5,
+                             label="stale-reader"))
+        monitor.feed_row(row([("w", "k", 1)], outcome="abort", start_ts=6,
+                             cause="cosmic-rays", label="bad-abort"))
+        assert [v.rule for v in monitor.check()] == ["snapshot-read",
+                                                     "abort-cause"]
+        assert monitor.retained() == 2
+        for dump, label in zip(monitor.dumps,
+                               ("stale-reader", "bad-abort")):
+            rows = [json.loads(line) for line in
+                    dump.read_text(encoding="utf-8").splitlines()]
+            assert label in {r["label"] for r in rows}
+            assert store_cli(["check", str(dump), "--shards", "1"]) == 1
+            capsys.readouterr()
+
+
+# ----------------------------------------------------------------------
+# the offline checker as the reference
+
+
+def reference_findings(rows, shards):
+    """``check_history`` over the whole stream, one History per shard.
+
+    This is the batch design the monitor replaced, kept as its
+    reference: every row of the stream is laid out in arrival order as
+    begin / ops in op order / commit-or-abort events (nothing folded,
+    nothing forgotten), keys and values are interned to integers, and
+    the standard snapshot checks run over the lot.  ``si-cycle`` is
+    dropped: events laid out in arrival order make every derived edge
+    point forward, so that rule cannot fire on a row stream.
+    """
+    addrs, values = {}, {}
+    records = [[] for _ in range(shards)]
+    for session_row in rows:
+        store = session_row["store"]
+        committed = session_row["outcome"] == "commit"
+        per_shard = {int(shard): [] for shard in store["shards"]}
+        for kind, shard, key, value in store["ops"]:
+            addr = addrs.setdefault(key, len(addrs) + 1)
+            vid = 0 if value is None else values.setdefault(
+                json.dumps(value, sort_keys=True), len(values) + 1)
+            per_shard.setdefault(shard, []).append((kind, addr, vid))
+        for shard, ops in per_shard.items():
+            times = store["shards"].get(str(shard), {})
+            records[shard].append((TxnRecord(
+                uid=session_row["uid"], thread_id=session_row["thread"],
+                label=session_row["label"], begin_index=-1,
+                start_ts=times.get("start_ts"),
+                commit_ts=times.get("commit_ts"),
+                abort_cause=None if committed else session_row["cause"]),
+                committed, ops))
+    found = set()
+    for shard_records in records:
+        history = History(system="sitm-store", isolation="snapshot",
+                          abort_causes=STORE_ABORT_CAUSES)
+        events = history.events
+        for record, committed, ops in shard_records:
+            who = (record.uid, record.thread_id, record.label)
+            record.begin_index = len(events)
+            events.append(HistoryEvent(len(events), BEGIN, *who))
+            for kind, addr, vid in ops:
+                index = len(events)
+                if kind == "r":
+                    events.append(HistoryEvent(index, READ, *who,
+                                               addr, vid))
+                    record.reads.append((addr, vid, index))
+                else:
+                    events.append(HistoryEvent(index, WRITE, *who,
+                                               addr, vid))
+                    record.writes.append((addr, vid, index))
+            if committed:
+                record.commit_index = len(events)
+            events.append(HistoryEvent(
+                len(events), COMMIT if committed else ABORT, *who))
+            history.transactions[record.uid] = record
+        found |= {(v.rule, v.txns, v.addr) for v in check_history(history)
+                  if v.rule != "si-cycle"}
+    return found
+
+
+def live_findings(events, shards):
+    """The monitor's verdict on a stream of rows and watermarks."""
+    monitor = LiveHistoryMonitor(shards=shards)
+    for event in events:
+        if event[0] == "row":
+            monitor.feed_row(event[1])
+        else:
+            monitor.note_watermark(event[1], event[2])
+    return {(v.rule, v.txns, v.addr) for v in monitor.violations}
+
+
+class _Txn:
+    def __init__(self, uid):
+        self.uid = uid
+        #: shard -> (start_ts, the shard's committed state at that time)
+        self.snapshots = {}
+        self.writes = {}
+        self.ops = []
+
+
+class SimulatedStore:
+    """A correct per-shard SI store that can be told to misbehave once.
+
+    Emits what the real server feeds its monitor, in the order it would:
+    one session row per finished transaction, then every shard's
+    watermark (oldest open snapshot, else the publish frontier).  The
+    clocks, snapshots, first-committer-wins validation and atomic
+    publish are the server's; each ``fault`` breaks exactly one of them.
+    """
+
+    KEYS_PER_SHARD = 3
+
+    def __init__(self, shards, rng):
+        self.shards = shards
+        self.rng = rng
+        self.clock = [0] * shards
+        self.frontier = [0] * shards
+        #: per shard: key -> (value, commit_ts)
+        self.state = [{} for _ in range(shards)]
+        self.aborted_values = {}
+        self.open = []
+        self.events = []
+        self.uids = 0
+
+    def key(self, shard, which):
+        return f"s{shard}-k{which}"
+
+    def begin(self):
+        self.uids += 1
+        txn = _Txn(self.uids)
+        self.open.append(txn)
+        return txn
+
+    def _pin(self, txn, shard):
+        if shard not in txn.snapshots:
+            self.clock[shard] += 1
+            txn.snapshots[shard] = (self.clock[shard],
+                                    dict(self.state[shard]))
+        return txn.snapshots[shard]
+
+    def read(self, txn, shard, key, lie=None):
+        _, snapshot = self._pin(txn, shard)
+        if (shard, key) in txn.writes:
+            value = txn.writes[shard, key]
+        else:
+            value = snapshot.get(key, (None, 0))[0]
+        if lie is not None:
+            value = lie
+        txn.ops.append(["r", shard, key, value])
+        return value
+
+    def write(self, txn, shard, key):
+        self._pin(txn, shard)
+        value = {"by": txn.uid, "n": len(txn.ops)}
+        txn.writes[shard, key] = value
+        txn.ops.append(["w", shard, key, value])
+
+    def conflicts(self, txn):
+        return any(self.state[shard].get(key, (None, 0))[1]
+                   > txn.snapshots[shard][0]
+                   for shard, key in txn.writes)
+
+    def commit(self, txn, validate=True, report=None):
+        """Finish ``txn``; ``report(meta)`` may falsify its timestamps."""
+        if validate and self.conflicts(txn):
+            return self.abort(txn, "write-write")
+        commit_ts = {}
+        for shard in sorted({shard for shard, _ in txn.writes}):
+            self.clock[shard] += 1
+            commit_ts[shard] = self.frontier[shard] = self.clock[shard]
+        for (shard, key), value in txn.writes.items():
+            self.state[shard][key] = (value, commit_ts[shard])
+        self._finish(txn, "commit", None, commit_ts, report)
+
+    def abort(self, txn, cause):
+        for (_, key), value in txn.writes.items():
+            self.aborted_values.setdefault(key, value)
+        self._finish(txn, "abort", cause, {}, None)
+
+    def _finish(self, txn, outcome, cause, commit_ts, report):
+        self.open.remove(txn)
+        meta = {str(shard): {"start_ts": start_ts,
+                             "commit_ts": commit_ts.get(shard)}
+                for shard, (start_ts, _) in sorted(txn.snapshots.items())}
+        if report is not None:
+            report(meta)
+        self.events.append(("row", {
+            "uid": txn.uid, "thread": txn.uid, "label": f"t{txn.uid}",
+            "outcome": outcome, "cause": cause,
+            "end_cycle": len(self.events),
+            "store": {"shards": meta, "ops": txn.ops}}))
+        for shard in range(self.shards):
+            pins = [t.snapshots[shard][0] for t in self.open
+                    if shard in t.snapshots]
+            self.events.append(("wm", shard,
+                                min(pins + [self.frontier[shard]])))
+
+    @property
+    def rows(self):
+        return [event[1] for event in self.events if event[0] == "row"]
+
+
+FAULTS = ("none", "stale-read", "aborted-read", "lost-fcw",
+          "commit-not-after-start", "missing-start", "undeclared-abort",
+          "late-version")
+#: the rule each fault must trip (in both checkers)
+EXPECTED_RULE = {
+    "stale-read": "snapshot-read", "aborted-read": "snapshot-read",
+    "lost-fcw": "first-committer-wins",
+    "commit-not-after-start": "timestamps",
+    "missing-start": "timestamps", "undeclared-abort": "abort-cause",
+    "late-version": "snapshot-read"}
+
+
+def synthetic_stream(fault, seed, steps=220):
+    """A seeded stream with (at most) one injected fault.
+
+    Returns ``(store, landed)``: ``landed`` is whether the fault ended
+    up in a committed (or, for the abort cause, aborted) row — a stale
+    read inside a transaction that then loses first-committer-wins is
+    invisible to every checker.
+    """
+    rng = SplitRandom(seed, ("live-differential", fault))
+    shards = rng.randrange(1, 4)
+    store = SimulatedStore(shards, rng)
+    arm_at = rng.randrange(steps // 4, steps // 2)
+    faulty = None  # the transaction carrying the injected fault
+    for step in range(steps):
+        armed = faulty is None and step >= arm_at
+        if len(store.open) < 4 and rng.random() < 0.3:
+            store.begin()
+            continue
+        if not store.open:
+            continue
+        txn = rng.choice(store.open)
+        if len(txn.ops) < 6 and rng.random() < 0.7:
+            shard = rng.randrange(shards)
+            key = store.key(shard, rng.randrange(store.KEYS_PER_SHARD))
+            if rng.random() < 0.35:
+                store.write(txn, shard, key)
+                continue
+            lie = None
+            if armed and (shard, key) not in txn.writes:
+                _, snapshot = store._pin(txn, shard)
+                if fault == "stale-read" and key in snapshot:
+                    # the value the key held before any commit
+                    lie = {"by": 0, "n": "never"}
+                elif fault == "aborted-read":
+                    lie = store.aborted_values.get(key)
+            store.read(txn, shard, key, lie=lie)
+            if lie is not None:
+                faulty = txn
+            continue
+        if armed and fault == "undeclared-abort" and txn.snapshots:
+            # (a transaction that touched no shard is in no shard's
+            # history: neither checker sees its row)
+            faulty = txn
+            store.abort(txn, "cosmic-rays")
+        elif rng.random() < 0.1:
+            store.abort(txn, rng.choice(("explicit", "timeout",
+                                         "disconnect")))
+        elif armed and fault == "lost-fcw" and store.conflicts(txn):
+            faulty = txn
+            store.commit(txn, validate=False)
+        elif (armed and fault == "commit-not-after-start" and txn.writes
+              and not store.conflicts(txn)):
+            faulty = txn
+
+            def report(meta):
+                for times in meta.values():
+                    if times["commit_ts"] is not None:
+                        times["start_ts"] = times["commit_ts"]
+            store.commit(txn, report=report)
+        elif (armed and fault == "missing-start" and txn.snapshots
+              and not store.conflicts(txn)):
+            faulty = txn
+
+            def report(meta):
+                for times in meta.values():
+                    times["start_ts"] = None
+            store.commit(txn, report=report)
+        else:
+            store.commit(txn)
+    for txn in list(store.open):
+        store.commit(txn)
+    if fault == "late-version":
+        faulty = _publish_into_the_past(store)
+    if faulty is None:
+        return store, False
+    outcome = {r["uid"]: r["outcome"] for r in store.rows}[faulty.uid]
+    return store, outcome == ("abort" if fault == "undeclared-abort"
+                              else "commit")
+
+
+def _publish_into_the_past(store):
+    """A commit whose timestamp lands under a retained writer's snapshot.
+
+    On a key nothing else touches: ``first`` writes it; ``late`` pins
+    its snapshot; ``reader`` begins after that, reads the key (correctly,
+    ``first``'s value) and commits a write elsewhere while ``late`` is
+    still open — so the watermark cannot pass it and it stays retained;
+    then ``late`` commits the key with ``commit_ts`` reported as the
+    reader's ``start_ts``.  Whole-history replay now says the reader
+    should have seen ``late``'s value.
+    """
+    key, elsewhere = "s0-fresh", "s0-elsewhere"
+    first = store.begin()
+    store.write(first, 0, key)
+    store.commit(first)
+    late = store.begin()
+    store._pin(late, 0)
+    reader = store.begin()
+    store.read(reader, 0, key)
+    store.write(reader, 0, elsewhere)
+    store.commit(reader)
+    reader_start = store.rows[-1]["store"]["shards"]["0"]["start_ts"]
+    store.write(late, 0, key)
+
+    def report(meta):
+        meta["0"]["commit_ts"] = reader_start
+    store.commit(late, report=report)
+    return reader
+
+
+class TestAgainstTheOfflineChecker:
+    """Fed row by row with a trailing watermark, the monitor reports
+    exactly what ``check_history`` reports on the whole stream."""
+
+    @pytest.mark.parametrize("name", sorted(
+        path.name for path in CORPUS.glob("*.jsonl")))
+    def test_corpus_file(self, name):
+        _, rows = load(name)
+        events = [("row", r) for r in rows]
+        assert live_findings(events, 2) == reference_findings(rows, 2)
+
+    @pytest.mark.parametrize("fault", FAULTS)
+    def test_synthetic_streams(self, fault):
+        landed = 0
+        for seed in range(30):
+            store, hit = synthetic_stream(fault, seed)
+            live = live_findings(store.events, store.shards)
+            assert live == reference_findings(store.rows, store.shards), \
+                (fault, seed)
+            if fault == "none":
+                assert live == set(), seed
+            elif hit:
+                landed += 1
+                assert EXPECTED_RULE[fault] in {rule for rule, _, _
+                                                in live}, (fault, seed)
+        assert fault == "none" or landed >= 15, landed
+
+    def test_the_streams_exercise_folding_and_conflicts(self):
+        """The differential means little if nothing ever folds, overlaps
+        or aborts in the generated streams."""
+        store, _ = synthetic_stream("none", 0)
+        monitor = LiveHistoryMonitor(shards=store.shards)
+        peak = 0
+        for event in store.events:
+            if event[0] == "row":
+                monitor.feed_row(event[1])
+                peak = max(peak, monitor.retained())
+            else:
+                monitor.note_watermark(event[1], event[2])
+        causes = {r["cause"] for r in store.rows}
+        assert "write-write" in causes and len(store.rows) > 30
+        assert peak >= 2 and monitor.retained() == 0
+        assert any(index.image for index in monitor._shards)
+
+
+# ----------------------------------------------------------------------
+# cost per row
+
+
+def read_mostly_stream(rows, shards=4, keys=256, ops=8,
+                       write_fraction=0.1, trail=8):
+    """``store_read_mostly``-shaped rows, watermark ``trail`` rows back.
+
+    Serial transactions (row ``i`` runs ``[10 i, 10 i + 5]`` on every
+    shard it touches), values shared by identity between the write and
+    the reads that observe it, as the in-process server shares them.
+    """
+    rng = SplitRandom(7, ("live-cost",))
+    current = {}
+    for i in range(rows):
+        touched, row_ops, writes = set(), [], {}
+        for op in range(ops):
+            which = rng.randrange(keys)
+            shard, key = which % shards, f"k{which}"
+            touched.add(shard)
+            if rng.random() < write_fraction:
+                writes[key] = {"n": [i, op]}
+                row_ops.append(["w", shard, key, writes[key]])
+            else:
+                row_ops.append(["r", shard, key,
+                                writes.get(key, current.get(key))])
+        current.update(writes)
+        written = {s for kind, s, _, _ in row_ops if kind == "w"}
+        yield {
+            "uid": i, "thread": 0, "label": f"t{i}", "outcome": "commit",
+            "cause": None, "end_cycle": i,
+            "store": {"ops": row_ops, "shards": {
+                str(s): {"start_ts": 10 * i,
+                         "commit_ts": 10 * i + 5 if s in written else None}
+                for s in sorted(touched)}}}, 10 * max(0, i - trail)
+
+
+class TestCostIsFlat:
+    def test_calls_per_row_do_not_grow_with_the_stream(self):
+        """Function calls (Python and C) per ``feed_row`` plus its four
+        ``note_watermark``: a count, so the same on every host.  The
+        batch design paid ≈ 100 × its median on every 64th row."""
+        monitor = LiveHistoryMonitor(shards=4)
+        calls = [0]
+
+        def count(frame, event, arg):
+            if event in ("call", "c_call"):
+                calls[0] += 1
+
+        costs = []
+        for session_row, watermark in read_mostly_stream(3000):
+            calls[0] = 0
+            sys.setprofile(count)
+            try:
+                monitor.feed_row(session_row)
+                for shard in range(4):
+                    monitor.note_watermark(shard, watermark)
+            finally:
+                sys.setprofile(None)
+            costs.append(calls[0])
+        assert monitor.violations == []
+        assert monitor.rows_seen == 3000
+        assert max(costs) <= 3 * median(costs), (max(costs),
+                                                 median(costs))
+        assert sum(costs[-500:]) <= sum(costs[:500])
+        assert monitor.retained() <= 8

@@ -2,8 +2,11 @@
 at least parse."""
 
 import importlib
+import os
 import pathlib
 import pkgutil
+import subprocess
+import sys
 
 import repro
 
@@ -44,6 +47,19 @@ class TestModules:
                         and not (attr.__doc__ or "").strip():
                     undocumented.append(f"{name}.{attr_name}")
         assert not undocumented, undocumented
+
+
+    def test_the_store_stack_does_not_import_networkx(self):
+        """The store serves and checks without ever building a graph;
+        networkx (a fifth of its cold import) belongs to the offline
+        checker's callers.  A fresh interpreter: this one has it."""
+        code = ("import sys; "
+                "import repro.store.server, repro.store.loadgen, "
+                "repro.oracle.live; "
+                "sys.exit('networkx' in sys.modules)")
+        env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+        assert subprocess.run([sys.executable, "-c", code], env=env,
+                              timeout=60).returncode == 0
 
 
 class TestExamples:
