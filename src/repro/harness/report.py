@@ -7,46 +7,12 @@ well in a terminal and diff cleanly in EXPERIMENTS.md).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
+from repro.common.table import format_cell, format_table
 
-def format_table(headers: Sequence[str], rows: Sequence[Sequence[object]],
-                 title: str = "") -> str:
-    """Render an ASCII table with right-aligned numeric columns."""
-    rendered = [[_cell(v) for v in row] for row in rows]
-    widths = [len(h) for h in headers]
-    for row in rendered:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
-    lines = []
-    if title:
-        lines.append(title)
-    lines.append("  ".join(h.ljust(widths[i])
-                           for i, h in enumerate(headers)))
-    lines.append("  ".join("-" * w for w in widths))
-    for row in rendered:
-        lines.append("  ".join(cell.rjust(widths[i])
-                               if _is_numeric(cell) else cell.ljust(widths[i])
-                               for i, cell in enumerate(row)))
-    return "\n".join(lines)
-
-
-def _cell(value: object) -> str:
-    if isinstance(value, float):
-        if value == 0:
-            return "0"
-        if abs(value) >= 1000:
-            return f"{value:,.0f}"
-        if abs(value) < 0.01:
-            return f"{value:.2e}"
-        return f"{value:.3f}"
-    return str(value)
-
-
-def _is_numeric(cell: str) -> bool:
-    stripped = cell.replace(",", "").replace("e", "").replace("-", "") \
-        .replace("+", "").replace(".", "")
-    return stripped.isdigit()
+__all__ = ["format_table", "format_relative", "format_rel_stddev",
+           "format_series", "line_chart", "bar_chart"]
 
 
 def format_relative(value: Optional[float]) -> str:
@@ -75,7 +41,8 @@ def format_series(label: str, xs: Sequence[int], ys: Sequence[float],
     worst seed noise as ``(max sd x.x%)`` so the paper's <5% protocol
     claim is visible in every table.
     """
-    points = ", ".join(f"{x}={_cell(float(y))}" for x, y in zip(xs, ys))
+    points = ", ".join(f"{x}={format_cell(float(y))}"
+                       for x, y in zip(xs, ys))
     suffix = ""
     if stddev:
         suffix = f"  (max sd {format_rel_stddev(max(stddev))})"

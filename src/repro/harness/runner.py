@@ -301,7 +301,7 @@ def run_once(workload: str, system: str, threads: int, seed: int,
         profiler.check_conservation([t.cycles for t in stats.threads],
                                     wasted_by_thread=wasted)
         phases = profiler.snapshot()
-    return RunResult(
+    result = RunResult(
         workload=workload, system=system, threads=threads, seed=seed,
         commits=stats.total_commits, aborts=stats.total_aborts,
         abort_rate=stats.abort_rate,
@@ -325,6 +325,13 @@ def run_once(workload: str, system: str, threads: int, seed: int,
         fault_stats=(machine.faults.stats()
                      if machine.faults is not None else None),
     )
+    if tracer is not None:
+        # the engine, the machine and their observers point at each
+        # other; unhook them so the cell's machine is freed on return
+        # instead of waiting for the next cyclic garbage collection
+        engine.tracer = engine.profiler = None
+        machine.profiler = machine.mvm.profiler = None
+    return result
 
 
 def run_seeds(workload: str, system: str, threads: int,

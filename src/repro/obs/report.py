@@ -13,7 +13,7 @@ The paper's analysis questions, answerable from one telemetered run:
   Table 2's occupancy concern) — :func:`version_occupancy`;
 * everything else the registry collected — :func:`metrics_table`.
 
-All render with :func:`repro.harness.report.format_table` so the
+All render with :func:`repro.common.table.format_table` so the
 output diffs cleanly alongside the figure tables.
 """
 
@@ -22,7 +22,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Dict, List, Optional, Sequence
 
-from repro.harness.report import format_table
+from repro.common.table import format_table
 from repro.obs.spans import Span
 
 __all__ = ["abort_attribution", "conflict_heatmap", "phase_table",

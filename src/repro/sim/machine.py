@@ -14,11 +14,11 @@ observe one coherent memory.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Sequence
 
 from repro.common.config import SimConfig
 from repro.faults import FaultInjector
-from repro.mem.address import AddressMap
+from repro.mem.address import MVM_REGION_BASE, AddressMap
 from repro.mem.backing import BackingStore
 from repro.mem.cache import CacheHierarchy
 from repro.mem.heap import Heap
@@ -90,27 +90,52 @@ class Machine:
 
     def plain_load(self, addr: int) -> int:
         """Load one word outside any transaction (newest version)."""
-        if self.address_map.is_mvm(addr):
-            line = self.address_map.line_of(addr)
-            data = self.mvm.plain_read(line)
-            if data is None:
-                return 0
-            return data[self.address_map.word_in_line(addr)]
-        return self.backing.load(addr)
+        if addr < MVM_REGION_BASE:
+            return self.backing.load(addr)
+        line, word = divmod(addr, self.address_map.words_per_line)
+        data = self.mvm.plain_read(line)
+        return 0 if data is None else data[word]
 
     def plain_store(self, addr: int, value: int) -> None:
         """Store one word outside any transaction (in-place update)."""
-        if self.address_map.is_mvm(addr):
-            line = self.address_map.line_of(addr)
-            data = self.mvm.plain_read(line)
-            if data is None:
-                words = [0] * self.address_map.words_per_line
+        self.plain_fill(addr, (value,))
+
+    def plain_fill(self, addr: int, values: Sequence[int]) -> None:
+        """Store ``values`` at consecutive words from ``addr`` (in place).
+
+        The same final state as one :meth:`plain_store` per word, reached
+        with one MVM plain write per line the range covers: a line the
+        range covers whole is written without being read, a partly
+        covered one is read once and merged.  Like a word store, a write
+        to a line with no version creates version 0 (even all zeros) and
+        otherwise overwrites the newest version in place (section 3).
+        """
+        if addr < MVM_REGION_BASE:
+            store = self.backing.store
+            for offset, value in enumerate(values):
+                store(addr + offset, value)
+            return
+        per_line = self.address_map.words_per_line
+        # plain_read/plain_write are looked up on each use, never bound
+        # ahead: a tracer (perfbench) wraps them on the instance
+        mvm = self.mvm
+        line, offset = divmod(addr, per_line)
+        pos, end = 0, len(values)
+        while pos < end:
+            stop = pos + per_line - offset  # where this line ends in values
+            if offset or stop > end:
+                if stop > end:
+                    stop = end
+                old = mvm.plain_read(line)
+                words = [0] * per_line if old is None else list(old)
+                words[offset:offset + stop - pos] = values[pos:stop]
+                data = tuple(words)
             else:
-                words = list(data)
-            words[self.address_map.word_in_line(addr)] = value
-            self.mvm.plain_write(line, tuple(words))
-        else:
-            self.backing.store(addr, value)
+                data = tuple(values[pos:stop])
+            mvm.plain_write(line, data)
+            pos = stop
+            line += 1
+            offset = 0
 
     def line_data(self, line: int) -> tuple:
         """Current committed contents of ``line`` as a word tuple."""

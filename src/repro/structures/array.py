@@ -64,9 +64,14 @@ class TxArray(TxStructure):
     # non-transactional setup/inspection
 
     def populate(self, values) -> None:
-        """Initialise cells outside any transaction."""
-        for index, value in enumerate(values):
-            self._plain_store(self._addr(index), value)
+        """Initialise cells ``0 .. len(values) - 1`` outside any
+        transaction; more values than cells store nothing and raise
+        ``IndexError``."""
+        values = list(values)
+        if len(values) > self.size:
+            raise IndexError(f"{len(values)} values for an array of "
+                             f"{self.size} cells")
+        self.machine.plain_fill(self.base, values)
 
     def snapshot(self) -> list:
         """Plain (newest-version) contents, for tests."""

@@ -82,3 +82,20 @@ class TxStructure:
     def _plain_store(self, addr: int, value: int) -> None:
         """Non-transactional write (setup only)."""
         self.machine.plain_store(addr, value)
+
+    def _run_plain(self, gen: TxGen) -> object:
+        """Drive a structure generator against plain memory (setup only):
+        reads and writes apply immediately, anything else is skipped."""
+        try:
+            op = next(gen)
+            while True:
+                kind = type(op)
+                if kind is Read:
+                    op = gen.send(self.machine.plain_load(op.addr))
+                elif kind is Write:
+                    self.machine.plain_store(op.addr, op.value)
+                    op = gen.send(None)
+                else:
+                    op = gen.send(None)
+        except StopIteration as stop:
+            return stop.value

@@ -39,9 +39,8 @@ class TxDoublyLinkedList(TxStructure):
 
     def _new_node(self, value: int) -> int:
         node = self._alloc(3)
-        self._plain_store(node + _VALUE, value)
-        self._plain_store(node + _NEXT, NULL)
-        self._plain_store(node + _PREV, NULL)
+        # _VALUE, _NEXT, _PREV
+        self.machine.plain_fill(node, (value, NULL, NULL))
         return node
 
     # ------------------------------------------------------------------

@@ -29,8 +29,7 @@ class TxHashMap(TxStructure):
             raise ValueError("bucket count must be positive")
         self.buckets = buckets
         self.table = self._alloc(buckets)
-        for i in range(buckets):
-            self._plain_store(self.table + i, NULL)
+        self.machine.plain_fill(self.table, [NULL] * buckets)
 
     def _bucket(self, key: int) -> int:
         # Multiplicative hashing keeps adjacent keys in distinct buckets.
@@ -38,9 +37,8 @@ class TxHashMap(TxStructure):
 
     def _new_node(self, key: int, value: int, nxt: int) -> int:
         node = self._alloc(3)
-        self._plain_store(node + _KEY, key)
-        self._plain_store(node + _VALUE, value)
-        self._plain_store(node + _NEXT, nxt)
+        # _KEY, _VALUE, _NEXT
+        self.machine.plain_fill(node, (key, value, nxt))
         return node
 
     # ------------------------------------------------------------------

@@ -44,8 +44,8 @@ class TxLinkedList(TxStructure):
 
     def _new_node(self, value: int, next_ptr: int) -> int:
         node = self._alloc(2)
-        self._plain_store(node + _VALUE, value)
-        self._plain_store(node + _NEXT, next_ptr)
+        # _VALUE, _NEXT
+        self.machine.plain_fill(node, (value, next_ptr))
         return node
 
     # ------------------------------------------------------------------

@@ -69,15 +69,19 @@ class TxQueue(TxStructure):
     # ------------------------------------------------------------------
 
     def populate(self, values) -> None:
-        """Non-transactional bulk enqueue (setup)."""
+        """Non-transactional bulk enqueue (setup); values that do not all
+        fit store nothing and raise :class:`QueueFull`."""
+        values = list(values)
         head = self._plain(self.head_addr)
         tail = self._plain(self.tail_addr)
-        for value in values:
-            if tail - head >= self.capacity:
-                raise QueueFull(f"capacity {self.capacity} exceeded in setup")
-            self._plain_store(self.slots + tail % self.capacity, value)
-            tail += 1
-        self._plain_store(self.tail_addr, tail)
+        if tail - head + len(values) > self.capacity:
+            raise QueueFull(f"capacity {self.capacity} exceeded in setup")
+        # the ring from the tail slot to its end, then from slot 0
+        start = tail % self.capacity
+        split = self.capacity - start
+        self.machine.plain_fill(self.slots + start, values[:split])
+        self.machine.plain_fill(self.slots, values[split:])
+        self._plain_store(self.tail_addr, tail + len(values))
 
     def drain_plain(self) -> list:
         """Plain contents oldest-first, for tests."""

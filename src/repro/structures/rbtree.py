@@ -36,8 +36,11 @@ while lookups never abort.
 
 from __future__ import annotations
 
+from typing import Tuple
+
 from repro.sim.machine import Machine
-from repro.structures.base import NULL, TxGen, TxStructure, read, write
+from repro.structures.base import NULL, TxGen, TxStructure
+from repro.tm.ops import Read, Write
 
 KEY = 0
 VALUE = 1
@@ -59,107 +62,84 @@ class TxRedBlackTree(TxStructure):
         self.root_ptr = self._alloc(1)
         self._plain_store(self.root_ptr, NULL)
 
-    # ------------------------------------------------------------------
-    # field helpers
-
-    def _get(self, node: int, field: int, site: str,
-             promote: bool = False) -> TxGen:
-        return read(node + field, site=site, promote=promote)
-
-    def _upget(self, node: int, field: int, site: str) -> TxGen:
-        """Update-path read: promoted when ``skew_safe`` (section 5.1).
-
-        Promoting every read an update performs makes update transactions
-        validate their whole footprint at commit, restoring
-        serializability among updates while leaving read-only lookups
-        zero-overhead -- the read-promotion fix the paper's tool applies
-        to the RBTree's "multiple write skews".
-        """
-        return read(node + field, site=site, promote=self.skew_safe)
-
-    def _set(self, node: int, field: int, value: int, site: str) -> TxGen:
-        return write(node + field, value, site=site)
-
-    def _root(self, update: bool = False) -> TxGen:
-        return read(self.root_ptr, site="rbtree:root",
-                    promote=self.skew_safe and update)
-
-    def _set_root(self, node: int) -> TxGen:
-        return write(self.root_ptr, node, site="rbtree:root")
-
     def _new_node(self, key: int, value: int) -> int:
         node = self._alloc(6)
-        self._plain_store(node + KEY, key)
-        self._plain_store(node + VALUE, value)
-        self._plain_store(node + LEFT, NULL)
-        self._plain_store(node + RIGHT, NULL)
-        self._plain_store(node + PARENT, NULL)
-        self._plain_store(node + COLOR, RED)
+        # KEY, VALUE, LEFT, RIGHT, PARENT, COLOR
+        self.machine.plain_fill(node, (key, value, NULL, NULL, NULL, RED))
         return node
 
     def _is_red(self, node: int) -> TxGen:
         if node == NULL:
             return False
-        color = yield from self._upget(node, COLOR, "rbtree:color")
+        color = yield Read(node + COLOR, site="rbtree:color",
+                           promote=self.skew_safe)
         return color == RED
 
     # ------------------------------------------------------------------
     # rotations
 
     def _rotate_left(self, x: int) -> TxGen:
-        y = yield from self._upget(x, RIGHT, "rbtree.rot:right")
-        y_left = yield from self._upget(y, LEFT, "rbtree.rot:left")
-        yield from self._set(x, RIGHT, y_left, "rbtree.rot:link")
+        y = yield Read(x + RIGHT, site="rbtree.rot:right",
+                       promote=self.skew_safe)
+        y_left = yield Read(y + LEFT, site="rbtree.rot:left",
+                            promote=self.skew_safe)
+        yield Write(x + RIGHT, y_left, site="rbtree.rot:link")
         if y_left != NULL:
-            yield from self._set(y_left, PARENT, x, "rbtree.rot:parent")
-        x_parent = yield from self._upget(x, PARENT, "rbtree.rot:parent")
-        yield from self._set(y, PARENT, x_parent, "rbtree.rot:parent")
+            yield Write(y_left + PARENT, x, site="rbtree.rot:parent")
+        x_parent = yield Read(x + PARENT, site="rbtree.rot:parent",
+                              promote=self.skew_safe)
+        yield Write(y + PARENT, x_parent, site="rbtree.rot:parent")
         if x_parent == NULL:
-            yield from self._set_root(y)
+            yield Write(self.root_ptr, y, site="rbtree:root")
         else:
-            parent_left = yield from self._upget(x_parent, LEFT, "rbtree.rot:pl")
+            parent_left = yield Read(x_parent + LEFT, site="rbtree.rot:pl",
+                                     promote=self.skew_safe)
             if parent_left == x:
-                yield from self._set(x_parent, LEFT, y, "rbtree.rot:link")
+                yield Write(x_parent + LEFT, y, site="rbtree.rot:link")
             else:
-                yield from self._set(x_parent, RIGHT, y, "rbtree.rot:link")
-        yield from self._set(y, LEFT, x, "rbtree.rot:link")
-        yield from self._set(x, PARENT, y, "rbtree.rot:parent")
+                yield Write(x_parent + RIGHT, y, site="rbtree.rot:link")
+        yield Write(y + LEFT, x, site="rbtree.rot:link")
+        yield Write(x + PARENT, y, site="rbtree.rot:parent")
 
     def _rotate_right(self, x: int) -> TxGen:
-        y = yield from self._upget(x, LEFT, "rbtree.rot:left")
-        y_right = yield from self._upget(y, RIGHT, "rbtree.rot:right")
-        yield from self._set(x, LEFT, y_right, "rbtree.rot:link")
+        y = yield Read(x + LEFT, site="rbtree.rot:left",
+                       promote=self.skew_safe)
+        y_right = yield Read(y + RIGHT, site="rbtree.rot:right",
+                             promote=self.skew_safe)
+        yield Write(x + LEFT, y_right, site="rbtree.rot:link")
         if y_right != NULL:
-            yield from self._set(y_right, PARENT, x, "rbtree.rot:parent")
-        x_parent = yield from self._upget(x, PARENT, "rbtree.rot:parent")
-        yield from self._set(y, PARENT, x_parent, "rbtree.rot:parent")
+            yield Write(y_right + PARENT, x, site="rbtree.rot:parent")
+        x_parent = yield Read(x + PARENT, site="rbtree.rot:parent",
+                              promote=self.skew_safe)
+        yield Write(y + PARENT, x_parent, site="rbtree.rot:parent")
         if x_parent == NULL:
-            yield from self._set_root(y)
+            yield Write(self.root_ptr, y, site="rbtree:root")
         else:
-            parent_right = yield from self._upget(x_parent, RIGHT, "rbtree.rot:pr")
+            parent_right = yield Read(x_parent + RIGHT, site="rbtree.rot:pr",
+                                      promote=self.skew_safe)
             if parent_right == x:
-                yield from self._set(x_parent, RIGHT, y, "rbtree.rot:link")
+                yield Write(x_parent + RIGHT, y, site="rbtree.rot:link")
             else:
-                yield from self._set(x_parent, LEFT, y, "rbtree.rot:link")
-        yield from self._set(y, RIGHT, x, "rbtree.rot:link")
-        yield from self._set(x, PARENT, y, "rbtree.rot:parent")
+                yield Write(x_parent + LEFT, y, site="rbtree.rot:link")
+        yield Write(y + RIGHT, x, site="rbtree.rot:link")
+        yield Write(x + PARENT, y, site="rbtree.rot:parent")
 
     # ------------------------------------------------------------------
     # lookup
 
     def lookup(self, key: int) -> TxGen:
         """Return the stored value, or ``None`` when absent (read-only)."""
-        node = yield from self._root()
+        node = yield Read(self.root_ptr, site="rbtree:root")
         steps = 0
         while node != NULL:
             steps += 1
             self._guard(steps, "rbtree.lookup")
-            node_key = yield from self._get(node, KEY, "rbtree.lookup:key")
+            node_key = yield Read(node + KEY, site="rbtree.lookup:key")
             if key == node_key:
-                value = yield from self._get(node, VALUE, "rbtree.lookup:val")
+                value = yield Read(node + VALUE, site="rbtree.lookup:val")
                 return value
             field = LEFT if key < node_key else RIGHT
-            node = yield from self._get(node, field, "rbtree.lookup:child")
+            node = yield Read(node + field, site="rbtree.lookup:child")
         return None
 
     # ------------------------------------------------------------------
@@ -168,25 +148,29 @@ class TxRedBlackTree(TxStructure):
     def insert(self, key: int, value: int = 0) -> TxGen:
         """Insert ``key``; returns False when the key already exists."""
         parent = NULL
-        node = yield from self._root(update=True)
+        node = yield Read(self.root_ptr, site="rbtree:root",
+                          promote=self.skew_safe)
         steps = 0
         while node != NULL:
             steps += 1
             self._guard(steps, "rbtree.insert")
             parent = node
-            node_key = yield from self._upget(node, KEY, "rbtree.insert:key")
+            node_key = yield Read(node + KEY, site="rbtree.insert:key",
+                                  promote=self.skew_safe)
             if key == node_key:
                 return False
             field = LEFT if key < node_key else RIGHT
-            node = yield from self._upget(node, field, "rbtree.insert:child")
+            node = yield Read(node + field, site="rbtree.insert:child",
+                              promote=self.skew_safe)
         fresh = self._new_node(key, value)
-        yield from self._set(fresh, PARENT, parent, "rbtree.insert:parent")
+        yield Write(fresh + PARENT, parent, site="rbtree.insert:parent")
         if parent == NULL:
-            yield from self._set_root(fresh)
+            yield Write(self.root_ptr, fresh, site="rbtree:root")
         else:
-            parent_key = yield from self._upget(parent, KEY, "rbtree.insert:key")
+            parent_key = yield Read(parent + KEY, site="rbtree.insert:key",
+                                    promote=self.skew_safe)
             field = LEFT if key < parent_key else RIGHT
-            yield from self._set(parent, field, fresh, "rbtree.insert:link")
+            yield Write(parent + field, fresh, site="rbtree.insert:link")
         yield from self._insert_fixup(fresh)
         return True
 
@@ -195,76 +179,91 @@ class TxRedBlackTree(TxStructure):
         while True:
             steps += 1
             self._guard(steps, "rbtree.insert_fixup")
-            parent = yield from self._upget(z, PARENT, "rbtree.fix:parent")
+            parent = yield Read(z + PARENT, site="rbtree.fix:parent",
+                                promote=self.skew_safe)
             parent_red = yield from self._is_red(parent)
             if not parent_red:
                 break
-            grand = yield from self._upget(parent, PARENT, "rbtree.fix:grand")
-            grand_left = yield from self._upget(grand, LEFT, "rbtree.fix:gl")
+            grand = yield Read(parent + PARENT, site="rbtree.fix:grand",
+                               promote=self.skew_safe)
+            grand_left = yield Read(grand + LEFT, site="rbtree.fix:gl",
+                                    promote=self.skew_safe)
             if parent == grand_left:
-                uncle = yield from self._upget(grand, RIGHT, "rbtree.fix:uncle")
+                uncle = yield Read(grand + RIGHT, site="rbtree.fix:uncle",
+                                   promote=self.skew_safe)
                 uncle_red = yield from self._is_red(uncle)
                 if uncle_red:
-                    yield from self._set(parent, COLOR, BLACK, "rbtree.fix:c")
-                    yield from self._set(uncle, COLOR, BLACK, "rbtree.fix:c")
-                    yield from self._set(grand, COLOR, RED, "rbtree.fix:c")
+                    yield Write(parent + COLOR, BLACK, site="rbtree.fix:c")
+                    yield Write(uncle + COLOR, BLACK, site="rbtree.fix:c")
+                    yield Write(grand + COLOR, RED, site="rbtree.fix:c")
                     z = grand
                     continue
-                parent_right = yield from self._upget(parent, RIGHT,
-                                                    "rbtree.fix:pr")
+                parent_right = yield Read(parent + RIGHT, site="rbtree.fix:pr",
+                                          promote=self.skew_safe)
                 if z == parent_right:
                     z = parent
                     yield from self._rotate_left(z)
-                    parent = yield from self._upget(z, PARENT, "rbtree.fix:parent")
-                    grand = yield from self._upget(parent, PARENT,
-                                                 "rbtree.fix:grand")
-                yield from self._set(parent, COLOR, BLACK, "rbtree.fix:c")
-                yield from self._set(grand, COLOR, RED, "rbtree.fix:c")
+                    parent = yield Read(z + PARENT, site="rbtree.fix:parent",
+                                        promote=self.skew_safe)
+                    grand = yield Read(parent + PARENT,
+                                       site="rbtree.fix:grand",
+                                       promote=self.skew_safe)
+                yield Write(parent + COLOR, BLACK, site="rbtree.fix:c")
+                yield Write(grand + COLOR, RED, site="rbtree.fix:c")
                 yield from self._rotate_right(grand)
             else:
-                uncle = yield from self._upget(grand, LEFT, "rbtree.fix:uncle")
+                uncle = yield Read(grand + LEFT, site="rbtree.fix:uncle",
+                                   promote=self.skew_safe)
                 uncle_red = yield from self._is_red(uncle)
                 if uncle_red:
-                    yield from self._set(parent, COLOR, BLACK, "rbtree.fix:c")
-                    yield from self._set(uncle, COLOR, BLACK, "rbtree.fix:c")
-                    yield from self._set(grand, COLOR, RED, "rbtree.fix:c")
+                    yield Write(parent + COLOR, BLACK, site="rbtree.fix:c")
+                    yield Write(uncle + COLOR, BLACK, site="rbtree.fix:c")
+                    yield Write(grand + COLOR, RED, site="rbtree.fix:c")
                     z = grand
                     continue
-                parent_left = yield from self._upget(parent, LEFT,
-                                                   "rbtree.fix:pl")
+                parent_left = yield Read(parent + LEFT, site="rbtree.fix:pl",
+                                         promote=self.skew_safe)
                 if z == parent_left:
                     z = parent
                     yield from self._rotate_right(z)
-                    parent = yield from self._upget(z, PARENT, "rbtree.fix:parent")
-                    grand = yield from self._upget(parent, PARENT,
-                                                 "rbtree.fix:grand")
-                yield from self._set(parent, COLOR, BLACK, "rbtree.fix:c")
-                yield from self._set(grand, COLOR, RED, "rbtree.fix:c")
+                    parent = yield Read(z + PARENT, site="rbtree.fix:parent",
+                                        promote=self.skew_safe)
+                    grand = yield Read(parent + PARENT,
+                                       site="rbtree.fix:grand",
+                                       promote=self.skew_safe)
+                yield Write(parent + COLOR, BLACK, site="rbtree.fix:c")
+                yield Write(grand + COLOR, RED, site="rbtree.fix:c")
                 yield from self._rotate_left(grand)
-        root = yield from self._root(update=True)
+        root = yield Read(self.root_ptr, site="rbtree:root",
+                          promote=self.skew_safe)
         root_red = yield from self._is_red(root)
         if root_red:
-            yield from self._set(root, COLOR, BLACK, "rbtree.fix:c")
+            yield Write(root + COLOR, BLACK, site="rbtree.fix:c")
 
     # ------------------------------------------------------------------
     # remove
 
     def remove(self, key: int) -> TxGen:
         """Remove ``key``; returns False when absent."""
-        z = yield from self._root(update=True)
+        z = yield Read(self.root_ptr, site="rbtree:root",
+                       promote=self.skew_safe)
         steps = 0
         while z != NULL:
             steps += 1
             self._guard(steps, "rbtree.remove")
-            z_key = yield from self._upget(z, KEY, "rbtree.remove:key")
+            z_key = yield Read(z + KEY, site="rbtree.remove:key",
+                               promote=self.skew_safe)
             if key == z_key:
                 break
             field = LEFT if key < z_key else RIGHT
-            z = yield from self._upget(z, field, "rbtree.remove:child")
+            z = yield Read(z + field, site="rbtree.remove:child",
+                           promote=self.skew_safe)
         if z == NULL:
             return False
-        z_left = yield from self._upget(z, LEFT, "rbtree.remove:left")
-        z_right = yield from self._upget(z, RIGHT, "rbtree.remove:right")
+        z_left = yield Read(z + LEFT, site="rbtree.remove:left",
+                            promote=self.skew_safe)
+        z_right = yield Read(z + RIGHT, site="rbtree.remove:right",
+                             promote=self.skew_safe)
         if z_left != NULL and z_right != NULL:
             # two children: splice the successor instead
             succ = z_right
@@ -272,31 +271,37 @@ class TxRedBlackTree(TxStructure):
             while True:
                 steps += 1
                 self._guard(steps, "rbtree.remove:succ")
-                succ_left = yield from self._upget(succ, LEFT,
-                                                 "rbtree.remove:succ")
+                succ_left = yield Read(succ + LEFT, site="rbtree.remove:succ",
+                                       promote=self.skew_safe)
                 if succ_left == NULL:
                     break
                 succ = succ_left
-            succ_key = yield from self._upget(succ, KEY, "rbtree.remove:key")
-            succ_value = yield from self._upget(succ, VALUE, "rbtree.remove:val")
-            yield from self._set(z, KEY, succ_key, "rbtree.remove:copy")
-            yield from self._set(z, VALUE, succ_value, "rbtree.remove:copy")
+            succ_key = yield Read(succ + KEY, site="rbtree.remove:key",
+                                  promote=self.skew_safe)
+            succ_value = yield Read(succ + VALUE, site="rbtree.remove:val",
+                                    promote=self.skew_safe)
+            yield Write(z + KEY, succ_key, site="rbtree.remove:copy")
+            yield Write(z + VALUE, succ_value, site="rbtree.remove:copy")
             z = succ
-            z_left = yield from self._upget(z, LEFT, "rbtree.remove:left")
-            z_right = yield from self._upget(z, RIGHT, "rbtree.remove:right")
+            z_left = yield Read(z + LEFT, site="rbtree.remove:left",
+                                promote=self.skew_safe)
+            z_right = yield Read(z + RIGHT, site="rbtree.remove:right",
+                                 promote=self.skew_safe)
         # z now has at most one child
         child = z_left if z_left != NULL else z_right
-        parent = yield from self._upget(z, PARENT, "rbtree.remove:parent")
+        parent = yield Read(z + PARENT, site="rbtree.remove:parent",
+                            promote=self.skew_safe)
         if child != NULL:
-            yield from self._set(child, PARENT, parent, "rbtree.remove:link")
+            yield Write(child + PARENT, parent, site="rbtree.remove:link")
         if parent == NULL:
-            yield from self._set_root(child)
+            yield Write(self.root_ptr, child, site="rbtree:root")
         else:
-            parent_left = yield from self._upget(parent, LEFT, "rbtree.remove:pl")
+            parent_left = yield Read(parent + LEFT, site="rbtree.remove:pl",
+                                     promote=self.skew_safe)
             if parent_left == z:
-                yield from self._set(parent, LEFT, child, "rbtree.remove:link")
+                yield Write(parent + LEFT, child, site="rbtree.remove:link")
             else:
-                yield from self._set(parent, RIGHT, child, "rbtree.remove:link")
+                yield Write(parent + RIGHT, child, site="rbtree.remove:link")
         z_red = yield from self._is_red(z)
         if not z_red:
             yield from self._remove_fixup(child, parent)
@@ -315,73 +320,90 @@ class TxRedBlackTree(TxStructure):
             x_red = yield from self._is_red(x)
             if x_red:
                 break
-            parent_left = yield from self._upget(parent, LEFT, "rbtree.dfx:pl")
+            parent_left = yield Read(parent + LEFT, site="rbtree.dfx:pl",
+                                     promote=self.skew_safe)
             if x == parent_left:
-                w = yield from self._upget(parent, RIGHT, "rbtree.dfx:sib")
+                w = yield Read(parent + RIGHT, site="rbtree.dfx:sib",
+                               promote=self.skew_safe)
                 w_red = yield from self._is_red(w)
                 if w_red:
-                    yield from self._set(w, COLOR, BLACK, "rbtree.dfx:c")
-                    yield from self._set(parent, COLOR, RED, "rbtree.dfx:c")
+                    yield Write(w + COLOR, BLACK, site="rbtree.dfx:c")
+                    yield Write(parent + COLOR, RED, site="rbtree.dfx:c")
                     yield from self._rotate_left(parent)
-                    w = yield from self._upget(parent, RIGHT, "rbtree.dfx:sib")
-                w_left = yield from self._upget(w, LEFT, "rbtree.dfx:wl")
-                w_right = yield from self._upget(w, RIGHT, "rbtree.dfx:wr")
+                    w = yield Read(parent + RIGHT, site="rbtree.dfx:sib",
+                                   promote=self.skew_safe)
+                w_left = yield Read(w + LEFT, site="rbtree.dfx:wl",
+                                    promote=self.skew_safe)
+                w_right = yield Read(w + RIGHT, site="rbtree.dfx:wr",
+                                     promote=self.skew_safe)
                 wl_red = yield from self._is_red(w_left)
                 wr_red = yield from self._is_red(w_right)
                 if not wl_red and not wr_red:
-                    yield from self._set(w, COLOR, RED, "rbtree.dfx:c")
+                    yield Write(w + COLOR, RED, site="rbtree.dfx:c")
                     x = parent
-                    parent = yield from self._upget(x, PARENT, "rbtree.dfx:up")
+                    parent = yield Read(x + PARENT, site="rbtree.dfx:up",
+                                        promote=self.skew_safe)
                     continue
                 if not wr_red:
-                    yield from self._set(w_left, COLOR, BLACK, "rbtree.dfx:c")
-                    yield from self._set(w, COLOR, RED, "rbtree.dfx:c")
+                    yield Write(w_left + COLOR, BLACK, site="rbtree.dfx:c")
+                    yield Write(w + COLOR, RED, site="rbtree.dfx:c")
                     yield from self._rotate_right(w)
-                    w = yield from self._upget(parent, RIGHT, "rbtree.dfx:sib")
-                parent_color = yield from self._upget(parent, COLOR,
-                                                    "rbtree.dfx:c")
-                yield from self._set(w, COLOR, parent_color, "rbtree.dfx:c")
-                yield from self._set(parent, COLOR, BLACK, "rbtree.dfx:c")
-                w_right = yield from self._upget(w, RIGHT, "rbtree.dfx:wr")
+                    w = yield Read(parent + RIGHT, site="rbtree.dfx:sib",
+                                   promote=self.skew_safe)
+                parent_color = yield Read(parent + COLOR, site="rbtree.dfx:c",
+                                          promote=self.skew_safe)
+                yield Write(w + COLOR, parent_color, site="rbtree.dfx:c")
+                yield Write(parent + COLOR, BLACK, site="rbtree.dfx:c")
+                w_right = yield Read(w + RIGHT, site="rbtree.dfx:wr",
+                                     promote=self.skew_safe)
                 if w_right != NULL:
-                    yield from self._set(w_right, COLOR, BLACK, "rbtree.dfx:c")
+                    yield Write(w_right + COLOR, BLACK, site="rbtree.dfx:c")
                 yield from self._rotate_left(parent)
-                x = yield from self._root(update=True)
+                x = yield Read(self.root_ptr, site="rbtree:root",
+                               promote=self.skew_safe)
                 break
             else:
-                w = yield from self._upget(parent, LEFT, "rbtree.dfx:sib")
+                w = yield Read(parent + LEFT, site="rbtree.dfx:sib",
+                               promote=self.skew_safe)
                 w_red = yield from self._is_red(w)
                 if w_red:
-                    yield from self._set(w, COLOR, BLACK, "rbtree.dfx:c")
-                    yield from self._set(parent, COLOR, RED, "rbtree.dfx:c")
+                    yield Write(w + COLOR, BLACK, site="rbtree.dfx:c")
+                    yield Write(parent + COLOR, RED, site="rbtree.dfx:c")
                     yield from self._rotate_right(parent)
-                    w = yield from self._upget(parent, LEFT, "rbtree.dfx:sib")
-                w_left = yield from self._upget(w, LEFT, "rbtree.dfx:wl")
-                w_right = yield from self._upget(w, RIGHT, "rbtree.dfx:wr")
+                    w = yield Read(parent + LEFT, site="rbtree.dfx:sib",
+                                   promote=self.skew_safe)
+                w_left = yield Read(w + LEFT, site="rbtree.dfx:wl",
+                                    promote=self.skew_safe)
+                w_right = yield Read(w + RIGHT, site="rbtree.dfx:wr",
+                                     promote=self.skew_safe)
                 wl_red = yield from self._is_red(w_left)
                 wr_red = yield from self._is_red(w_right)
                 if not wl_red and not wr_red:
-                    yield from self._set(w, COLOR, RED, "rbtree.dfx:c")
+                    yield Write(w + COLOR, RED, site="rbtree.dfx:c")
                     x = parent
-                    parent = yield from self._upget(x, PARENT, "rbtree.dfx:up")
+                    parent = yield Read(x + PARENT, site="rbtree.dfx:up",
+                                        promote=self.skew_safe)
                     continue
                 if not wl_red:
-                    yield from self._set(w_right, COLOR, BLACK, "rbtree.dfx:c")
-                    yield from self._set(w, COLOR, RED, "rbtree.dfx:c")
+                    yield Write(w_right + COLOR, BLACK, site="rbtree.dfx:c")
+                    yield Write(w + COLOR, RED, site="rbtree.dfx:c")
                     yield from self._rotate_left(w)
-                    w = yield from self._upget(parent, LEFT, "rbtree.dfx:sib")
-                parent_color = yield from self._upget(parent, COLOR,
-                                                    "rbtree.dfx:c")
-                yield from self._set(w, COLOR, parent_color, "rbtree.dfx:c")
-                yield from self._set(parent, COLOR, BLACK, "rbtree.dfx:c")
-                w_left = yield from self._upget(w, LEFT, "rbtree.dfx:wl")
+                    w = yield Read(parent + LEFT, site="rbtree.dfx:sib",
+                                   promote=self.skew_safe)
+                parent_color = yield Read(parent + COLOR, site="rbtree.dfx:c",
+                                          promote=self.skew_safe)
+                yield Write(w + COLOR, parent_color, site="rbtree.dfx:c")
+                yield Write(parent + COLOR, BLACK, site="rbtree.dfx:c")
+                w_left = yield Read(w + LEFT, site="rbtree.dfx:wl",
+                                    promote=self.skew_safe)
                 if w_left != NULL:
-                    yield from self._set(w_left, COLOR, BLACK, "rbtree.dfx:c")
+                    yield Write(w_left + COLOR, BLACK, site="rbtree.dfx:c")
                 yield from self._rotate_right(parent)
-                x = yield from self._root(update=True)
+                x = yield Read(self.root_ptr, site="rbtree:root",
+                               promote=self.skew_safe)
                 break
         if x != NULL:
-            yield from self._set(x, COLOR, BLACK, "rbtree.dfx:c")
+            yield Write(x + COLOR, BLACK, site="rbtree.dfx:c")
 
     # ------------------------------------------------------------------
     # non-transactional setup/inspection
@@ -395,37 +417,20 @@ class TxRedBlackTree(TxStructure):
         for key in keys:
             self._run_plain(self.insert(int(key)))
 
-    def _run_plain(self, gen) -> object:
-        """Drive a structure generator against plain memory (setup only)."""
-        from repro.tm.ops import Read as _Read, Write as _Write
-        result = None
-        try:
-            op = next(gen)
-            while True:
-                if isinstance(op, _Read):
-                    op = gen.send(self._plain(op.addr))
-                elif isinstance(op, _Write):
-                    self._plain_store(op.addr, op.value)
-                    op = gen.send(None)
-                else:
-                    op = gen.send(None)
-        except StopIteration as stop:
-            result = stop.value
-        return result
-
     def keys_inorder(self) -> list:
         """Plain in-order key traversal, for tests."""
-        items = []
-
-        def walk(node: int) -> None:
-            if node == NULL:
-                return
-            walk(self._plain(node + LEFT))
-            items.append(self._plain(node + KEY))
-            walk(self._plain(node + RIGHT))
-
-        walk(self._plain(self.root_ptr))
+        items: list = []
+        self._inorder(self._plain(self.root_ptr), items)
         return items
+
+    # the walks are methods, not nested closures: a recursive closure
+    # refers to itself through its cell, a reference cycle that would
+    # keep the tree and its machine alive until the cyclic collector runs
+    def _inorder(self, node: int, items: list) -> None:
+        if node != NULL:
+            self._inorder(self._plain(node + LEFT), items)
+            items.append(self._plain(node + KEY))
+            self._inorder(self._plain(node + RIGHT), items)
 
     def check_invariants(self) -> bool:
         """Red-black invariants hold on the committed state (tests)."""
@@ -434,24 +439,21 @@ class TxRedBlackTree(TxStructure):
             return True
         if self._plain(root + COLOR) == RED:
             return False
+        return self._black_height(root)[1]
+
+    def _black_height(self, node: int) -> Tuple[int, bool]:
+        """(black height, invariants hold) of the subtree at ``node``."""
+        if node == NULL:
+            return 1, True
+        color = self._plain(node + COLOR)
+        left = self._plain(node + LEFT)
+        right = self._plain(node + RIGHT)
         ok = True
-
-        def walk(node: int) -> int:
-            nonlocal ok
-            if node == NULL:
-                return 1
-            color = self._plain(node + COLOR)
-            left = self._plain(node + LEFT)
-            right = self._plain(node + RIGHT)
-            if color == RED:
-                for child in (left, right):
-                    if child != NULL and self._plain(child + COLOR) == RED:
-                        ok = False
-            left_black = walk(left)
-            right_black = walk(right)
-            if left_black != right_black:
-                ok = False
-            return left_black + (1 if color == BLACK else 0)
-
-        walk(root)
-        return ok
+        if color == RED:
+            for child in (left, right):
+                if child != NULL and self._plain(child + COLOR) == RED:
+                    ok = False
+        left_black, left_ok = self._black_height(left)
+        right_black, right_ok = self._black_height(right)
+        ok = ok and left_ok and right_ok and left_black == right_black
+        return left_black + (1 if color == BLACK else 0), ok

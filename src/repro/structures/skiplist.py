@@ -57,11 +57,8 @@ class TxSkipList(TxStructure):
 
     def _new_node(self, key: int, value: int, height: int) -> int:
         node = self._alloc(_NEXT0 + height)
-        self._plain_store(node + _KEY, key)
-        self._plain_store(node + _VALUE, value)
-        self._plain_store(node + _HEIGHT, height)
-        for level in range(height):
-            self._plain_store(node + _NEXT0 + level, NULL)
+        # _KEY, _VALUE, _HEIGHT, then one NULL next pointer per level
+        self.machine.plain_fill(node, (key, value, height) + (NULL,) * height)
         return node
 
     # ------------------------------------------------------------------
@@ -171,20 +168,6 @@ class TxSkipList(TxStructure):
         for item in items:
             key, value = item if isinstance(item, tuple) else (item, 0)
             self._run_plain(self.insert(int(key), int(value)))
-
-    def _run_plain(self, gen):
-        try:
-            op = next(gen)
-            while True:
-                if isinstance(op, Read):
-                    op = gen.send(self._plain(op.addr))
-                elif isinstance(op, Write):
-                    self._plain_store(op.addr, op.value)
-                    op = gen.send(None)
-                else:
-                    op = gen.send(None)
-        except StopIteration as stop:
-            return stop.value
 
     def keys(self) -> list:
         """Plain in-order key list."""

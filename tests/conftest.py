@@ -72,6 +72,12 @@ def drive_plain(machine: Machine, gen):
     return result
 
 
+def mvm_lines(machine: Machine) -> dict:
+    """Every MVM line with its version timestamps and newest data."""
+    return {line: (vlist.timestamps, vlist.newest_data())
+            for line, vlist in machine.mvm._lines.items()}
+
+
 def run_program(machine: Machine, system: str, programs, seed: int = 7,
                 tracer=None, promote_sites=None):
     """Run per-thread spec lists under the named system; return stats."""

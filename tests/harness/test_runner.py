@@ -1,10 +1,13 @@
 """Runner tests: single runs, seed aggregation, census config."""
 
+import gc
+
 import pytest
 
 from repro.common.config import MVMConfig, SimConfig, VersionCapPolicy
 from repro.common.errors import ConfigError
 from repro.harness.runner import run_once, run_seeds
+from repro.sim.machine import Machine
 
 
 class TestRunOnce:
@@ -47,6 +50,24 @@ class TestRunOnce:
     def test_throughput_positive(self):
         result = run_once("ssca2", "SI-TM", 2, 1, profile="test")
         assert result.throughput > 0
+
+    @pytest.mark.parametrize("observed", [
+        {}, {"telemetry": True}, {"profiling": True},
+        {"telemetry": True, "profiling": True}])
+    def test_a_run_frees_its_machine_on_return(self, observed):
+        """No reference cycle keeps a cell's machine alive until the
+        cyclic collector happens to run."""
+        def machines():
+            return sum(isinstance(o, Machine) for o in gc.get_objects())
+
+        gc.collect()
+        gc.disable()
+        try:
+            before = machines()
+            run_once("rbtree", "SI-TM", 2, 1, profile="test", **observed)
+            assert machines() == before
+        finally:
+            gc.enable()
 
 
 class TestRunSeeds:

@@ -134,8 +134,10 @@ def _observable(hierarchy):
         "invalidations_sent": hierarchy.invalidations_sent,
         "counters": [(c.name, c.hits, c.misses, c.evictions)
                      for c in caches],
-        # per-set residency *in LRU order*
-        "resident": [(c.name, [list(entries) for entries in c._sets])
+        # per touched set, in set-index order: residency *in LRU order*
+        "resident": [(c.name, [(index, list(entries))
+                               for index, entries in enumerate(c._sets)
+                               if entries is not None])
                      for c in caches],
     }
 
@@ -166,6 +168,6 @@ def test_resident_lines_are_listed_and_match_the_every_access_model(seed):
         for core_caches in hierarchy.cores:
             for level in (core_caches.l1, core_caches.l2):
                 for entries in level._sets:
-                    for resident in entries:
+                    for resident in entries or ():
                         assert core_caches.core_id in \
                             hierarchy._sharers[resident]

@@ -57,6 +57,30 @@ class TestConstruction:
         assert machine.clock.delta == config.mvm.commit_delta
         assert machine.mvm.config is config.mvm
 
+    def test_cache_sets_are_created_by_the_first_fill(self):
+        machine = Machine(SimConfig())
+        caches = machine.caches
+        levels = [caches.l3] + [level for core in caches.cores
+                                for level in (core.l1, core.l2)]
+
+        def created(level):
+            return [i for i, entries in enumerate(level._sets)
+                    if entries is not None]
+
+        assert not any(created(level) for level in levels)
+        # probes of an untouched set allocate nothing
+        core = caches.cores[0]
+        assert not core.l1.contains(7)
+        assert not core.l2.invalidate(7)
+        assert not caches.l3.lookup(7)
+        assert caches.invalidate_everywhere(7) == 0
+        caches.invalidate_core(3, 7)
+        assert not any(created(level) for level in levels)
+        caches.access(0, 7)
+        # the L3, then core 0's L1 and L2: each created set 7 alone
+        assert [created(level) for level in levels] == \
+            [[7], [7], [7]] + [[]] * (2 * len(caches.cores) - 2)
+
     def test_free(self, machine):
         addr = machine.malloc(4)
         machine.free(addr)

@@ -6,7 +6,7 @@ from repro.sim.machine import Machine
 
 from repro.structures import TxArray
 
-from tests.conftest import drive_plain, run_program, spec
+from tests.conftest import drive_plain, mvm_lines, run_program, spec
 
 
 @pytest.fixture
@@ -41,6 +41,14 @@ class TestSequential:
             array.get(32)
         with pytest.raises(IndexError):
             array.set(-1, 0)
+
+    def test_rejected_populate_stores_nothing(self, machine):
+        array = TxArray(machine, 10)
+        array.populate([7] * 3)
+        before = array.snapshot(), mvm_lines(machine)
+        with pytest.raises(IndexError):
+            array.populate(range(11))
+        assert (array.snapshot(), mvm_lines(machine)) == before
 
     def test_invalid_size(self, machine):
         with pytest.raises(ValueError):

@@ -5,7 +5,7 @@ import pytest
 from repro.sim.machine import Machine
 from repro.structures import QueueFull, TxCounter, TxQueue, write
 
-from tests.conftest import drive_plain, run_program, spec
+from tests.conftest import drive_plain, mvm_lines, run_program, spec
 
 
 class TestQueueSequential:
@@ -46,6 +46,22 @@ class TestQueueSequential:
         queue = TxQueue(machine, capacity=2)
         with pytest.raises(QueueFull):
             queue.populate([1, 2, 3])
+
+    def test_rejected_populate_stores_nothing(self, machine):
+        queue = TxQueue(machine, capacity=4)
+        queue.populate([1, 2])
+        before = queue.drain_plain(), mvm_lines(machine)
+        with pytest.raises(QueueFull):
+            queue.populate([3, 4, 5])
+        assert (queue.drain_plain(), mvm_lines(machine)) == before
+
+    def test_populate_wraps_around_the_ring(self, machine):
+        queue = TxQueue(machine, capacity=4)
+        queue.populate([1, 2, 3])
+        for expected in (1, 2):
+            assert drive_plain(machine, queue.dequeue()) == expected
+        queue.populate([4, 5, 6])
+        assert queue.drain_plain() == [3, 4, 5, 6]
 
     def test_invalid_capacity(self, machine):
         with pytest.raises(ValueError):

@@ -52,11 +52,14 @@ class TestModules:
     def test_the_store_stack_does_not_import_networkx(self):
         """The store serves and checks without ever building a graph;
         networkx (a fifth of its cold import) belongs to the offline
-        checker's callers.  A fresh interpreter: this one has it."""
+        checker's callers, and the harness with its workloads and
+        figure drivers to the simulator's.  A fresh interpreter: this
+        one has them all."""
         code = ("import sys; "
                 "import repro.store.server, repro.store.loadgen, "
                 "repro.oracle.live; "
-                "sys.exit('networkx' in sys.modules)")
+                "sys.exit(sorted(m for m in ('networkx', 'repro.harness', "
+                "'repro.workloads') if m in sys.modules) or 0)")
         env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
         assert subprocess.run([sys.executable, "-c", code], env=env,
                               timeout=60).returncode == 0
