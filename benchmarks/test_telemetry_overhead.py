@@ -153,11 +153,11 @@ def test_telemetry_on_bounded_under_escalation(once, benchmark):
     """The capacity-config ``list``/2PL cell: every transaction overflows
     its 8-line read set and commits through the golden token, so fifteen
     of sixteen threads spend the run in begin stalls."""
-    from repro.perf.bench import SUITES
+    from repro.perf.bench import CAPACITY_CONFIG
 
     def cell(**observers):
         result = run_once("list", "2PL", 16, seed=1, profile="quick",
-                          config=SUITES["capacity"].config, **observers)
+                          config=CAPACITY_CONFIG, **observers)
         assert result.escalations > 0
         return result
 

@@ -298,7 +298,7 @@ class SimConfig:
 
 #: Config fields serialized omitted-when-unset (0/None/False): their
 #: defaults predate nothing — they were added after fingerprints, cache
-#: keys and bench baselines already existed, so a default value must
+#: keys and golden digests already existed, so a default value must
 #: leave the canonical dict byte-identical to the pre-feature form.
 OMITTED_WHEN_UNSET = frozenset({
     "read_set_limit", "write_set_limit", "version_buffer_limit",

@@ -11,6 +11,7 @@ Usage::
     sitm-harness table2 [--profile quick]
     sitm-harness capacity [--profile quick] [--threads 8] [--seeds 3]
     sitm-harness overheads
+    sitm-harness claims
     sitm-harness cache [--stats | --clear]
     sitm-harness fuzz  [--backend all] [--schedules N] [--seed S] [--jobs 4]
                        [--faults]
@@ -26,14 +27,16 @@ Usage::
                          [--top N] [--dot graph.dot] [--json blame.json]
     sitm-harness profile [--experiment rbtree] [--backend sitm]
                          [--stacks stacks.txt]
-    sitm-harness bench [--suite quick] [--label current] [--jobs 4]
-    sitm-harness bench --compare BASE.json CURRENT.json
     sitm-harness all   [--profile test]
 
 ``--profile`` selects the workload scaling profile (see
 :mod:`repro.workloads.base`); ``full`` is closest to the paper but slow in
 pure Python.  ``--seeds`` sets independent seeds per cell: the default 3
 keeps quick runs fast, the paper's protocol averages 5 (``--seeds 5``).
+
+``claims`` runs the paper's headline claims at one pinned configuration
+(:mod:`repro.harness.claims`) whatever the flags say, and exits 1 when
+any claim fails.
 
 Grid commands (fig1/fig7/fig8/table2/claims) execute through the
 parallel, memoizing executor: ``--jobs N`` fans simulations out over N
@@ -62,7 +65,7 @@ from typing import List, Optional
 from repro.common.config import table1_dict
 from repro.common.errors import ConfigError
 from repro.harness import experiments
-from repro.harness.claims import all_passed, check_claims
+from repro.harness import claims
 from repro.harness import export
 from repro.harness.executor import Executor, ResultCache
 from repro.harness.report import (format_rel_stddev, format_relative,
@@ -195,15 +198,9 @@ def _table2(args) -> str:
 
 
 def _claims(args) -> str:
-    results = check_claims(profile=args.profile, threads=args.threads,
-                           seeds=args.seeds, executor=args.executor)
-    table = format_table(
-        ["claim", "description", "expected", "measured", "ok"],
-        [[r.claim_id, r.description, r.expected, r.measured,
-          "PASS" if r.passed else "FAIL"] for r in results],
-        title="Headline-claim verification")
-    verdict = "ALL CLAIMS PASS" if all_passed(results) else "FAILURES PRESENT"
-    return table + f"\n\n{verdict}"
+    results = claims.check_claims(executor=args.executor)
+    args._failed = not claims.all_passed(results)
+    return claims.render(results)
 
 
 def _capacity(args) -> str:
@@ -267,7 +264,7 @@ def _fuzz(args) -> str:
             payload["schedule"], replay_systems,
             seed=payload.get("seed", args.seed),
             broken=payload.get("broken") or args.broken)
-        args._fuzz_failed = bool(violations)
+        args._failed = bool(violations)
         lines = [f"replayed {args.replay} under "
                  f"{' '.join(replay_systems)}: "
                  f"{len(violations)} violation(s)"]
@@ -292,7 +289,7 @@ def _fuzz(args) -> str:
         threads=args.fuzz_threads, txns=args.fuzz_txns,
         cells=args.fuzz_cells, ops=args.fuzz_ops, broken=args.broken,
         out_dir=args.fuzz_out, config_patch=config_patch)
-    args._fuzz_failed = not report.clean
+    args._failed = not report.clean
     table = format_table(
         ["system", "schedules", "committed", "aborted", "violations"],
         [[system, row["schedules"], row["committed"], row["aborted"],
@@ -332,7 +329,7 @@ def _faults(args) -> str:
     report = fault_campaign(args.executor, systems, seeds=seeds,
                             escalation=not args.no_escalation,
                             out_dir=args.fuzz_out)
-    args._fuzz_failed = not report.clean
+    args._failed = not report.clean
     mode = ("escalation DISABLED (expect no-progress)"
             if args.no_escalation else "escalation enabled")
     table = format_table(
@@ -576,43 +573,6 @@ def _watch(args) -> str:
     return "\n".join(lines)
 
 
-def _bench(args) -> str:
-    from repro.perf import (SUITES, BenchSuite, compare_artifacts,
-                            load_artifact, run_bench, save_artifact)
-    if args.compare:
-        base = load_artifact(args.compare[0])
-        current = load_artifact(args.compare[1])
-        report = compare_artifacts(base, current)
-        args._bench_failed = not report.passed
-        return report.render()
-    suite = SUITES[args.suite]
-    if args.backend != "all":
-        cells = tuple(c for c in suite.cells if c[1] == args.backend)
-        if not cells:
-            raise ConfigError(f"suite {suite.name!r} has no "
-                              f"{args.backend} cells; systems: "
-                              f"{sorted({c[1] for c in suite.cells})}")
-        suite = BenchSuite(suite.name, cells, suite.seeds, suite.profile,
-                           suite.config)
-    artifact = run_bench(suite, args.label, executor=args.executor)
-    path = save_artifact(artifact, args.bench_out)
-    lines = [f"bench artifact written: {path}",
-             f"  suite {suite.name}: {len(suite.cells)} cells x "
-             f"{suite.seeds} seeds, profile {suite.profile}"]
-    det = artifact["deterministic"]
-    for key in sorted(det):
-        cell = det[key]
-        lines.append(f"  {key}: {cell['throughput']:.1f} commits/Mcycle "
-                     f"(sd {100 * cell['throughput_rel_stddev']:.1f}%), "
-                     f"abort rate {cell['abort_rate']:.3f}")
-    advisory = artifact["advisory"]
-    lines.append(f"  advisory: wall clock {advisory['wall_clock_s']:.2f}s, "
-                 f"cache hit rate {100 * advisory['cache_hit_rate']:.0f}%")
-    lines.append(f"  compare against a baseline: sitm-harness bench "
-                 f"--compare <baseline.json> {path}")
-    return "\n".join(lines)
-
-
 def _cache(args) -> str:
     cache = ResultCache(args.cache_dir)
     if args.clear:
@@ -680,10 +640,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("command",
                         choices=list(_COMMANDS) + ["capacity", "trace",
                                                    "metrics", "profile",
-                                                   "blame", "bench",
-                                                   "cache", "fuzz",
-                                                   "faults", "watch",
-                                                   "all"])
+                                                   "blame", "cache",
+                                                   "fuzz", "faults",
+                                                   "watch", "all"])
     parser.add_argument("--profile", default="quick",
                         choices=("test", "quick", "full"))
     parser.add_argument("--threads", type=int, default=16,
@@ -749,9 +708,8 @@ def build_parser() -> argparse.ArgumentParser:
                                  "LogTM", "HybridHTM", "all"),
                         help="trace/metrics/profile: system to telemeter "
                              "(default SI-TM); fuzz: backend(s) to "
-                             "cross-check; bench: restrict the suite to "
-                             "one system's cells; case-insensitive "
-                             "aliases like 'sitm' accepted")
+                             "cross-check; case-insensitive aliases like "
+                             "'sitm' accepted")
     parser.add_argument("--format", default="text",
                         choices=("text", "prom"),
                         help="metrics: report format — text tables or "
@@ -783,21 +741,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--dot", default=None,
                         help="blame: write the merged killer→victim "
                              "conflict graph as Graphviz DOT to this file")
-    parser.add_argument("--suite", default="quick",
-                        choices=("smoke", "quick", "flat_loop",
-                                 "capacity", "full"),
-                        help="bench: pinned suite to run")
-    parser.add_argument("--label", default="current",
-                        help="bench: artifact label; written as "
-                             "BENCH_<label>.json")
-    parser.add_argument("--bench-out", default=None,
-                        help="bench: artifact output directory (default "
-                             "results/bench, or $SITM_BENCH_DIR)")
-    parser.add_argument("--compare", nargs=2, default=None,
-                        metavar=("BASE", "CURRENT"),
-                        help="bench: diff two artifacts instead of "
-                             "running; exits non-zero on deterministic "
-                             "regressions")
     parser.add_argument("--experiment", default="figure7",
                         help="trace/metrics: figure1/figure7/figure8 "
                              "(that figure's workload set) or one "
@@ -844,6 +787,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         parser.error("--jobs must be >= 0 (0 = one per CPU)")
     if args.timeout is not None and args.timeout <= 0:
         parser.error("--timeout must be positive")
+    args._failed = False
     args.executor = Executor(jobs=args.jobs, cache=not args.no_cache,
                              refresh=args.refresh,
                              cache_dir=args.cache_dir,
@@ -875,13 +819,11 @@ def main(argv: Optional[List[str]] = None) -> int:
             report = _profile(args)
         elif args.command == "blame":
             report = _blame(args)
-        elif args.command == "bench":
-            report = _bench(args)
         else:
             report = _COMMANDS[args.command](args)
     except ConfigError as exc:
-        # unknown experiment/backend/workload names and malformed bench
-        # artifacts are user errors: one line on stderr, no traceback
+        # unknown experiment/backend/workload names are user errors:
+        # one line on stderr, no traceback
         print(f"sitm-harness {args.command}: error: {exc}",
               file=sys.stderr)
         return 2
@@ -910,9 +852,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             if failure.flight:
                 print(f"    flight recorder: {failure.flight}")
         return 1
-    if getattr(args, "_fuzz_failed", False):
-        return 1
-    return 1 if getattr(args, "_bench_failed", False) else 0
+    # a violation found, or a claim of the paper that did not hold
+    return 1 if args._failed else 0
 
 
 if __name__ == "__main__":

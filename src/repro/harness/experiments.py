@@ -461,6 +461,11 @@ def watch_specs(experiment: str, system: str = "SI-TM", threads: int = 8,
 # Table 2 / Appendix A — version-depth census
 
 
+#: Table 2's config: every version kept, and the census counting them
+CENSUS_CONFIG = SimConfig(mvm=MVMConfig(
+    cap_policy=VersionCapPolicy.UNBOUNDED, census=True))
+
+
 def table2(profile: str = "quick", threads: int = 32,
            seed: int = 1,
            workloads: Optional[Sequence[str]] = None,
@@ -472,10 +477,9 @@ def table2(profile: str = "quick", threads: int = 32,
     version they hit.  The paper's conclusion: <1% of accesses reach past
     the 4th version, so a 4-deep MVM suffices.
     """
-    config = SimConfig(mvm=MVMConfig(
-        cap_policy=VersionCapPolicy.UNBOUNDED, census=True))
     names = list(workloads or PAPER_ORDER)
-    specs = [ExperimentSpec(name, "SI-TM", threads, seed, profile, config)
+    specs = [ExperimentSpec(name, "SI-TM", threads, seed, profile,
+                            CENSUS_CONFIG)
              for name in names]
     executor = executor if executor is not None else serial_executor()
     run_results = executor.run(specs)

@@ -57,7 +57,7 @@ class ExperimentSpec:
     #: (:class:`repro.faults.FaultPlan`); part of the cache key, but
     #: omitted from the canonical dict when ``None`` — matching the
     #: ``telemetry``/``profiling`` convention — so every pre-existing
-    #: spec hash and ``BENCH_baseline.json`` comparison survives.
+    #: spec hash, and with it every result-cache key, survives.
     faults: Optional[FaultPlan] = None
 
     #: spec-kind discriminator for the executor's worker payloads; the

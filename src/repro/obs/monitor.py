@@ -1,7 +1,7 @@
 """Live campaign monitoring: the watch view and progress lines.
 
-The executor publishes structured events while a grid, fuzz campaign,
-or bench suite runs — ``grid-start``, ``spec-cached``, ``spec-start``,
+The executor publishes structured events while a grid or fuzz campaign
+runs — ``grid-start``, ``spec-cached``, ``spec-start``,
 ``spec-done``, ``spec-failed``, plus the per-window ``window``/``alert``
 stream from :mod:`repro.obs.live` (relayed over a multiprocessing
 queue when cells run in pool workers).  :class:`CampaignMonitor`

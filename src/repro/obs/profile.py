@@ -278,8 +278,8 @@ class CycleProfiler(Tracer):
         """
         return {
             # version 2 added "wasted_cycles"; downstream consumers
-            # (phase_shares, bench artifacts) read only "threads", so
-            # version-1 snapshots remain loadable
+            # (phase_shares) read only "threads", so version-1
+            # snapshots remain loadable
             "version": 2,
             "threads": {
                 str(tid): {
@@ -320,9 +320,8 @@ class CycleProfiler(Tracer):
 def phase_shares(snapshot: dict) -> Dict[str, float]:
     """Fraction of all charged cycles per top-level phase.
 
-    The deterministic per-phase breakdown ``sitm-harness bench``
-    records: shares of a conserved total are comparable across code
-    versions even when absolute cycle counts legitimately move.
+    Shares of a conserved total are comparable across code versions
+    even when absolute cycle counts legitimately move.
     """
     totals: Dict[str, int] = {}
     for phases in snapshot.get("threads", {}).values():

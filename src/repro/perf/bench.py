@@ -1,48 +1,31 @@
-"""Benchmark suites and the ``BENCH_*.json`` artifact format.
+"""The ``BENCH_*.json`` artifact format, and the capacity config.
 
-A **suite** is a pinned grid of simulation cells (workload, system,
-threads) run over fixed seeds at a fixed workload profile — pinned so
-that two artifacts produced from the same code are byte-identical in
-their deterministic section, and two artifacts produced from different
-code versions measure the same work.
+``sitm-store bench`` writes its run as a schema-versioned artifact
+(``docs/bench-schema.md``) with a ``deterministic`` section (what the
+run did: throughput, abort rate, counts) and an ``advisory`` one (wall
+clock and latency percentiles, which measure the host).
+:func:`validate_artifact` checks one without external dependencies.
 
-An **artifact** separates metrics by trust level:
-
-* ``deterministic`` — per-cell throughput, abort rate, commit/abort
-  counts, makespan, and per-phase cycle shares from the profiler.
-  These are pure functions of (code, suite); any change between two
-  artifacts is a real behavioural change, so the comparator *gates* on
-  them (with seed-stddev-aware tolerances for the seed-averaged ones).
-* ``advisory`` — wall-clock seconds and executor cache-hit rate.
-  These measure the host machine and cache state, not the simulator;
-  the comparator only *warns* on them.
-
-The schema is versioned (``schema``/``schema_version`` fields);
-``docs/bench-schema.md`` documents the layout and the rules for
-bumping the version.  :func:`validate_artifact` checks an artifact
-against the schema without any external dependency.
+:data:`CAPACITY_CONFIG` is the simulator's pinned capacity-bounds
+config, shared by the golden digests, ``repro.perf.micro`` and
+perfbench's ``sim_observed`` cells.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import os
 import pathlib
-import time
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from types import SimpleNamespace
+from typing import List, Optional
 
 from repro.common.config import SimConfig, TMConfig
 from repro.common.errors import ConfigError
-from repro.harness.executor import Executor, code_fingerprint, \
-    serial_executor
-from repro.harness.spec import ExperimentSpec
 from repro.sim.retry import RetryPolicy
 
 __all__ = ["SCHEMA", "SCHEMA_VERSION", "BENCH_DIR_ENV",
-           "DEFAULT_BENCH_DIR", "SUITES", "BenchSuite", "artifact_path",
-           "load_artifact", "run_bench", "save_artifact",
+           "DEFAULT_BENCH_DIR", "CAPACITY_CONFIG", "SUITES",
+           "artifact_path", "load_artifact", "save_artifact",
            "validate_artifact"]
 
 #: artifact format identifier
@@ -50,176 +33,19 @@ SCHEMA = "sitm-bench"
 #: bump on any breaking layout change (see docs/bench-schema.md)
 SCHEMA_VERSION = 1
 
-#: committed artifact location, relative to the repository root / CWD
+#: artifact location, relative to the repository root / CWD
 DEFAULT_BENCH_DIR = pathlib.Path("results") / "bench"
 #: environment override for the artifact location (test isolation)
 BENCH_DIR_ENV = "SITM_BENCH_DIR"
 
-
-@dataclass(frozen=True)
-class BenchSuite:
-    """A pinned grid of bench cells: the unit two artifacts can compare.
-
-    Cells are ``(workload, system, threads)`` triples; every cell runs
-    ``seeds`` consecutive seeds (from 1) at workload ``profile``.
-    ``config`` optionally pins a non-default simulation config for the
-    whole suite (the capacity suite bounds the read/write sets); the
-    default ``None`` keeps every pre-existing suite's spec hashes — and
-    therefore its artifact history — untouched.
-    """
-
-    name: str
-    cells: Tuple[Tuple[str, str, int], ...]
-    seeds: int = 2
-    profile: str = "test"
-    config: Optional[SimConfig] = None
-
-    def specs(self) -> List[ExperimentSpec]:
-        """The suite's full spec list, profiling enabled, in grid order."""
-        return [ExperimentSpec(workload, system, threads, seed,
-                               self.profile, self.config, profiling=True)
-                for workload, system, threads in self.cells
-                for seed in range(1, self.seeds + 1)]
-
-
-#: the pinned suites; changing a suite's composition invalidates its
-#: comparison history, so extend by adding new suites, not editing these
-SUITES: Dict[str, BenchSuite] = {
-    # minimal, for tests and docs examples
-    "smoke": BenchSuite("smoke", (
-        ("rbtree", "SI-TM", 4),
-    ), seeds=2, profile="test"),
-    # the CI perf gate: paper systems + the contended/structured extremes
-    "quick": BenchSuite("quick", (
-        ("rbtree", "SI-TM", 8),
-        ("rbtree", "2PL", 8),
-        ("array", "SI-TM", 8),
-        ("list", "SONTM", 4),
-    ), seeds=2, profile="test"),
-    # the flat-loop refactor's simulated-behaviour pin (ISSUE 6): high
-    # thread counts, where run() bursts are longest; the host-side
-    # dispatch measurement lives in the artifact's advisory section
-    # (see repro.perf.micro)
-    "flat_loop": BenchSuite("flat_loop", (
-        ("array", "SI-TM", 32),
-        ("rbtree", "SI-TM", 32),
-        ("rbtree", "2PL", 32),
-    ), seeds=2, profile="test"),
-    # the capacity-bounds pin (CI perf-smoke cell): tight read/write-set
-    # limits with escalation-based termination, plus the hybrid backend
-    # running on its own built-in bounds and lock fallback
-    "capacity": BenchSuite("capacity", (
-        ("list", "2PL", 4),
-        ("list", "HybridHTM", 4),
-        ("rbtree", "HybridHTM", 8),
-    ), seeds=2, profile="test", config=SimConfig(
-        tm=TMConfig(read_set_limit=8, write_set_limit=8),
-        retry=RetryPolicy(attempt_budget=4, stall_budget=16,
-                          starvation_age_cycles=50_000))),
-    # broader sweep for manual before/after studies
-    "full": BenchSuite("full", (
-        ("rbtree", "2PL", 8),
-        ("rbtree", "SONTM", 8),
-        ("rbtree", "SI-TM", 8),
-        ("rbtree", "SSI-TM", 8),
-        ("rbtree", "LogTM", 8),
-        ("array", "2PL", 8),
-        ("array", "SI-TM", 8),
-        ("list", "2PL", 4),
-        ("list", "SI-TM", 4),
-        ("genome", "SI-TM", 8),
-        ("intruder", "SI-TM", 8),
-    ), seeds=3, profile="quick"),
-}
-
-
-def _cell_key(workload: str, system: str, threads: int) -> str:
-    return f"{workload}/{system}/t{threads}"
-
-
-def _mean(values: Sequence[float]) -> float:
-    return sum(values) / len(values)
-
-
-def _rel_stddev(values: Sequence[float]) -> float:
-    mean = _mean(values)
-    if not mean:
-        return 0.0
-    variance = _mean([(v - mean) ** 2 for v in values])
-    return math.sqrt(variance) / mean
-
-
-def _stddev(values: Sequence[float]) -> float:
-    mean = _mean(values)
-    variance = _mean([(v - mean) ** 2 for v in values])
-    return math.sqrt(variance)
-
-
-def _merged_phase_shares(snapshots: Sequence[dict]) -> Dict[str, float]:
-    """Phase shares over the summed per-phase cycles of several runs."""
-    totals: Dict[str, int] = {}
-    for snapshot in snapshots:
-        for phases in snapshot.get("threads", {}).values():
-            for phase, entry in phases.items():
-                totals[phase] = totals.get(phase, 0) + entry["cycles"]
-    grand = sum(totals.values())
-    if not grand:
-        return {}
-    return {phase: totals[phase] / grand for phase in sorted(totals)}
-
-
-def run_bench(suite: BenchSuite, label: str,
-              executor: Optional[Executor] = None) -> dict:
-    """Run ``suite`` through ``executor`` and build a BENCH artifact.
-
-    The deterministic section is a pure function of (code, suite); the
-    advisory section records this invocation's wall clock and cache-hit
-    rate.  The executor's counters are read as a delta around this run
-    so a shared executor reports the bench's own hit rate.
-    """
-    executor = executor if executor is not None else serial_executor()
-    specs = suite.specs()
-    hits0 = executor.hits
-    misses0 = executor.misses
-    started = time.monotonic()
-    results = executor.run(specs)
-    wall_clock = time.monotonic() - started
-    lookups = (executor.hits - hits0) + (executor.misses - misses0)
-    hit_rate = (executor.hits - hits0) / lookups if lookups else 0.0
-
-    deterministic: Dict[str, dict] = {}
-    for workload, system, threads in suite.cells:
-        runs = [results[ExperimentSpec(workload, system, threads, seed,
-                                       suite.profile, suite.config,
-                                       profiling=True)]
-                for seed in range(1, suite.seeds + 1)]
-        throughputs = [r.throughput for r in runs]
-        abort_rates = [r.abort_rate for r in runs]
-        deterministic[_cell_key(workload, system, threads)] = {
-            "throughput": _mean(throughputs),
-            "throughput_rel_stddev": _rel_stddev(throughputs),
-            "abort_rate": _mean(abort_rates),
-            "abort_rate_stddev": _stddev(abort_rates),
-            "commits": _mean([r.commits for r in runs]),
-            "aborts": _mean([r.aborts for r in runs]),
-            "makespan_cycles": _mean([r.makespan_cycles for r in runs]),
-            "phase_shares": _merged_phase_shares(
-                [r.phases for r in runs if r.phases]),
-        }
-    return {
-        "schema": SCHEMA,
-        "schema_version": SCHEMA_VERSION,
-        "label": label,
-        "suite": suite.name,
-        "profile": suite.profile,
-        "seeds": suite.seeds,
-        "code_fingerprint": code_fingerprint(),
-        "deterministic": deterministic,
-        "advisory": {
-            "wall_clock_s": round(wall_clock, 3),
-            "cache_hit_rate": round(hit_rate, 4),
-        },
-    }
+#: tight read/write-set limits with escalation-based termination; the
+#: hybrid backend runs on its own built-in bounds and lock fallback
+CAPACITY_CONFIG = SimConfig(
+    tm=TMConfig(read_set_limit=8, write_set_limit=8),
+    retry=RetryPolicy(attempt_budget=4, stall_budget=16,
+                      starvation_age_cycles=50_000))
+#: the name perfbench reads the capacity config under
+SUITES = {"capacity": SimpleNamespace(config=CAPACITY_CONFIG)}
 
 
 #: required numeric fields in every deterministic cell

@@ -28,7 +28,7 @@ that hole at the engine layer, uniformly across all five backends:
 
 The policy is ``None`` by default — the engine's legacy behaviour
 (backend backoff only, unbounded retries) is byte-identical when no
-policy is configured, which keeps ``BENCH_baseline.json`` comparable.
+policy is configured, which ``engine_golden.json``'s digests pin.
 
 **Time-base-agnostic core.**  Nothing in the policy's arithmetic cares
 that the engine's unit is a simulated cycle: the thresholds and delays

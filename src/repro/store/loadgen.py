@@ -21,10 +21,11 @@ exactly one logical transaction in flight, retrying it until it commits
 or its attempt budget is spent, then moves to the next.  The resulting
 stats map onto the repo's BENCH artifact schema via
 :func:`bench_artifact` (deterministic section: counts and rates under a
-pinned seed; advisory section: wall clock and latency percentiles), so ``sitm-store bench`` artifacts validate against
-:func:`repro.perf.bench.validate_artifact` and land next to the
-simulator's.  Beside the transaction, every ``READ``, ``WRITE`` and
-``COMMIT`` round trip is timed (``read_p50_ms`` ... ``commit_p99_ms``).
+pinned seed; advisory section: wall clock and latency percentiles), so
+``sitm-store bench`` artifacts validate against
+:func:`repro.perf.bench.validate_artifact`.  Beside the transaction,
+every ``READ``, ``WRITE`` and ``COMMIT`` round trip is timed
+(``read_p50_ms`` ... ``commit_p99_ms``).
 """
 
 from __future__ import annotations
@@ -276,7 +277,7 @@ def bench_artifact(stats: dict, label: str = "store",
     deterministic under a pinned seed and single-host serial timing is
     advisory, matching the schema's trust split.  ``makespan_cycles``
     carries elapsed microseconds — the store has no simulated clock, and
-    the comparator only needs a monotone per-cell scalar.
+    ``validate_artifact`` requires the field of every cell.
     """
     from repro.harness.executor import code_fingerprint
     from repro.perf.bench import SCHEMA, SCHEMA_VERSION

@@ -39,7 +39,7 @@ class TestParser:
         assert build_parser().parse_args(["fig7"]).jobs == 1
 
     def test_seeds_plumbed_everywhere(self):
-        for command in ("fig1", "fig7", "fig8", "claims"):
+        for command in ("fig1", "fig7", "fig8"):
             args = build_parser().parse_args([command, "--seeds", "5"])
             assert args.seeds == 5
 
@@ -201,7 +201,7 @@ class TestBackendAliases:
             assert "error" in capsys.readouterr().err
 
     def test_backend_alias_reaches_every_consumer(self):
-        for command in ("trace", "metrics", "profile", "bench", "fuzz"):
+        for command in ("trace", "metrics", "profile", "fuzz"):
             args = build_parser().parse_args(
                 [command, "--backend", "logtm"])
             assert args.backend == "LogTM"
@@ -237,59 +237,3 @@ class TestProfileCommand:
         lines = stacks.read_text().splitlines()
         assert lines and all(line.rsplit(" ", 1)[1].isdigit()
                              for line in lines)
-
-
-class TestBenchCommand:
-    def _run(self, label, bench_dir, extra=()):
-        return main(["bench", "--suite", "smoke", "--label", label,
-                     "--bench-out", str(bench_dir), "--no-cache",
-                     *extra])
-
-    def test_bench_writes_valid_artifact(self, tmp_path, capsys):
-        from repro.perf import load_artifact
-        assert self._run("one", tmp_path) == 0
-        out = capsys.readouterr().out
-        assert "bench artifact written" in out
-        artifact = load_artifact(tmp_path / "BENCH_one.json")
-        assert artifact["suite"] == "smoke"
-
-    def test_compare_identical_passes(self, tmp_path, capsys):
-        self._run("one", tmp_path)
-        self._run("two", tmp_path)
-        capsys.readouterr()
-        assert main(["bench", "--compare",
-                     str(tmp_path / "BENCH_one.json"),
-                     str(tmp_path / "BENCH_two.json")]) == 0
-        assert "PASS" in capsys.readouterr().out
-
-    def test_compare_injected_regression_fails(self, tmp_path, capsys):
-        import json
-
-        self._run("one", tmp_path)
-        self._run("two", tmp_path)
-        path = tmp_path / "BENCH_two.json"
-        artifact = json.loads(path.read_text())
-        for cell in artifact["deterministic"].values():
-            cell["throughput"] *= 0.5
-        path.write_text(json.dumps(artifact))
-        capsys.readouterr()
-        assert main(["bench", "--compare",
-                     str(tmp_path / "BENCH_one.json"), str(path)]) == 1
-        out = capsys.readouterr().out
-        assert "REGRESSION" in out and "FAIL" in out
-
-    def test_compare_invalid_artifact_one_line_error(self, tmp_path,
-                                                     capsys):
-        bad = tmp_path / "BENCH_bad.json"
-        bad.write_text("{}")
-        assert main(["bench", "--compare", str(bad), str(bad)]) == 2
-        err = capsys.readouterr().err
-        assert "error:" in err and "Traceback" not in err
-
-    def test_backend_filter(self, tmp_path, capsys):
-        assert self._run("si", tmp_path,
-                         extra=["--backend", "sitm"]) == 0
-        capsys.readouterr()
-        assert self._run("no", tmp_path,
-                         extra=["--backend", "logtm"]) == 2
-        assert "no LogTM cells" in capsys.readouterr().err

@@ -37,8 +37,8 @@ class TestCanonicalForm:
 
 class TestFaultsOnSpecs:
     """``faults=None`` must be invisible: pre-existing spec hashes (and
-    therefore every cached result and ``BENCH_baseline.json``) survive
-    the introduction of fault injection."""
+    therefore every result-cache key) survive the introduction of fault
+    injection."""
 
     def test_plain_spec_dict_omits_faults(self):
         spec = ExperimentSpec("list", "2PL", 2, 1, "test")

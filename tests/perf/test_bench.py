@@ -1,4 +1,4 @@
-"""Bench suites, BENCH artifact schema, and artifact persistence."""
+"""The BENCH artifact schema and its persistence, on a store artifact."""
 
 import copy
 import json
@@ -6,50 +6,29 @@ import json
 import pytest
 
 from repro.common.errors import ConfigError
-from repro.perf import (SUITES, BenchSuite, artifact_path, load_artifact,
-                        run_bench, save_artifact, validate_artifact)
-from repro.perf.bench import SCHEMA, SCHEMA_VERSION
+from repro.perf import (artifact_path, load_artifact, save_artifact,
+                        validate_artifact)
+from repro.perf.bench import SCHEMA_VERSION
+from repro.store.loadgen import LATENCIES, bench_artifact
 
-SMOKE = SUITES["smoke"]
+CELL = "store/kv/t4"
 
 
 @pytest.fixture(scope="module")
 def artifact():
-    """One smoke-suite artifact, shared read-only across this module."""
-    return run_bench(SMOKE, "t-base")
-
-
-class TestSuites:
-    def test_specs_are_profiling_grid(self):
-        specs = SMOKE.specs()
-        assert len(specs) == len(SMOKE.cells) * SMOKE.seeds
-        assert all(s.profiling and s.telemetry is False for s in specs)
-        assert [s.seed for s in specs[:SMOKE.seeds]] == list(
-            range(1, SMOKE.seeds + 1))
-
-    def test_pinned_suites_named_consistently(self):
-        for name, suite in SUITES.items():
-            assert suite.name == name
-            assert suite.cells and suite.seeds >= 1
-
-
-class TestRunBench:
-    def test_artifact_validates_and_carries_both_sections(self, artifact):
-        assert validate_artifact(artifact) == []
-        assert artifact["schema"] == SCHEMA
-        assert artifact["schema_version"] == SCHEMA_VERSION
-        cell = artifact["deterministic"]["rbtree/SI-TM/t4"]
-        assert cell["throughput"] > 0
-        assert abs(sum(cell["phase_shares"].values()) - 1.0) < 1e-6
-        assert "wall_clock_s" in artifact["advisory"]
-
-    def test_deterministic_section_reproducible(self, artifact):
-        again = run_bench(SMOKE, "t-again")
-        assert again["deterministic"] == artifact["deterministic"]
+    """What ``sitm-store bench`` saves for canned load stats."""
+    stats = {"sessions": 4, "txns_per_session": 10, "commits": 40,
+             "total_aborts": 6, "abort_rate": 6 / 46,
+             "throughput_txn_s": 800.0, "wall_clock_s": 0.05}
+    for name in LATENCIES:
+        stats[f"{name}_p50_ms"] = 0.5
+        stats[f"{name}_p99_ms"] = 2.0
+    return bench_artifact(stats, label="t-base")
 
 
 class TestValidation:
     def test_rejects_foreign_schema(self, artifact):
+        assert validate_artifact(artifact) == []
         bad = dict(artifact, schema="other")
         assert any("schema" in e for e in validate_artifact(bad))
 
@@ -59,13 +38,13 @@ class TestValidation:
 
     def test_rejects_missing_cell_field(self, artifact):
         bad = copy.deepcopy(artifact)
-        del bad["deterministic"]["rbtree/SI-TM/t4"]["throughput"]
+        del bad["deterministic"][CELL]["throughput"]
         assert any("throughput" in e for e in validate_artifact(bad))
 
     def test_rejects_non_conserved_phase_shares(self, artifact):
         bad = copy.deepcopy(artifact)
-        shares = bad["deterministic"]["rbtree/SI-TM/t4"]["phase_shares"]
-        shares["read"] += 0.5
+        bad["deterministic"][CELL]["phase_shares"] = {"read": 0.7,
+                                                      "commit": 0.5}
         assert any("conservation" in e for e in validate_artifact(bad))
 
     def test_rejects_non_object(self):
@@ -99,13 +78,3 @@ class TestPersistence:
         monkeypatch.setenv("SITM_BENCH_DIR", str(tmp_path / "bdir"))
         path = save_artifact(artifact)
         assert path.parent == tmp_path / "bdir"
-
-
-class TestBackendFilteredSuite:
-    def test_filtered_suite_runs(self):
-        quick = SUITES["quick"]
-        cells = tuple(c for c in quick.cells if c[1] == "SI-TM")
-        sub = BenchSuite(quick.name, cells, quick.seeds, quick.profile)
-        artifact = run_bench(sub, "t-filtered")
-        assert set(artifact["deterministic"]) == {
-            f"{w}/{s}/t{t}" for w, s, t in cells}

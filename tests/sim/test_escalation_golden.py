@@ -21,15 +21,10 @@ per-window stall counts of one capacity cell and the ``on_stall``
 calls of a scripted run).  The file was recorded from the commit its
 header names, *before* the engine stopped stepping queued threads, so a
 closed-form catch-up that dropped or misplaced one charged poll, one
-hook call or one window would miss its digest.  After an *intended*
-behaviour change, re-record from the repo root with
-``PYTHONPATH=src python -m tests.sim.test_escalation_golden
-"<commit, why>"``.
+hook call or one window would miss its digest.  ``tests/golden.py``
+re-records it.
 """
 
-import hashlib
-import json
-import pathlib
 from unittest import mock
 
 import pytest
@@ -38,26 +33,26 @@ import repro.harness.runner as runner
 from repro.common.config import SimConfig
 from repro.common.rng import SplitRandom
 from repro.faults import FaultPlan
-from repro.perf.bench import SUITES
+from repro.perf.bench import CAPACITY_CONFIG
 from repro.sim.engine import Engine, Tracer, TransactionSpec
 from repro.sim.machine import Machine
 from repro.sim.retry import RetryPolicy
 from repro.tm import SYSTEMS
 from repro.tm.api import TMSystem, Txn
 from repro.tm.ops import Compute, Read, Write
+from tests import golden as golden_corpus
 from tests.sim.test_fastpath_differential import RecordingTM
 
-GOLDEN_PATH = (pathlib.Path(__file__).parent.parent / "corpus"
-               / "escalation_golden.json")
-DIGEST_RECIPE = ("sha256(json.dumps([RunResult.to_dict(), "
-                 "RunStats.to_dict(), steps, final heap lines, tm_log], "
-                 "separators=(',', ':')))")
+GOLDEN = golden_corpus.Corpus(
+    "escalation_golden.json",
+    "sha256(json.dumps([RunResult.to_dict(), RunStats.to_dict(), steps, "
+    "final heap lines, tm_log], separators=(',', ':')))")
 
 TIGHT_RETRY = RetryPolicy(attempt_budget=3, stall_budget=4,
                           starvation_age_cycles=2000)
 CONFIGS = {
     # read/write-set limits every list or vacation transaction overflows
-    "capacity": SUITES["capacity"].config,
+    "capacity": CAPACITY_CONFIG,
     # begin-stall storm + spurious aborts under a tight policy
     "storm": SimConfig(
         faults=FaultPlan(seed=3, begin_stall_rate=0.6, begin_stall_burst=4,
@@ -127,10 +122,9 @@ def run_cell(cell):
 
 
 def _digest(result, engine, log):
-    payload = json.dumps([result.to_dict(), engine.stats.to_dict(),
-                          engine.steps_taken, _heap_lines(engine.machine),
-                          log], separators=(",", ":"))
-    return hashlib.sha256(payload.encode()).hexdigest()
+    return golden_corpus.sha256([result.to_dict(), engine.stats.to_dict(),
+                                 engine.steps_taken,
+                                 _heap_lines(engine.machine), log])
 
 
 # --------------------------------------------------------------------
@@ -240,8 +234,8 @@ def scripted_reference():
 # --------------------------------------------------------------------
 
 
-def record(recorded_from):
-    """Rewrite the golden file from this checkout's runs."""
+def golden_tables():
+    """This checkout's digests and references, for ``tests/golden.py``."""
     digests = {}
     escalations = {}
     windows = None
@@ -251,34 +245,20 @@ def record(recorded_from):
         escalations[cell_id(cell)] = result.escalations
         if cell == WINDOW_CELL:
             windows = stall_windows(result.timeseries)
-    doc = {
-        "recorded_from": recorded_from,
-        "digest": DIGEST_RECIPE,
-        "digests": digests,
-        "escalations": escalations,
-        "stall_windows": {cell_id(WINDOW_CELL): windows},
-        "scripted": scripted_reference(),
-    }
-    # one line per cell for the two per-cell tables, one line each for
-    # the rest (the stall logs are long lists of pairs)
-    GOLDEN_PATH.write_text("{\n" + ",\n".join(
-        f" {json.dumps(key)}: "
-        + json.dumps(value, indent=2 if key in ("digests", "escalations")
-                     else None)
-        for key, value in doc.items()) + "\n}\n")
+    return {"digests": digests, "escalations": escalations,
+            "stall_windows": {cell_id(WINDOW_CELL): windows},
+            "scripted": scripted_reference()}
 
 
 @pytest.fixture(scope="module")
 def golden():
-    doc = json.loads(GOLDEN_PATH.read_text())
-    assert doc["digest"] == DIGEST_RECIPE
-    return doc
+    return GOLDEN.load()
 
 
 def test_golden_file_has_no_stale_entries(golden):
-    expected = {cell_id(cell) for cell in CELLS}
-    assert set(golden["digests"]) == expected
-    assert set(golden["escalations"]) == expected
+    expected = [cell_id(cell) for cell in CELLS]
+    golden_corpus.assert_entries(golden["digests"], expected)
+    golden_corpus.assert_entries(golden["escalations"], expected)
 
 
 def test_every_config_escalates_on_some_backend(golden):
@@ -295,8 +275,3 @@ def test_escalated_run_reproduces_digest(golden, cell):
     assert engine._heap_pushes <= engine.steps_taken + cell[3]
     assert result.escalations == golden["escalations"][cell_id(cell)]
     assert _digest(result, engine, log) == golden["digests"][cell_id(cell)]
-
-
-if __name__ == "__main__":
-    import sys
-    record(sys.argv[1])

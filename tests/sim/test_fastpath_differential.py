@@ -21,11 +21,8 @@ together.  The independent reference is stored: the second half of
 this file requires every bare run to reproduce a sha256 over
 ``(stats, final memory, step count, TM call log)`` held in
 ``tests/corpus/engine_golden.json``, recorded from the commit its
-header names (the last one with a second loop to agree with).  After an
-*intended* behaviour change, re-record from the repo root with
-``PYTHONPATH=src python -m tests.sim.test_fastpath_differential
-"<commit, why>"`` (the argument becomes the header's
-``recorded_from``).
+header names (the last one with a second loop to agree with);
+``tests/golden.py`` re-records it.
 
 The file and test names predate the single loop and are kept so test
 ids stay stable across history: the ``test_fast_path_*`` tests
@@ -35,7 +32,6 @@ struct-of-arrays thread layout against the default one — with both
 gone, the stored digest is what the bare run is byte-identical *to*.
 """
 
-import hashlib
 import json
 import pathlib
 
@@ -51,6 +47,7 @@ from repro.perf.micro import _dispatch_programs, _fullstack_programs, \
 from repro.sim.engine import Engine, TransactionSpec
 from repro.sim.machine import Machine
 from repro.tm import SYSTEMS
+from tests import golden as golden_corpus
 
 CORPUS_DIR = pathlib.Path(__file__).parent.parent / "corpus" / "schedules"
 #: livelock_under_fault never terminates by design (that is its point)
@@ -265,18 +262,15 @@ def test_fast_path_is_byte_identical_on_micro_grids(grid):
 # golden digests: the bare run against a stored reference
 # --------------------------------------------------------------------
 
-GOLDEN_PATH = CORPUS_DIR.parent / "engine_golden.json"
-DIGEST_RECIPE = ("sha256(json.dumps([stats, final, steps, tm_log], "
-                 "separators=(',', ':')))")
+GOLDEN = golden_corpus.Corpus(
+    "engine_golden.json",
+    "sha256(json.dumps([stats, final, steps, tm_log], "
+    "separators=(',', ':')))")
 
 
 def _digest(result):
-    # no sort_keys: RunStats insertion order (per_label, abort_causes)
-    # is part of what the digest pins
-    payload = json.dumps([result["stats"], result.get("final"),
-                          result["steps"], result["tm_log"]],
-                         separators=(",", ":"))
-    return hashlib.sha256(payload.encode()).hexdigest()
+    return golden_corpus.sha256([result["stats"], result.get("final"),
+                                 result["steps"], result["tm_log"]])
 
 
 def _corpus_digest(path, system):
@@ -294,36 +288,34 @@ def _micro_digest(grid):
     return _digest(_run_grid_variant(builder, threads, observed=False))
 
 
-def record(recorded_from):
-    """Rewrite the golden file from this checkout's bare runs."""
-    digests = {}
+def _entries():
+    """``{key: (digest function, *its arguments)}`` of every pinned run."""
+    entries = {}
     for system in ALL_SYSTEMS:
         for path in CLEAN_CORPUS:
-            digests[f"corpus/{path.stem}/{system}"] = \
-                _corpus_digest(path, system)
+            entries[f"corpus/{path.stem}/{system}"] = (_corpus_digest,
+                                                       path, system)
         for index in range(len(GENERATED)):
-            digests[f"generated/{index}/{system}"] = \
-                _generated_digest(index, system)
+            entries[f"generated/{index}/{system}"] = (_generated_digest,
+                                                      index, system)
     for grid in MICRO_GRIDS:
-        digests[f"micro/{grid}"] = _micro_digest(grid)
-    GOLDEN_PATH.write_text(json.dumps({
-        "recorded_from": recorded_from,
-        "digest": DIGEST_RECIPE,
-        "digests": dict(sorted(digests.items())),
-    }, indent=1) + "\n")
+        entries[f"micro/{grid}"] = (_micro_digest, grid)
+    return entries
+
+
+def golden_tables():
+    """This checkout's bare-run digests, for ``tests/golden.py``."""
+    return {"digests": {key: fn(*args) for key, (fn, *args)
+                        in sorted(_entries().items())}}
 
 
 @pytest.fixture(scope="module")
 def golden():
-    doc = json.loads(GOLDEN_PATH.read_text())
-    assert doc["digest"] == DIGEST_RECIPE
-    return doc["digests"]
+    return GOLDEN.load()["digests"]
 
 
 def test_golden_file_has_no_stale_entries(golden):
-    assert len(golden) == (len(ALL_SYSTEMS)
-                           * (len(CLEAN_CORPUS) + len(GENERATED))
-                           + len(MICRO_GRIDS))
+    golden_corpus.assert_entries(golden, _entries())
 
 
 @pytest.mark.parametrize("path", CLEAN_CORPUS,
@@ -344,8 +336,3 @@ def test_generated_digest(golden, system, index):
 @pytest.mark.parametrize("grid", MICRO_GRIDS)
 def test_micro_digest(golden, grid):
     assert _micro_digest(grid) == golden[f"micro/{grid}"]
-
-
-if __name__ == "__main__":
-    import sys
-    record(sys.argv[1])

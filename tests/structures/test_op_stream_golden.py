@@ -9,17 +9,10 @@ promote)`` tuples of every op are hashed per method.  The digests in
 named in the file, when every access still went through the
 ``structures.base.read`` / ``write`` helper generators — so a rewrite of
 *how* a method yields (directly, or through a helper) provably yields
-the same ops in the same order.
-
-Re-record (only when a structure's access pattern is meant to change)::
-
-    PYTHONPATH=src python -c "from tests.structures.test_op_stream_golden \\
-        import record; record('<commit>')"
+the same ops in the same order.  ``tests/golden.py`` re-records it
+(only when a structure's access pattern is meant to change).
 """
 
-import hashlib
-import json
-import pathlib
 import random
 
 import pytest
@@ -33,11 +26,12 @@ from repro.structures.queue import TxCounter, TxQueue
 from repro.structures.rbtree import TxRedBlackTree
 from repro.structures.skiplist import TxSkipList
 from repro.tm.ops import Read, Write
+from tests import golden as golden_corpus
 
-GOLDEN_PATH = (pathlib.Path(__file__).parent.parent / "corpus"
-               / "structure_ops_golden.json")
-DIGEST_RECIPE = ("sha256 over repr((type, addr, value, site, promote)) "
-                 "per op, newline-terminated, in yield order")
+GOLDEN = golden_corpus.Corpus(
+    "structure_ops_golden.json",
+    "sha256 over repr((type, addr, value, site, promote)) per op, "
+    "newline-terminated, in yield order")
 #: method calls per scripted structure
 CALLS = 160
 KEYS = 48
@@ -154,35 +148,30 @@ def op_stream_digests(name):
     digests = {}
     for method, ops in streams.items():
         assert ops, f"script for {name}.{method} yielded nothing"
-        payload = "".join(repr(op) + "\n" for op in ops)
         digests[f"{name}.{method}"] = {
             "ops": len(ops),
-            "sha256": hashlib.sha256(payload.encode()).hexdigest()}
+            "sha256": golden_corpus.sha256(
+                "".join(repr(op) + "\n" for op in ops))}
     return digests
 
 
-def record(recorded_from):
-    """Rewrite the golden file from this checkout's structures."""
+def golden_tables():
+    """This checkout's op-stream digests, for ``tests/golden.py``."""
     digests = {}
     for name in SCRIPTS:
         digests.update(op_stream_digests(name))
-    GOLDEN_PATH.write_text(json.dumps({
-        "recorded_from": recorded_from,
-        "digest": DIGEST_RECIPE,
-        "digests": dict(sorted(digests.items())),
-    }, indent=1) + "\n")
+    return {"digests": dict(sorted(digests.items()))}
 
 
 @pytest.fixture(scope="module")
 def golden():
-    doc = json.loads(GOLDEN_PATH.read_text())
-    assert doc["digest"] == DIGEST_RECIPE
-    return doc["digests"]
+    return GOLDEN.load()["digests"]
 
 
 def test_golden_file_has_no_stale_entries(golden):
-    assert len(golden) == sum(len(methods)
-                              for _, methods in SCRIPTS.values())
+    golden_corpus.assert_entries(golden, (
+        f"{name}.{method}" for name, (_, methods) in SCRIPTS.items()
+        for method in methods))
 
 
 @pytest.mark.parametrize("name", sorted(SCRIPTS))

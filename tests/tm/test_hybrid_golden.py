@@ -14,7 +14,7 @@ import pytest
 
 from repro.common.rng import SplitRandom
 from repro.harness.spec import ExperimentSpec
-from repro.perf.bench import SUITES
+from repro.perf.bench import CAPACITY_CONFIG
 from repro.sim.machine import Machine
 from repro.tm import HybridHTM
 
@@ -26,7 +26,7 @@ DEADLOCKED_CELLS = [("rbtree", 3), ("rbtree", 5), ("rbtree", 19),
 @pytest.mark.parametrize("workload,seed", DEADLOCKED_CELLS)
 def test_capacity_cell_terminates_and_verifies(workload, seed):
     result = ExperimentSpec(workload, "HybridHTM", 16, seed, "quick",
-                            SUITES["capacity"].config).run()
+                            CAPACITY_CONFIG).run()
     assert result.verified
 
 
