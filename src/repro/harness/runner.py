@@ -16,7 +16,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.common.config import SimConfig
 from repro.common.errors import AbortCause, ConfigError, SimulationError
@@ -90,8 +90,8 @@ class RunResult:
         return self.commits / (self.makespan_cycles / 1e6)
 
     def to_dict(self) -> dict:
-        """Serialise to plain JSON-safe types (cache / process boundary)."""
-        return dataclasses.asdict(self)
+        """Shallow JSON-safe dict: run_once builds every value fresh."""
+        return dict(vars(self))
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunResult":
@@ -119,6 +119,12 @@ class Aggregate:
     #: timeout, or in-run error); > 0 marks this cell as partial
     failures: int = 0
 
+    def _mean(self, value: Callable[[RunResult], float]) -> float:
+        """Mean of ``value(run)`` across seeds (0.0 when none ran)."""
+        if not self.runs:
+            return 0.0
+        return sum(value(r) for r in self.runs) / len(self.runs)
+
     @property
     def failed(self) -> bool:
         """True when no seed of this cell produced a result."""
@@ -127,30 +133,22 @@ class Aggregate:
     @property
     def abort_rate(self) -> float:
         """Mean abort rate across seeds."""
-        if not self.runs:
-            return 0.0
-        return sum(r.abort_rate for r in self.runs) / len(self.runs)
+        return self._mean(lambda r: r.abort_rate)
 
     @property
     def aborts(self) -> float:
         """Mean absolute abort count across seeds."""
-        if not self.runs:
-            return 0.0
-        return sum(r.aborts for r in self.runs) / len(self.runs)
+        return self._mean(lambda r: r.aborts)
 
     @property
     def throughput(self) -> float:
         """Mean commits-per-megacycle across seeds."""
-        if not self.runs:
-            return 0.0
-        return sum(r.throughput for r in self.runs) / len(self.runs)
+        return self._mean(lambda r: r.throughput)
 
     @property
     def makespan(self) -> float:
         """Mean makespan cycles across seeds."""
-        if not self.runs:
-            return 0.0
-        return sum(r.makespan_cycles for r in self.runs) / len(self.runs)
+        return self._mean(lambda r: r.makespan_cycles)
 
     @property
     def throughput_stddev(self) -> float:
@@ -160,12 +158,8 @@ class Aggregate:
         averages; this (with :attr:`throughput_rel_stddev`) makes that
         protocol claim checkable on our reproduction.
         """
-        if not self.runs:
-            return 0.0
         mean = self.throughput
-        variance = sum((r.throughput - mean) ** 2
-                       for r in self.runs) / len(self.runs)
-        return math.sqrt(variance)
+        return math.sqrt(self._mean(lambda r: (r.throughput - mean) ** 2))
 
     @property
     def throughput_rel_stddev(self) -> float:
@@ -176,16 +170,12 @@ class Aggregate:
     @property
     def backoff_cycles(self) -> float:
         """Mean cycles burned in post-abort backoff across seeds."""
-        if not self.runs:
-            return 0.0
-        return sum(r.backoff_cycles for r in self.runs) / len(self.runs)
+        return self._mean(lambda r: r.backoff_cycles)
 
     @property
     def commit_wait_cycles(self) -> float:
         """Mean cycles spent queued on the commit token across seeds."""
-        if not self.runs:
-            return 0.0
-        return sum(r.commit_wait_cycles for r in self.runs) / len(self.runs)
+        return self._mean(lambda r: r.commit_wait_cycles)
 
     @property
     def read_write_fraction(self) -> Optional[float]:
@@ -330,6 +320,7 @@ def run_once(workload: str, system: str, threads: int, seed: int,
         # other; unhook them so the cell's machine is freed on return
         # instead of waiting for the next cyclic garbage collection
         engine.tracer = engine.profiler = None
+        engine._on_read = engine._on_write = engine._on_stall = None
         machine.profiler = machine.mvm.profiler = None
     return result
 

@@ -6,9 +6,9 @@ unit the Chrome-trace exporter (:mod:`repro.obs.export`) draws as a
 duration slice and the abort-attribution report aggregates.
 
 :class:`SpanRecorder` is an engine :class:`~repro.sim.engine.Tracer`.
-It reads clocks straight from the engine's thread states (the engine
-hands itself to any tracer exposing ``attach_engine``), so the tracer
-hook signatures stay unchanged and every existing tracer keeps working.
+It reads clocks, and a span's reads and writes, straight from the
+engine's thread states and counters (the engine hands itself to any
+tracer exposing ``attach_engine``), so it needs no per-operation hook.
 
 The engine has a single tracer slot; :class:`MultiTracer` fans one
 slot out to several tracers in a fixed order, which is how telemetry
@@ -22,11 +22,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.common.errors import AbortCause
 from repro.common.rng import derive_seed
-from repro.sim.engine import Tracer
+from repro.sim.engine import Tracer, resolve_hook
 from repro.tm.api import Txn
 
 __all__ = ["Span", "SpanRecorder", "MultiTracer",
@@ -161,7 +161,8 @@ class SpanRecorder(Tracer):
         self.sink = sink
         self.flush_every = flush_every
         self._engine = None
-        self._open: Dict[int, Span] = {}  # thread_id -> open span
+        #: thread_id -> (open span, the thread's reads and writes at begin)
+        self._open: Dict[int, Tuple[Span, int, int]] = {}
         self.total_begun = 0
         # -- bounded retention (all idle while cap is None) --
         self._rng = random.Random(derive_seed(seed, "span-reservoir"))
@@ -181,13 +182,15 @@ class SpanRecorder(Tracer):
         self._aggregates: Dict[str, Dict[str, object]] = {}
 
     def attach_engine(self, engine) -> None:
-        """Called by the engine so spans can read thread clocks."""
+        """Called by the engine so spans can read its clocks and counters."""
         self._engine = engine
 
-    def _clock(self, thread_id: int) -> int:
+    def _now(self, thread_id: int) -> Tuple[int, int, int]:
+        """The thread's clock, reads and writes, as the engine counts them."""
         if self._engine is None:
-            return 0
-        return self._engine.threads[thread_id].clock
+            return 0, 0, 0
+        stats = self._engine.stats.threads[thread_id]
+        return self._engine.threads[thread_id].clock, stats.reads, stats.writes
 
     # -- tracer hooks ----------------------------------------------------
 
@@ -198,25 +201,14 @@ class SpanRecorder(Tracer):
         # hand-built tracer tests working
         uid = txn.uid if getattr(txn, "uid", None) is not None \
             else self.total_begun
-        span = Span(uid=uid, thread_id=txn.thread_id,
-                    label=txn.label, begin_cycle=self._clock(txn.thread_id),
-                    retries=txn.attempt, start_ts=txn.start_ts)
+        clock, reads, writes = self._now(txn.thread_id)
+        span = Span(uid=uid, thread_id=txn.thread_id, label=txn.label,
+                    begin_cycle=clock, retries=txn.attempt,
+                    start_ts=txn.start_ts)
         self.total_begun += 1
         if self.cap is None:
             self.spans.append(span)
-        self._open[txn.thread_id] = span
-
-    def on_read(self, txn: Txn, addr: int, site: str,
-                value: object = None) -> None:
-        span = self._open.get(txn.thread_id)
-        if span is not None:
-            span.reads += 1
-
-    def on_write(self, txn: Txn, addr: int, site: str,
-                 value: object = None) -> None:
-        span = self._open.get(txn.thread_id)
-        if span is not None:
-            span.writes += 1
+        self._open[txn.thread_id] = (span, reads, writes)
 
     def on_commit(self, txn: Txn) -> None:
         self._close(txn, COMMIT, None)
@@ -225,10 +217,13 @@ class SpanRecorder(Tracer):
         self._close(txn, ABORT, cause.value)
 
     def _close(self, txn: Txn, outcome: str, cause: Optional[str]) -> None:
-        span = self._open.pop(txn.thread_id, None)
-        if span is None:
+        opened = self._open.pop(txn.thread_id, None)
+        if opened is None:
             return
-        span.end_cycle = self._clock(txn.thread_id)
+        span, reads, writes = opened
+        span.end_cycle, reads_now, writes_now = self._now(txn.thread_id)
+        span.reads = reads_now - reads
+        span.writes = writes_now - writes
         span.outcome = outcome
         span.cause = cause
         span.commit_ts = txn.commit_ts
@@ -387,10 +382,10 @@ class MultiTracer(Tracer):
     """Fans the engine's single tracer slot out to several tracers.
 
     Each hook is forwarded, in construction order, to the children that
-    implement it — a child that inherits the base class's no-op is
-    skipped — so a deterministic engine drives every child identically
-    whether it is alone in the slot or composed: the property that lets
-    telemetry ride alongside the oracle's history recording.
+    implement it (the engine's own test, ``resolve_hook``), so a
+    deterministic engine drives every child identically whether it is
+    alone in the slot or composed: the property that lets telemetry ride
+    alongside the oracle's history recording.
     """
 
     def __init__(self, *tracers: Tracer):
@@ -400,14 +395,9 @@ class MultiTracer(Tracer):
     def _resolve(self) -> None:
         """Per hook, the children with an implementation of their own."""
         for hook in _HOOKS:
-            noop = getattr(Tracer, hook)
-            targets = []
-            for tracer in self.tracers:
-                method = getattr(tracer, hook, None)
-                if method is not None \
-                        and getattr(method, "__func__", None) is not noop:
-                    targets.append(tracer)
-            setattr(self, "_" + hook, targets)
+            setattr(self, "_" + hook, [
+                tracer for tracer in self.tracers
+                if resolve_hook(tracer, hook) is not None])
 
     def attach_engine(self, engine) -> None:
         """Forward the engine reference to children that want it.

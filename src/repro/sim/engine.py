@@ -76,9 +76,9 @@ class TransactionSpec:
 class Tracer:
     """Observer interface for trace tools (write-skew tool, oracle).
 
-    The engine invokes these hooks for every transactional event; with
-    no tracer given it holds a bare ``Tracer()``, whose hooks do
-    nothing, so tracing costs one no-op call per event when disabled.
+    The engine invokes these hooks for every transactional event but
+    skips ``on_read``/``on_write``/``on_stall`` where nothing implements
+    them (:func:`resolve_hook`): a bare ``Tracer()`` costs no call there.
     ``on_read``/``on_write`` receive the value observed/stored, giving
     full-history recorders
     (:class:`repro.sim.history.HistoryRecorder`) everything the
@@ -108,6 +108,16 @@ class Tracer:
         # stall storm): there is no Txn yet, so the hook carries the
         # thread id and the cycles charged
         pass
+
+
+def resolve_hook(tracer, hook: str):
+    """``tracer.<hook>`` itself (whatever that instance holds, a timing
+    wrapper included), or None when it is the base no-op or a
+    ``MultiTracer`` whose ``_<hook>`` forwards to no child."""
+    method = getattr(tracer, hook, None)
+    noop = (getattr(method, "__func__", None) is getattr(Tracer, hook)
+            or getattr(tracer, "_" + hook, None) == [])
+    return None if noop else method
 
 
 def skipped_polls(clock: int, thread_id: int, now: int, waker: int,
@@ -200,6 +210,10 @@ class Engine:
         attach = getattr(self.tracer, "attach_engine", None)
         if attach is not None:
             attach(self)
+        # the hooks called per operation or stall, resolved once attached
+        self._on_read = resolve_hook(self.tracer, "on_read")
+        self._on_write = resolve_hook(self.tracer, "on_write")
+        self._on_stall = resolve_hook(self.tracer, "on_stall")
         #: source sites whose reads are force-promoted — the write-skew
         #: tool's automatic read-promotion fix (section 5.1)
         self.promote_sites = promote_sites or set()
@@ -370,14 +384,16 @@ class Engine:
             if self.profiler is not None:
                 self.profiler.account(thread.thread_id, "read", cycles)
             tstats.reads += 1
-            self.tracer.on_read(txn, op.addr, op.site, value)
+            if self._on_read is not None:
+                self._on_read(txn, op.addr, op.site, value)
         elif type(op) is Write:
             cycles = self.tm.write(txn, op.addr, op.value)
             thread.clock += cycles
             if self.profiler is not None:
                 self.profiler.account(thread.thread_id, "write", cycles)
             tstats.writes += 1
-            self.tracer.on_write(txn, op.addr, op.site, op.value)
+            if self._on_write is not None:
+                self._on_write(txn, op.addr, op.site, op.value)
         elif type(op) is Compute:
             cycles = op.cycles * self.machine.config.compute_cycles
             thread.clock += cycles
@@ -455,9 +471,8 @@ class Engine:
         if self.metrics is not None:
             self.metrics.inc("engine_begin_stalls", polls)
             self.metrics.inc("engine_begin_stall_cycles", cycles)
-        on_stall = self.tracer.on_stall
-        if getattr(on_stall, "__func__", None) is Tracer.on_stall:
-            # the base class's no-op hook: nothing would see the calls
+        on_stall = self._on_stall
+        if on_stall is None:
             thread.clock += cycles
         else:
             # one call per stall, each at the clock it is charged at

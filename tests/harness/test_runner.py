@@ -1,12 +1,13 @@
 """Runner tests: single runs, seed aggregation, census config."""
 
 import gc
+import json
 
 import pytest
 
 from repro.common.config import MVMConfig, SimConfig, VersionCapPolicy
 from repro.common.errors import ConfigError
-from repro.harness.runner import run_once, run_seeds
+from repro.harness.runner import RunResult, run_once, run_seeds
 from repro.sim.machine import Machine
 
 
@@ -50,6 +51,13 @@ class TestRunOnce:
     def test_throughput_positive(self):
         result = run_once("ssca2", "SI-TM", 2, 1, profile="test")
         assert result.throughput > 0
+
+    def test_an_observed_result_round_trips_through_json(self):
+        result = run_once("rbtree", "SI-TM", 4, 1, profile="test",
+                          telemetry=True, profiling=True)
+        assert result.spans and result.metrics and result.phases
+        data = json.loads(json.dumps(result.to_dict()))
+        assert RunResult.from_dict(data) == result
 
     @pytest.mark.parametrize("observed", [
         {}, {"telemetry": True}, {"profiling": True},

@@ -7,13 +7,18 @@ perturbs.
 """
 
 import json
+from collections import Counter
 
 import pytest
 
-from repro.obs import (MetricsRegistry, MultiTracer, Span, SpanRecorder,
-                       load_spans_jsonl, merge_span_aggregates,
+from repro.common.rng import SplitRandom
+from repro.obs import (CycleProfiler, MetricsRegistry, MultiTracer, Span,
+                       SpanRecorder, load_spans_jsonl, merge_span_aggregates,
                        validate_span_log)
 from repro.oracle.fuzz import generate_schedule, run_schedule
+from repro.sim.engine import Engine
+from repro.sim.history import READ, WRITE, HistoryRecorder
+from repro.tm import SYSTEMS
 from repro.tm.ops import Compute, Read, Write
 
 from tests.conftest import run_program, spec
@@ -166,6 +171,48 @@ class TestMultiTracer:
         sentinel = object()
         multi.attach_engine(sentinel)
         assert recorder._engine is sentinel
+
+
+class TestResolvedHooks:
+    """The engine calls a per-operation hook only where something
+    implements it, and spans count their footprint from ``RunStats``."""
+
+    def _engine(self, machine, *tracers):
+        """A contended 2PL counter run's engine, ``tracers`` composed."""
+        addr = machine.mvmalloc(1)
+        programs = [[spec(counter_body(addr)) for _ in range(20)]
+                    for _ in range(4)]
+        tm = SYSTEMS["2PL"](machine, SplitRandom(7))
+        return Engine(tm, programs, tracer=MultiTracer(*tracers))
+
+    def _composed(self, machine):
+        """The history recorded next to telemetry's tracers."""
+        history = HistoryRecorder("2PL", "serializable")
+        recorder = SpanRecorder()
+        engine = self._engine(machine, history, recorder, CycleProfiler())
+        return engine, engine.run(), history.history, recorder.spans
+
+    def test_telemetry_tracers_leave_the_engine_no_read_hook(self, machine):
+        engine = self._engine(machine, SpanRecorder(), CycleProfiler())
+        assert engine._on_read is None and engine._on_stall is None
+        assert engine._on_write is not None  # the profiler's write sites
+
+    def test_history_composed_with_telemetry_sees_every_read(self, machine):
+        engine, stats, history, _ = self._composed(machine)
+        assert engine._on_read is not None
+        kinds = Counter(event.kind for event in history.events)
+        assert kinds[READ] == sum(t.reads for t in stats.threads) > 0
+        assert kinds[WRITE] == sum(t.writes for t in stats.threads) > 0
+
+    def test_span_footprints_equal_the_history_per_attempt(self, machine):
+        _, stats, history, spans = self._composed(machine)
+        assert any(span.outcome == "abort" for span in spans)
+        assert len(spans) == stats.total_commits + stats.total_aborts
+        for span in spans:
+            counted = Counter(event.kind for event in history.events
+                              if event.txn_uid == span.uid)
+            assert (span.reads, span.writes) \
+                == (counted[READ], counted[WRITE]), span
 
 
 class TestStreamingSpanRecorder:

@@ -10,6 +10,11 @@ read/write sets with escalation (HybridHTM's hardware attempts and lock
 fallback included).  A digest is exact where those suites allowed seed
 noise, so they are stored in ``tests/corpus/cell_golden.json``, recorded
 from the commit its header names; ``tests/golden.py`` re-records it.
+
+Ten more runs (ids under ``telemetry/``) carry telemetry as well, so
+their span rows, metrics snapshot and time series are pinned byte for
+byte next to the phases: Figure 1's abort attribution and Figure 8's
+time breakdown as the observers compute them.
 """
 
 import pytest
@@ -21,7 +26,7 @@ from tests import golden as golden_corpus
 GOLDEN = golden_corpus.Corpus(
     "cell_golden.json",
     "sha256(json.dumps(run_once(..., profiling=True).to_dict(), "
-    "separators=(',', ':')))")
+    "separators=(',', ':'))), with telemetry=True under telemetry/")
 
 PROFILE = "test"
 SEEDS = (1, 2)
@@ -39,18 +44,30 @@ CELLS = (
     ("capacity", "list", "HybridHTM", 4),
     ("capacity", "rbtree", "HybridHTM", 8),
 )
-RUNS = [cell + (seed,) for cell in CELLS for seed in SEEDS]
+#: cells also run with telemetry on
+TELEMETRY_CELLS = (
+    ("default", "kmeans", "2PL", 8),
+    ("default", "rbtree", "SI-TM", 8),
+    ("default", "intruder", "SI-TM", 8),
+    ("default", "vacation", "2PL", 8),
+    ("capacity", "rbtree", "HybridHTM", 8),
+)
+#: (telemetry, config, workload, system, threads, seed)
+RUNS = [(telemetry,) + cell + (seed,)
+        for telemetry, cells in ((False, CELLS), (True, TELEMETRY_CELLS))
+        for cell in cells for seed in SEEDS]
 
 
 def run_id(run):
-    config, workload, system, threads, seed = run
-    return f"{config}/{workload}/{system}/t{threads}/s{seed}"
+    telemetry, config, workload, system, threads, seed = run
+    return ("telemetry/" if telemetry else "") \
+        + f"{config}/{workload}/{system}/t{threads}/s{seed}"
 
 
 def run_digest(run):
-    config, workload, system, threads, seed = run
+    telemetry, config, workload, system, threads, seed = run
     result = run_once(workload, system, threads, seed, PROFILE,
-                      CONFIGS[config], profiling=True)
+                      CONFIGS[config], telemetry=telemetry, profiling=True)
     return golden_corpus.sha256(result.to_dict())
 
 

@@ -240,16 +240,17 @@ class TestReadGuard:
         connected(scenario)
 
     def test_time_between_reads_is_not_counted(self):
-        """Each wait for a frame gets the whole budget: 40 ms of silence
-        before every request adds up to far more than 50 ms."""
+        """Each wait for a frame gets the whole budget: 100 ms of silence
+        before every request, half the 200 ms budget, adds up to twice
+        it."""
         async def scenario(server, reader, writer):
             for _ in range(4):
-                await asyncio.sleep(0.04)
+                await asyncio.sleep(0.1)
                 writer.write(encode_frame({"op": "PING"}))
                 assert (await read_frame(reader))["pong"]
             assert len(server.sessions) == 1
 
-        connected(scenario)
+        connected(scenario, timeout_ms=200)
 
     def test_one_timer_serves_many_frames(self):
         async def scenario(server, reader, writer):
