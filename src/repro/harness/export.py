@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from typing import Dict, List, Mapping, Sequence
+from typing import Dict, List, Sequence
 
 from repro.harness.experiments import (
     CAPACITY_CAUSES,
@@ -21,8 +21,6 @@ from repro.harness.experiments import (
     Figure8Series,
     ScheduleOutcome,
 )
-from repro.harness.runner import RunResult
-from repro.harness.spec import ExperimentSpec
 
 
 def figure1_rows(rows: Sequence[Figure1Row]) -> List[dict]:
@@ -112,32 +110,6 @@ def capacity_rows(cells: Sequence[CapacityCell]) -> List[dict]:
         for cause in CAPACITY_CAUSES:
             row[cause] = round(cell.capacity_causes.get(cause, 0.0), 2)
         out.append(row)
-    return out
-
-
-def run_result_rows(results: Mapping[ExperimentSpec, RunResult]
-                    ) -> List[dict]:
-    """Flatten an executor result map: one row per spec.
-
-    The unified record the execution layer traffics in — each row is the
-    spec's identity (including its hash, which is also the cache key
-    input) plus the headline metrics of its :class:`RunResult`.
-    """
-    out = []
-    for spec, result in results.items():
-        out.append({
-            "spec_hash": spec.spec_hash(),
-            "workload": spec.workload,
-            "system": spec.system,
-            "threads": spec.threads,
-            "seed": spec.seed,
-            "profile": spec.profile,
-            "commits": result.commits,
-            "aborts": result.aborts,
-            "abort_rate": round(result.abort_rate, 6),
-            "makespan_cycles": result.makespan_cycles,
-            "throughput": round(result.throughput, 6),
-        })
     return out
 
 

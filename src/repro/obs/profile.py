@@ -250,18 +250,9 @@ class CycleProfiler(Tracer):
 
     # -- accessors -------------------------------------------------------
 
-    def phase_cycles(self, phase: str) -> int:
-        """Total cycles charged to ``phase`` across all threads."""
-        return sum(phases.get(phase, 0)
-                   for phases in self._phases.values())
-
     def total_cycles(self) -> int:
         """All charged cycles (equals the sum of final thread clocks)."""
         return sum(sum(phases.values()) for phases in self._phases.values())
-
-    def wasted_cycles_by_thread(self) -> Dict[int, int]:
-        """Per-thread cycles burned inside attempts that later aborted."""
-        return dict(self._wasted)
 
     def wasted_cycles(self) -> int:
         """Total cycles across all threads spent on aborted attempts."""

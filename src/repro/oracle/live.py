@@ -17,14 +17,14 @@ timestamps):
   first-committer-wins against the retained versions of that address —
   the offline checker's rules, which the differential test in
   ``tests/store/test_live_oracle.py`` holds this module to;
-* **the arrival invariant** makes one pass enough: a shard hands out a
-  snapshot only while no commit is in flight, and the server applies a
-  commit and feeds its row in one step of the event loop
-  (``StoreServer._do_commit``, phase 2), so every version a transaction
-  can see and every overlapping writer that committed first is fed
-  before its own row.  It is not trusted: a version arriving with
-  ``commit_ts <=`` the ``start_ts`` of a retained writer re-replays
-  that writer's reads of the address;
+* **the arrival invariant** makes one pass enough: the server draws a
+  commit's timestamps, applies it and feeds its row in one step of the
+  event loop (``StoreServer._do_commit``, phase 2), so no snapshot is
+  ever taken with a commit half-published, and every version a
+  transaction can see and every overlapping writer that committed
+  first is fed before its own row.  It is not trusted: a version
+  arriving with ``commit_ts <=`` the ``start_ts`` of a retained writer
+  re-replays that writer's reads of the address;
 * values compare by identity (the server feeds the objects it stored),
   else by canonical JSON; nothing is interned;
 * **watermark folding** bounds memory: once no future transaction can

@@ -113,13 +113,8 @@ def _chaos(args: argparse.Namespace) -> int:
         crash_shard=args.crash_shard,
         crash_after_txns=args.crash_after,
         flood_sessions=args.flood)
-    config = StoreConfig(
-        shards=args.shards,
-        max_inflight=args.max_inflight,
-        deadline_ms=args.deadline_ms,
-        idle_timeout_ms=args.idle_timeout_ms,
-        seed=args.seed)
-    report = run_chaos_campaign(plan, config, broken=args.broken,
+    report = run_chaos_campaign(plan, _store_config(args),
+                                broken=args.broken,
                                 out_dir=args.dump_dir)
     if args.report:
         pathlib.Path(args.report).write_text(

@@ -28,11 +28,13 @@ that task has answered.  The robustness contract, end to end:
   being read from.
 * **Commit protocol**: writes prepare on each touched shard in sorted
   shard order (pending-lock check, first-committer-wins validation,
-  end-timestamp reservation, line locks); once every shard prepared,
-  the apply runs **synchronously with no awaits** — in a single-threaded
-  event loop that publishes a multi-shard commit atomically.  Prepares
-  carry shard generations, so a crash between prepare and apply is
-  detected and turned into a clean ``shard-crashed`` abort.
+  line locks); once every shard prepared, the apply runs
+  **synchronously with no awaits** and draws each shard's commit
+  timestamp inside it — in a single-threaded event loop that publishes
+  a multi-shard commit atomically, and no commit is in flight while
+  anything else runs, so nothing ever waits on the commit protocol.
+  Prepares carry shard generations, so a crash between prepare and
+  apply is detected and turned into a clean ``shard-crashed`` abort.
 * **Retry/escalation**: every abort response carries ``retry_after_ms``
   from the session's :class:`~repro.sim.retry.RetryState`; a starving
   session's next transaction takes the server-wide **golden token**,
@@ -485,19 +487,13 @@ class StoreServer:
             # by the caller's cleanup path
             return (TIMEOUT, None)
 
-    async def _ensure_snapshot(self, session: Session, txn: Txn,
-                               shard: Shard) -> Tuple[str, object]:
-        if shard.shard_id in txn.snapshots:
-            pin = txn.snapshots[shard.shard_id]
-            if pin[1] != shard.generation:
-                return (CRASHED, None)
-            return (OK, pin[0])
-        status, data = await self._shard_call(session, txn, shard,
-                                              "snapshot")
-        if status == OK and self._golden_holder == txn.uid \
-                and self._golden_home is None:
-            self._golden_home = shard.shard_id
-        return status, data
+    def _ensure_snapshot(self, txn: Txn, shard: Shard) -> None:
+        """Pin ``shard``'s snapshot in place at the first touch (the
+        read or prepare that follows checks the pin's generation)."""
+        if shard.shard_id not in txn.snapshots:
+            shard._do_snapshot(txn)
+            if self._golden_holder == txn.uid and self._golden_home is None:
+                self._golden_home = shard.shard_id
 
     async def _do_read(self, session: Session, txn: Txn,
                        request: dict) -> dict:
@@ -513,9 +509,7 @@ class StoreServer:
             txn.ops.append(("r", sid, key, value))
             txn.reads += 1
             return protocol.ok_response(value=value)
-        status, _ = await self._ensure_snapshot(session, txn, shard)
-        if status != OK:
-            return self._shard_failure(session, txn, status)
+        self._ensure_snapshot(txn, shard)
         status, value = await self._shard_call(session, txn, shard,
                                                "read", key)
         if status != OK:
@@ -589,35 +583,22 @@ class StoreServer:
                 "TIMEOUT", "deadline expired waiting for escalation")
         # phase 1: pin write-only shards, then prepare in shard order
         for sid in sorted(by_shard):
-            status, _ = await self._ensure_snapshot(session, txn,
-                                                    self.shards[sid])
-            if status != OK:
-                return self._shard_failure(session, txn, status)
-        prepared: List[Tuple[Shard, int, int]] = []
+            self._ensure_snapshot(txn, self.shards[sid])
+        prepared: List[Tuple[Shard, int]] = []
         for sid in sorted(by_shard):
             shard = self.shards[sid]
             status, data = await self._shard_call(session, txn, shard,
                                                   "prepare", by_shard[sid])
             if status != OK:
-                for other, _, gen in prepared:
-                    if other.generation == gen:
-                        other.abort_prepare(txn)
-                if status == CONFLICT:
-                    cause = data if isinstance(data, str) else "write-write"
-                    self._abort_txn(session, txn, cause)
-                    return self._aborted_response(session, cause)
+                # _abort_txn releases the locks taken so far
                 return self._shard_failure(session, txn, status)
-            end_ts, generation = data
-            prepared.append((shard, end_ts, generation))
+            prepared.append((shard, data))
         # phase 2: atomic apply — NO awaits from here to _finish_txn
-        if any(shard.generation != gen for shard, _, gen in prepared):
-            for shard, _, gen in prepared:
-                if shard.generation == gen:
-                    shard.abort_prepare(txn)
+        if any(shard.generation != gen for shard, gen in prepared):
             self._abort_txn(session, txn, "shard-crashed")
             return self._aborted_response(session, "shard-crashed")
-        for shard, end_ts, _ in prepared:
-            shard.apply(txn, end_ts, by_shard[shard.shard_id])
+        for shard, _ in prepared:
+            shard.apply(txn, by_shard[shard.shard_id])
         self._finish_txn(session, txn, committed=True)
         return protocol.ok_response(
             commit_ts={str(s): ts for s, ts in txn.commit_ts.items()},
@@ -653,7 +634,7 @@ class StoreServer:
     def _abort_txn(self, session: Session, txn: Txn, cause: str) -> None:
         """Server-side abort: shard cleanup, unpin, session bookkeeping."""
         for shard in self.shards:
-            shard.abort_prepare(txn)
+            shard.release_locks(txn)
         txn.doom(cause)
         self._finish_txn(session, txn, committed=False, cause=cause)
 

@@ -60,8 +60,6 @@ class StoreConfig:
     #: whole-frame read timeout: a peer that cannot deliver one frame
     #: within this budget (slow-loris) is disconnected
     idle_timeout_ms: int = 10_000
-    #: Δ for each shard's commit clock (section 4.2 race protocol)
-    commit_delta: int = 64
     #: first-committer-wins validation at prepare; disabled only by the
     #: ``--broken no-fcw`` self-test proving the live monitor catches
     #: real violations
@@ -83,8 +81,6 @@ class StoreConfig:
                 raise ConfigError(f"{name} must be >= 1")
         if self.deadline_ms > self.max_deadline_ms:
             raise ConfigError("deadline_ms must not exceed max_deadline_ms")
-        if self.commit_delta < 1:
-            raise ConfigError("commit_delta must be >= 1")
 
     def to_dict(self) -> dict:
         """Canonical JSON-safe form (stable key set)."""
@@ -95,7 +91,6 @@ class StoreConfig:
             "deadline_ms": self.deadline_ms,
             "max_deadline_ms": self.max_deadline_ms,
             "idle_timeout_ms": self.idle_timeout_ms,
-            "commit_delta": self.commit_delta,
             "validate_fcw": self.validate_fcw,
             "retry": self.retry.to_dict(),
             "seed": self.seed,
@@ -103,7 +98,8 @@ class StoreConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "StoreConfig":
-        """Inverse of :meth:`to_dict` (tolerates missing keys)."""
+        """Inverse of :meth:`to_dict` (tolerates missing keys, and
+        ignores retired ones such as ``commit_delta``)."""
         kwargs = {k: v for k, v in data.items()
                   if k in cls.__dataclass_fields__}
         if "retry" in kwargs and isinstance(kwargs["retry"], dict):

@@ -8,24 +8,27 @@ pins history, and a pinned checkpoint under the ABORT_WRITER cap is
 exactly the livelock footgun :mod:`repro.mvm.checkpoint` warns about).
 
 Concurrency model: **the single-threaded event loop serializes all
-mutation**; no command body (``snapshot``/``read``/``prepare``) contains
-an ``await``.  A command runs in place, inside :meth:`Shard.submit`,
-when nothing is queued ahead of it; the bounded command queue and its
-single-writer task are where commands *wait* — a Δ-stalled snapshot, a
-prepare behind another reservation, an injected stall, or the backlog
-behind any of those — in FIFO order.  A full queue sheds the command
-with a structured ``overloaded`` status — never silent queueing.  The
-commit *apply* phase is a synchronous method the coordinator calls with
-no intervening ``await``, which makes a multi-shard apply atomic — no
-reader anywhere can observe a half-applied cross-shard commit.
+mutation**; nothing a shard does contains an ``await``.  A snapshot pin
+(:meth:`Shard._do_snapshot`) is a plain call.  A ``read`` or
+``prepare`` command runs in place, inside :meth:`Shard.submit`, when
+nothing is queued ahead of it; the bounded command queue and its
+single-writer task are where commands *wait* — behind an injected
+stall, or the backlog behind one, or until the task starts — in FIFO
+order.  A full queue sheds the command with a structured
+``overloaded`` status — never silent queueing.  The commit *apply*
+phase is a synchronous method the coordinator calls with no
+intervening ``await``: it draws the commit timestamp, installs and
+publishes in one step, so no commit is ever in flight across an
+``await``, a snapshot never has to wait for one, and a multi-shard
+apply is atomic — no reader anywhere can observe a half-applied
+cross-shard commit.
 
 Crash/recovery (:meth:`Shard.crash_now`): the shard holds a recovery
 checkpoint pinned at the *publish frontier* — advanced to every
 committed end timestamp inside the atomic apply.  A forced crash bumps
 the generation counter, fails queued commands with ``shard-crashed``,
-abandons in-flight prepare reservations, dooms and unpins every
-transaction with state on the shard, and rolls the MVM back to the
-checkpoint — discarding exactly the unpublished residue.  Prepares are
+drops prepare locks, dooms and unpins every transaction with state on
+the shard, and rolls the MVM back to the checkpoint.  Prepares are
 tagged with the generation so a coordinator racing a crash detects the
 mismatch and aborts instead of applying onto the recovered state.
 """
@@ -33,7 +36,7 @@ mismatch and aborts instead of applying onto the recovered state.
 from __future__ import annotations
 
 import asyncio
-from typing import Deque, Dict, Iterable, List, Optional, Tuple
+from typing import Deque, Dict, Iterable, List, Optional
 
 from collections import deque
 
@@ -75,8 +78,7 @@ class Shard:
         self.shard_id = shard_id
         self.config = config
         self.mvm = MVMController(
-            MVMConfig(cap_policy=VersionCapPolicy.UNBOUNDED,
-                      commit_delta=config.commit_delta),
+            MVMConfig(cap_policy=VersionCapPolicy.UNBOUNDED),
             AddressMap(words_per_line=1))
         #: key -> line interning (one key per line, words_per_line=1)
         self.keys: Dict[str, int] = {}
@@ -88,8 +90,6 @@ class Shard:
         self._queue: Deque[ShardCommand] = deque()
         self._wakeup = asyncio.Event()
         self._closed = False
-        #: txn uid -> reserved end_ts (prepare outstanding)
-        self._prepared: Dict[int, int] = {}
         #: line -> txn uid holding the prepare lock
         self._locks: Dict[int, int] = {}
         #: chaos: milliseconds the task sleeps before its next command
@@ -127,16 +127,16 @@ class Shard:
         """Run a command, in place if nothing is ahead of it.
 
         The returned future is already resolved unless the command has
-        to wait (backlog, pending stall, shard not started, or a deferred
-        snapshot/prepare); a full queue sheds it as ``overloaded``.
+        to wait (backlog, pending stall, shard not started); a full
+        queue sheds it as ``overloaded``.
         """
         future = asyncio.get_running_loop().create_future()
         command = ShardCommand(kind, txn, payload, future)
         if self._closed:
             command.resolve(SHUTDOWN)
-        elif (self._task is not None and not self._queue
-                and not self._stall_ms and self._execute(command)):
-            pass  # ran in place: nothing was ahead of it
+        elif self._task is not None and not self._queue \
+                and not self._stall_ms:
+            self._execute(command)  # nothing is ahead of it
         elif len(self._queue) >= self.config.shard_queue_depth:
             self.shed += 1
             command.resolve(OVERLOADED)
@@ -167,45 +167,29 @@ class Shard:
                 self.stalls += 1
                 await asyncio.sleep(delay / 1000.0)
             else:
-                command = self._queue.popleft()
-                if not self._execute(command):
-                    # yield so the coordinator holding the reservation
-                    # can finish it, then retry
-                    self._queue.append(command)
-                    await asyncio.sleep(0)
+                self._execute(self._queue.popleft())
 
-    def _execute(self, command: ShardCommand) -> bool:
-        """Run one command now; False means it must wait and be retried."""
+    def _execute(self, command: ShardCommand) -> None:
+        """Run one command now, whichever path it took here."""
         if command.future.done():
-            return True
+            return
         if command.txn.doomed is not None:
             command.resolve(CONFLICT, command.txn.doomed)
         elif asyncio.get_running_loop().time() > command.txn.deadline:
             command.resolve(TIMEOUT)
         elif command.kind == "read":
             self._do_read(command)
-        elif command.kind == "snapshot":
-            # Δ-stall: waits while a commit reservation is in flight
-            return self._do_snapshot(command)
         elif command.kind == "prepare":
-            # waits while another commit holds this shard's reservation:
-            # serializing prepares keeps applies in timestamp order
-            # (prepares run in sorted shard order, so the cross-shard
-            # wait-for graph stays acyclic, and the deadline bounds the
-            # wait regardless)
-            return self._do_prepare(command)
+            self._do_prepare(command)
         else:  # pragma: no cover - commands are created in-package
             command.resolve(CONFLICT, f"unknown command {command.kind}")
-        return True
 
-    def _do_snapshot(self, command: ShardCommand) -> bool:
+    def _do_snapshot(self, txn: Txn) -> None:
+        """Pin ``txn``'s snapshot here: no commit is ever in flight
+        outside :meth:`apply`, so a start timestamp is always free."""
         start_ts = self.mvm.clock.next_start()
-        if start_ts is None:
-            return False
         self.mvm.active.add(start_ts)
-        command.txn.snapshots[self.shard_id] = (start_ts, self.generation)
-        command.resolve(OK, start_ts)
-        return True
+        txn.snapshots[self.shard_id] = (start_ts, self.generation)
 
     def _do_read(self, command: ShardCommand) -> None:
         key = command.payload
@@ -220,81 +204,68 @@ class Shard:
         data = self.mvm.snapshot_read(line, pin[0])
         command.resolve(OK, data[0] if data is not None else None)
 
-    def _do_prepare(self, command: ShardCommand) -> bool:
-        """Phase 1 of commit: validate, reserve end_ts, lock lines.
+    def _do_prepare(self, command: ShardCommand) -> None:
+        """Phase 1 of commit: lock lines, validate first-committer-wins.
 
-        Returns False (defer) while another transaction holds this
-        shard's commit reservation: one reservation at a time keeps
-        applies in timestamp order, so the recovery checkpoint only
-        ever advances and no version is installed in the published
-        past.
+        Resolves with the shard generation, which the coordinator checks
+        again before it applies.
         """
         txn = command.txn
-        if self._prepared:
-            return False
         writes: Dict[str, object] = command.payload
         pin = txn.snapshots.get(self.shard_id)
         if pin is None or pin[1] != self.generation:
             command.resolve(CRASHED)
-            return True
+            return
         lines = sorted(self.line_for(key) for key in writes)
         for line in lines:
             holder = self._locks.get(line)
             if holder is not None and holder != txn.uid:
                 command.resolve(CONFLICT, "write-write")
-                return True
+                return
         if self.config.validate_fcw:
             conflict = self.mvm.validate_many(lines, pin[0])
             if conflict is not None:
                 command.resolve(CONFLICT, "write-write")
-                return True
-        end_ts = self.mvm.clock.begin_commit()
-        self._prepared[txn.uid] = end_ts
+                return
         for line in lines:
             self._locks[line] = txn.uid
-        command.resolve(OK, (end_ts, self.generation))
-        return True
+        command.resolve(OK, self.generation)
 
     # ------------------------------------------------------------------
     # synchronous coordinator-side phases (atomic: no awaits)
 
-    def apply(self, txn: Txn, end_ts: int,
-              writes: Dict[str, object]) -> None:
-        """Phase 2 of commit: install, publish, advance recovery.
+    def apply(self, txn: Txn, writes: Dict[str, object]) -> None:
+        """Phase 2 of commit: draw end_ts, install, publish, advance
+        recovery.
 
         Runs synchronously from the coordinator after every touched
         shard prepared — with no ``await`` between the generation checks
         and the last shard's apply, the whole multi-shard publish is one
-        atomic step of the event loop.
+        atomic step of the event loop, and each shard's commit
+        timestamps rise in apply order.
         """
+        end_ts = self.mvm.clock.begin_commit()
         items = [(self.line_for(key), (value,))
                  for key, value in sorted(writes.items())]
         self.mvm.install_many(end_ts, items,
                               installer=(txn.uid, txn.label))
         self.mvm.clock.finish_commit(end_ts)
-        self._prepared.pop(txn.uid, None)
-        self._release_locks(txn.uid)
+        self.release_locks(txn)
         self.recovery = self.checkpoints.advance(self.recovery, end_ts)
         self.commits += 1
         txn.commit_ts[self.shard_id] = end_ts
 
-    def abort_prepare(self, txn: Txn) -> None:
-        """Abandon a prepare's reservation and locks (idempotent)."""
-        end_ts = self._prepared.pop(txn.uid, None)
-        if end_ts is not None:
-            self.mvm.clock.abandon_commit(end_ts)
-        self._release_locks(txn.uid)
+    def release_locks(self, txn: Txn) -> None:
+        """Drop the line locks ``txn``'s prepare took (idempotent)."""
+        for line in [ln for ln, holder in self._locks.items()
+                     if holder == txn.uid]:
+            del self._locks[line]
 
     def release_snapshot(self, txn: Txn) -> None:
         """Unpin a transaction's snapshot unless a crash already did."""
         pin = txn.snapshots.pop(self.shard_id, None)
         if pin is not None and pin[1] == self.generation:
             self.mvm.active.remove(pin[0])
-
-    def _release_locks(self, uid: int) -> None:
-        for line in [ln for ln, holder in self._locks.items()
-                     if holder == uid]:
-            del self._locks[line]
 
     # ------------------------------------------------------------------
     # chaos hooks
@@ -307,18 +278,15 @@ class Shard:
         """Forced crash + restart from the recovery checkpoint.
 
         Synchronous and atomic: bumps the generation (outstanding
-        prepares become detectably stale), fails queued commands,
-        abandons reservations, dooms/unpins every open transaction with
-        state here, and truncates the MVM back to the publish frontier.
+        prepares become detectably stale), fails queued commands, drops
+        prepare locks, dooms/unpins every open transaction with state
+        here, and truncates the MVM back to the publish frontier.
         Returns the transactions doomed.
         """
         self.generation += 1
         self.crashes += 1
         while self._queue:
             self._queue.popleft().resolve(CRASHED)
-        for end_ts in self._prepared.values():
-            self.mvm.clock.abandon_commit(end_ts)
-        self._prepared.clear()
         self._locks.clear()
         doomed = []
         for txn in open_txns:

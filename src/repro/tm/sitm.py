@@ -224,23 +224,6 @@ class SnapshotIsolationTM(TMSystem):
             raise TransactionAborted(
                 AbortCause.WRITE_WRITE, f"line {conflict:#x}")
 
-    def _build_line(self, txn: Txn, line: int) -> tuple:
-        """Merge buffered words onto the current newest version of ``line``.
-
-        After validation the newest version equals the snapshot-visible
-        one, so this is the snapshot merge; when the word-granularity
-        filter dismissed a false-sharing conflict, basing on the newest
-        version is what merges the two writers' disjoint words.
-        """
-        base = self.mvm.plain_read(line)
-        words = list(base) if base is not None \
-            else [0] * self.amap.words_per_line
-        base_addr = self.amap.line_base(line)
-        for addr, value in txn.write_buffer.items():
-            if self.amap.line_of(addr) == line:
-                words[addr - base_addr] = value
-        return tuple(words)
-
     def commit(self, txn: Txn, now: int) -> int:
         if txn.is_read_only:
             # Read-only transactions commit with zero overhead: no end

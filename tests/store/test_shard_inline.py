@@ -2,7 +2,8 @@
 
 ``Shard.submit`` executes a command before returning whenever nothing
 is ahead of it and queues it otherwise; ``_execute`` is the one body
-both paths share.  These tests drive a bare :class:`Shard` (no server,
+both paths share.  A snapshot pin (``_do_snapshot``) is a plain call,
+never a command.  These tests drive a bare :class:`Shard` (no server,
 no sockets) down each path and pin that the statuses, the FIFO order,
 the shedding and the crash/stop draining do not depend on which one a
 command took.
@@ -35,11 +36,11 @@ def run(scenario, **overrides):
 
 
 async def commit(shard, txn, writes):
-    """snapshot → prepare → apply for ``writes`` (all in place)."""
-    assert (await shard.submit("snapshot", txn))[0] == OK
-    status, (end_ts, _) = await shard.submit("prepare", txn, writes)
-    assert status == OK
-    shard.apply(txn, end_ts, writes)
+    """pin → prepare → apply for ``writes`` (all in place)."""
+    shard._do_snapshot(txn)
+    assert (await shard.submit("prepare", txn, writes)) \
+        == (OK, shard.generation)
+    shard.apply(txn, writes)
     shard.release_snapshot(txn)
 
 
@@ -49,14 +50,13 @@ class TestInPlace:
             shard.start()
             await commit(shard, txn(1), {"k": "v"})
             reader = txn(2)
-            snapshot = shard.submit("snapshot", reader)
-            assert snapshot.done() and snapshot.result()[0] == OK
+            shard._do_snapshot(reader)
             read = shard.submit("read", reader, "k")
             assert read.done() and read.result() == (OK, "v")
             missing = shard.submit("read", reader, "never-written")
             assert missing.done() and missing.result() == (OK, None)
             prepare = shard.submit("prepare", reader, {"k": "w"})
-            assert prepare.done() and prepare.result()[0] == OK
+            assert prepare.done() and prepare.result() == (OK, 0)
             assert not shard._queue
 
         run(scenario)
@@ -65,7 +65,7 @@ class TestInPlace:
         async def scenario(shard, txn):
             shard.start()
             loser = txn(1)
-            assert shard.submit("snapshot", loser).result()[0] == OK
+            shard._do_snapshot(loser)
             await commit(shard, txn(2), {"k": "winner"})
             prepare = shard.submit("prepare", loser, {"k": "loser"})
             assert prepare.done()
@@ -111,14 +111,15 @@ class TestQueueing:
     def test_not_started_shard_queues_then_serves_fifo(self):
         async def scenario(shard, txn):
             reader = txn(1)
-            snapshot = shard.submit("snapshot", reader)
+            shard._do_snapshot(reader)
             read = shard.submit("read", reader, "k")
-            assert not snapshot.done() and not read.done()
+            prepare = shard.submit("prepare", reader, {"k": "v"})
+            assert not read.done() and not prepare.done()
             assert len(shard._queue) == 2
             shard.start()
-            # the read needs the pin the snapshot ahead of it takes
-            assert (await read) == (OK, None)
-            assert snapshot.done()
+            assert (await prepare) == (OK, 0)
+            # served in order: the read ahead of the prepare is done too
+            assert read.result() == (OK, None)
 
         run(scenario)
 
@@ -128,8 +129,9 @@ class TestQueueing:
             shard.start()
             shard.inject_stall(5)
             reader = txn(1)
+            shard._do_snapshot(reader)
             order = []
-            futures = [shard.submit("snapshot", reader)]
+            futures = [shard.submit("prepare", reader, {"k0": 1})]
             futures += [shard.submit("read", reader, f"k{i}")
                         for i in range(3)]
             for index, future in enumerate(futures):
@@ -158,70 +160,18 @@ class TestQueueing:
 
         run(scenario, shard_queue_depth=3)
 
-    def test_delta_stalled_snapshot_waits_for_the_reservation(self):
-        """commit_delta=1: any start during a reservation must stall."""
-        async def scenario(shard, txn, finish):
-            shard.start()
-            writer, reader = txn(1), txn(2)
-            for t in (writer, reader):
-                assert shard.submit("snapshot", t).result()[0] == OK
-            status, (end_ts, _) = shard.submit(
-                "prepare", writer, {"k": "v"}).result()
-            assert status == OK
-            snapshot = shard.submit("snapshot", txn(3))
-            assert not snapshot.done()
-            # with a command waiting, a read queues too (and is served
-            # while the snapshot keeps waiting: a deferred command goes
-            # to the back of the queue)
-            read = shard.submit("read", reader, "k")
-            assert not read.done()
-            assert (await read) == (OK, None)
-            await asyncio.sleep(0.01)
-            assert not snapshot.done()
-            finish(shard, writer, end_ts)
-            status, start_ts = await snapshot
-            assert status == OK and start_ts > reader.snapshots[0][0]
-            # nothing waits any more: back to running in place
-            assert shard.submit("read", reader, "k").done()
-
-        for finish in (lambda s, w, ts: s.apply(w, ts, {"k": "v"}),
-                       lambda s, w, ts: s.abort_prepare(w)):
-            run(lambda shard, txn: scenario(shard, txn, finish),
-                commit_delta=1)
-
-    def test_prepare_behind_a_reservation_waits_its_turn(self):
-        async def scenario(shard, txn):
-            shard.start()
-            first, second = txn(1), txn(2)
-            for t in (first, second):
-                assert shard.submit("snapshot", t).result()[0] == OK
-            status, (end_ts, _) = shard.submit(
-                "prepare", first, {"a": 1}).result()
-            assert status == OK
-            waiting = shard.submit("prepare", second, {"b": 2})
-            assert not waiting.done()
-            await asyncio.sleep(0.01)
-            assert not waiting.done()
-            shard.apply(first, end_ts, {"a": 1})
-            status, (later_ts, _) = await waiting
-            assert status == OK and later_ts > end_ts
-            shard.abort_prepare(second)
-            # abandoning frees the reservation for the next prepare
-            third = txn(3)
-            assert shard.submit("snapshot", third).result()[0] == OK
-            assert shard.submit("prepare", third, {"c": 3}).done()
-
-        run(scenario)
-
     def test_waiting_prepare_times_out_at_its_deadline(self):
+        """A prepare queued behind a stall that outlasts its deadline
+        is judged when the stall ends: it times out, taking no lock."""
         async def scenario(shard, txn):
             shard.start()
-            holder, late = txn(1), txn(2, deadline_s=0.03)
-            for t in (holder, late):
-                assert shard.submit("snapshot", t).result()[0] == OK
-            assert shard.submit("prepare", holder, {"a": 1}).done()
-            assert (await shard.submit("prepare", late, {"b": 2})) \
-                == (TIMEOUT, None)
+            late = txn(1, deadline_s=0.03)
+            shard._do_snapshot(late)
+            shard.inject_stall(50)
+            prepare = shard.submit("prepare", late, {"b": 2})
+            assert not prepare.done()
+            assert (await prepare) == (TIMEOUT, None)
+            assert not shard._locks
 
         run(scenario)
 
@@ -242,8 +192,12 @@ class TestDraining:
             assert shard.generation == 1
             # the stall is still owed to the next command; the task
             # survives having had its queue emptied and serves it
-            assert (await shard.submit("snapshot", txn(9)))[0] == OK
+            late = txn(9)
+            shard._do_snapshot(late)
+            assert (await shard.submit("read", late, "k")) == (OK, None)
             assert shard.stalls == 1
+
+        run(scenario)
 
     def test_crash_during_a_stall_leaves_the_task_running(self):
         async def scenario(shard, txn):
@@ -254,7 +208,9 @@ class TestDraining:
             assert all(f.done() for f in futures)
             await asyncio.sleep(0.06)   # wakes to an empty queue
             assert not shard._task.done()
-            assert shard.submit("snapshot", txn(9)).done()
+            late = txn(9)
+            shard._do_snapshot(late)
+            assert shard.submit("read", late, "k").done()
 
         run(scenario)
 

@@ -60,10 +60,10 @@ def keys_by_shard(shards=2, prefix="k"):
 
 
 def is_clean(server):
-    """No open transaction, pin, commit reservation or line lock left."""
+    """No open transaction, pin or line lock left."""
     return (server.open_txns == {}
-            and all(s.pinned_transactions() == 0 and not s._prepared
-                    and not s._locks for s in server.shards))
+            and all(s.pinned_transactions() == 0 and not s._locks
+                    for s in server.shards))
 
 
 class TestTransactions:
@@ -336,7 +336,7 @@ class TestRobustness:
 
         The crash fires while the coordinator awaits the *second*
         shard's prepare — exactly the window the generation tags guard:
-        the first shard's reservation is stale, so the whole multi-shard
+        the first shard's prepare is stale, so the whole multi-shard
         commit must abort instead of applying onto the recovered state.
         """
         async def scenario(server, port):
@@ -364,7 +364,7 @@ class TestRobustness:
             for key in keys.values():
                 assert (await client.read(key))["value"] is None
             await client.commit()
-            assert all(not shard._prepared for shard in server.shards)
+            assert is_clean(server)
             client.close()
 
         drive(scenario)
@@ -493,7 +493,7 @@ class TestWaitingPath:
         drive(scenario)
 
     def test_deadline_expiring_in_the_wait_leaves_nothing(self):
-        """Shard 0 has prepared (reservation, line lock) when shard 1's
+        """Shard 0 has prepared (line lock) when shard 1's
         prepare queues behind a stall that outlasts the deadline."""
         async def scenario(server, port):
             keys = keys_by_shard()
@@ -595,6 +595,77 @@ class TestWaitingPath:
         drive(scenario)
 
 
+class TestCommitInFlight:
+    """Nothing waits on another transaction's commit protocol.
+
+    Transaction X has read shard 1, then shard 1 is stalled, then X
+    commits writes to shards 0 and 1: it prepares shard 0 in place and
+    its shard 1 prepare queues behind the stall, so X is suspended
+    mid-commit.  Shard 0 must keep answering in place meanwhile.
+    """
+
+    STALL_MS = 400
+
+    async def suspend_x(self, server, port):
+        keys = [f"inflight-{i}" for i in range(60)]
+        a_keys = [k for k in keys if shard_of(k, 2) == 0]
+        b_key = next(k for k in keys if shard_of(k, 2) == 1)
+        setup = await StoreClient.connect(port)
+        await setup.begin()
+        await setup.write(a_keys[0], "old")
+        assert (await setup.commit())["ok"]
+        setup.close()
+        x = await StoreClient.connect(port)
+        await x.begin(label="x")
+        await x.read(b_key)
+        server.stall_shard(1, self.STALL_MS)
+        await x.write(a_keys[0], "x")
+        await x.write(b_key, "x")
+        committing = asyncio.ensure_future(x.commit())
+        while not server.shards[0]._locks:     # shard 0 prepared
+            await asyncio.sleep(0.001)
+        return x, committing, a_keys
+
+    def test_readers_are_answered_in_place_without_x(self):
+        """70 readers: more starts than the Δ = 64 a commit-timestamp
+        reservation held on shard 0 would leave room for."""
+        async def scenario(server, port):
+            x, committing, a_keys = await self.suspend_x(server, port)
+            reader = await StoreClient.connect(port)
+            for _ in range(70):
+                await reader.begin()
+                assert (await reader.read(a_keys[0]))["value"] == "old"
+                assert (await reader.commit())["ok"]
+                assert not server.shards[0]._queue
+            assert not committing.done()
+            assert (await committing)["ok"]
+            for client in (x, reader):
+                client.close()
+
+        drive(scenario)
+
+    def test_disjoint_commit_is_answered_while_x_waits(self):
+        async def scenario(server, port):
+            x, committing, a_keys = await self.suspend_x(server, port)
+            y = await StoreClient.connect(port)
+            await y.begin(label="y")
+            await y.write(a_keys[1], "y")
+            assert (await y.commit())["ok"]
+            assert not committing.done()
+            assert (await committing)["ok"]
+            assert is_clean(server)
+            for client in (x, y):
+                client.close()
+
+        drive(scenario)
+
+
+class TestConfig:
+    def test_from_dict_ignores_the_retired_commit_delta(self):
+        legacy = dict(StoreConfig(shards=3).to_dict(), commit_delta=64)
+        assert StoreConfig.from_dict(legacy) == StoreConfig(shards=3)
+
+
 class TestObservability:
     def test_metrics_endpoint_serves_prometheus_text(self):
         async def scenario(server, port):
@@ -664,7 +735,7 @@ class TestLateWrapping:
         look them up per call; ``submit`` has to hand back a future."""
         from repro.store import protocol
 
-        seen = {"submit": 0, "apply": 0, "frames": 0}
+        seen = {"submit": 0, "pins": 0, "apply": 0, "frames": 0}
         #: id -> command (held, so that no id is handed out twice)
         executed = {}
 
@@ -690,9 +761,10 @@ class TestLateWrapping:
             wrap(protocol, "encode_frame", count("frames"))
             for shard in server.shards:
                 wrap(shard, "submit", note_submit)
-                for body in ("_do_snapshot", "_do_read", "_do_prepare"):
+                for body in ("_do_read", "_do_prepare"):
                     wrap(shard, body, lambda args, _: executed.setdefault(
                         id(args[0]), args[0]))
+                wrap(shard, "_do_snapshot", count("pins"))
                 wrap(shard, "apply", count("apply"))
             stats = await run_load(port, sessions=4, txns_per_session=50,
                                    keys=32, seed=5)
@@ -702,8 +774,9 @@ class TestLateWrapping:
         stats, applies = drive(scenario)
         assert stats["commits"] == 200
         # a clean load dooms and sheds nothing: each submitted command
-        # reached exactly one body (a deferred one more than once)
+        # reached exactly one body, and each first touch pinned in place
         assert seen["submit"] == len(executed) > 200
+        assert seen["pins"] >= 200
         assert seen["apply"] == applies > 0
         assert seen["frames"] > 2 * seen["submit"]
 
