@@ -4,9 +4,10 @@ The simulator proves the SI-TM protocol under virtual time; this package
 runs the same multiversioned machinery — per-shard
 :class:`~repro.mvm.controller.MVMController` instances with their own
 commit clocks — against *wall-clock* concurrency: an asyncio front-end
-speaking a length-prefixed JSON protocol (``BEGIN``/``READ``/``WRITE``/
-``COMMIT``/``ABORT``), begin-timestamp snapshots and first-committer-wins
-validation per shard, and robustness as a first-class feature:
+speaking a length-prefixed JSON protocol (``BEGIN``/``READ``/``COMMIT``/
+``ABORT``; writes ride on the next ``READ`` or ``COMMIT``),
+begin-timestamp snapshots and first-committer-wins validation per
+shard, and robustness as a first-class feature:
 
 * per-transaction **deadlines** with structured ``TIMEOUT`` errors;
 * **retry/backoff** reusing the simulator's

@@ -1,15 +1,16 @@
 """Closed-loop Zipfian load generation and the store bench artifact.
 
 :class:`StoreClient` is the canonical wire client — framing, the
-``BEGIN``/``READ``/``WRITE``/``COMMIT``/``ABORT`` verbs, and the retry
-discipline the server's structured errors prescribe (honor
-``retry_after_ms``, re-begin after ``ABORTED``/``OVERLOADED``/
-``TIMEOUT``).  Both the bench (:func:`run_load`) and the chaos campaign
-(:mod:`repro.store.chaos`) drive the server through it, so the client
-loop the tests exercise is the one real callers would copy.  It is an
-``asyncio.Protocol`` with one request in flight: ``request`` writes the
-frame and awaits a future that ``data_received`` resolves with the
-response, so a round trip wakes the calling task once and nothing else.
+``BEGIN``/``READ``/``COMMIT``/``ABORT`` verbs (a write rides on the next
+``READ`` or ``COMMIT``), and the retry discipline the server's
+structured errors prescribe (honor ``retry_after_ms``, re-begin after
+``ABORTED``/``OVERLOADED``/``TIMEOUT``).  Both the bench
+(:func:`run_load`) and the chaos campaign (:mod:`repro.store.chaos`)
+drive the server through it, so the client loop the tests exercise is
+the one real callers would copy.  It is an ``asyncio.Protocol`` with
+one request in flight: ``request`` writes the frame and awaits a future
+that ``data_received`` resolves with the response, so a round trip
+wakes the calling task once and nothing else.
 
 :class:`ZipfKeys` draws keys from a Zipf(``theta``) popularity ranking
 — the standard KV-store skew knob (theta 0 = uniform; 0.99 ≈ YCSB) —
@@ -24,8 +25,8 @@ stats map onto the repo's BENCH artifact schema via
 pinned seed; advisory section: wall clock and latency percentiles), so
 ``sitm-store bench`` artifacts validate against
 :func:`repro.perf.bench.validate_artifact`.  Beside the transaction,
-every ``READ``, ``WRITE`` and ``COMMIT`` round trip is timed
-(``read_p50_ms`` ... ``commit_p99_ms``).
+every ``READ`` and ``COMMIT`` round trip is timed (``read_p50_ms`` ...
+``commit_p99_ms``).
 """
 
 from __future__ import annotations
@@ -42,9 +43,9 @@ from repro.store import protocol
 
 __all__ = ["StoreClient", "ZipfKeys", "run_load", "bench_artifact"]
 
-#: what :func:`run_load` times: the logical transaction, and each
-#: round trip of the three operations inside one
-LATENCIES = ("txn", "read", "write", "commit")
+#: what :func:`run_load` times: the logical transaction, and each READ
+#: and COMMIT round trip inside one (a write makes none of its own)
+LATENCIES = ("txn", "read", "commit")
 
 
 class ZipfKeys:
@@ -79,6 +80,8 @@ class StoreClient(asyncio.Protocol):
         self._frames = protocol.FrameParser()
         #: resolved by the response to the request in flight
         self._response: Optional["asyncio.Future"] = None
+        #: ``[key, value]`` writes made since the last READ or COMMIT
+        self._writes: List[list] = []
 
     @classmethod
     async def connect(cls, port: int,
@@ -127,6 +130,7 @@ class StoreClient(asyncio.Protocol):
     async def begin(self, deadline_ms: Optional[int] = None,
                     label: Optional[str] = None) -> dict:
         """``BEGIN``; optional deadline override and monitor label."""
+        self._writes = []  # unsent: they died with their transaction
         fields: Dict[str, object] = {"op": "BEGIN"}
         if deadline_ms is not None:
             fields["deadline_ms"] = deadline_ms
@@ -135,20 +139,29 @@ class StoreClient(asyncio.Protocol):
         return await self.request(**fields)
 
     async def read(self, key: str) -> dict:
-        """``READ key`` inside the open transaction."""
-        return await self.request(op="READ", key=key)
+        """``READ key`` inside the open transaction, with unsent writes."""
+        return await self.request(**self._carrying(op="READ", key=key))
 
     async def write(self, key: str, value: object) -> dict:
-        """``WRITE key value`` (buffered until commit)."""
-        return await self.request(op="WRITE", key=key, value=value)
+        """Buffer ``key = value``; it sends nothing.  The next :meth:`read`
+        or :meth:`commit` carries it, and its response is the write's."""
+        self._writes.append([key, value])
+        return protocol.ok_response()
 
     async def commit(self) -> dict:
-        """``COMMIT`` the open transaction."""
-        return await self.request(op="COMMIT")
+        """``COMMIT`` the open transaction with its unsent writes."""
+        return await self.request(**self._carrying(op="COMMIT"))
 
     async def abort(self) -> dict:
-        """``ABORT`` the open transaction."""
+        """``ABORT`` the open transaction; its unsent writes are dropped."""
+        self._writes = []
         return await self.request(op="ABORT")
+
+    def _carrying(self, **fields: object) -> Dict[str, object]:
+        """``fields`` plus, when there are any, the unsent writes."""
+        if self._writes:
+            fields["writes"], self._writes = self._writes, []
+        return fields
 
     async def ping(self) -> dict:
         """Liveness probe; also returns shard generations."""
@@ -190,13 +203,12 @@ async def _run_session(port: int, host: str, worker: int, txns: int,
                 failed = None
                 for _ in range(ops_per_txn):
                     key = zipf.pick(rng)
-                    sent = time.monotonic()
                     if rng.random() < write_fraction:
                         reply = await client.write(
                             key, {"w": worker, "t": txn_index,
                                   "r": rng.randrange(1 << 30)})
-                        latency["write"].append(time.monotonic() - sent)
                     else:
+                        sent = time.monotonic()
                         reply = await client.read(key)
                         latency["read"].append(time.monotonic() - sent)
                     if not reply.get("ok"):
@@ -238,8 +250,8 @@ async def run_load(port: int, host: str = "127.0.0.1", sessions: int = 4,
 
     ``txn_p50_ms``/``txn_p99_ms`` time each committed logical
     transaction from its first ``BEGIN`` to the ``COMMIT`` ack, retries
-    and backoff included; ``read_*``/``write_*``/``commit_*`` time every
-    round trip of that operation, whatever it answered.
+    and backoff included; ``read_*``/``commit_*`` time every round trip
+    of that operation, whatever it answered.
     """
     zipf = ZipfKeys(keys, zipf_theta)
     stats = {"attempts": 0, "commits": 0, "shed": 0, "exhausted": 0,

@@ -393,10 +393,21 @@ class StoreServer:
             cause = txn.doomed
             self._abort_txn(session, txn, cause)
             return self._aborted_response(session, cause)
+        if "writes" in request:
+            # the client's buffered writes, recorded before the op: all
+            # of them, or (rejected, the transaction still open) none
+            writes = request["writes"]
+            if not isinstance(writes, list) or not all(
+                    isinstance(pair, list) and len(pair) == 2
+                    and isinstance(pair[0], str) and pair[0]
+                    and pair[1] is not None for pair in writes):
+                return protocol.error_response(
+                    "BAD_REQUEST", "writes must be [non-empty key, value] "
+                    "pairs, and null is not a storable value")
+            for key, value in writes:
+                self._do_write(txn, key, value)
         if op == "READ":
             return await self._do_read(session, txn, request)
-        if op == "WRITE":
-            return self._do_write(session, txn, request)
         if op == "COMMIT":
             return await self._do_commit(session, txn)
         # ABORT
@@ -518,21 +529,10 @@ class StoreServer:
         txn.reads += 1
         return protocol.ok_response(value=value)
 
-    def _do_write(self, session: Session, txn: Txn,
-                  request: dict) -> dict:
-        key = request.get("key")
-        if not isinstance(key, str) or not key:
-            return protocol.error_response("BAD_REQUEST",
-                                           f"bad key {key!r}")
-        if "value" not in request or request["value"] is None:
-            return protocol.error_response(
-                "BAD_REQUEST", "null is the never-written sentinel, "
-                "not a storable value")
-        value = request["value"]
+    def _do_write(self, txn: Txn, key: str, value: object) -> None:
         sid = shard_of(key, self.config.shards)
         txn.writes[(sid, key)] = value
         txn.ops.append(("w", sid, key, value))
-        return protocol.ok_response()
 
     def _shard_failure(self, session: Session, txn: Txn,
                        status: str) -> dict:

@@ -47,6 +47,16 @@ class TestValidation:
                                                       "commit": 0.5}
         assert any("conservation" in e for e in validate_artifact(bad))
 
+    def test_latency_fields_are_optional(self, artifact):
+        """A write has no round trip, so ``write_*`` left the advisory
+        section; the latency fields were never part of the layout."""
+        assert "write_p50_ms" not in artifact["advisory"]
+        bare = copy.deepcopy(artifact)
+        for name in LATENCIES:
+            del bare["advisory"][f"{name}_p50_ms"]
+            del bare["advisory"][f"{name}_p99_ms"]
+        assert validate_artifact(bare) == []
+
     def test_rejects_non_object(self):
         assert validate_artifact([]) == ["artifact is not a JSON object"]
 

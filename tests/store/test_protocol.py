@@ -40,7 +40,7 @@ class TestFraming:
         assert read_one(encode_frame(message)) == message
 
     def test_round_trip_unicode_payload(self):
-        message = {"op": "WRITE", "key": "k", "value": "héllo ☃"}
+        message = {"op": "COMMIT", "writes": [["k", "héllo ☃"]]}
         assert read_one(encode_frame(message)) == message
 
     def test_two_frames_back_to_back(self):
@@ -80,7 +80,7 @@ class TestFraming:
 
 
 class TestFrameParser:
-    FRAMES = [{"op": "WRITE", "key": "k", "value": "héllo ☃"},
+    FRAMES = [{"op": "READ", "key": "k", "writes": [["k", "héllo ☃"]]},
               {"op": "PING"}]
 
     def test_every_split_point_of_two_frames(self):
@@ -154,7 +154,8 @@ class TestResponses:
             assert error_response(code)["error"] == code
 
     def test_declared_ops_are_canonical(self):
-        assert OPS == ("BEGIN", "READ", "WRITE", "COMMIT", "ABORT", "PING")
+        # a write is a ``writes`` field of READ and COMMIT, not an op
+        assert OPS == ("BEGIN", "READ", "COMMIT", "ABORT", "PING")
 
 
 def connected(scenario, timeout_ms=50):

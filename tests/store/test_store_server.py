@@ -180,7 +180,7 @@ class TestStructuredErrors:
         async def scenario(server, port):
             client = await StoreClient.connect(port)
             for request in ({"op": "READ", "key": "k"},
-                            {"op": "WRITE", "key": "k", "value": 1},
+                            {"op": "READ", "key": "k", "writes": [["k", 1]]},
                             {"op": "COMMIT"}, {"op": "ABORT"}):
                 response = await client.request(**request)
                 assert response["error"] == "NO_TXN"
@@ -211,10 +211,10 @@ class TestStructuredErrors:
             await client.begin()
             assert (await client.request(
                 op="READ", key=7))["error"] == "BAD_REQUEST"
-            null_write = await client.request(op="WRITE", key="k",
-                                              value=None)
+            null_write = await client.request(op="READ", key="k",
+                                              writes=[["k", None]])
             assert null_write["error"] == "BAD_REQUEST"
-            assert "sentinel" in null_write["detail"]
+            assert "null is not a storable value" in null_write["detail"]
             await client.abort()
             client.close()
 
@@ -250,6 +250,93 @@ class TestStructuredErrors:
             client.close()
 
         drive(scenario)
+
+
+class TestCarriedWrites:
+    """A write travels as the ``writes`` of the next READ or COMMIT: the
+    server records it before that op, in call order, all or none."""
+
+    def test_ill_formed_writes_record_nothing_and_keep_the_txn(self):
+        async def scenario(server, port):
+            client = await StoreClient.connect(port)
+            await client.begin()
+            await client.write("w0", 0)
+            assert (await client.read("r0"))["ok"]
+            (session,) = server.sessions.values()
+            txn = session.txn
+            ops, buffered = list(txn.ops), dict(txn.writes)
+            for writes in ([["a", 1], ["b", None]],     # null value
+                           [["a", 1], ["", 1]],         # empty key
+                           [["a", 1], [7, 1]],          # non-string key
+                           [["a", 1], ["b"]], [["a", 1], ["b", 1, 2]],
+                           [["a", 1], "b"],             # non-pairs
+                           {"a": 1}, "a", None):        # not a list
+                for op in ({"op": "READ", "key": "r1"}, {"op": "COMMIT"}):
+                    reply = await client.request(writes=writes, **op)
+                    assert reply["error"] == "BAD_REQUEST", (writes, op)
+                    assert session.txn is txn
+                    assert txn.ops == ops and txn.writes == buffered
+            assert (await client.commit())["ok"]
+            client.close()
+
+        drive(scenario)
+
+    def test_writes_carried_into_a_doomed_txn_are_aborted(self):
+        async def scenario(server, port):
+            sid = shard_of("k", server.config.shards)
+            client = await StoreClient.connect(port)
+            for carrier in (lambda: client.read("k"), client.commit):
+                await client.begin()
+                await client.read("k")
+                (txn,) = server.open_txns.values()
+                server.crash_shard(sid)
+                await client.write("k", 1)
+                reply = await carrier()
+                assert reply["error"] == "ABORTED"
+                assert reply["cause"] == "shard-crashed"
+                assert [op[0] for op in txn.ops] == ["r"]
+                assert txn.writes == {} and is_clean(server)
+            client.close()
+
+        drive(scenario)
+
+    def test_write_op_is_gone(self):
+        async def scenario(server, port):
+            client = await StoreClient.connect(port)
+            await client.begin()
+            reply = await client.request(op="WRITE", key="k", value=1)
+            assert reply["error"] == "BAD_REQUEST"
+            (txn,) = server.open_txns.values()
+            assert txn.ops == [] and txn.writes == {}
+            await client.abort()
+            client.close()
+
+        drive(scenario)
+
+    def test_monitor_row_ops_are_the_call_order(self, tmp_path):
+        import json
+
+        path = tmp_path / "rows.jsonl"
+        monitor = LiveHistoryMonitor(shards=2)
+        calls = [("w", "a", 1), ("r", "b", None), ("w", "c", 2),
+                  ("w", "a", 3), ("r", "a", 3), ("w", "d", 4)]
+
+        async def scenario(server, port):
+            client = await StoreClient.connect(port)
+            await client.begin()
+            for kind, key, value in calls:
+                if kind == "w":
+                    await client.write(key, value)
+                else:
+                    assert (await client.read(key))["value"] == value
+            assert (await client.commit())["ok"]
+            client.close()
+
+        drive(scenario, monitor=monitor, record_path=path)
+        (row,) = [json.loads(line) for line in path.read_text().splitlines()]
+        assert [(kind, key, value) for kind, _, key, value
+                in row["store"]["ops"]] == calls
+        assert monitor.rows_seen == 1 and monitor.violations == []
 
 
 class TestRobustness:
@@ -462,6 +549,44 @@ class TestHopBudget:
         assert counts["call_soon"] <= requests + 10
 
 
+class TestFrameBudget:
+    def test_a_write_costs_no_frame(self):
+        """The frames the server parses per transaction shape: BEGIN,
+        one per READ and COMMIT, and none per write."""
+        shapes = [("wrwr", 4), ("www", 2), ("r", 1 + 2), ("rrrrr", 5 + 2)]
+
+        async def scenario(server, port):
+            parsed = []
+            dispatch = server._dispatch
+
+            def counting(session, request):
+                parsed.append(request)
+                return dispatch(session, request)
+
+            server._dispatch = counting
+            client = await StoreClient.connect(port)
+            frames = []
+            for shape, _ in shapes:
+                parsed.clear()
+                assert (await client.begin())["ok"]
+                for i, kind in enumerate(shape):
+                    key = f"key-{i}"
+                    reply = await (client.write(key, i) if kind == "w"
+                                   else client.read(key))
+                    assert reply["ok"]
+                assert (await client.commit())["ok"]
+                frames.append([(r["op"], len(r.get("writes", [])))
+                               for r in parsed])
+            client.close()
+            return frames
+
+        frames = drive(scenario)
+        assert [len(f) for f in frames] == [n for _, n in shapes]
+        assert frames[0] == [("BEGIN", 0), ("READ", 1), ("READ", 1),
+                             ("COMMIT", 0)]
+        assert frames[1] == [("BEGIN", 0), ("COMMIT", 3)]
+
+
 class TestWaitingPath:
     """The requests ``data_received`` cannot answer in place: a task
     carries them on, bounded by the transaction deadline."""
@@ -476,14 +601,14 @@ class TestWaitingPath:
             server.stall_shard(shard_of("slow", server.config.shards), 100)
             writer.write(
                 encode_frame({"op": "READ", "key": "slow"})
-                + encode_frame({"op": "WRITE", "key": "slow", "value": 1})
-                + encode_frame({"op": "READ", "key": "slow"}))
+                + encode_frame({"op": "READ", "key": "slow",
+                                "writes": [["slow", 1]]}))
             await asyncio.sleep(0.03)
-            # the READ waits in the shard's queue, and the WRITE behind
-            # it — which would need no wait — has not been served
+            # the first READ waits in the shard's queue, and the write
+            # carried behind it — which would need no wait — has not
+            # been recorded
             assert session.txn.ops == [] and session.txn.writes == {}
             assert await read_frame(reader) == {"ok": True, "value": None}
-            assert await read_frame(reader) == {"ok": True}
             assert await read_frame(reader) == {"ok": True, "value": 1}
             assert [op[0] for op in session.txn.ops] == ["r", "w", "r"]
             writer.write(encode_frame({"op": "COMMIT"}))
@@ -826,17 +951,18 @@ class TestLoadGenerator:
         assert stats["txn_p99_ms"] <= 1e3 * stats["wall_clock_s"]
         assert "latency_s" not in stats        # samples are not printed
         # per operation: one round trip each, so no longer than the
-        # transaction they are part of at the same rank
-        for op in ("read", "write", "commit"):
+        # transaction they are part of at the same rank; a write is no
+        # round trip of its own, so it has no timing
+        for op in ("read", "commit"):
             assert 0 < stats[f"{op}_p50_ms"] <= stats[f"{op}_p99_ms"]
             assert stats[f"{op}_p99_ms"] <= stats["txn_p99_ms"]
+        assert "write_p50_ms" not in stats
         artifact = bench_artifact(stats, label="unit", seed=1)
         assert validate_artifact(artifact) == []
         assert set(artifact["advisory"]) == {
             "wall_clock_s", "cache_hit_rate",
             "txn_p50_ms", "txn_p99_ms", "read_p50_ms", "read_p99_ms",
-            "write_p50_ms", "write_p99_ms", "commit_p50_ms",
-            "commit_p99_ms"}
+            "commit_p50_ms", "commit_p99_ms"}
         for name in ("txn_p99_ms", "read_p50_ms", "commit_p99_ms"):
             assert artifact["advisory"][name] == round(stats[name], 3)
         assert set(artifact["deterministic"]["store/kv/t2"]) == {
