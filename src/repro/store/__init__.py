@@ -4,8 +4,8 @@ The simulator proves the SI-TM protocol under virtual time; this package
 runs the same multiversioned machinery — per-shard
 :class:`~repro.mvm.controller.MVMController` instances with their own
 commit clocks — against *wall-clock* concurrency: an asyncio front-end
-speaking a length-prefixed JSON protocol (``BEGIN``/``READ``/``COMMIT``/
-``ABORT``; writes ride on the next ``READ`` or ``COMMIT``),
+speaking a length-prefixed JSON protocol (``READ``/``COMMIT``/``ABORT``;
+a transaction's begin and writes ride on its ``READ``s and ``COMMIT``),
 begin-timestamp snapshots and first-committer-wins validation per
 shard, and robustness as a first-class feature:
 

@@ -37,7 +37,8 @@ from typing import Dict, List, Optional
 from repro.common.errors import ConfigError, ProtocolError
 from repro.common.rng import SplitRandom
 from repro.oracle.live import LiveHistoryMonitor
-from repro.store.loadgen import StoreClient, ZipfKeys, _backoff
+from repro.store.loadgen import (StoreClient, ZipfKeys, _backoff,
+                                 _count_failure)
 from repro.store.server import StoreServer
 from repro.store.session import StoreConfig, shard_of
 
@@ -75,9 +76,9 @@ CHAOS_SITES = [
     {"site": "admission-flood",
      "layer": "store/server.py:_do_begin",
      "fields": "flood_sessions",
-     "effect": "a burst of simultaneous BEGINs past max_inflight; the "
-               "excess must shed with structured OVERLOADED, never "
-               "queue silently"},
+     "effect": "a burst of simultaneous transaction opens (a READ "
+               "carrying each begin) past max_inflight; the excess must "
+               "shed with structured OVERLOADED, never queue silently"},
 ]
 
 
@@ -131,7 +132,7 @@ class ChaosPlan:
     crash_after_txns: int = 0
 
     # -- admission-flood site -------------------------------------------
-    #: simultaneous extra BEGINs thrown at admission control (0 = off)
+    #: simultaneous extra transaction opens at admission (0 = off)
     flood_sessions: int = 0
 
     def __post_init__(self) -> None:
@@ -185,16 +186,12 @@ async def _chaos_worker(port: int, worker: int, plan: ChaosPlan,
     try:
         for txn_index in range(plan.txns_per_session):
             for _attempt in range(8):
-                response = await client.begin(
-                    label=f"chaos-{worker}-{txn_index}")
-                if not response.get("ok"):
-                    stats["shed"] += 1
-                    await _backoff(response)
-                    continue
+                await client.begin(label=f"chaos-{worker}-{txn_index}")
                 if (plan.disconnect_rate
                         and rng.random() < plan.disconnect_rate):
-                    # yank the connection mid-transaction: the server's
-                    # session GC must abort and unpin for us
+                    # pin an open transaction with a READ, then yank the
+                    # connection: the session GC must abort and unpin it
+                    await client.read(zipf.pick(rng))
                     client.close()
                     stats["disconnects_injected"] += 1
                     await asyncio.sleep(0)
@@ -216,9 +213,7 @@ async def _chaos_worker(port: int, worker: int, plan: ChaosPlan,
                     if failed.get("ok"):
                         stats["commits"] += 1
                         break
-                cause = failed.get("cause") or \
-                    failed.get("error", "unknown").lower()
-                stats["aborts"][cause] = stats["aborts"].get(cause, 0) + 1
+                _count_failure(stats, failed)
                 await _backoff(failed)
     finally:
         client.close()
@@ -243,11 +238,12 @@ async def _slow_loris(port: int, delay_ms: int, stats: dict) -> None:
 
 
 async def _flood(port: int, peers: int, stats: dict) -> None:
-    """Simultaneous BEGIN burst; count structured OVERLOADED sheds."""
+    """Simultaneous first READs; count structured OVERLOADED sheds."""
     async def one() -> None:
         client = await StoreClient.connect(port)
         try:
-            response = await client.begin(label="flood")
+            await client.begin(label="flood")
+            response = await client.read("flood")
             if response.get("ok"):
                 await client.abort()
             elif response.get("error") == "OVERLOADED":
@@ -282,18 +278,12 @@ async def _probe(port: int, server: StoreServer) -> bool:
             if sid in wanted:
                 wanted.discard(sid)
                 chosen[sid] = key
-        begun = await client.begin(label="probe", deadline_ms=5_000)
-        if not begun.get("ok"):
-            return False
+        await client.begin(label="probe", deadline_ms=5_000)
         for sid in sorted(chosen):
-            if not (await client.write(chosen[sid],
-                                       {"probe": sid})).get("ok"):
-                return False
+            await client.write(chosen[sid], {"probe": sid})
         if not (await client.commit()).get("ok"):
             return False
-        begun = await client.begin(label="probe-read", deadline_ms=5_000)
-        if not begun.get("ok"):
-            return False
+        await client.begin(label="probe-read", deadline_ms=5_000)
         for sid in sorted(chosen):
             reply = await client.read(chosen[sid])
             if not reply.get("ok") or reply.get("value") != {"probe": sid}:
@@ -314,8 +304,8 @@ async def _fcw_race(port: int) -> None:
     a = await StoreClient.connect(port)
     b = await StoreClient.connect(port)
     try:
-        assert (await a.begin(label="race-a")).get("ok")
-        assert (await b.begin(label="race-b")).get("ok")
+        await a.begin(label="race-a")
+        await b.begin(label="race-b")
         # both pin snapshots on the key's shard before either commits
         await a.read("contested")
         await b.read("contested")

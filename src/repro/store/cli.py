@@ -207,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
                        dest="crash_after",
                        help="completed txns before the crash fires")
     chaos.add_argument("--flood", type=int, default=0,
-                       help="simultaneous BEGINs past admission")
+                       help="simultaneous transaction opens")
     chaos.add_argument("--broken", default="", choices=["", "no-fcw"],
                        help="deliberately-broken mode for monitor "
                             "self-tests")

@@ -1,10 +1,11 @@
 """Closed-loop Zipfian load generation and the store bench artifact.
 
 :class:`StoreClient` is the canonical wire client — framing, the
-``BEGIN``/``READ``/``COMMIT``/``ABORT`` verbs (a write rides on the next
-``READ`` or ``COMMIT``), and the retry discipline the server's
-structured errors prescribe (honor ``retry_after_ms``, re-begin after
-``ABORTED``/``OVERLOADED``/``TIMEOUT``).  Both the bench
+``READ``/``COMMIT``/``ABORT`` verbs (a begin rides on the transaction's
+first ``READ`` or ``COMMIT``, a write on the next one), and the retry
+discipline the server's structured errors prescribe (honor
+``retry_after_ms``, begin again after ``ABORTED``/``OVERLOADED``/
+``TIMEOUT``).  Both the bench
 (:func:`run_load`) and the chaos campaign (:mod:`repro.store.chaos`)
 drive the server through it, so the client loop the tests exercise is
 the one real callers would copy.  It is an ``asyncio.Protocol`` with
@@ -80,6 +81,8 @@ class StoreClient(asyncio.Protocol):
         self._frames = protocol.FrameParser()
         #: resolved by the response to the request in flight
         self._response: Optional["asyncio.Future"] = None
+        #: fields of a begin no frame has carried yet (None: none)
+        self._begin: Optional[Dict[str, object]] = None
         #: ``[key, value]`` writes made since the last READ or COMMIT
         self._writes: List[list] = []
 
@@ -129,14 +132,17 @@ class StoreClient(asyncio.Protocol):
 
     async def begin(self, deadline_ms: Optional[int] = None,
                     label: Optional[str] = None) -> dict:
-        """``BEGIN``; optional deadline override and monitor label."""
+        """Open a transaction; it sends nothing.  The next :meth:`read`
+        or :meth:`commit` carries the begin, and that frame's outcome is
+        the begin's.  A second call before then replaces it."""
         self._writes = []  # unsent: they died with their transaction
-        fields: Dict[str, object] = {"op": "BEGIN"}
+        fields: Dict[str, object] = {}
         if deadline_ms is not None:
             fields["deadline_ms"] = deadline_ms
         if label is not None:
             fields["label"] = label
-        return await self.request(**fields)
+        self._begin = fields
+        return protocol.ok_response()
 
     async def read(self, key: str) -> dict:
         """``READ key`` inside the open transaction, with unsent writes."""
@@ -153,12 +159,17 @@ class StoreClient(asyncio.Protocol):
         return await self.request(**self._carrying(op="COMMIT"))
 
     async def abort(self) -> dict:
-        """``ABORT`` the open transaction; its unsent writes are dropped."""
+        """``ABORT`` the open transaction, or, if it was never sent, drop it."""
         self._writes = []
+        if self._begin is not None:
+            self._begin = None
+            return protocol.ok_response()
         return await self.request(op="ABORT")
 
     def _carrying(self, **fields: object) -> Dict[str, object]:
-        """``fields`` plus, when there are any, the unsent writes."""
+        """``fields`` plus the unsent begin and writes, if any."""
+        if self._begin is not None:
+            fields["begin"], self._begin = self._begin, None
         if self._writes:
             fields["writes"], self._writes = self._writes, []
         return fields
@@ -181,6 +192,17 @@ async def _backoff(response: dict, cap_s: float = 0.1) -> None:
         await asyncio.sleep(0)
 
 
+def _count_failure(stats: dict, reply: dict) -> None:
+    """Count a failed attempt: admission's ``OVERLOADED`` has no
+    ``cause`` and opened nothing, so it is ``shed``, not an abort."""
+    cause = reply.get("cause")
+    if cause is None and reply.get("error") == "OVERLOADED":
+        stats["shed"] += 1
+        return
+    cause = cause or reply.get("error", "unknown").lower()
+    stats["aborts"][cause] = stats["aborts"].get(cause, 0) + 1
+
+
 async def _run_session(port: int, host: str, worker: int, txns: int,
                        zipf: ZipfKeys, write_fraction: float,
                        ops_per_txn: int, attempts_per_txn: int,
@@ -194,12 +216,7 @@ async def _run_session(port: int, host: str, worker: int, txns: int,
             started = time.monotonic()
             for attempt in range(attempts_per_txn):
                 stats["attempts"] += 1
-                response = await client.begin(
-                    label=f"load-{worker}-{txn_index}")
-                if not response.get("ok"):
-                    stats["shed"] += 1
-                    await _backoff(response)
-                    continue
+                await client.begin(label=f"load-{worker}-{txn_index}")
                 failed = None
                 for _ in range(ops_per_txn):
                     key = zipf.pick(rng)
@@ -223,9 +240,7 @@ async def _run_session(port: int, host: str, worker: int, txns: int,
                         stats["commits"] += 1
                         latency["txn"].append(now - started)
                         break
-                cause = failed.get("cause") or \
-                    failed.get("error", "unknown").lower()
-                stats["aborts"][cause] = stats["aborts"].get(cause, 0) + 1
+                _count_failure(stats, failed)
                 await _backoff(failed)
             else:
                 stats["exhausted"] += 1
@@ -249,7 +264,7 @@ async def run_load(port: int, host: str = "127.0.0.1", sessions: int = 4,
     """Drive a running server with a closed Zipfian loop; return stats.
 
     ``txn_p50_ms``/``txn_p99_ms`` time each committed logical
-    transaction from its first ``BEGIN`` to the ``COMMIT`` ack, retries
+    transaction from its first ``begin()`` to the ``COMMIT`` ack, retries
     and backoff included; ``read_*``/``commit_*`` time every round trip
     of that operation, whatever it answered.
     """

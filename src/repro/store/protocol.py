@@ -5,17 +5,20 @@ One frame is a 4-byte big-endian length ``N`` (at most
 a single object.  Requests carry an ``op`` field; the operations are
 
 ===========  =====================================================
-``BEGIN``    open a transaction (``label``, optional ``deadline_ms``)
 ``READ``     snapshot-read ``key`` within the open transaction
 ``COMMIT``   first-committer-wins commit of the buffered writes
 ``ABORT``    discard the open transaction
 ``PING``     liveness probe; returns shard generations
 ===========  =====================================================
 
-A write has no op: ``READ`` and ``COMMIT`` take an optional ``writes``
-list of ``[key, value]`` pairs (``null`` is not a value), recorded in
-order before the op.  A write's outcome is that request's outcome; an
-ill-formed list is ``BAD_REQUEST`` and records none of them.
+A begin has no op: a transaction's first ``READ`` or ``COMMIT`` carries
+it as a ``begin`` object (``label?``, ``deadline_ms?``), run first.  The
+frame's outcome is the begin's: refused, nothing else in it runs;
+accepted, the response adds ``txn`` (the uid).  Nor has a write:
+``READ`` and ``COMMIT`` take an optional ``writes`` list of ``[key,
+value]`` pairs (``null`` is not a value), recorded in order before the
+op.  A write's outcome is that request's outcome; an ill-formed list is
+``BAD_REQUEST`` and records none of them.
 
 Responses are ``{"ok": true, ...}`` on success or
 ``{"ok": false, "error": <code>, "detail": ..., "retry_after_ms": ...,
@@ -57,7 +60,7 @@ __all__ = ["MAX_FRAME", "ERROR_CODES", "OPS", "FrameParser", "encode_frame",
 MAX_FRAME = 1 << 20
 
 #: the request operations the server understands
-OPS = ("BEGIN", "READ", "COMMIT", "ABORT", "PING")
+OPS = ("READ", "COMMIT", "ABORT", "PING")
 
 #: structured error codes a response may carry
 ERROR_CODES = ("BAD_REQUEST", "NO_TXN", "TXN_OPEN", "OVERLOADED",

@@ -14,9 +14,9 @@ shard command that had to queue and the golden gate, both through
 created at that moment, and the connection serves its later frames when
 that task has answered.  The robustness contract, end to end:
 
-* **Admission**: a ``BEGIN`` past ``max_inflight`` open transactions is
-  shed immediately with ``OVERLOADED`` plus a backoff hint — the server
-  never queues work it has not admitted.
+* **Admission**: a begin past ``max_inflight`` open transactions sheds
+  the frame that carries it immediately with ``OVERLOADED`` plus a
+  backoff hint — the server never queues work it has not admitted.
 * **Deadlines**: every transaction carries an absolute deadline.  It is
   enforced at command arrival, inside shard queues, and around every
   shard wait; expiry aborts the transaction server-side and answers
@@ -379,8 +379,19 @@ class StoreServer:
             return protocol.ok_response(
                 pong=True,
                 generations=[s.generation for s in self.shards])
-        if op == "BEGIN":
-            return self._do_begin(session, request)
+        if "begin" not in request:
+            return await self._in_txn(session, op, request)
+        # a carried begin: refused, it answers the frame and nothing runs
+        response = self._do_begin(session, request["begin"])
+        if response is None:
+            txn = session.txn
+            response = await self._in_txn(session, op, request)
+            response["txn"] = txn.uid
+        return response
+
+    async def _in_txn(self, session: Session, op: str,
+                      request: dict) -> dict:
+        """The frame's carried writes, then its op, in the open txn."""
         txn = session.txn
         if txn is None:
             return protocol.error_response("NO_TXN",
@@ -429,13 +440,19 @@ class StoreServer:
     # ------------------------------------------------------------------
     # operations
 
-    def _do_begin(self, session: Session, request: dict) -> dict:
+    def _do_begin(self, session: Session,
+                  fields: object) -> Optional[dict]:
+        """Open the session's transaction from a frame's ``begin``
+        object: ``None``, or the response that refuses it."""
+        if not isinstance(fields, dict):
+            return protocol.error_response("BAD_REQUEST",
+                                           "begin must be an object")
         if session.txn is not None:
             return protocol.error_response(
                 "TXN_OPEN", "session already has an open transaction")
         # validated before anything below touches the session's retry
         # state; bool is an int, and ``true`` is not a deadline
-        deadline_ms = request.get("deadline_ms", self.config.deadline_ms)
+        deadline_ms = fields.get("deadline_ms", self.config.deadline_ms)
         if (not isinstance(deadline_ms, int) or isinstance(deadline_ms, bool)
                 or deadline_ms < 1):
             return protocol.error_response(
@@ -455,7 +472,7 @@ class StoreServer:
         session.retry.note_progress()
         session.retry.note_first_attempt(self._now_ms())
         deadline_ms = min(deadline_ms, self.config.max_deadline_ms)
-        label = request.get("label", f"session-{session.session_id}")
+        label = fields.get("label", f"session-{session.session_id}")
         self._seq += 1
         txn = Txn(uid=self._next_txn, session_id=session.session_id,
                   label=str(label),
@@ -476,7 +493,7 @@ class StoreServer:
                 asyncio.get_running_loop().create_future()
             self.escalations += 1
             self.metrics.inc("store_escalations_total")
-        return protocol.ok_response(txn=txn.uid)
+        return None
 
     async def _shard_call(self, session: Session, txn: Txn, shard: Shard,
                           kind: str, payload: object = None

@@ -47,15 +47,15 @@ class StoreConfig:
 
     #: number of independent SI shards
     shards: int = 4
-    #: admission control: maximum concurrently open transactions;
-    #: further ``BEGIN``s are shed with ``OVERLOADED``
+    #: admission control: maximum concurrently open transactions; a
+    #: further begin sheds the frame that carries it with ``OVERLOADED``
     max_inflight: int = 64
     #: per-shard command-queue bound; a full queue sheds the command
     shard_queue_depth: int = 128
-    #: default per-transaction deadline (``BEGIN`` may lower/raise it
-    #: up to ``max_deadline_ms``)
+    #: default deadline, counted from the frame carrying the begin (its
+    #: ``deadline_ms`` may lower/raise it up to ``max_deadline_ms``)
     deadline_ms: int = 2_000
-    #: ceiling a client may request via ``deadline_ms`` on BEGIN
+    #: ceiling a client may request via a begin's ``deadline_ms``
     max_deadline_ms: int = 30_000
     #: whole-frame read timeout: a peer that cannot deliver one frame
     #: within this budget (slow-loris) is disconnected
@@ -116,7 +116,7 @@ class Txn:
     label: str
     #: absolute event-loop deadline (seconds, ``loop.time()`` base)
     deadline: float
-    #: monitor sequence number stamped at BEGIN
+    #: monitor sequence number stamped at the frame carrying the begin
     begin_seq: int
     #: shard -> (start_ts, shard generation at pin time)
     snapshots: Dict[int, Tuple[int, int]] = field(default_factory=dict)

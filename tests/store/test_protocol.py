@@ -154,8 +154,9 @@ class TestResponses:
             assert error_response(code)["error"] == code
 
     def test_declared_ops_are_canonical(self):
-        # a write is a ``writes`` field of READ and COMMIT, not an op
-        assert OPS == ("BEGIN", "READ", "COMMIT", "ABORT", "PING")
+        # a begin and a write are fields of READ and COMMIT (``begin``,
+        # ``writes``), not ops
+        assert OPS == ("READ", "COMMIT", "ABORT", "PING")
 
 
 def connected(scenario, timeout_ms=50):
@@ -188,7 +189,8 @@ class TestFramingViolations:
         ids=["oversize", "junk", "non-object", "invalid-utf8"])
     def test_violation_closes_the_connection(self, bad):
         async def scenario(server, reader, writer):
-            writer.write(encode_frame({"op": "BEGIN"}) + bad
+            writer.write(encode_frame({"op": "READ", "key": "k",
+                                       "begin": {}}) + bad
                          + encode_frame({"op": "PING"}))
             assert (await read_frame(reader))["ok"]
             assert await hung_up(reader)     # and the PING went unanswered
@@ -211,7 +213,8 @@ class TestReadGuard:
         async def scenario(server, reader, writer):
             loop = asyncio.get_running_loop()
             started = loop.time()
-            writer.write(encode_frame({"op": "BEGIN"}) + partial)
+            writer.write(encode_frame({"op": "READ", "key": "k",
+                                       "begin": {}}) + partial)
             assert (await read_frame(reader))["ok"]
             assert await hung_up(reader)
             assert 0.04 <= loop.time() - started < 0.5

@@ -70,16 +70,16 @@ class TestTransactions:
     def test_commit_then_read_back(self):
         async def scenario(server, port):
             client = await StoreClient.connect(port)
-            begun = await client.begin(label="writer")
-            assert begun["ok"] and isinstance(begun["txn"], int)
+            assert await client.begin(label="writer") == {"ok": True}
             assert (await client.write("alpha", {"n": 1}))["ok"]
-            committed = await client.commit()
-            assert committed["ok"]
+            committed = await client.commit()   # carries the begin
+            assert committed["ok"] and isinstance(committed["txn"], int)
             sid = shard_of("alpha", server.config.shards)
             assert str(sid) in committed["commit_ts"]
             await client.begin(label="reader")
             read = await client.read("alpha")
-            assert read == {"ok": True, "value": {"n": 1}}
+            assert read == {"ok": True, "value": {"n": 1},
+                            "txn": committed["txn"] + 1}
             await client.commit()
             client.close()
 
@@ -189,11 +189,23 @@ class TestStructuredErrors:
         drive(scenario)
 
     def test_double_begin_is_txn_open(self):
+        """A second ``begin()`` before any frame replaces the unsent one;
+        a carried begin that meets an open transaction is ``TXN_OPEN``
+        and leaves that transaction as it was."""
         async def scenario(server, port):
             client = await StoreClient.connect(port)
+            await client.begin(label="unsent")
+            await client.begin(label="sent")
+            assert (await client.read("k"))["ok"]
+            (txn,) = server.open_txns.values()
+            assert txn.label == "sent" and len(txn.ops) == 1
             await client.begin()
-            assert (await client.begin())["error"] == "TXN_OPEN"
+            await client.write("k", 1)
+            assert (await client.read("k"))["error"] == "TXN_OPEN"
+            assert server.open_txns == {txn.uid: txn}
+            assert len(txn.ops) == 1 and txn.writes == {}
             await client.abort()
+            assert server.open_txns == {}
             client.close()
 
         drive(scenario)
@@ -204,13 +216,14 @@ class TestStructuredErrors:
             assert (await client.request(op="EXPLODE"))["error"] == \
                 "BAD_REQUEST"
             assert (await client.request(
-                op="BEGIN", deadline_ms="soon"))["error"] == "BAD_REQUEST"
+                op="READ", key="k", begin={"deadline_ms": "soon"}))[
+                    "error"] == "BAD_REQUEST"
             # bool is an int: ``true`` must not be taken for 1 ms
             assert (await client.request(
-                op="BEGIN", deadline_ms=True))["error"] == "BAD_REQUEST"
+                op="READ", key="k", begin={"deadline_ms": True}))[
+                    "error"] == "BAD_REQUEST"
             await client.begin()
-            assert (await client.request(
-                op="READ", key=7))["error"] == "BAD_REQUEST"
+            assert (await client.read(7))["error"] == "BAD_REQUEST"
             null_write = await client.request(op="READ", key="k",
                                               writes=[["k", None]])
             assert null_write["error"] == "BAD_REQUEST"
@@ -221,7 +234,7 @@ class TestStructuredErrors:
         drive(scenario)
 
     def test_rejected_begin_leaves_retry_state_alone(self):
-        """BEGIN validates before it resets the session's stall streak
+        """A begin validates before it resets the session's stall streak
         and stamps its starvation age."""
         async def scenario(server, port):
             client = await StoreClient.connect(port)
@@ -229,12 +242,15 @@ class TestStructuredErrors:
             session.retry.consecutive_stalls = 3
             session.retry.first_attempt_at = -5
             for bad in ("soon", 0, -1, 1.5, True, False, None):
-                reply = await client.request(op="BEGIN", deadline_ms=bad)
+                reply = await client.request(op="READ", key="k",
+                                             begin={"deadline_ms": bad})
                 assert reply["error"] == "BAD_REQUEST", bad
             assert session.txn is None and server.open_txns == {}
             assert session.retry.consecutive_stalls == 3
             assert session.retry.first_attempt_at == -5
-            assert (await client.begin(deadline_ms=50))["ok"]
+            await client.begin(deadline_ms=50)
+            assert session.retry.consecutive_stalls == 3  # nothing sent
+            assert (await client.read("k"))["ok"]
             assert session.retry.consecutive_stalls == 0
             assert session.retry.first_attempt_at >= 0
             await client.abort()
@@ -304,10 +320,11 @@ class TestCarriedWrites:
         async def scenario(server, port):
             client = await StoreClient.connect(port)
             await client.begin()
+            assert (await client.read("r"))["ok"]
+            (txn,) = server.open_txns.values()
             reply = await client.request(op="WRITE", key="k", value=1)
             assert reply["error"] == "BAD_REQUEST"
-            (txn,) = server.open_txns.values()
-            assert txn.ops == [] and txn.writes == {}
+            assert len(txn.ops) == 1 and txn.writes == {}
             await client.abort()
             client.close()
 
@@ -339,18 +356,75 @@ class TestCarriedWrites:
         assert monitor.rows_seen == 1 and monitor.violations == []
 
 
+class TestCarriedBegin:
+    """A begin travels as the ``begin`` object of its transaction's first
+    READ or COMMIT.  Refused, it answers that frame alone: it opens
+    nothing, records none of the frame's ``writes`` and runs no op."""
+
+    @pytest.mark.parametrize("begin, error", [
+        ({"deadline_ms": "soon"}, "BAD_REQUEST"),
+        (["label", "x"], "BAD_REQUEST"),
+        ({}, "OVERLOADED"),
+        ({"label": "again"}, "TXN_OPEN")],
+        ids=["bad-deadline", "non-object", "past-max-inflight",
+             "on-open-txn"])
+    def test_refused_begin_answers_its_frame_alone(self, begin, error):
+        async def scenario(server, port):
+            client = await StoreClient.connect(port)
+            assert (await client.ping())["ok"]
+            (session,) = server.sessions.values()
+            other = await StoreClient.connect(port)
+            opener = {"OVERLOADED": other, "TXN_OPEN": client}.get(error)
+            if opener is not None:              # max_inflight is 1
+                await opener.begin()
+                assert (await opener.read("open"))["ok"]
+            open_txns = dict(server.open_txns)
+            ops = [list(txn.ops) for txn in open_txns.values()]
+            session.retry.consecutive_stalls = 3
+            session.retry.first_attempt_at = -5
+            for op in ({"op": "READ", "key": "k"}, {"op": "COMMIT"}):
+                reply = await client.request(begin=begin,
+                                             writes=[["k", 1]], **op)
+                assert reply["error"] == error and "txn" not in reply
+                assert server.open_txns == open_txns
+                assert [txn.ops for txn in open_txns.values()] == ops
+                assert all(txn.writes == {} for txn in open_txns.values())
+            # nothing reset or stamped the retry state; an admission
+            # shed counts toward starvation, as a shed always has
+            assert session.retry.first_attempt_at == -5
+            assert session.retry.consecutive_stalls == (
+                5 if error == "OVERLOADED" else 3)
+            for peer in (client, other):
+                peer.close()
+
+        drive(scenario, cfg=config(max_inflight=1))
+
+    def test_begin_op_is_gone(self):
+        async def scenario(server, port):
+            client = await StoreClient.connect(port)
+            reply = await client.request(op="BEGIN", label="old")
+            assert reply["error"] == "BAD_REQUEST"
+            assert server.open_txns == {}
+            client.close()
+
+        drive(scenario)
+
+
 class TestRobustness:
     def test_admission_control_sheds_overloaded(self):
         async def scenario(server, port):
             a = await StoreClient.connect(port)
             b = await StoreClient.connect(port)
             await a.begin()
-            shed = await b.begin()
-            assert shed["error"] == "OVERLOADED"
+            assert (await a.read("a"))["ok"]
+            await b.begin()
+            shed = await b.read("b")            # the frame carrying the begin
+            assert shed["error"] == "OVERLOADED" and "cause" not in shed
             assert shed["retry_after_ms"] >= 0
             await a.commit()
             # capacity freed: the shed session gets in now
-            assert (await b.begin())["ok"]
+            await b.begin()
+            assert (await b.read("b"))["ok"]
             await b.abort()
             a.close()
             b.close()
@@ -360,13 +434,16 @@ class TestRobustness:
     def test_deadline_expiry_is_structured_timeout(self):
         async def scenario(server, port):
             client = await StoreClient.connect(port)
-            assert (await client.begin(deadline_ms=1))["ok"]
-            await asyncio.sleep(0.02)
+            await client.begin(deadline_ms=10)
+            await asyncio.sleep(0.03)   # unsent: the deadline has not started
+            assert (await client.read("k"))["ok"]
+            await asyncio.sleep(0.03)
             expired = await client.read("k")
             assert expired["error"] == "TIMEOUT"
             # the transaction is gone; the session can begin anew
             assert (await client.read("k"))["error"] == "NO_TXN"
-            assert (await client.begin())["ok"]
+            await client.begin()
+            assert (await client.read("k"))["ok"]
             await client.abort()
             client.close()
 
@@ -491,7 +568,7 @@ class TestIdleGuard:
             loop = asyncio.get_running_loop()
             started = loop.time()
             reply = await client.read("slow")
-            assert reply == {"ok": True, "value": None}
+            assert reply["ok"] and reply["value"] is None
             assert loop.time() - started >= 0.14
             # and the next read gets a fresh budget, not the leftovers
             assert (await client.commit())["ok"]
@@ -549,21 +626,28 @@ class TestHopBudget:
         assert counts["call_soon"] <= requests + 10
 
 
+def count_frames(server):
+    """The requests the server dispatches from now on, as parsed."""
+    parsed = []
+    dispatch = server._dispatch
+
+    def counting(session, request):
+        parsed.append(dict(request))
+        return dispatch(session, request)
+
+    server._dispatch = counting
+    return parsed
+
+
 class TestFrameBudget:
     def test_a_write_costs_no_frame(self):
-        """The frames the server parses per transaction shape: BEGIN,
-        one per READ and COMMIT, and none per write."""
-        shapes = [("wrwr", 4), ("www", 2), ("r", 1 + 2), ("rrrrr", 5 + 2)]
+        """The frames the server parses per transaction shape: one per
+        READ and COMMIT, the first carrying the begin, and none per
+        write or begin."""
+        shapes = [("wrwr", 3), ("www", 1), ("r", 1 + 1), ("rrrrr", 5 + 1)]
 
         async def scenario(server, port):
-            parsed = []
-            dispatch = server._dispatch
-
-            def counting(session, request):
-                parsed.append(request)
-                return dispatch(session, request)
-
-            server._dispatch = counting
+            parsed = count_frames(server)
             client = await StoreClient.connect(port)
             frames = []
             for shape, _ in shapes:
@@ -575,16 +659,33 @@ class TestFrameBudget:
                                    else client.read(key))
                     assert reply["ok"]
                 assert (await client.commit())["ok"]
-                frames.append([(r["op"], len(r.get("writes", [])))
-                               for r in parsed])
+                frames.append([(r["op"], "begin" in r,
+                                len(r.get("writes", []))) for r in parsed])
             client.close()
             return frames
 
         frames = drive(scenario)
         assert [len(f) for f in frames] == [n for _, n in shapes]
-        assert frames[0] == [("BEGIN", 0), ("READ", 1), ("READ", 1),
-                             ("COMMIT", 0)]
-        assert frames[1] == [("BEGIN", 0), ("COMMIT", 3)]
+        assert frames[0] == [("READ", True, 1), ("READ", False, 1),
+                             ("COMMIT", False, 0)]
+        assert frames[1] == [("COMMIT", True, 3)]
+        assert [[begun for _, begun, _ in f] for f in frames[2:]] == [
+            [True] + [False] * (n - 1) for _, n in shapes[2:]]
+
+    def test_abort_of_an_unsent_begin_sends_no_frame(self):
+        async def scenario(server, port):
+            parsed = count_frames(server)
+            client = await StoreClient.connect(port)
+            await client.begin()
+            await client.write("k", 1)
+            assert await client.abort() == {"ok": True}
+            assert parsed == []
+            # the begin and the write went with it
+            assert (await client.read("k"))["error"] == "NO_TXN"
+            assert parsed == [{"op": "READ", "key": "k"}]
+            client.close()
+
+        drive(scenario)
 
 
 class TestWaitingPath:
@@ -595,20 +696,21 @@ class TestWaitingPath:
         async def scenario(server, port):
             reader, writer = await asyncio.open_connection("127.0.0.1",
                                                            port)
-            writer.write(encode_frame({"op": "BEGIN"}))
-            assert (await read_frame(reader))["ok"]
+            writer.write(encode_frame({"op": "PING"}))
+            assert (await read_frame(reader))["pong"]
             (session,) = server.sessions.values()
             server.stall_shard(shard_of("slow", server.config.shards), 100)
             writer.write(
-                encode_frame({"op": "READ", "key": "slow"})
+                encode_frame({"op": "READ", "key": "slow", "begin": {}})
                 + encode_frame({"op": "READ", "key": "slow",
                                 "writes": [["slow", 1]]}))
             await asyncio.sleep(0.03)
-            # the first READ waits in the shard's queue, and the write
-            # carried behind it — which would need no wait — has not
-            # been recorded
+            # the first READ opened the transaction and waits in the
+            # shard's queue, and the write carried behind it — which
+            # would need no wait — has not been recorded
             assert session.txn.ops == [] and session.txn.writes == {}
-            assert await read_frame(reader) == {"ok": True, "value": None}
+            assert await read_frame(reader) == {
+                "ok": True, "value": None, "txn": session.txn.uid}
             assert await read_frame(reader) == {"ok": True, "value": 1}
             assert [op[0] for op in session.txn.ops] == ["r", "w", "r"]
             writer.write(encode_frame({"op": "COMMIT"}))
@@ -696,9 +798,10 @@ class TestWaitingPath:
             holder = await StoreClient.connect(port)
             (session,) = server.sessions.values()
             session.retry.attempts = server.config.retry.attempt_budget
-            begun = await holder.begin()        # starving: takes the token
+            await holder.begin()
+            # starving: its begin takes the token; shard 0 is its home
+            begun = await holder.read(keys[0])
             assert server.golden_holder == begun["txn"]
-            await holder.read(keys[0])          # shard 0 is its home now
             late = await StoreClient.connect(port)
             await late.begin(deadline_ms=60)
             await late.write(keys[1], 1)
@@ -860,7 +963,8 @@ class TestLateWrapping:
         look them up per call; ``submit`` has to hand back a future."""
         from repro.store import protocol
 
-        seen = {"submit": 0, "pins": 0, "apply": 0, "frames": 0}
+        seen = {"submit": 0, "pins": 0, "apply": 0, "frames": 0,
+                "requests": 0}
         #: id -> command (held, so that no id is handed out twice)
         executed = {}
 
@@ -884,6 +988,7 @@ class TestLateWrapping:
 
         async def scenario(server, port):
             wrap(protocol, "encode_frame", count("frames"))
+            wrap(server, "_dispatch", count("requests"))
             for shard in server.shards:
                 wrap(shard, "submit", note_submit)
                 for body in ("_do_read", "_do_prepare"):
@@ -903,7 +1008,10 @@ class TestLateWrapping:
         assert seen["submit"] == len(executed) > 200
         assert seen["pins"] >= 200
         assert seen["apply"] == applies > 0
-        assert seen["frames"] > 2 * seen["submit"]
+        # the encoder sees both ends, a request and its response per
+        # dispatched request; every attempt ends in a request of its own
+        assert seen["frames"] == 2 * seen["requests"]
+        assert seen["requests"] >= stats["attempts"]
 
 
 class TestLoadGenerator:
@@ -921,6 +1029,18 @@ class TestLoadGenerator:
         assert stats["throughput_txn_s"] > 0
         assert 0.0 <= stats["abort_rate"] < 1.0
         assert monitor.violations == []
+
+    def test_admission_sheds_are_counted_as_shed_not_aborts(self):
+        """Admission refuses a begin with an ``OVERLOADED`` that has no
+        ``cause``: nothing was opened, so nothing was aborted."""
+        async def scenario(server, port):
+            return await run_load(port, sessions=2, txns_per_session=10,
+                                  keys=8, seed=2)
+
+        stats = drive(scenario, cfg=config(max_inflight=1))
+        assert stats["shed"] > 0
+        assert "overloaded" not in stats["aborts"]
+        assert stats["total_aborts"] == sum(stats["aborts"].values())
 
     def test_bench_artifact_validates(self):
         from repro.perf.bench import validate_artifact
