@@ -62,11 +62,11 @@ CHAOS_SITES = [
                "disconnect them instead of holding a connection "
                "forever"},
     {"site": "shard-stall",
-     "layer": "store/shard.py:submit/_run (inject_stall)",
+     "layer": "store/shard.py:submit/_drain_queue (inject_stall)",
      "fields": "stall_shard, stall_ms, stall_after_txns",
-     "effect": "the next command queues and the shard task sleeps "
-               "before serving it; deadlines must convert the backlog "
-               "into structured TIMEOUTs, not hangs"},
+     "effect": "the next command queues and the shard's drain timer "
+               "serves it after the stall; deadlines must convert the "
+               "backlog into structured TIMEOUTs, not hangs"},
     {"site": "shard-crash",
      "layer": "store/shard.py:crash_now",
      "fields": "crash_shard, crash_after_txns",

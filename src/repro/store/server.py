@@ -26,15 +26,14 @@ that task has answered.  The robustness contract, end to end:
   trickling bytes — is closed; so is one that sends an oversize, junk
   or non-object frame.  A peer that stops reading its responses stops
   being read from.
-* **Commit protocol**: writes prepare on each touched shard in sorted
-  shard order (pending-lock check, first-committer-wins validation,
-  line locks); once every shard prepared, the apply runs
-  **synchronously with no awaits** and draws each shard's commit
-  timestamp inside it — in a single-threaded event loop that publishes
-  a multi-shard commit atomically, and no commit is in flight while
-  anything else runs, so nothing ever waits on the commit protocol.
-  Prepares carry shard generations, so a crash between prepare and
-  apply is detected and turned into a clean ``shard-crashed`` abort.
+* **Commit protocol**: a commit takes its turn (a ``prepare``) on
+  each touched shard in sorted shard order; then phase 2 runs
+  **synchronously with no awaits** and decides it in one place — doom
+  check, first-committer-wins validation, apply, which draws each
+  shard's commit timestamp — so in a single-threaded event loop a
+  multi-shard commit publishes atomically, and nothing ever waits on
+  the commit protocol.  A crash dooms every transaction pinned on the
+  shard, so a commit it interrupts aborts with ``shard-crashed``.
 * **Retry/escalation**: every abort response carries ``retry_after_ms``
   from the session's :class:`~repro.sim.retry.RetryState`; a starving
   session's next transaction takes the server-wide **golden token**,
@@ -74,8 +73,8 @@ from repro.oracle.live import LiveHistoryMonitor
 from repro.sim.retry import RetryState
 from repro.store import protocol
 from repro.store.session import Session, StoreConfig, Txn, shard_of
-from repro.store.shard import (CONFLICT, CRASHED, OK, OVERLOADED, SHUTDOWN,
-                               TIMEOUT, Shard)
+from repro.store.shard import (CRASHED, OK, OVERLOADED, SHUTDOWN, TIMEOUT,
+                               Shard)
 from repro.common.rng import SplitRandom
 
 __all__ = ["StoreServer"]
@@ -283,14 +282,12 @@ class StoreServer:
     # lifecycle
 
     async def start(self, host: str = "127.0.0.1", port: int = 0) -> int:
-        """Start shards and the listener; returns the bound port."""
+        """Start the listener; returns the bound port."""
         if self._record_path is not None:
             import pathlib
             path = pathlib.Path(self._record_path)
             path.parent.mkdir(parents=True, exist_ok=True)
             self._record = path.open("w", encoding="utf-8")
-        for shard in self.shards:
-            shard.start()
         self._server = await asyncio.get_running_loop().create_server(
             lambda: _Connection(self), host, port)
         return self._server.sockets[0].getsockname()[1]
@@ -303,14 +300,14 @@ class StoreServer:
         return self._metrics_server.sockets[0].getsockname()[1]
 
     async def stop(self) -> None:
-        """Stop listeners and shard tasks; close the session record."""
+        """Stop listeners and shards; close the session record."""
         self._shutting_down = True
         for server in (self._server, self._metrics_server):
             if server is not None:
                 server.close()
                 await server.wait_closed()
         for shard in self.shards:
-            await shard.stop()
+            shard.stop()
         if self._record is not None:
             self._record.close()
             self._record = None
@@ -510,14 +507,11 @@ class StoreServer:
             return await _within(remaining, future)
         except asyncio.TimeoutError:
             txn.doom("timeout")
-            # the command may still run later; doom makes it a no-op,
-            # and any side effects a prepare already took are reverted
-            # by the caller's cleanup path
+            # the command may still run later; doom makes it a no-op
             return (TIMEOUT, None)
 
     def _ensure_snapshot(self, txn: Txn, shard: Shard) -> None:
-        """Pin ``shard``'s snapshot in place at the first touch (the
-        read or prepare that follows checks the pin's generation)."""
+        """Pin ``shard``'s snapshot in place at the first touch."""
         if shard.shard_id not in txn.snapshots:
             shard._do_snapshot(txn)
             if self._golden_holder == txn.uid and self._golden_home is None:
@@ -567,13 +561,11 @@ class StoreServer:
             self._abort_txn(session, txn, "explicit")
             return protocol.error_response("SERVER_SHUTDOWN",
                                            "server is draining")
-        if status == CONFLICT:
-            # a shard refuses commands for an already-doomed transaction
-            # with CONFLICT; surface the original doom cause (e.g. a
-            # crash on another shard), not the refusal itself
-            cause = txn.doomed or "write-write"
-        else:
-            cause = "shard-crashed" if status == CRASHED else str(status)
+        # a shard refuses a doomed transaction with CONFLICT, and a
+        # crash dooms what it fails: surface the doom's cause (e.g. a
+        # crash on another shard), not the refusal itself
+        cause = txn.doomed or ("shard-crashed" if status == CRASHED
+                               else str(status))
         self._abort_txn(session, txn, cause)
         return self._aborted_response(session, cause)
 
@@ -598,23 +590,25 @@ class StoreServer:
             self.metrics.inc("store_timeouts_total")
             return protocol.error_response(
                 "TIMEOUT", "deadline expired waiting for escalation")
-        # phase 1: pin write-only shards, then prepare in shard order
-        for sid in sorted(by_shard):
-            self._ensure_snapshot(txn, self.shards[sid])
-        prepared: List[Tuple[Shard, int]] = []
-        for sid in sorted(by_shard):
-            shard = self.shards[sid]
-            status, data = await self._shard_call(session, txn, shard,
-                                                  "prepare", by_shard[sid])
+        # phase 1: pin write-only shards, then take each shard's turn
+        shards = [self.shards[sid] for sid in sorted(by_shard)]
+        for shard in shards:
+            self._ensure_snapshot(txn, shard)
+        for shard in shards:
+            status, _ = await self._shard_call(session, txn, shard,
+                                               "prepare")
             if status != OK:
-                # _abort_txn releases the locks taken so far
                 return self._shard_failure(session, txn, status)
-            prepared.append((shard, data))
-        # phase 2: atomic apply — NO awaits from here to _finish_txn
-        if any(shard.generation != gen for shard, gen in prepared):
-            self._abort_txn(session, txn, "shard-crashed")
-            return self._aborted_response(session, "shard-crashed")
-        for shard, _ in prepared:
+        # phase 2: decide and apply — NO awaits from here to _finish_txn
+        cause = txn.doomed
+        if cause is None and not all(
+                shard.validate(txn, by_shard[shard.shard_id])
+                for shard in shards):
+            cause = "write-write"
+        if cause is not None:
+            self._abort_txn(session, txn, cause)
+            return self._aborted_response(session, cause)
+        for shard in shards:
             shard.apply(txn, by_shard[shard.shard_id])
         self._finish_txn(session, txn, committed=True)
         return protocol.ok_response(
@@ -649,9 +643,7 @@ class StoreServer:
             self._golden_released.set_result(None)
 
     def _abort_txn(self, session: Session, txn: Txn, cause: str) -> None:
-        """Server-side abort: shard cleanup, unpin, session bookkeeping."""
-        for shard in self.shards:
-            shard.release_locks(txn)
+        """Server-side abort: unpin, session bookkeeping."""
         txn.doom(cause)
         self._finish_txn(session, txn, committed=False, cause=cause)
 
@@ -697,9 +689,8 @@ class StoreServer:
         seen = set(txn.snapshots) | set(txn.commit_ts) \
             | {s for s, _ in txn.writes}
         for sid in sorted(seen):
-            pin = txn.snapshots.get(sid)
             shards_meta[str(sid)] = {
-                "start_ts": pin[0] if pin else None,
+                "start_ts": txn.snapshots.get(sid),
                 "commit_ts": txn.commit_ts.get(sid)}
         home = min(seen) if seen else None
         home_meta = shards_meta.get(str(home), {}) if home is not None \
@@ -735,7 +726,7 @@ class StoreServer:
         return doomed
 
     def stall_shard(self, shard_id: int, ms: float) -> None:
-        """Inject a stall into one shard's command task."""
+        """Make one shard's next queued command wait ``ms``."""
         self.shards[shard_id].inject_stall(ms)
         self.metrics.inc("store_shard_stalls_total", shard=shard_id)
 

@@ -8,9 +8,9 @@ escalation all key off it, reusing the simulator's retry semantics
 verbatim (:mod:`repro.sim.retry`).
 
 A **transaction** (:class:`Txn`) is begin-timestamp state spread across
-the shards it touched: per-shard ``(start_ts, generation)`` snapshot
-pins, the buffered write set, and the ordered operation log the live
-oracle monitor replays.  Cross-shard transactions pin each shard's
+the shards it touched: per-shard ``start_ts`` snapshot pins, the
+buffered write set, and the ordered operation log the live oracle
+monitor replays.  Cross-shard transactions pin each shard's
 snapshot lazily at first touch (write-only shards at commit time), so
 the isolation contract is *per-shard* snapshot isolation — see
 ``docs/store.md`` for the honest statement of what that does and does
@@ -60,9 +60,9 @@ class StoreConfig:
     #: whole-frame read timeout: a peer that cannot deliver one frame
     #: within this budget (slow-loris) is disconnected
     idle_timeout_ms: int = 10_000
-    #: first-committer-wins validation at prepare; disabled only by the
-    #: ``--broken no-fcw`` self-test proving the live monitor catches
-    #: real violations
+    #: first-committer-wins validation inside the atomic apply; disabled
+    #: only by the ``--broken no-fcw`` self-test proving the live
+    #: monitor catches real violations
     validate_fcw: bool = True
     #: retry/backoff/escalation policy over milliseconds
     retry: RetryPolicy = DEFAULT_RETRY_MS
@@ -118,8 +118,8 @@ class Txn:
     deadline: float
     #: monitor sequence number stamped at the frame carrying the begin
     begin_seq: int
-    #: shard -> (start_ts, shard generation at pin time)
-    snapshots: Dict[int, Tuple[int, int]] = field(default_factory=dict)
+    #: shard -> start_ts pinned there
+    snapshots: Dict[int, int] = field(default_factory=dict)
     #: buffered write set: (shard, key) -> value (last write wins)
     writes: Dict[Tuple[int, str], object] = field(default_factory=dict)
     #: ordered operation log for the oracle: (kind, shard, key, value)

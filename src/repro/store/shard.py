@@ -1,4 +1,4 @@
-"""One store shard: a single-writer task over an `MVMController`.
+"""One store shard: a plain object over an `MVMController`.
 
 Each shard is an independent snapshot-isolation domain — its own
 :class:`~repro.mvm.timestamps.GlobalClock`, its own
@@ -11,26 +11,26 @@ Concurrency model: **the single-threaded event loop serializes all
 mutation**; nothing a shard does contains an ``await``.  A snapshot pin
 (:meth:`Shard._do_snapshot`) is a plain call.  A ``read`` or
 ``prepare`` command runs in place, inside :meth:`Shard.submit`, when
-nothing is queued ahead of it; the bounded command queue and its
-single-writer task are where commands *wait* — behind an injected
-stall, or the backlog behind one, or until the task starts — in FIFO
-order.  A full queue sheds the command with a structured
-``overloaded`` status — never silent queueing.  The commit *apply*
-phase is a synchronous method the coordinator calls with no
-intervening ``await``: it draws the commit timestamp, installs and
-publishes in one step, so no commit is ever in flight across an
-``await``, a snapshot never has to wait for one, and a multi-shard
-apply is atomic — no reader anywhere can observe a half-applied
-cross-shard commit.
+nothing is queued ahead of it; the bounded command queue is where
+commands *wait* — behind an injected stall, or the backlog behind one
+— in FIFO order, drained by one ``call_later`` timer.  A full queue
+sheds the command with a structured ``overloaded`` status — never
+silent queueing.  A ``prepare`` only takes the commit's turn: the
+coordinator decides the commit in one synchronous step that calls
+:meth:`Shard.validate` (first-committer-wins) and then
+:meth:`Shard.apply` on every touched shard.  The apply draws the commit
+timestamp, installs and publishes, so no commit is ever in flight
+across an ``await``, a snapshot never has to wait for one, and no
+reader anywhere can observe a half-applied cross-shard commit.
 
 Crash/recovery (:meth:`Shard.crash_now`): the shard holds a recovery
 checkpoint pinned at the *publish frontier* — advanced to every
 committed end timestamp inside the atomic apply.  A forced crash bumps
 the generation counter, fails queued commands with ``shard-crashed``,
-drops prepare locks, dooms and unpins every transaction with state on
-the shard, and rolls the MVM back to the checkpoint.  Prepares are
-tagged with the generation so a coordinator racing a crash detects the
-mismatch and aborts instead of applying onto the recovered state.
+dooms and unpins every transaction with state on the shard, and rolls
+the MVM back to the checkpoint.  Every pinned transaction is open, so
+the doom reaches each one: a shard refuses a doomed transaction's
+commands, and the coordinator checks the doom again before it applies.
 """
 
 from __future__ import annotations
@@ -72,7 +72,7 @@ class ShardCommand:
 
 
 class Shard:
-    """A single-writer snapshot-isolation domain over one controller."""
+    """A snapshot-isolation domain over one controller."""
 
     def __init__(self, shard_id: int, config: StoreConfig):
         self.shard_id = shard_id
@@ -82,42 +82,31 @@ class Shard:
             AddressMap(words_per_line=1))
         #: key -> line interning (one key per line, words_per_line=1)
         self.keys: Dict[str, int] = {}
-        #: bumped by every crash; prepares carry it for race detection
+        #: bumped by every crash (reported, e.g. by PING)
         self.generation = 0
         self.checkpoints = CheckpointManager.for_controller(self.mvm)
         #: pinned at the publish frontier (advanced inside every apply)
         self.recovery = self.checkpoints.create()
         self._queue: Deque[ShardCommand] = deque()
-        self._wakeup = asyncio.Event()
         self._closed = False
-        #: line -> txn uid holding the prepare lock
-        self._locks: Dict[int, int] = {}
-        #: chaos: milliseconds the task sleeps before its next command
+        #: chaos: milliseconds the next queued command waits
         self._stall_ms = 0.0
-        self._task: Optional[asyncio.Task] = None
+        #: the timer that drains the queue (None: nothing is waiting)
+        self._drain: Optional[asyncio.TimerHandle] = None
         # counters (scraped into the server's metrics registry)
         self.commits = 0
         self.shed = 0
         self.crashes = 0
         self.stalls = 0
 
-    # ------------------------------------------------------------------
-    # lifecycle
-
-    def start(self) -> None:
-        """Spawn the single-writer command task."""
-        if self._task is None:
-            self._task = asyncio.get_running_loop().create_task(self._run())
-
-    async def stop(self) -> None:
-        """Drain and stop the command task; queued commands get SHUTDOWN."""
+    def stop(self) -> None:
+        """Refuse further commands; queued ones get SHUTDOWN."""
         self._closed = True
+        if self._drain is not None:
+            self._drain.cancel()
+            self._drain = None
         while self._queue:
             self._queue.popleft().resolve(SHUTDOWN)
-        self._wakeup.set()
-        if self._task is not None:
-            await self._task
-            self._task = None
 
     # ------------------------------------------------------------------
     # submission (coordinator side)
@@ -127,47 +116,43 @@ class Shard:
         """Run a command, in place if nothing is ahead of it.
 
         The returned future is already resolved unless the command has
-        to wait (backlog, pending stall, shard not started); a full
-        queue sheds it as ``overloaded``.
+        to wait (backlog, pending stall); a full queue sheds it as
+        ``overloaded``.
         """
         future = asyncio.get_running_loop().create_future()
         command = ShardCommand(kind, txn, payload, future)
         if self._closed:
             command.resolve(SHUTDOWN)
-        elif self._task is not None and not self._queue \
-                and not self._stall_ms:
+        elif not self._queue and not self._stall_ms:
             self._execute(command)  # nothing is ahead of it
         elif len(self._queue) >= self.config.shard_queue_depth:
             self.shed += 1
             command.resolve(OVERLOADED)
         else:
             self._queue.append(command)
-            self._wakeup.set()
+            if self._drain is None:
+                self._arm_drain()
         return future
 
-    def line_for(self, key: str) -> int:
-        """Intern ``key`` to its line identifier."""
-        line = self.keys.get(key)
-        if line is None:
-            line = self.keys[key] = len(self.keys)
-        return line
-
     # ------------------------------------------------------------------
-    # the single-writer loop (where commands wait their turn)
+    # the drain timer (where commands wait their turn)
 
-    async def _run(self) -> None:
-        while True:
-            if not self._queue:
-                if self._closed:
-                    return
-                self._wakeup.clear()
-                await self._wakeup.wait()
-            elif self._stall_ms:
-                delay, self._stall_ms = self._stall_ms, 0.0
-                self.stalls += 1
-                await asyncio.sleep(delay / 1000.0)
-            else:
-                self._execute(self._queue.popleft())
+    def _arm_drain(self) -> None:
+        """Serve the owed stall: drain the queue when it has passed."""
+        delay, self._stall_ms = self._stall_ms, 0.0
+        self.stalls += 1
+        self._drain = asyncio.get_running_loop().call_later(
+            delay / 1000.0, self._drain_queue)
+
+    def _drain_queue(self) -> None:
+        """Run the queue in FIFO order, until it is empty or a stall
+        injected since is owed."""
+        self._drain = None
+        while self._queue:
+            if self._stall_ms:
+                self._arm_drain()
+                return
+            self._execute(self._queue.popleft())
 
     def _execute(self, command: ShardCommand) -> None:
         """Run one command now, whichever path it took here."""
@@ -189,111 +174,87 @@ class Shard:
         outside :meth:`apply`, so a start timestamp is always free."""
         start_ts = self.mvm.clock.next_start()
         self.mvm.active.add(start_ts)
-        txn.snapshots[self.shard_id] = (start_ts, self.generation)
+        txn.snapshots[self.shard_id] = start_ts
 
     def _do_read(self, command: ShardCommand) -> None:
-        key = command.payload
-        pin = command.txn.snapshots.get(self.shard_id)
-        if pin is None or pin[1] != self.generation:
-            command.resolve(CRASHED)
-            return
-        line = self.keys.get(key)
+        line = self.keys.get(command.payload)
         if line is None:
             command.resolve(OK, None)
             return
-        data = self.mvm.snapshot_read(line, pin[0])
+        data = self.mvm.snapshot_read(
+            line, command.txn.snapshots[self.shard_id])
         command.resolve(OK, data[0] if data is not None else None)
 
     def _do_prepare(self, command: ShardCommand) -> None:
-        """Phase 1 of commit: lock lines, validate first-committer-wins.
-
-        Resolves with the shard generation, which the coordinator checks
-        again before it applies.
-        """
-        txn = command.txn
-        writes: Dict[str, object] = command.payload
-        pin = txn.snapshots.get(self.shard_id)
-        if pin is None or pin[1] != self.generation:
-            command.resolve(CRASHED)
-            return
-        lines = sorted(self.line_for(key) for key in writes)
-        for line in lines:
-            holder = self._locks.get(line)
-            if holder is not None and holder != txn.uid:
-                command.resolve(CONFLICT, "write-write")
-                return
-        if self.config.validate_fcw:
-            conflict = self.mvm.validate_many(lines, pin[0])
-            if conflict is not None:
-                command.resolve(CONFLICT, "write-write")
-                return
-        for line in lines:
-            self._locks[line] = txn.uid
-        command.resolve(OK, self.generation)
+        """Phase 1 of commit: the commit's turn in this shard's order."""
+        command.resolve(OK)
 
     # ------------------------------------------------------------------
     # synchronous coordinator-side phases (atomic: no awaits)
+
+    def validate(self, txn: Txn, writes: Dict[str, object]) -> bool:
+        """First-committer-wins: no line in ``writes`` has a version
+        newer than ``txn``'s pin here.  A key no commit wrote is not
+        interned, and cannot conflict."""
+        if not self.config.validate_fcw:
+            return True
+        lines = [line for line in map(self.keys.get, writes)
+                 if line is not None]
+        return self.mvm.validate_many(
+            lines, txn.snapshots[self.shard_id]) is None
 
     def apply(self, txn: Txn, writes: Dict[str, object]) -> None:
         """Phase 2 of commit: draw end_ts, install, publish, advance
         recovery.
 
         Runs synchronously from the coordinator after every touched
-        shard prepared — with no ``await`` between the generation checks
-        and the last shard's apply, the whole multi-shard publish is one
-        atomic step of the event loop, and each shard's commit
-        timestamps rise in apply order.
+        shard validated — with no ``await`` between the doom check, the
+        validations and the last shard's apply, the whole multi-shard
+        commit is one atomic step of the event loop, and each shard's
+        commit timestamps rise in apply order.
         """
         end_ts = self.mvm.clock.begin_commit()
-        items = [(self.line_for(key), (value,))
+        keys = self.keys  # interned here only: one line per key
+        items = [(keys.setdefault(key, len(keys)), (value,))
                  for key, value in sorted(writes.items())]
         self.mvm.install_many(end_ts, items,
                               installer=(txn.uid, txn.label))
         self.mvm.clock.finish_commit(end_ts)
-        self.release_locks(txn)
         self.recovery = self.checkpoints.advance(self.recovery, end_ts)
         self.commits += 1
         txn.commit_ts[self.shard_id] = end_ts
 
-    def release_locks(self, txn: Txn) -> None:
-        """Drop the line locks ``txn``'s prepare took (idempotent)."""
-        for line in [ln for ln, holder in self._locks.items()
-                     if holder == txn.uid]:
-            del self._locks[line]
-
     def release_snapshot(self, txn: Txn) -> None:
         """Unpin a transaction's snapshot unless a crash already did."""
-        pin = txn.snapshots.pop(self.shard_id, None)
-        if pin is not None and pin[1] == self.generation:
-            self.mvm.active.remove(pin[0])
+        start_ts = txn.snapshots.pop(self.shard_id, None)
+        if start_ts is not None:
+            self.mvm.active.remove(start_ts)
 
     # ------------------------------------------------------------------
     # chaos hooks
 
     def inject_stall(self, ms: float) -> None:
-        """Queue the next command behind a ``ms`` sleep of the task."""
+        """Queue the next command behind a ``ms`` wait."""
         self._stall_ms += ms
 
     def crash_now(self, open_txns: Iterable[Txn]) -> List[Txn]:
         """Forced crash + restart from the recovery checkpoint.
 
-        Synchronous and atomic: bumps the generation (outstanding
-        prepares become detectably stale), fails queued commands, drops
-        prepare locks, dooms/unpins every open transaction with state
-        here, and truncates the MVM back to the publish frontier.
-        Returns the transactions doomed.
+        Synchronous and atomic: bumps the generation, fails queued
+        commands, dooms/unpins every open transaction with state here,
+        and truncates the MVM back to the publish frontier.  Returns the
+        transactions doomed.
         """
         self.generation += 1
         self.crashes += 1
         while self._queue:
             self._queue.popleft().resolve(CRASHED)
-        self._locks.clear()
         doomed = []
         for txn in open_txns:
-            pin = txn.snapshots.pop(self.shard_id, None)
-            if pin is not None and pin[1] == self.generation - 1:
-                self.mvm.active.remove(pin[0])
-            if pin is not None or any(
+            start_ts = txn.snapshots.pop(self.shard_id, None)
+            if start_ts is not None:
+                self.mvm.active.remove(start_ts)
+            if start_ts is not None or any(
                     shard == self.shard_id for shard, _ in txn.writes):
                 txn.doom("shard-crashed")
                 doomed.append(txn)

@@ -30,16 +30,16 @@ def run(scenario, **overrides):
         try:
             return await scenario(shard, txn)
         finally:
-            await shard.stop()
+            shard.stop()
 
     return asyncio.run(runner())
 
 
 async def commit(shard, txn, writes):
-    """pin → prepare → apply for ``writes`` (all in place)."""
+    """pin → prepare turn → validate → apply for ``writes`` (in place)."""
     shard._do_snapshot(txn)
-    assert (await shard.submit("prepare", txn, writes)) \
-        == (OK, shard.generation)
+    assert (await shard.submit("prepare", txn)) == (OK, None)
+    assert shard.validate(txn, writes)
     shard.apply(txn, writes)
     shard.release_snapshot(txn)
 
@@ -47,7 +47,6 @@ async def commit(shard, txn, writes):
 class TestInPlace:
     def test_idle_shard_answers_with_done_futures(self):
         async def scenario(shard, txn):
-            shard.start()
             await commit(shard, txn(1), {"k": "v"})
             reader = txn(2)
             shard._do_snapshot(reader)
@@ -55,21 +54,22 @@ class TestInPlace:
             assert read.done() and read.result() == (OK, "v")
             missing = shard.submit("read", reader, "never-written")
             assert missing.done() and missing.result() == (OK, None)
-            prepare = shard.submit("prepare", reader, {"k": "w"})
-            assert prepare.done() and prepare.result() == (OK, 0)
+            prepare = shard.submit("prepare", reader)
+            assert prepare.done() and prepare.result() == (OK, None)
             assert not shard._queue
 
         run(scenario)
 
-    def test_in_place_prepare_detects_write_write(self):
+    def test_validation_detects_write_write(self):
+        """The prepare only takes the turn; validation finds the
+        conflict and interns nothing (only an apply interns)."""
         async def scenario(shard, txn):
-            shard.start()
             loser = txn(1)
             shard._do_snapshot(loser)
             await commit(shard, txn(2), {"k": "winner"})
-            prepare = shard.submit("prepare", loser, {"k": "loser"})
-            assert prepare.done()
-            assert prepare.result() == (CONFLICT, "write-write")
+            assert shard.submit("prepare", loser).result() == (OK, None)
+            assert not shard.validate(loser, {"k": "loser", "fresh": 2})
+            assert shard.stats()["keys"] == 1
 
         run(scenario)
 
@@ -78,7 +78,6 @@ class TestSameChecksOnBothPaths:
     def both_paths(self, make_txn, expected):
         """Submit a read for ``make_txn(txn)`` in place and queued."""
         async def scenario(shard, txn):
-            shard.start()
             in_place = shard.submit("read", make_txn(txn(1)), "k")
             assert in_place.done()
             shard.inject_stall(1)
@@ -103,35 +102,16 @@ class TestSameChecksOnBothPaths:
 
         self.both_paths(expired, (TIMEOUT, None))
 
-    def test_read_without_a_pin_is_crashed(self):
-        self.both_paths(lambda txn: txn, (CRASHED, None))
-
 
 class TestQueueing:
-    def test_not_started_shard_queues_then_serves_fifo(self):
-        async def scenario(shard, txn):
-            reader = txn(1)
-            shard._do_snapshot(reader)
-            read = shard.submit("read", reader, "k")
-            prepare = shard.submit("prepare", reader, {"k": "v"})
-            assert not read.done() and not prepare.done()
-            assert len(shard._queue) == 2
-            shard.start()
-            assert (await prepare) == (OK, 0)
-            # served in order: the read ahead of the prepare is done too
-            assert read.result() == (OK, None)
-
-        run(scenario)
-
     def test_backlog_keeps_fifo_order(self):
         """A command never overtakes one already waiting."""
         async def scenario(shard, txn):
-            shard.start()
             shard.inject_stall(5)
             reader = txn(1)
             shard._do_snapshot(reader)
             order = []
-            futures = [shard.submit("prepare", reader, {"k0": 1})]
+            futures = [shard.submit("prepare", reader)]
             futures += [shard.submit("read", reader, f"k{i}")
                         for i in range(3)]
             for index, future in enumerate(futures):
@@ -149,7 +129,6 @@ class TestQueueing:
 
     def test_full_queue_sheds_overloaded(self):
         async def scenario(shard, txn):
-            shard.start()
             shard.inject_stall(20)
             reader = txn(1)
             waiting = [shard.submit("read", reader, "k") for _ in range(3)]
@@ -162,16 +141,14 @@ class TestQueueing:
 
     def test_waiting_prepare_times_out_at_its_deadline(self):
         """A prepare queued behind a stall that outlasts its deadline
-        is judged when the stall ends: it times out, taking no lock."""
+        is judged when the stall ends: it times out."""
         async def scenario(shard, txn):
-            shard.start()
             late = txn(1, deadline_s=0.03)
             shard._do_snapshot(late)
             shard.inject_stall(50)
-            prepare = shard.submit("prepare", late, {"b": 2})
+            prepare = shard.submit("prepare", late)
             assert not prepare.done()
             assert (await prepare) == (TIMEOUT, None)
-            assert not shard._locks
 
         run(scenario)
 
@@ -185,29 +162,26 @@ class TestDraining:
 
     def test_crash_fails_everything_queued(self):
         async def scenario(shard, txn):
-            shard.start()
             futures = self.queued(shard, txn)
             shard.crash_now([])
             assert [f.result() for f in futures] == [(CRASHED, None)] * 3
             assert shard.generation == 1
-            # the stall is still owed to the next command; the task
-            # survives having had its queue emptied and serves it
+            # the stall was served by the first queued command: the
+            # next one runs in place
             late = txn(9)
             shard._do_snapshot(late)
-            assert (await shard.submit("read", late, "k")) == (OK, None)
+            assert shard.submit("read", late, "k").result() == (OK, None)
             assert shard.stalls == 1
 
         run(scenario)
 
-    def test_crash_during_a_stall_leaves_the_task_running(self):
+    def test_crash_during_a_stall_leaves_the_shard_serving(self):
         async def scenario(shard, txn):
-            shard.start()
             futures = self.queued(shard, txn)
-            await asyncio.sleep(0.01)   # the task is now asleep
+            await asyncio.sleep(0.01)   # the stall is under way
             shard.crash_now([])
             assert all(f.done() for f in futures)
-            await asyncio.sleep(0.06)   # wakes to an empty queue
-            assert not shard._task.done()
+            await asyncio.sleep(0.06)   # the drain finds an empty queue
             late = txn(9)
             shard._do_snapshot(late)
             assert shard.submit("read", late, "k").done()
@@ -216,9 +190,8 @@ class TestDraining:
 
     def test_stop_fails_everything_queued_and_later_submits(self):
         async def scenario(shard, txn):
-            shard.start()
             futures = self.queued(shard, txn)
-            await shard.stop()
+            shard.stop()
             assert [f.result() for f in futures] == [(SHUTDOWN, None)] * 3
             late = shard.submit("read", txn(9), "k")
             assert late.done() and late.result() == (SHUTDOWN, None)

@@ -60,10 +60,9 @@ def keys_by_shard(shards=2, prefix="k"):
 
 
 def is_clean(server):
-    """No open transaction, pin or line lock left."""
+    """No open transaction or pin left."""
     return (server.open_txns == {}
-            and all(s.pinned_transactions() == 0 and not s._locks
-                    for s in server.shards))
+            and all(s.pinned_transactions() == 0 for s in server.shards))
 
 
 class TestTransactions:
@@ -499,9 +498,10 @@ class TestRobustness:
         """A prepare taken before a crash must not apply after it.
 
         The crash fires while the coordinator awaits the *second*
-        shard's prepare — exactly the window the generation tags guard:
-        the first shard's prepare is stale, so the whole multi-shard
-        commit must abort instead of applying onto the recovered state.
+        shard's prepare, after the first shard gave its turn: the crash
+        dooms the transaction pinned there, and the doom check in the
+        apply step aborts the whole multi-shard commit instead of
+        applying onto the recovered state.
         """
         async def scenario(server, port):
             keys = keys_by_shard(prefix="race")
@@ -720,7 +720,7 @@ class TestWaitingPath:
         drive(scenario)
 
     def test_deadline_expiring_in_the_wait_leaves_nothing(self):
-        """Shard 0 has prepared (line lock) when shard 1's
+        """Shard 0 has given the commit its turn when shard 1's
         prepare queues behind a stall that outlasts the deadline."""
         async def scenario(server, port):
             keys = keys_by_shard()
@@ -850,7 +850,8 @@ class TestCommitInFlight:
         await x.write(a_keys[0], "x")
         await x.write(b_key, "x")
         committing = asyncio.ensure_future(x.commit())
-        while not server.shards[0]._locks:     # shard 0 prepared
+        # shard 0 gave its turn: the shard 1 prepare waits
+        while not server.shards[1].stats()["queue_depth"]:
             await asyncio.sleep(0.001)
         return x, committing, a_keys
 
@@ -886,6 +887,30 @@ class TestCommitInFlight:
                 client.close()
 
         drive(scenario)
+
+    def test_overlapping_writer_commits_and_x_aborts_at_apply(self):
+        """Y writes X's shard-0 key while X waits: Y commits first, so
+        first-committer-wins aborts X when its apply step comes."""
+        monitor = LiveHistoryMonitor(shards=2)
+
+        async def scenario(server, port):
+            x, committing, a_keys = await self.suspend_x(server, port)
+            y = await StoreClient.connect(port)
+            await y.begin(label="y")
+            await y.write(a_keys[0], "y")
+            assert (await y.commit())["ok"]
+            failed = await committing
+            assert failed["error"] == "ABORTED"
+            assert failed["cause"] == "write-write"
+            await y.begin()
+            assert (await y.read(a_keys[0]))["value"] == "y"
+            assert (await y.commit())["ok"]
+            assert is_clean(server)
+            for client in (x, y):
+                client.close()
+
+        drive(scenario, monitor=monitor)
+        assert monitor.violations == []
 
 
 class TestConfig:
