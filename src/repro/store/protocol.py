@@ -2,7 +2,16 @@
 
 One frame is a 4-byte big-endian length ``N`` (at most
 :data:`MAX_FRAME` bytes) followed by ``N`` bytes of UTF-8 JSON encoding
-a single object.  Requests carry an ``op`` field; the operations are
+a single object.  Frames are canonical: :func:`encode_frame` sorts keys,
+separates with ``,`` and ``:`` and escapes non-ASCII, so a message has
+one encoding (``json.dumps(obj, sort_keys=True, separators=(",",
+":"))``).  :func:`decode_payload` accepts one JSON object with JSON
+whitespace around it and nothing else; nesting deeper than the
+interpreter's recursion limit is a violation like any other, and the
+connection is closed.  Both ends of every round trip pay the codec once
+per frame, so its encoder and decoder are built once, at import, and
+only the C codec runs per frame.  Requests carry an ``op`` field; the
+operations are
 
 ===========  =====================================================
 ``READ``     snapshot-read ``key`` within the open transaction
@@ -68,12 +77,31 @@ ERROR_CODES = ("BAD_REQUEST", "NO_TXN", "TXN_OPEN", "OVERLOADED",
 
 _LEN = struct.Struct(">I")
 _HEADER = _LEN.size
-_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+# The C encoder ``JSONEncoder(sort_keys=True, separators=(",", ":"))``
+# builds on every ``encode`` call, built once.  The positional arguments:
+# markers, default, string encoder, indent, key and item separators,
+# sort_keys, skipkeys, allow_nan.  Its circular-reference marks live in
+# ``_markers``, one dict for every frame: encoding plain JSON values runs
+# no Python code, so two encodes never interleave on it.
+_markers: dict = {}
+_encoder = json.encoder.c_make_encoder(
+    _markers, json.JSONEncoder().default,
+    json.encoder.encode_basestring_ascii, None, ":", ",", True, False, True)
+_scan = json.JSONDecoder().raw_decode
+#: the whitespace JSON allows around a value (``json.decoder.WHITESPACE``)
+_SPACE = " \t\n\r"
 
 
 def encode_frame(obj: dict) -> bytes:
     """Serialise one message as a length-prefixed JSON frame."""
-    payload = _encode(obj).encode("utf-8")
+    try:
+        payload = "".join(_encoder(obj, 0)).encode("utf-8")
+    except BaseException:
+        # the encoder leaves the containers it was inside marked: cleared,
+        # so the next frame is not taken for a circular reference
+        _markers.clear()
+        raise
     if len(payload) > MAX_FRAME:
         raise ProtocolError(
             f"frame of {len(payload)} bytes exceeds the "
@@ -84,9 +112,14 @@ def encode_frame(obj: dict) -> bytes:
 def decode_payload(payload: bytes) -> dict:
     """One frame's payload as the JSON object it must encode."""
     try:
-        obj = json.loads(payload.decode("utf-8"))
+        text = payload.decode("utf-8")
+        obj, end = _scan(text, len(text) - len(text.lstrip(_SPACE)))
+        if text[end:].strip(_SPACE):
+            raise ValueError(f"extra data at char {end}")
     except ValueError as exc:  # UnicodeDecodeError is a ValueError
         raise ProtocolError(f"frame payload is not JSON: {exc}")
+    except RecursionError:
+        raise ProtocolError("frame payload is nested too deeply")
     if not isinstance(obj, dict):
         raise ProtocolError("frame payload is not a JSON object")
     return obj

@@ -1,14 +1,18 @@
 """Wire-protocol framing tests: the server/client/chaos shared layer."""
 
 import asyncio
+import json
+import logging
 import struct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.common.errors import ProtocolError
 from repro.store.protocol import (ERROR_CODES, MAX_FRAME, OPS, FrameParser,
-                                  encode_frame, error_response, ok_response,
-                                  read_frame)
+                                  decode_payload, encode_frame,
+                                  error_response, ok_response, read_frame)
 from repro.store.server import StoreServer
 from repro.store.session import StoreConfig
 
@@ -109,8 +113,9 @@ class TestFrameParser:
         (b"{not json", "not JSON"),
         (b'{"k":"\xff\xfe"}', "not JSON"),
         (b"[1,2,3]", "object"),
-        (b"7", "object")],
-        ids=["junk", "invalid-utf8", "array", "number"])
+        (b"7", "object"),
+        (b"[" * 200000, "nested too deeply")],
+        ids=["junk", "invalid-utf8", "array", "number", "deep"])
     def test_bad_payloads_are_refused(self, body, complaint):
         with pytest.raises(ProtocolError, match=complaint):
             parse_one(struct.pack(">I", len(body)) + body)
@@ -128,6 +133,110 @@ class TestFrameParser:
         assert len(body) == MAX_FRAME
         frame = parse_one(struct.pack(">I", len(body)) + body)
         assert len(frame["v"]) == MAX_FRAME - 8
+
+
+# -- the codec against the stdlib reference
+
+def canonical(obj: object) -> bytes:
+    """The reference encoding: what ``encode_frame`` must put on the wire."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()
+
+
+_text = st.text(alphabet=st.characters(exclude_categories=())
+                | st.sampled_from("\ud800\udbff\udc00\udfff"), max_size=8)
+_scalars = (st.none() | st.booleans() | st.integers()
+            | st.integers(min_value=2 ** 64, max_value=2 ** 200).map(
+                lambda n: n if n % 2 else -n)
+            | st.floats() | st.sampled_from([float("nan"), float("inf"),
+                                             float("-inf")])
+            | _text)
+_values = st.recursive(
+    _scalars,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(_text, inner, max_size=4)),
+    max_leaves=24)
+_objects = st.dictionaries(_text, _values, max_size=6)
+#: JSON's whitespace and some that is not JSON's
+_padding = st.text(alphabet=" \t\n\r\x0b\x0c\xa0\u2028\ufeff", max_size=3)
+
+
+@st.composite
+def payloads(draw) -> bytes:
+    """A frame payload: mostly an object, well-formed or nearly so."""
+    value = draw(_objects | _values)
+    text = json.dumps(value, ensure_ascii=draw(st.booleans()),
+                      separators=draw(st.sampled_from([(",", ":"),
+                                                       (", ", ": ")])))
+    text = draw(_padding) + text + draw(_padding)
+    mutation = draw(st.sampled_from(["none", "bom", "trailing", "truncated",
+                                     "junk-byte"]))
+    if mutation == "bom":
+        text = "\ufeff" + text
+    elif mutation == "trailing":
+        text += draw(st.text(max_size=4))
+    # a lone surrogate left raw is not UTF-8: the payload is refused
+    data = text.encode("utf-8", "surrogatepass")
+    if mutation == "truncated":
+        data = data[:draw(st.integers(0, max(0, len(data) - 1)))]
+    elif mutation == "junk-byte":
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.binary(min_size=1, max_size=2)) + data[at:]
+    return data
+
+
+class TestCodecAgainstStdlib:
+    """``encode_frame`` and ``decode_payload`` build their codec once; the
+    stdlib's per-call ``json.dumps``/``json.loads`` stay the reference."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_objects)
+    def test_encode_is_the_canonical_dumps(self, obj):
+        frame = encode_frame(obj)
+        assert frame[4:] == canonical(obj)
+        assert struct.unpack(">I", frame[:4])[0] == len(frame) - 4
+
+    @settings(max_examples=500, deadline=None)
+    @given(payloads())
+    def test_decode_accepts_what_loads_accepts(self, payload):
+        try:
+            expected = json.loads(payload.decode("utf-8"))
+        except ValueError:
+            expected = None
+        if not isinstance(expected, dict):
+            with pytest.raises(ProtocolError):
+                decode_payload(payload)
+        else:  # NaN != NaN: compared re-encoded
+            assert canonical(decode_payload(payload)) == canonical(expected)
+
+
+class TestEncoderState:
+    """A frame that fails to encode leaves nothing behind for the next."""
+
+    ORDINARY = {"op": "READ", "key": "k", "writes": [["k", {"a": [1]}]]}
+
+    def test_unserialisable_value_then_an_ordinary_frame(self):
+        first = encode_frame(self.ORDINARY)
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            encode_frame({"v": {1, 2}})
+        assert encode_frame(self.ORDINARY) == first
+        writes = [["k", 1], {1, 2}]
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            encode_frame({"op": "COMMIT", "writes": writes})
+        assert encode_frame(self.ORDINARY) == first
+        # the list the failed encode was inside, now well-formed
+        writes.pop()
+        assert encode_frame({"op": "COMMIT", "writes": writes})[4:] == \
+            canonical({"op": "COMMIT", "writes": writes})
+
+    def test_circular_reference_then_an_ordinary_frame(self):
+        first = encode_frame(self.ORDINARY)
+        loop = {"op": "PING"}
+        loop["self"] = loop
+        with pytest.raises(ValueError, match="Circular reference detected"):
+            encode_frame(loop)
+        assert encode_frame(self.ORDINARY) == first
+        del loop["self"]
+        assert encode_frame(loop)[4:] == b'{"op":"PING"}'
 
 
 class TestResponses:
@@ -185,9 +294,10 @@ class TestFramingViolations:
         struct.pack(">I", MAX_FRAME + 1),
         struct.pack(">I", 9) + b"{not json",
         struct.pack(">I", 7) + b"[1,2,3]",
-        struct.pack(">I", 10) + b'{"k":"\xff"}'],
-        ids=["oversize", "junk", "non-object", "invalid-utf8"])
-    def test_violation_closes_the_connection(self, bad):
+        struct.pack(">I", 10) + b'{"k":"\xff"}',
+        struct.pack(">I", 200000) + b"[" * 200000],
+        ids=["oversize", "junk", "non-object", "invalid-utf8", "deep"])
+    def test_violation_closes_the_connection(self, bad, caplog):
         async def scenario(server, reader, writer):
             writer.write(encode_frame({"op": "READ", "key": "k",
                                        "begin": {}}) + bad
@@ -199,6 +309,10 @@ class TestFramingViolations:
                                           cause="disconnect") == 1
 
         connected(scenario, timeout_ms=5000)
+        # closed by the server, not by asyncio after data_received raised
+        assert not [record for record in caplog.records
+                    if record.name == "asyncio"
+                    and record.levelno >= logging.ERROR]
 
 
 class TestReadGuard:
