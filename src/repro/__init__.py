@@ -22,57 +22,21 @@ Higher layers: :mod:`repro.structures` (transactional data structures),
 :mod:`repro.harness` (the per-figure experiment drivers).
 """
 
-from repro.common import (
-    AbortCause,
-    MachineConfig,
-    MVMConfig,
-    SimConfig,
-    SplitRandom,
-    TMConfig,
-    TransactionAborted,
-    VersionCapPolicy,
-)
-from repro.faults import FaultPlan
-from repro.sim import Engine, Machine, RetryPolicy, RunStats, TransactionSpec
-from repro.tm import (
-    SYSTEMS,
-    Abort,
-    Compute,
-    HybridHTM,
-    Read,
-    SerializableSITM,
-    SnapshotIsolationTM,
-    SONTM,
-    TwoPhaseLockingTM,
-    Write,
-)
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "Abort",
-    "AbortCause",
-    "Compute",
-    "Engine",
-    "FaultPlan",
-    "HybridHTM",
-    "Machine",
-    "MachineConfig",
-    "MVMConfig",
-    "Read",
-    "RetryPolicy",
-    "RunStats",
-    "SONTM",
-    "SYSTEMS",
-    "SerializableSITM",
-    "SimConfig",
-    "SnapshotIsolationTM",
-    "SplitRandom",
-    "TMConfig",
-    "TransactionAborted",
-    "TransactionSpec",
-    "TwoPhaseLockingTM",
-    "VersionCapPolicy",
-    "Write",
-    "__version__",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.common": ("AbortCause", "MachineConfig", "MVMConfig",
+                     "SimConfig", "SplitRandom", "TMConfig",
+                     "TransactionAborted", "VersionCapPolicy"),
+    "repro.faults": ("FaultPlan",),
+    "repro.sim.engine": ("Engine", "TransactionSpec"),
+    "repro.sim.machine": ("Machine",),
+    "repro.sim.retry": ("RetryPolicy",),
+    "repro.sim.stats": ("RunStats",),
+    "repro.tm": ("SYSTEMS", "Abort", "Compute", "HybridHTM", "Read",
+                 "SerializableSITM", "SnapshotIsolationTM", "SONTM",
+                 "TwoPhaseLockingTM", "Write"),
+})
+__all__.append("__version__")

@@ -10,6 +10,8 @@ aborts are *control flow*, not errors, and are modelled by
 from __future__ import annotations
 
 import enum
+import sys
+from typing import Callable
 
 
 class ReproError(Exception):
@@ -18,6 +20,19 @@ class ReproError(Exception):
 
 class ConfigError(ReproError):
     """An invalid machine or workload configuration was supplied."""
+
+
+def cli_exit_code(prog: str, command: Callable[[], int]) -> int:
+    """Run a console script's ``command`` under the shared exit-code
+    contract: its own code (1 for a detected violation or a failed
+    campaign, 0 for success), 2 for a :class:`ConfigError` and 1 for any
+    other :class:`ReproError`, each error one line on stderr and no
+    traceback."""
+    try:
+        return command()
+    except ReproError as exc:
+        print(f"{prog}: error: {exc}", file=sys.stderr)
+        return 2 if isinstance(exc, ConfigError) else 1
 
 
 class MemoryError_(ReproError):

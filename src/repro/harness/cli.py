@@ -63,7 +63,7 @@ import sys
 from typing import List, Optional
 
 from repro.common.config import table1_dict
-from repro.common.errors import ConfigError
+from repro.common.errors import ConfigError, cli_exit_code
 from repro.harness import experiments
 from repro.harness import claims
 from repro.harness import export
@@ -630,6 +630,18 @@ _COMMANDS = {
     "overheads": _overheads,
     "claims": _claims,
 }
+#: the commands ``all`` does not run
+_TOOLS = {
+    "capacity": _capacity,
+    "trace": _trace,
+    "metrics": _metrics,
+    "profile": _profile,
+    "blame": _blame,
+    "cache": _cache,
+    "fuzz": _fuzz,
+    "faults": _faults,
+    "watch": _watch,
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -638,11 +650,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="sitm-harness",
         description="Regenerate the SI-TM paper's figures and tables.")
     parser.add_argument("command",
-                        choices=list(_COMMANDS) + ["capacity", "trace",
-                                                   "metrics", "profile",
-                                                   "blame", "cache",
-                                                   "fuzz", "faults",
-                                                   "watch", "all"])
+                        choices=[*_COMMANDS, *_TOOLS, "all"])
     parser.add_argument("--profile", default="quick",
                         choices=("test", "quick", "full"))
     parser.add_argument("--threads", type=int, default=16,
@@ -798,35 +806,18 @@ def main(argv: Optional[List[str]] = None) -> int:
         from repro.obs import CampaignMonitor
         args.executor.monitor = CampaignMonitor(
             stream=sys.stderr, style="line", prefix="[progress]")
-    try:
-        if args.command == "all":
-            report = "\n\n".join(fn(args) for fn in _COMMANDS.values())
-        elif args.command == "cache":
-            report = _cache(args)
-        elif args.command == "capacity":
-            report = _capacity(args)
-        elif args.command == "fuzz":
-            report = _fuzz(args)
-        elif args.command == "faults":
-            report = _faults(args)
-        elif args.command == "watch":
-            report = _watch(args)
-        elif args.command == "trace":
-            report = _trace(args)
-        elif args.command == "metrics":
-            report = _metrics(args)
-        elif args.command == "profile":
-            report = _profile(args)
-        elif args.command == "blame":
-            report = _blame(args)
-        else:
-            report = _COMMANDS[args.command](args)
-    except ConfigError as exc:
-        # unknown experiment/backend/workload names are user errors:
-        # one line on stderr, no traceback
-        print(f"sitm-harness {args.command}: error: {exc}",
-              file=sys.stderr)
-        return 2
+    # unknown experiment/backend/workload names are user errors: one
+    # line on stderr, no traceback
+    return cli_exit_code(f"sitm-harness {args.command}",
+                         lambda: _run(args))
+
+
+def _run(args: argparse.Namespace) -> int:
+    """Run the parsed command; print its report, counters and failures."""
+    if args.command == "all":
+        report = "\n\n".join(fn(args) for fn in _COMMANDS.values())
+    else:
+        report = {**_COMMANDS, **_TOOLS}[args.command](args)
     counters = args.executor.counters()
     if counters["runs"]:
         # stdout only: archived --out reports must not embed run-specific

@@ -50,8 +50,8 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
-import repro
 from repro.common.errors import ConfigError
+from repro.common.fingerprint import code_fingerprint
 from repro.harness.runner import RunResult
 from repro.harness.spec import ExperimentSpec
 
@@ -59,29 +59,6 @@ from repro.harness.spec import ExperimentSpec
 DEFAULT_CACHE_DIR = pathlib.Path("results") / ".cache"
 #: environment override for the cache location
 CACHE_DIR_ENV = "SITM_CACHE_DIR"
-
-_code_fingerprint_cache: Optional[str] = None
-
-
-def code_fingerprint() -> str:
-    """Hash of every ``.py`` source file in the ``repro`` package.
-
-    Part of the cache key: any edit to the simulator, TM protocols,
-    workloads, or harness invalidates all cached results, because a
-    cached number is only trustworthy if the code that produced it is
-    the code that would produce it now.  Computed once per process.
-    """
-    global _code_fingerprint_cache
-    if _code_fingerprint_cache is None:
-        package_root = pathlib.Path(repro.__file__).parent
-        digest = hashlib.sha256()
-        for path in sorted(package_root.rglob("*.py")):
-            digest.update(str(path.relative_to(package_root)).encode())
-            digest.update(b"\0")
-            digest.update(path.read_bytes())
-            digest.update(b"\0")
-        _code_fingerprint_cache = digest.hexdigest()[:16]
-    return _code_fingerprint_cache
 
 
 def _result_summary(result: object) -> dict:

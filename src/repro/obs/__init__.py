@@ -39,49 +39,32 @@ profile``.  See ``docs/observability.md`` for the metrics catalogue,
 span schema and profiler phases.
 """
 
-from repro.obs.metrics import MetricsRegistry, collect_run_metrics
-from repro.obs.spans import (MultiTracer, Span, SpanRecorder,
-                             merge_span_aggregates)
-from repro.obs.export import (SPAN_SCHEMA_VERSION, aborted_fraction,
-                              chrome_trace, chrome_trace_events,
-                              load_spans_jsonl, render_timeline,
-                              spans_to_jsonl, summary_by_label,
-                              validate_span_log, write_chrome_trace)
-from repro.obs.profile import (CycleProfiler, collapsed_stacks,
-                               phase_shares)
-from repro.obs.provenance import (ProvenanceReport, blame_table,
-                                  build_provenance, merge_provenance,
-                                  record_provenance_metrics)
-from repro.obs.report import (abort_attribution, conflict_heatmap,
-                              metrics_table, phase_table,
-                              version_occupancy)
-from repro.obs.live import (TIMESERIES_SCHEMA_VERSION, AnomalyDetector,
-                            TimeSeriesSampler, TimeSeriesWriter,
-                            load_timeseries_jsonl, merge_timeseries,
-                            merge_windows, timeseries_to_jsonl,
-                            validate_timeseries)
-from repro.obs.flight import (FLIGHT_SCHEMA_VERSION, FlightRecorder,
-                              flight_path, load_flight, validate_flight)
-from repro.obs.monitor import CampaignMonitor, sparkline
-from repro.obs.prom import prometheus_exposition
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "MetricsRegistry", "collect_run_metrics",
-    "MultiTracer", "Span", "SpanRecorder", "merge_span_aggregates",
-    "SPAN_SCHEMA_VERSION", "aborted_fraction", "chrome_trace",
-    "chrome_trace_events", "load_spans_jsonl", "render_timeline",
-    "spans_to_jsonl", "summary_by_label", "validate_span_log",
-    "write_chrome_trace",
-    "CycleProfiler", "collapsed_stacks", "phase_shares",
-    "ProvenanceReport", "blame_table", "build_provenance",
-    "merge_provenance", "record_provenance_metrics",
-    "abort_attribution", "conflict_heatmap", "metrics_table",
-    "phase_table", "version_occupancy",
-    "TIMESERIES_SCHEMA_VERSION", "AnomalyDetector", "TimeSeriesSampler",
-    "TimeSeriesWriter", "load_timeseries_jsonl", "merge_timeseries",
-    "merge_windows", "timeseries_to_jsonl", "validate_timeseries",
-    "FLIGHT_SCHEMA_VERSION", "FlightRecorder", "flight_path",
-    "load_flight", "validate_flight",
-    "CampaignMonitor", "sparkline",
-    "prometheus_exposition",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.obs.metrics": ("MetricsRegistry", "collect_run_metrics"),
+    "repro.obs.spans": ("MultiTracer", "Span", "SpanRecorder",
+                        "merge_span_aggregates"),
+    "repro.obs.export": ("SPAN_SCHEMA_VERSION", "aborted_fraction",
+                         "chrome_trace", "chrome_trace_events",
+                         "load_spans_jsonl", "render_timeline",
+                         "spans_to_jsonl", "summary_by_label",
+                         "validate_span_log", "write_chrome_trace"),
+    "repro.obs.profile": ("CycleProfiler", "collapsed_stacks",
+                          "phase_shares"),
+    "repro.obs.provenance": ("ProvenanceReport", "blame_table",
+                             "build_provenance", "merge_provenance",
+                             "record_provenance_metrics"),
+    "repro.obs.report": ("abort_attribution", "conflict_heatmap",
+                         "metrics_table", "phase_table",
+                         "version_occupancy"),
+    "repro.obs.live": ("TIMESERIES_SCHEMA_VERSION", "AnomalyDetector",
+                       "TimeSeriesSampler", "TimeSeriesWriter",
+                       "load_timeseries_jsonl", "merge_timeseries",
+                       "merge_windows", "timeseries_to_jsonl",
+                       "validate_timeseries"),
+    "repro.obs.flight": ("FLIGHT_SCHEMA_VERSION", "FlightRecorder",
+                         "flight_path", "load_flight", "validate_flight"),
+    "repro.obs.monitor": ("CampaignMonitor", "sparkline"),
+    "repro.obs.prom": ("prometheus_exposition",),
+})

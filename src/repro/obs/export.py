@@ -24,9 +24,11 @@ from __future__ import annotations
 
 import json
 import pathlib
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-from repro.obs.spans import Span
+# spans imports the engine; the store takes SPAN_SCHEMA_VERSION from here
+if TYPE_CHECKING:
+    from repro.obs.spans import Span
 
 __all__ = ["spans_to_jsonl", "load_spans_jsonl", "chrome_trace",
            "chrome_trace_events", "write_chrome_trace",
@@ -72,6 +74,8 @@ def spans_to_jsonl(spans: Sequence[Span],
 
 def load_spans_jsonl(text: str) -> List[Span]:
     """Inverse of :func:`spans_to_jsonl` (extra keys are ignored)."""
+    from repro.obs.spans import Span
+
     spans = []
     for line in text.splitlines():
         line = line.strip()

@@ -13,23 +13,12 @@ them, and shrinks any violation to a minimal persisted repro
 (:mod:`repro.oracle.shrink`).
 """
 
-from repro.oracle.checker import Violation, check_history
-from repro.oracle.fuzz import (FuzzResult, FuzzSpec, fuzz_batch,
-                               generate_schedule, run_schedule)
-from repro.sim.history import History, HistoryRecorder, TxnRecord
-from repro.oracle.shrink import persist_repro, shrink_schedule
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "FuzzResult",
-    "FuzzSpec",
-    "History",
-    "HistoryRecorder",
-    "TxnRecord",
-    "Violation",
-    "check_history",
-    "fuzz_batch",
-    "generate_schedule",
-    "persist_repro",
-    "run_schedule",
-    "shrink_schedule",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.oracle.checker": ("Violation", "check_history"),
+    "repro.oracle.fuzz": ("FuzzResult", "FuzzSpec", "fuzz_batch",
+                          "generate_schedule", "run_schedule"),
+    "repro.oracle.shrink": ("persist_repro", "shrink_schedule"),
+    "repro.sim.history": ("History", "HistoryRecorder", "TxnRecord"),
+})

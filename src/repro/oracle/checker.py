@@ -37,13 +37,15 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.common.errors import SkewToolError
-from repro.sim.history import History
-from repro.skew.graph import rw_antidependency_edges
-from repro.skew.serialization import precedence_graph, si_anomaly_cycles
-from repro.tm.api import IsolationLevel
+
+# The simulator's history, the graph tools and networkx are imported
+# where a check needs them: the store's live monitor imports this
+# module for Violation alone and never replays a simulator history.
+if TYPE_CHECKING:
+    from repro.sim.history import History
 
 
 @dataclass(frozen=True)
@@ -74,6 +76,8 @@ class Violation:
 
 def check_history(history: History) -> List[Violation]:
     """Check ``history`` against its declared isolation level."""
+    from repro.tm.api import IsolationLevel
+
     violations = _check_abort_causes(history)
     level = IsolationLevel(history.isolation)
     if level is IsolationLevel.CONFLICT_SERIALIZABLE:
@@ -242,6 +246,8 @@ def _check_si_cycles(history: History) -> List[Violation]:
     snapshot isolation; a cycle without them — e.g. one built purely from
     ww/wr dependencies, Adya's G1c — is not.
     """
+    from repro.skew.serialization import si_anomaly_cycles
+
     try:
         si_anomaly_cycles(history)
     except SkewToolError as exc:
@@ -292,9 +298,9 @@ def _check_latest_reads(history: History) -> List[Violation]:
 def _check_serializable(history: History,
                         read_mode: str) -> List[Violation]:
     """The direct serialization graph of committed txns must be acyclic."""
-    # not at module level: the store's live monitor imports this module
-    # for Violation and never builds a graph
     import networkx as nx
+
+    from repro.skew.serialization import precedence_graph
 
     graph = precedence_graph(history, read_mode=read_mode)
     if nx.is_directed_acyclic_graph(graph):
@@ -316,6 +322,8 @@ def _check_no_committed_pivot(history: History) -> List[Violation]:
     (section 5.2 / Cahill); a fully committed pivot means the detection
     missed an edge.
     """
+    from repro.skew.graph import rw_antidependency_edges
+
     inbound: Dict[int, Tuple[int, int]] = {}
     outbound: Dict[int, Tuple[int, int]] = {}
     for reader, writer, addr, _ in rw_antidependency_edges(history):

@@ -1,16 +1,10 @@
 """Discrete-event simulation: machine state, engine, statistics."""
 
-from repro.sim.engine import Engine, Tracer, TransactionSpec
-from repro.sim.machine import Machine
-from repro.sim.retry import RetryPolicy
-from repro.sim.stats import RunStats, ThreadStats
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Engine",
-    "Machine",
-    "RetryPolicy",
-    "RunStats",
-    "ThreadStats",
-    "Tracer",
-    "TransactionSpec",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.sim.engine": ("Engine", "Tracer", "TransactionSpec"),
+    "repro.sim.machine": ("Machine",),
+    "repro.sim.retry": ("RetryPolicy",),
+    "repro.sim.stats": ("RunStats", "ThreadStats"),
+})

@@ -32,10 +32,11 @@ Entry point: the ``sitm-store`` console script
 and semantics.
 """
 
-from repro.store.chaos import ChaosPlan, run_chaos_campaign
-from repro.store.loadgen import StoreClient, ZipfKeys, run_load
-from repro.store.server import StoreServer
-from repro.store.session import StoreConfig
+from repro._lazy import lazy_exports
 
-__all__ = ["ChaosPlan", "StoreClient", "StoreConfig", "StoreServer",
-           "ZipfKeys", "run_chaos_campaign", "run_load"]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.store.chaos": ("ChaosPlan", "run_chaos_campaign"),
+    "repro.store.loadgen": ("StoreClient", "ZipfKeys", "run_load"),
+    "repro.store.server": ("StoreServer",),
+    "repro.store.session": ("StoreConfig",),
+})

@@ -16,9 +16,10 @@ Subcommands:
 * ``check`` — replay a recorded session JSONL through the SI checker
   offline; exits 1 when violations are found.
 
-Exit-code contract (shared with ``sitm-harness``): **2** for
-configuration errors (one line on stderr), **1** for detected
-violations or a failed campaign, **0** for success.
+Exit-code contract (shared with ``sitm-harness`` through
+:func:`repro.common.errors.cli_exit_code`): **2** for configuration
+errors, **1** for detected violations, a failed campaign or any other
+library error (an error is one line on stderr), **0** for success.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import pathlib
 import sys
 from typing import List, Optional
 
-from repro.common.errors import ConfigError, ReproError
+from repro.common.errors import ConfigError, cli_exit_code
 from repro.oracle.live import LiveHistoryMonitor, check_rows
 from repro.store.chaos import ChaosPlan, run_chaos_campaign
 from repro.store.loadgen import bench_artifact, run_load
@@ -225,20 +226,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     """Console entry point; returns the process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        if args.command == "serve":
-            return asyncio.run(_serve(args))
-        if args.command == "bench":
-            return asyncio.run(_bench(args))
-        if args.command == "chaos":
-            return _chaos(args)
-        return _check(args)
-    except ConfigError as exc:
-        print(f"sitm-store: {exc}", file=sys.stderr)
-        return 2
-    except ReproError as exc:
-        print(f"sitm-store: {exc}", file=sys.stderr)
-        return 1
+    command = {"serve": lambda: asyncio.run(_serve(args)),
+               "bench": lambda: asyncio.run(_bench(args)),
+               "chaos": lambda: _chaos(args),
+               "check": lambda: _check(args)}[args.command]
+    return cli_exit_code("sitm-store", command)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -8,10 +8,11 @@ discipline the server's structured errors prescribe (honor
 ``TIMEOUT``).  Both the bench
 (:func:`run_load`) and the chaos campaign (:mod:`repro.store.chaos`)
 drive the server through it, so the client loop the tests exercise is
-the one real callers would copy.  It is an ``asyncio.Protocol`` with
-one request in flight: ``request`` writes the frame and awaits a future
-that ``data_received`` resolves with the response, so a round trip
-wakes the calling task once and nothing else.
+the one real callers would copy.  It is a
+:class:`~repro.store.protocol.FrameReceiver` with one request in
+flight: ``request`` writes the frame and awaits a future that
+``buffer_updated`` resolves with the response, so a round trip wakes
+the calling task once and nothing else.
 
 :class:`ZipfKeys` draws keys from a Zipf(``theta``) popularity ranking
 — the standard KV-store skew knob (theta 0 = uniform; 0.99 ≈ YCSB) —
@@ -73,7 +74,7 @@ class ZipfKeys:
         return self.keys[bisect_left(self._cdf, point)]
 
 
-class StoreClient(asyncio.Protocol):
+class StoreClient(protocol.FrameReceiver):
     """One wire connection to the store: a request, then its response."""
 
     def __init__(self) -> None:
@@ -97,8 +98,8 @@ class StoreClient(asyncio.Protocol):
     def connection_made(self, transport: asyncio.BaseTransport) -> None:
         self._transport = transport
 
-    def data_received(self, data: bytes) -> None:
-        self._frames.feed(data)
+    def buffer_updated(self, nbytes: int) -> None:
+        self._frames.filled(nbytes)
         try:
             response = self._frames.next_frame()
         except ProtocolError as exc:
@@ -306,7 +307,7 @@ def bench_artifact(stats: dict, label: str = "store",
     carries elapsed microseconds — the store has no simulated clock, and
     ``validate_artifact`` requires the field of every cell.
     """
-    from repro.harness.executor import code_fingerprint
+    from repro.common.fingerprint import code_fingerprint
     from repro.perf.bench import SCHEMA, SCHEMA_VERSION
     cell = {
         "throughput": stats["throughput_txn_s"],

@@ -45,8 +45,9 @@ Responses are ``{"ok": true, ...}`` on success or
 
 The framing helpers here are shared by the server, the load-generator
 client and the chaos harness, so a framing change cannot desynchronise
-them.  Both ends of a store connection are ``asyncio.Protocol`` objects
-that :class:`FrameParser` the bytes their transport hands them;
+them.  Both ends of a store connection are :class:`FrameReceiver`
+protocols: the transport reads into one buffer per connection, and a
+:class:`FrameParser` takes the frames off the bytes of each read;
 :func:`read_frame` applies the same limits and the same
 :func:`decode_payload` to a ``StreamReader``, for the peers that are
 written against streams (the chaos harness's slow loris, raw-socket
@@ -62,11 +63,14 @@ from typing import Optional
 
 from repro.common.errors import ProtocolError
 
-__all__ = ["MAX_FRAME", "ERROR_CODES", "OPS", "FrameParser", "encode_frame",
-           "decode_payload", "read_frame", "error_response", "ok_response"]
+__all__ = ["MAX_FRAME", "ERROR_CODES", "OPS", "FrameParser",
+           "FrameReceiver", "encode_frame", "decode_payload", "read_frame",
+           "error_response", "ok_response"]
 
 #: largest accepted frame payload, in bytes
 MAX_FRAME = 1 << 20
+#: bytes one read off a connection may take
+RECV_BUFFER = 1 << 16
 
 #: the request operations the server understands
 OPS = ("READ", "COMMIT", "ABORT", "PING")
@@ -136,18 +140,21 @@ def _payload_length(header: bytes) -> int:
 class FrameParser:
     """Incremental frame decoder of one connection's incoming bytes.
 
-    :meth:`feed` what the transport delivers, in whatever pieces, then
-    take whole frames off with :meth:`next_frame` until it returns
-    ``None``.  A violation raises :class:`ProtocolError` as soon as the
-    bytes that prove it are in — an oversize announcement with the
-    header, before any of the body is buffered — and the connection is
-    then beyond repair: the owner closes it.
+    The transport reads into :attr:`inbox` and :meth:`filled` takes
+    what it read (:meth:`feed` takes bytes from elsewhere), in whatever
+    pieces; then take whole frames off with :meth:`next_frame` until it
+    returns ``None``.  A violation raises :class:`ProtocolError` as soon
+    as the bytes that prove it are in — an oversize announcement with
+    the header, before any of the body is buffered — and the connection
+    is then beyond repair: the owner closes it.
     """
 
-    __slots__ = ("_buffer",)
+    __slots__ = ("_buffer", "inbox")
 
     def __init__(self) -> None:
         self._buffer = bytearray()
+        #: the buffer a :class:`FrameReceiver`'s transport reads into
+        self.inbox = memoryview(bytearray(RECV_BUFFER))
 
     def __len__(self) -> int:
         """Bytes fed and not yet taken off as frames."""
@@ -155,6 +162,10 @@ class FrameParser:
 
     def feed(self, data: bytes) -> None:
         self._buffer += data
+
+    def filled(self, nbytes: int) -> None:
+        """Take the ``nbytes`` the transport just read into :attr:`inbox`."""
+        self._buffer += self.inbox[:nbytes]
 
     def next_frame(self) -> Optional[dict]:
         """The next whole frame, or ``None`` while only part of one is in."""
@@ -167,6 +178,24 @@ class FrameParser:
         payload = buffer[_HEADER:end]
         del buffer[:end]
         return decode_payload(payload)
+
+
+class FrameReceiver(asyncio.BufferedProtocol):
+    """The receiving half of both store endpoints.
+
+    The transport reads into the connection's :class:`FrameParser`
+    (``recv_into`` its :attr:`~FrameParser.inbox`), and the subclass's
+    ``buffer_updated`` takes the frames off.  A plain
+    :class:`asyncio.Protocol` has the transport allocate a new 256 KiB
+    ``bytes`` for every read instead, which costs a few microseconds or
+    fresh pages per frame depending on the allocator's state
+    (``docs/performance.md``, "A store process loads the store").
+    """
+
+    _frames: FrameParser
+
+    def get_buffer(self, sizehint: int) -> memoryview:
+        return self._frames.inbox
 
 
 async def read_frame(reader: asyncio.StreamReader) -> dict:

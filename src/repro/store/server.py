@@ -2,10 +2,11 @@
 
 One :class:`StoreServer` owns the shard set, the session table, the
 admission counters, and (optionally) a live oracle monitor.  Each client
-connection is an ``asyncio.Protocol`` (:class:`_Connection`) that parses
-frames out of what the transport delivers and **answers a request where
-it arrives**: ``data_received`` steps :meth:`StoreServer._dispatch` and
-writes the response before it returns.  Nearly every request finishes
+connection is a :class:`~repro.store.protocol.FrameReceiver`
+(:class:`_Connection`) that parses frames out of what the transport
+reads and **answers a request where it arrives**: ``buffer_updated``
+steps :meth:`StoreServer._dispatch` and writes the response before it
+returns.  Nearly every request finishes
 that way — a shard command runs in place when nothing is ahead of it —
 so a round trip costs the server no ``Task``, no future wake-up and no
 turn of the event loop.  The request path waits in two places only, a
@@ -98,10 +99,10 @@ def _within(seconds: float, future: "asyncio.Future") -> Generator:
     return (yield from asyncio.wait_for(future, seconds))
 
 
-class _Connection(asyncio.Protocol):
+class _Connection(protocol.FrameReceiver):
     """One client connection: its session, its frames, its read deadline.
 
-    ``data_received`` answers a request where it arrives: it steps
+    ``buffer_updated`` answers a request where it arrives: it steps
     :meth:`StoreServer._dispatch` once and writes the response when that
     finishes without waiting, which is every request that meets no
     queued shard command and no golden gate.  A dispatch that suspends
@@ -163,8 +164,8 @@ class _Connection(asyncio.Protocol):
 
     # -- requests
 
-    def data_received(self, data: bytes) -> None:
-        self._frames.feed(data)
+    def buffer_updated(self, nbytes: int) -> None:
+        self._frames.filled(nbytes)
         if self._carrying is None and not self._write_paused:
             self._serve()
         elif len(self._frames) > protocol.MAX_FRAME:

@@ -1,10 +1,12 @@
-"""Abort-cause taxonomy tests (the Figure 1 classification)."""
+"""Abort causes (the Figure 1 classification) and the CLI exit codes."""
 
 import pytest
 
 from repro.common.errors import (
     AbortCause,
+    ConfigError,
     ReproError,
+    StoreError,
     StructureCorrupted,
     TimestampOverflowError,
     TransactionAborted,
@@ -53,3 +55,21 @@ class TestHierarchy:
     def test_library_errors_share_base(self):
         assert issubclass(TimestampOverflowError, ReproError)
         assert issubclass(StructureCorrupted, ReproError)
+
+
+@pytest.mark.parametrize("error, code", [(ConfigError, 2), (StoreError, 1)])
+def test_both_clis_share_one_exit_code_contract(monkeypatch, capsys,
+                                                error, code):
+    """2 for a ConfigError, 1 for any other ReproError: one stderr line
+    each, no traceback, from ``sitm-harness`` and ``sitm-store`` alike."""
+    from repro.harness import cli as harness
+    from repro.store import cli as store
+
+    def fail(args):
+        raise error("boom")
+
+    monkeypatch.setitem(harness._COMMANDS, "table1", fail)
+    monkeypatch.setattr(store, "_check", fail)
+    assert harness.main(["table1"]) == store.main(["check", "x"]) == code
+    assert capsys.readouterr().err == ("sitm-harness table1: error: boom\n"
+                                       "sitm-store: error: boom\n")

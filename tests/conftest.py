@@ -11,6 +11,7 @@ from repro.sim.history import History, HistoryRecorder
 from repro.sim.machine import Machine
 from repro.tm import SYSTEMS
 from repro.tm.ops import Read, Write
+from repro.workloads import REGISTRY
 
 
 @pytest.fixture(autouse=True)
@@ -84,6 +85,20 @@ def run_program(machine: Machine, system: str, programs, seed: int = 7,
     tm = SYSTEMS[system](machine, SplitRandom(seed))
     engine = Engine(tm, programs, tracer=tracer, promote_sites=promote_sites)
     return engine.run()
+
+
+def run_workload(name: str, system: str, threads: int, setup_seed: int,
+                 seed: int, **params):
+    """One cell: the ``test`` profile of workload ``name`` set up on a
+    fresh machine with ``SplitRandom(setup_seed)`` and run under
+    ``system``.  Returns ``(stats, transactions scheduled, verified)``
+    (``verified`` is True for a workload without ``verify``)."""
+    workload = REGISTRY.create(name, profile="test", **params)
+    machine = Machine()
+    instance = workload.setup(machine, threads, SplitRandom(setup_seed))
+    total = sum(len(p) for p in instance.programs)
+    stats = run_program(machine, system, instance.programs, seed=seed)
+    return stats, total, instance.verify is None or instance.verify()
 
 
 def record_history(machine: Machine, system: str, programs,

@@ -32,6 +32,7 @@ struct-of-arrays thread layout against the default one — with both
 gone, the stored digest is what the bare run is byte-identical *to*.
 """
 
+import functools
 import json
 import pathlib
 
@@ -192,49 +193,6 @@ def _run_schedule_variant(schedule, system, observed):
     }
 
 
-def test_all_six_backends_are_covered():
-    assert len(ALL_SYSTEMS) == 6, ALL_SYSTEMS
-
-
-def test_corpus_is_present():
-    assert len(CLEAN_CORPUS) >= 3
-
-
-@pytest.mark.parametrize("path", CLEAN_CORPUS,
-                         ids=[p.stem for p in CLEAN_CORPUS])
-@pytest.mark.parametrize("system", ALL_SYSTEMS)
-def test_fast_path_is_byte_identical_on_corpus(path, system):
-    schedule = _load(path)
-    bare = _run_schedule_variant(schedule, system, observed=False)
-    observed = _run_schedule_variant(schedule, system, observed=True)
-    assert bare == observed
-
-
-@pytest.mark.parametrize("index", range(len(GENERATED)))
-@pytest.mark.parametrize("system", ALL_SYSTEMS)
-def test_fast_path_is_byte_identical_on_generated_schedules(system, index):
-    """Property over the fuzzer's schedule space: randomized contended
-    schedules must agree between variants just like the curated corpus
-    does."""
-    bare = _run_schedule_variant(GENERATED[index], system, observed=False)
-    observed = _run_schedule_variant(GENERATED[index], system, observed=True)
-    assert bare == observed
-
-
-def _run_grid_variant(programs_builder, threads, observed):
-    machine = _machine(threads)
-    log = []
-    tm = RecordingTM(SYSTEMS["SI-TM"](machine, SplitRandom(7)), log)
-    engine = Engine(tm, programs_builder(machine),
-                    tracer=_observe(machine) if observed else None)
-    engine.run()
-    return {
-        "stats": engine.stats.to_dict(),
-        "steps": engine.steps_taken,
-        "tm_log": log,
-    }
-
-
 def _fullstack(machine):
     base = machine.mvmalloc(32 * 8)
     return _fullstack_programs(base, 32, 12, 8)
@@ -249,13 +207,53 @@ def _dispatch(machine):
 MICRO_GRIDS = {"fullstack32": (_fullstack, 32), "dispatch64": (_dispatch, 64)}
 
 
+@functools.lru_cache(maxsize=None)
+def _run(case, system="SI-TM", observed=False):
+    """One run of a corpus path, a generated schedule's index or a micro
+    grid's name (always SI-TM), made once per module: the byte-identity
+    tests and the golden digests share each bare run."""
+    if case not in MICRO_GRIDS:
+        schedule = GENERATED[case] if isinstance(case, int) else _load(case)
+        return _run_schedule_variant(schedule, system, observed)
+    builder, threads = MICRO_GRIDS[case]
+    machine = _machine(threads)
+    log = []
+    tm = RecordingTM(SYSTEMS["SI-TM"](machine, SplitRandom(7)), log)
+    engine = Engine(tm, builder(machine),
+                    tracer=_observe(machine) if observed else None)
+    engine.run()
+    return {"stats": engine.stats.to_dict(), "steps": engine.steps_taken,
+            "tm_log": log}
+
+
+def test_all_six_backends_are_covered():
+    assert len(ALL_SYSTEMS) == 6, ALL_SYSTEMS
+
+
+def test_corpus_is_present():
+    assert len(CLEAN_CORPUS) >= 3
+
+
+@pytest.mark.parametrize("path", CLEAN_CORPUS,
+                         ids=[p.stem for p in CLEAN_CORPUS])
+@pytest.mark.parametrize("system", ALL_SYSTEMS)
+def test_fast_path_is_byte_identical_on_corpus(path, system):
+    assert _run(path, system) == _run(path, system, observed=True)
+
+
+@pytest.mark.parametrize("index", range(len(GENERATED)))
+@pytest.mark.parametrize("system", ALL_SYSTEMS)
+def test_fast_path_is_byte_identical_on_generated_schedules(system, index):
+    """Property over the fuzzer's schedule space: randomized contended
+    schedules must agree between variants just like the curated corpus
+    does."""
+    assert _run(index, system) == _run(index, system, observed=True)
+
+
 @pytest.mark.parametrize("grid", MICRO_GRIDS)
 def test_fast_path_is_byte_identical_on_micro_grids(grid):
     """32- and 64-thread grids: long bursts and batched commits."""
-    builder, threads = MICRO_GRIDS[grid]
-    bare = _run_grid_variant(builder, threads, observed=False)
-    observed = _run_grid_variant(builder, threads, observed=True)
-    assert bare == observed
+    assert _run(grid) == _run(grid, observed=True)
 
 
 # --------------------------------------------------------------------
@@ -273,40 +271,21 @@ def _digest(result):
                                  result["steps"], result["tm_log"]])
 
 
-def _corpus_digest(path, system):
-    return _digest(_run_schedule_variant(_load(path), system,
-                                         observed=False))
-
-
-def _generated_digest(index, system):
-    return _digest(_run_schedule_variant(GENERATED[index], system,
-                                         observed=False))
-
-
-def _micro_digest(grid):
-    builder, threads = MICRO_GRIDS[grid]
-    return _digest(_run_grid_variant(builder, threads, observed=False))
-
-
 def _entries():
-    """``{key: (digest function, *its arguments)}`` of every pinned run."""
-    entries = {}
+    """``{key: _run arguments}`` of every pinned bare run."""
+    entries = {f"micro/{grid}": (grid,) for grid in MICRO_GRIDS}
     for system in ALL_SYSTEMS:
         for path in CLEAN_CORPUS:
-            entries[f"corpus/{path.stem}/{system}"] = (_corpus_digest,
-                                                       path, system)
+            entries[f"corpus/{path.stem}/{system}"] = (path, system)
         for index in range(len(GENERATED)):
-            entries[f"generated/{index}/{system}"] = (_generated_digest,
-                                                      index, system)
-    for grid in MICRO_GRIDS:
-        entries[f"micro/{grid}"] = (_micro_digest, grid)
+            entries[f"generated/{index}/{system}"] = (index, system)
     return entries
 
 
 def golden_tables():
     """This checkout's bare-run digests, for ``tests/golden.py``."""
-    return {"digests": {key: fn(*args) for key, (fn, *args)
-                        in sorted(_entries().items())}}
+    return {"digests": {key: _digest(_run(*args))
+                        for key, args in sorted(_entries().items())}}
 
 
 @pytest.fixture(scope="module")
@@ -322,17 +301,17 @@ def test_golden_file_has_no_stale_entries(golden):
                          ids=[p.stem for p in CLEAN_CORPUS])
 @pytest.mark.parametrize("system", ALL_SYSTEMS)
 def test_soa_layout_is_byte_identical_on_corpus(golden, path, system):
-    assert _corpus_digest(path, system) \
+    assert _digest(_run(path, system)) \
         == golden[f"corpus/{path.stem}/{system}"]
 
 
 @pytest.mark.parametrize("index", range(len(GENERATED)))
 @pytest.mark.parametrize("system", ALL_SYSTEMS)
 def test_generated_digest(golden, system, index):
-    assert _generated_digest(index, system) \
+    assert _digest(_run(index, system)) \
         == golden[f"generated/{index}/{system}"]
 
 
 @pytest.mark.parametrize("grid", MICRO_GRIDS)
 def test_micro_digest(golden, grid):
-    assert _micro_digest(grid) == golden[f"micro/{grid}"]
+    assert _digest(_run(grid)) == golden[f"micro/{grid}"]

@@ -309,7 +309,7 @@ class TestFramingViolations:
                                           cause="disconnect") == 1
 
         connected(scenario, timeout_ms=5000)
-        # closed by the server, not by asyncio after data_received raised
+        # closed by the server, not by asyncio after buffer_updated raised
         assert not [record for record in caplog.records
                     if record.name == "asyncio"
                     and record.levelno >= logging.ERROR]

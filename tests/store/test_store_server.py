@@ -583,7 +583,7 @@ class TestHopBudget:
         """Count what 200 READ round trips schedule on the loop.
 
         Client and server share the loop, so the counts cover both: the
-        server answers inside ``data_received`` and schedules nothing;
+        server answers inside ``buffer_updated`` and schedules nothing;
         the one ``call_soon`` per round trip is the client's response
         future waking the task that awaits it.  No ``Task``, no timer,
         no shard-queue hop.  The bounds leave room for a stray handle,
@@ -689,7 +689,7 @@ class TestFrameBudget:
 
 
 class TestWaitingPath:
-    """The requests ``data_received`` cannot answer in place: a task
+    """The requests ``buffer_updated`` cannot answer in place: a task
     carries them on, bounded by the transaction deadline."""
 
     def test_frames_pipelined_behind_a_stalled_read_keep_their_order(self):

@@ -7,10 +7,17 @@ import pathlib
 import pkgutil
 import subprocess
 import sys
+import textwrap
 
 import repro
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
+#: what serving, checking and benchmarking the store must never import
+STORE_NEVER_LOADS = (
+    "repro.sim.engine", "repro.tm", "repro.skew", "repro.harness",
+    "repro.workloads", "repro.structures", "repro.oracle.fuzz",
+    "repro.oracle.shrink", "repro.obs.spans", "repro.obs.live",
+    "repro.obs.flight", "repro.obs.profile", "networkx")
 
 
 def iter_modules():
@@ -49,20 +56,46 @@ class TestModules:
         assert not undocumented, undocumented
 
 
-    def test_the_store_stack_does_not_import_networkx(self):
-        """The store serves and checks without ever building a graph;
-        networkx (a fifth of its cold import) belongs to the offline
-        checker's callers, and the harness with its workloads and
-        figure drivers to the simulator's.  A fresh interpreter: this
-        one has them all."""
-        code = ("import sys; "
-                "import repro.store.server, repro.store.loadgen, "
-                "repro.oracle.live; "
-                "sys.exit(sorted(m for m in ('networkx', 'repro.harness', "
-                "'repro.workloads') if m in sys.modules) or 0)")
+    def test_store_process_loads_the_store_not_the_simulator(self, tmp_path):
+        """A read-write, a read-only and an aborted transaction over a
+        socket, the offline check of their rows and ``sitm-store bench``
+        load none of the simulator, in a fresh interpreter."""
+        code = textwrap.dedent(f"""
+            import asyncio, json, pathlib, sys
+            from repro.oracle.live import LiveHistoryMonitor, check_rows
+            from repro.store import StoreClient, StoreConfig, StoreServer
+            from repro.store.cli import main
+
+            async def drive(log):
+                server = StoreServer(StoreConfig(shards=2), record_path=log,
+                                     monitor=LiveHistoryMonitor(2))
+                client = await StoreClient.connect(await server.start())
+                for txn in ({{"a": 1}}, {{}}, None):
+                    await client.begin()
+                    await client.read("a")
+                    for key, value in (txn or {{}}).items():
+                        await client.write(key, value)
+                    reply = await (client.commit() if txn is not None
+                                   else client.abort())
+                    assert reply["ok"], reply
+                client.close()
+                await server.stop()
+                assert not server.monitor.violations
+
+            out = pathlib.Path({str(tmp_path)!r})
+            asyncio.run(drive(out / "rows.jsonl"))
+            rows = [json.loads(line) for line in
+                    (out / "rows.jsonl").read_text().splitlines()]
+            assert len(rows) == 3 and not check_rows(rows, 2), rows
+            assert main(["bench", "--shards", "2", "--sessions", "2",
+                         "--txns", "3", "--out", str(out)]) == 0
+            sys.exit(sorted(set({STORE_NEVER_LOADS!r}) & set(sys.modules))
+                     or 0)
+            """)
         env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
-        assert subprocess.run([sys.executable, "-c", code], env=env,
-                              timeout=60).returncode == 0
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestExamples:

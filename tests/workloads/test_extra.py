@@ -2,11 +2,9 @@
 
 import pytest
 
-from repro.common.rng import SplitRandom
-from repro.sim.machine import Machine
 from repro.workloads import PAPER_ORDER, REGISTRY
 
-from tests.conftest import run_program
+from tests.conftest import run_workload
 
 
 class TestRegistration:
@@ -20,72 +18,44 @@ class TestRegistration:
 @pytest.mark.parametrize("name", ["hashtable", "pipeline"])
 @pytest.mark.parametrize("system", ["2PL", "SONTM", "SI-TM"])
 def test_runs_clean(name, system):
-    workload = REGISTRY.create(name, profile="test")
-    machine = Machine()
-    instance = workload.setup(machine, 4, SplitRandom(3))
-    total = sum(len(p) for p in instance.programs)
-    stats = run_program(machine, system, instance.programs, seed=1)
+    stats, total, verified = run_workload(name, system, 4, 3, seed=1)
     assert stats.total_commits == total
-    assert instance.verify()
+    assert verified
 
 
 class TestCharacteristics:
     def test_hashtable_moderate_contention_for_everyone(self):
-        rates = {}
-        for system in ("2PL", "SI-TM"):
-            workload = REGISTRY.create("hashtable", profile="test")
-            machine = Machine()
-            instance = workload.setup(machine, 8, SplitRandom(5))
-            stats = run_program(machine, system, instance.programs, seed=2)
-            rates[system] = stats.abort_rate
+        rates = {system: run_workload("hashtable", system, 8, 5, seed=2)[0]
+                 .abort_rate for system in ("2PL", "SI-TM")}
         assert all(rate < 0.35 for rate in rates.values())
         # per-bucket conflicts favour SI (bucket-head writes vs chain reads)
         assert rates["SI-TM"] <= rates["2PL"]
 
     def test_pipeline_conflicts_regardless_of_system(self):
         """Cursor RMW: SI gains nothing (every conflict is write-write)."""
-        aborts = {}
-        for system in ("2PL", "SI-TM"):
-            workload = REGISTRY.create("pipeline", profile="test")
-            machine = Machine()
-            instance = workload.setup(machine, 8, SplitRandom(5))
-            stats = run_program(machine, system, instance.programs, seed=2)
-            aborts[system] = stats.total_aborts
+        aborts = {system: run_workload("pipeline", system, 8, 5, seed=2)[0]
+                  .total_aborts for system in ("2PL", "SI-TM")}
         assert aborts["SI-TM"] > aborts["2PL"] / 50
 
     def test_hashtable_contention_levels(self):
-        lows, highs = [], []
-        for level, bucket in (("low", lows), ("high", highs)):
-            workload = REGISTRY.create("hashtable", profile="test",
-                                       contention=level)
-            machine = Machine()
-            instance = workload.setup(machine, 8, SplitRandom(5))
-            stats = run_program(machine, "2PL", instance.programs, seed=2)
-            bucket.append(stats.total_aborts)
-        assert highs[0] >= lows[0]
+        low, high = (run_workload("hashtable", "2PL", 8, 5, seed=2,
+                                  contention=level)[0].total_aborts
+                     for level in ("low", "high"))
+        assert high >= low
 
 
 class TestYada:
     @pytest.mark.parametrize("system", ["2PL", "SONTM", "SI-TM"])
     def test_runs_and_verifies(self, system):
-        workload = REGISTRY.create("yada", profile="test")
-        machine = Machine()
-        instance = workload.setup(machine, 4, SplitRandom(9))
-        total = sum(len(p) for p in instance.programs)
-        stats = run_program(machine, system, instance.programs, seed=4)
+        stats, total, verified = run_workload("yada", system, 4, 9, seed=4)
         assert stats.total_commits == total
-        assert instance.verify()
+        assert verified
 
     def test_cavities_conflict_under_everyone(self):
         """Overlapping cavities produce aborts for every policy (unlike
         the pure-reader benchmarks where SI collapses them to ~zero)."""
-        aborts = {}
-        for system in ("2PL", "SI-TM"):
-            workload = REGISTRY.create("yada", profile="test",
-                                       contention="high")
-            machine = Machine()
-            instance = workload.setup(machine, 8, SplitRandom(2))
-            stats = run_program(machine, system, instance.programs, seed=2)
-            aborts[system] = stats.total_aborts
+        aborts = {system: run_workload("yada", system, 8, 2, seed=2,
+                                       contention="high")[0].total_aborts
+                  for system in ("2PL", "SI-TM")}
         assert aborts["2PL"] > 0
         assert aborts["SI-TM"] > 0

@@ -1,5 +1,7 @@
 """Workload registry and framework tests."""
 
+import itertools
+
 import pytest
 
 from repro.common.errors import ConfigError
@@ -56,30 +58,24 @@ class TestPartition:
                 assert sum(partition(total, threads)) == total
 
 
+def _labels(name, threads, seed):
+    """Per-thread spec labels of a fresh ``test``-profile set-up."""
+    instance = REGISTRY.create(name, profile="test").setup(
+        Machine(), threads, SplitRandom(seed))
+    return [[spec.label for spec in program] for program in instance.programs]
+
+
 class TestSetupShapes:
     @pytest.mark.parametrize("name", PAPER_ORDER)
     def test_program_count_matches_threads(self, name):
-        workload = REGISTRY.create(name, profile="test")
-        machine = Machine()
-        instance = workload.setup(machine, 4, SplitRandom(1))
-        assert len(instance.programs) == 4
-        assert all(len(p) > 0 for p in instance.programs)
+        programs = _labels(name, 4, 1)
+        assert len(programs) == 4 and all(programs)
 
     @pytest.mark.parametrize("name", PAPER_ORDER)
     def test_setup_deterministic(self, name):
-        counts = []
-        for _ in range(2):
-            workload = REGISTRY.create(name, profile="test")
-            instance = workload.setup(Machine(), 2, SplitRandom(3))
-            counts.append([len(p) for p in instance.programs])
-            labels = [s.label for p in instance.programs for s in p]
-        assert counts[0] == counts[1]
+        assert _labels(name, 2, 3) == _labels(name, 2, 3)
 
     @pytest.mark.parametrize("name", PAPER_ORDER)
     def test_labels_prefixed_with_workload(self, name):
-        workload = REGISTRY.create(name, profile="test")
-        instance = workload.setup(Machine(), 2, SplitRandom(1))
-        for program in instance.programs:
-            for spec in program:
-                assert spec.label.split(".")[0] in name or \
-                    spec.label.startswith(name[:4])
+        for label in itertools.chain(*_labels(name, 2, 1)):
+            assert label.split(".")[0] in name or label.startswith(name[:4])

@@ -2,49 +2,32 @@
 
 import pytest
 
-from repro.common.rng import SplitRandom
-from repro.sim.machine import Machine
-from repro.workloads import PAPER_ORDER, REGISTRY
+from repro.workloads import PAPER_ORDER
 
-from tests.conftest import run_program
+from tests.conftest import run_workload
 
 
 @pytest.mark.parametrize("name", PAPER_ORDER)
 @pytest.mark.parametrize("system", ["2PL", "SONTM", "SI-TM"])
 def test_runs_and_verifies(name, system):
-    workload = REGISTRY.create(name, profile="test")
-    machine = Machine()
-    instance = workload.setup(machine, 4, SplitRandom(11))
-    total = sum(len(p) for p in instance.programs)
-    stats = run_program(machine, system, instance.programs, seed=2)
+    stats, total, verified = run_workload(name, system, 4, 11, seed=2)
     assert stats.total_commits == total
-    if instance.verify is not None:
-        assert instance.verify()
+    assert verified
 
 
 @pytest.mark.parametrize("name", ["array", "list", "vacation", "bayes"])
 def test_si_aborts_less_than_2pl_on_read_heavy(name):
     """The paper's core claim, on the read-heavy benchmarks."""
-    aborts = {}
-    for system in ("2PL", "SI-TM"):
-        workload = REGISTRY.create(name, profile="test")
-        machine = Machine()
-        instance = workload.setup(machine, 4, SplitRandom(5))
-        stats = run_program(machine, system, instance.programs, seed=3)
-        aborts[system] = stats.total_aborts
+    aborts = {system: run_workload(name, system, 4, 5, seed=3)[0]
+              .total_aborts for system in ("2PL", "SI-TM")}
     assert aborts["SI-TM"] <= aborts["2PL"]
 
 
 def test_kmeans_si_no_advantage():
     """Negative control: RMW-only kmeans gains nothing from SI (the
     abort counts stay in the same ballpark, not orders of magnitude)."""
-    aborts = {}
-    for system in ("2PL", "SI-TM"):
-        workload = REGISTRY.create("kmeans", profile="test")
-        machine = Machine()
-        instance = workload.setup(machine, 8, SplitRandom(5))
-        stats = run_program(machine, system, instance.programs, seed=3)
-        aborts[system] = stats.total_aborts
+    aborts = {system: run_workload("kmeans", system, 8, 5, seed=3)[0]
+              .total_aborts for system in ("2PL", "SI-TM")}
     assert aborts["SI-TM"] > aborts["2PL"] / 50
 
 
@@ -52,11 +35,6 @@ def test_kmeans_si_no_advantage():
 @pytest.mark.parametrize("system", ["SSI-TM", "LogTM"])
 def test_extended_systems_run_and_verify(name, system):
     """The extension systems drive the same workloads unchanged."""
-    workload = REGISTRY.create(name, profile="test")
-    machine = Machine()
-    instance = workload.setup(machine, 4, SplitRandom(13))
-    total = sum(len(p) for p in instance.programs)
-    stats = run_program(machine, system, instance.programs, seed=6)
+    stats, total, verified = run_workload(name, system, 4, 13, seed=6)
     assert stats.total_commits == total
-    if instance.verify is not None:
-        assert instance.verify()
+    assert verified
