@@ -27,6 +27,7 @@ model, keeping mechanism and cost model separate.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Dict, Iterable, Optional, Tuple
 
 from repro.common.config import MVMConfig
@@ -134,6 +135,23 @@ class MVMController:
         if self.census is not None and depth:
             self.census.record(depth)
         return data
+
+    def oldest_version_after(self, lines, timestamp: int) -> Optional[int]:
+        """Oldest committed version timestamp above ``timestamp`` over
+        ``lines``, or ``None``: a snapshot read of them at ``timestamp``
+        returns the same versions at every timestamp below that."""
+        get = self._lines.get
+        oldest = None
+        for line in lines:
+            vlist = get(line)
+            newest = vlist.newest_timestamp() if vlist is not None else None
+            if newest is None or newest <= timestamp:
+                continue
+            stamps = vlist.timestamps
+            first = stamps[bisect_right(stamps, timestamp)]
+            if oldest is None or first < oldest:
+                oldest = first
+        return oldest
 
     # ------------------------------------------------------------------
     # commit protocol

@@ -5,8 +5,10 @@ The offline oracle (:mod:`repro.oracle.checker`) consumes a complete
 "the end of the run" — it streams one **session row** per completed
 transaction (the span-schema-compatible JSONL it also persists), and
 :class:`LiveHistoryMonitor` checks that row, when it is fed, against a
-small index per shard (each shard is its own SI domain with its own
-timestamps):
+small index per shard (the store's shards share one clock, so a row
+carries the same ``start_ts`` and ``commit_ts`` on every shard it
+touched, and a read that missed that snapshot on any shard is caught
+on that shard's index):
 
 * the **image** (``addr -> value`` at the watermark), the **retained
   versions** of each address and their **writers**, in commit order;
@@ -18,7 +20,7 @@ timestamps):
   the offline checker's rules, which the differential test in
   ``tests/store/test_live_oracle.py`` holds this module to;
 * **the arrival invariant** makes one pass enough: the server draws a
-  commit's timestamps, applies it and feeds its row in one step of the
+  commit's timestamp, applies it and feeds its row in one step of the
   event loop (``StoreServer._do_commit``, phase 2), so no snapshot is
   ever taken with a commit half-published, and every version a
   transaction can see and every overlapping writer that committed
@@ -191,7 +193,7 @@ class LiveHistoryMonitor:
 
         The server feeds each shard's oldest pinned snapshot (open
         transactions plus the recovery checkpoint at the publish
-        frontier); shard clocks are monotonic, so every later begin
+        frontier); the store clock is monotonic, so every later begin
         gets a start timestamp at or above it.  When it advances,
         writers with ``commit_ts <= watermark`` fold into the image in
         commit order: no later row can overlap them, and every later

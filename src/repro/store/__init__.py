@@ -2,12 +2,14 @@
 
 The simulator proves the SI-TM protocol under virtual time; this package
 runs the same multiversioned machinery — per-shard
-:class:`~repro.mvm.controller.MVMController` instances with their own
-commit clocks — against *wall-clock* concurrency: an asyncio front-end
+:class:`~repro.mvm.controller.MVMController` instances on one store
+clock — against *wall-clock* concurrency: an asyncio front-end
 speaking a length-prefixed JSON protocol (``READ``/``COMMIT``/``ABORT``;
 a transaction's begin and writes ride on its ``READ``s and ``COMMIT``),
-begin-timestamp snapshots and first-committer-wins validation per
-shard, and robustness as a first-class feature:
+one snapshot per transaction across every shard, a commit judged by
+first-committer-wins at the latest snapshot its reads still hold at
+and published at one commit timestamp, and robustness as a
+first-class feature:
 
 * per-transaction **deadlines** with structured ``TIMEOUT`` errors;
 * **retry/backoff** reusing the simulator's
@@ -16,8 +18,8 @@ shard, and robustness as a first-class feature:
 * **admission control** — bounded in-flight transactions and bounded
   shard queues, shed with explicit ``OVERLOADED`` responses, never
   silent queueing;
-* **session GC** — client disconnects mid-transaction unpin their
-  snapshots so the active-transaction table cannot leak and wedge
+* **session GC** — client disconnects mid-transaction unregister their
+  snapshots so the active-transaction tables cannot leak and wedge
   version GC;
 * **shard crash/restart recovery** on
   :mod:`repro.mvm.checkpoint` pinned snapshots advanced to the publish

@@ -18,12 +18,16 @@ the active-transaction table must drain to empty, and the GC watermark
 must have advanced past its starting pin on every shard that committed.
 The report is JSON-safe and the chaos test asserts on it directly.
 
-``broken="no-fcw"`` is the monitor's self-test: it disables
-first-committer-wins validation and runs a choreographed two-client
-same-key race whose histories are *genuinely* non-SI — the campaign
-passes only if the live monitor flags the violation, proving the oracle
-wire-up would catch a real isolation regression, not just that quiet
-runs stay quiet.
+``broken=`` selects a monitor self-test (:data:`BROKEN_MODES`): a
+deliberately broken server runs a choreography whose history is
+*genuinely* non-SI, and the campaign passes only if the live monitor
+flags it with the expected rule — proving the oracle wire-up would
+catch a real isolation regression, not just that quiet runs stay quiet.
+``no-fcw`` disables first-committer-wins validation and races two
+writers on one key; ``per-shard-pin`` makes each shard read a
+transaction at its own first-touch frontier, while the row still
+reports the one snapshot, and lets a commit land between a
+transaction's reads of two shards (a fractured read).
 """
 
 from __future__ import annotations
@@ -41,8 +45,14 @@ from repro.store.loadgen import (StoreClient, ZipfKeys, _backoff,
                                  _count_failure)
 from repro.store.server import StoreServer
 from repro.store.session import StoreConfig, shard_of
+from repro.store.shard import OK
 
-__all__ = ["CHAOS_SITES", "ChaosPlan", "run_chaos_campaign"]
+__all__ = ["BROKEN_MODES", "CHAOS_SITES", "ChaosPlan",
+           "run_chaos_campaign"]
+
+#: monitor self-tests: broken mode -> the rule that must catch it
+BROKEN_MODES = {"no-fcw": "first-committer-wins",
+                "per-shard-pin": "snapshot-read"}
 
 
 #: machine-readable registry of service-level injection sites
@@ -52,8 +62,8 @@ CHAOS_SITES = [
      "layer": "store/server.py:_Connection.connection_lost",
      "fields": "disconnect_rate",
      "effect": "drops the connection mid-transaction; the session GC "
-               "must abort the open transaction and unpin its "
-               "snapshots"},
+               "must abort the open transaction and unregister its "
+               "snapshot"},
     {"site": "slow-loris",
      "layer": "store/server.py:_Connection._check_deadline "
               "(per-connection read deadline)",
@@ -190,7 +200,7 @@ async def _chaos_worker(port: int, worker: int, plan: ChaosPlan,
                 if (plan.disconnect_rate
                         and rng.random() < plan.disconnect_rate):
                     # pin an open transaction with a READ, then yank the
-                    # connection: the session GC must abort and unpin it
+                    # connection: the session GC must abort and unregister it
                     await client.read(zipf.pick(rng))
                     client.close()
                     stats["disconnects_injected"] += 1
@@ -264,20 +274,22 @@ async def _trigger_at(monitor: LiveHistoryMonitor, after_txns: int,
     action()
 
 
+def _key_per_shard(prefix: str, shards: int) -> Dict[int, str]:
+    """One key on each shard: shard id -> key."""
+    chosen: Dict[int, str] = {}
+    index = 0
+    while len(chosen) < shards:
+        key = f"{prefix}-{index}"
+        index += 1
+        chosen.setdefault(shard_of(key, shards), key)
+    return chosen
+
+
 async def _probe(port: int, server: StoreServer) -> bool:
     """Post-campaign liveness proof: one commit per shard, read back."""
     client = await StoreClient.connect(port)
     try:
-        wanted = set(range(server.config.shards))
-        chosen: Dict[int, str] = {}
-        index = 0
-        while wanted:
-            key = f"probe-{index}"
-            index += 1
-            sid = shard_of(key, server.config.shards)
-            if sid in wanted:
-                wanted.discard(sid)
-                chosen[sid] = key
+        chosen = _key_per_shard("probe", server.config.shards)
         await client.begin(label="probe", deadline_ms=5_000)
         for sid in sorted(chosen):
             await client.write(chosen[sid], {"probe": sid})
@@ -318,6 +330,45 @@ async def _fcw_race(port: int) -> None:
         b.close()
 
 
+def pin_per_shard(server: StoreServer) -> None:
+    """The ``per-shard-pin`` break: each shard reads a transaction at
+    the store clock's present when the transaction first read there,
+    not at its snapshot (the rows still report the snapshot)."""
+    for shard in server.shards:
+        pins: Dict[int, int] = {}  # txn uid -> where it reads this shard
+
+        def read(command, shard=shard, pins=pins):
+            at = pins.setdefault(command.txn.uid, server.clock.now)
+            line = shard.keys.get(command.payload)
+            data = (None if line is None
+                    else shard.mvm.snapshot_read(line, at))
+            command.resolve(OK, None if data is None else data[0])
+
+        shard._do_read = read
+
+
+async def fractured_read(port: int, shards: int) -> None:
+    """The per-shard-pin choreography: T reads a key on shard 0, U
+    commits that key and one on shard 1, then T reads shard 1.  At one
+    snapshot T sees neither of U's writes; at a later per-shard pin it
+    sees the second."""
+    keys = _key_per_shard("fracture", shards)
+    t = await StoreClient.connect(port)
+    u = await StoreClient.connect(port)
+    try:
+        await t.begin(label="fracture-t")
+        await t.read(keys[0])
+        await u.begin(label="fracture-u")
+        await u.write(keys[0], "from-u")
+        await u.write(keys[1], "from-u")
+        assert (await u.commit()).get("ok")
+        await t.read(keys[1])
+        await t.commit()
+    finally:
+        t.close()
+        u.close()
+
+
 # ----------------------------------------------------------------------
 # the campaign
 
@@ -337,6 +388,8 @@ async def _campaign(plan: ChaosPlan, config: StoreConfig, broken: str,
                     out_dir: Optional[object]) -> dict:
     monitor = LiveHistoryMonitor(config.shards, dump_dir=out_dir)
     server = StoreServer(config, monitor=monitor)
+    if broken == "per-shard-pin":
+        pin_per_shard(server)
     port = await server.start()
     initial_watermarks = [shard.watermark for shard in server.shards]
     stats = {"commits": 0, "shed": 0, "disconnects_injected": 0,
@@ -344,6 +397,8 @@ async def _campaign(plan: ChaosPlan, config: StoreConfig, broken: str,
     try:
         if broken == "no-fcw":
             await _fcw_race(port)
+        elif broken == "per-shard-pin":
+            await fractured_read(port, config.shards)
         else:
             zipf = ZipfKeys(plan.keys, plan.zipf_theta)
             tasks = [
@@ -382,8 +437,8 @@ async def _campaign(plan: ChaosPlan, config: StoreConfig, broken: str,
             shard.commits == 0 or (shard.watermark or 0) > (initial or 0)
             for shard, initial in zip(server.shards, initial_watermarks))
         violations = [v.to_dict() for v in monitor.violations]
-        if broken == "no-fcw":
-            caught = any(v["rule"] == "first-committer-wins"
+        if broken:
+            caught = any(v["rule"] == BROKEN_MODES[broken]
                          for v in violations)
             ok = caught and probe_ok
         else:
@@ -430,13 +485,15 @@ def run_chaos_campaign(plan: ChaosPlan,
     """Run one seeded chaos campaign; returns the JSON-safe report.
 
     ``broken`` selects a deliberately-broken server mode for monitor
-    self-tests (currently ``"no-fcw"``); the report's ``ok`` then means
-    *the monitor caught the planted violation*.  ``out_dir`` receives
-    replayable violation dumps when the monitor fires.
+    self-tests (a key of :data:`BROKEN_MODES`); the report's ``ok`` then
+    means *the monitor caught the planted violation*.  ``out_dir``
+    receives replayable violation dumps when the monitor fires.
     """
-    if broken not in ("", "no-fcw"):
+    if broken and broken not in BROKEN_MODES:
         raise ConfigError(f"unknown broken mode {broken!r}")
     config = config or StoreConfig()
+    if broken == "per-shard-pin" and config.shards < 2:
+        raise ConfigError("broken mode per-shard-pin needs >= 2 shards")
     if broken == "no-fcw":
         config = dataclasses.replace(config, validate_fcw=False)
     try:

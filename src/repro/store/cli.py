@@ -11,8 +11,9 @@ Subcommands:
   artifact validated against the ``sitm-bench`` schema, and print the
   stats; exits 1 if the live monitor saw any SI violation.
 * ``chaos`` — run a seeded :class:`~repro.store.chaos.ChaosPlan`
-  campaign and print its report; ``--broken no-fcw`` runs the monitor
-  self-test (exit 0 *only if* the planted violation was caught).
+  campaign and print its report; ``--broken no-fcw`` and ``--broken
+  per-shard-pin`` run the monitor self-tests (exit 0 *only if* the
+  planted violation was caught).
 * ``check`` — replay a recorded session JSONL through the SI checker
   offline; exits 1 when violations are found.
 
@@ -33,7 +34,7 @@ from typing import List, Optional
 
 from repro.common.errors import ConfigError, cli_exit_code
 from repro.oracle.live import LiveHistoryMonitor, check_rows
-from repro.store.chaos import ChaosPlan, run_chaos_campaign
+from repro.store.chaos import BROKEN_MODES, ChaosPlan, run_chaos_campaign
 from repro.store.loadgen import bench_artifact, run_load
 from repro.store.server import StoreServer
 from repro.store.session import StoreConfig
@@ -209,7 +210,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="completed txns before the crash fires")
     chaos.add_argument("--flood", type=int, default=0,
                        help="simultaneous transaction opens")
-    chaos.add_argument("--broken", default="", choices=["", "no-fcw"],
+    chaos.add_argument("--broken", default="",
+                       choices=["", *BROKEN_MODES],
                        help="deliberately-broken mode for monitor "
                             "self-tests")
     chaos.add_argument("--report", default=None,

@@ -27,14 +27,19 @@ that task has answered.  The robustness contract, end to end:
   trickling bytes — is closed; so is one that sends an oversize, junk
   or non-object frame.  A peer that stops reading its responses stops
   being read from.
+* **One snapshot**: the server owns the one store clock.  The frame
+  that carries a begin draws the transaction's ``start_ts`` and
+  registers it on every shard; every read, on any shard, is at it.
 * **Commit protocol**: a commit takes its turn (a ``prepare``) on
-  each touched shard in sorted shard order; then phase 2 runs
+  each written shard in sorted shard order; then phase 2 runs
   **synchronously with no awaits** and decides it in one place — doom
-  check, first-committer-wins validation, apply, which draws each
-  shard's commit timestamp — so in a single-threaded event loop a
-  multi-shard commit publishes atomically, and nothing ever waits on
-  the commit protocol.  A crash dooms every transaction pinned on the
-  shard, so a commit it interrupts aborts with ``shard-crashed``.
+  check; the snapshot, moved to the latest timestamp at which every
+  read still holds; first-committer-wins validation against it; one
+  commit timestamp, applied on every written shard — so in a
+  single-threaded event loop a multi-shard commit publishes
+  atomically, and nothing ever waits on the commit protocol.  A crash
+  dooms every transaction that read or wrote the shard, so a commit
+  it interrupts aborts with ``shard-crashed``.
 * **Retry/escalation**: every abort response carries ``retry_after_ms``
   from the session's :class:`~repro.sim.retry.RetryState`; a starving
   session's next transaction takes the server-wide **golden token**,
@@ -42,8 +47,8 @@ that task has answered.  The robustness contract, end to end:
   the store-side analogue of the engine's serial escalation.
 * **Session GC**: a lost connection ends its session in
   ``connection_lost`` — a request still waiting is cancelled first —
-  and an open transaction is aborted with ``disconnect``, unpinning its
-  snapshots so the active-transaction table cannot leak and wedge
+  and an open transaction is aborted with ``disconnect``, unregistering
+  its snapshot so the active-transaction tables cannot leak and wedge
   version GC.
 * **Monitoring**: every completed transaction is fed to the
   :class:`~repro.oracle.live.LiveHistoryMonitor` as a span-schema-
@@ -67,6 +72,7 @@ import types
 from typing import Dict, Generator, List, Optional, Tuple
 
 from repro.common.errors import ProtocolError
+from repro.mvm.timestamps import GlobalClock
 from repro.obs.export import SPAN_SCHEMA_VERSION
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.prom import exposition_http_response
@@ -259,7 +265,9 @@ class StoreServer:
         self.config = config or StoreConfig()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.monitor = monitor
-        self.shards = [Shard(i, self.config)
+        #: the one store clock: every shard's timestamps come from it
+        self.clock = GlobalClock()
+        self.shards = [Shard(i, self.config, self.clock)
                        for i in range(self.config.shards)]
         self.sessions: Dict[int, Session] = {}
         self.open_txns: Dict[int, Txn] = {}
@@ -472,14 +480,18 @@ class StoreServer:
         deadline_ms = min(deadline_ms, self.config.max_deadline_ms)
         label = fields.get("label", f"session-{session.session_id}")
         self._seq += 1
+        # no commit is ever in flight outside the atomic apply step, so
+        # a start timestamp is always free
         txn = Txn(uid=self._next_txn, session_id=session.session_id,
                   label=str(label),
                   deadline=(asyncio.get_running_loop().time()
                             + deadline_ms / 1000.0),
-                  begin_seq=self._seq)
+                  begin_seq=self._seq, start_ts=self.clock.next_start())
         self._next_txn += 1
         session.txn = txn
         self.open_txns[txn.uid] = txn
+        for shard in self.shards:
+            shard._do_snapshot(txn)
         # golden-token escalation: a starving session's transaction
         # serializes against other commits on its home shard
         policy = self.config.retry
@@ -511,12 +523,10 @@ class StoreServer:
             # the command may still run later; doom makes it a no-op
             return (TIMEOUT, None)
 
-    def _ensure_snapshot(self, txn: Txn, shard: Shard) -> None:
-        """Pin ``shard``'s snapshot in place at the first touch."""
-        if shard.shard_id not in txn.snapshots:
-            shard._do_snapshot(txn)
-            if self._golden_holder == txn.uid and self._golden_home is None:
-                self._golden_home = shard.shard_id
+    def _touch(self, txn: Txn, sid: int) -> None:
+        """The golden holder's home is the first shard it touches."""
+        if self._golden_holder == txn.uid and self._golden_home is None:
+            self._golden_home = sid
 
     async def _do_read(self, session: Session, txn: Txn,
                        request: dict) -> dict:
@@ -532,11 +542,15 @@ class StoreServer:
             txn.ops.append(("r", sid, key, value))
             txn.reads += 1
             return protocol.ok_response(value=value)
-        self._ensure_snapshot(txn, shard)
+        self._touch(txn, sid)
         status, value = await self._shard_call(session, txn, shard,
                                                "read", key)
         if status != OK:
             return self._shard_failure(session, txn, status)
+        keys = txn.read_keys.get(sid)
+        if keys is None:
+            keys = txn.read_keys[sid] = set()
+        keys.add(key)
         txn.ops.append(("r", sid, key, value))
         txn.reads += 1
         return protocol.ok_response(value=value)
@@ -591,10 +605,9 @@ class StoreServer:
             self.metrics.inc("store_timeouts_total")
             return protocol.error_response(
                 "TIMEOUT", "deadline expired waiting for escalation")
-        # phase 1: pin write-only shards, then take each shard's turn
+        # phase 1: take each written shard's turn
         shards = [self.shards[sid] for sid in sorted(by_shard)]
-        for shard in shards:
-            self._ensure_snapshot(txn, shard)
+        self._touch(txn, shards[0].shard_id)
         for shard in shards:
             status, _ = await self._shard_call(session, txn, shard,
                                                "prepare")
@@ -602,19 +615,33 @@ class StoreServer:
                 return self._shard_failure(session, txn, status)
         # phase 2: decide and apply — NO awaits from here to _finish_txn
         cause = txn.doomed
-        if cause is None and not all(
-                shard.validate(txn, by_shard[shard.shard_id])
-                for shard in shards):
-            cause = "write-write"
+        if cause is None:
+            snapshot = self._snapshot(txn)
+            if not all(shard.validate(by_shard[shard.shard_id], snapshot)
+                       for shard in shards):
+                cause = "write-write"
         if cause is not None:
             self._abort_txn(session, txn, cause)
             return self._aborted_response(session, cause)
+        txn.commit_ts = self.clock.begin_commit()
         for shard in shards:
             shard.apply(txn, by_shard[shard.shard_id])
-        self._finish_txn(session, txn, committed=True)
+        self.clock.finish_commit(txn.commit_ts)
+        self._finish_txn(session, txn, committed=True, snapshot=snapshot)
         return protocol.ok_response(
-            commit_ts={str(s): ts for s, ts in txn.commit_ts.items()},
+            commit_ts={str(shard.shard_id): txn.commit_ts
+                       for shard in shards},
             read_only=False)
+
+    def _snapshot(self, txn: Txn) -> int:
+        """The latest timestamp at which every read of ``txn`` still
+        returns what it returned: just below the oldest version written
+        since its start to a key it read from a shard (a key no commit
+        had written when it was read included), else the present."""
+        newer = [ts for ts in (
+            self.shards[sid].oldest_version_after(keys, txn.start_ts)
+            for sid, keys in txn.read_keys.items()) if ts is not None]
+        return min(newer) - 1 if newer else self.clock.now
 
     async def _golden_gate(self, txn: Txn) -> bool:
         """Wait while another txn's golden token covers our shards."""
@@ -644,20 +671,22 @@ class StoreServer:
             self._golden_released.set_result(None)
 
     def _abort_txn(self, session: Session, txn: Txn, cause: str) -> None:
-        """Server-side abort: unpin, session bookkeeping."""
+        """Server-side abort: unregister, session bookkeeping."""
         txn.doom(cause)
         self._finish_txn(session, txn, committed=False, cause=cause)
 
     def _finish_txn(self, session: Session, txn: Txn, committed: bool,
-                    cause: Optional[str] = None) -> None:
+                    cause: Optional[str] = None,
+                    snapshot: Optional[int] = None) -> None:
+        """End ``txn``; ``snapshot`` is the one a writer committed at."""
         self._seq += 1
-        # build the monitor row BEFORE releasing: release_snapshot pops
-        # txn.snapshots, and the row needs the per-shard start_ts
         row = None
         if self.monitor is not None or self._record is not None:
-            row = self._session_row(session, txn, committed, cause)
-        for sid in list(txn.snapshots):
-            self.shards[sid].release_snapshot(txn)
+            row = self._session_row(
+                session, txn, committed, cause,
+                txn.start_ts if snapshot is None else snapshot)
+        for shard in self.shards:
+            shard.release_snapshot(txn)
         self.open_txns.pop(txn.uid, None)
         if session.txn is txn:
             session.txn = None
@@ -684,18 +713,12 @@ class StoreServer:
                                             shard.watermark)
 
     def _session_row(self, session: Session, txn: Txn, committed: bool,
-                     cause: Optional[str]) -> dict:
-        """The span-schema-compatible record of one completed txn."""
-        shards_meta = {}
-        seen = set(txn.snapshots) | set(txn.commit_ts) \
-            | {s for s, _ in txn.writes}
-        for sid in sorted(seen):
-            shards_meta[str(sid)] = {
-                "start_ts": txn.snapshots.get(sid),
-                "commit_ts": txn.commit_ts.get(sid)}
-        home = min(seen) if seen else None
-        home_meta = shards_meta.get(str(home), {}) if home is not None \
-            else {}
+                     cause: Optional[str], start_ts: int) -> dict:
+        """The span-schema-compatible record of one completed txn: every
+        shard it read or wrote carries the same two timestamps."""
+        shards_meta = {
+            str(sid): {"start_ts": start_ts, "commit_ts": txn.commit_ts}
+            for sid in sorted(txn.touched_shards)}
         return {
             "uid": txn.uid,
             "thread": session.session_id,
@@ -707,8 +730,8 @@ class StoreServer:
             "retries": session.retry.attempts,
             "reads": txn.reads,
             "writes": len(txn.writes),
-            "start_ts": home_meta.get("start_ts"),
-            "commit_ts": home_meta.get("commit_ts"),
+            "start_ts": start_ts,
+            "commit_ts": txn.commit_ts,
             "schema_version": SPAN_SCHEMA_VERSION,
             "store": {
                 "shards": shards_meta,

@@ -7,21 +7,21 @@ attempts — the server's backoff hints, starvation age, and golden-token
 escalation all key off it, reusing the simulator's retry semantics
 verbatim (:mod:`repro.sim.retry`).
 
-A **transaction** (:class:`Txn`) is begin-timestamp state spread across
-the shards it touched: per-shard ``start_ts`` snapshot pins, the
-buffered write set, and the ordered operation log the live oracle
-monitor replays.  Cross-shard transactions pin each shard's
-snapshot lazily at first touch (write-only shards at commit time), so
-the isolation contract is *per-shard* snapshot isolation — see
-``docs/store.md`` for the honest statement of what that does and does
-not guarantee.
+A **transaction** (:class:`Txn`) is one store-wide snapshot: a single
+``start_ts`` drawn from the store clock at the frame that carries the
+begin and registered on every shard, the keys it read from each shard,
+the buffered write set, and the ordered operation log the live oracle
+monitor replays.  Its commit chooses the latest snapshot at which every
+read still holds and installs the write set at one commit timestamp on
+every shard it writes — snapshot isolation across shards, see
+``docs/store.md``.
 """
 
 from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.common.errors import ConfigError
 from repro.sim.retry import RetryPolicy, RetryState
@@ -45,7 +45,7 @@ DEFAULT_RETRY_MS = RetryPolicy(
 class StoreConfig:
     """Service-level configuration (validated, JSON round-trippable)."""
 
-    #: number of independent SI shards
+    #: number of shards the keys hash onto
     shards: int = 4
     #: admission control: maximum concurrently open transactions; a
     #: further begin sheds the frame that carries it with ``OVERLOADED``
@@ -109,7 +109,7 @@ class StoreConfig:
 
 @dataclass
 class Txn:
-    """One open transaction: per-shard snapshots plus buffered writes."""
+    """One open transaction: one snapshot plus buffered writes."""
 
     uid: int
     session_id: int
@@ -118,14 +118,16 @@ class Txn:
     deadline: float
     #: monitor sequence number stamped at the frame carrying the begin
     begin_seq: int
-    #: shard -> start_ts pinned there
-    snapshots: Dict[int, int] = field(default_factory=dict)
+    #: the store-wide snapshot every shard reads at (pinned on each)
+    start_ts: int
+    #: shard -> keys read from that shard (not from the write set)
+    read_keys: Dict[int, Set[str]] = field(default_factory=dict)
     #: buffered write set: (shard, key) -> value (last write wins)
     writes: Dict[Tuple[int, str], object] = field(default_factory=dict)
     #: ordered operation log for the oracle: (kind, shard, key, value)
     ops: List[Tuple[str, int, str, object]] = field(default_factory=list)
-    #: per-shard commit timestamps, filled at apply
-    commit_ts: Dict[int, int] = field(default_factory=dict)
+    #: the one commit timestamp, drawn in the atomic apply step
+    commit_ts: Optional[int] = None
     #: set when the transaction can no longer commit (abort cause)
     doomed: Optional[str] = None
     reads: int = 0
@@ -137,8 +139,8 @@ class Txn:
 
     @property
     def touched_shards(self) -> set:
-        """Shards this transaction has pinned or buffered writes on."""
-        return set(self.snapshots) | {s for s, _ in self.writes}
+        """Shards this transaction has read from or buffered writes on."""
+        return set(self.read_keys) | {s for s, _ in self.writes}
 
 
 @dataclass

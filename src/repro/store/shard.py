@@ -1,35 +1,41 @@
 """One store shard: a plain object over an `MVMController`.
 
-Each shard is an independent snapshot-isolation domain — its own
-:class:`~repro.mvm.timestamps.GlobalClock`, its own
-:class:`~repro.mvm.controller.MVMController` (one key per line,
-``words_per_line=1``, unbounded version cap — the recovery checkpoint
-pins history, and a pinned checkpoint under the ABORT_WRITER cap is
-exactly the livelock footgun :mod:`repro.mvm.checkpoint` warns about).
+Every shard's :class:`~repro.mvm.controller.MVMController` (one key per
+line, ``words_per_line=1``) runs on the server's one
+:class:`~repro.mvm.timestamps.GlobalClock`, so a timestamp means the
+same moment on every shard.  The version cap is unbounded (the recovery
+checkpoint pins history, and a pinned checkpoint under the ABORT_WRITER
+cap is exactly the livelock footgun :mod:`repro.mvm.checkpoint` warns
+about), and versions do not coalesce: a version's timestamp is the
+commit that wrote it, which is what the coordinator's commit-time
+snapshot choice (:meth:`Shard.oldest_version_after`) reads.
 
 Concurrency model: **the single-threaded event loop serializes all
-mutation**; nothing a shard does contains an ``await``.  A snapshot pin
-(:meth:`Shard._do_snapshot`) is a plain call.  A ``read`` or
-``prepare`` command runs in place, inside :meth:`Shard.submit`, when
-nothing is queued ahead of it; the bounded command queue is where
-commands *wait* — behind an injected stall, or the backlog behind one
-— in FIFO order, drained by one ``call_later`` timer.  A full queue
-sheds the command with a structured ``overloaded`` status — never
-silent queueing.  A ``prepare`` only takes the commit's turn: the
-coordinator decides the commit in one synchronous step that calls
-:meth:`Shard.validate` (first-committer-wins) and then
-:meth:`Shard.apply` on every touched shard.  The apply draws the commit
-timestamp, installs and publishes, so no commit is ever in flight
-across an ``await``, a snapshot never has to wait for one, and no
-reader anywhere can observe a half-applied cross-shard commit.
+mutation**; nothing a shard does contains an ``await``.  Registering a
+transaction's snapshot (:meth:`Shard._do_snapshot`) is a plain call,
+made on every shard at the frame that carries the begin, so version GC
+and every shard's watermark respect the snapshot before the
+transaction first touches the shard.  A ``read`` or ``prepare`` command
+runs in place, inside :meth:`Shard.submit`, when nothing is queued
+ahead of it; the bounded command queue is where commands *wait* —
+behind an injected stall, or the backlog behind one — in FIFO order,
+drained by one ``call_later`` timer.  A full queue sheds the command
+with a structured ``overloaded`` status — never silent queueing.  A
+``prepare`` only takes the commit's turn: the coordinator decides the
+commit in one synchronous step that calls :meth:`Shard.validate`
+(first-committer-wins) and then :meth:`Shard.apply` on every written
+shard at the one commit timestamp it drew, so no commit is ever in
+flight across an ``await``, a snapshot never has to wait for one, and
+no reader anywhere can observe a half-applied cross-shard commit.
 
 Crash/recovery (:meth:`Shard.crash_now`): the shard holds a recovery
-checkpoint pinned at the *publish frontier* — advanced to every
-committed end timestamp inside the atomic apply.  A forced crash bumps
-the generation counter, fails queued commands with ``shard-crashed``,
-dooms and unpins every transaction with state on the shard, and rolls
-the MVM back to the checkpoint.  Every pinned transaction is open, so
-the doom reaches each one: a shard refuses a doomed transaction's
+checkpoint pinned at the *publish frontier* — advanced to every commit
+it applies, inside the atomic apply.  A forced crash bumps the
+generation counter, fails queued commands with ``shard-crashed``,
+dooms every open transaction that read or wrote the shard, and rolls
+the MVM back to the checkpoint with every open snapshot re-registered
+afterwards, so a transaction that has not touched the shard still
+reads it at its snapshot.  A shard refuses a doomed transaction's
 commands, and the coordinator checks the doom again before it applies.
 """
 
@@ -44,6 +50,7 @@ from repro.common.config import MVMConfig, VersionCapPolicy
 from repro.mem.address import AddressMap
 from repro.mvm.checkpoint import CheckpointManager
 from repro.mvm.controller import MVMController
+from repro.mvm.timestamps import GlobalClock
 from repro.store.session import StoreConfig, Txn
 
 __all__ = ["Shard", "ShardCommand"]
@@ -72,14 +79,16 @@ class ShardCommand:
 
 
 class Shard:
-    """A snapshot-isolation domain over one controller."""
+    """One slice of the key space, over one controller on the store clock."""
 
-    def __init__(self, shard_id: int, config: StoreConfig):
+    def __init__(self, shard_id: int, config: StoreConfig,
+                 clock: GlobalClock):
         self.shard_id = shard_id
         self.config = config
         self.mvm = MVMController(
-            MVMConfig(cap_policy=VersionCapPolicy.UNBOUNDED),
-            AddressMap(words_per_line=1))
+            MVMConfig(cap_policy=VersionCapPolicy.UNBOUNDED,
+                      coalescing=False),
+            AddressMap(words_per_line=1), clock=clock)
         #: key -> line interning (one key per line, words_per_line=1)
         self.keys: Dict[str, int] = {}
         #: bumped by every crash (reported, e.g. by PING)
@@ -170,19 +179,15 @@ class Shard:
             command.resolve(CONFLICT, f"unknown command {command.kind}")
 
     def _do_snapshot(self, txn: Txn) -> None:
-        """Pin ``txn``'s snapshot here: no commit is ever in flight
-        outside :meth:`apply`, so a start timestamp is always free."""
-        start_ts = self.mvm.clock.next_start()
-        self.mvm.active.add(start_ts)
-        txn.snapshots[self.shard_id] = start_ts
+        """Register ``txn``'s snapshot here: GC keeps what it reads."""
+        self.mvm.active.add(txn.start_ts)
 
     def _do_read(self, command: ShardCommand) -> None:
         line = self.keys.get(command.payload)
         if line is None:
             command.resolve(OK, None)
             return
-        data = self.mvm.snapshot_read(
-            line, command.txn.snapshots[self.shard_id])
+        data = self.mvm.snapshot_read(line, command.txn.start_ts)
         command.resolve(OK, data[0] if data is not None else None)
 
     def _do_prepare(self, command: ShardCommand) -> None:
@@ -192,43 +197,46 @@ class Shard:
     # ------------------------------------------------------------------
     # synchronous coordinator-side phases (atomic: no awaits)
 
-    def validate(self, txn: Txn, writes: Dict[str, object]) -> bool:
+    def oldest_version_after(self, keys: Iterable[str],
+                             timestamp: int) -> Optional[int]:
+        """Oldest version timestamp above ``timestamp`` among ``keys``
+        (``None``: none of them was written since)."""
+        return self.mvm.oldest_version_after(
+            [line for line in map(self.keys.get, keys) if line is not None],
+            timestamp)
+
+    def validate(self, writes: Dict[str, object], snapshot: int) -> bool:
         """First-committer-wins: no line in ``writes`` has a version
-        newer than ``txn``'s pin here.  A key no commit wrote is not
+        newer than ``snapshot``.  A key no commit wrote is not
         interned, and cannot conflict."""
         if not self.config.validate_fcw:
             return True
         lines = [line for line in map(self.keys.get, writes)
                  if line is not None]
-        return self.mvm.validate_many(
-            lines, txn.snapshots[self.shard_id]) is None
+        return self.mvm.validate_many(lines, snapshot) is None
 
     def apply(self, txn: Txn, writes: Dict[str, object]) -> None:
-        """Phase 2 of commit: draw end_ts, install, publish, advance
+        """Phase 2 of commit: install at ``txn.commit_ts``, advance
         recovery.
 
-        Runs synchronously from the coordinator after every touched
-        shard validated — with no ``await`` between the doom check, the
-        validations and the last shard's apply, the whole multi-shard
-        commit is one atomic step of the event loop, and each shard's
-        commit timestamps rise in apply order.
+        Runs synchronously from the coordinator, which drew the commit
+        timestamp after every written shard validated — with no
+        ``await`` between the doom check, the validations and the last
+        shard's apply, the whole multi-shard commit is one atomic step
+        of the event loop.
         """
-        end_ts = self.mvm.clock.begin_commit()
         keys = self.keys  # interned here only: one line per key
         items = [(keys.setdefault(key, len(keys)), (value,))
                  for key, value in sorted(writes.items())]
-        self.mvm.install_many(end_ts, items,
+        self.mvm.install_many(txn.commit_ts, items,
                               installer=(txn.uid, txn.label))
-        self.mvm.clock.finish_commit(end_ts)
-        self.recovery = self.checkpoints.advance(self.recovery, end_ts)
+        self.recovery = self.checkpoints.advance(self.recovery,
+                                                 txn.commit_ts)
         self.commits += 1
-        txn.commit_ts[self.shard_id] = end_ts
 
     def release_snapshot(self, txn: Txn) -> None:
-        """Unpin a transaction's snapshot unless a crash already did."""
-        start_ts = txn.snapshots.pop(self.shard_id, None)
-        if start_ts is not None:
-            self.mvm.active.remove(start_ts)
+        """Unregister a finished transaction's snapshot."""
+        self.mvm.active.remove(txn.start_ts)
 
     # ------------------------------------------------------------------
     # chaos hooks
@@ -237,28 +245,30 @@ class Shard:
         """Queue the next command behind a ``ms`` wait."""
         self._stall_ms += ms
 
-    def crash_now(self, open_txns: Iterable[Txn]) -> List[Txn]:
+    def crash_now(self, open_txns: List[Txn]) -> List[Txn]:
         """Forced crash + restart from the recovery checkpoint.
 
         Synchronous and atomic: bumps the generation, fails queued
-        commands, dooms/unpins every open transaction with state here,
-        and truncates the MVM back to the publish frontier.  Returns the
+        commands, dooms every open transaction that read or wrote here,
+        and truncates the MVM back to the publish frontier.  Every open
+        snapshot is registered on every shard; rollback wants none, so
+        they are unregistered around it and registered again — doomed
+        ones too, released when their transaction ends.  Returns the
         transactions doomed.
         """
         self.generation += 1
         self.crashes += 1
         while self._queue:
             self._queue.popleft().resolve(CRASHED)
-        doomed = []
+        doomed = [txn for txn in open_txns
+                  if self.shard_id in txn.touched_shards]
+        for txn in doomed:
+            txn.doom("shard-crashed")
         for txn in open_txns:
-            start_ts = txn.snapshots.pop(self.shard_id, None)
-            if start_ts is not None:
-                self.mvm.active.remove(start_ts)
-            if start_ts is not None or any(
-                    shard == self.shard_id for shard, _ in txn.writes):
-                txn.doom("shard-crashed")
-                doomed.append(txn)
+            self.mvm.active.remove(txn.start_ts)
         self.checkpoints.rollback(self.recovery)
+        for txn in open_txns:
+            self.mvm.active.add(txn.start_ts)
         return doomed
 
     # ------------------------------------------------------------------

@@ -22,7 +22,13 @@ format, not a hand-written imitation:
   y and writes x, uid 2 ``[2,4]`` reads x and writes y — Adya's G1c),
   laid out in the server's row format.  The live monitor has no cycle
   rule; the replay test asserts the pair is caught as ``snapshot-read``
-  on both transactions.
+  on both transactions;
+* ``fractured_read.jsonl`` — the ``per-shard-pin`` broken server
+  (:func:`repro.store.chaos.pin_per_shard`): T reads a key on shard 0,
+  U commits it and a key on shard 1, then T reads shard 1 at a later
+  per-shard pin and sees U's write there, while its row carries one
+  ``start_ts``.  The replay test asserts it is caught as
+  ``snapshot-read``.
 
 All runs use 2 shards and fixed seeds.
 """
@@ -32,6 +38,7 @@ import json
 import pathlib
 
 from repro.obs.export import SPAN_SCHEMA_VERSION
+from repro.store.chaos import fractured_read, pin_per_shard
 from repro.store.loadgen import StoreClient, run_load
 from repro.store.server import StoreServer
 from repro.store.session import StoreConfig
@@ -108,10 +115,13 @@ def _g1c_pair(name: str) -> None:
     print(f"wrote {name}")
 
 
-async def _make(name: str, scenario, validate_fcw: bool = True) -> None:
+async def _make(name: str, scenario, validate_fcw: bool = True,
+                break_server=None) -> None:
     config = StoreConfig(shards=SHARDS, seed=42,
                          validate_fcw=validate_fcw)
     server = StoreServer(config, record_path=HERE / name)
+    if break_server is not None:
+        break_server(server)
     port = await server.start()
     try:
         await scenario(port)
@@ -131,6 +141,9 @@ async def main() -> None:
     await _make("broken_no_fcw.jsonl",
                 lambda port: _race(port, "broken"), validate_fcw=False)
     _g1c_pair("g1c_pair.jsonl")
+    await _make("fractured_read.jsonl",
+                lambda port: fractured_read(port, SHARDS),
+                break_server=pin_per_shard)
 
 
 if __name__ == "__main__":

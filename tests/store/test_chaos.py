@@ -3,7 +3,7 @@
 These run the real server, real sockets, and the real live monitor —
 small seeded plans keep them fast while still covering disconnects,
 slow-loris peers, shard stalls, forced crashes, admission floods, and
-the ``no-fcw`` monitor self-test the acceptance criteria demand.
+the ``no-fcw`` and ``per-shard-pin`` monitor self-tests.
 """
 
 import dataclasses
@@ -131,6 +131,36 @@ class TestBrokenModes:
                    for v in report["violations"])
         assert report["violation_dumps"]
         assert list(tmp_path.glob("store-violation-*.jsonl"))
+
+    def test_per_shard_pin_self_test_catches_the_fractured_read(
+            self, tmp_path):
+        """A shard that reads at its own first-touch frontier lets a
+        commit land between a transaction's reads of two shards: the
+        monitor must see the second read miss the one snapshot."""
+        import json
+
+        from repro.oracle.live import check_rows
+
+        plan = ChaosPlan(seed=5, sessions=2, txns_per_session=4, keys=8)
+        report = run_chaos_campaign(plan, small_config(),
+                                    broken="per-shard-pin",
+                                    out_dir=tmp_path)
+        assert report["monitor_caught"] is True
+        assert report["ok"] is True
+        assert [v["rule"] for v in report["violations"]] == [
+            "snapshot-read"]
+        (dump,) = report["violation_dumps"]
+        rows = [json.loads(line) for line in
+                open(dump, encoding="utf-8").read().splitlines()]
+        reader = next(r for r in rows if r["label"] == "fracture-t")
+        assert sorted(reader["store"]["shards"]) == ["0", "1"]
+        assert {v.rule for v in check_rows(rows, shards=2)} == {
+            "snapshot-read"}
+
+    def test_per_shard_pin_needs_two_shards(self):
+        with pytest.raises(ConfigError, match="2 shards"):
+            run_chaos_campaign(ChaosPlan(), small_config(shards=1),
+                               broken="per-shard-pin")
 
     def test_unknown_broken_mode_is_config_error(self):
         with pytest.raises(ConfigError, match="broken"):

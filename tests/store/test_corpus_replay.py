@@ -4,9 +4,10 @@ The JSONL files under ``tests/corpus/store/`` are real server
 recordings (see ``make_corpus.py`` there for regeneration).  They pin
 the wire-to-monitor row format: every row must stay span-schema valid,
 clean recordings must replay quietly, the deliberately-broken
-recording must keep tripping the first-committer-wins check, and the
+recording must keep tripping the first-committer-wins check, the
 hand-built G1c pair (the live monitor has no cycle rule) must keep
-surfacing as two snapshot-read violations.
+surfacing as two snapshot-read violations, and the per-shard-pin
+recording's fractured read as one.
 """
 
 import json
@@ -21,7 +22,7 @@ CORPUS = pathlib.Path(__file__).parent.parent / "corpus" / "store"
 SHARDS = 2  # every corpus run used 2 shards (make_corpus.py)
 
 FILES = ("clean_sessions.jsonl", "fcw_abort.jsonl",
-         "broken_no_fcw.jsonl", "g1c_pair.jsonl")
+         "broken_no_fcw.jsonl", "g1c_pair.jsonl", "fractured_read.jsonl")
 
 
 def load(name: str):
@@ -83,6 +84,16 @@ class TestReplay:
         violations = check_rows(rows[::order], shards=SHARDS)
         assert {(v.rule, v.txns) for v in violations} == {
             ("snapshot-read", (1,)), ("snapshot-read", (2,))}
+
+    def test_fractured_read_is_caught_as_snapshot_read(self):
+        """T read shard 0 before U's commit and shard 1 after it, under
+        one start_ts: its shard-1 read is not what that snapshot holds."""
+        _, rows = load("fractured_read.jsonl")
+        reader = next(r for r in rows if r["label"] == "fracture-t")
+        assert sorted(reader["store"]["shards"]) == ["0", "1"]
+        violations = check_rows(rows, shards=SHARDS)
+        assert [(v.rule, v.txns) for v in violations] == [
+            ("snapshot-read", (reader["uid"],))]
 
     @pytest.mark.parametrize("name", FILES)
     def test_replay_is_deterministic(self, name):

@@ -2,8 +2,8 @@
 
 ``Shard.submit`` executes a command before returning whenever nothing
 is ahead of it and queues it otherwise; ``_execute`` is the one body
-both paths share.  A snapshot pin (``_do_snapshot``) is a plain call,
-never a command.  These tests drive a bare :class:`Shard` (no server,
+both paths share.  Registering a snapshot (``_do_snapshot``) is a plain
+call, never a command.  These tests drive a bare :class:`Shard` (no server,
 no sockets) down each path and pin that the statuses, the FIFO order,
 the shedding and the crash/stop draining do not depend on which one a
 command took.
@@ -11,6 +11,7 @@ command took.
 
 import asyncio
 
+from repro.mvm.timestamps import GlobalClock
 from repro.store.session import StoreConfig, Txn
 from repro.store.shard import (CONFLICT, CRASHED, OK, OVERLOADED, SHUTDOWN,
                                TIMEOUT, Shard)
@@ -18,14 +19,16 @@ from repro.store.shard import (CONFLICT, CRASHED, OK, OVERLOADED, SHUTDOWN,
 
 def run(scenario, **overrides):
     """Run ``scenario(shard, txn)`` under a loop; ``txn(uid)`` makes a
-    transaction with a two-second deadline."""
+    transaction with a two-second deadline and a fresh snapshot."""
     async def runner():
-        shard = Shard(0, StoreConfig(shards=1, **overrides))
+        clock = GlobalClock()
+        shard = Shard(0, StoreConfig(shards=1, **overrides), clock)
         loop = asyncio.get_running_loop()
 
         def txn(uid, deadline_s=2.0):
             return Txn(uid=uid, session_id=uid, label=f"t{uid}",
-                       deadline=loop.time() + deadline_s, begin_seq=uid)
+                       deadline=loop.time() + deadline_s, begin_seq=uid,
+                       start_ts=clock.next_start())
 
         try:
             return await scenario(shard, txn)
@@ -39,8 +42,10 @@ async def commit(shard, txn, writes):
     """pin → prepare turn → validate → apply for ``writes`` (in place)."""
     shard._do_snapshot(txn)
     assert (await shard.submit("prepare", txn)) == (OK, None)
-    assert shard.validate(txn, writes)
+    assert shard.validate(writes, txn.start_ts)
+    txn.commit_ts = shard.mvm.clock.begin_commit()
     shard.apply(txn, writes)
+    shard.mvm.clock.finish_commit(txn.commit_ts)
     shard.release_snapshot(txn)
 
 
@@ -68,7 +73,8 @@ class TestInPlace:
             shard._do_snapshot(loser)
             await commit(shard, txn(2), {"k": "winner"})
             assert shard.submit("prepare", loser).result() == (OK, None)
-            assert not shard.validate(loser, {"k": "loser", "fresh": 2})
+            assert not shard.validate({"k": "loser", "fresh": 2},
+                                      loser.start_ts)
             assert shard.stats()["keys"] == 1
 
         run(scenario)

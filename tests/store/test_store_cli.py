@@ -48,6 +48,13 @@ class TestCheck:
         assert any(v["rule"] == "first-committer-wins"
                    for v in report["violations"])
 
+    def test_fractured_read_corpus_exits_1(self, capsys):
+        assert main(["check", str(CORPUS / "fractured_read.jsonl"),
+                     "--shards", "2"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert [v["rule"] for v in report["violations"]] == [
+            "snapshot-read"]
+
 
 class TestChaos:
     def test_quiet_campaign_exits_0_and_writes_report(self, tmp_path,

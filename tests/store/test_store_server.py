@@ -174,6 +174,134 @@ class TestTransactions:
         drive(scenario)
 
 
+class TestOneSnapshot:
+    """One store clock: a transaction reads every shard at one snapshot,
+    and its commit takes the latest snapshot its reads still hold at."""
+
+    @staticmethod
+    def rows(path):
+        import json
+        return {row["label"]: row for row in map(
+            json.loads, path.read_text(encoding="utf-8").splitlines())}
+
+    def test_no_fractured_read_across_shards(self):
+        """T reads shard 0, U commits on shards 0 and 1, T reads shard
+        1: T sees neither of U's writes."""
+        monitor = LiveHistoryMonitor(shards=2)
+
+        async def scenario(server, port):
+            keys = keys_by_shard(prefix="frac")
+            t = await StoreClient.connect(port)
+            u = await StoreClient.connect(port)
+            await t.begin(label="t")
+            assert (await t.read(keys[0]))["value"] is None
+            await u.begin(label="u")
+            for key in keys.values():
+                await u.write(key, "from-u")
+            assert (await u.commit())["ok"]
+            assert (await t.read(keys[1]))["value"] is None
+            assert (await t.commit())["ok"]
+            assert is_clean(server)
+            t.close()
+            u.close()
+
+        drive(scenario, monitor=monitor)
+        assert monitor.violations == []
+
+    @pytest.mark.parametrize("u_writes_ts_key", (True, False))
+    def test_read_of_a_never_written_key_bounds_the_snapshot(
+            self, tmp_path, u_writes_ts_key):
+        """T reads the absent key ``k``; U then creates ``k``.  T's read
+        still holds only below U's commit, so T is judged there."""
+        monitor = LiveHistoryMonitor(shards=2)
+        path = tmp_path / "rows.jsonl"
+
+        async def scenario(server, port):
+            t = await StoreClient.connect(port)
+            u = await StoreClient.connect(port)
+            await t.begin(label="t")
+            assert (await t.read("k"))["value"] is None
+            await t.write("w", "from-t")
+            await u.begin(label="u")
+            await u.write("k", "from-u")
+            if u_writes_ts_key:
+                await u.write("w", "from-u")
+            assert (await u.commit())["ok"]
+            reply = await t.commit()
+            t.close()
+            u.close()
+            return reply
+
+        reply = drive(scenario, monitor=monitor, record_path=path)
+        assert monitor.violations == []
+        rows = self.rows(path)
+        if u_writes_ts_key:
+            assert reply["cause"] == "write-write"
+        else:
+            assert reply["ok"]
+            assert rows["t"]["start_ts"] < rows["u"]["commit_ts"]
+
+    def test_a_coalesced_version_cannot_hide_a_write(self):
+        """U2 starts before U1, U1 writes ``k`` and ``w``, U2 blind-writes
+        ``k``: T, which read ``k`` before both, must still see that U1
+        wrote ``w`` after its snapshot (a version list that coalesced
+        U1's ``k`` into U2's would place T's snapshot past U1)."""
+        monitor = LiveHistoryMonitor(shards=2)
+
+        async def scenario(server, port):
+            t, u1, u2 = [await StoreClient.connect(port) for _ in range(3)]
+            await t.begin(label="t")
+            assert (await t.read("k"))["value"] is None
+            await u2.begin(label="u2")
+            await u2.read("x")
+            await u1.begin(label="u1")
+            await u1.write("k", 1)
+            await u1.write("w", 1)
+            assert (await u1.commit())["ok"]
+            await u2.write("k", 2)
+            assert (await u2.commit())["ok"]
+            await t.write("w", "from-t")
+            reply = await t.commit()
+            for client in (t, u1, u2):
+                client.close()
+            return reply
+
+        assert drive(scenario, monitor=monitor)["cause"] == "write-write"
+        assert monitor.violations == []
+
+    @pytest.mark.parametrize("crash", (False, True))
+    def test_an_untouched_shard_keeps_what_the_snapshot_reads(self, crash):
+        """Version GC on a shard the transaction has not touched yet —
+        after a crash of that shard, too — keeps the version its
+        snapshot reads: the snapshot is registered on every shard at
+        begin, and again after a crash's rollback."""
+        monitor = LiveHistoryMonitor(shards=2)
+
+        async def scenario(server, port):
+            keys = keys_by_shard(prefix="gc")
+            setup = await StoreClient.connect(port)
+            await setup.begin()
+            await setup.write(keys[1], "v1")
+            assert (await setup.commit())["ok"]
+            t = await StoreClient.connect(port)
+            await t.begin(label="t")
+            await t.read(keys[0])
+            if crash:
+                assert server.crash_shard(1) == []
+            for value in ("v2", "v3"):
+                await setup.begin()
+                await setup.write(keys[1], value)
+                assert (await setup.commit())["ok"]
+            assert (await t.read(keys[1]))["value"] == "v1"
+            assert (await t.commit())["ok"]
+            assert is_clean(server)
+            setup.close()
+            t.close()
+
+        drive(scenario, monitor=monitor)
+        assert monitor.violations == []
+
+
 class TestStructuredErrors:
     def test_op_outside_txn_is_no_txn(self):
         async def scenario(server, port):
@@ -452,7 +580,7 @@ class TestRobustness:
         async def scenario(server, port):
             client = await StoreClient.connect(port)
             await client.begin()
-            await client.read("pin-me")  # pins a shard snapshot
+            await client.read("pin-me")  # opens the txn, pinning its snapshot
             await client.write("pin-me", 1)
             client.close()
             await settle_sessions(server)
@@ -826,15 +954,16 @@ class TestWaitingPath:
 class TestCommitInFlight:
     """Nothing waits on another transaction's commit protocol.
 
-    Transaction X has read shard 1, then shard 1 is stalled, then X
-    commits writes to shards 0 and 1: it prepares shard 0 in place and
-    its shard 1 prepare queues behind the stall, so X is suspended
-    mid-commit.  Shard 0 must keep answering in place meanwhile.
+    Transaction X has read shard 1 (and, with ``reads_a``, the shard-0
+    key it will write), then shard 1 is stalled, then X commits writes
+    to shards 0 and 1: it prepares shard 0 in place and its shard 1
+    prepare queues behind the stall, so X is suspended mid-commit.
+    Shard 0 must keep answering in place meanwhile.
     """
 
     STALL_MS = 400
 
-    async def suspend_x(self, server, port):
+    async def suspend_x(self, server, port, reads_a=False):
         keys = [f"inflight-{i}" for i in range(60)]
         a_keys = [k for k in keys if shard_of(k, 2) == 0]
         b_key = next(k for k in keys if shard_of(k, 2) == 1)
@@ -846,6 +975,8 @@ class TestCommitInFlight:
         x = await StoreClient.connect(port)
         await x.begin(label="x")
         await x.read(b_key)
+        if reads_a:
+            assert (await x.read(a_keys[0]))["value"] == "old"
         server.stall_shard(1, self.STALL_MS)
         await x.write(a_keys[0], "x")
         await x.write(b_key, "x")
@@ -889,12 +1020,14 @@ class TestCommitInFlight:
         drive(scenario)
 
     def test_overlapping_writer_commits_and_x_aborts_at_apply(self):
-        """Y writes X's shard-0 key while X waits: Y commits first, so
+        """Y writes the shard-0 key X read and writes while X waits: Y
+        commits first, so X's snapshot stays below Y's commit and
         first-committer-wins aborts X when its apply step comes."""
         monitor = LiveHistoryMonitor(shards=2)
 
         async def scenario(server, port):
-            x, committing, a_keys = await self.suspend_x(server, port)
+            x, committing, a_keys = await self.suspend_x(server, port,
+                                                         reads_a=True)
             y = await StoreClient.connect(port)
             await y.begin(label="y")
             await y.write(a_keys[0], "y")
@@ -904,6 +1037,32 @@ class TestCommitInFlight:
             assert failed["cause"] == "write-write"
             await y.begin()
             assert (await y.read(a_keys[0]))["value"] == "y"
+            assert (await y.commit())["ok"]
+            assert is_clean(server)
+            for client in (x, y):
+                client.close()
+
+        drive(scenario, monitor=monitor)
+        assert monitor.violations == []
+
+    def test_overlapping_blind_writer_commits_after_y(self):
+        """Y writes a shard-0 key X writes but never read: X's only read
+        is still current at its apply step, so its snapshot moves past
+        Y's commit and X commits after Y — valid SI."""
+        monitor = LiveHistoryMonitor(shards=2)
+
+        async def scenario(server, port):
+            x, committing, a_keys = await self.suspend_x(server, port)
+            y = await StoreClient.connect(port)
+            await y.begin(label="y")
+            await y.write(a_keys[0], "y")
+            y_commit = await y.commit()
+            assert y_commit["ok"]
+            x_commit = await committing
+            assert x_commit["ok"]
+            assert x_commit["commit_ts"]["0"] > y_commit["commit_ts"]["0"]
+            await y.begin()
+            assert (await y.read(a_keys[0]))["value"] == "x"
             assert (await y.commit())["ok"]
             assert is_clean(server)
             for client in (x, y):
@@ -1029,9 +1188,10 @@ class TestLateWrapping:
         stats, applies = drive(scenario)
         assert stats["commits"] == 200
         # a clean load dooms and sheds nothing: each submitted command
-        # reached exactly one body, and each first touch pinned in place
+        # reached exactly one body, and each begin registered its
+        # snapshot in place on both shards
         assert seen["submit"] == len(executed) > 200
-        assert seen["pins"] >= 200
+        assert seen["pins"] >= 2 * 200
         assert seen["apply"] == applies > 0
         # the encoder sees both ends, a request and its response per
         # dispatched request; every attempt ends in a request of its own
