@@ -337,12 +337,12 @@ def pin_per_shard(server: StoreServer) -> None:
     for shard in server.shards:
         pins: Dict[int, int] = {}  # txn uid -> where it reads this shard
 
-        def read(command, shard=shard, pins=pins):
-            at = pins.setdefault(command.txn.uid, server.clock.now)
-            line = shard.keys.get(command.payload)
+        def read(txn, key, shard=shard, pins=pins):
+            at = pins.setdefault(txn.uid, server.clock.now)
+            line = shard.keys.get(key)
             data = (None if line is None
                     else shard.mvm.snapshot_read(line, at))
-            command.resolve(OK, None if data is None else data[0])
+            return (OK, None if data is None else data[0])
 
         shard._do_read = read
 

@@ -10,7 +10,7 @@ discipline the server's structured errors prescribe (honor
 drive the server through it, so the client loop the tests exercise is
 the one real callers would copy.  It is a
 :class:`~repro.store.protocol.FrameReceiver` with one request in
-flight: ``request`` writes the frame and awaits a future that
+flight: a request writes the frame and awaits a future that
 ``buffer_updated`` resolves with the response, so a round trip wakes
 the calling task once and nothing else.
 
@@ -75,10 +75,17 @@ class ZipfKeys:
 
 
 class StoreClient(protocol.FrameReceiver):
-    """One wire connection to the store: a request, then its response."""
+    """One wire connection to the store: a request, then its response.
+
+    A connection carries one request at a time: a request made while
+    another is in flight raises ``RuntimeError`` and sends nothing (the
+    server answers in order, so a second frame's response would reach
+    the first caller).  Concurrent callers open a client each.
+    """
 
     def __init__(self) -> None:
         self._transport: Optional[asyncio.Transport] = None
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._frames = protocol.FrameParser()
         #: resolved by the response to the request in flight
         self._response: Optional["asyncio.Future"] = None
@@ -97,39 +104,54 @@ class StoreClient(protocol.FrameReceiver):
 
     def connection_made(self, transport: asyncio.BaseTransport) -> None:
         self._transport = transport
+        self._loop = asyncio.get_running_loop()
 
     def buffer_updated(self, nbytes: int) -> None:
-        self._frames.filled(nbytes)
+        frames = self._frames
+        frames.buffer += frames.inbox[:nbytes]
         try:
-            response = self._frames.next_frame()
+            response = frames.next_frame()
         except ProtocolError as exc:
             self._transport.close()
             self._settle(exc)
-        else:
-            if response is not None:
-                self._settle(response)
+            return
+        if response is not None:
+            waiter, self._response = self._response, None
+            if waiter is not None and not waiter.done():
+                waiter.set_result(response)
 
     def connection_lost(self, exc: Optional[Exception]) -> None:
         # what a stream read meeting EOF failed the pending request with
         self._settle(exc or asyncio.IncompleteReadError(b"", None))
 
-    def _settle(self, outcome: object) -> None:
-        """Hand the request in flight its response, or its failure."""
+    def _settle(self, failure: BaseException) -> None:
+        """Fail the request in flight."""
         waiter, self._response = self._response, None
-        if waiter is None or waiter.done():
-            return  # nothing in flight, or its caller gave up
-        if isinstance(outcome, BaseException):
-            waiter.set_exception(outcome)
-        else:
-            waiter.set_result(outcome)
+        if waiter is not None and not waiter.done():
+            waiter.set_exception(failure)
+
+    def _send(self, frame: Dict[str, object],
+              carry: bool = False) -> "asyncio.Future":
+        """Write ``frame`` — with the unsent begin and writes, if
+        ``carry`` — and return the future its response resolves."""
+        if self._response is not None:
+            raise RuntimeError(
+                "StoreClient already has a request in flight; a "
+                "connection carries one request at a time")
+        if self._transport.is_closing():
+            raise ConnectionResetError("Connection lost")
+        if carry:
+            if self._begin is not None:
+                frame["begin"], self._begin = self._begin, None
+            if self._writes:
+                frame["writes"], self._writes = self._writes, []
+        self._response = future = self._loop.create_future()
+        self._transport.write(protocol.encode_frame(frame))
+        return future
 
     async def request(self, **fields) -> dict:
         """Send one request frame and await its response frame."""
-        if self._transport.is_closing():
-            raise ConnectionResetError("Connection lost")
-        self._response = asyncio.get_running_loop().create_future()
-        self._transport.write(protocol.encode_frame(fields))
-        return await self._response
+        return await self._send(fields)
 
     async def begin(self, deadline_ms: Optional[int] = None,
                     label: Optional[str] = None) -> dict:
@@ -147,7 +169,7 @@ class StoreClient(protocol.FrameReceiver):
 
     async def read(self, key: str) -> dict:
         """``READ key`` inside the open transaction, with unsent writes."""
-        return await self.request(**self._carrying(op="READ", key=key))
+        return await self._send({"op": "READ", "key": key}, True)
 
     async def write(self, key: str, value: object) -> dict:
         """Buffer ``key = value``; it sends nothing.  The next :meth:`read`
@@ -157,7 +179,7 @@ class StoreClient(protocol.FrameReceiver):
 
     async def commit(self) -> dict:
         """``COMMIT`` the open transaction with its unsent writes."""
-        return await self.request(**self._carrying(op="COMMIT"))
+        return await self._send({"op": "COMMIT"}, True)
 
     async def abort(self) -> dict:
         """``ABORT`` the open transaction, or, if it was never sent, drop it."""
@@ -165,15 +187,7 @@ class StoreClient(protocol.FrameReceiver):
         if self._begin is not None:
             self._begin = None
             return protocol.ok_response()
-        return await self.request(op="ABORT")
-
-    def _carrying(self, **fields: object) -> Dict[str, object]:
-        """``fields`` plus the unsent begin and writes, if any."""
-        if self._begin is not None:
-            fields["begin"], self._begin = self._begin, None
-        if self._writes:
-            fields["writes"], self._writes = self._writes, []
-        return fields
+        return await self._send({"op": "ABORT"})
 
     async def ping(self) -> dict:
         """Liveness probe; also returns shard generations."""

@@ -140,39 +140,42 @@ def _payload_length(header: bytes) -> int:
 class FrameParser:
     """Incremental frame decoder of one connection's incoming bytes.
 
-    The transport reads into :attr:`inbox` and :meth:`filled` takes
-    what it read (:meth:`feed` takes bytes from elsewhere), in whatever
-    pieces; then take whole frames off with :meth:`next_frame` until it
-    returns ``None``.  A violation raises :class:`ProtocolError` as soon
-    as the bytes that prove it are in — an oversize announcement with
-    the header, before any of the body is buffered — and the connection
-    is then beyond repair: the owner closes it.
+    The transport reads into :attr:`inbox`, and the receiver appends
+    the ``nbytes`` it read to :attr:`buffer` (:meth:`feed` takes bytes
+    from elsewhere), in whatever pieces; then take whole frames off with
+    :meth:`next_frame` until it returns ``None``.  A violation raises
+    :class:`ProtocolError` as soon as the bytes that prove it are in —
+    an oversize announcement with the header, before any of the body is
+    buffered — and the connection is then beyond repair: the owner
+    closes it.
     """
 
-    __slots__ = ("_buffer", "inbox")
+    __slots__ = ("buffer", "inbox")
 
     def __init__(self) -> None:
-        self._buffer = bytearray()
+        #: bytes fed and not yet taken off as frames
+        self.buffer = bytearray()
         #: the buffer a :class:`FrameReceiver`'s transport reads into
         self.inbox = memoryview(bytearray(RECV_BUFFER))
 
     def __len__(self) -> int:
         """Bytes fed and not yet taken off as frames."""
-        return len(self._buffer)
+        return len(self.buffer)
 
     def feed(self, data: bytes) -> None:
-        self._buffer += data
-
-    def filled(self, nbytes: int) -> None:
-        """Take the ``nbytes`` the transport just read into :attr:`inbox`."""
-        self._buffer += self.inbox[:nbytes]
+        self.buffer += data
 
     def next_frame(self) -> Optional[dict]:
         """The next whole frame, or ``None`` while only part of one is in."""
-        buffer = self._buffer
+        buffer = self.buffer
         if len(buffer) < _HEADER:
             return None
-        end = _HEADER + _payload_length(buffer)
+        # the header, as :func:`_payload_length` reads it
+        (length,) = _LEN.unpack_from(buffer)
+        if length > MAX_FRAME:
+            raise ProtocolError(
+                f"peer announced a {length}-byte frame (limit {MAX_FRAME})")
+        end = _HEADER + length
         if len(buffer) < end:
             return None
         payload = buffer[_HEADER:end]
@@ -185,7 +188,8 @@ class FrameReceiver(asyncio.BufferedProtocol):
 
     The transport reads into the connection's :class:`FrameParser`
     (``recv_into`` its :attr:`~FrameParser.inbox`), and the subclass's
-    ``buffer_updated`` takes the frames off.  A plain
+    ``buffer_updated`` appends what it read to the parser's
+    :attr:`~FrameParser.buffer` and takes the frames off.  A plain
     :class:`asyncio.Protocol` has the transport allocate a new 256 KiB
     ``bytes`` for every read instead, which costs a few microseconds or
     fresh pages per frame depending on the allocator's state

@@ -148,12 +148,13 @@ class _Connection(protocol.FrameReceiver):
     def connection_made(self, transport: asyncio.BaseTransport) -> None:
         self._transport = transport
         self._session = self._server._open_session()
-        self._await_frame()
+        self._await_frame(self._loop.time())
 
     # -- read deadline
 
-    def _await_frame(self) -> None:
-        self._deadline = self._loop.time() + self._timeout
+    def _await_frame(self, now: float) -> None:
+        """Wait for a whole frame, from loop time ``now``."""
+        self._deadline = now + self._timeout
         if self._timer is None:
             self._timer = self._loop.call_at(self._deadline,
                                              self._check_deadline)
@@ -171,7 +172,8 @@ class _Connection(protocol.FrameReceiver):
     # -- requests
 
     def buffer_updated(self, nbytes: int) -> None:
-        self._frames.filled(nbytes)
+        frames = self._frames
+        frames.buffer += frames.inbox[:nbytes]
         if self._carrying is None and not self._write_paused:
             self._serve()
         elif len(self._frames) > protocol.MAX_FRAME:
@@ -179,18 +181,25 @@ class _Connection(protocol.FrameReceiver):
             self._transport.pause_reading()
 
     def _serve(self) -> None:
-        """Answer the buffered frames, in order, until one has to wait."""
+        """Answer the buffered frames, in order, until one has to wait.
+
+        A frame's arrival time is read once: every deadline test of a
+        request answered in place, and the read deadline armed after
+        it, are from that one reading.
+        """
         dispatch, session = self._server._dispatch, self._session
+        frames, clock = self._frames, self._loop.time
         try:
-            while not self._write_paused:
-                request = self._frames.next_frame()
+            while frames.buffer and not self._write_paused:
+                request = frames.next_frame()
                 if request is None:
                     return
-                step = dispatch(session, request)
+                now = clock()
+                step = dispatch(session, request, now)
                 try:
                     step.send(None)
                 except StopIteration as finished:
-                    self._respond(finished.value)
+                    self._respond(finished.value, now)
                 else:
                     self._deadline = None
                     self._carrying = self._loop.create_task(step)
@@ -199,10 +208,11 @@ class _Connection(protocol.FrameReceiver):
         except ProtocolError:
             self._transport.close()  # framing violation
 
-    def _respond(self, response: dict) -> None:
+    def _respond(self, response: dict, now: float) -> None:
+        """Write ``response``; then wait for a frame, from ``now``."""
         self._transport.write(protocol.encode_frame(response))
         if not self._write_paused:
-            self._await_frame()
+            self._await_frame(now)
 
     def _carried(self, task: "asyncio.Task") -> None:
         """The request that waited is done: answer it, serve what queued."""
@@ -213,7 +223,7 @@ class _Connection(protocol.FrameReceiver):
             self._transport.close()
         else:
             try:
-                self._respond(task.result())
+                self._respond(task.result(), self._loop.time())
             except BaseException:
                 self._transport.close()
                 raise
@@ -232,7 +242,7 @@ class _Connection(protocol.FrameReceiver):
         self._write_paused = False
         self._transport.resume_reading()
         if self._carrying is None:
-            self._await_frame()
+            self._await_frame(self._loop.time())
             self._serve()
 
     def connection_lost(self, exc: Optional[Exception]) -> None:
@@ -373,7 +383,14 @@ class StoreServer:
     # ------------------------------------------------------------------
     # request dispatch
 
-    async def _dispatch(self, session: Session, request: dict) -> dict:
+    async def _dispatch(self, session: Session, request: dict,
+                        now: float) -> dict:
+        """Answer ``request``, which arrived at loop time ``now``.
+
+        A transaction's deadline has expired when nothing of it is left
+        (``now >= deadline``), here, in a shard and at the golden gate
+        alike; a request that waited reads the clock again.
+        """
         op = request.get("op")
         if op not in protocol.OPS:
             return protocol.error_response(
@@ -385,54 +402,55 @@ class StoreServer:
             return protocol.ok_response(
                 pong=True,
                 generations=[s.generation for s in self.shards])
-        if "begin" not in request:
-            return await self._in_txn(session, op, request)
-        # a carried begin: refused, it answers the frame and nothing runs
-        response = self._do_begin(session, request["begin"])
-        if response is None:
-            txn = session.txn
-            response = await self._in_txn(session, op, request)
-            response["txn"] = txn.uid
-        return response
-
-    async def _in_txn(self, session: Session, op: str,
-                      request: dict) -> dict:
-        """The frame's carried writes, then its op, in the open txn."""
+        begun = None
+        if "begin" in request:
+            # a carried begin: refused, it answers the frame and nothing
+            # runs
+            refused = self._do_begin(session, request["begin"], now)
+            if refused is not None:
+                return refused
+            begun = session.txn.uid
+        # the frame's carried writes, then its op, in the open txn
         txn = session.txn
         if txn is None:
             return protocol.error_response("NO_TXN",
                                            f"{op} outside a transaction")
-        if self._expired(txn):
-            self._abort_txn(session, txn, "timeout")
-            return protocol.error_response("TIMEOUT",
-                                           "transaction deadline expired")
-        if txn.doomed is not None:
+        if now >= txn.deadline:
+            response = self._timed_out(session, txn,
+                                       "transaction deadline expired")
+        elif txn.doomed is not None:
             cause = txn.doomed
             self._abort_txn(session, txn, cause)
-            return self._aborted_response(session, cause)
-        if "writes" in request:
-            # the client's buffered writes, recorded before the op: all
-            # of them, or (rejected, the transaction still open) none
-            writes = request["writes"]
-            if not isinstance(writes, list) or not all(
-                    isinstance(pair, list) and len(pair) == 2
-                    and isinstance(pair[0], str) and pair[0]
-                    and pair[1] is not None for pair in writes):
-                return protocol.error_response(
-                    "BAD_REQUEST", "writes must be [non-empty key, value] "
-                    "pairs, and null is not a storable value")
-            for key, value in writes:
-                self._do_write(txn, key, value)
-        if op == "READ":
-            return await self._do_read(session, txn, request)
-        if op == "COMMIT":
-            return await self._do_commit(session, txn)
-        # ABORT
-        self._abort_txn(session, txn, "explicit")
-        return protocol.ok_response()
+            response = self._aborted_response(session, cause)
+        elif "writes" in request and not self._carried_writes(
+                txn, request["writes"]):
+            response = protocol.error_response(
+                "BAD_REQUEST", "writes must be [non-empty key, value] "
+                "pairs, and null is not a storable value")
+        elif op == "READ":
+            response = await self._do_read(session, txn, request.get("key"),
+                                           now)
+        elif op == "COMMIT":
+            response = await self._do_commit(session, txn, now)
+        else:  # ABORT
+            self._abort_txn(session, txn, "explicit")
+            response = protocol.ok_response()
+        if begun is not None:
+            response["txn"] = begun
+        return response
 
-    def _expired(self, txn: Txn) -> bool:
-        return asyncio.get_running_loop().time() > txn.deadline
+    def _carried_writes(self, txn: Txn, writes: object) -> bool:
+        """Record the client's buffered writes, before the op: all of
+        them, or (``False``: ill-formed, the transaction still open)
+        none."""
+        if not isinstance(writes, list) or not all(
+                isinstance(pair, list) and len(pair) == 2
+                and isinstance(pair[0], str) and pair[0]
+                and pair[1] is not None for pair in writes):
+            return False
+        for key, value in writes:
+            self._do_write(txn, key, value)
+        return True
 
     def _now_ms(self) -> int:
         return int(asyncio.get_running_loop().time() * 1000)
@@ -443,11 +461,18 @@ class StoreServer:
             "ABORTED", f"transaction aborted ({cause})",
             retry_after_ms=delay, cause=cause)
 
+    def _timed_out(self, session: Session, txn: Txn, detail: str) -> dict:
+        """The one ``TIMEOUT`` answer: ``txn`` aborts, and it counts as
+        one ``store_timeouts_total`` wherever its deadline ran out."""
+        self._abort_txn(session, txn, "timeout")
+        self.metrics.inc("store_timeouts_total")
+        return protocol.error_response("TIMEOUT", detail)
+
     # ------------------------------------------------------------------
     # operations
 
-    def _do_begin(self, session: Session,
-                  fields: object) -> Optional[dict]:
+    def _do_begin(self, session: Session, fields: object,
+                  now: float) -> Optional[dict]:
         """Open the session's transaction from a frame's ``begin``
         object: ``None``, or the response that refuses it."""
         if not isinstance(fields, dict):
@@ -474,18 +499,17 @@ class StoreServer:
                     session.retry.consecutive_stalls, self._rng))
         # starving? — judged before note_progress resets the stall
         # streak the sheds built up
-        starving = session.retry.starving(self._now_ms())
+        now_ms = int(now * 1000)
+        starving = session.retry.starving(now_ms)
         session.retry.note_progress()
-        session.retry.note_first_attempt(self._now_ms())
+        session.retry.note_first_attempt(now_ms)
         deadline_ms = min(deadline_ms, self.config.max_deadline_ms)
         label = fields.get("label", f"session-{session.session_id}")
         self._seq += 1
         # no commit is ever in flight outside the atomic apply step, so
         # a start timestamp is always free
         txn = Txn(uid=self._next_txn, session_id=session.session_id,
-                  label=str(label),
-                  deadline=(asyncio.get_running_loop().time()
-                            + deadline_ms / 1000.0),
+                  label=str(label), deadline=now + deadline_ms / 1000.0,
                   begin_seq=self._seq, start_ts=self.clock.next_start())
         self._next_txn += 1
         session.txn = txn
@@ -505,19 +529,12 @@ class StoreServer:
             self.metrics.inc("store_escalations_total")
         return None
 
-    async def _shard_call(self, session: Session, txn: Txn, shard: Shard,
-                          kind: str, payload: object = None
-                          ) -> Tuple[str, object]:
-        """Submit to a shard; await, bounded by the txn deadline, only
-        a command that had to queue."""
-        remaining = txn.deadline - asyncio.get_running_loop().time()
-        if remaining <= 0:
-            return (TIMEOUT, None)
-        future = shard.submit(kind, txn, payload)
-        if future.done():
-            return future.result()
+    async def _shard_wait(self, txn: Txn, future: "asyncio.Future",
+                          now: float) -> Tuple[str, object]:
+        """A shard command that had to queue: its result, bounded by
+        what is left at ``now`` of the txn deadline."""
         try:
-            return await _within(remaining, future)
+            return await _within(txn.deadline - now, future)
         except asyncio.TimeoutError:
             txn.doom("timeout")
             # the command may still run later; doom makes it a no-op
@@ -528,32 +545,31 @@ class StoreServer:
         if self._golden_holder == txn.uid and self._golden_home is None:
             self._golden_home = sid
 
-    async def _do_read(self, session: Session, txn: Txn,
-                       request: dict) -> dict:
-        key = request.get("key")
+    async def _do_read(self, session: Session, txn: Txn, key: object,
+                       now: float) -> dict:
         if not isinstance(key, str) or not key:
             return protocol.error_response("BAD_REQUEST",
                                            f"bad key {key!r}")
         sid = shard_of(key, self.config.shards)
-        shard = self.shards[sid]
-        # read-your-writes from the buffered write set
-        if (sid, key) in txn.writes:
-            value = txn.writes[(sid, key)]
-            txn.ops.append(("r", sid, key, value))
-            txn.reads += 1
-            return protocol.ok_response(value=value)
-        self._touch(txn, sid)
-        status, value = await self._shard_call(session, txn, shard,
-                                               "read", key)
-        if status != OK:
-            return self._shard_failure(session, txn, status)
-        keys = txn.read_keys.get(sid)
-        if keys is None:
-            keys = txn.read_keys[sid] = set()
-        keys.add(key)
+        writes = txn.writes
+        if (sid, key) in writes:
+            # read-your-writes from the buffered write set
+            value = writes[(sid, key)]
+        else:
+            if self._golden_holder is not None:
+                self._touch(txn, sid)
+            future = self.shards[sid].submit("read", txn, key, now)
+            status, value = (future.result() if future.done()
+                             else await self._shard_wait(txn, future, now))
+            if status != OK:
+                return self._shard_failure(session, txn, status)
+            keys = txn.read_keys.get(sid)
+            if keys is None:
+                keys = txn.read_keys[sid] = set()
+            keys.add(key)
         txn.ops.append(("r", sid, key, value))
         txn.reads += 1
-        return protocol.ok_response(value=value)
+        return {"ok": True, "value": value}
 
     def _do_write(self, txn: Txn, key: str, value: object) -> None:
         sid = shard_of(key, self.config.shards)
@@ -568,10 +584,8 @@ class StoreServer:
             self._abort_txn(session, txn, "overloaded")
             return self._overloaded_aborted(session)
         if status == TIMEOUT:
-            self._abort_txn(session, txn, "timeout")
-            self.metrics.inc("store_timeouts_total")
-            return protocol.error_response(
-                "TIMEOUT", "transaction deadline expired in a shard")
+            return self._timed_out(
+                session, txn, "transaction deadline expired in a shard")
         if status == SHUTDOWN:
             self._abort_txn(session, txn, "explicit")
             return protocol.error_response("SERVER_SHUTDOWN",
@@ -590,27 +604,32 @@ class StoreServer:
             "OVERLOADED", "shard queue full; transaction aborted",
             retry_after_ms=delay, cause="overloaded")
 
-    async def _do_commit(self, session: Session, txn: Txn) -> dict:
+    async def _do_commit(self, session: Session, txn: Txn,
+                         now: float) -> dict:
         if not txn.writes:
-            self._finish_txn(session, txn, committed=True)
-            return protocol.ok_response(commit_ts=None, read_only=True)
+            self._finish_txn(session, txn, committed=True, now=now)
+            return {"ok": True, "commit_ts": None, "read_only": True}
         by_shard: Dict[int, Dict[str, object]] = {}
         for (sid, key), value in txn.writes.items():
             by_shard.setdefault(sid, {})[key] = value
         # golden-token gate: while a starving transaction holds the
         # token, other commits touching its home shard wait
-        gate_ok = await self._golden_gate(txn)
-        if not gate_ok:
-            self._abort_txn(session, txn, "timeout")
-            self.metrics.inc("store_timeouts_total")
-            return protocol.error_response(
-                "TIMEOUT", "deadline expired waiting for escalation")
+        if self._golden_holder is not None:
+            now = await self._golden_gate(txn, now)
+            if now is None:
+                return self._timed_out(
+                    session, txn, "deadline expired waiting for escalation")
         # phase 1: take each written shard's turn
         shards = [self.shards[sid] for sid in sorted(by_shard)]
-        self._touch(txn, shards[0].shard_id)
+        if self._golden_holder is not None:
+            self._touch(txn, shards[0].shard_id)
         for shard in shards:
-            status, _ = await self._shard_call(session, txn, shard,
-                                               "prepare")
+            future = shard.submit("prepare", txn, None, now)
+            if future.done():
+                status, _ = future.result()
+            else:
+                status, _ = await self._shard_wait(txn, future, now)
+                now = asyncio.get_running_loop().time()
             if status != OK:
                 return self._shard_failure(session, txn, status)
         # phase 2: decide and apply — NO awaits from here to _finish_txn
@@ -627,11 +646,12 @@ class StoreServer:
         for shard in shards:
             shard.apply(txn, by_shard[shard.shard_id])
         self.clock.finish_commit(txn.commit_ts)
-        self._finish_txn(session, txn, committed=True, snapshot=snapshot)
-        return protocol.ok_response(
-            commit_ts={str(shard.shard_id): txn.commit_ts
-                       for shard in shards},
-            read_only=False)
+        self._finish_txn(session, txn, committed=True, snapshot=snapshot,
+                         now=now)
+        return {"ok": True,
+                "commit_ts": {str(shard.shard_id): txn.commit_ts
+                              for shard in shards},
+                "read_only": False}
 
     def _snapshot(self, txn: Txn) -> int:
         """The latest timestamp at which every read of ``txn`` still
@@ -643,23 +663,24 @@ class StoreServer:
             for sid, keys in txn.read_keys.items()) if ts is not None]
         return min(newer) - 1 if newer else self.clock.now
 
-    async def _golden_gate(self, txn: Txn) -> bool:
-        """Wait while another txn's golden token covers our shards."""
+    async def _golden_gate(self, txn: Txn, now: float) -> Optional[float]:
+        """Wait while another txn's golden token covers our shards: the
+        loop time it passed at (``None``: the deadline expired first)."""
         while (self._golden_holder is not None
                and self._golden_holder != txn.uid
                and self._golden_home is not None
                and self._golden_home in txn.touched_shards):
-            remaining = txn.deadline - asyncio.get_running_loop().time()
-            if remaining <= 0:
-                return False
+            if now >= txn.deadline:
+                return None
             try:
                 # shielded: a timeout cancels what it waited on, and
                 # this future is every waiter's
-                await _within(remaining,
+                await _within(txn.deadline - now,
                               asyncio.shield(self._golden_released))
             except asyncio.TimeoutError:
-                return False
-        return True
+                return None
+            now = asyncio.get_running_loop().time()
+        return now
 
     # ------------------------------------------------------------------
     # completion (synchronous: safe inside the atomic apply step)
@@ -677,8 +698,10 @@ class StoreServer:
 
     def _finish_txn(self, session: Session, txn: Txn, committed: bool,
                     cause: Optional[str] = None,
-                    snapshot: Optional[int] = None) -> None:
-        """End ``txn``; ``snapshot`` is the one a writer committed at."""
+                    snapshot: Optional[int] = None,
+                    now: Optional[float] = None) -> None:
+        """End ``txn``; ``snapshot`` is the one a writer committed at,
+        ``now`` the loop time of a commit (read here when not given)."""
         self._seq += 1
         row = None
         if self.monitor is not None or self._record is not None:
@@ -693,7 +716,8 @@ class StoreServer:
         self._release_golden(txn)
         if committed:
             session.committed += 1
-            session.retry.reset(self._now_ms())
+            session.retry.reset(self._now_ms() if now is None
+                                else int(now * 1000))
             self.metrics.inc("store_txn_commits_total")
         else:
             session.aborted += 1
@@ -735,7 +759,7 @@ class StoreServer:
             "schema_version": SPAN_SCHEMA_VERSION,
             "store": {
                 "shards": shards_meta,
-                "ops": [[k, s, key, v] for k, s, key, v in txn.ops],
+                "ops": txn.ops,
             },
         }
 

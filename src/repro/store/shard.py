@@ -17,9 +17,13 @@ made on every shard at the frame that carries the begin, so version GC
 and every shard's watermark respect the snapshot before the
 transaction first touches the shard.  A ``read`` or ``prepare`` command
 runs in place, inside :meth:`Shard.submit`, when nothing is queued
-ahead of it; the bounded command queue is where commands *wait* —
-behind an injected stall, or the backlog behind one — in FIFO order,
-drained by one ``call_later`` timer.  A full queue sheds the command
+ahead of it: its body returns ``(status, data)`` and ``submit`` hands
+that back on an already-resolved future, with no command object made.
+The bounded command queue is where commands *wait* — behind an
+injected stall, or the backlog behind one — in FIFO order, as
+``(kind, txn, payload, future)`` tuples drained by one ``call_later``
+timer; both paths run the one body, :meth:`Shard._execute`, and judge
+the deadline against one clock read.  A full queue sheds the command
 with a structured ``overloaded`` status — never silent queueing.  A
 ``prepare`` only takes the commit's turn: the coordinator decides the
 commit in one synchronous step that calls :meth:`Shard.validate`
@@ -42,7 +46,7 @@ commands, and the coordinator checks the doom again before it applies.
 from __future__ import annotations
 
 import asyncio
-from typing import Deque, Dict, Iterable, List, Optional
+from typing import Deque, Dict, Iterable, List, Optional, Tuple
 
 from collections import deque
 
@@ -53,29 +57,11 @@ from repro.mvm.controller import MVMController
 from repro.mvm.timestamps import GlobalClock
 from repro.store.session import StoreConfig, Txn
 
-__all__ = ["Shard", "ShardCommand"]
+__all__ = ["Shard"]
 
 #: statuses a shard command future can resolve to
 OK, CONFLICT, OVERLOADED, TIMEOUT, CRASHED, SHUTDOWN = (
     "ok", "conflict", "overloaded", "timeout", "shard-crashed", "shutdown")
-
-
-class ShardCommand:
-    """One queued shard operation, resolved through a future."""
-
-    __slots__ = ("kind", "txn", "payload", "future")
-
-    def __init__(self, kind: str, txn: Txn, payload: object,
-                 future: "asyncio.Future"):
-        self.kind = kind
-        self.txn = txn
-        self.payload = payload
-        self.future = future
-
-    def resolve(self, status: str, data: object = None) -> None:
-        """Resolve the caller's future unless it already gave up."""
-        if not self.future.done():
-            self.future.set_result((status, data))
 
 
 class Shard:
@@ -96,7 +82,8 @@ class Shard:
         self.checkpoints = CheckpointManager.for_controller(self.mvm)
         #: pinned at the publish frontier (advanced inside every apply)
         self.recovery = self.checkpoints.create()
-        self._queue: Deque[ShardCommand] = deque()
+        #: commands waiting their turn: ``(kind, txn, payload, future)``
+        self._queue: Deque[tuple] = deque()
         self._closed = False
         #: chaos: milliseconds the next queued command waits
         self._stall_ms = 0.0
@@ -114,31 +101,41 @@ class Shard:
         if self._drain is not None:
             self._drain.cancel()
             self._drain = None
+        self._fail_queued(SHUTDOWN)
+
+    def _fail_queued(self, status: str) -> None:
+        """Answer every waiting command ``status`` (unless its caller
+        gave up)."""
         while self._queue:
-            self._queue.popleft().resolve(SHUTDOWN)
+            future = self._queue.popleft()[3]
+            if not future.done():
+                future.set_result((status, None))
 
     # ------------------------------------------------------------------
     # submission (coordinator side)
 
-    def submit(self, kind: str, txn: Txn,
-               payload: object = None) -> "asyncio.Future":
+    def submit(self, kind: str, txn: Txn, payload: object = None,
+               now: Optional[float] = None) -> "asyncio.Future":
         """Run a command, in place if nothing is ahead of it.
 
-        The returned future is already resolved unless the command has
-        to wait (backlog, pending stall); a full queue sheds it as
-        ``overloaded``.
+        ``now`` is the loop time the caller read for the request (read
+        here when not given).  The returned future is already resolved
+        unless the command has to wait (backlog, pending stall); a full
+        queue sheds it as ``overloaded``.
         """
-        future = asyncio.get_running_loop().create_future()
-        command = ShardCommand(kind, txn, payload, future)
+        loop = asyncio.get_running_loop()
+        future = loop.create_future()
         if self._closed:
-            command.resolve(SHUTDOWN)
+            future.set_result((SHUTDOWN, None))
         elif not self._queue and not self._stall_ms:
-            self._execute(command)  # nothing is ahead of it
+            # nothing is ahead of it
+            future.set_result(self._execute(
+                kind, txn, payload, loop.time() if now is None else now))
         elif len(self._queue) >= self.config.shard_queue_depth:
             self.shed += 1
-            command.resolve(OVERLOADED)
+            future.set_result((OVERLOADED, None))
         else:
-            self._queue.append(command)
+            self._queue.append((kind, txn, payload, future))
             if self._drain is None:
                 self._arm_drain()
         return future
@@ -157,42 +154,44 @@ class Shard:
         """Run the queue in FIFO order, until it is empty or a stall
         injected since is owed."""
         self._drain = None
+        now = asyncio.get_running_loop().time()
         while self._queue:
             if self._stall_ms:
                 self._arm_drain()
                 return
-            self._execute(self._queue.popleft())
+            kind, txn, payload, future = self._queue.popleft()
+            if not future.done():  # its caller may have given up
+                future.set_result(self._execute(kind, txn, payload, now))
 
-    def _execute(self, command: ShardCommand) -> None:
-        """Run one command now, whichever path it took here."""
-        if command.future.done():
-            return
-        if command.txn.doomed is not None:
-            command.resolve(CONFLICT, command.txn.doomed)
-        elif asyncio.get_running_loop().time() > command.txn.deadline:
-            command.resolve(TIMEOUT)
-        elif command.kind == "read":
-            self._do_read(command)
-        elif command.kind == "prepare":
-            self._do_prepare(command)
-        else:  # pragma: no cover - commands are created in-package
-            command.resolve(CONFLICT, f"unknown command {command.kind}")
+    def _execute(self, kind: str, txn: Txn, payload: object,
+                 now: float) -> Tuple[str, object]:
+        """Run one command at loop time ``now``, whichever path it took
+        here: its ``(status, data)``.  Expired means nothing of the
+        deadline is left (``now >= deadline``), as at the server."""
+        if txn.doomed is not None:
+            return (CONFLICT, txn.doomed)
+        if now >= txn.deadline:
+            return (TIMEOUT, None)
+        if kind == "read":
+            return self._do_read(txn, payload)
+        if kind == "prepare":
+            return self._do_prepare(txn)
+        return (CONFLICT, f"unknown command {kind}")  # pragma: no cover
 
     def _do_snapshot(self, txn: Txn) -> None:
         """Register ``txn``'s snapshot here: GC keeps what it reads."""
         self.mvm.active.add(txn.start_ts)
 
-    def _do_read(self, command: ShardCommand) -> None:
-        line = self.keys.get(command.payload)
+    def _do_read(self, txn: Txn, key: str) -> Tuple[str, object]:
+        line = self.keys.get(key)
         if line is None:
-            command.resolve(OK, None)
-            return
-        data = self.mvm.snapshot_read(line, command.txn.start_ts)
-        command.resolve(OK, data[0] if data is not None else None)
+            return (OK, None)
+        data = self.mvm.snapshot_read(line, txn.start_ts)
+        return (OK, data[0] if data is not None else None)
 
-    def _do_prepare(self, command: ShardCommand) -> None:
+    def _do_prepare(self, txn: Txn) -> Tuple[str, object]:
         """Phase 1 of commit: the commit's turn in this shard's order."""
-        command.resolve(OK)
+        return (OK, None)
 
     # ------------------------------------------------------------------
     # synchronous coordinator-side phases (atomic: no awaits)
@@ -258,8 +257,7 @@ class Shard:
         """
         self.generation += 1
         self.crashes += 1
-        while self._queue:
-            self._queue.popleft().resolve(CRASHED)
+        self._fail_queued(CRASHED)
         doomed = [txn for txn in open_txns
                   if self.shard_id in txn.touched_shards]
         for txn in doomed:

@@ -7,8 +7,12 @@ snapshot pins, watermarks, crash generations).
 """
 
 import asyncio
+import os
+import sys
 
 import pytest
+
+import repro
 
 from repro.oracle.live import LiveHistoryMonitor
 from repro.store.loadgen import StoreClient, run_load
@@ -302,6 +306,33 @@ class TestOneSnapshot:
         assert monitor.violations == []
 
 
+class TestOneRequestInFlight:
+    def test_a_second_request_is_refused_not_answered_wrongly(self):
+        """A connection carries one request at a time: a second one,
+        made before the first is answered, raises, and the first gets
+        its own response."""
+        async def scenario(server, port):
+            client = await StoreClient.connect(port)
+            await client.begin()
+            await client.write("a", "A")
+            await client.write("b", "B")
+            assert (await client.commit())["ok"]
+            await client.begin()
+            first = asyncio.ensure_future(client.read("a"))
+            second = asyncio.ensure_future(client.read("b"))
+            done, _ = await asyncio.wait([first, second], timeout=2.0)
+            assert done == {first, second}
+            assert first.result()["value"] == "A"
+            with pytest.raises(RuntimeError, match="in flight"):
+                second.result()
+            # the refused request sent nothing: the connection goes on
+            assert (await client.read("b"))["value"] == "B"
+            assert (await client.commit())["ok"]
+            client.close()
+
+        drive(scenario)
+
+
 class TestStructuredErrors:
     def test_op_outside_txn_is_no_txn(self):
         async def scenario(server, port):
@@ -576,6 +607,28 @@ class TestRobustness:
 
         drive(scenario)
 
+    @pytest.mark.parametrize("op", ["read", "commit"])
+    def test_a_frame_arriving_expired_counts_one_timeout(self, op):
+        """A frame arriving after its transaction's deadline is one
+        timeout, as an expiry in a shard wait is: one
+        ``store_timeouts_total`` and one timeout abort."""
+        async def scenario(server, port):
+            client = await StoreClient.connect(port)
+            await client.begin(deadline_ms=20)
+            assert (await client.read("k"))["ok"]   # starts the deadline
+            await client.write("k", 1)
+            await asyncio.sleep(0.05)
+            expired = await (client.commit() if op == "commit"
+                             else client.read("k"))
+            assert expired["error"] == "TIMEOUT"
+            assert server.metrics.counter("store_timeouts_total") == 1
+            assert server.metrics.counter("store_txn_aborts_total",
+                                          cause="timeout") == 1
+            assert is_clean(server)
+            client.close()
+
+        drive(scenario)
+
     def test_disconnect_aborts_and_unpins(self):
         async def scenario(server, port):
             client = await StoreClient.connect(port)
@@ -753,15 +806,51 @@ class TestHopBudget:
         assert counts["call_at"] <= 2          # amortised: none per request
         assert counts["call_soon"] <= requests + 10
 
+    def test_read_round_trip_runs_few_python_frames(self):
+        """Count the Python frames of ``repro`` code that 200 READ round
+        trips run, both ends together (a coroutine resumed counts again).
+
+        About one frame per layer and end: the client's ``read``, the
+        framing, the server's dispatch and READ, the shard's submit and
+        body.  The bound fails a path that regrows a helper per layer.
+        """
+        requests = 200
+        package = os.path.dirname(repro.__file__) + os.sep
+
+        async def scenario(server, port):
+            client = await StoreClient.connect(port)
+            await client.begin()
+            for i in range(8):             # pin every shard first
+                assert (await client.read(f"key-{i}"))["ok"]
+            frames = 0
+
+            def profile(frame, event, arg):
+                nonlocal frames
+                if (event == "call"
+                        and frame.f_code.co_filename.startswith(package)):
+                    frames += 1
+
+            sys.setprofile(profile)
+            try:
+                for i in range(requests):
+                    assert (await client.read(f"key-{i % 8}"))["ok"]
+            finally:
+                sys.setprofile(None)
+            await client.commit()
+            client.close()
+            return frames
+
+        assert drive(scenario) <= 24 * requests
+
 
 def count_frames(server):
     """The requests the server dispatches from now on, as parsed."""
     parsed = []
     dispatch = server._dispatch
 
-    def counting(session, request):
+    def counting(session, request, now):
         parsed.append(dict(request))
-        return dispatch(session, request)
+        return dispatch(session, request, now)
 
     server._dispatch = counting
     return parsed
@@ -1147,10 +1236,8 @@ class TestLateWrapping:
         look them up per call; ``submit`` has to hand back a future."""
         from repro.store import protocol
 
-        seen = {"submit": 0, "pins": 0, "apply": 0, "frames": 0,
-                "requests": 0}
-        #: id -> command (held, so that no id is handed out twice)
-        executed = {}
+        seen = {"submit": 0, "bodies": 0, "pins": 0, "apply": 0,
+                "frames": 0, "requests": 0}
 
         def wrap(owner, attr, note):
             real = getattr(owner, attr)
@@ -1176,8 +1263,7 @@ class TestLateWrapping:
             for shard in server.shards:
                 wrap(shard, "submit", note_submit)
                 for body in ("_do_read", "_do_prepare"):
-                    wrap(shard, body, lambda args, _: executed.setdefault(
-                        id(args[0]), args[0]))
+                    wrap(shard, body, count("bodies"))
                 wrap(shard, "_do_snapshot", count("pins"))
                 wrap(shard, "apply", count("apply"))
             stats = await run_load(port, sessions=4, txns_per_session=50,
@@ -1190,7 +1276,7 @@ class TestLateWrapping:
         # a clean load dooms and sheds nothing: each submitted command
         # reached exactly one body, and each begin registered its
         # snapshot in place on both shards
-        assert seen["submit"] == len(executed) > 200
+        assert seen["submit"] == seen["bodies"] > 200
         assert seen["pins"] >= 2 * 200
         assert seen["apply"] == applies > 0
         # the encoder sees both ends, a request and its response per
