@@ -131,6 +131,13 @@ class MVMController:
         vlist = self._lines.get(line)
         if vlist is None:
             return None
+        stamps = vlist._timestamps
+        if stamps and stamps[-1] <= start_ts:
+            # newest-visible, the dominant case (most snapshots are
+            # younger than the newest version): depth 1, no bisect
+            if self.census is not None:
+                self.census.record(1)
+            return vlist._data[-1]
         data, depth = vlist.read_at(start_ts)
         if self.census is not None and depth:
             self.census.record(depth)
@@ -381,8 +388,10 @@ class MVMController:
     def plain_read(self, line: int) -> Optional[LineData]:
         """Non-transactional read: the newest version."""
         vlist = self._lines.get(line)
-        # an emptied list answers None itself; no need to measure it
-        return vlist.newest_data() if vlist is not None else None
+        if vlist is None:
+            return None
+        data = vlist._data
+        return data[-1] if data else None
 
     def plain_write(self, line: int, data: LineData) -> None:
         """Non-transactional write: modify the most current version in place."""

@@ -48,6 +48,8 @@ class VersionList:
     __slots__ = ("_timestamps", "_data", "_installers", "_base_dropped")
 
     def __init__(self) -> None:
+        # MVMController's per-access reads (plain_read, snapshot_read's
+        # newest-visible case) index these two lists directly
         self._timestamps: List[int] = []
         self._data: List[LineData] = []
         # Parallel to ``_timestamps``: the opaque identity of the
@@ -94,10 +96,6 @@ class VersionList:
         """
         if not self._timestamps:
             return None, 0
-        if self._timestamps[-1] <= start_ts:
-            # newest-visible fast path: the dominant case (most snapshots
-            # are younger than the newest version) skips the bisect
-            return self._data[-1], 1
         idx = bisect.bisect_right(self._timestamps, start_ts) - 1
         if idx < 0:
             if self._base_dropped:

@@ -43,7 +43,7 @@ from repro.common.errors import (
     SimulationError,
     TransactionAborted,
 )
-from repro.sim.stats import RunStats
+from repro.sim.stats import RunStats, ThreadStats
 from repro.tm.api import StallRequested, TMSystem, Txn
 from repro.tm.ops import Abort, Compute, Op, Read, Write
 
@@ -140,14 +140,17 @@ def skipped_polls(clock: int, thread_id: int, now: int, waker: int,
 class _ThreadState:
     """Mutable execution state of one simulated thread."""
 
-    __slots__ = ("thread_id", "specs", "spec", "txn", "gen", "pending",
-                 "retries", "clock", "done", "redo_op",
+    __slots__ = ("thread_id", "specs", "stats", "spec", "txn", "gen",
+                 "pending", "retries", "clock", "done", "redo_op",
                  "first_attempt_clock", "consecutive_stalls", "queued",
                  "parked")
 
-    def __init__(self, thread_id: int, specs: Iterator[TransactionSpec]):
+    def __init__(self, thread_id: int, specs: Iterator[TransactionSpec],
+                 stats: ThreadStats):
         self.thread_id = thread_id
         self.specs = specs
+        #: this thread's row of the run's statistics
+        self.stats = stats
         self.spec: Optional[TransactionSpec] = None
         self.txn: Optional[Txn] = None
         self.gen: Optional[Generator] = None
@@ -222,15 +225,19 @@ class Engine:
         # time twice; in a deterministic simulator, charging them equally
         # can lock two eager transactions into mutually aborting forever.
         self._restart_jitter = tm.rng.split("engine-restart-jitter")
-        self.threads: List[_ThreadState] = [
-            _ThreadState(i, iter(program))
-            for i, program in enumerate(programs)]
-        if len(self.threads) > self.machine.config.machine.cores:
+        programs = list(programs)
+        if len(programs) > self.machine.config.machine.cores:
             raise SimulationError(
-                f"{len(self.threads)} threads exceed "
+                f"{len(programs)} threads exceed "
                 f"{self.machine.config.machine.cores} cores")
-        self.stats = RunStats(len(self.threads))
+        self.stats = RunStats(len(programs))
         tm.stats = self.stats
+        self.threads: List[_ThreadState] = [
+            _ThreadState(i, iter(program), self.stats.threads[i])
+            for i, program in enumerate(programs)]
+        # bound once: the step calls it per simulated load (a traced
+        # pass has wrapped the instance attribute by now)
+        self._read = tm.read
         self._steps = 0
         #: fault injector shared with the machine/MVM (None — the
         #: default — when the config carries no active plan)
@@ -253,9 +260,12 @@ class Engine:
         #: for that thread's one wake push — so pushes never exceed
         #: steps + threads
         self._heap_pushes = 0
-        #: the scheduler heap of the run in progress: one entry per live
-        #: thread that is off the CPU and not parked
-        self._heap: List[tuple] = []
+        #: the scheduler heap of the run in progress: one key
+        #: ``clock * threads + thread_id`` per live thread that is off the
+        #: CPU and not parked.  With ``0 <= thread_id < threads`` and
+        #: integer clocks, the keys sort as the ``(clock, thread_id)``
+        #: pairs they encode.
+        self._heap: List[int] = []
         self._max_steps = float("inf")
 
     # ------------------------------------------------------------------
@@ -270,27 +280,25 @@ class Engine:
         the gate opens (:meth:`_wake_head`).
         """
         threads = self.threads
+        n = len(threads)
         step = self._step
         heappush = heapq.heappush
         heappop = heapq.heappop
         inf = float("inf")
         limit = self._max_steps = inf if max_steps is None else max_steps
-        heap = self._heap = [(t.clock, t.thread_id) for t in threads]
+        heap = self._heap = [t.clock * n + t.thread_id for t in threads]
         heapq.heapify(heap)
         self._heap_pushes += len(heap)
         while heap:
-            tid = heappop(heap)[1]
+            tid = heappop(heap) % n
             thread = threads[tid]
             # Burst scheduling: the popped thread keeps the CPU while it
             # is still the schedule minimum.  Popping the minimum right
             # after pushing it is the identity, so skipping the pair
             # cannot reorder the schedule; and the heap — hence its head,
-            # cached here as two scalars — changes meanwhile only when a
-            # step wakes a parked thread, which the step reports.
-            if heap:
-                head_clock, head_tid = heap[0]
-            else:
-                head_clock, head_tid = inf, -1
+            # cached here — changes meanwhile only when a step wakes a
+            # parked thread, which the step reports.
+            head = heap[0] if heap else inf
             while True:
                 if self._steps >= limit:
                     raise self._step_limit_error()
@@ -299,15 +307,14 @@ class Engine:
                     # the rare outcomes: finished, parked, or woke a
                     # parked thread (a push, so the cached head is stale)
                     if thread.done:
-                        self.stats.threads[tid].cycles = thread.clock
+                        thread.stats.cycles = thread.clock
                         break
                     if thread.parked:
                         break
-                    head_clock, head_tid = heap[0]
-                clock = thread.clock
-                if head_clock < clock or (head_clock == clock
-                                          and head_tid < tid):
-                    heappush(heap, (clock, tid))
+                    head = heap[0]
+                key = thread.clock * n + tid
+                if head < key:
+                    heappush(heap, key)
                     self._heap_pushes += 1
                     break
         if any(t.parked for t in threads):
@@ -358,8 +365,25 @@ class Engine:
             except TransactionAborted as aborted:
                 return self._abort(thread, aborted.cause)
         thread.pending = None
+        self._no_progress = 0
         try:
-            self._dispatch(thread, txn, op)
+            if type(op) is Read:
+                # the dominant operation, executed here rather than in
+                # _dispatch: one call less per simulated load
+                promote = (op.promote
+                           or thread.spec.serializable
+                           or (op.site in self.promote_sites
+                               if self.promote_sites else False))
+                value, cycles = self._read(txn, op.addr, promote)
+                thread.pending = value
+                thread.clock += cycles
+                if self.profiler is not None:
+                    self.profiler.account(thread.thread_id, "read", cycles)
+                thread.stats.reads += 1
+                if self._on_read is not None:
+                    self._on_read(txn, op.addr, op.site, value)
+            else:
+                self._dispatch(thread, txn, op)
         except StallRequested as stall:
             thread.clock += stall.cycles
             if self.profiler is not None:
@@ -371,27 +395,13 @@ class Engine:
         return False
 
     def _dispatch(self, thread: _ThreadState, txn: Txn, op: Op) -> None:
-        self._no_progress = 0
-        tstats = self.stats.threads[thread.thread_id]
-        if type(op) is Read:
-            promote = (op.promote
-                       or thread.spec.serializable
-                       or (op.site in self.promote_sites
-                           if self.promote_sites else False))
-            value, cycles = self.tm.read(txn, op.addr, promote=promote)
-            thread.pending = value
-            thread.clock += cycles
-            if self.profiler is not None:
-                self.profiler.account(thread.thread_id, "read", cycles)
-            tstats.reads += 1
-            if self._on_read is not None:
-                self._on_read(txn, op.addr, op.site, value)
-        elif type(op) is Write:
+        """Execute a Write, Compute or Abort (reads run in _step)."""
+        if type(op) is Write:
             cycles = self.tm.write(txn, op.addr, op.value)
             thread.clock += cycles
             if self.profiler is not None:
                 self.profiler.account(thread.thread_id, "write", cycles)
-            tstats.writes += 1
+            thread.stats.writes += 1
             if self._on_write is not None:
                 self._on_write(txn, op.addr, op.site, op.value)
         elif type(op) is Compute:
@@ -423,7 +433,8 @@ class Engine:
                 thread.parked = True
                 return True
             return False
-        self._catch_up(thread)
+        if self._escalation_queue:
+            self._catch_up(thread)
         if self.faults is not None and self.faults.begin_stall():
             # injected stall storm: the begin request never reaches the
             # TM system (a saturated timestamp-issue port)
@@ -531,11 +542,12 @@ class Engine:
         """Charge parked threads the polls due before ``thread``'s step.
 
         Called with ``thread.clock`` still the clock its step was
-        scheduled at, before each begin, commit and abort (a no-op
-        while the queue is empty): those are the calls that change what
-        a stall hook can observe (the MVM's version lists, sampled by
-        ``TimeSeriesSampler`` as windows close), so every replayed hook
-        sees the state its poll would have seen.
+        scheduled at, before each begin, commit and abort while the
+        queue is non-empty (nothing is parked otherwise): those are the
+        calls that change what a stall hook can observe (the MVM's
+        version lists, sampled by ``TimeSeriesSampler`` as windows
+        close), so every replayed hook sees the state its poll would
+        have seen.
         """
         for tid in self._escalation_queue:
             parked = self.threads[tid]
@@ -564,7 +576,8 @@ class Engine:
         if not head.parked:
             return False
         head.parked = False
-        heapq.heappush(self._heap, (head.clock, head.thread_id))
+        heapq.heappush(self._heap,
+                       head.clock * len(self.threads) + head.thread_id)
         self._heap_pushes += 1
         return True
 
@@ -579,7 +592,8 @@ class Engine:
             # the backend's own declared cause so oracle cause checks
             # treat it like any legal abort
             return self._abort(thread, self.tm.SPURIOUS_ABORT_CAUSE)
-        self._catch_up(thread)
+        if self._escalation_queue:
+            self._catch_up(thread)
         cycles = self.tm.commit(txn, thread.clock)
         thread.clock += cycles
         if self.profiler is not None:
@@ -599,7 +613,8 @@ class Engine:
         """Abort ``thread``'s transaction; truthy as for :meth:`_step`."""
         txn = thread.txn
         assert txn is not None
-        self._catch_up(thread)
+        if self._escalation_queue:
+            self._catch_up(thread)
         cycles = self.tm.abort(txn, cause)
         jitter = self._restart_jitter.randrange(16)
         thread.clock += cycles + jitter

@@ -245,6 +245,11 @@ class TMSystem:
     #: detector would raise; must be a member of ``ABORT_CAUSES`` so
     #: the oracle's cause check treats injected aborts as legal
     SPURIOUS_ABORT_CAUSE = AbortCause.EXPLICIT
+    #: built-in hardware read-/write-set tracking capacity (cache
+    #: lines) where no config knob sets one; ``0`` = the paper's perfect
+    #: sets (HybridHTM declares finite ones)
+    HW_READ_LINES = 0
+    HW_WRITE_LINES = 0
 
     def __init__(self, machine: Machine, rng: SplitRandom):
         self.machine = machine
@@ -280,24 +285,29 @@ class TMSystem:
         self._broadcast_cost = machine.interconnect.broadcast_cost
         #: declared capacity bounds, resolved once: tracked read lines,
         #: tracked write lines, speculative version-buffer entries.
-        #: ``0`` = unbounded (the default, matching the paper's perfect
-        #: sets); backends with built-in hardware bounds (HybridHTM)
-        #: override these in their constructors.
+        #: ``0`` = unbounded; a config knob wins over the backend's
+        #: built-in ``HW_*_LINES``.
         tm_cfg = self.config.tm
-        self.read_set_limit = tm_cfg.read_set_limit
-        self.write_set_limit = tm_cfg.write_set_limit
+        self.read_set_limit = tm_cfg.read_set_limit or self.HW_READ_LINES
+        self.write_set_limit = tm_cfg.write_set_limit or self.HW_WRITE_LINES
         self.version_buffer_limit = tm_cfg.version_buffer_limit
         #: set by the engine while a golden-token transaction runs: an
         #: escalated transaction executes like a software fallback, so
         #: hardware capacity bounds do not apply — this is what keeps
         #: "any limit x any seed terminates" true under retry policies
         self.capacity_suppressed = False
-        #: fault injector, only when its plan squeezes capacity — every
-        #: capacity check is two int tests when no bound is configured
+        #: fault injector, only when its plan squeezes capacity
         faults = machine.faults
         self._capacity_faults = (
             faults if faults is not None
             and faults.plan.squeezes_capacity() else None)
+        #: whether any capacity bound applies (one of the limits above
+        #: or a capacity-squeezing fault plan): every charge site calls
+        #: ``_charge_*_capacity`` only then, so an unbounded run pays one
+        #: attribute test per site and no call
+        self._capacity_bounded = bool(
+            self.read_set_limit or self.write_set_limit
+            or self.version_buffer_limit or self._capacity_faults)
         #: next transaction uid; every successful begin registers exactly
         #: one transaction, so uids equal global begin order — the same
         #: order the span recorder indexes spans by
@@ -461,11 +471,9 @@ class TMSystem:
     def _charge_read_capacity(self, txn: Txn, line: int) -> None:
         """Charge the tracked read set against the read-set bound.
 
-        Called at every read-line *tracking* site — systems with
-        invisible readers (SI-TM) track no read lines and therefore
-        never charge read capacity.  Both the declared limit and any
-        fault-plan squeeze are two int tests when unconfigured, so the
-        unlimited path stays byte-identical to pre-capacity behaviour.
+        Called at every read-line *tracking* site while
+        ``_capacity_bounded`` — systems with invisible readers (SI-TM)
+        track no read lines and therefore never charge read capacity.
         """
         if self.capacity_suppressed:
             return

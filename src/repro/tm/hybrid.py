@@ -68,13 +68,6 @@ class HybridHTM(TwoPhaseLockingTM):
 
     def __init__(self, machine: Machine, rng: SplitRandom):
         super().__init__(machine, rng)
-        # hardware bounds are intrinsic here: explicit config knobs win,
-        # the built-in footprints apply otherwise (unlike the other
-        # backends, whose sets are perfect unless configured)
-        if not self.read_set_limit:
-            self.read_set_limit = self.HW_READ_LINES
-        if not self.write_set_limit:
-            self.write_set_limit = self.HW_WRITE_LINES
         self.hw_attempts = (self.config.tm.hybrid_hw_attempts
                             or self.HW_ATTEMPTS)
         #: threads currently executing in the serial fallback section

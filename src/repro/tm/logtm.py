@@ -120,7 +120,8 @@ class EagerLogTM(TMSystem):
         if line not in txn.read_lines:
             cycles += self._broadcast_cost()
             txn.read_lines.add(line)
-            self._charge_read_capacity(txn, line)
+            if self._capacity_bounded:
+                self._charge_read_capacity(txn, line)
         # eager versioning: memory always holds this txn's own writes
         return self._newest_word(addr, line), cycles
 
@@ -138,10 +139,12 @@ class EagerLogTM(TMSystem):
                 line, except_core=txn.thread_id)
             self._track_write(txn, line)
             self._check_version_buffer(txn)
-            self._charge_write_capacity(txn, line)
+            if self._capacity_bounded:
+                self._charge_write_capacity(txn, line)
         # in-place update with undo logging
         txn.undo_log.append((addr, self._newest_word(addr, line)))
-        self._charge_version_capacity(txn, line, len(txn.undo_log))
+        if self._capacity_bounded:
+            self._charge_version_capacity(txn, line, len(txn.undo_log))
         self.machine.plain_store(addr, value)
         return cycles
 

@@ -22,8 +22,6 @@ into the write set for conflict detection but creates no new data version.
 
 from __future__ import annotations
 
-import sys
-
 
 class Op:
     """Base class of all operation descriptors."""
@@ -39,9 +37,7 @@ class Read(Op):
     def __init__(self, addr: int, promote: bool = False, site: str = ""):
         self.addr = addr
         self.promote = promote
-        # sites repeat per call site; interning makes every later
-        # dict/set probe on them a pointer comparison
-        self.site = sys.intern(site) if site else site
+        self.site = site
 
     def __repr__(self) -> str:
         flags = ", promote=True" if self.promote else ""
@@ -56,7 +52,7 @@ class Write(Op):
     def __init__(self, addr: int, value: int, site: str = ""):
         self.addr = addr
         self.value = value
-        self.site = sys.intern(site) if site else site
+        self.site = site
 
     def __repr__(self) -> str:
         return f"Write({self.addr:#x}, {self.value})"

@@ -178,9 +178,11 @@ class SnapshotIsolationTM(TMSystem):
         line = addr // self._wpl
         if line not in txn.write_lines:
             txn.write_lines.add(line)
-            self._charge_write_capacity(txn, line)
+            if self._capacity_bounded:
+                self._charge_write_capacity(txn, line)
         txn.write_buffer[addr] = value
-        self._charge_version_capacity(txn, line, len(txn.write_buffer))
+        if self._capacity_bounded:
+            self._charge_version_capacity(txn, line, len(txn.write_buffer))
         # Lazy detection: no coherence messages (section 4.2); the line is
         # simply marked transactionally written in the L1 (write-allocate).
         cycles, evicted = self._access_tracked(txn.thread_id, line)

@@ -106,7 +106,8 @@ class SerializableSITM(SnapshotIsolationTM):
         line = self.amap.line_of(addr)
         if line not in txn.read_lines:
             txn.read_lines.add(line)
-            self._charge_read_capacity(txn, line)
+            if self._capacity_bounded:
+                self._charge_read_capacity(txn, line)
         return value, cycles
 
     def _prune_window(self) -> None:

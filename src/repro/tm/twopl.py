@@ -73,7 +73,8 @@ class TwoPhaseLockingTM(TMSystem):
                     if other is not txn:
                         other.doom(AbortCause.READ_WRITE, line, txn)
             txn.read_lines.add(line)
-            self._charge_read_capacity(txn, line)
+            if self._capacity_bounded:
+                self._charge_read_capacity(txn, line)
         return self._newest_word(addr, line), cycles
 
     def write(self, txn: Txn, addr: int, value: int) -> int:
@@ -91,9 +92,11 @@ class TwoPhaseLockingTM(TMSystem):
                 line, except_core=txn.thread_id)
             self._track_write(txn, line)
             self._check_version_buffer(txn)
-            self._charge_write_capacity(txn, line)
+            if self._capacity_bounded:
+                self._charge_write_capacity(txn, line)
         txn.write_buffer[addr] = value
-        self._charge_version_capacity(txn, line, len(txn.write_buffer))
+        if self._capacity_bounded:
+            self._charge_version_capacity(txn, line, len(txn.write_buffer))
         return cycles
 
     def commit(self, txn: Txn, now: int) -> int:

@@ -49,3 +49,39 @@ class TestVersionCensus:
         a.merge(b)
         assert a.count(1) == 2
         assert a.count(2) == 1
+
+
+class TestControllerCensus:
+    """What ``MVMController.snapshot_read`` records, pinned as counts.
+
+    Table 2 is read off this census, so a faster read path must record
+    the histogram the reference path did: depth 1 for a snapshot that
+    sees the newest version (the common case, which the controller
+    answers without ``VersionList.read_at``), the version's age rank
+    for an older snapshot, one past the list for the implicit base,
+    and nothing for a line never written.
+    """
+
+    def test_depth_histogram_over_a_multi_version_line(self):
+        from repro.common.config import MVMConfig
+        from repro.mem.address import MVM_REGION_BASE, AddressMap
+        from repro.mvm.controller import MVMController
+
+        line = MVM_REGION_BASE // 8
+        mvm = MVMController(MVMConfig(census=True, max_versions=8),
+                            AddressMap(8))
+        for ts in range(10, 80, 10):
+            mvm.active.add(ts - 5)     # a live snapshot keeps each version
+            mvm.install_line(line, ts, (ts,) * 8)
+        assert mvm.versions_of(line) == (10, 20, 30, 40, 50, 60, 70)
+        reads = {75: 70, 70: 70, 65: 60, 55: 50, 45: 40, 35: 30, 25: 20,
+                 15: 10, 5: None}
+        for _ in range(3):
+            for start_ts, version in reads.items():
+                data = mvm.snapshot_read(line, start_ts)
+                assert data == (None if version is None else (version,) * 8)
+            assert mvm.snapshot_read(line + 1, 75) is None
+        rows = {r["version"]: r["accesses"] for r in mvm.census.rows()}
+        assert rows == {"1st": 6, "2nd": 3, "3rd": 3, "4th": 3, "5th": 3,
+                        "tail": 9}
+        assert mvm.census.total == 27

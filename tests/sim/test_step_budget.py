@@ -1,0 +1,75 @@
+"""Host cost of one engine step, counted in Python calls.
+
+Every figure is a grid of simulated cells, so the Python calls one
+simulated operation costs bound how large a grid is practical.  This
+counts the calls of ``repro`` code per engine step on two quick
+16-thread cells (an eager baseline and SI-TM), leaving out the
+simulated program's own frames (``repro.workloads`` and
+``repro.structures``: the transaction bodies and the data structures
+they walk).  A generator resumed counts as a call.
+
+The counts are deterministic (a cell is a pure function of its seed)
+but depend a little on the interpreter (3.12 inlines comprehensions
+and profiles through ``sys.monitoring``); each bound sits just above
+the largest count over Python 3.10, 3.11 and 3.12, so a change that
+puts a helper back on the per-operation path fails here.
+"""
+
+import os
+import sys
+
+import pytest
+
+import repro
+import repro.harness.runner as runner
+from repro.sim.engine import Engine
+
+PACKAGE = os.path.dirname(repro.__file__) + os.sep
+PROGRAM = tuple(PACKAGE + part + os.sep
+                for part in ("workloads", "structures"))
+
+#: (workload, system) -> bound on repro calls per engine step
+BUDGET = {
+    ("list", "SONTM"): 6.9,
+    ("kmeans", "SI-TM"): 7.0,
+}
+
+
+class CountingEngine(Engine):
+    """An engine whose run counts the simulator's Python calls."""
+
+    calls = 0
+
+    def run(self, max_steps=None):
+        calls = 0
+
+        def profile(frame, event, arg):
+            nonlocal calls
+            if event == "call":
+                name = frame.f_code.co_filename
+                if name.startswith(PACKAGE) and not name.startswith(PROGRAM):
+                    calls += 1
+
+        sys.setprofile(profile)
+        try:
+            return super().run(max_steps)
+        finally:
+            sys.setprofile(None)
+            self.calls = calls
+
+
+@pytest.mark.parametrize("workload, system", sorted(BUDGET))
+def test_calls_per_step(monkeypatch, workload, system):
+    engines = []
+
+    def build(*args, **kwargs):
+        engine = CountingEngine(*args, **kwargs)
+        engines.append(engine)
+        return engine
+
+    monkeypatch.setattr(runner, "Engine", build)
+    result = runner.run_once(workload, system, 16, 1, "quick")
+    assert result.verified is not False
+    engine, = engines
+    per_step = engine.calls / engine.steps_taken
+    assert per_step <= BUDGET[workload, system], per_step

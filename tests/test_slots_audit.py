@@ -20,6 +20,7 @@ from repro.mvm.timestamps import ActiveTransactionTable, GlobalClock
 from repro.mvm.version_list import VersionList
 from repro.obs.spans import Span
 from repro.sim.engine import _ThreadState
+from repro.sim.stats import ThreadStats
 from repro.tm.api import CommitToken, Txn
 from repro.tm.backoff import ExponentialBackoff, NoBackoff
 from repro.tm.ops import Abort, Compute, Op, Read, Write
@@ -86,7 +87,7 @@ def test_slots_actually_reject_stray_attributes(cls):
     elif cls is Txn:
         instance = cls(0, "audit", 0)
     elif cls is _ThreadState:
-        instance = cls(0, iter(()))
+        instance = cls(0, iter(()), ThreadStats(0))
     elif cls is VersionList:
         instance = cls()
     else:
