@@ -33,7 +33,6 @@ def _isolated_result_cache(tmp_path, monkeypatch):
     """
     monkeypatch.setenv("SITM_CACHE_DIR", str(tmp_path / "result-cache"))
     monkeypatch.setenv("SITM_FUZZ_DIR", str(tmp_path / "fuzz"))
-    monkeypatch.setenv("SITM_BENCH_DIR", str(tmp_path / "bench"))
     monkeypatch.setenv("SITM_FLIGHT_DIR", str(tmp_path / "flight"))
 
 

@@ -1,14 +1,6 @@
-"""``repro.perf`` — the bench artifact format and host-side micro grids.
+"""``repro.perf`` — the capacity config perfbench reads.
 
-:mod:`repro.perf.bench` is the ``BENCH_<label>.json`` format
-``sitm-store bench`` writes.  :mod:`repro.perf.micro` is run as
-``python -m repro.perf.micro`` and deliberately not imported here: runpy
-warns when a package has already imported the module it executes.
+:mod:`repro.perf.bench` holds :data:`~repro.perf.bench.CAPACITY_CONFIG`
+and the ``SUITES`` table perfbench imports by module name; host time is
+measured by perfbench alone.  Nothing is re-exported here.
 """
-
-from repro.perf.bench import (CAPACITY_CONFIG, artifact_path,
-                              load_artifact, save_artifact,
-                              validate_artifact)
-
-__all__ = ["CAPACITY_CONFIG", "artifact_path", "load_artifact",
-           "save_artifact", "validate_artifact"]

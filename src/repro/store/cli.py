@@ -7,9 +7,8 @@ Subcommands:
   second port; ``--record`` persists every completed transaction as
   corpus-compatible JSONL.
 * ``bench`` — stand up an in-process server, drive it with the
-  closed-loop Zipfian load generator, save a ``BENCH_<label>.json``
-  artifact validated against the ``sitm-bench`` schema, and print the
-  stats; exits 1 if the live monitor saw any SI violation.
+  closed-loop Zipfian load generator and print the stats as JSON;
+  exits 1 if the live monitor saw any SI violation.
 * ``chaos`` — run a seeded :class:`~repro.store.chaos.ChaosPlan`
   campaign and print its report; ``--broken no-fcw`` and ``--broken
   per-shard-pin`` run the monitor self-tests (exit 0 *only if* the
@@ -35,7 +34,7 @@ from typing import List, Optional
 from repro.common.errors import ConfigError, cli_exit_code
 from repro.oracle.live import LiveHistoryMonitor, check_rows
 from repro.store.chaos import BROKEN_MODES, ChaosPlan, run_chaos_campaign
-from repro.store.loadgen import bench_artifact, run_load
+from repro.store.loadgen import run_load
 from repro.store.server import StoreServer
 from repro.store.session import StoreConfig
 
@@ -95,10 +94,6 @@ async def _bench(args: argparse.Namespace) -> int:
             pathlib.Path(args.scrape).write_bytes(body)
     finally:
         await server.stop()
-    artifact = bench_artifact(stats, label=args.label, seed=config.seed)
-    from repro.perf.bench import save_artifact
-    path = save_artifact(artifact, args.out)
-    stats["artifact"] = str(path)
     stats["violations"] = [v.to_dict() for v in monitor.violations]
     print(json.dumps(stats, indent=2, sort_keys=True))
     return 1 if monitor.violations else 0
@@ -175,7 +170,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench = sub.add_parser("bench", help="closed-loop Zipfian bench "
                                          "against an in-process server")
     common(bench)
-    bench.add_argument("--label", default="store")
     bench.add_argument("--sessions", type=int, default=4)
     bench.add_argument("--txns", type=int, default=50)
     bench.add_argument("--keys", type=int, default=64)
@@ -183,8 +177,6 @@ def build_parser() -> argparse.ArgumentParser:
                        dest="zipf_theta")
     bench.add_argument("--write-fraction", type=float, default=0.5,
                        dest="write_fraction")
-    bench.add_argument("--out", default=None,
-                       help="artifact directory (default: bench_dir)")
     bench.add_argument("--scrape", default=None,
                        help="write a /metrics scrape to this path")
 

@@ -1,4 +1,4 @@
-"""Closed-loop Zipfian load generation and the store bench artifact.
+"""Closed-loop Zipfian load generation against the store.
 
 :class:`StoreClient` is the canonical wire client — framing, the
 ``READ``/``COMMIT``/``ABORT`` verbs (a begin rides on the transaction's
@@ -21,14 +21,11 @@ replay deterministically.
 
 :func:`run_load` is a closed loop: each of ``sessions`` workers keeps
 exactly one logical transaction in flight, retrying it until it commits
-or its attempt budget is spent, then moves to the next.  The resulting
-stats map onto the repo's BENCH artifact schema via
-:func:`bench_artifact` (deterministic section: counts and rates under a
-pinned seed; advisory section: wall clock and latency percentiles), so
-``sitm-store bench`` artifacts validate against
-:func:`repro.perf.bench.validate_artifact`.  Beside the transaction,
-every ``READ`` and ``COMMIT`` round trip is timed (``read_p50_ms`` ...
-``commit_p99_ms``).
+or its attempt budget is spent, then moves to the next.  It returns
+counts and rates (deterministic under a pinned seed) beside the wall
+clock and latency percentiles (which measure the host): the
+transaction, and every ``READ`` and ``COMMIT`` round trip inside one
+(``read_p50_ms`` ... ``commit_p99_ms``).
 """
 
 from __future__ import annotations
@@ -43,7 +40,7 @@ from repro.common.errors import ConfigError, ProtocolError
 from repro.common.rng import SplitRandom
 from repro.store import protocol
 
-__all__ = ["StoreClient", "ZipfKeys", "run_load", "bench_artifact"]
+__all__ = ["StoreClient", "ZipfKeys", "run_load"]
 
 #: what :func:`run_load` times: the logical transaction, and each READ
 #: and COMMIT round trip inside one (a write makes none of its own)
@@ -309,46 +306,3 @@ async def run_load(port: int, host: str = "127.0.0.1", sessions: int = 4,
                        if stats["attempts"] else 0.0),
     })
     return stats
-
-
-def bench_artifact(stats: dict, label: str = "store",
-                   seed: int = 0) -> dict:
-    """Map load stats onto the ``sitm-bench`` v1 artifact schema.
-
-    One cell (``store/kv/t<sessions>``); the counts and rates are
-    deterministic under a pinned seed and single-host serial timing is
-    advisory, matching the schema's trust split.  ``makespan_cycles``
-    carries elapsed microseconds — the store has no simulated clock, and
-    ``validate_artifact`` requires the field of every cell.
-    """
-    from repro.common.fingerprint import code_fingerprint
-    from repro.perf.bench import SCHEMA, SCHEMA_VERSION
-    cell = {
-        "throughput": stats["throughput_txn_s"],
-        "throughput_rel_stddev": 0.0,
-        "abort_rate": stats["abort_rate"],
-        "abort_rate_stddev": 0.0,
-        "commits": stats["commits"],
-        "aborts": stats["total_aborts"],
-        "makespan_cycles": int(stats["wall_clock_s"] * 1_000_000),
-        "phase_shares": {},
-    }
-    return {
-        "schema": SCHEMA,
-        "schema_version": SCHEMA_VERSION,
-        "label": label,
-        "suite": "store-loadgen",
-        "profile": f"zipf-{stats.get('sessions', 0)}x"
-                   f"{stats.get('txns_per_session', 0)}",
-        "seeds": 1,
-        "code_fingerprint": code_fingerprint(),
-        "deterministic": {
-            f"store/kv/t{stats.get('sessions', 0)}": cell,
-        },
-        "advisory": {
-            "wall_clock_s": round(stats["wall_clock_s"], 3),
-            "cache_hit_rate": 0.0,
-            **{f"{name}_{pct}_ms": round(stats[f"{name}_{pct}_ms"], 3)
-               for name in LATENCIES for pct in ("p50", "p99")},
-        },
-    }

@@ -274,9 +274,9 @@ class TMSystem:
         self._line_writers: Dict[int, Dict[int, Txn]] = {}
         # hoisted hot-path state: the read paths run once per simulated
         # memory operation, so attribute chains and repeated config
-        # lookups are paid here instead.  Bound methods are safe to
-        # cache — the machine never swaps its caches, controller,
-        # backing store or interconnect.
+        # lookups are paid here instead.  Bound methods and the
+        # broadcast cost are safe to cache — the machine never swaps its
+        # caches, controller, backing store or interconnect.
         self._wpl = machine.address_map.words_per_line
         self._l1_lat = machine.config.machine.l1d.latency_cycles
         self._access = machine.caches.access

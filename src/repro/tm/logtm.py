@@ -118,7 +118,7 @@ class EagerLogTM(TMSystem):
         txn.consecutive_stalls = 0
         cycles = self._access(txn.thread_id, line)
         if line not in txn.read_lines:
-            cycles += self._broadcast_cost()
+            cycles += self._broadcast_cost
             txn.read_lines.add(line)
             if self._capacity_bounded:
                 self._charge_read_capacity(txn, line)
@@ -134,7 +134,7 @@ class EagerLogTM(TMSystem):
         txn.consecutive_stalls = 0
         cycles = self.machine.caches.access(txn.thread_id, line)
         if line not in txn.write_lines:
-            cycles += self.machine.interconnect.broadcast_cost()
+            cycles += self._broadcast_cost
             self.machine.caches.invalidate_everywhere(
                 line, except_core=txn.thread_id)
             self._track_write(txn, line)

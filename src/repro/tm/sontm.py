@@ -86,7 +86,7 @@ class SONTM(TMSystem):
         line = addr // self._wpl
         cycles = self._access(txn.thread_id, line)
         if line not in txn.read_lines:
-            cycles += self._broadcast_cost()
+            cycles += self._broadcast_cost
             committed_writer = self.write_numbers.get(line)
             if committed_writer is not None:
                 # we read that writer's value -> serialise after it
@@ -106,7 +106,7 @@ class SONTM(TMSystem):
         line = self.amap.line_of(addr)
         cycles = self.config.machine.l1d.latency_cycles
         if line not in txn.write_lines:
-            cycles += self.machine.interconnect.broadcast_cost()
+            cycles += self._broadcast_cost
             for other in self.others(txn):
                 if line in other.read_lines or line in other.write_lines:
                     # the concurrent reader saw (or concurrent writer will
@@ -160,9 +160,9 @@ class SONTM(TMSystem):
         # Publish: write numbers + data write-back, serialised by a token.
         if txn.write_buffer:
             hold = (self.TOKEN_CYCLES
-                    + self.machine.interconnect.point_to_point_cost())
+                    + self.machine.interconnect.point_to_point_cost)
             # write-set broadcast to every core's read-history table
-            hold += (self.machine.interconnect.broadcast_cost()
+            hold += (self._broadcast_cost
                      + 2 * len(txn.write_lines))
             for line in txn.write_lines:
                 # hashtable update + data write in main memory (section 6.1)

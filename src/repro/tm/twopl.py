@@ -66,7 +66,7 @@ class TwoPhaseLockingTM(TMSystem):
         if line not in txn.read_lines:
             # get-shared broadcast: the directory names the concurrent
             # writers of the line, and they abort
-            cycles += self._broadcast_cost()
+            cycles += self._broadcast_cost
             writers = self._line_writers.get(line)
             if writers is not None:
                 for other in writers.values():
@@ -82,7 +82,7 @@ class TwoPhaseLockingTM(TMSystem):
         cycles = self.config.machine.l1d.latency_cycles
         if line not in txn.write_lines:
             # get-exclusive broadcast: readers and writers abort
-            cycles += self.machine.interconnect.broadcast_cost()
+            cycles += self._broadcast_cost
             for other in self.others(txn):
                 if line in other.write_lines:
                     other.doom(AbortCause.WRITE_WRITE, line, txn)
@@ -106,7 +106,7 @@ class TwoPhaseLockingTM(TMSystem):
         cycles = self.config.txn_overhead_cycles
         if txn.write_buffer:
             hold = (self.TOKEN_CYCLES
-                    + self.machine.interconnect.point_to_point_cost())
+                    + self.machine.interconnect.point_to_point_cost)
             for line in txn.write_lines:
                 hold += (self.machine.caches.shared_access(line)
                          + self.WRITEBACK_CYCLES)

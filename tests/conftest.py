@@ -18,13 +18,12 @@ from repro.workloads import REGISTRY
 def _isolated_result_cache(tmp_path, monkeypatch):
     """Point result cache and fuzz output at throwaway directories.
 
-    Tests exercising the CLI, executor, fuzzer or bench runner with
-    default settings must not write into the repository's
-    ``results/.cache``, ``results/fuzz`` or ``results/bench``.
+    Tests exercising the CLI, executor or fuzzer with default settings
+    must not write into the repository's ``results/.cache`` or
+    ``results/fuzz``.
     """
     monkeypatch.setenv("SITM_CACHE_DIR", str(tmp_path / "result-cache"))
     monkeypatch.setenv("SITM_FUZZ_DIR", str(tmp_path / "fuzz"))
-    monkeypatch.setenv("SITM_BENCH_DIR", str(tmp_path / "bench"))
     monkeypatch.setenv("SITM_FLIGHT_DIR", str(tmp_path / "flight"))
 
 

@@ -8,12 +8,12 @@ from repro.mem.interconnect import Interconnect
 
 class TestTopologies:
     def test_bus_broadcast_scales_with_cores(self):
-        small = Interconnect(8, "bus").broadcast_cost()
-        large = Interconnect(32, "bus").broadcast_cost()
+        small = Interconnect(8, "bus").broadcast_cost
+        large = Interconnect(32, "bus").broadcast_cost
         assert large > small
 
     def test_mesh_broadcast_scales_sublinearly(self):
-        costs = {cores: Interconnect(cores, "mesh").broadcast_cost()
+        costs = {cores: Interconnect(cores, "mesh").broadcast_cost
                  for cores in (4, 16, 64)}
         assert costs[16] > costs[4]
         assert costs[64] > costs[16]
@@ -21,8 +21,8 @@ class TestTopologies:
         assert costs[64] < 16 * costs[4]
 
     def test_ideal_constant(self):
-        assert Interconnect(4, "ideal").broadcast_cost() == \
-            Interconnect(64, "ideal").broadcast_cost()
+        assert Interconnect(4, "ideal").broadcast_cost == \
+            Interconnect(64, "ideal").broadcast_cost
 
     def test_unknown_topology_rejected(self):
         with pytest.raises(ConfigError):
@@ -32,34 +32,10 @@ class TestTopologies:
         with pytest.raises(ConfigError):
             Interconnect(0, "mesh")
 
-
-class TestMulticast:
-    def test_zero_recipients_free(self):
-        assert Interconnect(16, "mesh").multicast_cost(0) == 0
-
-    def test_bus_multicast_per_recipient(self):
-        fabric = Interconnect(16, "bus")
-        assert fabric.multicast_cost(8) > fabric.multicast_cost(2)
-
-    def test_mesh_multicast_bounded_by_diameter_plus_fanout(self):
-        fabric = Interconnect(16, "mesh")
-        assert fabric.multicast_cost(1) < fabric.multicast_cost(15)
-
     def test_point_to_point_cheaper_than_broadcast(self):
         for topology in ("bus", "mesh"):
             fabric = Interconnect(32, topology)
-            assert fabric.point_to_point_cost() < fabric.broadcast_cost()
-
-
-class TestCounters:
-    def test_message_counters(self):
-        fabric = Interconnect(8, "mesh")
-        fabric.broadcast_cost()
-        fabric.broadcast_cost()
-        fabric.multicast_cost(3)
-        stats = fabric.stats()
-        assert stats["broadcasts"] == 2
-        assert stats["multicasts"] == 1
+            assert fabric.point_to_point_cost < fabric.broadcast_cost
 
 
 class TestSystemIntegration:

@@ -38,16 +38,16 @@ import pathlib
 
 import pytest
 
+from repro.common.config import MachineConfig, SimConfig
 from repro.common.rng import SplitRandom, derive_seed
 from repro.obs import CycleProfiler, MetricsRegistry, MultiTracer, \
     SpanRecorder
 from repro.oracle.fuzz import _make_body, _patched_config, \
     generate_schedule
-from repro.perf.micro import _dispatch_programs, _fullstack_programs, \
-    _machine
 from repro.sim.engine import Engine, TransactionSpec
 from repro.sim.machine import Machine
 from repro.tm import SYSTEMS
+from repro.tm.ops import Compute, Read, Write
 from tests import golden as golden_corpus
 
 CORPUS_DIR = pathlib.Path(__file__).parent.parent / "corpus" / "schedules"
@@ -193,15 +193,55 @@ def _run_schedule_variant(schedule, system, observed):
     }
 
 
+#: slots of the shared MVM array per fullstack thread
+MICRO_SLOTS_PER_THREAD = 8
+
+
 def _fullstack(machine):
-    base = machine.mvmalloc(32 * 8)
-    return _fullstack_programs(base, 32, 12, 8)
+    """32 threads of mostly-disjoint read/write/compute transactions on
+    one shared MVM array: every step crosses the TM, cache and MVM
+    paths."""
+    base = machine.mvmalloc(32 * MICRO_SLOTS_PER_THREAD)
+    programs = []
+    for tid in range(32):
+        stripe = base + tid * MICRO_SLOTS_PER_THREAD
+
+        def body(stripe=stripe):
+            total = 0
+            for i in range(5):
+                total += yield Read(stripe + i % MICRO_SLOTS_PER_THREAD,
+                                    site="micro.read")
+            yield Compute(2)
+            yield Write(stripe, total, site="micro.write")
+            yield Write(stripe + 1, total + 1, site="micro.write2")
+
+        programs.append([TransactionSpec(body, "micro") for _ in range(12)])
+    return programs
 
 
 def _dispatch(machine):
+    """One driver thread's long runs of unit-cost computes among 63
+    slow threads: the shape burst scheduling accelerates.  Each thread
+    writes one private cache line per transaction, so nothing aborts."""
     wpl = machine.address_map.words_per_line
     base = machine.mvmalloc(64 * wpl)
-    return _dispatch_programs(machine, base, 64, 6, 40, 300, 2, 2)
+    fast_ops = tuple(Compute(1) for _ in range(40))
+    slow_op = Compute(300)
+
+    def driver_body():
+        yield from fast_ops
+        yield Write(base, 1, site="micro.driver")
+
+    programs = [[TransactionSpec(driver_body, "driver") for _ in range(6)]]
+    for tid in range(1, 64):
+        def slow_body(tid=tid):
+            for _ in range(2):
+                yield slow_op
+            yield Write(base + tid * wpl, tid, site="micro.slow")
+
+        programs.append([TransactionSpec(slow_body, "slow")
+                         for _ in range(2)])
+    return programs
 
 
 MICRO_GRIDS = {"fullstack32": (_fullstack, 32), "dispatch64": (_dispatch, 64)}
@@ -216,7 +256,7 @@ def _run(case, system="SI-TM", observed=False):
         schedule = GENERATED[case] if isinstance(case, int) else _load(case)
         return _run_schedule_variant(schedule, system, observed)
     builder, threads = MICRO_GRIDS[case]
-    machine = _machine(threads)
+    machine = Machine(SimConfig(machine=MachineConfig(cores=threads)))
     log = []
     tm = RecordingTM(SYSTEMS["SI-TM"](machine, SplitRandom(7)), log)
     engine = Engine(tm, builder(machine),

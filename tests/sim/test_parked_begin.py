@@ -20,13 +20,15 @@ from hypothesis import strategies as st
 import repro.harness.runner as runner
 from repro.common.config import SimConfig
 from repro.common.errors import SimulationError
-from repro.common.rng import SplitRandom
+from repro.common.rng import SplitRandom, derive_seed
 from repro.obs import live
-from repro.perf.micro import ESCALATION_EXPECTED, run_escalation_micro
+from repro.perf.bench import CAPACITY_CONFIG
 from repro.sim.engine import Engine, Tracer, TransactionSpec, skipped_polls
 from repro.sim.machine import Machine
 from repro.sim.retry import RetryPolicy
+from repro.tm import SYSTEMS
 from repro.tm.ops import Compute, Write
+from repro.workloads import REGISTRY
 from tests.sim.test_escalation_golden import golden  # noqa: F401 (fixture)
 from tests.sim.test_escalation_golden import (CONFIGS, PROFILE,
                                               SCRIPTED_THREADS, SEED,
@@ -250,11 +252,22 @@ def test_max_steps_counts_the_skipped_polls(golden):
 
 
 # --------------------------------------------------------------------
-# the pinned grid
+# the pinned capacity cell
 # --------------------------------------------------------------------
 
-def test_escalation_micro_reproduces_its_pinned_counts():
-    """``python -m repro.perf.micro`` asserts these in CI; one rep here
-    so a moved count fails the local suite too."""
-    result = run_escalation_micro(reps=1)
-    assert result["system_steps"] == ESCALATION_EXPECTED["steps"]
+def test_capacity_cell_reproduces_its_pinned_counts():
+    """list/2PL at 16 threads, the quick profile and ``CAPACITY_CONFIG``
+    (a cell of perfbench's ``sim_observed``), built the way
+    ``harness.runner.run_once`` builds it.  All but two of the 320
+    commits escalate to the golden token, and no golden digest covers
+    the cell: a dropped or doubled poll of a parked waiter moves its
+    step count."""
+    machine = Machine(CAPACITY_CONFIG)
+    rng = SplitRandom(derive_seed(1, "list", "2PL", 16))
+    instance = REGISTRY.create("list", profile="quick").setup(
+        machine, 16, rng.split("workload"))
+    engine = Engine(SYSTEMS["2PL"](machine, rng.split("tm")),
+                    instance.programs)
+    stats = engine.run()
+    assert (stats.total_commits, stats.total_aborts, stats.escalations,
+            engine.steps_taken) == (320, 57, 318, 1033941)

@@ -79,27 +79,18 @@ class TestChaos:
 
 
 class TestBench:
-    def test_bench_writes_validated_artifact_and_scrape(self, tmp_path,
-                                                        capsys):
-        from repro.perf.bench import validate_artifact
-
+    def test_bench_prints_report_and_writes_scrape(self, tmp_path,
+                                                   capsys):
         scrape = tmp_path / "metrics.prom"
         code = main(["bench", "--shards", "2", "--seed", "13",
-                     "--label", "clitest", "--sessions", "2",
-                     "--txns", "4", "--keys", "8",
-                     "--out", str(tmp_path), "--scrape", str(scrape)])
+                     "--sessions", "2", "--txns", "4", "--keys", "8",
+                     "--scrape", str(scrape)])
         assert code == 0
         stats = json.loads(capsys.readouterr().out)
         assert stats["violations"] == []
-        artifact_path = pathlib.Path(stats["artifact"])
-        assert artifact_path.name == "BENCH_clitest.json"
-        artifact = json.loads(artifact_path.read_text(encoding="utf-8"))
-        assert validate_artifact(artifact) == []
-        assert "store/kv/t2" in artifact["deterministic"]
-        # latency is printed beside txn/s and lands in advisory only
+        # latency is printed beside txn/s
         assert 0 < stats["txn_p50_ms"] <= stats["txn_p99_ms"]
         assert stats["throughput_txn_s"] > 0
-        assert artifact["advisory"]["txn_p50_ms"] > 0
         text = scrape.read_text(encoding="utf-8")
         assert "sitm_store_txn_commits_total" in text
 

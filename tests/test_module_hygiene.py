@@ -88,7 +88,7 @@ class TestModules:
                     (out / "rows.jsonl").read_text().splitlines()]
             assert len(rows) == 3 and not check_rows(rows, 2), rows
             assert main(["bench", "--shards", "2", "--sessions", "2",
-                         "--txns", "3", "--out", str(out)]) == 0
+                         "--txns", "3"]) == 0
             sys.exit(sorted(set({STORE_NEVER_LOADS!r}) & set(sys.modules))
                      or 0)
             """)

@@ -182,7 +182,7 @@ def _scan_read_2pl(self, txn, addr, promote=False):
         return buffered, self.config.machine.l1d.latency_cycles
     cycles = self.machine.caches.access(txn.thread_id, line)
     if line not in txn.read_lines:
-        cycles += self.machine.interconnect.broadcast_cost()
+        cycles += self._broadcast_cost
         for other in self.others(txn):
             if line in other.write_lines:
                 other.doom(AbortCause.READ_WRITE, line, txn)
@@ -210,7 +210,7 @@ class ScanSONTM(SONTM):
             return buffered, self.config.machine.l1d.latency_cycles
         cycles = self.machine.caches.access(txn.thread_id, line)
         if line not in txn.read_lines:
-            cycles += self.machine.interconnect.broadcast_cost()
+            cycles += self._broadcast_cost
             committed_writer = self.write_numbers.get(line)
             if committed_writer is not None:
                 txn.son_lo = max(txn.son_lo, committed_writer + 1)
