@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -51,7 +52,6 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from repro.common.errors import ConfigError
-from repro.common.fingerprint import code_fingerprint
 from repro.harness.runner import RunResult
 from repro.harness.spec import ExperimentSpec
 
@@ -158,6 +158,25 @@ class _MonitorRelay:
             self._manager.shutdown()
         except Exception:  # noqa: BLE001 - already-dead manager
             pass
+
+
+@functools.lru_cache(maxsize=None)
+def code_fingerprint() -> str:
+    """Hash of every ``.py`` source file in the ``repro`` package.
+
+    Part of the cache key: any edit to the simulator, TM protocols,
+    workloads, or harness invalidates all cached results, because a
+    cached number is only trustworthy if the code that produced it is
+    the code that would produce it now.  Computed once per process.
+    """
+    package_root = pathlib.Path(__file__).parent.parent
+    digest = hashlib.sha256()
+    for path in sorted(package_root.rglob("*.py")):
+        digest.update(str(path.relative_to(package_root)).encode())
+        digest.update(b"\0")
+        digest.update(path.read_bytes())
+        digest.update(b"\0")
+    return digest.hexdigest()[:16]
 
 
 class ResultCache:

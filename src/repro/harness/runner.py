@@ -230,7 +230,7 @@ def run_once(workload: str, system: str, threads: int, seed: int,
                                TimeSeriesSampler)
         from repro.obs.live import DEFAULT_WINDOW_CYCLES
         registry = MetricsRegistry()
-        recorder = SpanRecorder(metrics=registry)
+        recorder = SpanRecorder()
         machine.enable_telemetry(registry)
         sampler = TimeSeriesSampler(
             window_cycles=window_cycles or DEFAULT_WINDOW_CYCLES)
@@ -270,12 +270,16 @@ def run_once(workload: str, system: str, threads: int, seed: int,
                    if machine.mvm.census is not None else None)
     metrics_snapshot = spans = phases = timeseries = None
     if telemetry:
-        from repro.obs import collect_run_metrics, record_provenance_metrics
+        from repro.obs import (collect_run_metrics,
+                               record_provenance_metrics,
+                               record_span_metrics)
         collect_run_metrics(registry, machine, tm, stats)
-        # end-of-run fold: killer outcomes are only knowable once every
-        # span has closed, so provenance counters cost the hot path nothing
+        # end-of-run folds: killer outcomes are only knowable once every
+        # span has closed, and a histogram does not depend on the order
+        # of its values, so neither costs the hot path anything
         provenance = record_provenance_metrics(registry, system,
                                                recorder.spans)
+        record_span_metrics(registry, recorder.spans)
         timeseries = sampler.export()
         for alert in timeseries["alerts"]:
             registry.inc("obs_alerts_total", rule=alert["rule"])

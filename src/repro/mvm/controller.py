@@ -28,6 +28,7 @@ model, keeping mechanism and cost model separate.
 from __future__ import annotations
 
 from bisect import bisect_right
+from operator import attrgetter
 from typing import Dict, Iterable, Optional, Tuple
 
 from repro.common.config import MVMConfig
@@ -45,6 +46,9 @@ from repro.mvm.version_list import (
 )
 
 __all__ = ["MVMController", "CapExceeded", "SnapshotTooOld"]
+
+#: a version list's timestamps, one per committed version
+_timestamps_of = attrgetter("_timestamps")
 
 
 class MVMController:
@@ -106,8 +110,13 @@ class MVMController:
         return len(vlist) if vlist else 0
 
     def max_live_versions(self) -> int:
-        """Largest version count across all lines (coalescing diagnostics)."""
-        return max((len(v) for v in self._lines.values()), default=0)
+        """Largest version count across all lines (coalescing diagnostics).
+
+        One C-level pass, no Python frame per line: the telemetry
+        sampler calls this at every window close.
+        """
+        return max(map(len, map(_timestamps_of, self._lines.values())),
+                   default=0)
 
     def newest_installer(self, line: int) -> Optional[object]:
         """Identity of the transaction that installed ``line``'s newest

@@ -44,7 +44,7 @@ from repro._lazy import lazy_exports
 __all__, __getattr__, __dir__ = lazy_exports(globals(), {
     "repro.obs.metrics": ("MetricsRegistry", "collect_run_metrics"),
     "repro.obs.spans": ("MultiTracer", "Span", "SpanRecorder",
-                        "merge_span_aggregates"),
+                        "merge_span_aggregates", "record_span_metrics"),
     "repro.obs.export": ("SPAN_SCHEMA_VERSION", "aborted_fraction",
                          "chrome_trace", "chrome_trace_events",
                          "load_spans_jsonl", "render_timeline",

@@ -65,10 +65,13 @@ class FlightRecorder:
     totals over *everything* it ever saw, so a post-mortem can tell
     "died at window 400 of a long run" from "died instantly".
 
-    Persistence cadence: the initial :meth:`start` write plus one
-    atomic rewrite every ``persist_every`` closed windows — frequent
-    enough that the artifact trails the crash by a bounded number of
-    windows, rare enough to stay off the per-event hot path entirely.
+    Persistence cadence: the initial :meth:`start` write (which also
+    creates the artifact's directory) plus one atomic rewrite every
+    ``persist_every`` closed windows — frequent enough that the
+    artifact trails the crash by a bounded number of windows, rare
+    enough to stay off the per-event hot path entirely.  A window row
+    is JSON-encoded once, when it is ringed, and every persist splices
+    the encoded rows into its document.
     """
 
     def __init__(self, path: os.PathLike, context: Optional[str] = None,
@@ -81,6 +84,8 @@ class FlightRecorder:
         #: spec identity this run executes (None for bare runs)
         self.context = context
         self.windows: deque = deque(maxlen=window_ring)
+        #: ``windows``, each row as the artifact text holds it
+        self._window_texts: deque = deque(maxlen=window_ring)
         self.spans: deque = deque(maxlen=span_ring)
         self.alerts: deque = deque(maxlen=window_ring)
         self.totals = {"windows": 0, "spans": 0, "alerts": 0,
@@ -94,6 +99,7 @@ class FlightRecorder:
     def note_window(self, row: dict) -> None:
         """Ring one closed window aggregate; persist on cadence."""
         self.windows.append(row)
+        self._window_texts.append(json.dumps(row, sort_keys=True))
         self.totals["windows"] += 1
         self.totals["commits"] += row["commits"]
         self.totals["aborts"] += row["aborts"]
@@ -127,26 +133,34 @@ class FlightRecorder:
             "recent_spans": list(self.spans),
         }
 
-    def _write(self, document: dict) -> None:
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = self.path.with_suffix(f".tmp{os.getpid()}")
-        tmp.write_text(json.dumps(document, sort_keys=True),
-                       encoding="utf-8")
-        tmp.replace(self.path)
-
     def start(self) -> None:
-        """Write the initial snapshot immediately.
+        """Create the artifact's directory and write the initial
+        snapshot immediately.
 
         A worker can be SIGKILLed before its first window closes; the
         start snapshot guarantees even that death leaves an artifact
         naming the spec that was running.
         """
+        self.path.parent.mkdir(parents=True, exist_ok=True)
         self.persist()
 
     def persist(self, status: str = "running",
                 reason: Optional[str] = None) -> None:
-        """Atomically (re)write the artifact with the current rings."""
-        self._write(self.snapshot(status=status, reason=reason))
+        """Atomically (re)write the artifact with the current rings.
+
+        The text is ``json.dumps(self.snapshot(status, reason),
+        sort_keys=True)``, byte for byte, spliced from the window rows
+        encoded as they were ringed.
+        """
+        document = self.snapshot(status=status, reason=reason)
+        del document["windows"]
+        head = json.dumps(document, sort_keys=True)
+        # "windows" sorts after every other key: the document's last
+        text = (head[:-1] + ', "windows": ['
+                + ", ".join(self._window_texts) + "]}")
+        tmp = self.path.with_suffix(f".tmp{os.getpid()}")
+        tmp.write_text(text, encoding="utf-8")
+        tmp.replace(self.path)
         self._since_persist = 0
 
     def dump(self, reason: str) -> pathlib.Path:

@@ -9,9 +9,10 @@ is where every layer reports those quantities for one run:
   at every install and its coalescing/GC reclaim counters;
 * the **TM systems** observe backoff delays, commit-token waits and
   LogTM NACK stalls as they are charged;
-* the **engine** counts begin stalls (Δ-protocol, overflow drains) and
-  the span recorder (:mod:`repro.obs.spans`) feeds per-transaction
-  duration/footprint histograms;
+* the **engine** counts begin stalls (Δ-protocol, overflow drains);
+* the runner folds the span recorder's closed spans
+  (:func:`repro.obs.spans.record_span_metrics`) into per-transaction
+  duration/footprint histograms at the end of the run;
 * :func:`collect_run_metrics` harvests the end-of-run aggregates that
   already exist as plain attributes (``RunStats`` counters, MVM
   counters, the global clock) so scalar totals cost *nothing* during
@@ -33,7 +34,7 @@ small enough to serialise per run.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional
 
 __all__ = ["MetricsRegistry", "collect_run_metrics", "metric_key"]
 
@@ -72,6 +73,20 @@ class _Histogram:
         self.total += value
         self.min = value if self.min is None else min(self.min, value)
         self.max = value if self.max is None else max(self.max, value)
+
+    def observe_many(self, values: List[int]) -> None:
+        """:meth:`observe` every value, in one call (order is immaterial)."""
+        if not values:
+            return
+        buckets = self.buckets
+        for value in values:
+            bound = _bucket_bound(value)
+            buckets[bound] = buckets.get(bound, 0) + 1
+        self.count += len(values)
+        self.total += sum(values)
+        low, high = min(values), max(values)
+        self.min = low if self.min is None else min(self.min, low)
+        self.max = high if self.max is None else max(self.max, high)
 
     def to_dict(self) -> dict:
         return {
@@ -116,6 +131,18 @@ class MetricsRegistry:
         if hist is None:
             hist = self._histograms[key] = _Histogram()
         hist.observe(value)
+
+    def observe_many(self, name: str, values: List[int],
+                     **labels: object) -> None:
+        """:meth:`observe` every one of ``values``, in one call (nothing
+        is created when there are none)."""
+        if not values:
+            return
+        key = metric_key(name, labels)
+        hist = self._histograms.get(key)
+        if hist is None:
+            hist = self._histograms[key] = _Histogram()
+        hist.observe_many(values)
 
     # -- accessors ---------------------------------------------------------
 
@@ -162,9 +189,11 @@ def collect_run_metrics(registry: MetricsRegistry, machine, tm,
     MVM reclaim counters, global-clock position) already exist as plain
     attributes maintained on the hot path for free; harvesting them
     once at run end keeps the telemetry-off overhead at zero for these
-    quantities.  Live histograms (version-list occupancy, span
-    durations) are emitted at their sources instead, because a
-    distribution cannot be reconstructed afterwards.
+    quantities.  Live histograms (version-list occupancy, backoff
+    delays) are emitted at their sources instead, because a
+    distribution cannot be reconstructed afterwards; span histograms
+    are folded from the kept spans (:func:`repro.obs.spans.
+    record_span_metrics`).
     """
     system = tm.name
     for thread in stats.threads:

@@ -67,6 +67,10 @@ SUB_PHASES = {
     "abort": ("backoff", "undo", "restart_jitter"),
 }
 
+#: the phases the engine charges per simulated operation, each into a
+#: ``<phase>_cycles`` slot of its thread state rather than by a call
+OPERATION_PHASES = ("read", "write", "compute", "stall")
+
 #: MVM event kinds tracked per line for the conflict heatmap
 MVM_EVENTS = ("install", "coalesce", "gc")
 
@@ -74,10 +78,13 @@ MVM_EVENTS = ("install", "coalesce", "gc")
 class CycleProfiler(Tracer):
     """Hierarchical per-thread cycle accounting plus conflict attribution.
 
-    The engine calls :meth:`account` at every thread-clock increment
-    (one call per charged phase), instrumented layers call
-    :meth:`sub_account` for the portions they can attribute, and the
-    MVM controller calls :meth:`mvm_event` per install/coalesce/GC.
+    The engine charges the phases of a begin, stall, commit or abort
+    through :meth:`account`, and those of an operation
+    (:data:`OPERATION_PHASES`) into slots of its thread states, which
+    :meth:`_fold` moves into the same table before anything reads it.
+    Instrumented layers call :meth:`sub_account` for the portions they
+    can attribute, and the MVM controller calls :meth:`mvm_event` per
+    install/coalesce/GC.
     As a tracer, ``on_write`` maps lines to the source sites touching
     them and ``on_abort`` reads ``txn.conflict_line`` (stamped by the
     backend that detected the conflict) into the per-line abort table.
@@ -117,6 +124,7 @@ class CycleProfiler(Tracer):
         the tracer slot; from then on every ``profiler is not None``
         guard along the hot paths fires.
         """
+        self._fold()  # what a previous engine charged stays counted
         engine.profiler = self
         self._engine = engine
         machine = getattr(engine, "machine", None)
@@ -133,6 +141,21 @@ class CycleProfiler(Tracer):
         if phases is None:
             phases = self._phases[thread_id] = {}
         phases[phase] = phases.get(phase, 0) + cycles
+
+    def _fold(self) -> None:
+        """Move the per-operation cycles the engine charged on its
+        thread states into the phase table (a phase appears once it has
+        been charged a cycle)."""
+        if self._engine is None:
+            return
+        for thread in self._engine.threads:
+            for phase in OPERATION_PHASES:
+                slot = phase + "_cycles"
+                cycles = getattr(thread, slot)
+                if cycles:
+                    setattr(thread, slot, 0)
+                    phases = self._phases.setdefault(thread.thread_id, {})
+                    phases[phase] = phases.get(phase, 0) + cycles
 
     def sub_account(self, thread_id: int, parent: str, sub: str,
                     cycles: int) -> None:
@@ -217,6 +240,7 @@ class CycleProfiler(Tracer):
         a profiler that loses or invents cycles would silently corrupt
         every phase-share number downstream.
         """
+        self._fold()
         for thread_id, clock in enumerate(thread_clocks):
             total = sum(self._phases.get(thread_id, {}).values())
             if total != clock:
@@ -252,6 +276,7 @@ class CycleProfiler(Tracer):
 
     def total_cycles(self) -> int:
         """All charged cycles (equals the sum of final thread clocks)."""
+        self._fold()
         return sum(sum(phases.values()) for phases in self._phases.values())
 
     def wasted_cycles(self) -> int:
@@ -267,6 +292,7 @@ class CycleProfiler(Tracer):
         carries across the executor's process/cache boundary; identical
         runs produce byte-identical snapshots.
         """
+        self._fold()
         return {
             # version 2 added "wasted_cycles"; downstream consumers
             # (phase_shares) read only "threads", so version-1

@@ -30,7 +30,7 @@ from repro.sim.engine import Tracer, resolve_hook
 from repro.tm.api import Txn
 
 __all__ = ["Span", "SpanRecorder", "MultiTracer",
-           "merge_span_aggregates"]
+           "merge_span_aggregates", "record_span_metrics"]
 
 #: span outcomes
 COMMIT, ABORT, OPEN = "commit", "abort", "open"
@@ -122,10 +122,9 @@ class SpanRecorder(Tracer):
     abort cleanup including backoff/restart jitter — an abort span's
     tail is exactly the wasted work plus the penalty paid for it.
 
-    With a ``metrics`` registry attached, every closed span feeds the
-    ``txn_cycles``/``txn_reads``/``txn_writes`` histograms labeled by
-    outcome, so distributions survive even when spans themselves are
-    discarded.
+    The ``txn_cycles``/``txn_reads``/``txn_writes`` histograms are
+    folded from the kept spans at the end of a run
+    (:func:`record_span_metrics`), not fed per closed span.
 
     Retention is the ``cap`` parameter.  ``cap=None`` keeps every span,
     in begin order, in ``spans``.  A positive ``cap`` bounds memory for
@@ -149,14 +148,13 @@ class SpanRecorder(Tracer):
     sampled commits while memory stays at O(``cap``).
     """
 
-    def __init__(self, metrics=None, cap: Optional[int] = None,
+    def __init__(self, cap: Optional[int] = None,
                  seed: int = 0, sink=None, flush_every: int = 0):
         if cap is not None and cap <= 0:
             raise ValueError(f"span cap must be positive, got {cap}")
         if cap is None and sink is not None:
             raise ValueError("a span sink needs a cap to flush against")
         self.spans: List[Span] = []
-        self.metrics = metrics
         self.cap = cap
         self.sink = sink
         self.flush_every = flush_every
@@ -233,11 +231,6 @@ class SpanRecorder(Tracer):
             span.killer_uid = getattr(txn, "killer_uid", None)
             span.killer_label = getattr(txn, "killer_label", None)
             span.killer_ts = getattr(txn, "killer_ts", None)
-        if self.metrics is not None:
-            self.metrics.observe("txn_cycles", span.duration,
-                                 outcome=outcome)
-            self.metrics.observe("txn_reads", span.reads, outcome=outcome)
-            self.metrics.observe("txn_writes", span.writes, outcome=outcome)
         if self.cap is not None:
             self._aggregate(span)
             self._retain(span)
@@ -326,6 +319,25 @@ class SpanRecorder(Tracer):
 
     def __len__(self) -> int:
         return len(self.spans) + len(self._commits) + len(self._aborts)
+
+
+def record_span_metrics(registry, spans: List[Span]) -> None:
+    """Fold closed spans into the ``txn_cycles``/``txn_reads``/
+    ``txn_writes`` histograms of ``registry``, labeled by outcome.
+
+    A histogram's buckets, count, sum, min and max do not depend on the
+    order its values came in, so this end-of-run fold snapshots exactly
+    as observing each span as it closed would.
+    """
+    for outcome in (ABORT, COMMIT):
+        closed = [span for span in spans if span.outcome == outcome]
+        registry.observe_many(
+            "txn_cycles", [s.end_cycle - s.begin_cycle for s in closed],
+            outcome=outcome)
+        registry.observe_many("txn_reads", [s.reads for s in closed],
+                              outcome=outcome)
+        registry.observe_many("txn_writes", [s.writes for s in closed],
+                              outcome=outcome)
 
 
 def _merge_histogram_dicts(a: Optional[dict],

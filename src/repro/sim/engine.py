@@ -143,7 +143,8 @@ class _ThreadState:
     __slots__ = ("thread_id", "specs", "stats", "spec", "txn", "gen",
                  "pending", "retries", "clock", "done", "redo_op",
                  "first_attempt_clock", "consecutive_stalls", "queued",
-                 "parked")
+                 "parked", "read_cycles", "write_cycles",
+                 "compute_cycles", "stall_cycles")
 
     def __init__(self, thread_id: int, specs: Iterator[TransactionSpec],
                  stats: ThreadStats):
@@ -173,6 +174,14 @@ class _ThreadState:
         #: charged in closed form (_catch_up) until the gate opens
         #: (_wake_head)
         self.parked = False
+        #: cycles charged to the profiler's per-operation phases while
+        #: one is attached (0 otherwise): the profiler folds them into
+        #: its phase table (CycleProfiler._fold), so an operation costs
+        #: it no call
+        self.read_cycles = 0
+        self.write_cycles = 0
+        self.compute_cycles = 0
+        self.stall_cycles = 0
 
 
 class Engine:
@@ -201,9 +210,9 @@ class Engine:
         #: telemetry registry (None when telemetry is off — the default)
         self.metrics = getattr(tm.machine, "metrics", None)
         #: cycle profiler (None when profiling is off — the default);
-        #: a CycleProfiler in the tracer slot overrides this via
-        #: attach_engine below
-        self.profiler = getattr(tm.machine, "profiler", None)
+        #: set by CycleProfiler.attach_engine, called below for a
+        #: profiler in the tracer slot or else for the machine's
+        self.profiler = None
         # explicit None test: a tracer with __len__ (e.g. HistoryRecorder)
         # is falsy while empty and must not be discarded
         self.tracer = tracer if tracer is not None else Tracer()
@@ -213,6 +222,11 @@ class Engine:
         attach = getattr(self.tracer, "attach_engine", None)
         if attach is not None:
             attach(self)
+        profiler = getattr(tm.machine, "profiler", None)
+        if self.profiler is None and profiler is not None:
+            # the profiler folds in the cycles charged on this engine's
+            # thread states, so it must know the engine
+            profiler.attach_engine(self)
         # the hooks called per operation or stall, resolved once attached
         self._on_read = resolve_hook(self.tracer, "on_read")
         self._on_write = resolve_hook(self.tracer, "on_write")
@@ -378,7 +392,7 @@ class Engine:
                 thread.pending = value
                 thread.clock += cycles
                 if self.profiler is not None:
-                    self.profiler.account(thread.thread_id, "read", cycles)
+                    thread.read_cycles += cycles
                 thread.stats.reads += 1
                 if self._on_read is not None:
                     self._on_read(txn, op.addr, op.site, value)
@@ -387,8 +401,7 @@ class Engine:
         except StallRequested as stall:
             thread.clock += stall.cycles
             if self.profiler is not None:
-                self.profiler.account(thread.thread_id, "stall",
-                                      stall.cycles)
+                thread.stall_cycles += stall.cycles
             thread.redo_op = op
         except TransactionAborted as aborted:
             return self._abort(thread, aborted.cause)
@@ -400,7 +413,7 @@ class Engine:
             cycles = self.tm.write(txn, op.addr, op.value)
             thread.clock += cycles
             if self.profiler is not None:
-                self.profiler.account(thread.thread_id, "write", cycles)
+                thread.write_cycles += cycles
             thread.stats.writes += 1
             if self._on_write is not None:
                 self._on_write(txn, op.addr, op.site, op.value)
@@ -408,7 +421,7 @@ class Engine:
             cycles = op.cycles * self.machine.config.compute_cycles
             thread.clock += cycles
             if self.profiler is not None:
-                self.profiler.account(thread.thread_id, "compute", cycles)
+                thread.compute_cycles += cycles
         elif type(op) is Abort:
             raise TransactionAborted(AbortCause.EXPLICIT)
         else:

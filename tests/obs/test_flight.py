@@ -9,6 +9,7 @@ leaves nothing.
 """
 
 import dataclasses
+import json
 
 import pytest
 
@@ -94,6 +95,32 @@ class TestRecorderRings:
         assert document["totals"]["windows"] == 20
         assert len(document["windows"]) == 8
         assert document["alerts"][0]["rule"] == "AbortSpike"
+
+    def test_artifact_is_the_snapshot_encoded(self, tmp_path):
+        """Window rows are encoded once, as they are ringed; the text a
+        persist writes is still exactly the snapshot's JSON."""
+        path = tmp_path / "f.json"
+        recorder = FlightRecorder(path, context="cell", window_ring=4,
+                                  span_ring=3, persist_every=3)
+        recorder.start()
+        for index in range(11):
+            recorder.note_window(dict(_window_row(index),
+                                      causes={"z": 1, "a": 2},
+                                      span_cycles=None))
+            recorder.note_span({"thread": index % 2, "outcome": "abort",
+                                "cause": "ww", "end_cycle": index})
+        recorder.note_alert({"kind": "alert", "rule": "AbortSpike",
+                             "window": 10, "detail": "é", "value": 0.5})
+        recorder.persist()
+        assert path.read_text(encoding="utf-8") == json.dumps(
+            recorder.snapshot(), sort_keys=True)
+        recorder.dump(reason="watchdog: no progress")
+        assert path.read_text(encoding="utf-8") == json.dumps(
+            recorder.snapshot(status="crashed",
+                              reason="watchdog: no progress"),
+            sort_keys=True)
+        assert [row["window"] for row in load_flight(path)["windows"]] \
+            == [7, 8, 9, 10]
 
     def test_dump_is_idempotent(self, tmp_path):
         path = tmp_path / "f.json"

@@ -67,6 +67,23 @@ class TestConservation:
             for phase, entry in phases.items():
                 assert set(entry["sub"]) <= set(SUB_PHASES.get(phase, ()))
 
+    def test_a_profiler_on_the_machine_alone_sees_every_cycle(self):
+        """Without the tracer slot the engine still hands itself to the
+        profiler, which folds in the per-operation cycles."""
+        machine = Machine(SimConfig())
+        profiler = CycleProfiler()
+        machine.enable_profiling(profiler)
+        rng = SplitRandom(derive_seed(5, "machine-profiler"))
+        instance = REGISTRY.create("rbtree", profile="test").setup(
+            machine, 4, rng.split("workload"))
+        tm = SYSTEMS["SI-TM"](machine, rng.split("tm"))
+        stats = Engine(tm, instance.programs).run()
+        clocks = [t.cycles for t in stats.threads]
+        profiler.check_conservation(clocks)
+        assert profiler.total_cycles() == sum(clocks)
+        assert all("read" in phases
+                   for phases in profiler.snapshot()["threads"].values())
+
     def test_check_conservation_rejects_lost_cycles(self):
         profiler = CycleProfiler()
         profiler.account(0, "read", 10)

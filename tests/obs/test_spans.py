@@ -14,7 +14,7 @@ import pytest
 from repro.common.rng import SplitRandom
 from repro.obs import (CycleProfiler, MetricsRegistry, MultiTracer, Span,
                        SpanRecorder, load_spans_jsonl, merge_span_aggregates,
-                       validate_span_log)
+                       record_span_metrics, validate_span_log)
 from repro.oracle.fuzz import generate_schedule, run_schedule
 from repro.sim.engine import Engine
 from repro.sim.history import READ, WRITE, HistoryRecorder
@@ -63,15 +63,27 @@ class TestSpanRecorder:
         assert len(aborted) == stats.total_aborts
         assert all(s.cause for s in aborted)
 
-    def test_metrics_fed_per_outcome(self, machine):
+    def test_end_of_run_fold_equals_per_span_observation(self, machine):
+        """The span histograms, folded once from the kept spans, snapshot
+        byte for byte as observing each span as it closed would."""
         addr = machine.mvmalloc(1)
-        registry = MetricsRegistry()
-        recorder = SpanRecorder(metrics=registry)
-        run_program(machine, "SI-TM",
-                    [[spec(counter_body(addr)) for _ in range(5)]],
-                    tracer=recorder)
-        hist = registry.histogram("txn_cycles", outcome="commit")
-        assert hist is not None and hist["count"] == 5
+        recorder = SpanRecorder()
+        programs = [[spec(counter_body(addr)) for _ in range(20)]
+                    for _ in range(4)]
+        run_program(machine, "2PL", programs, tracer=recorder)
+        assert {s.outcome for s in recorder.spans} == {"commit", "abort"}
+        per_span = MetricsRegistry()
+        for span in sorted(recorder.spans, key=lambda s: s.end_cycle):
+            for name, value in (("txn_cycles", span.duration),
+                                ("txn_reads", span.reads),
+                                ("txn_writes", span.writes)):
+                per_span.observe(name, value, outcome=span.outcome)
+        folded = MetricsRegistry()
+        record_span_metrics(folded, recorder.spans)
+        assert json.dumps(folded.snapshot()) == json.dumps(
+            per_span.snapshot())
+        assert folded.histogram("txn_cycles",
+                                outcome="commit")["count"] == 80
 
     def test_dict_round_trip(self, machine):
         addr = machine.mvmalloc(1)

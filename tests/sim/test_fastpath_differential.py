@@ -156,7 +156,7 @@ def _observe(machine):
     """Attach telemetry + profiling to ``machine``; return the tracer."""
     registry = MetricsRegistry()
     machine.enable_telemetry(registry)
-    return MultiTracer(SpanRecorder(metrics=registry), CycleProfiler())
+    return MultiTracer(SpanRecorder(), CycleProfiler())
 
 
 def _run_schedule_variant(schedule, system, observed):
