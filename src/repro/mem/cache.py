@@ -127,8 +127,10 @@ class CacheHierarchy:
         self.cores = [CoreCaches(i, machine.l1d, machine.l2)
                       for i in range(machine.cores)]
         self.l3 = SetAssociativeCache(machine.l3, "L3")
-        self.level_counts = {self.LEVEL_L1: 0, self.LEVEL_L2: 0,
-                             self.LEVEL_L3: 0, self.LEVEL_MEM: 0}
+        # accesses served per level; the L1 entry is filled in from the
+        # cores' l1.hits when read (see level_counts)
+        self._level_counts = {self.LEVEL_L1: 0, self.LEVEL_L2: 0,
+                              self.LEVEL_L3: 0, self.LEVEL_MEM: 0}
         # hoisted latencies: the per-access path reads these instead of
         # chasing machine-config attribute chains
         self._l1_lat = machine.l1d.latency_cycles
@@ -149,7 +151,8 @@ class CacheHierarchy:
         entries = l1._sets[line % l1._num_sets]
         if entries is not None and line in entries:
             # inlined L1 hit (the dominant case): same counter and LRU
-            # updates as SetAssociativeCache.lookup, minus three calls.
+            # updates as SetAssociativeCache.lookup, minus three calls;
+            # l1.hits is the level's only count (see level_counts).
             # The directory is left alone: a line resident in this L1 got
             # there through _miss_path, which listed the core, and only
             # invalidate_everywhere unlists a core — dropping its private
@@ -157,7 +160,6 @@ class CacheHierarchy:
             l1.hits += 1
             del entries[line]
             entries[line] = None
-            self.level_counts[self.LEVEL_L1] += 1
             return self._l1_lat
         l1.misses += 1
         return self._miss_path(core, line)[0]
@@ -176,10 +178,18 @@ class CacheHierarchy:
             l1.hits += 1
             del entries[line]
             entries[line] = None
-            self.level_counts[self.LEVEL_L1] += 1
             return self._l1_lat, None
         l1.misses += 1
         return self._miss_path(core, line)
+
+    @property
+    def level_counts(self) -> Dict[str, int]:
+        """Accesses served per level.  Only :meth:`access` and
+        :meth:`access_tracked` probe an L1, and ``l1.hits`` counts each
+        hit there, so the L1 entry is their sum, taken when read."""
+        counts = self._level_counts
+        counts[self.LEVEL_L1] = sum(core.l1.hits for core in self.cores)
+        return counts
 
     def _miss_path(self, core: CoreCaches, line: int):
         """L1-missing access: probe L2, L3, memory; fill on the way in.
@@ -194,17 +204,17 @@ class CacheHierarchy:
             sharers.add(core.core_id)
         if core.l2.lookup(line):
             core.l1.fill(line)
-            self.level_counts[self.LEVEL_L2] += 1
+            self._level_counts[self.LEVEL_L2] += 1
             return self._l2_lat, None
         if self.l3.lookup(line):
             victim = core.l2.fill(line)
             core.l1.fill(line)
-            self.level_counts[self.LEVEL_L3] += 1
+            self._level_counts[self.LEVEL_L3] += 1
             return self._l3_lat, victim
         self.l3.fill(line)
         victim = core.l2.fill(line)
         core.l1.fill(line)
-        self.level_counts[self.LEVEL_MEM] += 1
+        self._level_counts[self.LEVEL_MEM] += 1
         return self._mem_lat, victim
 
     def shared_access(self, line: int) -> int:
@@ -215,10 +225,10 @@ class CacheHierarchy:
         at the L3/MVM level).
         """
         if self.l3.lookup(line):
-            self.level_counts[self.LEVEL_L3] += 1
+            self._level_counts[self.LEVEL_L3] += 1
             return self._l3_lat
         self.l3.fill(line)
-        self.level_counts[self.LEVEL_MEM] += 1
+        self._level_counts[self.LEVEL_MEM] += 1
         return self._mem_lat
 
     def invalidate_everywhere(self, line: int, except_core: Optional[int] = None) -> int:

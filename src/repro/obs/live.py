@@ -37,6 +37,7 @@ covers :class:`TimeSeriesSampler`.
 
 from __future__ import annotations
 
+import heapq
 import json
 from typing import Callable, Dict, List, Optional
 
@@ -199,6 +200,10 @@ class TimeSeriesSampler(Tracer):
         self._closed_upto = 0
         #: per-thread last-seen clock (the watermark inputs)
         self._thread_clock: Dict[int, int] = {}
+        #: one ``(clock, thread_id)`` entry per thread not yet seen done;
+        #: an entry's clock may lag the thread's last-seen clock (clocks
+        #: only rise, so a lagging entry sorts no later than it should)
+        self._clock_heap: List[tuple] = []
         #: the running thread whose last-seen clock is the watermark
         #: (None until the first event, and once every thread is done)
         self._holder: Optional[int] = None
@@ -240,6 +245,9 @@ class TimeSeriesSampler(Tracer):
             # thread that has not produced its first event yet
             for thread in threads:
                 self._thread_clock[thread.thread_id] = thread.clock
+            self._clock_heap = [(thread.clock, thread.thread_id)
+                                for thread in threads]
+            heapq.heapify(self._clock_heap)
         self._thread_clock[thread_id] = clock
         holder = self._holder
         if holder is not None and holder != thread_id \
@@ -250,15 +258,26 @@ class TimeSeriesSampler(Tracer):
         self._advance_watermark(threads)
 
     def _advance_watermark(self, threads) -> None:
-        """Full rescan: the holder's clock moved or its thread finished."""
-        watermark = holder = None
-        for tid, clock in self._thread_clock.items():
-            if (watermark is None or clock < watermark) \
-                    and not threads[tid].done:
-                watermark, holder = clock, tid
-        self._holder = holder
-        if holder is None:
+        """Find the new holder: its clock moved or its thread finished.
+
+        Once the top entry is neither lagging (refreshed) nor done
+        (dropped) it is the lowest ``(clock, thread_id)``: every other
+        entry sorts after it and lags its thread, if at all, from below.
+        """
+        heap = self._clock_heap
+        clocks = self._thread_clock
+        while heap:
+            clock, tid = heap[0]
+            if threads[tid].done:
+                heapq.heappop(heap)
+            elif clocks[tid] != clock:
+                heapq.heapreplace(heap, (clocks[tid], tid))
+            else:
+                break
+        if not heap:
+            self._holder = None
             return
+        watermark, self._holder = heap[0]
         # window W is fully past once every running thread's clock is
         # at or beyond its end — no future event can land inside it
         target = watermark // self.window_cycles

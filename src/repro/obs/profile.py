@@ -112,6 +112,7 @@ class CycleProfiler(Tracer):
         #: thread -> clock at the most recent on_begin (open attempt)
         self._attempt_begin: Dict[int, int] = {}
         self._amap = None
+        self._words_per_line = 0
         self._engine = None
 
     # -- wiring ----------------------------------------------------------
@@ -132,6 +133,9 @@ class CycleProfiler(Tracer):
             machine.profiler = self
             machine.mvm.profiler = self
             self._amap = machine.address_map
+            # on_write maps an address to its line inline, one call less
+            # per observed write than AddressMap.line_of
+            self._words_per_line = self._amap.words_per_line
 
     # -- accounting ------------------------------------------------------
 
@@ -200,7 +204,7 @@ class CycleProfiler(Tracer):
                  value: object = None) -> None:
         if self._amap is None:
             return
-        line = self._amap.line_of(addr)
+        line = addr // self._words_per_line
         sites = self._line_sites.get(line)
         if sites is None:
             sites = self._line_sites[line] = {}

@@ -13,10 +13,10 @@ Determinism: ties on the clock break by thread id, all randomness flows
 from :class:`~repro.common.rng.SplitRandom` streams, so a run is a pure
 function of (workload, system, seed).
 
-There is one loop: :meth:`Engine.run` schedules and the ``_step`` chain
-executes, for observed and unobserved runs alike.  Observers
-(telemetry, profiler, fault injector, retry policy) are ``is not None``
-tests inside that chain, so attaching one cannot change the schedule.
+There is one loop: :meth:`Engine.run` schedules and executes, for
+observed and unobserved runs alike.  Observers (telemetry, profiler,
+fault injector, retry policy) are ``is not None`` tests inside it and
+the methods it calls, so attaching one cannot change the schedule.
 
 Abort handling follows the TM API contract (:mod:`repro.tm.api`):
 
@@ -269,10 +269,10 @@ class Engine:
         self._golden: Optional[int] = None
         #: consecutive no-progress steps (watchdog streak)
         self._no_progress = 0
-        #: scheduler-heap pushes: run() pushes at most once per executed
-        #: step and not after the step that parks a thread, which pays
-        #: for that thread's one wake push — so pushes never exceed
-        #: steps + threads
+        #: scheduler-heap pushes (a heapreplace counts as one): run()
+        #: pushes at most once per executed step and not after the step
+        #: that parks a thread, which pays for that thread's one wake
+        #: push — so pushes never exceed steps + threads
         self._heap_pushes = 0
         #: the scheduler heap of the run in progress: one key
         #: ``clock * threads + thread_id`` per live thread that is off the
@@ -288,49 +288,113 @@ class Engine:
         """Run every thread program to completion; return the statistics.
 
         The one scheduling loop: always step the thread with the
-        smallest ``(clock, thread_id)``.  The heap holds exactly one
-        entry per live thread that is off the CPU, except threads
-        parked at a gated begin (:meth:`_begin`), which rejoin it when
-        the gate opens (:meth:`_wake_head`).
+        smallest ``(clock, thread_id)``, executing the step here.  The
+        heap holds exactly one entry per live thread that is off the
+        CPU, except threads parked at a gated begin (:meth:`_begin`),
+        which rejoin it when the gate opens (:meth:`_wake_head`).
         """
         threads = self.threads
         n = len(threads)
-        step = self._step
-        heappush = heapq.heappush
         heappop = heapq.heappop
+        heapreplace = heapq.heapreplace
         inf = float("inf")
         limit = self._max_steps = inf if max_steps is None else max_steps
         heap = self._heap = [t.clock * n + t.thread_id for t in threads]
         heapq.heapify(heap)
         self._heap_pushes += len(heap)
+        # bound once per run: the loop uses them per simulated operation
+        # (a traced pass has wrapped tm.read by now)
+        read = self._read
+        profiler = self.profiler
+        on_read = self._on_read
+        promote_sites = self.promote_sites
+        dispatch = self._dispatch
+        begin, commit, abort = self._begin, self._commit, self._abort
         while heap:
             tid = heappop(heap) % n
             thread = threads[tid]
-            # Burst scheduling: the popped thread keeps the CPU while it
+            # Burst scheduling: the running thread keeps the CPU while it
             # is still the schedule minimum.  Popping the minimum right
             # after pushing it is the identity, so skipping the pair
             # cannot reorder the schedule; and the heap — hence its head,
-            # cached here — changes meanwhile only when a step wakes a
-            # parked thread, which the step reports.
+            # cached here — changes meanwhile only when a commit or an
+            # abort wakes a parked thread, which it reports.
             head = heap[0] if heap else inf
             while True:
                 if self._steps >= limit:
                     raise self._step_limit_error()
                 self._steps += 1
-                if step(thread):
-                    # the rare outcomes: finished, parked, or woke a
-                    # parked thread (a push, so the cached head is stale)
-                    if thread.done:
-                        thread.stats.cycles = thread.clock
-                        break
-                    if thread.parked:
-                        break
-                    head = heap[0]
+                txn = thread.txn
+                if txn is None:
+                    if thread.spec is None:
+                        nxt = next(thread.specs, None)
+                        if nxt is None:
+                            thread.done = True
+                            thread.stats.cycles = thread.clock
+                            break
+                        thread.spec = nxt
+                        thread.retries = 0
+                    if begin(thread):
+                        break  # parked: off the heap until the gate opens
+                elif txn.doomed is not None:
+                    if abort(thread, txn.doomed):
+                        head = heap[0]
+                else:
+                    op = thread.redo_op
+                    if op is not None:
+                        # NACK-stalled operation: re-issue it instead of
+                        # resuming the body
+                        thread.redo_op = None
+                    else:
+                        try:
+                            op = thread.gen.send(thread.pending)
+                        except StopIteration:
+                            try:
+                                if commit(thread):
+                                    head = heap[0]
+                            except TransactionAborted as aborted:
+                                if abort(thread, aborted.cause):
+                                    head = heap[0]
+                        except TransactionAborted as aborted:
+                            if abort(thread, aborted.cause):
+                                head = heap[0]
+                    if op is not None:
+                        thread.pending = None
+                        self._no_progress = 0
+                        try:
+                            if type(op) is Read:
+                                # the dominant operation, executed here
+                                # rather than in _dispatch
+                                promote = (op.promote
+                                           or thread.spec.serializable
+                                           or (op.site in promote_sites
+                                               if promote_sites else False))
+                                value, cycles = read(txn, op.addr, promote)
+                                thread.pending = value
+                                thread.clock += cycles
+                                if profiler is not None:
+                                    thread.read_cycles += cycles
+                                thread.stats.reads += 1
+                                if on_read is not None:
+                                    on_read(txn, op.addr, op.site, value)
+                            else:
+                                dispatch(thread, txn, op)
+                        except StallRequested as stall:
+                            thread.clock += stall.cycles
+                            if profiler is not None:
+                                thread.stall_cycles += stall.cycles
+                            thread.redo_op = op
+                        except TransactionAborted as aborted:
+                            if abort(thread, aborted.cause):
+                                head = heap[0]
                 key = thread.clock * n + tid
                 if head < key:
-                    heappush(heap, key)
+                    # one sift for push-then-pop: keys are unique and
+                    # head < key, so the minimum it returns is the head
+                    tid = heapreplace(heap, key) % n
                     self._heap_pushes += 1
-                    break
+                    thread = threads[tid]
+                    head = heap[0]
         if any(t.parked for t in threads):
             raise SimulationError(
                 "engine watchdog: every runnable thread finished while "
@@ -345,70 +409,8 @@ class Engine:
 
     # ------------------------------------------------------------------
 
-    def _step(self, thread: _ThreadState) -> bool:
-        """Execute one operation (or begin/commit/abort) of ``thread``.
-
-        Truthy when the scheduler must look: the thread finished, it
-        parked at a gated begin, or the step woke a parked thread.
-        """
-        if thread.spec is None:
-            nxt = next(thread.specs, None)
-            if nxt is None:
-                thread.done = True
-                return True
-            thread.spec = nxt
-            thread.retries = 0
-        if thread.txn is None:
-            return self._begin(thread)
-        txn = thread.txn
-        if txn.doomed is not None:
-            return self._abort(thread, txn.doomed)
-        op = thread.redo_op
-        if op is not None:
-            # NACK-stalled operation: re-issue it instead of resuming
-            # the body
-            thread.redo_op = None
-        else:
-            try:
-                op = thread.gen.send(thread.pending)
-            except StopIteration:
-                try:
-                    return self._commit(thread)
-                except TransactionAborted as aborted:
-                    return self._abort(thread, aborted.cause)
-            except TransactionAborted as aborted:
-                return self._abort(thread, aborted.cause)
-        thread.pending = None
-        self._no_progress = 0
-        try:
-            if type(op) is Read:
-                # the dominant operation, executed here rather than in
-                # _dispatch: one call less per simulated load
-                promote = (op.promote
-                           or thread.spec.serializable
-                           or (op.site in self.promote_sites
-                               if self.promote_sites else False))
-                value, cycles = self._read(txn, op.addr, promote)
-                thread.pending = value
-                thread.clock += cycles
-                if self.profiler is not None:
-                    thread.read_cycles += cycles
-                thread.stats.reads += 1
-                if self._on_read is not None:
-                    self._on_read(txn, op.addr, op.site, value)
-            else:
-                self._dispatch(thread, txn, op)
-        except StallRequested as stall:
-            thread.clock += stall.cycles
-            if self.profiler is not None:
-                thread.stall_cycles += stall.cycles
-            thread.redo_op = op
-        except TransactionAborted as aborted:
-            return self._abort(thread, aborted.cause)
-        return False
-
     def _dispatch(self, thread: _ThreadState, txn: Txn, op: Op) -> None:
-        """Execute a Write, Compute or Abort (reads run in _step)."""
+        """Execute a Write, Compute or Abort (reads run in :meth:`run`)."""
         if type(op) is Write:
             cycles = self.tm.write(txn, op.addr, op.value)
             thread.clock += cycles
@@ -595,7 +597,7 @@ class Engine:
         return True
 
     def _commit(self, thread: _ThreadState) -> bool:
-        """Commit ``thread``'s transaction; truthy as for :meth:`_step`."""
+        """Commit ``thread``'s transaction; True when it woke a parked thread."""
         txn = thread.txn
         assert txn is not None
         if txn.doomed is not None:
@@ -623,7 +625,7 @@ class Engine:
         return self._wake_head()
 
     def _abort(self, thread: _ThreadState, cause: AbortCause) -> bool:
-        """Abort ``thread``'s transaction; truthy as for :meth:`_step`."""
+        """Abort ``thread``'s transaction; True when it woke a parked thread."""
         txn = thread.txn
         assert txn is not None
         if self._escalation_queue:

@@ -17,6 +17,8 @@ Four claims under test:
 
 import json
 import pathlib
+import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -101,6 +103,37 @@ class TestExactness:
     def test_rejects_nonpositive_window(self):
         with pytest.raises(ValueError):
             TimeSeriesSampler(window_cycles=0)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_watermark_holder_is_the_slowest_running_thread(self, seed):
+        """At every event the holder is the lowest (last-seen clock,
+        thread id) over threads not done, however events interleave,
+        clocks tie or threads finish."""
+        rng = random.Random(seed)
+        threads = [SimpleNamespace(thread_id=tid, clock=rng.randrange(40),
+                                   done=False) for tid in range(16)]
+        mvm = SimpleNamespace(max_live_versions=lambda: 1)
+        sampler = TimeSeriesSampler(window_cycles=50)
+        sampler.attach_engine(SimpleNamespace(
+            threads=threads, machine=SimpleNamespace(mvm=mvm)))
+        seen = {}
+        for _ in range(3000):
+            running = [t for t in threads if not t.done]
+            if not running:
+                break
+            thread = rng.choice(running)
+            if rng.random() < 0.01:
+                thread.done = True
+                continue
+            thread.clock += rng.choice((0, 0, 1, 5, 30))
+            if not seen:
+                seen = {t.thread_id: t.clock for t in threads}
+            seen[thread.thread_id] = thread.clock
+            sampler.on_stall(thread.thread_id, 1)
+            expected = min(((seen[t.thread_id], t.thread_id)
+                            for t in threads if not t.done),
+                           default=(None, None))[1]
+            assert sampler._holder == expected
 
 
 # ----------------------------------------------------------------------
