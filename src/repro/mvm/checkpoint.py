@@ -27,24 +27,19 @@ warning when a checkpoint is created under that cap policy.  Run
 checkpointing workloads with
 ``MVMConfig(cap_policy=VersionCapPolicy.UNBOUNDED)`` (the paper's noted
 fallback for deep history is reverting to page-level copy-on-write, which
-unbounded versions model) — the live store's shards do exactly that, and
-sidestep the pin-retention cost by *advancing* their recovery checkpoint
-to every published commit (:meth:`CheckpointManager.advance`), so the GC
-watermark follows the publish frontier instead of freezing at shard
-start.
+unbounded versions model).
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Optional
+from typing import TYPE_CHECKING, Dict
 
 from repro.common.config import VersionCapPolicy
 from repro.common.errors import CheckpointRollbackError, MVMError
 
 if TYPE_CHECKING:  # avoid a circular import: sim.machine imports repro.mvm
-    from repro.mvm.controller import MVMController
     from repro.sim.machine import Machine
 
 #: process-wide one-shot latch for the capped-pin footgun warning
@@ -62,34 +57,12 @@ class Checkpoint:
 class CheckpointManager:
     """Create, read through, roll back to, and release MVM checkpoints."""
 
-    def __init__(self, machine: "Optional[Machine]" = None, *,
-                 controller: "Optional[MVMController]" = None):
-        if (machine is None) == (controller is None):
-            raise MVMError(
-                "CheckpointManager needs exactly one of a machine or a "
-                "bare MVM controller")
+    def __init__(self, machine: "Machine"):
         self.machine = machine
-        if machine is not None:
-            self._mvm = machine.mvm
-            self._clock = machine.clock
-        else:
-            self._mvm = controller
-            self._clock = controller.clock
+        self._mvm = machine.mvm
+        self._clock = machine.clock
         self._next_id = 0
         self._live: Dict[int, Checkpoint] = {}
-
-    @classmethod
-    def for_controller(cls, controller: "MVMController"
-                       ) -> "CheckpointManager":
-        """A manager over a bare controller (no simulated machine).
-
-        The live store's shards run :class:`MVMController` outside the
-        simulator; their crash-recovery checkpoints pin and truncate
-        through this manager using the controller's own clock.  The
-        :meth:`read` word accessor needs a machine's address map and is
-        unavailable in this mode.
-        """
-        return cls(controller=controller)
 
     def create(self) -> Checkpoint:
         """Capture the current committed state (O(1): a pinned timestamp)."""
@@ -114,40 +87,9 @@ class CheckpointManager:
         self._live[checkpoint.checkpoint_id] = checkpoint
         return checkpoint
 
-    def advance(self, checkpoint: Checkpoint,
-                timestamp: int) -> Checkpoint:
-        """Move a live checkpoint's pin forward to ``timestamp``.
-
-        Atomically (pin-new-then-unpin-old, so the GC watermark never
-        transiently regresses past both) re-pins the checkpoint at a
-        later timestamp.  The store's shards call this with each
-        published commit's end timestamp: the recovery checkpoint then
-        always equals the publish frontier, rollback after a crash
-        discards exactly the unpublished residue, and version GC keeps
-        collecting behind it.
-        """
-        self._require_live(checkpoint)
-        if timestamp < checkpoint.timestamp:
-            raise MVMError(
-                f"checkpoint pins only advance: {timestamp} < "
-                f"{checkpoint.timestamp}")
-        if timestamp == checkpoint.timestamp:
-            return checkpoint
-        self._mvm.active.add(timestamp)
-        self._mvm.active.remove(checkpoint.timestamp)
-        del self._live[checkpoint.checkpoint_id]
-        advanced = Checkpoint(self._next_id, timestamp)
-        self._next_id += 1
-        self._live[advanced.checkpoint_id] = advanced
-        return advanced
-
     def read(self, checkpoint: Checkpoint, addr: int) -> int:
         """Read one word as of the checkpoint."""
         self._require_live(checkpoint)
-        if self.machine is None:
-            raise MVMError(
-                "word reads need a machine address map; this manager "
-                "wraps a bare controller (for_controller)")
         amap = self.machine.address_map
         if not amap.is_mvm(addr):
             raise MVMError(

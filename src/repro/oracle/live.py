@@ -60,8 +60,8 @@ __all__ = ["LiveHistoryMonitor", "STORE_ABORT_CAUSES", "check_rows"]
 _canonical = json.JSONEncoder(sort_keys=True).encode
 
 #: abort causes the store declares legal in its histories
-STORE_ABORT_CAUSES = ("disconnect", "explicit", "overloaded",
-                      "shard-crashed", "timeout", "write-write")
+STORE_ABORT_CAUSES = ("disconnect", "explicit", "shard-crashed",
+                      "timeout", "write-write")
 
 _INF = float("inf")
 
@@ -191,10 +191,10 @@ class LiveHistoryMonitor:
                        ) -> None:
         """Record that no future txn can start below ``watermark``.
 
-        The server feeds each shard's oldest pinned snapshot (open
-        transactions plus the recovery checkpoint at the publish
-        frontier); the store clock is monotonic, so every later begin
-        gets a start timestamp at or above it.  When it advances,
+        The server feeds each shard's watermark: its oldest open
+        snapshot, else the store clock's present.  The store clock is
+        monotonic, so every later begin gets a start timestamp at or
+        above it.  When it advances,
         writers with ``commit_ts <= watermark`` fold into the image in
         commit order: no later row can overlap them, and every later
         snapshot sees the newest of them unless a retained version is

@@ -15,15 +15,15 @@ first-class feature:
 * **retry/backoff** reusing the simulator's
   :class:`~repro.sim.retry.RetryPolicy` semantics over milliseconds,
   including golden-token escalation of starving transactions;
-* **admission control** — bounded in-flight transactions and bounded
-  shard queues, shed with explicit ``OVERLOADED`` responses, never
-  silent queueing;
+* **admission control** — bounded in-flight transactions, shed with
+  explicit ``OVERLOADED`` responses, never silent queueing;
 * **session GC** — client disconnects mid-transaction unregister their
   snapshots so the active-transaction tables cannot leak and wedge
   version GC;
-* **shard crash/restart recovery** on
-  :mod:`repro.mvm.checkpoint` pinned snapshots advanced to the publish
-  frontier;
+* **shard crash/restart**: a crash loses volatile state — the open
+  transactions that touched the shard abort with ``shard-crashed`` —
+  and keeps committed state, with nothing to roll back (every commit
+  applies in one atomic step);
 * a seeded :class:`~repro.store.chaos.ChaosPlan` injecting disconnects,
   slow-loris clients, shard stalls and forced crashes; and
 * a **live oracle monitor** (:mod:`repro.oracle.live`) replaying every

@@ -6,7 +6,7 @@ boundary.  A :class:`ChaosPlan` is the same idiom — a frozen, seeded,
 JSON-round-trippable recipe, every site off by default — but its sites
 are *service* faults (see :data:`CHAOS_SITES`): abrupt client
 disconnects mid-transaction, slow-loris peers that trickle bytes,
-shard-task stalls, forced shard crash/restart, and admission floods.
+shard stalls, forced shard crash/restart, and admission floods.
 
 :func:`run_chaos_campaign` stands up a real :class:`StoreServer` on a
 loopback socket with the live oracle monitor attached, drives it with
@@ -15,7 +15,7 @@ callers use, fires the plan's faults at transaction-count triggers, and
 then **proves recovery**: a post-campaign probe transaction must commit
 on every shard (including any crashed one), every session must be GC'd,
 the active-transaction table must drain to empty, and the GC watermark
-must have advanced past its starting pin on every shard that committed.
+must have advanced past its start on every shard that committed.
 The report is JSON-safe and the chaos test asserts on it directly.
 
 ``broken=`` selects a monitor self-test (:data:`BROKEN_MODES`): a
@@ -72,17 +72,19 @@ CHAOS_SITES = [
                "disconnect them instead of holding a connection "
                "forever"},
     {"site": "shard-stall",
-     "layer": "store/shard.py:submit/_drain_queue (inject_stall)",
+     "layer": "store/server.py:stall_shard/_stalled",
      "fields": "stall_shard, stall_ms, stall_after_txns",
-     "effect": "the next command queues and the shard's drain timer "
-               "serves it after the stall; deadlines must convert the "
-               "backlog into structured TIMEOUTs, not hangs"},
+     "effect": "reads and prepares on the shard wait until the stall "
+               "is over, in arrival order; deadlines must convert the "
+               "wait into structured TIMEOUTs, not hangs"},
     {"site": "shard-crash",
-     "layer": "store/shard.py:crash_now",
+     "layer": "store/shard.py:crash_now (store/server.py:crash_shard)",
      "fields": "crash_shard, crash_after_txns",
-     "effect": "forced crash/restart from the recovery checkpoint: "
-               "open transactions abort with shard-crashed, committed "
-               "state survives, the shard serves again"},
+     "effect": "forced crash/restart: volatile state is lost — open "
+               "transactions that touched the shard abort with "
+               "shard-crashed, and so do requests waiting on its "
+               "stall — committed state survives with no rollback, "
+               "the shard serves again"},
     {"site": "admission-flood",
      "layer": "store/server.py:_do_begin",
      "fields": "flood_sessions",
@@ -434,7 +436,7 @@ async def _campaign(plan: ChaosPlan, config: StoreConfig, broken: str,
         pinned = sum(shard.pinned_transactions()
                      for shard in server.shards)
         watermark_advanced = all(
-            shard.commits == 0 or (shard.watermark or 0) > (initial or 0)
+            shard.commits == 0 or shard.watermark > initial
             for shard, initial in zip(server.shards, initial_watermarks))
         violations = [v.to_dict() for v in monitor.violations]
         if broken:
@@ -467,7 +469,9 @@ async def _campaign(plan: ChaosPlan, config: StoreConfig, broken: str,
             "watermark_advanced": watermark_advanced,
             "generations": [s.generation for s in server.shards],
             "shard_crashes": sum(s.crashes for s in server.shards),
-            "shard_stalls": sum(s.stalls for s in server.shards),
+            # requests that waited on a stall
+            "shard_stalls": int(sum(_label_counters(
+                snapshot, "store_stalled_requests_total").values())),
             "violations": violations,
             "violation_dumps": [str(p) for p in monitor.dumps],
             "probe_ok": probe_ok,

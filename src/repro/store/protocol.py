@@ -35,8 +35,8 @@ Responses are ``{"ok": true, ...}`` on success or
 
 * ``BAD_REQUEST`` — unparseable or ill-formed request;
 * ``NO_TXN`` / ``TXN_OPEN`` — operation outside / inside a transaction;
-* ``OVERLOADED`` — admission control or a full shard queue shed the
-  request (structured load-shedding, never silent queueing);
+* ``OVERLOADED`` — admission control shed the frame carrying a begin
+  (structured load-shedding, never silent queueing);
 * ``TIMEOUT`` — the transaction's deadline expired server-side;
 * ``ABORTED`` — the transaction aborted (``cause`` names why:
   ``write-write``, ``shard-crashed``, ...; ``retry_after_ms`` carries

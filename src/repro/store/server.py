@@ -7,21 +7,20 @@ connection is a :class:`~repro.store.protocol.FrameReceiver`
 reads and **answers a request where it arrives**: ``buffer_updated``
 steps :meth:`StoreServer._dispatch` and writes the response before it
 returns.  Nearly every request finishes
-that way — a shard command runs in place when nothing is ahead of it —
-so a round trip costs the server no ``Task``, no future wake-up and no
-turn of the event loop.  The request path waits in two places only, a
-shard command that had to queue and the golden gate, both through
-:func:`_within`; a dispatch that reaches one is carried on by a task
-created at that moment, and the connection serves its later frames when
-that task has answered.  The robustness contract, end to end:
+that way — a shard command is a plain call — so a round trip costs the
+server no ``Task``, no future wake-up and no turn of the event loop.
+The request path waits in two places only, a shard under an injected
+stall and the golden gate, both through :func:`_within`; a dispatch
+that reaches one is carried on by a task created at that moment, and
+the connection serves its later frames when that task has answered.
+The robustness contract, end to end:
 
 * **Admission**: a begin past ``max_inflight`` open transactions sheds
   the frame that carries it immediately with ``OVERLOADED`` plus a
   backoff hint — the server never queues work it has not admitted.
 * **Deadlines**: every transaction carries an absolute deadline.  It is
-  enforced at command arrival, inside shard queues, and around every
-  shard wait; expiry aborts the transaction server-side and answers
-  ``TIMEOUT``.
+  enforced at command arrival, in the shard, and around every wait;
+  expiry aborts the transaction server-side and answers ``TIMEOUT``.
 * **Peers**: a connection that does not deliver a whole frame within
   ``idle_timeout_ms`` of the server starting to wait for one — idle, or
   trickling bytes — is closed; so is one that sends an oversize, junk
@@ -39,7 +38,13 @@ that task has answered.  The robustness contract, end to end:
   single-threaded event loop a multi-shard commit publishes
   atomically, and nothing ever waits on the commit protocol.  A crash
   dooms every transaction that read or wrote the shard, so a commit
-  it interrupts aborts with ``shard-crashed``.
+  it interrupts aborts with ``shard-crashed``; committed state is kept
+  as it is, with nothing to roll back.
+* **Stalls** (chaos): :meth:`StoreServer.stall_shard` holds one shard's
+  reads and prepares for a while.  A request that meets the stall waits
+  for its end, bounded by what is left of its deadline, and in arrival
+  order per connection; a crash of that shard ends the stall, and its
+  waiters answer ``shard-crashed``.
 * **Retry/escalation**: every abort response carries ``retry_after_ms``
   from the session's :class:`~repro.sim.retry.RetryState`; a starving
   session's next transaction takes the server-wide **golden token**,
@@ -80,8 +85,7 @@ from repro.oracle.live import LiveHistoryMonitor
 from repro.sim.retry import RetryState
 from repro.store import protocol
 from repro.store.session import Session, StoreConfig, Txn, shard_of
-from repro.store.shard import (CRASHED, OK, OVERLOADED, SHUTDOWN, TIMEOUT,
-                               Shard)
+from repro.store.shard import CRASHED, OK, SHUTDOWN, TIMEOUT, Shard
 from repro.common.rng import SplitRandom
 
 __all__ = ["StoreServer"]
@@ -111,7 +115,7 @@ class _Connection(protocol.FrameReceiver):
     ``buffer_updated`` answers a request where it arrives: it steps
     :meth:`StoreServer._dispatch` once and writes the response when that
     finishes without waiting, which is every request that meets no
-    queued shard command and no golden gate.  A dispatch that suspends
+    stalled shard and no golden gate.  A dispatch that suspends
     (:func:`_within`) is carried on by a task made at that moment;
     until it answers, later frames stay in the parser, so a connection
     has one request in flight and responses keep request order.
@@ -291,6 +295,8 @@ class StoreServer:
         #: resolved when the holder finishes (made when the token is taken)
         self._golden_released: Optional["asyncio.Future"] = None
         self.escalations = 0
+        #: chaos: shard id -> resolved when its stall is over
+        self._stalls: Dict[int, "asyncio.Future"] = {}
         self._server: Optional[asyncio.AbstractServer] = None
         self._metrics_server: Optional[asyncio.AbstractServer] = None
         self._record = None
@@ -327,6 +333,8 @@ class StoreServer:
                 await server.wait_closed()
         for shard in self.shards:
             shard.stop()
+        for shard_id, over in list(self._stalls.items()):
+            self._end_stall(shard_id, over)
         if self._record is not None:
             self._record.close()
             self._record = None
@@ -370,14 +378,11 @@ class StoreServer:
             self.metrics.set_gauge("store_shard_generation",
                                    stats["generation"],
                                    shard=shard.shard_id)
-            self.metrics.set_gauge("store_shard_queue_depth",
-                                   stats["queue_depth"],
-                                   shard=shard.shard_id)
             self.metrics.set_gauge("store_shard_pinned_txns",
                                    stats["pinned_transactions"],
                                    shard=shard.shard_id)
             self.metrics.set_gauge("store_shard_watermark",
-                                   stats["watermark"] or 0,
+                                   stats["watermark"],
                                    shard=shard.shard_id)
 
     # ------------------------------------------------------------------
@@ -529,16 +534,24 @@ class StoreServer:
             self.metrics.inc("store_escalations_total")
         return None
 
-    async def _shard_wait(self, txn: Txn, future: "asyncio.Future",
-                          now: float) -> Tuple[str, object]:
-        """A shard command that had to queue: its result, bounded by
-        what is left at ``now`` of the txn deadline."""
+    async def _stalled(self, txn: Txn, sid: int,
+                       now: float) -> Tuple[str, float]:
+        """Wait out shard ``sid``'s stall from loop time ``now``: ``OK``
+        and the loop time it ended, or what cut the wait short —
+        ``TIMEOUT`` (the txn deadline) or ``CRASHED`` (the shard)."""
+        shard = self.shards[sid]
+        generation = shard.generation
+        self.metrics.inc("store_stalled_requests_total", shard=sid)
         try:
-            return await _within(txn.deadline - now, future)
+            # shielded: a timeout cancels what it waited on, and this
+            # future is every waiter's
+            await _within(txn.deadline - now,
+                          asyncio.shield(self._stalls[sid]))
         except asyncio.TimeoutError:
-            txn.doom("timeout")
-            # the command may still run later; doom makes it a no-op
-            return (TIMEOUT, None)
+            return TIMEOUT, now
+        if shard.generation != generation:
+            return CRASHED, now
+        return OK, asyncio.get_running_loop().time()
 
     def _touch(self, txn: Txn, sid: int) -> None:
         """The golden holder's home is the first shard it touches."""
@@ -558,9 +571,12 @@ class StoreServer:
         else:
             if self._golden_holder is not None:
                 self._touch(txn, sid)
-            future = self.shards[sid].submit("read", txn, key, now)
-            status, value = (future.result() if future.done()
-                             else await self._shard_wait(txn, future, now))
+            if sid in self._stalls:
+                status, now = await self._stalled(txn, sid, now)
+                if status != OK:
+                    return self._shard_failure(session, txn, status)
+            status, value = self.shards[sid].submit("read", txn, key,
+                                                    now).result()
             if status != OK:
                 return self._shard_failure(session, txn, status)
             keys = txn.read_keys.get(sid)
@@ -579,10 +595,6 @@ class StoreServer:
     def _shard_failure(self, session: Session, txn: Txn,
                        status: str) -> dict:
         """Translate a failed shard command into a structured response."""
-        if status == OVERLOADED:
-            self.metrics.inc("store_shed_total", reason="shard-queue")
-            self._abort_txn(session, txn, "overloaded")
-            return self._overloaded_aborted(session)
         if status == TIMEOUT:
             return self._timed_out(
                 session, txn, "transaction deadline expired in a shard")
@@ -597,12 +609,6 @@ class StoreServer:
                                else str(status))
         self._abort_txn(session, txn, cause)
         return self._aborted_response(session, cause)
-
-    def _overloaded_aborted(self, session: Session) -> dict:
-        delay = session.retry.note_abort()
-        return protocol.error_response(
-            "OVERLOADED", "shard queue full; transaction aborted",
-            retry_after_ms=delay, cause="overloaded")
 
     async def _do_commit(self, session: Session, txn: Txn,
                          now: float) -> dict:
@@ -624,12 +630,11 @@ class StoreServer:
         if self._golden_holder is not None:
             self._touch(txn, shards[0].shard_id)
         for shard in shards:
-            future = shard.submit("prepare", txn, None, now)
-            if future.done():
-                status, _ = future.result()
-            else:
-                status, _ = await self._shard_wait(txn, future, now)
-                now = asyncio.get_running_loop().time()
+            if shard.shard_id in self._stalls:
+                status, now = await self._stalled(txn, shard.shard_id, now)
+                if status != OK:
+                    return self._shard_failure(session, txn, status)
+            status, _ = shard.submit("prepare", txn, None, now).result()
             if status != OK:
                 return self._shard_failure(session, txn, status)
         # phase 2: decide and apply — NO awaits from here to _finish_txn
@@ -767,16 +772,30 @@ class StoreServer:
     # chaos hooks
 
     def crash_shard(self, shard_id: int) -> List[Txn]:
-        """Force-crash one shard; dooms and returns affected txns."""
+        """Force-crash one shard; dooms and returns affected txns, and
+        ends the shard's stall."""
         shard = self.shards[shard_id]
         doomed = shard.crash_now(list(self.open_txns.values()))
+        self._end_stall(shard_id, self._stalls.get(shard_id))
         self.metrics.inc("store_shard_crashes_total", shard=shard_id)
         return doomed
 
     def stall_shard(self, shard_id: int, ms: float) -> None:
-        """Make one shard's next queued command wait ``ms``."""
-        self.shards[shard_id].inject_stall(ms)
+        """Hold one shard's reads and prepares for ``ms`` from now (a
+        stall under way runs its course)."""
+        if shard_id not in self._stalls:
+            loop = asyncio.get_running_loop()
+            over = self._stalls[shard_id] = loop.create_future()
+            loop.call_later(ms / 1000.0, self._end_stall, shard_id, over)
         self.metrics.inc("store_shard_stalls_total", shard=shard_id)
+
+    def _end_stall(self, shard_id: int,
+                   over: Optional["asyncio.Future"]) -> None:
+        """Release the requests waiting on ``over`` if it is still shard
+        ``shard_id``'s stall."""
+        if over is not None and self._stalls.get(shard_id) is over:
+            del self._stalls[shard_id]
+            over.set_result(None)
 
     @property
     def golden_holder(self) -> Optional[int]:

@@ -50,8 +50,6 @@ class StoreConfig:
     #: admission control: maximum concurrently open transactions; a
     #: further begin sheds the frame that carries it with ``OVERLOADED``
     max_inflight: int = 64
-    #: per-shard command-queue bound; a full queue sheds the command
-    shard_queue_depth: int = 128
     #: default deadline, counted from the frame carrying the begin (its
     #: ``deadline_ms`` may lower/raise it up to ``max_deadline_ms``)
     deadline_ms: int = 2_000
@@ -74,8 +72,6 @@ class StoreConfig:
             raise ConfigError("shards must be >= 1")
         if self.max_inflight < 1:
             raise ConfigError("max_inflight must be >= 1")
-        if self.shard_queue_depth < 1:
-            raise ConfigError("shard_queue_depth must be >= 1")
         for name in ("deadline_ms", "max_deadline_ms", "idle_timeout_ms"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
@@ -87,7 +83,6 @@ class StoreConfig:
         return {
             "shards": self.shards,
             "max_inflight": self.max_inflight,
-            "shard_queue_depth": self.shard_queue_depth,
             "deadline_ms": self.deadline_ms,
             "max_deadline_ms": self.max_deadline_ms,
             "idle_timeout_ms": self.idle_timeout_ms,

@@ -3,65 +3,53 @@
 Every shard's :class:`~repro.mvm.controller.MVMController` (one key per
 line, ``words_per_line=1``) runs on the server's one
 :class:`~repro.mvm.timestamps.GlobalClock`, so a timestamp means the
-same moment on every shard.  The version cap is unbounded (the recovery
-checkpoint pins history, and a pinned checkpoint under the ABORT_WRITER
-cap is exactly the livelock footgun :mod:`repro.mvm.checkpoint` warns
-about), and versions do not coalesce: a version's timestamp is the
-commit that wrote it, which is what the coordinator's commit-time
-snapshot choice (:meth:`Shard.oldest_version_after`) reads.
+same moment on every shard.  The version cap is unbounded (an open
+snapshot pins history, and a pin under the ABORT_WRITER cap is exactly
+the livelock footgun :mod:`repro.mvm.checkpoint` warns about), and
+versions do not coalesce: a version's timestamp is the commit that
+wrote it, which is what the coordinator's commit-time snapshot choice
+(:meth:`Shard.oldest_version_after`) reads.
 
 Concurrency model: **the single-threaded event loop serializes all
-mutation**; nothing a shard does contains an ``await``.  Registering a
+mutation**, and nothing a shard does waits.  Registering a
 transaction's snapshot (:meth:`Shard._do_snapshot`) is a plain call,
 made on every shard at the frame that carries the begin, so version GC
 and every shard's watermark respect the snapshot before the
-transaction first touches the shard.  A ``read`` or ``prepare`` command
-runs in place, inside :meth:`Shard.submit`, when nothing is queued
-ahead of it: its body returns ``(status, data)`` and ``submit`` hands
-that back on an already-resolved future, with no command object made.
-The bounded command queue is where commands *wait* — behind an
-injected stall, or the backlog behind one — in FIFO order, as
-``(kind, txn, payload, future)`` tuples drained by one ``call_later``
-timer; both paths run the one body, :meth:`Shard._execute`, and judge
-the deadline against one clock read.  A full queue sheds the command
-with a structured ``overloaded`` status — never silent queueing.  A
-``prepare`` only takes the commit's turn: the coordinator decides the
-commit in one synchronous step that calls :meth:`Shard.validate`
-(first-committer-wins) and then :meth:`Shard.apply` on every written
-shard at the one commit timestamp it drew, so no commit is ever in
-flight across an ``await``, a snapshot never has to wait for one, and
-no reader anywhere can observe a half-applied cross-shard commit.
+transaction first touches the shard.  A ``read`` or ``prepare`` runs
+where it arrives, inside :meth:`Shard.submit`: its body returns
+``(status, data)``.  A ``prepare`` only takes the commit's turn: the
+coordinator decides the commit in one synchronous step that calls
+:meth:`Shard.validate` (first-committer-wins) and then
+:meth:`Shard.apply` on every written shard at the one commit timestamp
+it drew, so no commit is ever in flight across an ``await``, and no
+reader anywhere can observe a half-applied cross-shard commit.  Where a
+request has to wait — behind an injected stall — the server holds it
+before it reaches the shard.
 
-Crash/recovery (:meth:`Shard.crash_now`): the shard holds a recovery
-checkpoint pinned at the *publish frontier* — advanced to every commit
-it applies, inside the atomic apply.  A forced crash bumps the
-generation counter, fails queued commands with ``shard-crashed``,
-dooms every open transaction that read or wrote the shard, and rolls
-the MVM back to the checkpoint with every open snapshot re-registered
-afterwards, so a transaction that has not touched the shard still
-reads it at its snapshot.  A shard refuses a doomed transaction's
-commands, and the coordinator checks the doom again before it applies.
+A forced crash (:meth:`Shard.crash_now`) loses volatile state and keeps
+committed state: it bumps the generation counter and dooms every open
+transaction that read or wrote the shard.  Every commit applied in one
+atomic step, so there is no half-applied residue to roll back.  A shard
+refuses a doomed transaction's commands, and the coordinator checks the
+doom again before it applies.
 """
 
 from __future__ import annotations
 
 import asyncio
-from typing import Deque, Dict, Iterable, List, Optional, Tuple
-
-from collections import deque
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.common.config import MVMConfig, VersionCapPolicy
 from repro.mem.address import AddressMap
-from repro.mvm.checkpoint import CheckpointManager
 from repro.mvm.controller import MVMController
 from repro.mvm.timestamps import GlobalClock
 from repro.store.session import StoreConfig, Txn
 
 __all__ = ["Shard"]
 
-#: statuses a shard command future can resolve to
-OK, CONFLICT, OVERLOADED, TIMEOUT, CRASHED, SHUTDOWN = (
-    "ok", "conflict", "overloaded", "timeout", "shard-crashed", "shutdown")
+#: statuses a shard command can answer with
+OK, CONFLICT, TIMEOUT, CRASHED, SHUTDOWN = (
+    "ok", "conflict", "timeout", "shard-crashed", "shutdown")
 
 
 class Shard:
@@ -79,95 +67,46 @@ class Shard:
         self.keys: Dict[str, int] = {}
         #: bumped by every crash (reported, e.g. by PING)
         self.generation = 0
-        self.checkpoints = CheckpointManager.for_controller(self.mvm)
-        #: pinned at the publish frontier (advanced inside every apply)
-        self.recovery = self.checkpoints.create()
-        #: commands waiting their turn: ``(kind, txn, payload, future)``
-        self._queue: Deque[tuple] = deque()
         self._closed = False
-        #: chaos: milliseconds the next queued command waits
-        self._stall_ms = 0.0
-        #: the timer that drains the queue (None: nothing is waiting)
-        self._drain: Optional[asyncio.TimerHandle] = None
         # counters (scraped into the server's metrics registry)
         self.commits = 0
+        #: always 0, nothing sheds a command: perfbench's ledger reads it
+        #: (ROADMAP item 0 retires it)
         self.shed = 0
         self.crashes = 0
-        self.stalls = 0
 
     def stop(self) -> None:
-        """Refuse further commands; queued ones get SHUTDOWN."""
+        """Refuse further commands with SHUTDOWN."""
         self._closed = True
-        if self._drain is not None:
-            self._drain.cancel()
-            self._drain = None
-        self._fail_queued(SHUTDOWN)
-
-    def _fail_queued(self, status: str) -> None:
-        """Answer every waiting command ``status`` (unless its caller
-        gave up)."""
-        while self._queue:
-            future = self._queue.popleft()[3]
-            if not future.done():
-                future.set_result((status, None))
 
     # ------------------------------------------------------------------
-    # submission (coordinator side)
+    # commands (coordinator side)
+    #
+    # ``submit``, its future and the ``_do_*`` bodies it calls are the
+    # seams perfbench's traced pass wraps, looked up per call (ROADMAP
+    # item 0 retires them): a command is a plain call underneath.
 
     def submit(self, kind: str, txn: Txn, payload: object = None,
                now: Optional[float] = None) -> "asyncio.Future":
-        """Run a command, in place if nothing is ahead of it.
+        """Run a command where it arrives: its ``(status, data)`` on an
+        already-resolved future.
 
         ``now`` is the loop time the caller read for the request (read
-        here when not given).  The returned future is already resolved
-        unless the command has to wait (backlog, pending stall); a full
-        queue sheds it as ``overloaded``.
+        here when not given).
         """
         loop = asyncio.get_running_loop()
         future = loop.create_future()
-        if self._closed:
-            future.set_result((SHUTDOWN, None))
-        elif not self._queue and not self._stall_ms:
-            # nothing is ahead of it
-            future.set_result(self._execute(
-                kind, txn, payload, loop.time() if now is None else now))
-        elif len(self._queue) >= self.config.shard_queue_depth:
-            self.shed += 1
-            future.set_result((OVERLOADED, None))
-        else:
-            self._queue.append((kind, txn, payload, future))
-            if self._drain is None:
-                self._arm_drain()
+        future.set_result(self._execute(
+            kind, txn, payload, loop.time() if now is None else now))
         return future
-
-    # ------------------------------------------------------------------
-    # the drain timer (where commands wait their turn)
-
-    def _arm_drain(self) -> None:
-        """Serve the owed stall: drain the queue when it has passed."""
-        delay, self._stall_ms = self._stall_ms, 0.0
-        self.stalls += 1
-        self._drain = asyncio.get_running_loop().call_later(
-            delay / 1000.0, self._drain_queue)
-
-    def _drain_queue(self) -> None:
-        """Run the queue in FIFO order, until it is empty or a stall
-        injected since is owed."""
-        self._drain = None
-        now = asyncio.get_running_loop().time()
-        while self._queue:
-            if self._stall_ms:
-                self._arm_drain()
-                return
-            kind, txn, payload, future = self._queue.popleft()
-            if not future.done():  # its caller may have given up
-                future.set_result(self._execute(kind, txn, payload, now))
 
     def _execute(self, kind: str, txn: Txn, payload: object,
                  now: float) -> Tuple[str, object]:
-        """Run one command at loop time ``now``, whichever path it took
-        here: its ``(status, data)``.  Expired means nothing of the
-        deadline is left (``now >= deadline``), as at the server."""
+        """Run one command at loop time ``now``: its ``(status, data)``.
+        Expired means nothing of the deadline is left
+        (``now >= deadline``), as at the server."""
+        if self._closed:
+            return (SHUTDOWN, None)
         if txn.doomed is not None:
             return (CONFLICT, txn.doomed)
         if now >= txn.deadline:
@@ -215,8 +154,7 @@ class Shard:
         return self.mvm.validate_many(lines, snapshot) is None
 
     def apply(self, txn: Txn, writes: Dict[str, object]) -> None:
-        """Phase 2 of commit: install at ``txn.commit_ts``, advance
-        recovery.
+        """Phase 2 of commit: install at ``txn.commit_ts``.
 
         Runs synchronously from the coordinator, which drew the commit
         timestamp after every written shard validated — with no
@@ -229,8 +167,6 @@ class Shard:
                  for key, value in sorted(writes.items())]
         self.mvm.install_many(txn.commit_ts, items,
                               installer=(txn.uid, txn.label))
-        self.recovery = self.checkpoints.advance(self.recovery,
-                                                 txn.commit_ts)
         self.commits += 1
 
     def release_snapshot(self, txn: Txn) -> None:
@@ -238,48 +174,39 @@ class Shard:
         self.mvm.active.remove(txn.start_ts)
 
     # ------------------------------------------------------------------
-    # chaos hooks
-
-    def inject_stall(self, ms: float) -> None:
-        """Queue the next command behind a ``ms`` wait."""
-        self._stall_ms += ms
+    # chaos hook
 
     def crash_now(self, open_txns: List[Txn]) -> List[Txn]:
-        """Forced crash + restart from the recovery checkpoint.
+        """Forced crash + restart: bump the generation and doom every
+        open transaction that read or wrote here; returns them.
 
-        Synchronous and atomic: bumps the generation, fails queued
-        commands, dooms every open transaction that read or wrote here,
-        and truncates the MVM back to the publish frontier.  Every open
-        snapshot is registered on every shard; rollback wants none, so
-        they are unregistered around it and registered again — doomed
-        ones too, released when their transaction ends.  Returns the
-        transactions doomed.
+        Committed state survives as it is.  Open snapshots stay
+        registered: a doomed transaction releases its own when it ends,
+        and one that has not touched the shard still reads it at its
+        snapshot.
         """
         self.generation += 1
         self.crashes += 1
-        self._fail_queued(CRASHED)
         doomed = [txn for txn in open_txns
                   if self.shard_id in txn.touched_shards]
         for txn in doomed:
             txn.doom("shard-crashed")
-        for txn in open_txns:
-            self.mvm.active.remove(txn.start_ts)
-        self.checkpoints.rollback(self.recovery)
-        for txn in open_txns:
-            self.mvm.active.add(txn.start_ts)
         return doomed
 
     # ------------------------------------------------------------------
     # introspection
 
     @property
-    def watermark(self) -> Optional[int]:
-        """Oldest pinned snapshot (bounds what version GC must keep)."""
-        return self.mvm.active.oldest()
+    def watermark(self) -> int:
+        """No later transaction starts below this: the oldest open
+        snapshot, else the store clock's present (bounds what version
+        GC must keep)."""
+        oldest = self.mvm.active.oldest()
+        return self.mvm.clock.now if oldest is None else oldest
 
     def pinned_transactions(self) -> int:
-        """Active-table entries beyond the recovery checkpoint's pin."""
-        return len(self.mvm.active) - self.checkpoints.live_count
+        """Open snapshots registered here."""
+        return len(self.mvm.active)
 
     def stats(self) -> dict:
         """Shard counters for the metrics registry."""
@@ -287,10 +214,8 @@ class Shard:
             "commits": self.commits,
             "shed": self.shed,
             "crashes": self.crashes,
-            "stalls": self.stalls,
             "generation": self.generation,
             "keys": len(self.keys),
-            "queue_depth": len(self._queue),
             "pinned_transactions": self.pinned_transactions(),
             "watermark": self.watermark,
         }

@@ -13,12 +13,12 @@ import warnings
 import pytest
 
 import repro.mvm.checkpoint as checkpoint_mod
-from repro.common.config import MVMConfig, VersionCapPolicy
+from repro.common.config import MVMConfig, SimConfig, VersionCapPolicy
 from repro.common.errors import CheckpointRollbackError, MVMError
 from repro.common.rng import SplitRandom
-from repro.mem.address import AddressMap
 from repro.mvm.checkpoint import CheckpointManager
 from repro.mvm.controller import MVMController
+from repro.sim.machine import Machine
 from repro.tm.ops import Write
 
 from tests.conftest import run_program, spec
@@ -36,10 +36,10 @@ def mutate(machine, addr, value, system="SI-TM", seed=1):
     run_program(machine, system, [[spec(body, "w")]], seed=seed)
 
 
-def bare(cap_policy=VersionCapPolicy.UNBOUNDED) -> MVMController:
-    """A store-shard-style controller: one word per line, no machine."""
-    return MVMController(MVMConfig(cap_policy=cap_policy, commit_delta=8),
-                         AddressMap(words_per_line=1))
+def uncapped() -> Machine:
+    """A machine that keeps every version (``UNBOUNDED`` cap)."""
+    return Machine(SimConfig(
+        mvm=MVMConfig(cap_policy=VersionCapPolicy.UNBOUNDED)))
 
 
 def install(mvm: MVMController, line: int, value: int) -> int:
@@ -77,8 +77,8 @@ def test_pinned_reads_stable_under_any_interleaving(prefix, suffix):
     image throughout, and releasing it must leave history collectable
     down to one live version per line.
     """
-    mvm = bare()
-    manager = CheckpointManager.for_controller(mvm)
+    manager = CheckpointManager(uncapped())
+    mvm = manager.machine.mvm
     for _, line, value in prefix:
         install(mvm, line, value)
     checkpoint = manager.create()
@@ -107,9 +107,9 @@ def test_pinned_reads_stable_under_any_interleaving(prefix, suffix):
         assert mvm.live_version_count(line) <= 1
 
 
-def test_release_advances_watermark_and_frees_history():
-    mvm = bare()
-    manager = CheckpointManager.for_controller(mvm)
+def test_release_advances_watermark_and_frees_history(uncapped_machine):
+    mvm = uncapped_machine.mvm
+    manager = CheckpointManager(uncapped_machine)
     install(mvm, 0, 1)
     checkpoint = manager.create()
     for value in range(2, 8):
@@ -123,43 +123,6 @@ def test_release_advances_watermark_and_frees_history():
     assert mvm.active.oldest() is None
     assert mvm.collect_all() >= before - 1
     assert mvm.live_version_count(0) == 1
-
-
-def test_advance_repins_forward_only():
-    """`advance` is how the store's shards track the publish frontier."""
-    mvm = bare()
-    manager = CheckpointManager.for_controller(mvm)
-    checkpoint = manager.create()
-    first = install(mvm, 0, 1)
-    advanced = manager.advance(checkpoint, first)
-    assert advanced.timestamp == first
-    assert manager.live_count == 1
-    assert mvm.active.oldest() == first
-    # the superseded handle is dead
-    with pytest.raises(MVMError):
-        manager.release(checkpoint)
-    # pins only move forward
-    with pytest.raises(MVMError):
-        manager.advance(advanced, first - 1)
-    # advancing to the same timestamp is a no-op returning the handle
-    assert manager.advance(advanced, first) is advanced
-    second = install(mvm, 0, 2)
-    final = manager.advance(advanced, second)
-    manager.release(final)
-    assert mvm.active.oldest() is None
-
-
-def test_for_controller_rejects_word_reads():
-    mvm = bare()
-    manager = CheckpointManager.for_controller(mvm)
-    checkpoint = manager.create()
-    with pytest.raises(MVMError, match="machine address map"):
-        manager.read(checkpoint, 0)
-
-
-def test_manager_needs_exactly_one_substrate():
-    with pytest.raises(MVMError):
-        CheckpointManager()
 
 
 def test_rollback_error_is_typed(uncapped_machine):
@@ -190,13 +153,13 @@ def test_rollback_allowed_with_other_checkpoints_pinned(uncapped_machine):
     manager.release(sibling)
 
 
-def test_capped_pin_warns_exactly_once():
+def test_capped_pin_warns_exactly_once(machine):
     """The ABORT_WRITER + pin livelock footgun warns once per process."""
+    assert machine.mvm.config.cap_policy is VersionCapPolicy.ABORT_WRITER
     saved = checkpoint_mod._warned_capped_pin
     try:
         checkpoint_mod._warned_capped_pin = False
-        mvm = bare(cap_policy=VersionCapPolicy.ABORT_WRITER)
-        manager = CheckpointManager.for_controller(mvm)
+        manager = CheckpointManager(machine)
         with pytest.warns(RuntimeWarning, match="ABORT_WRITER") as caught:
             manager.create()
         assert len(caught) == 1
@@ -208,11 +171,11 @@ def test_capped_pin_warns_exactly_once():
         checkpoint_mod._warned_capped_pin = saved
 
 
-def test_unbounded_pin_does_not_warn():
+def test_unbounded_pin_does_not_warn(uncapped_machine):
     saved = checkpoint_mod._warned_capped_pin
     try:
         checkpoint_mod._warned_capped_pin = False
-        manager = CheckpointManager.for_controller(bare())
+        manager = CheckpointManager(uncapped_machine)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             manager.create()

@@ -97,7 +97,7 @@ class TestCampaigns:
         # each site left its fingerprint
         assert report["disconnects_injected"] > 0
         assert report["loris_dropped"] == 1
-        assert report["shard_stalls"] == 1
+        assert report["shard_stalls"] > 0
         assert report["shard_crashes"] == 1
         assert report["generations"][0] == 1
         assert report["flood_shed"] > 0

@@ -278,7 +278,7 @@ class TestOneSnapshot:
         """Version GC on a shard the transaction has not touched yet —
         after a crash of that shard, too — keeps the version its
         snapshot reads: the snapshot is registered on every shard at
-        begin, and again after a crash's rollback."""
+        begin, and a crash leaves it registered."""
         monitor = LiveHistoryMonitor(shards=2)
 
         async def scenario(server, port):
@@ -663,8 +663,8 @@ class TestRobustness:
             assert failed["cause"] == "shard-crashed"
             assert (await victim.ping())["generations"][sid] == 1
 
-            # recovery rolled back to the publish frontier: committed
-            # data survives and new transactions proceed normally
+            # a crash keeps committed data, and new transactions
+            # proceed normally
             await victim.begin()
             assert (await victim.read("crash-key"))["value"] == "survives"
             await victim.write("crash-key", "again")
@@ -682,7 +682,7 @@ class TestRobustness:
         shard's prepare, after the first shard gave its turn: the crash
         dooms the transaction pinned there, and the doom check in the
         apply step aborts the whole multi-shard commit instead of
-        applying onto the recovered state.
+        applying onto the restarted shard.
         """
         async def scenario(server, port):
             keys = keys_by_shard(prefix="race")
@@ -767,7 +767,7 @@ class TestHopBudget:
         server answers inside ``buffer_updated`` and schedules nothing;
         the one ``call_soon`` per round trip is the client's response
         future waking the task that awaits it.  No ``Task``, no timer,
-        no shard-queue hop.  The bounds leave room for a stray handle,
+        no hop to a shard.  The bounds leave room for a stray handle,
         not for a second hop per request.
         """
         requests = 200
@@ -922,9 +922,9 @@ class TestWaitingPath:
                 + encode_frame({"op": "READ", "key": "slow",
                                 "writes": [["slow", 1]]}))
             await asyncio.sleep(0.03)
-            # the first READ opened the transaction and waits in the
-            # shard's queue, and the write carried behind it — which
-            # would need no wait — has not been recorded
+            # the first READ opened the transaction and waits out the
+            # stall, and the write carried behind it — which would
+            # need no wait — has not been recorded
             assert session.txn.ops == [] and session.txn.writes == {}
             assert await read_frame(reader) == {
                 "ok": True, "value": None, "txn": session.txn.uid}
@@ -938,7 +938,7 @@ class TestWaitingPath:
 
     def test_deadline_expiring_in_the_wait_leaves_nothing(self):
         """Shard 0 has given the commit its turn when shard 1's
-        prepare queues behind a stall that outlasts the deadline."""
+        prepare waits on a stall that outlasts the deadline."""
         async def scenario(server, port):
             keys = keys_by_shard()
             client = await StoreClient.connect(port)
@@ -955,7 +955,7 @@ class TestWaitingPath:
             assert is_clean(server)
             assert server.metrics.counter("store_txn_aborts_total",
                                           cause="timeout") == 1
-            # the abandoned prepare is a no-op when the stall ends
+            # the next transaction waits out the rest of the stall
             await client.begin()
             assert (await client.read(keys[1]))["value"] is None
             assert (await client.commit())["ok"]
@@ -1004,6 +1004,11 @@ class TestWaitingPath:
             assert reply["cause"] == "shard-crashed"
             assert loop.time() - started < 0.2
             assert is_clean(server)
+            # the crash ended the stall: the shard answers in place
+            await client.begin()
+            assert (await client.read("slow"))["value"] is None
+            assert loop.time() - started < 0.2
+            assert (await client.commit())["ok"]
             client.close()
 
         drive(scenario)
@@ -1046,8 +1051,8 @@ class TestCommitInFlight:
     Transaction X has read shard 1 (and, with ``reads_a``, the shard-0
     key it will write), then shard 1 is stalled, then X commits writes
     to shards 0 and 1: it prepares shard 0 in place and its shard 1
-    prepare queues behind the stall, so X is suspended mid-commit.
-    Shard 0 must keep answering in place meanwhile.
+    prepare waits out the stall, so X is suspended mid-commit.  Shard
+    0 must keep answering in place meanwhile.
     """
 
     STALL_MS = 400
@@ -1071,7 +1076,8 @@ class TestCommitInFlight:
         await x.write(b_key, "x")
         committing = asyncio.ensure_future(x.commit())
         # shard 0 gave its turn: the shard 1 prepare waits
-        while not server.shards[1].stats()["queue_depth"]:
+        while not server.metrics.counter("store_stalled_requests_total",
+                                         shard=1):
             await asyncio.sleep(0.001)
         return x, committing, a_keys
 
@@ -1085,7 +1091,8 @@ class TestCommitInFlight:
                 await reader.begin()
                 assert (await reader.read(a_keys[0]))["value"] == "old"
                 assert (await reader.commit())["ok"]
-                assert not server.shards[0]._queue
+            assert server.metrics.counter("store_stalled_requests_total",
+                                          shard=0) == 0
             assert not committing.done()
             assert (await committing)["ok"]
             for client in (x, reader):
@@ -1204,6 +1211,29 @@ class TestObservability:
         assert monitor.violations == []
         # every snapshot is released, so the watermark sits at the
         # publish frontier and nothing is left to check against
+        assert monitor.retained() == 0
+
+    def test_a_lone_sequential_client_leaves_idle_watermarks(self):
+        """With nothing open, a shard's watermark is the store clock's
+        present, and the monitor folds every row it was fed."""
+        monitor = LiveHistoryMonitor(shards=2)
+
+        async def scenario(server, port):
+            client = await StoreClient.connect(port)
+            keys = keys_by_shard(prefix="lone")
+            for value in range(5):
+                await client.begin()
+                await client.read(keys[value % 2])
+                for key in keys.values():
+                    await client.write(key, value)
+                assert (await client.commit())["ok"]
+            client.close()
+            await settle_sessions(server)
+            assert all(shard.watermark == server.clock.now
+                       for shard in server.shards)
+
+        drive(scenario, monitor=monitor)
+        assert monitor.rows_seen == 5
         assert monitor.retained() == 0
 
     def test_record_path_persists_replayable_rows(self, tmp_path):
