@@ -5,19 +5,19 @@ The offline oracle (:mod:`repro.oracle.checker`) consumes a complete
 "the end of the run" — it streams one **session row** per completed
 transaction (the span-schema-compatible JSONL it also persists), and
 :class:`LiveHistoryMonitor` checks that row, when it is fed, against a
-small index per shard (the store's shards share one clock, so a row
-carries the same ``start_ts`` and ``commit_ts`` on every shard it
-touched, and a read that missed that snapshot on any shard is caught
-on that shard's index):
+small index of the one store history (the store's shards share one
+clock and one snapshot, so a row carries one ``start_ts`` and one
+``commit_ts``, and a read that missed that snapshot on any shard is a
+wrong read of the history):
 
 * the **image** (``addr -> value`` at the watermark), the **retained
   versions** of each address and their **writers**, in commit order;
-* a row's slice on a shard is checked for abort-cause legality and
-  timestamp coherence; every read is replayed in op order (own earlier
-  write, else the newest retained version with ``commit_ts <=
-  start_ts``, else the image); every written address is tested for
-  first-committer-wins against the retained versions of that address —
-  the offline checker's rules, which the differential test in
+* a row is checked for abort-cause legality and timestamp coherence;
+  every read is replayed in op order (own earlier write, else the
+  newest retained version with ``commit_ts <= start_ts``, else the
+  image); every written address is tested for first-committer-wins
+  against the retained versions of that address — the offline
+  checker's rules, which the differential test in
   ``tests/store/test_live_oracle.py`` holds this module to;
 * **the arrival invariant** makes one pass enough: the server draws a
   commit's timestamp, applies it and feeds its row in one step of the
@@ -30,7 +30,7 @@ on that shard's index):
 * values compare by identity (the server feeds the objects it stored),
   else by canonical JSON; nothing is interned;
 * **watermark folding** bounds memory: once no future transaction can
-  start below ``W`` on a shard (:meth:`note_watermark`), writers with
+  start below ``W`` (:meth:`note_watermark`), writers with
   ``commit_ts <= W`` fold into the image — nothing later can overlap
   them or read beneath them.  Aborts, read-only commits and writers
   without a commit timestamp are never retained.
@@ -40,7 +40,9 @@ timestamps replay already uses, so Adya's G1c surfaces as
 ``snapshot-read`` (``tests/corpus/store/g1c_pair.jsonl``).  Violations
 are deduplicated, kept on :attr:`violations`, and — with a dump
 directory — written as a replayable JSONL artifact of the offending row
-plus the shard's retained writers (``sitm-store check`` replays it).
+plus the retained writers (``sitm-store check`` replays it).  Rows of
+older logs also carry a per-shard copy of their timestamps
+(``store.shards``); it is ignored.
 """
 
 from __future__ import annotations
@@ -65,7 +67,7 @@ STORE_ABORT_CAUSES = ("disconnect", "explicit", "shard-crashed",
 
 _INF = float("inf")
 
-#: one operation of a row on one shard: (kind, addr, value, op position)
+#: one operation of a row: (kind, addr, value, op position)
 _Op = Tuple[str, int, object, int]
 #: one retained version: (commit_ts, uid, value, start_ts, label)
 _Version = Tuple[int, int, object, Optional[int], str]
@@ -77,7 +79,7 @@ def _differ(a: object, b: object) -> bool:
 
 
 class _Writer(NamedTuple):
-    """A retained committed writer's slice on one shard."""
+    """A retained committed writer."""
 
     commit_ts: int
     start_ts: Optional[int]
@@ -89,35 +91,26 @@ class _Writer(NamedTuple):
     row: dict
 
 
-class _ShardIndex:
-    """What one shard's future rows can still be checked against."""
-
-    __slots__ = ("image", "versions", "writers", "watermark",
-                 "newest_start")
-
-    def __init__(self) -> None:
-        #: addr -> newest value committed at or below the watermark
-        self.image: Dict[int, object] = {}
-        #: addr -> versions above the watermark, in commit order
-        self.versions: Dict[int, List[_Version]] = {}
-        #: the writers of those versions, in commit order
-        self.writers: List[_Writer] = []
-        self.watermark = -1
-        #: highest start_ts a retained writer has carried; a version
-        #: that arrives at or below it may be late for one of them
-        self.newest_start = -1
-
-
 class LiveHistoryMonitor:
     """Checks each completed store transaction against the SI rules."""
 
     def __init__(self, shards: int, dump_dir: Optional[object] = None):
         if shards < 1:
             raise StoreError("monitor needs at least one shard")
+        #: the shard ids an op may name
         self.shards = shards
         self.dump_dir = pathlib.Path(dump_dir) if dump_dir else None
-        self._shards = [_ShardIndex() for _ in range(shards)]
         self._addrs: Dict[str, int] = {}
+        #: addr -> newest value committed at or below the watermark
+        self._image: Dict[int, object] = {}
+        #: addr -> versions above the watermark, in commit order
+        self._versions: Dict[int, List[_Version]] = {}
+        #: the writers of those versions, in commit order
+        self._writers: List[_Writer] = []
+        self._watermark = -1
+        #: highest start_ts a retained writer has carried; a version
+        #: that arrives at or below it may be late for one of them
+        self._newest_start = -1
         self.rows_seen = 0
         self.violations: List[Violation] = []
         self._seen_violations: set = set()
@@ -133,8 +126,8 @@ class LiveHistoryMonitor:
 
         Returns the *new* violations this row surfaced (empty on quiet
         rows).  Malformed rows raise
-        :class:`~repro.common.errors.StoreError` before any shard index
-        is touched — the monitor is the correctness instrument, so it
+        :class:`~repro.common.errors.StoreError` before the index is
+        touched — the monitor is the correctness instrument, so it
         refuses garbage loudly and whole.
         """
         store = row.get("store")
@@ -146,52 +139,38 @@ class LiveHistoryMonitor:
                              "a completed transaction")
         uid = row["uid"]
         label = row["label"]
-        cause = row.get("cause")
-        addrs = self._addrs
-        slices: Dict[int, Tuple[dict, List[_Op]]] = {
-            int(shard): (times, [])
-            for shard, times in store.get("shards", {}).items()}
+        addrs, shard_ids = self._addrs, range(self.shards)
+        ops: List[_Op] = []
         for position, (kind, shard_id, key, value) in enumerate(
                 store.get("ops", ())):
             if kind == "w" and value is None:
                 raise StoreError(
                     f"txn {uid} wrote null to {key!r}; null is the "
                     "never-written sentinel, not a storable value")
+            if shard_id not in shard_ids:
+                raise StoreError(f"txn {uid} names unknown shard "
+                                 f"{shard_id!r}")
             addr = addrs.get(key)
             if addr is None:
                 addr = addrs[key] = len(addrs) + 1
-            touched = slices.get(shard_id)
-            if touched is None:
-                touched = slices[int(shard_id)] = ({}, [])
-            touched[1].append((kind, addr, value, position))
-        for shard_id in slices:
-            if not 0 <= shard_id < self.shards:
-                raise StoreError(f"txn {uid} names unknown shard "
-                                 f"{shard_id}")
-        fresh: List[Violation] = []
-        for shard_id in sorted(slices):
-            times, ops = slices[shard_id]
-            index = self._shards[shard_id]
-            if outcome == "commit":
-                found = self._check_commit(
-                    index, row, uid, label, times.get("start_ts"),
-                    times.get("commit_ts"), ops)
-            elif cause not in STORE_ABORT_CAUSES:
-                found = [Violation(
-                    "abort-cause", f"{label} (uid {uid}) aborted with "
-                    f"undeclared cause {cause!r}", (uid,))]
-            else:
-                continue
-            if found:
-                fresh += self._report(shard_id, index, row, found)
+            ops.append((kind, addr, value, position))
         self.rows_seen += 1
-        return fresh
+        cause = row.get("cause")
+        if outcome == "commit":
+            found = self._check_commit(row, uid, label, row.get("start_ts"),
+                                       row.get("commit_ts"), ops)
+        elif cause not in STORE_ABORT_CAUSES:
+            found = [Violation(
+                "abort-cause", f"{label} (uid {uid}) aborted with "
+                f"undeclared cause {cause!r}", (uid,))]
+        else:
+            return []
+        return self._report(row, found) if found else []
 
-    def note_watermark(self, shard_id: int, watermark: Optional[int]
-                       ) -> None:
+    def note_watermark(self, watermark: Optional[int]) -> None:
         """Record that no future txn can start below ``watermark``.
 
-        The server feeds each shard's watermark: its oldest open
+        The server feeds the store's watermark: its oldest open
         snapshot, else the store clock's present.  The store clock is
         monotonic, so every later begin gets a start timestamp at or
         above it.  When it advances,
@@ -200,32 +179,31 @@ class LiveHistoryMonitor:
         snapshot sees the newest of them unless a retained version is
         newer still.
         """
-        index = self._shards[shard_id]
-        if watermark is None or watermark <= index.watermark:
+        if watermark is None or watermark <= self._watermark:
             return
-        index.watermark = watermark
+        self._watermark = watermark
+        image, versions = self._image, self._versions
         folded = 0
-        for writer in index.writers:
+        for writer in self._writers:
             if writer.commit_ts > watermark:
                 break
             folded += 1
             for addr, value in writer.final.items():
-                index.image[addr] = value
-                entries = index.versions.get(addr)
+                image[addr] = value
+                entries = versions.get(addr)
                 if entries is not None:
                     del entries[:bisect_right(entries, (watermark, _INF))]
                     if not entries:
-                        del index.versions[addr]
-        del index.writers[:folded]
+                        del versions[addr]
+        del self._writers[:folded]
 
     # ------------------------------------------------------------------
     # the rules (``repro.oracle.checker``'s, one transaction at a time)
 
-    def _check_commit(self, index: _ShardIndex, row: dict, uid: int,
-                      label: str, start_ts: Optional[int],
-                      commit_ts: Optional[int], ops: List[_Op]
-                      ) -> List[Violation]:
-        """Timestamps, replay and first-committer-wins for one slice."""
+    def _check_commit(self, row: dict, uid: int, label: str,
+                      start_ts: Optional[int], commit_ts: Optional[int],
+                      ops: List[_Op]) -> List[Violation]:
+        """Timestamps, replay and first-committer-wins for one row."""
         found: List[Violation] = []
         final = {addr: value for kind, addr, value, _ in ops
                  if kind == "w"}
@@ -242,44 +220,43 @@ class LiveHistoryMonitor:
                 f"{incoherent}", (uid,)))
         if not final or commit_ts is None:
             if start_ts is not None:
-                found += self._replay(index, uid, label, start_ts, ops)
+                found += self._replay(uid, label, start_ts, ops)
             return found
         # publish first: the checker lets a transaction whose commit_ts
         # is not above its start_ts see its own versions, and flags it
         for addr, value in final.items():
-            entries = index.versions.setdefault(addr, [])
+            entries = self._versions.setdefault(addr, [])
             at = bisect_right(entries, (commit_ts, uid))
             entries.insert(at, (commit_ts, uid, value, start_ts, label))
             if start_ts is not None and len(entries) > 1:
                 found += _first_committer_wins(addr, entries, at)
         if start_ts is not None:
-            found += self._replay(index, uid, label, start_ts, ops)
-        if commit_ts <= index.newest_start:
+            found += self._replay(uid, label, start_ts, ops)
+        if commit_ts <= self._newest_start:
             # published into the past of a retained writer: what that
             # writer read there was replayed without this version
-            for writer in index.writers:
+            for writer in self._writers:
                 if (writer.start_ts is not None
                         and writer.start_ts >= commit_ts):
                     found += self._replay(
-                        index, writer.uid, writer.label, writer.start_ts,
+                        writer.uid, writer.label, writer.start_ts,
                         writer.ops, only=final)
-        if start_ts is not None and start_ts > index.newest_start:
-            index.newest_start = start_ts
-        writers = index.writers
+        if start_ts is not None and start_ts > self._newest_start:
+            self._newest_start = start_ts
+        writers = self._writers
         writers.append(_Writer(commit_ts, start_ts, uid, label, ops,
                                final, row))
         if len(writers) > 1 and writers[-2].commit_ts > commit_ts:
             writers.sort(key=lambda writer: writer.commit_ts)
         return found
 
-    @staticmethod
-    def _replay(index: _ShardIndex, uid: int, label: str, start_ts: int,
-                ops: List[_Op], only: Optional[Dict[int, object]] = None
+    def _replay(self, uid: int, label: str, start_ts: int, ops: List[_Op],
+                only: Optional[Dict[int, object]] = None
                 ) -> List[Violation]:
-        """Exact value replay of a slice's reads against its snapshot."""
+        """Exact value replay of a transaction's reads at its snapshot."""
         found = []
         own: Dict[int, object] = {}
-        versions, image = index.versions, index.image
+        versions, image = self._versions, self._image
         for kind, addr, value, position in ops:
             if kind == "w":
                 own[addr] = value
@@ -310,8 +287,8 @@ class LiveHistoryMonitor:
     # ------------------------------------------------------------------
     # findings
 
-    def _report(self, shard_id: int, index: _ShardIndex, row: dict,
-                found: List[Violation]) -> List[Violation]:
+    def _report(self, row: dict, found: List[Violation]
+                ) -> List[Violation]:
         """Keep, and dump, the findings not reported before."""
         fresh = []
         for violation in found:
@@ -321,7 +298,7 @@ class LiveHistoryMonitor:
                 fresh.append(violation)
         if fresh:
             self.violations += fresh
-            self._dump(shard_id, index, row, fresh)
+            self._dump(row, fresh)
         return fresh
 
     def check(self) -> List[Violation]:
@@ -335,17 +312,16 @@ class LiveHistoryMonitor:
         return fresh
 
     def retained(self) -> int:
-        """Committed writers currently retained across all shards."""
-        return sum(len(index.writers) for index in self._shards)
+        """Committed writers currently retained."""
+        return len(self._writers)
 
-    def _dump(self, shard_id: int, index: _ShardIndex, row: dict,
-              violations: List[Violation]) -> None:
+    def _dump(self, row: dict, violations: List[Violation]) -> None:
         if self.dump_dir is None:
             return
         self.dump_dir.mkdir(parents=True, exist_ok=True)
         path = (self.dump_dir
                 / f"store-violation-{len(self.dumps):03d}.jsonl")
-        rows = [writer.row for writer in index.writers
+        rows = [writer.row for writer in self._writers
                 if writer.row is not row] + [row]
         rows.sort(key=lambda r: r.get("end_cycle") or 0)
         with path.open("w", encoding="utf-8") as handle:
@@ -353,8 +329,7 @@ class LiveHistoryMonitor:
                 handle.write(json.dumps(retained, sort_keys=True) + "\n")
         summary = path.with_suffix(".violations.json")
         summary.write_text(json.dumps(
-            {"shard": shard_id,
-             "violations": [v.to_dict() for v in violations]},
+            {"violations": [v.to_dict() for v in violations]},
             indent=2, sort_keys=True) + "\n", encoding="utf-8")
         self.dumps.append(path)
 

@@ -58,7 +58,7 @@ The robustness contract, end to end:
 * **Monitoring**: every completed transaction is fed to the
   :class:`~repro.oracle.live.LiveHistoryMonitor` as a span-schema-
   compatible session row (also persisted when ``record_path`` is set),
-  and the per-shard GC watermark is reported after each completion so
+  and the store's GC watermark is reported after each completion so
   the monitor can fold what no later transaction can overlap.  The
   monitor checks a row once, when it is fed, and relies on arrival
   order for that: a commit is applied and its row fed with no ``await``
@@ -737,17 +737,13 @@ class StoreServer:
             self._record.flush()
         if self.monitor is not None:
             self.monitor.feed_row(row)
-            for shard in self.shards:
-                self.monitor.note_watermark(shard.shard_id,
-                                            shard.watermark)
+            # every shard registers every open snapshot at begin, so one
+            # shard's watermark is the store's
+            self.monitor.note_watermark(self.shards[0].watermark)
 
     def _session_row(self, session: Session, txn: Txn, committed: bool,
                      cause: Optional[str], start_ts: int) -> dict:
-        """The span-schema-compatible record of one completed txn: every
-        shard it read or wrote carries the same two timestamps."""
-        shards_meta = {
-            str(sid): {"start_ts": start_ts, "commit_ts": txn.commit_ts}
-            for sid in sorted(txn.touched_shards)}
+        """The span-schema-compatible record of one completed txn."""
         return {
             "uid": txn.uid,
             "thread": session.session_id,
@@ -762,10 +758,7 @@ class StoreServer:
             "start_ts": start_ts,
             "commit_ts": txn.commit_ts,
             "schema_version": SPAN_SCHEMA_VERSION,
-            "store": {
-                "shards": shards_meta,
-                "ops": txn.ops,
-            },
+            "store": {"ops": txn.ops},
         }
 
     # ------------------------------------------------------------------

@@ -99,12 +99,8 @@ def _g1c_pair(name: str) -> None:
             "reads": 1, "writes": 1,
             "start_ts": start_ts, "commit_ts": commit_ts,
             "schema_version": SPAN_SCHEMA_VERSION,
-            "store": {
-                "shards": {"0": {"start_ts": start_ts,
-                                 "commit_ts": commit_ts}},
-                "ops": [["r", 0, read_key, read_value],
-                        ["w", 0, write_key, f"from-{uid}"]],
-            },
+            "store": {"ops": [["r", 0, read_key, read_value],
+                              ["w", 0, write_key, f"from-{uid}"]]},
         }
 
     rows = [row(1, 1, 3, "g1c-y", "from-2", "g1c-x"),

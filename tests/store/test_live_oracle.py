@@ -35,19 +35,12 @@ def row(ops, outcome="commit", start_ts=None, commit_ts=None, cause=None,
     if uid is None:
         _UID[0] += 1
         uid = _UID[0]
-    meta = {}
-    if start_ts is not None:
-        meta["start_ts"] = start_ts
-    if commit_ts is not None:
-        meta["commit_ts"] = commit_ts
     return {
         "uid": uid, "thread": uid, "label": label or f"t{uid}",
         "outcome": outcome, "cause": cause,
-        "store": {
-            "shards": {str(shard): meta},
-            "ops": [[kind, shard, key, value]
-                    for kind, key, value in ops],
-        },
+        "start_ts": start_ts, "commit_ts": commit_ts,
+        "store": {"ops": [[kind, shard, key, value]
+                          for kind, key, value in ops]},
     }
 
 
@@ -182,27 +175,22 @@ class TestIngestValidation:
                                  commit_ts=2, shard=5))
 
     def test_rejected_row_leaves_the_monitor_untouched(self):
-        """A row is refused whole: shard 0's slice of a row that also
-        names unknown shard 7 must not reach shard 0's index."""
+        """A row is refused whole: the good ops of a row that also
+        names unknown shard 7 must not reach the index."""
         monitor = LiveHistoryMonitor(shards=2)
         monitor.feed_row(row([("w", "k", 1)], start_ts=1, commit_ts=2))
-        monitor.note_watermark(0, 2)
+        monitor.note_watermark(2)
         monitor.feed_row(row([("w", "k", 2)], start_ts=3, commit_ts=4))
 
         def state():
             return (monitor.retained(), monitor.rows_seen,
-                    [dict(index.image) for index in monitor._shards],
-                    [{addr: list(entries) for addr, entries
-                      in index.versions.items()}
-                     for index in monitor._shards])
+                    dict(monitor._image),
+                    {addr: list(entries) for addr, entries
+                     in monitor._versions.items()})
 
         before = state()
         bad = row([("w", "k", 3)], start_ts=5, commit_ts=6)
         bad["store"]["ops"].append(["w", 7, "elsewhere", 1])
-        with pytest.raises(StoreError, match="unknown shard 7"):
-            monitor.feed_row(bad)
-        bad = row([("w", "k", 3)], start_ts=5, commit_ts=6)
-        bad["store"]["shards"]["7"] = {"start_ts": 1, "commit_ts": 2}
         with pytest.raises(StoreError, match="unknown shard 7"):
             monitor.feed_row(bad)
         bad = row([("w", "k", 3), ("w", "j", None)], start_ts=5,
@@ -213,6 +201,16 @@ class TestIngestValidation:
         # and the stream goes on as if the rows had never been offered
         monitor.feed_row(row([("r", "k", 2)], start_ts=7))
         assert monitor.check() == []
+
+    def test_an_older_rows_per_shard_timestamps_are_ignored(self):
+        """Older logs repeat a row's timestamps per shard; only the
+        row's own pair is read."""
+        monitor = LiveHistoryMonitor(shards=1)
+        old = row([("w", "k", 1)], start_ts=1, commit_ts=2)
+        old["store"]["shards"] = {"0": {"start_ts": 5, "commit_ts": 3},
+                                  "9": {}}
+        assert monitor.feed_row(old) == []
+        assert monitor.retained() == 1
 
     def test_monitor_needs_a_shard(self):
         with pytest.raises(StoreError):
@@ -235,7 +233,7 @@ class TestWatermarkFolding:
             monitor.feed_row(row([("w", "k", step)],
                                  start_ts=2 * step + 1,
                                  commit_ts=2 * step + 2))
-        monitor.note_watermark(0, 100)
+        monitor.note_watermark(100)
         assert monitor.check() == []
         assert monitor.retained() == 0
         # the folded image must replay for a later reader: the newest
@@ -248,7 +246,7 @@ class TestWatermarkFolding:
         monitor = LiveHistoryMonitor(shards=1)
         monitor.feed_row(row([("w", "k", "old")], start_ts=1, commit_ts=2))
         monitor.feed_row(row([("w", "k", "new")], start_ts=3, commit_ts=4))
-        monitor.note_watermark(0, 50)
+        monitor.note_watermark(50)
         monitor.check()
         assert monitor.retained() == 0
         # a reader claiming to still see "old" is now a violation
@@ -260,7 +258,7 @@ class TestWatermarkFolding:
         monitor = LiveHistoryMonitor(shards=1)
         monitor.feed_row(row([("w", "k", 1)], start_ts=1, commit_ts=2))
         monitor.feed_row(row([("w", "k", 2)], start_ts=9, commit_ts=10))
-        monitor.note_watermark(0, 5)
+        monitor.note_watermark(5)
         assert monitor.check() == []
         assert monitor.retained() == 1  # only the commit_ts=10 writer
 
@@ -276,9 +274,9 @@ class TestWatermarkFolding:
                              start_ts=3, commit_ts=6))
         # watermark covers the first two writers but the commit_ts=6
         # record still replays a snapshot from ts=3
-        monitor.note_watermark(0, 5)
+        monitor.note_watermark(5)
         assert monitor.check() == []
-        monitor.note_watermark(0, 50)
+        monitor.note_watermark(50)
         assert monitor.check() == []
         assert monitor.retained() == 0
 
@@ -288,22 +286,19 @@ class TestWatermarkFolding:
         are held by the slots that refer to them and by nothing else
         (there is no interning table to sweep), and a value that was
         folded over long ago is still a wrong read when it comes back."""
-        monitor = LiveHistoryMonitor(shards=2)
+        monitor = LiveHistoryMonitor(shards=1)
         for step in range(400):
-            shard = step % 2
-            monitor.feed_row(row([("r", "k", step - 2 if step > 1 else None),
-                                  ("w", "k", step)], shard=shard,
+            monitor.feed_row(row([("r", "k", step - 1 if step else None),
+                                  ("w", "k", step)],
                                  start_ts=step + 1, commit_ts=step + 2))
-            monitor.note_watermark(shard, step + 2)
+            monitor.note_watermark(step + 2)
         assert monitor.check() == []
         assert monitor.retained() == 0
-        addr = monitor._addrs["k"]
-        assert [index.image for index in monitor._shards] == [
-            {addr: 398}, {addr: 399}]
-        assert [index.versions for index in monitor._shards] == [{}, {}]
+        assert monitor._image == {monitor._addrs["k"]: 399}
+        assert monitor._versions == {}
         monitor.feed_row(row([("w", "other", 0)], start_ts=500,
                              commit_ts=501))
-        monitor.feed_row(row([("r", "k", 398)], start_ts=502))
+        monitor.feed_row(row([("r", "k", 399)], start_ts=502))
         assert monitor.check() == []
         monitor.feed_row(row([("r", "k", 0)], start_ts=503))
         assert [v.rule for v in monitor.check()] != []
@@ -369,105 +364,91 @@ class TestArtifacts:
 # the offline checker as the reference
 
 
-def reference_findings(rows, shards):
-    """``check_history`` over the whole stream, one History per shard.
+def reference_findings(rows):
+    """``check_history`` over the whole stream as one History.
 
     This is the batch design the monitor replaced, kept as its
     reference: every row of the stream is laid out in arrival order as
-    begin / ops in op order / commit-or-abort events (nothing folded,
-    nothing forgotten), keys and values are interned to integers, and
-    the standard snapshot checks run over the lot.  ``si-cycle`` is
-    dropped: events laid out in arrival order make every derived edge
-    point forward, so that rule cannot fire on a row stream.
+    begin / ops in op order / commit-or-abort events at the row's
+    timestamps (nothing folded, nothing forgotten), keys and values are
+    interned to integers, and the standard snapshot checks run over the
+    lot.  ``si-cycle`` is dropped: events laid out in arrival order make
+    every derived edge point forward, so that rule cannot fire on a row
+    stream.
     """
     addrs, values = {}, {}
-    records = [[] for _ in range(shards)]
+    history = History(system="sitm-store", isolation="snapshot",
+                      abort_causes=STORE_ABORT_CAUSES)
+    events = history.events
     for session_row in rows:
-        store = session_row["store"]
         committed = session_row["outcome"] == "commit"
-        per_shard = {int(shard): [] for shard in store["shards"]}
-        for kind, shard, key, value in store["ops"]:
+        record = TxnRecord(
+            uid=session_row["uid"], thread_id=session_row["thread"],
+            label=session_row["label"], begin_index=len(events),
+            start_ts=session_row.get("start_ts"),
+            commit_ts=session_row.get("commit_ts"),
+            abort_cause=None if committed else session_row["cause"])
+        who = (record.uid, record.thread_id, record.label)
+        events.append(HistoryEvent(len(events), BEGIN, *who))
+        for kind, _, key, value in session_row["store"]["ops"]:
             addr = addrs.setdefault(key, len(addrs) + 1)
             vid = 0 if value is None else values.setdefault(
                 json.dumps(value, sort_keys=True), len(values) + 1)
-            per_shard.setdefault(shard, []).append((kind, addr, vid))
-        for shard, ops in per_shard.items():
-            times = store["shards"].get(str(shard), {})
-            records[shard].append((TxnRecord(
-                uid=session_row["uid"], thread_id=session_row["thread"],
-                label=session_row["label"], begin_index=-1,
-                start_ts=times.get("start_ts"),
-                commit_ts=times.get("commit_ts"),
-                abort_cause=None if committed else session_row["cause"]),
-                committed, ops))
-    found = set()
-    for shard_records in records:
-        history = History(system="sitm-store", isolation="snapshot",
-                          abort_causes=STORE_ABORT_CAUSES)
-        events = history.events
-        for record, committed, ops in shard_records:
-            who = (record.uid, record.thread_id, record.label)
-            record.begin_index = len(events)
-            events.append(HistoryEvent(len(events), BEGIN, *who))
-            for kind, addr, vid in ops:
-                index = len(events)
-                if kind == "r":
-                    events.append(HistoryEvent(index, READ, *who,
-                                               addr, vid))
-                    record.reads.append((addr, vid, index))
-                else:
-                    events.append(HistoryEvent(index, WRITE, *who,
-                                               addr, vid))
-                    record.writes.append((addr, vid, index))
-            if committed:
-                record.commit_index = len(events)
-            events.append(HistoryEvent(
-                len(events), COMMIT if committed else ABORT, *who))
-            history.transactions[record.uid] = record
-        found |= {(v.rule, v.txns, v.addr) for v in check_history(history)
-                  if v.rule != "si-cycle"}
-    return found
+            index = len(events)
+            if kind == "r":
+                events.append(HistoryEvent(index, READ, *who, addr, vid))
+                record.reads.append((addr, vid, index))
+            else:
+                events.append(HistoryEvent(index, WRITE, *who, addr, vid))
+                record.writes.append((addr, vid, index))
+        if committed:
+            record.commit_index = len(events)
+        events.append(HistoryEvent(
+            len(events), COMMIT if committed else ABORT, *who))
+        history.transactions[record.uid] = record
+    return {(v.rule, v.txns, v.addr) for v in check_history(history)
+            if v.rule != "si-cycle"}
 
 
 def live_findings(events, shards):
     """The monitor's verdict on a stream of rows and watermarks."""
     monitor = LiveHistoryMonitor(shards=shards)
-    for event in events:
-        if event[0] == "row":
-            monitor.feed_row(event[1])
+    for kind, what in events:
+        if kind == "row":
+            monitor.feed_row(what)
         else:
-            monitor.note_watermark(event[1], event[2])
+            monitor.note_watermark(what)
     return {(v.rule, v.txns, v.addr) for v in monitor.violations}
 
 
 class _Txn:
-    def __init__(self, uid):
+    def __init__(self, uid, start_ts, snapshot):
         self.uid = uid
-        #: shard -> (start_ts, the shard's committed state at that time)
-        self.snapshots = {}
+        self.start_ts = start_ts
+        #: key -> (value, commit_ts), as committed at start_ts
+        self.snapshot = snapshot
         self.writes = {}
         self.ops = []
 
 
 class SimulatedStore:
-    """A correct per-shard SI store that can be told to misbehave once.
+    """A correct SI store on one clock that can be told to misbehave once.
 
     Emits what the real server feeds its monitor, in the order it would:
-    one session row per finished transaction, then every shard's
-    watermark (oldest open snapshot, else the publish frontier).  The
-    clocks, snapshots, first-committer-wins validation and atomic
-    publish are the server's; each ``fault`` breaks exactly one of them.
+    one session row per finished transaction, then the store's
+    watermark (oldest open snapshot, else the clock's present).  The
+    clock, the snapshot taken at begin, first-committer-wins validation
+    and atomic publish are the server's; each ``fault`` breaks exactly
+    one of them.
     """
 
     KEYS_PER_SHARD = 3
 
-    def __init__(self, shards, rng):
+    def __init__(self, shards):
         self.shards = shards
-        self.rng = rng
-        self.clock = [0] * shards
-        self.frontier = [0] * shards
-        #: per shard: key -> (value, commit_ts)
-        self.state = [{} for _ in range(shards)]
+        self.clock = 0
+        #: key -> (value, commit_ts)
+        self.state = {}
         self.aborted_values = {}
         self.open = []
         self.events = []
@@ -478,77 +459,63 @@ class SimulatedStore:
 
     def begin(self):
         self.uids += 1
-        txn = _Txn(self.uids)
+        self.clock += 1
+        txn = _Txn(self.uids, self.clock, dict(self.state))
         self.open.append(txn)
         return txn
 
-    def _pin(self, txn, shard):
-        if shard not in txn.snapshots:
-            self.clock[shard] += 1
-            txn.snapshots[shard] = (self.clock[shard],
-                                    dict(self.state[shard]))
-        return txn.snapshots[shard]
-
     def read(self, txn, shard, key, lie=None):
-        _, snapshot = self._pin(txn, shard)
-        if (shard, key) in txn.writes:
-            value = txn.writes[shard, key]
+        if key in txn.writes:
+            value = txn.writes[key]
         else:
-            value = snapshot.get(key, (None, 0))[0]
+            value = txn.snapshot.get(key, (None, 0))[0]
         if lie is not None:
             value = lie
         txn.ops.append(["r", shard, key, value])
         return value
 
     def write(self, txn, shard, key):
-        self._pin(txn, shard)
         value = {"by": txn.uid, "n": len(txn.ops)}
-        txn.writes[shard, key] = value
+        txn.writes[key] = value
         txn.ops.append(["w", shard, key, value])
 
     def conflicts(self, txn):
-        return any(self.state[shard].get(key, (None, 0))[1]
-                   > txn.snapshots[shard][0]
-                   for shard, key in txn.writes)
+        return any(self.state.get(key, (None, 0))[1] > txn.start_ts
+                   for key in txn.writes)
 
     def commit(self, txn, validate=True, report=None):
-        """Finish ``txn``; ``report(meta)`` may falsify its timestamps."""
+        """Finish ``txn``; ``report(times)`` may falsify its timestamps."""
         if validate and self.conflicts(txn):
             return self.abort(txn, "write-write")
-        commit_ts = {}
-        for shard in sorted({shard for shard, _ in txn.writes}):
-            self.clock[shard] += 1
-            commit_ts[shard] = self.frontier[shard] = self.clock[shard]
-        for (shard, key), value in txn.writes.items():
-            self.state[shard][key] = (value, commit_ts[shard])
+        commit_ts = None
+        if txn.writes:
+            self.clock += 1
+            commit_ts = self.clock
+        for key, value in txn.writes.items():
+            self.state[key] = (value, commit_ts)
         self._finish(txn, "commit", None, commit_ts, report)
 
     def abort(self, txn, cause):
-        for (_, key), value in txn.writes.items():
+        for key, value in txn.writes.items():
             self.aborted_values.setdefault(key, value)
-        self._finish(txn, "abort", cause, {}, None)
+        self._finish(txn, "abort", cause, None, None)
 
     def _finish(self, txn, outcome, cause, commit_ts, report):
         self.open.remove(txn)
-        meta = {str(shard): {"start_ts": start_ts,
-                             "commit_ts": commit_ts.get(shard)}
-                for shard, (start_ts, _) in sorted(txn.snapshots.items())}
+        times = {"start_ts": txn.start_ts, "commit_ts": commit_ts}
         if report is not None:
-            report(meta)
+            report(times)
         self.events.append(("row", {
             "uid": txn.uid, "thread": txn.uid, "label": f"t{txn.uid}",
             "outcome": outcome, "cause": cause,
-            "end_cycle": len(self.events),
-            "store": {"shards": meta, "ops": txn.ops}}))
-        for shard in range(self.shards):
-            pins = [t.snapshots[shard][0] for t in self.open
-                    if shard in t.snapshots]
-            self.events.append(("wm", shard,
-                                min(pins + [self.frontier[shard]])))
+            "end_cycle": len(self.events), **times,
+            "store": {"ops": txn.ops}}))
+        self.events.append(("wm", min([t.start_ts for t in self.open]
+                                      + [self.clock])))
 
     @property
     def rows(self):
-        return [event[1] for event in self.events if event[0] == "row"]
+        return [what for kind, what in self.events if kind == "row"]
 
 
 FAULTS = ("none", "stale-read", "aborted-read", "lost-fcw",
@@ -573,7 +540,7 @@ def synthetic_stream(fault, seed, steps=220):
     """
     rng = SplitRandom(seed, ("live-differential", fault))
     shards = rng.randrange(1, 4)
-    store = SimulatedStore(shards, rng)
+    store = SimulatedStore(shards)
     arm_at = rng.randrange(steps // 4, steps // 2)
     faulty = None  # the transaction carrying the injected fault
     for step in range(steps):
@@ -591,9 +558,8 @@ def synthetic_stream(fault, seed, steps=220):
                 store.write(txn, shard, key)
                 continue
             lie = None
-            if armed and (shard, key) not in txn.writes:
-                _, snapshot = store._pin(txn, shard)
-                if fault == "stale-read" and key in snapshot:
+            if armed and key not in txn.writes:
+                if fault == "stale-read" and key in txn.snapshot:
                     # the value the key held before any commit
                     lie = {"by": 0, "n": "never"}
                 elif fault == "aborted-read":
@@ -602,9 +568,7 @@ def synthetic_stream(fault, seed, steps=220):
             if lie is not None:
                 faulty = txn
             continue
-        if armed and fault == "undeclared-abort" and txn.snapshots:
-            # (a transaction that touched no shard is in no shard's
-            # history: neither checker sees its row)
+        if armed and fault == "undeclared-abort":
             faulty = txn
             store.abort(txn, "cosmic-rays")
         elif rng.random() < 0.1:
@@ -617,18 +581,15 @@ def synthetic_stream(fault, seed, steps=220):
               and not store.conflicts(txn)):
             faulty = txn
 
-            def report(meta):
-                for times in meta.values():
-                    if times["commit_ts"] is not None:
-                        times["start_ts"] = times["commit_ts"]
+            def report(times):
+                times["start_ts"] = times["commit_ts"]
             store.commit(txn, report=report)
-        elif (armed and fault == "missing-start" and txn.snapshots
+        elif (armed and fault == "missing-start"
               and not store.conflicts(txn)):
             faulty = txn
 
-            def report(meta):
-                for times in meta.values():
-                    times["start_ts"] = None
+            def report(times):
+                times["start_ts"] = None
             store.commit(txn, report=report)
         else:
             store.commit(txn)
@@ -646,8 +607,8 @@ def synthetic_stream(fault, seed, steps=220):
 def _publish_into_the_past(store):
     """A commit whose timestamp lands under a retained writer's snapshot.
 
-    On a key nothing else touches: ``first`` writes it; ``late`` pins
-    its snapshot; ``reader`` begins after that, reads the key (correctly,
+    On a key nothing else touches: ``first`` writes it; ``late``
+    begins; ``reader`` begins after that, reads the key (correctly,
     ``first``'s value) and commits a write elsewhere while ``late`` is
     still open — so the watermark cannot pass it and it stays retained;
     then ``late`` commits the key with ``commit_ts`` reported as the
@@ -659,16 +620,14 @@ def _publish_into_the_past(store):
     store.write(first, 0, key)
     store.commit(first)
     late = store.begin()
-    store._pin(late, 0)
     reader = store.begin()
     store.read(reader, 0, key)
     store.write(reader, 0, elsewhere)
     store.commit(reader)
-    reader_start = store.rows[-1]["store"]["shards"]["0"]["start_ts"]
     store.write(late, 0, key)
 
-    def report(meta):
-        meta["0"]["commit_ts"] = reader_start
+    def report(times):
+        times["commit_ts"] = reader.start_ts
     store.commit(late, report=report)
     return reader
 
@@ -682,7 +641,7 @@ class TestAgainstTheOfflineChecker:
     def test_corpus_file(self, name):
         _, rows = load(name)
         events = [("row", r) for r in rows]
-        assert live_findings(events, 2) == reference_findings(rows, 2)
+        assert live_findings(events, 2) == reference_findings(rows)
 
     @pytest.mark.parametrize("fault", FAULTS)
     def test_synthetic_streams(self, fault):
@@ -690,8 +649,7 @@ class TestAgainstTheOfflineChecker:
         for seed in range(30):
             store, hit = synthetic_stream(fault, seed)
             live = live_findings(store.events, store.shards)
-            assert live == reference_findings(store.rows, store.shards), \
-                (fault, seed)
+            assert live == reference_findings(store.rows), (fault, seed)
             if fault == "none":
                 assert live == set(), seed
             elif hit:
@@ -706,16 +664,16 @@ class TestAgainstTheOfflineChecker:
         store, _ = synthetic_stream("none", 0)
         monitor = LiveHistoryMonitor(shards=store.shards)
         peak = 0
-        for event in store.events:
-            if event[0] == "row":
-                monitor.feed_row(event[1])
+        for kind, what in store.events:
+            if kind == "row":
+                monitor.feed_row(what)
                 peak = max(peak, monitor.retained())
             else:
-                monitor.note_watermark(event[1], event[2])
+                monitor.note_watermark(what)
         causes = {r["cause"] for r in store.rows}
         assert "write-write" in causes and len(store.rows) > 30
         assert peak >= 2 and monitor.retained() == 0
-        assert any(index.image for index in monitor._shards)
+        assert monitor._image
 
 
 # ----------------------------------------------------------------------
@@ -726,18 +684,17 @@ def read_mostly_stream(rows, shards=4, keys=256, ops=8,
                        write_fraction=0.1, trail=8):
     """``store_read_mostly``-shaped rows, watermark ``trail`` rows back.
 
-    Serial transactions (row ``i`` runs ``[10 i, 10 i + 5]`` on every
-    shard it touches), values shared by identity between the write and
-    the reads that observe it, as the in-process server shares them.
+    Serial transactions (row ``i`` runs ``[10 i, 10 i + 5]``), values
+    shared by identity between the write and the reads that observe it,
+    as the in-process server shares them.
     """
     rng = SplitRandom(7, ("live-cost",))
     current = {}
     for i in range(rows):
-        touched, row_ops, writes = set(), [], {}
+        row_ops, writes = [], {}
         for op in range(ops):
             which = rng.randrange(keys)
             shard, key = which % shards, f"k{which}"
-            touched.add(shard)
             if rng.random() < write_fraction:
                 writes[key] = {"n": [i, op]}
                 row_ops.append(["w", shard, key, writes[key]])
@@ -745,19 +702,16 @@ def read_mostly_stream(rows, shards=4, keys=256, ops=8,
                 row_ops.append(["r", shard, key,
                                 writes.get(key, current.get(key))])
         current.update(writes)
-        written = {s for kind, s, _, _ in row_ops if kind == "w"}
         yield {
             "uid": i, "thread": 0, "label": f"t{i}", "outcome": "commit",
-            "cause": None, "end_cycle": i,
-            "store": {"ops": row_ops, "shards": {
-                str(s): {"start_ts": 10 * i,
-                         "commit_ts": 10 * i + 5 if s in written else None}
-                for s in sorted(touched)}}}, 10 * max(0, i - trail)
+            "cause": None, "end_cycle": i, "start_ts": 10 * i,
+            "commit_ts": 10 * i + 5 if writes else None,
+            "store": {"ops": row_ops}}, 10 * max(0, i - trail)
 
 
 class TestCostIsFlat:
     def test_calls_per_row_do_not_grow_with_the_stream(self):
-        """Function calls (Python and C) per ``feed_row`` plus its four
+        """Function calls (Python and C) per ``feed_row`` plus its
         ``note_watermark``: a count, so the same on every host.  The
         batch design paid ≈ 100 × its median on every 64th row."""
         monitor = LiveHistoryMonitor(shards=4)
@@ -773,8 +727,7 @@ class TestCostIsFlat:
             sys.setprofile(count)
             try:
                 monitor.feed_row(session_row)
-                for shard in range(4):
-                    monitor.note_watermark(shard, watermark)
+                monitor.note_watermark(watermark)
             finally:
                 sys.setprofile(None)
             costs.append(calls[0])

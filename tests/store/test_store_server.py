@@ -1263,11 +1263,13 @@ class TestLateWrapping:
         """perfbench's traced pass patches ``shard.submit``, the
         ``_do_*`` bodies, ``shard.apply`` and ``protocol.encode_frame``
         on a server that is already serving, so the request path has to
-        look them up per call; ``submit`` has to hand back a future."""
+        look them up per call; ``submit`` has to hand back a future.  It
+        wraps the monitor's ``feed_row`` and ``note_watermark`` too: one
+        watermark per completed transaction, at any shard count."""
         from repro.store import protocol
 
         seen = {"submit": 0, "bodies": 0, "pins": 0, "apply": 0,
-                "frames": 0, "requests": 0}
+                "frames": 0, "requests": 0, "rows": 0, "watermarks": 0}
 
         def wrap(owner, attr, note):
             real = getattr(owner, attr)
@@ -1296,13 +1298,18 @@ class TestLateWrapping:
                     wrap(shard, body, count("bodies"))
                 wrap(shard, "_do_snapshot", count("pins"))
                 wrap(shard, "apply", count("apply"))
+            wrap(server.monitor, "feed_row", count("rows"))
+            wrap(server.monitor, "note_watermark", count("watermarks"))
             stats = await run_load(port, sessions=4, txns_per_session=50,
                                    keys=32, seed=5)
             await settle_sessions(server)
             return stats, sum(s.commits for s in server.shards)
 
-        stats, applies = drive(scenario)
+        monitor = LiveHistoryMonitor(shards=2)
+        stats, applies = drive(scenario, monitor=monitor)
         assert stats["commits"] == 200
+        assert seen["watermarks"] == seen["rows"] >= 200
+        assert monitor.violations == []
         # a clean load dooms and sheds nothing: each submitted command
         # reached exactly one body, and each begin registered its
         # snapshot in place on both shards
