@@ -33,17 +33,16 @@ def withdraw_scenario(rng):
     def withdraw(from_checking):
         def body():
             checking_balance = yield Read(
-                checking, site="withdraw.py:2 read checking")
-            saving_balance = yield Read(
-                saving, site="withdraw.py:2 read saving")
+                checking, "withdraw.py:2 read checking")
+            saving_balance = yield Read(saving, "withdraw.py:2 read saving")
             yield Compute(20)
             if checking_balance + saving_balance > 100:
                 if from_checking:
                     yield Write(checking, checking_balance - 100,
-                                site="withdraw.py:4 debit checking")
+                                "withdraw.py:4 debit checking")
                 else:
                     yield Write(saving, saving_balance - 100,
-                                site="withdraw.py:6 debit saving")
+                                "withdraw.py:6 debit saving")
         return body
 
     programs = [[TransactionSpec(withdraw(True), "withdraw")],

@@ -172,14 +172,13 @@ def _make_body(ops: Sequence[list], base: int, stride: int, label: str):
         for op in frozen:
             kind = op[0]
             if kind == "r":
-                yield Read(base + op[1] * stride, site=f"{label}:r{op[1]}")
+                yield Read(base + op[1] * stride, f"{label}:r{op[1]}")
             elif kind == "w":
-                yield Write(base + op[1] * stride, op[2],
-                            site=f"{label}:w{op[1]}")
+                yield Write(base + op[1] * stride, op[2], f"{label}:w{op[1]}")
             elif kind == "a":
                 addr = base + op[1] * stride
-                value = yield Read(addr, site=f"{label}:a{op[1]}")
-                yield Write(addr, value + op[2], site=f"{label}:a{op[1]}")
+                value = yield Read(addr, f"{label}:a{op[1]}")
+                yield Write(addr, value + op[2], f"{label}:a{op[1]}")
             elif kind == "c":
                 yield Compute(op[1])
             else:

@@ -653,10 +653,7 @@ class StoreServer:
         self.clock.finish_commit(txn.commit_ts)
         self._finish_txn(session, txn, committed=True, snapshot=snapshot,
                          now=now)
-        return {"ok": True,
-                "commit_ts": {str(shard.shard_id): txn.commit_ts
-                              for shard in shards},
-                "read_only": False}
+        return {"ok": True, "commit_ts": txn.commit_ts, "read_only": False}
 
     def _snapshot(self, txn: Txn) -> int:
         """The latest timestamp at which every read of ``txn`` still

@@ -23,41 +23,50 @@ class TxArray(TxStructure):
         self.size = size
         self.base = self._alloc(size)
 
-    def _addr(self, index: int) -> int:
-        if not 0 <= index < self.size:
-            raise IndexError(f"index {index} out of range [0,{self.size})")
-        return self.base + index
+    def _out_of_range(self, index: int) -> IndexError:
+        return IndexError(f"index {index} out of range [0,{self.size})")
 
     # ------------------------------------------------------------------
-    # transactional operations
+    # transactional operations (the bound is tested inline: an access
+    # is one frame, so a helper call per access would double its cost)
 
     def get(self, index: int) -> TxGen:
         """Transactionally load one cell."""
-        return read(self._addr(index), site="array.get")
+        if not 0 <= index < self.size:
+            raise self._out_of_range(index)
+        return read(self.base + index, "array.get")
 
     def set(self, index: int, value: int) -> TxGen:
         """Transactionally store one cell."""
-        return write(self._addr(index), value, site="array.set")
+        if not 0 <= index < self.size:
+            raise self._out_of_range(index)
+        return write(self.base + index, value, "array.set")
 
     def add(self, index: int, delta: int) -> TxGen:
         """Read-modify-write one cell."""
-        value = yield Read(self._addr(index), site="array.add:read")
-        yield Write(self._addr(index), value + delta,
-                    site="array.add:write")
+        if not 0 <= index < self.size:
+            raise self._out_of_range(index)
+        addr = self.base + index
+        value = yield Read(addr, "array.add:read")
+        yield Write(addr, value + delta, "array.add:write")
         return value + delta
 
     def sum_all(self) -> TxGen:
         """Long-running read transaction: iterate every cell."""
         total = 0
-        for index in range(self.size):
-            total += (yield Read(self._addr(index), site="array.sum"))
+        for addr in range(self.base, self.base + self.size):
+            total += (yield Read(addr, "array.sum"))
         return total
 
     def sum_range(self, start: int, stop: int) -> TxGen:
-        """Sum a sub-range of cells."""
+        """Sum cells ``start .. stop - 1``.  The range is checked once,
+        before the first read: a scan that runs off either end raises
+        ``IndexError`` without reading any cell."""
+        if start < stop and (start < 0 or stop > self.size):
+            raise self._out_of_range(start if start < 0 else stop - 1)
         total = 0
-        for index in range(start, stop):
-            total += (yield Read(self._addr(index), site="array.sum_range"))
+        for addr in range(self.base + start, self.base + stop):
+            total += (yield Read(addr, "array.sum_range"))
         return total
 
     # ------------------------------------------------------------------
@@ -75,4 +84,4 @@ class TxArray(TxStructure):
 
     def snapshot(self) -> list:
         """Plain (newest-version) contents, for tests."""
-        return [self._plain(self._addr(i)) for i in range(self.size)]
+        return [self._plain(self.base + i) for i in range(self.size)]

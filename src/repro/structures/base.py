@@ -16,6 +16,11 @@ Conventions:
 * every read/write carries a ``site`` tag (``"structure.method:field"``)
   so the write-skew tool can attribute anomalies to source locations,
   like the paper's PIN callstack backtraces (section 5.1);
+* a simulated access costs no frame beyond the method that yields it:
+  descriptors are built positionally (``Read(addr, site, promote)``,
+  ``Write(addr, value, site)``; a keyword call builds a dict per
+  descriptor), and traversal caps and bounds are tested inline, calling
+  a helper only to raise;
 * methods take no TM handle: the engine supplies TM semantics, the
   structure supplies pure access patterns.
 
@@ -43,13 +48,13 @@ TxGen = Generator[Op, object, object]
 
 def read(addr: int, site: str = "", promote: bool = False) -> TxGen:
     """Yield one transactional load and return its value."""
-    value = yield Read(addr, promote=promote, site=site)
+    value = yield Read(addr, site, promote)
     return value
 
 
 def write(addr: int, value: int, site: str = "") -> TxGen:
     """Yield one transactional store."""
-    yield Write(addr, value, site=site)
+    yield Write(addr, value, site)
     return None
 
 
@@ -63,13 +68,14 @@ class TxStructure:
     def __init__(self, machine: Machine):
         self.machine = machine
 
-    def _guard(self, steps: int, where: str) -> None:
-        """Fail fast when a traversal ran impossibly long (cycle)."""
-        if steps > self.TRAVERSAL_CAP:
-            raise StructureCorrupted(
-                f"{where}: traversal exceeded {self.TRAVERSAL_CAP} steps; "
-                "the structure likely contains a pointer cycle caused by a "
-                "write-skew anomaly (see repro.skew)")
+    def _guard(self, where: str) -> None:
+        """Fail fast once a traversal ran impossibly long (a cycle).  A
+        loop tests ``steps > self.TRAVERSAL_CAP`` inline and calls this
+        only once the cap is passed, so a step pays no call."""
+        raise StructureCorrupted(
+            f"{where}: traversal exceeded {self.TRAVERSAL_CAP} steps; "
+            "the structure likely contains a pointer cycle caused by a "
+            "write-skew anomaly (see repro.skew)")
 
     def _alloc(self, words: int) -> int:
         """Allocate shared multiversioned memory for structure state."""

@@ -47,34 +47,35 @@ class TxDoublyLinkedList(TxStructure):
 
     def _find(self, value: int) -> TxGen:
         """Return the first node with ``node.value >= value`` (may be tail)."""
-        node = yield Read(self.head + _NEXT, site="dlist.find:next")
+        node = yield Read(self.head + _NEXT, "dlist.find:next")
         steps = 0
         while True:
             steps += 1
-            self._guard(steps, "dlist.find")
-            node_value = yield Read(node + _VALUE, site="dlist.find:value")
+            if steps > self.TRAVERSAL_CAP:
+                self._guard("dlist.find")
+            node_value = yield Read(node + _VALUE, "dlist.find:value")
             if node_value >= value:
                 return node
-            node = yield Read(node + _NEXT, site="dlist.find:next")
+            node = yield Read(node + _NEXT, "dlist.find:next")
 
     def lookup(self, value: int) -> TxGen:
         """True when ``value`` is present."""
         node = yield from self._find(value)
-        node_value = yield Read(node + _VALUE, site="dlist.lookup:value")
+        node_value = yield Read(node + _VALUE, "dlist.lookup:value")
         return node_value == value
 
     def insert(self, value: int) -> TxGen:
         """Sorted insert; False when already present."""
         succ = yield from self._find(value)
-        succ_value = yield Read(succ + _VALUE, site="dlist.insert:value")
+        succ_value = yield Read(succ + _VALUE, "dlist.insert:value")
         if succ_value == value:
             return False
-        pred = yield Read(succ + _PREV, site="dlist.insert:prev")
+        pred = yield Read(succ + _PREV, "dlist.insert:prev")
         node = self._new_node(value)
-        yield Write(node + _NEXT, succ, site="dlist.insert:link")
-        yield Write(node + _PREV, pred, site="dlist.insert:link")
-        yield Write(pred + _NEXT, node, site="dlist.insert:link")
-        yield Write(succ + _PREV, node, site="dlist.insert:link")
+        yield Write(node + _NEXT, succ, "dlist.insert:link")
+        yield Write(node + _PREV, pred, "dlist.insert:link")
+        yield Write(pred + _NEXT, node, "dlist.insert:link")
+        yield Write(succ + _PREV, node, "dlist.insert:link")
         return True
 
     def remove(self, value: int) -> TxGen:
@@ -84,26 +85,27 @@ class TxDoublyLinkedList(TxStructure):
         concurrent adjacent removes have disjoint write sets under SI.
         """
         node = yield from self._find(value)
-        node_value = yield Read(node + _VALUE, site="dlist.remove:value")
+        node_value = yield Read(node + _VALUE, "dlist.remove:value")
         if node_value != value:
             return False
-        pred = yield Read(node + _PREV, site="dlist.remove:prev")
-        succ = yield Read(node + _NEXT, site="dlist.remove:next")
-        yield Write(pred + _NEXT, succ, site="dlist.remove:unlink")
-        yield Write(succ + _PREV, pred, site="dlist.remove:unlink")
+        pred = yield Read(node + _PREV, "dlist.remove:prev")
+        succ = yield Read(node + _NEXT, "dlist.remove:next")
+        yield Write(pred + _NEXT, succ, "dlist.remove:unlink")
+        yield Write(succ + _PREV, pred, "dlist.remove:unlink")
         if self.skew_safe:
-            yield Write(node + _NEXT, NULL, site="dlist.remove:fix")
-            yield Write(node + _PREV, NULL, site="dlist.remove:fix")
+            yield Write(node + _NEXT, NULL, "dlist.remove:fix")
+            yield Write(node + _PREV, NULL, "dlist.remove:fix")
         return True
 
     def length(self) -> TxGen:
         """Transactionally count elements."""
         count = 0
-        node = yield Read(self.head + _NEXT, site="dlist.length:next")
+        node = yield Read(self.head + _NEXT, "dlist.length:next")
         while node != self.tail:
             count += 1
-            self._guard(count, "dlist.length")
-            node = yield Read(node + _NEXT, site="dlist.length:next")
+            if count > self.TRAVERSAL_CAP:
+                self._guard("dlist.length")
+            node = yield Read(node + _NEXT, "dlist.length:next")
         return count
 
     # ------------------------------------------------------------------

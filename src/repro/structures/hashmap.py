@@ -45,13 +45,13 @@ class TxHashMap(TxStructure):
 
     def get(self, key: int) -> TxGen:
         """Return the value for ``key``, or ``None`` when absent."""
-        node = yield Read(self._bucket(key), site="hash.get:bucket")
+        node = yield Read(self._bucket(key), "hash.get:bucket")
         while node != NULL:
-            node_key = yield Read(node + _KEY, site="hash.get:key")
+            node_key = yield Read(node + _KEY, "hash.get:key")
             if node_key == key:
-                value = yield Read(node + _VALUE, site="hash.get:value")
+                value = yield Read(node + _VALUE, "hash.get:value")
                 return value
-            node = yield Read(node + _NEXT, site="hash.get:next")
+            node = yield Read(node + _NEXT, "hash.get:next")
         return None
 
     def contains(self, key: int) -> TxGen:
@@ -62,54 +62,52 @@ class TxHashMap(TxStructure):
     def put(self, key: int, value: int) -> TxGen:
         """Insert or update; returns True when a new entry was created."""
         bucket = self._bucket(key)
-        head = yield Read(bucket, site="hash.put:bucket")
+        head = yield Read(bucket, "hash.put:bucket")
         node = head
         while node != NULL:
-            node_key = yield Read(node + _KEY, site="hash.put:key")
+            node_key = yield Read(node + _KEY, "hash.put:key")
             if node_key == key:
-                yield Write(node + _VALUE, value, site="hash.put:update")
+                yield Write(node + _VALUE, value, "hash.put:update")
                 return False
-            node = yield Read(node + _NEXT, site="hash.put:next")
+            node = yield Read(node + _NEXT, "hash.put:next")
         fresh = self._new_node(key, value, NULL)
-        yield Write(fresh + _NEXT, head, site="hash.put:link")
-        yield Write(bucket, fresh, site="hash.put:link")
+        yield Write(fresh + _NEXT, head, "hash.put:link")
+        yield Write(bucket, fresh, "hash.put:link")
         return True
 
     def increment(self, key: int, delta: int = 1) -> TxGen:
         """Read-modify-write the value for ``key`` (insert 0 if absent)."""
         bucket = self._bucket(key)
-        node = yield Read(bucket, site="hash.inc:bucket")
+        node = yield Read(bucket, "hash.inc:bucket")
         while node != NULL:
-            node_key = yield Read(node + _KEY, site="hash.inc:key")
+            node_key = yield Read(node + _KEY, "hash.inc:key")
             if node_key == key:
-                value = yield Read(node + _VALUE, site="hash.inc:value")
-                yield Write(node + _VALUE, value + delta,
-                            site="hash.inc:update")
+                value = yield Read(node + _VALUE, "hash.inc:value")
+                yield Write(node + _VALUE, value + delta, "hash.inc:update")
                 return value + delta
-            node = yield Read(node + _NEXT, site="hash.inc:next")
-        head = yield Read(bucket, site="hash.inc:bucket")
+            node = yield Read(node + _NEXT, "hash.inc:next")
+        head = yield Read(bucket, "hash.inc:bucket")
         fresh = self._new_node(key, delta, NULL)
-        yield Write(fresh + _NEXT, head, site="hash.inc:link")
-        yield Write(bucket, fresh, site="hash.inc:link")
+        yield Write(fresh + _NEXT, head, "hash.inc:link")
+        yield Write(bucket, fresh, "hash.inc:link")
         return delta
 
     def remove(self, key: int) -> TxGen:
         """Remove ``key``; returns True when it was present."""
         bucket = self._bucket(key)
         prev = NULL
-        node = yield Read(bucket, site="hash.remove:bucket")
+        node = yield Read(bucket, "hash.remove:bucket")
         while node != NULL:
-            node_key = yield Read(node + _KEY, site="hash.remove:key")
+            node_key = yield Read(node + _KEY, "hash.remove:key")
             if node_key == key:
-                nxt = yield Read(node + _NEXT, site="hash.remove:next")
+                nxt = yield Read(node + _NEXT, "hash.remove:next")
                 if prev == NULL:
-                    yield Write(bucket, nxt, site="hash.remove:unlink")
+                    yield Write(bucket, nxt, "hash.remove:unlink")
                 else:
-                    yield Write(prev + _NEXT, nxt,
-                                site="hash.remove:unlink")
+                    yield Write(prev + _NEXT, nxt, "hash.remove:unlink")
                 return True
             prev = node
-            node = yield Read(node + _NEXT, site="hash.remove:next")
+            node = yield Read(node + _NEXT, "hash.remove:next")
         return False
 
     # ------------------------------------------------------------------

@@ -53,37 +53,38 @@ class TxLinkedList(TxStructure):
 
     def lookup(self, value: int) -> TxGen:
         """Return True when ``value`` is in the list."""
-        node = yield Read(self.head + _NEXT, site="list.lookup:next")
+        node = yield Read(self.head + _NEXT, "list.lookup:next")
         steps = 0
         while node != NULL:
             steps += 1
-            self._guard(steps, "list.lookup")
-            node_value = yield Read(node + _VALUE,
-                                    site="list.lookup:value")
+            if steps > self.TRAVERSAL_CAP:
+                self._guard("list.lookup")
+            node_value = yield Read(node + _VALUE, "list.lookup:value")
             if node_value >= value:
                 return node_value == value
-            node = yield Read(node + _NEXT, site="list.lookup:next")
+            node = yield Read(node + _NEXT, "list.lookup:next")
         return False
 
     def insert(self, value: int) -> TxGen:
         """Insert ``value`` keeping the list sorted; False if present."""
         prev = self.head
-        nxt = yield Read(prev + _NEXT, site="list.insert:next")
+        nxt = yield Read(prev + _NEXT, "list.insert:next")
         steps = 0
         while nxt != NULL:
             steps += 1
-            self._guard(steps, "list.insert")
-            nxt_value = yield Read(nxt + _VALUE, site="list.insert:value")
+            if steps > self.TRAVERSAL_CAP:
+                self._guard("list.insert")
+            nxt_value = yield Read(nxt + _VALUE, "list.insert:value")
             if nxt_value >= value:
                 if nxt_value == value:
                     return False
                 break
             prev = nxt
-            nxt = yield Read(prev + _NEXT, site="list.insert:next")
+            nxt = yield Read(prev + _NEXT, "list.insert:next")
         node = self._new_node(value, NULL)
         # link: node.next = nxt; prev.next = node
-        yield Write(node + _NEXT, nxt, site="list.insert:link")
-        yield Write(prev + _NEXT, node, site="list.insert:link")
+        yield Write(node + _NEXT, nxt, "list.insert:link")
+        yield Write(prev + _NEXT, node, "list.insert:link")
         return True
 
     def remove(self, value: int) -> TxGen:
@@ -94,37 +95,39 @@ class TxLinkedList(TxStructure):
         remove write skew under SI.
         """
         prev = self.head
-        nxt = yield Read(prev + _NEXT, site="list.remove:next")
+        nxt = yield Read(prev + _NEXT, "list.remove:next")
         steps = 0
         while nxt != NULL:
             steps += 1
-            self._guard(steps, "list.remove")
-            nxt_value = yield Read(nxt + _VALUE, site="list.remove:value")
+            if steps > self.TRAVERSAL_CAP:
+                self._guard("list.remove")
+            nxt_value = yield Read(nxt + _VALUE, "list.remove:value")
             if nxt_value >= value:
                 break
             prev = nxt
-            nxt = yield Read(prev + _NEXT, site="list.remove:next")
+            nxt = yield Read(prev + _NEXT, "list.remove:next")
         if nxt == NULL:
             return False
-        nxt_value = yield Read(nxt + _VALUE, site="list.remove:value")
+        nxt_value = yield Read(nxt + _VALUE, "list.remove:value")
         if nxt_value != value:
             return False
-        successor = yield Read(nxt + _NEXT, site="list.remove:succ")
-        yield Write(prev + _NEXT, successor, site="list.remove:unlink")
+        successor = yield Read(nxt + _NEXT, "list.remove:succ")
+        yield Write(prev + _NEXT, successor, "list.remove:unlink")
         if self.skew_safe:
             # Listing 2 line 10: force a write-write conflict between
             # concurrent removes of adjacent elements.
-            yield Write(nxt + _NEXT, NULL, site="list.remove:fix")
+            yield Write(nxt + _NEXT, NULL, "list.remove:fix")
         return True
 
     def length(self) -> TxGen:
         """Transactionally count elements (long read transaction)."""
         count = 0
-        node = yield Read(self.head + _NEXT, site="list.length:next")
+        node = yield Read(self.head + _NEXT, "list.length:next")
         while node != NULL:
             count += 1
-            self._guard(count, "list.length")
-            node = yield Read(node + _NEXT, site="list.length:next")
+            if count > self.TRAVERSAL_CAP:
+                self._guard("list.length")
+            node = yield Read(node + _NEXT, "list.length:next")
         return count
 
     # ------------------------------------------------------------------

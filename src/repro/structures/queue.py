@@ -40,30 +40,28 @@ class TxQueue(TxStructure):
 
     def enqueue(self, value: int) -> TxGen:
         """Append ``value``; returns False when the queue is full."""
-        head = yield Read(self.head_addr, site="queue.enq:head")
-        tail = yield Read(self.tail_addr, site="queue.enq:tail")
+        head = yield Read(self.head_addr, "queue.enq:head")
+        tail = yield Read(self.tail_addr, "queue.enq:tail")
         if tail - head >= self.capacity:
             return False
-        yield Write(self.slots + tail % self.capacity, value,
-                    site="queue.enq:slot")
-        yield Write(self.tail_addr, tail + 1, site="queue.enq:tail")
+        yield Write(self.slots + tail % self.capacity, value, "queue.enq:slot")
+        yield Write(self.tail_addr, tail + 1, "queue.enq:tail")
         return True
 
     def dequeue(self) -> TxGen:
         """Pop the oldest value; returns ``None`` when empty."""
-        head = yield Read(self.head_addr, site="queue.deq:head")
-        tail = yield Read(self.tail_addr, site="queue.deq:tail")
+        head = yield Read(self.head_addr, "queue.deq:head")
+        tail = yield Read(self.tail_addr, "queue.deq:tail")
         if head >= tail:
             return None
-        value = yield Read(self.slots + head % self.capacity,
-                           site="queue.deq:slot")
-        yield Write(self.head_addr, head + 1, site="queue.deq:head")
+        value = yield Read(self.slots + head % self.capacity, "queue.deq:slot")
+        yield Write(self.head_addr, head + 1, "queue.deq:head")
         return value
 
     def size(self) -> TxGen:
         """Transactionally read the element count."""
-        head = yield Read(self.head_addr, site="queue.size:head")
-        tail = yield Read(self.tail_addr, site="queue.size:tail")
+        head = yield Read(self.head_addr, "queue.size:head")
+        tail = yield Read(self.tail_addr, "queue.size:tail")
         return tail - head
 
     # ------------------------------------------------------------------
@@ -101,12 +99,12 @@ class TxCounter(TxStructure):
 
     def get(self) -> TxGen:
         """Transactionally read the counter."""
-        return read(self.addr, site="counter.get")
+        return read(self.addr, "counter.get")
 
     def add(self, delta: int = 1) -> TxGen:
         """Read-modify-write increment; returns the new value."""
-        value = yield Read(self.addr, site="counter.add:read")
-        yield Write(self.addr, value + delta, site="counter.add:write")
+        value = yield Read(self.addr, "counter.add:read")
+        yield Write(self.addr, value + delta, "counter.add:write")
         return value + delta
 
     @property

@@ -71,75 +71,69 @@ class TxRedBlackTree(TxStructure):
     def _is_red(self, node: int) -> TxGen:
         if node == NULL:
             return False
-        color = yield Read(node + COLOR, site="rbtree:color",
-                           promote=self.skew_safe)
+        color = yield Read(node + COLOR, "rbtree:color", self.skew_safe)
         return color == RED
 
     # ------------------------------------------------------------------
     # rotations
 
     def _rotate_left(self, x: int) -> TxGen:
-        y = yield Read(x + RIGHT, site="rbtree.rot:right",
-                       promote=self.skew_safe)
-        y_left = yield Read(y + LEFT, site="rbtree.rot:left",
-                            promote=self.skew_safe)
-        yield Write(x + RIGHT, y_left, site="rbtree.rot:link")
+        y = yield Read(x + RIGHT, "rbtree.rot:right", self.skew_safe)
+        y_left = yield Read(y + LEFT, "rbtree.rot:left", self.skew_safe)
+        yield Write(x + RIGHT, y_left, "rbtree.rot:link")
         if y_left != NULL:
-            yield Write(y_left + PARENT, x, site="rbtree.rot:parent")
-        x_parent = yield Read(x + PARENT, site="rbtree.rot:parent",
-                              promote=self.skew_safe)
-        yield Write(y + PARENT, x_parent, site="rbtree.rot:parent")
+            yield Write(y_left + PARENT, x, "rbtree.rot:parent")
+        x_parent = yield Read(x + PARENT, "rbtree.rot:parent", self.skew_safe)
+        yield Write(y + PARENT, x_parent, "rbtree.rot:parent")
         if x_parent == NULL:
-            yield Write(self.root_ptr, y, site="rbtree:root")
+            yield Write(self.root_ptr, y, "rbtree:root")
         else:
-            parent_left = yield Read(x_parent + LEFT, site="rbtree.rot:pl",
-                                     promote=self.skew_safe)
+            parent_left = yield Read(x_parent + LEFT, "rbtree.rot:pl",
+                                     self.skew_safe)
             if parent_left == x:
-                yield Write(x_parent + LEFT, y, site="rbtree.rot:link")
+                yield Write(x_parent + LEFT, y, "rbtree.rot:link")
             else:
-                yield Write(x_parent + RIGHT, y, site="rbtree.rot:link")
-        yield Write(y + LEFT, x, site="rbtree.rot:link")
-        yield Write(x + PARENT, y, site="rbtree.rot:parent")
+                yield Write(x_parent + RIGHT, y, "rbtree.rot:link")
+        yield Write(y + LEFT, x, "rbtree.rot:link")
+        yield Write(x + PARENT, y, "rbtree.rot:parent")
 
     def _rotate_right(self, x: int) -> TxGen:
-        y = yield Read(x + LEFT, site="rbtree.rot:left",
-                       promote=self.skew_safe)
-        y_right = yield Read(y + RIGHT, site="rbtree.rot:right",
-                             promote=self.skew_safe)
-        yield Write(x + LEFT, y_right, site="rbtree.rot:link")
+        y = yield Read(x + LEFT, "rbtree.rot:left", self.skew_safe)
+        y_right = yield Read(y + RIGHT, "rbtree.rot:right", self.skew_safe)
+        yield Write(x + LEFT, y_right, "rbtree.rot:link")
         if y_right != NULL:
-            yield Write(y_right + PARENT, x, site="rbtree.rot:parent")
-        x_parent = yield Read(x + PARENT, site="rbtree.rot:parent",
-                              promote=self.skew_safe)
-        yield Write(y + PARENT, x_parent, site="rbtree.rot:parent")
+            yield Write(y_right + PARENT, x, "rbtree.rot:parent")
+        x_parent = yield Read(x + PARENT, "rbtree.rot:parent", self.skew_safe)
+        yield Write(y + PARENT, x_parent, "rbtree.rot:parent")
         if x_parent == NULL:
-            yield Write(self.root_ptr, y, site="rbtree:root")
+            yield Write(self.root_ptr, y, "rbtree:root")
         else:
-            parent_right = yield Read(x_parent + RIGHT, site="rbtree.rot:pr",
-                                      promote=self.skew_safe)
+            parent_right = yield Read(x_parent + RIGHT, "rbtree.rot:pr",
+                                      self.skew_safe)
             if parent_right == x:
-                yield Write(x_parent + RIGHT, y, site="rbtree.rot:link")
+                yield Write(x_parent + RIGHT, y, "rbtree.rot:link")
             else:
-                yield Write(x_parent + LEFT, y, site="rbtree.rot:link")
-        yield Write(y + RIGHT, x, site="rbtree.rot:link")
-        yield Write(x + PARENT, y, site="rbtree.rot:parent")
+                yield Write(x_parent + LEFT, y, "rbtree.rot:link")
+        yield Write(y + RIGHT, x, "rbtree.rot:link")
+        yield Write(x + PARENT, y, "rbtree.rot:parent")
 
     # ------------------------------------------------------------------
     # lookup
 
     def lookup(self, key: int) -> TxGen:
         """Return the stored value, or ``None`` when absent (read-only)."""
-        node = yield Read(self.root_ptr, site="rbtree:root")
+        node = yield Read(self.root_ptr, "rbtree:root")
         steps = 0
         while node != NULL:
             steps += 1
-            self._guard(steps, "rbtree.lookup")
-            node_key = yield Read(node + KEY, site="rbtree.lookup:key")
+            if steps > self.TRAVERSAL_CAP:
+                self._guard("rbtree.lookup")
+            node_key = yield Read(node + KEY, "rbtree.lookup:key")
             if key == node_key:
-                value = yield Read(node + VALUE, site="rbtree.lookup:val")
+                value = yield Read(node + VALUE, "rbtree.lookup:val")
                 return value
             field = LEFT if key < node_key else RIGHT
-            node = yield Read(node + field, site="rbtree.lookup:child")
+            node = yield Read(node + field, "rbtree.lookup:child")
         return None
 
     # ------------------------------------------------------------------
@@ -148,29 +142,29 @@ class TxRedBlackTree(TxStructure):
     def insert(self, key: int, value: int = 0) -> TxGen:
         """Insert ``key``; returns False when the key already exists."""
         parent = NULL
-        node = yield Read(self.root_ptr, site="rbtree:root",
-                          promote=self.skew_safe)
+        node = yield Read(self.root_ptr, "rbtree:root", self.skew_safe)
         steps = 0
         while node != NULL:
             steps += 1
-            self._guard(steps, "rbtree.insert")
+            if steps > self.TRAVERSAL_CAP:
+                self._guard("rbtree.insert")
             parent = node
-            node_key = yield Read(node + KEY, site="rbtree.insert:key",
-                                  promote=self.skew_safe)
+            node_key = yield Read(node + KEY, "rbtree.insert:key",
+                                  self.skew_safe)
             if key == node_key:
                 return False
             field = LEFT if key < node_key else RIGHT
-            node = yield Read(node + field, site="rbtree.insert:child",
-                              promote=self.skew_safe)
+            node = yield Read(node + field, "rbtree.insert:child",
+                              self.skew_safe)
         fresh = self._new_node(key, value)
-        yield Write(fresh + PARENT, parent, site="rbtree.insert:parent")
+        yield Write(fresh + PARENT, parent, "rbtree.insert:parent")
         if parent == NULL:
-            yield Write(self.root_ptr, fresh, site="rbtree:root")
+            yield Write(self.root_ptr, fresh, "rbtree:root")
         else:
-            parent_key = yield Read(parent + KEY, site="rbtree.insert:key",
-                                    promote=self.skew_safe)
+            parent_key = yield Read(parent + KEY, "rbtree.insert:key",
+                                    self.skew_safe)
             field = LEFT if key < parent_key else RIGHT
-            yield Write(parent + field, fresh, site="rbtree.insert:link")
+            yield Write(parent + field, fresh, "rbtree.insert:link")
         yield from self._insert_fixup(fresh)
         return True
 
@@ -178,130 +172,123 @@ class TxRedBlackTree(TxStructure):
         steps = 0
         while True:
             steps += 1
-            self._guard(steps, "rbtree.insert_fixup")
-            parent = yield Read(z + PARENT, site="rbtree.fix:parent",
-                                promote=self.skew_safe)
+            if steps > self.TRAVERSAL_CAP:
+                self._guard("rbtree.insert_fixup")
+            parent = yield Read(z + PARENT, "rbtree.fix:parent",
+                                self.skew_safe)
             parent_red = yield from self._is_red(parent)
             if not parent_red:
                 break
-            grand = yield Read(parent + PARENT, site="rbtree.fix:grand",
-                               promote=self.skew_safe)
-            grand_left = yield Read(grand + LEFT, site="rbtree.fix:gl",
-                                    promote=self.skew_safe)
+            grand = yield Read(parent + PARENT, "rbtree.fix:grand",
+                               self.skew_safe)
+            grand_left = yield Read(grand + LEFT, "rbtree.fix:gl",
+                                    self.skew_safe)
             if parent == grand_left:
-                uncle = yield Read(grand + RIGHT, site="rbtree.fix:uncle",
-                                   promote=self.skew_safe)
+                uncle = yield Read(grand + RIGHT, "rbtree.fix:uncle",
+                                   self.skew_safe)
                 uncle_red = yield from self._is_red(uncle)
                 if uncle_red:
-                    yield Write(parent + COLOR, BLACK, site="rbtree.fix:c")
-                    yield Write(uncle + COLOR, BLACK, site="rbtree.fix:c")
-                    yield Write(grand + COLOR, RED, site="rbtree.fix:c")
+                    yield Write(parent + COLOR, BLACK, "rbtree.fix:c")
+                    yield Write(uncle + COLOR, BLACK, "rbtree.fix:c")
+                    yield Write(grand + COLOR, RED, "rbtree.fix:c")
                     z = grand
                     continue
-                parent_right = yield Read(parent + RIGHT, site="rbtree.fix:pr",
-                                          promote=self.skew_safe)
+                parent_right = yield Read(parent + RIGHT, "rbtree.fix:pr",
+                                          self.skew_safe)
                 if z == parent_right:
                     z = parent
                     yield from self._rotate_left(z)
-                    parent = yield Read(z + PARENT, site="rbtree.fix:parent",
-                                        promote=self.skew_safe)
-                    grand = yield Read(parent + PARENT,
-                                       site="rbtree.fix:grand",
-                                       promote=self.skew_safe)
-                yield Write(parent + COLOR, BLACK, site="rbtree.fix:c")
-                yield Write(grand + COLOR, RED, site="rbtree.fix:c")
+                    parent = yield Read(z + PARENT, "rbtree.fix:parent",
+                                        self.skew_safe)
+                    grand = yield Read(parent + PARENT, "rbtree.fix:grand",
+                                       self.skew_safe)
+                yield Write(parent + COLOR, BLACK, "rbtree.fix:c")
+                yield Write(grand + COLOR, RED, "rbtree.fix:c")
                 yield from self._rotate_right(grand)
             else:
-                uncle = yield Read(grand + LEFT, site="rbtree.fix:uncle",
-                                   promote=self.skew_safe)
+                uncle = yield Read(grand + LEFT, "rbtree.fix:uncle",
+                                   self.skew_safe)
                 uncle_red = yield from self._is_red(uncle)
                 if uncle_red:
-                    yield Write(parent + COLOR, BLACK, site="rbtree.fix:c")
-                    yield Write(uncle + COLOR, BLACK, site="rbtree.fix:c")
-                    yield Write(grand + COLOR, RED, site="rbtree.fix:c")
+                    yield Write(parent + COLOR, BLACK, "rbtree.fix:c")
+                    yield Write(uncle + COLOR, BLACK, "rbtree.fix:c")
+                    yield Write(grand + COLOR, RED, "rbtree.fix:c")
                     z = grand
                     continue
-                parent_left = yield Read(parent + LEFT, site="rbtree.fix:pl",
-                                         promote=self.skew_safe)
+                parent_left = yield Read(parent + LEFT, "rbtree.fix:pl",
+                                         self.skew_safe)
                 if z == parent_left:
                     z = parent
                     yield from self._rotate_right(z)
-                    parent = yield Read(z + PARENT, site="rbtree.fix:parent",
-                                        promote=self.skew_safe)
-                    grand = yield Read(parent + PARENT,
-                                       site="rbtree.fix:grand",
-                                       promote=self.skew_safe)
-                yield Write(parent + COLOR, BLACK, site="rbtree.fix:c")
-                yield Write(grand + COLOR, RED, site="rbtree.fix:c")
+                    parent = yield Read(z + PARENT, "rbtree.fix:parent",
+                                        self.skew_safe)
+                    grand = yield Read(parent + PARENT, "rbtree.fix:grand",
+                                       self.skew_safe)
+                yield Write(parent + COLOR, BLACK, "rbtree.fix:c")
+                yield Write(grand + COLOR, RED, "rbtree.fix:c")
                 yield from self._rotate_left(grand)
-        root = yield Read(self.root_ptr, site="rbtree:root",
-                          promote=self.skew_safe)
+        root = yield Read(self.root_ptr, "rbtree:root", self.skew_safe)
         root_red = yield from self._is_red(root)
         if root_red:
-            yield Write(root + COLOR, BLACK, site="rbtree.fix:c")
+            yield Write(root + COLOR, BLACK, "rbtree.fix:c")
 
     # ------------------------------------------------------------------
     # remove
 
     def remove(self, key: int) -> TxGen:
         """Remove ``key``; returns False when absent."""
-        z = yield Read(self.root_ptr, site="rbtree:root",
-                       promote=self.skew_safe)
+        z = yield Read(self.root_ptr, "rbtree:root", self.skew_safe)
         steps = 0
         while z != NULL:
             steps += 1
-            self._guard(steps, "rbtree.remove")
-            z_key = yield Read(z + KEY, site="rbtree.remove:key",
-                               promote=self.skew_safe)
+            if steps > self.TRAVERSAL_CAP:
+                self._guard("rbtree.remove")
+            z_key = yield Read(z + KEY, "rbtree.remove:key", self.skew_safe)
             if key == z_key:
                 break
             field = LEFT if key < z_key else RIGHT
-            z = yield Read(z + field, site="rbtree.remove:child",
-                           promote=self.skew_safe)
+            z = yield Read(z + field, "rbtree.remove:child", self.skew_safe)
         if z == NULL:
             return False
-        z_left = yield Read(z + LEFT, site="rbtree.remove:left",
-                            promote=self.skew_safe)
-        z_right = yield Read(z + RIGHT, site="rbtree.remove:right",
-                             promote=self.skew_safe)
+        z_left = yield Read(z + LEFT, "rbtree.remove:left", self.skew_safe)
+        z_right = yield Read(z + RIGHT, "rbtree.remove:right", self.skew_safe)
         if z_left != NULL and z_right != NULL:
             # two children: splice the successor instead
             succ = z_right
             steps = 0
             while True:
                 steps += 1
-                self._guard(steps, "rbtree.remove:succ")
-                succ_left = yield Read(succ + LEFT, site="rbtree.remove:succ",
-                                       promote=self.skew_safe)
+                if steps > self.TRAVERSAL_CAP:
+                    self._guard("rbtree.remove:succ")
+                succ_left = yield Read(succ + LEFT, "rbtree.remove:succ",
+                                       self.skew_safe)
                 if succ_left == NULL:
                     break
                 succ = succ_left
-            succ_key = yield Read(succ + KEY, site="rbtree.remove:key",
-                                  promote=self.skew_safe)
-            succ_value = yield Read(succ + VALUE, site="rbtree.remove:val",
-                                    promote=self.skew_safe)
-            yield Write(z + KEY, succ_key, site="rbtree.remove:copy")
-            yield Write(z + VALUE, succ_value, site="rbtree.remove:copy")
+            succ_key = yield Read(succ + KEY, "rbtree.remove:key",
+                                  self.skew_safe)
+            succ_value = yield Read(succ + VALUE, "rbtree.remove:val",
+                                    self.skew_safe)
+            yield Write(z + KEY, succ_key, "rbtree.remove:copy")
+            yield Write(z + VALUE, succ_value, "rbtree.remove:copy")
             z = succ
-            z_left = yield Read(z + LEFT, site="rbtree.remove:left",
-                                promote=self.skew_safe)
-            z_right = yield Read(z + RIGHT, site="rbtree.remove:right",
-                                 promote=self.skew_safe)
+            z_left = yield Read(z + LEFT, "rbtree.remove:left", self.skew_safe)
+            z_right = yield Read(z + RIGHT, "rbtree.remove:right",
+                                 self.skew_safe)
         # z now has at most one child
         child = z_left if z_left != NULL else z_right
-        parent = yield Read(z + PARENT, site="rbtree.remove:parent",
-                            promote=self.skew_safe)
+        parent = yield Read(z + PARENT, "rbtree.remove:parent", self.skew_safe)
         if child != NULL:
-            yield Write(child + PARENT, parent, site="rbtree.remove:link")
+            yield Write(child + PARENT, parent, "rbtree.remove:link")
         if parent == NULL:
-            yield Write(self.root_ptr, child, site="rbtree:root")
+            yield Write(self.root_ptr, child, "rbtree:root")
         else:
-            parent_left = yield Read(parent + LEFT, site="rbtree.remove:pl",
-                                     promote=self.skew_safe)
+            parent_left = yield Read(parent + LEFT, "rbtree.remove:pl",
+                                     self.skew_safe)
             if parent_left == z:
-                yield Write(parent + LEFT, child, site="rbtree.remove:link")
+                yield Write(parent + LEFT, child, "rbtree.remove:link")
             else:
-                yield Write(parent + RIGHT, child, site="rbtree.remove:link")
+                yield Write(parent + RIGHT, child, "rbtree.remove:link")
         z_red = yield from self._is_red(z)
         if not z_red:
             yield from self._remove_fixup(child, parent)
@@ -316,94 +303,89 @@ class TxRedBlackTree(TxStructure):
         steps = 0
         while parent != NULL:
             steps += 1
-            self._guard(steps, "rbtree.remove_fixup")
+            if steps > self.TRAVERSAL_CAP:
+                self._guard("rbtree.remove_fixup")
             x_red = yield from self._is_red(x)
             if x_red:
                 break
-            parent_left = yield Read(parent + LEFT, site="rbtree.dfx:pl",
-                                     promote=self.skew_safe)
+            parent_left = yield Read(parent + LEFT, "rbtree.dfx:pl",
+                                     self.skew_safe)
             if x == parent_left:
-                w = yield Read(parent + RIGHT, site="rbtree.dfx:sib",
-                               promote=self.skew_safe)
+                w = yield Read(parent + RIGHT, "rbtree.dfx:sib",
+                               self.skew_safe)
                 w_red = yield from self._is_red(w)
                 if w_red:
-                    yield Write(w + COLOR, BLACK, site="rbtree.dfx:c")
-                    yield Write(parent + COLOR, RED, site="rbtree.dfx:c")
+                    yield Write(w + COLOR, BLACK, "rbtree.dfx:c")
+                    yield Write(parent + COLOR, RED, "rbtree.dfx:c")
                     yield from self._rotate_left(parent)
-                    w = yield Read(parent + RIGHT, site="rbtree.dfx:sib",
-                                   promote=self.skew_safe)
-                w_left = yield Read(w + LEFT, site="rbtree.dfx:wl",
-                                    promote=self.skew_safe)
-                w_right = yield Read(w + RIGHT, site="rbtree.dfx:wr",
-                                     promote=self.skew_safe)
+                    w = yield Read(parent + RIGHT, "rbtree.dfx:sib",
+                                   self.skew_safe)
+                w_left = yield Read(w + LEFT, "rbtree.dfx:wl", self.skew_safe)
+                w_right = yield Read(w + RIGHT, "rbtree.dfx:wr",
+                                     self.skew_safe)
                 wl_red = yield from self._is_red(w_left)
                 wr_red = yield from self._is_red(w_right)
                 if not wl_red and not wr_red:
-                    yield Write(w + COLOR, RED, site="rbtree.dfx:c")
+                    yield Write(w + COLOR, RED, "rbtree.dfx:c")
                     x = parent
-                    parent = yield Read(x + PARENT, site="rbtree.dfx:up",
-                                        promote=self.skew_safe)
+                    parent = yield Read(x + PARENT, "rbtree.dfx:up",
+                                        self.skew_safe)
                     continue
                 if not wr_red:
-                    yield Write(w_left + COLOR, BLACK, site="rbtree.dfx:c")
-                    yield Write(w + COLOR, RED, site="rbtree.dfx:c")
+                    yield Write(w_left + COLOR, BLACK, "rbtree.dfx:c")
+                    yield Write(w + COLOR, RED, "rbtree.dfx:c")
                     yield from self._rotate_right(w)
-                    w = yield Read(parent + RIGHT, site="rbtree.dfx:sib",
-                                   promote=self.skew_safe)
-                parent_color = yield Read(parent + COLOR, site="rbtree.dfx:c",
-                                          promote=self.skew_safe)
-                yield Write(w + COLOR, parent_color, site="rbtree.dfx:c")
-                yield Write(parent + COLOR, BLACK, site="rbtree.dfx:c")
-                w_right = yield Read(w + RIGHT, site="rbtree.dfx:wr",
-                                     promote=self.skew_safe)
+                    w = yield Read(parent + RIGHT, "rbtree.dfx:sib",
+                                   self.skew_safe)
+                parent_color = yield Read(parent + COLOR, "rbtree.dfx:c",
+                                          self.skew_safe)
+                yield Write(w + COLOR, parent_color, "rbtree.dfx:c")
+                yield Write(parent + COLOR, BLACK, "rbtree.dfx:c")
+                w_right = yield Read(w + RIGHT, "rbtree.dfx:wr",
+                                     self.skew_safe)
                 if w_right != NULL:
-                    yield Write(w_right + COLOR, BLACK, site="rbtree.dfx:c")
+                    yield Write(w_right + COLOR, BLACK, "rbtree.dfx:c")
                 yield from self._rotate_left(parent)
-                x = yield Read(self.root_ptr, site="rbtree:root",
-                               promote=self.skew_safe)
+                x = yield Read(self.root_ptr, "rbtree:root", self.skew_safe)
                 break
             else:
-                w = yield Read(parent + LEFT, site="rbtree.dfx:sib",
-                               promote=self.skew_safe)
+                w = yield Read(parent + LEFT, "rbtree.dfx:sib", self.skew_safe)
                 w_red = yield from self._is_red(w)
                 if w_red:
-                    yield Write(w + COLOR, BLACK, site="rbtree.dfx:c")
-                    yield Write(parent + COLOR, RED, site="rbtree.dfx:c")
+                    yield Write(w + COLOR, BLACK, "rbtree.dfx:c")
+                    yield Write(parent + COLOR, RED, "rbtree.dfx:c")
                     yield from self._rotate_right(parent)
-                    w = yield Read(parent + LEFT, site="rbtree.dfx:sib",
-                                   promote=self.skew_safe)
-                w_left = yield Read(w + LEFT, site="rbtree.dfx:wl",
-                                    promote=self.skew_safe)
-                w_right = yield Read(w + RIGHT, site="rbtree.dfx:wr",
-                                     promote=self.skew_safe)
+                    w = yield Read(parent + LEFT, "rbtree.dfx:sib",
+                                   self.skew_safe)
+                w_left = yield Read(w + LEFT, "rbtree.dfx:wl", self.skew_safe)
+                w_right = yield Read(w + RIGHT, "rbtree.dfx:wr",
+                                     self.skew_safe)
                 wl_red = yield from self._is_red(w_left)
                 wr_red = yield from self._is_red(w_right)
                 if not wl_red and not wr_red:
-                    yield Write(w + COLOR, RED, site="rbtree.dfx:c")
+                    yield Write(w + COLOR, RED, "rbtree.dfx:c")
                     x = parent
-                    parent = yield Read(x + PARENT, site="rbtree.dfx:up",
-                                        promote=self.skew_safe)
+                    parent = yield Read(x + PARENT, "rbtree.dfx:up",
+                                        self.skew_safe)
                     continue
                 if not wl_red:
-                    yield Write(w_right + COLOR, BLACK, site="rbtree.dfx:c")
-                    yield Write(w + COLOR, RED, site="rbtree.dfx:c")
+                    yield Write(w_right + COLOR, BLACK, "rbtree.dfx:c")
+                    yield Write(w + COLOR, RED, "rbtree.dfx:c")
                     yield from self._rotate_left(w)
-                    w = yield Read(parent + LEFT, site="rbtree.dfx:sib",
-                                   promote=self.skew_safe)
-                parent_color = yield Read(parent + COLOR, site="rbtree.dfx:c",
-                                          promote=self.skew_safe)
-                yield Write(w + COLOR, parent_color, site="rbtree.dfx:c")
-                yield Write(parent + COLOR, BLACK, site="rbtree.dfx:c")
-                w_left = yield Read(w + LEFT, site="rbtree.dfx:wl",
-                                    promote=self.skew_safe)
+                    w = yield Read(parent + LEFT, "rbtree.dfx:sib",
+                                   self.skew_safe)
+                parent_color = yield Read(parent + COLOR, "rbtree.dfx:c",
+                                          self.skew_safe)
+                yield Write(w + COLOR, parent_color, "rbtree.dfx:c")
+                yield Write(parent + COLOR, BLACK, "rbtree.dfx:c")
+                w_left = yield Read(w + LEFT, "rbtree.dfx:wl", self.skew_safe)
                 if w_left != NULL:
-                    yield Write(w_left + COLOR, BLACK, site="rbtree.dfx:c")
+                    yield Write(w_left + COLOR, BLACK, "rbtree.dfx:c")
                 yield from self._rotate_right(parent)
-                x = yield Read(self.root_ptr, site="rbtree:root",
-                               promote=self.skew_safe)
+                x = yield Read(self.root_ptr, "rbtree:root", self.skew_safe)
                 break
         if x != NULL:
-            yield Write(x + COLOR, BLACK, site="rbtree.dfx:c")
+            yield Write(x + COLOR, BLACK, "rbtree.dfx:c")
 
     # ------------------------------------------------------------------
     # non-transactional setup/inspection

@@ -72,19 +72,17 @@ class TxSkipList(TxStructure):
         for level in reversed(range(MAX_HEIGHT)):
             while True:
                 steps += 1
-                self._guard(steps, "skiplist.find")
-                nxt = yield Read(node + _NEXT0 + level,
-                                 site="skiplist.find:next")
+                if steps > self.TRAVERSAL_CAP:
+                    self._guard("skiplist.find")
+                nxt = yield Read(node + _NEXT0 + level, "skiplist.find:next")
                 if nxt == NULL:
                     break
-                nxt_key = yield Read(nxt + _KEY,
-                                     site="skiplist.find:key")
+                nxt_key = yield Read(nxt + _KEY, "skiplist.find:key")
                 if nxt_key >= key:
                     break
                 node = nxt
             preds[level] = node
-        candidate = yield Read(node + _NEXT0,
-                               site="skiplist.find:next")
+        candidate = yield Read(node + _NEXT0, "skiplist.find:next")
         return preds, candidate
 
     # ------------------------------------------------------------------
@@ -95,32 +93,27 @@ class TxSkipList(TxStructure):
         _, candidate = yield from self._find_predecessors(key)
         if candidate == NULL:
             return None
-        candidate_key = yield Read(candidate + _KEY,
-                                   site="skiplist.lookup:key")
+        candidate_key = yield Read(candidate + _KEY, "skiplist.lookup:key")
         if candidate_key != key:
             return None
-        value = yield Read(candidate + _VALUE,
-                           site="skiplist.lookup:value")
+        value = yield Read(candidate + _VALUE, "skiplist.lookup:value")
         return value
 
     def insert(self, key: int, value: int = 0) -> TxGen:
         """Insert ``key``; returns False when already present."""
         preds, candidate = yield from self._find_predecessors(key)
         if candidate != NULL:
-            candidate_key = yield Read(candidate + _KEY,
-                                       site="skiplist.insert:key")
+            candidate_key = yield Read(candidate + _KEY, "skiplist.insert:key")
             if candidate_key == key:
                 return False
         height = tower_height(key)
         node = self._new_node(key, value, height)
         for level in range(height):
             succ = yield Read(preds[level] + _NEXT0 + level,
-                              site="skiplist.insert:succ",
-                              promote=self.skew_safe)
-            yield Write(node + _NEXT0 + level, succ,
-                        site="skiplist.insert:link")
+                              "skiplist.insert:succ", self.skew_safe)
+            yield Write(node + _NEXT0 + level, succ, "skiplist.insert:link")
             yield Write(preds[level] + _NEXT0 + level, node,
-                        site="skiplist.insert:link")
+                        "skiplist.insert:link")
         return True
 
     def remove(self, key: int) -> TxGen:
@@ -128,36 +121,33 @@ class TxSkipList(TxStructure):
         preds, candidate = yield from self._find_predecessors(key)
         if candidate == NULL:
             return False
-        candidate_key = yield Read(candidate + _KEY,
-                                   site="skiplist.remove:key")
+        candidate_key = yield Read(candidate + _KEY, "skiplist.remove:key")
         if candidate_key != key:
             return False
-        height = yield Read(candidate + _HEIGHT,
-                            site="skiplist.remove:height")
+        height = yield Read(candidate + _HEIGHT, "skiplist.remove:height")
         for level in range(height):
             pred_next = yield Read(preds[level] + _NEXT0 + level,
-                                   site="skiplist.remove:prednext")
+                                   "skiplist.remove:prednext")
             if pred_next != candidate:
                 continue  # tower not linked at this level from this pred
             succ = yield Read(candidate + _NEXT0 + level,
-                              site="skiplist.remove:succ")
+                              "skiplist.remove:succ")
             yield Write(preds[level] + _NEXT0 + level, succ,
-                        site="skiplist.remove:unlink")
+                        "skiplist.remove:unlink")
             if self.skew_safe:
                 yield Write(candidate + _NEXT0 + level, NULL,
-                            site="skiplist.remove:fix")
+                            "skiplist.remove:fix")
         return True
 
     def length(self) -> TxGen:
         """Transactionally count elements (level-0 walk)."""
         count = 0
-        node = yield Read(self.head + _NEXT0,
-                          site="skiplist.length:next")
+        node = yield Read(self.head + _NEXT0, "skiplist.length:next")
         while node != NULL:
             count += 1
-            self._guard(count, "skiplist.length")
-            node = yield Read(node + _NEXT0,
-                              site="skiplist.length:next")
+            if count > self.TRAVERSAL_CAP:
+                self._guard("skiplist.length")
+            node = yield Read(node + _NEXT0, "skiplist.length:next")
         return count
 
     # ------------------------------------------------------------------

@@ -16,8 +16,15 @@ without threads or monkey-patching::
 used by the write-skew tool (section 5.1) to report *where* an anomalous
 read or write lives — the analogue of the paper's PIN callstack backtrace.
 
-``Read(promote=True)`` is a **promoted read** (section 5.1): it is inserted
-into the write set for conflict detection but creates no new data version.
+``Read(addr, site, True)`` is a **promoted read** (section 5.1): it is
+inserted into the write set for conflict detection but creates no new data
+version.
+
+The arguments are positional-only: ``Read(addr, site, promote)`` and
+``Write(addr, value, site)``.  A descriptor is built once per simulated
+access, and calling a class with keyword arguments makes the interpreter
+build a dict for them on every call, roughly doubling the construction
+cost; positional-only parameters leave one way to write a descriptor.
 """
 
 from __future__ import annotations
@@ -32,12 +39,13 @@ class Op:
 class Read(Op):
     """Transactional load of one word."""
 
-    __slots__ = ("addr", "promote", "site")
+    __slots__ = ("addr", "site", "promote")
 
-    def __init__(self, addr: int, promote: bool = False, site: str = ""):
+    def __init__(self, addr: int, site: str = "", promote: bool = False,
+                 /):
         self.addr = addr
-        self.promote = promote
         self.site = site
+        self.promote = promote
 
     def __repr__(self) -> str:
         flags = ", promote=True" if self.promote else ""
@@ -49,7 +57,7 @@ class Write(Op):
 
     __slots__ = ("addr", "value", "site")
 
-    def __init__(self, addr: int, value: int, site: str = ""):
+    def __init__(self, addr: int, value: int, site: str = "", /):
         self.addr = addr
         self.value = value
         self.site = site

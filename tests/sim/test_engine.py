@@ -183,8 +183,8 @@ class TestTracerHooks:
         addr = machine.mvmalloc(1)
 
         def body():
-            value = yield Read(addr, site="s1")
-            yield Write(addr, value + 1, site="s2")
+            value = yield Read(addr, "s1")
+            yield Write(addr, value + 1, "s2")
 
         run_program(machine, "SI-TM", [[spec(body)]], tracer=Probe())
         assert events == ["begin", ("read", "s1"), ("write", "s2"), "commit"]
@@ -198,7 +198,7 @@ class TestTracerHooks:
                 seen["promoted"] = set(txn.promoted_lines)
 
         def body():
-            yield Read(addr, site="hot")
+            yield Read(addr, "hot")
             yield Write(addr + 0, 1)  # make it a writer so commit validates
 
         run_program(machine, "SI-TM", [[spec(body)]], tracer=Probe(),

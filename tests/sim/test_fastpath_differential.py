@@ -210,10 +210,10 @@ def _fullstack(machine):
             total = 0
             for i in range(5):
                 total += yield Read(stripe + i % MICRO_SLOTS_PER_THREAD,
-                                    site="micro.read")
+                                    "micro.read")
             yield Compute(2)
-            yield Write(stripe, total, site="micro.write")
-            yield Write(stripe + 1, total + 1, site="micro.write2")
+            yield Write(stripe, total, "micro.write")
+            yield Write(stripe + 1, total + 1, "micro.write2")
 
         programs.append([TransactionSpec(body, "micro") for _ in range(12)])
     return programs
@@ -230,14 +230,14 @@ def _dispatch(machine):
 
     def driver_body():
         yield from fast_ops
-        yield Write(base, 1, site="micro.driver")
+        yield Write(base, 1, "micro.driver")
 
     programs = [[TransactionSpec(driver_body, "driver") for _ in range(6)]]
     for tid in range(1, 64):
         def slow_body(tid=tid):
             for _ in range(2):
                 yield slow_op
-            yield Write(base + tid * wpl, tid, site="micro.slow")
+            yield Write(base + tid * wpl, tid, "micro.slow")
 
         programs.append([TransactionSpec(slow_body, "slow")
                          for _ in range(2)])

@@ -18,14 +18,14 @@ class TestWriteSkewDetection:
         a, b = machine.mvmalloc(1), machine.mvmalloc(1)
 
         def t1():
-            yield Read(a, site="t1.read")
+            yield Read(a, "t1.read")
             yield Compute(50)
-            yield Write(b, 1, site="t1.write")
+            yield Write(b, 1, "t1.write")
 
         def t2():
-            yield Read(b, site="t2.read")
+            yield Read(b, "t2.read")
             yield Compute(50)
-            yield Write(a, 1, site="t2.write")
+            yield Write(a, 1, "t2.write")
 
         report = analyse(machine, [[spec(t1, "t1")], [spec(t2, "t2")]])
         assert not report.clean
@@ -36,12 +36,12 @@ class TestWriteSkewDetection:
         a = machine.mvmalloc(1)
 
         def reader():
-            yield Read(a, site="r")
+            yield Read(a, "r")
             yield Compute(50)
 
         def writer():
             yield Compute(10)
-            yield Write(a, 1, site="w")
+            yield Write(a, 1, "w")
 
         report = analyse(machine, [[spec(reader)], [spec(writer)]])
         assert report.clean
@@ -51,12 +51,12 @@ class TestWriteSkewDetection:
         a, b = machine.mvmalloc(1), machine.mvmalloc(1)
 
         def t1():
-            yield Read(a, site="t1.read")
-            yield Write(b, 1, site="t1.write")
+            yield Read(a, "t1.read")
+            yield Write(b, 1, "t1.write")
 
         def t2():
-            yield Read(b, site="t2.read")
-            yield Write(a, 1, site="t2.write")
+            yield Read(b, "t2.read")
+            yield Write(a, 1, "t2.write")
 
         # both on ONE thread: they can never overlap
         report = analyse(machine, [[spec(t1), spec(t2)]])
@@ -68,9 +68,9 @@ class TestWriteSkewDetection:
         a = machine.mvmalloc(1)
 
         def rmw():
-            value = yield Read(a, site="rmw.read")
+            value = yield Read(a, "rmw.read")
             yield Compute(30)
-            yield Write(a, value + 1, site="rmw.write")
+            yield Write(a, value + 1, "rmw.write")
 
         report = analyse(machine, [[spec(rmw)], [spec(rmw)]])
         assert report.clean  # one aborts; committed pair not concurrent
@@ -95,12 +95,12 @@ class TestGraphShape:
         a, b = machine.mvmalloc(1), machine.mvmalloc(1)
 
         def t1():
-            yield Read(a, site="s1")
+            yield Read(a, "s1")
             yield Compute(50)
             yield Write(b, 1)
 
         def t2():
-            yield Read(b, site="s2")
+            yield Read(b, "s2")
             yield Compute(50)
             yield Write(a, 1)
 

@@ -11,14 +11,14 @@ def skewy_trace(machine):
     a, b = machine.mvmalloc(1), machine.mvmalloc(1)
 
     def t1():
-        yield Read(a, site="t1.r")
+        yield Read(a, "t1.r")
         yield Compute(50)
-        yield Write(b, 1, site="t1.w")
+        yield Write(b, 1, "t1.w")
 
     def t2():
-        yield Read(b, site="t2.r")
+        yield Read(b, "t2.r")
         yield Compute(50)
-        yield Write(a, 1, site="t2.w")
+        yield Write(a, 1, "t2.w")
 
     return record_history(machine, "SI-TM",
                           [[spec(t1, "t1")], [spec(t2, "t2")]])

@@ -13,7 +13,7 @@ class TestFootprints:
         addr = machine.mvmalloc(1)
 
         def probe():
-            yield Read(addr, site="probe")
+            yield Read(addr, "probe")
 
         analyzer = FootprintAnalyzer(machine)
         analyzer.add_operation("probe", probe)
@@ -28,11 +28,11 @@ class TestFootprints:
         machine.plain_store(flag, 1)
 
         def branchy():
-            value = yield Read(flag, site="flag")
+            value = yield Read(flag, "flag")
             if value:
-                yield Write(a, 1, site="then")
+                yield Write(a, 1, "then")
             else:
-                yield Write(b, 1, site="else")
+                yield Write(b, 1, "else")
 
         analyzer = FootprintAnalyzer(machine)
         analyzer.add_operation("branchy", branchy)
@@ -71,12 +71,12 @@ class TestSkewDetection:
         a, b = machine.mvmalloc(1), machine.mvmalloc(1)
 
         def t1():
-            yield Read(a, site="t1.r")
+            yield Read(a, "t1.r")
             yield Compute(1)
             yield Write(b, 1)
 
         def t2():
-            yield Read(b, site="t2.r")
+            yield Read(b, "t2.r")
             yield Compute(1)
             yield Write(a, 1)
 

@@ -27,14 +27,14 @@ def withdraw_scenario(rng):
 
     def withdraw(from_checking):
         def body():
-            c = yield Read(checking, site="withdraw:check-checking")
-            s = yield Read(saving, site="withdraw:check-saving")
+            c = yield Read(checking, "withdraw:check-checking")
+            s = yield Read(saving, "withdraw:check-saving")
             yield Compute(20)
             if c + s > 100:
                 if from_checking:
-                    yield Write(checking, c - 100, site="withdraw:debit")
+                    yield Write(checking, c - 100, "withdraw:debit")
                 else:
-                    yield Write(saving, s - 100, site="withdraw:debit")
+                    yield Write(saving, s - 100, "withdraw:debit")
         return body
 
     programs = [[TransactionSpec(withdraw(True), "withdraw")],

@@ -16,8 +16,8 @@ class TestRecording:
         addr = machine.mvmalloc(1)
 
         def body():
-            value = yield Read(addr, site="r")
-            yield Write(addr, value + 1, site="w")
+            value = yield Read(addr, "r")
+            yield Write(addr, value + 1, "w")
 
         history = record(machine, [[spec(body)]])
         kinds = [e.kind for e in history.events]
@@ -27,8 +27,8 @@ class TestRecording:
         addr = machine.mvmalloc(1)
 
         def body():
-            yield Read(addr, site="my.site")
-            yield Write(addr, 1, site="other.site")
+            yield Read(addr, "my.site")
+            yield Write(addr, 1, "other.site")
 
         history = record(machine, [[spec(body)]])
         txn = history.committed()[0]

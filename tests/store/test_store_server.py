@@ -77,8 +77,7 @@ class TestTransactions:
             assert (await client.write("alpha", {"n": 1}))["ok"]
             committed = await client.commit()   # carries the begin
             assert committed["ok"] and isinstance(committed["txn"], int)
-            sid = shard_of("alpha", server.config.shards)
-            assert str(sid) in committed["commit_ts"]
+            assert isinstance(committed["commit_ts"], int)
             await client.begin(label="reader")
             read = await client.read("alpha")
             assert read == {"ok": True, "value": {"n": 1},
@@ -1156,7 +1155,7 @@ class TestCommitInFlight:
             assert y_commit["ok"]
             x_commit = await committing
             assert x_commit["ok"]
-            assert x_commit["commit_ts"]["0"] > y_commit["commit_ts"]["0"]
+            assert x_commit["commit_ts"] > y_commit["commit_ts"]
             await y.begin()
             assert (await y.read(a_keys[0]))["value"] == "x"
             assert (await y.commit())["ok"]

@@ -42,6 +42,10 @@ class TestSequential:
         with pytest.raises(IndexError):
             array.set(-1, 0)
 
+    def test_scan_past_the_end_raises(self, machine, array):
+        with pytest.raises(IndexError):
+            drive_plain(machine, array.sum_range(30, 40))
+
     def test_rejected_populate_stores_nothing(self, machine):
         array = TxArray(machine, 10)
         array.populate([7] * 3)

@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro.common.errors import StructureCorrupted
 from repro.sim.machine import Machine
 from repro.structures import TxLinkedList
+from repro.structures.base import NULL
 
 from tests.conftest import drive_plain, run_program, spec
 
@@ -13,6 +15,26 @@ def lst(machine):
     lst = TxLinkedList(machine)
     lst.populate([10, 20, 30, 40])
     return lst
+
+
+class TestTraversalCap:
+    """A pointer cycle (the damage a write skew can do) fails fast."""
+
+    @pytest.fixture
+    def cyclic(self, machine, lst):
+        node = machine.plain_load(lst.head + 1)
+        first = node
+        while machine.plain_load(node + 1) != NULL:
+            node = machine.plain_load(node + 1)
+        machine.plain_store(node + 1, first)
+        lst.TRAVERSAL_CAP = 8
+        return lst
+
+    @pytest.mark.parametrize("method", ["lookup", "insert", "remove"])
+    def test_cycle_raises_naming_the_method(self, machine, cyclic, method):
+        with pytest.raises(StructureCorrupted, match=f"list.{method}: "
+                           "traversal exceeded 8 steps"):
+            drive_plain(machine, getattr(cyclic, method)(99))
 
 
 class TestSequential:

@@ -4,8 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.common.errors import StructureCorrupted
 from repro.sim.machine import Machine
 from repro.structures import TxRedBlackTree
+from repro.structures.base import NULL
+from repro.structures.rbtree import RIGHT
 
 from tests.conftest import drive_plain, run_program, spec
 
@@ -15,6 +18,18 @@ def tree(machine):
     tree = TxRedBlackTree(machine)
     tree.populate([50, 30, 70, 20, 40, 60, 80])
     return tree
+
+
+class TestTraversalCap:
+    def test_lookup_through_a_cycle_raises(self, machine, tree):
+        root = node = machine.plain_load(tree.root_ptr)
+        while machine.plain_load(node + RIGHT) != NULL:
+            node = machine.plain_load(node + RIGHT)
+        machine.plain_store(node + RIGHT, root)
+        tree.TRAVERSAL_CAP = 8
+        with pytest.raises(StructureCorrupted, match="rbtree.lookup: "
+                           "traversal exceeded 8 steps"):
+            drive_plain(machine, tree.lookup(99))
 
 
 class TestSequential:

@@ -1,5 +1,7 @@
 """Operation-descriptor tests."""
 
+import pytest
+
 from repro.tm.ops import Abort, Compute, Op, Read, Write
 
 
@@ -11,19 +13,26 @@ class TestRead:
         assert op.site == ""
 
     def test_promote_flag(self):
-        assert Read(1, promote=True).promote is True
+        assert Read(1, "", True).promote is True
 
     def test_repr_shows_promotion(self):
-        assert "promote" in repr(Read(1, promote=True))
+        assert "promote" in repr(Read(1, "", True))
         assert "promote" not in repr(Read(1))
 
     def test_is_op(self):
         assert isinstance(Read(1), Op)
 
+    def test_arguments_are_positional_only(self):
+        assert Read(1, "s", True).site == "s"
+        with pytest.raises(TypeError):
+            Read(1, site="x")
+        with pytest.raises(TypeError):
+            Write(1, 2, site="x")
+
 
 class TestWrite:
     def test_fields(self):
-        op = Write(0x40, 7, site="s")
+        op = Write(0x40, 7, "s")
         assert (op.addr, op.value, op.site) == (0x40, 7, "s")
 
     def test_repr(self):
