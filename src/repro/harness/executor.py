@@ -185,7 +185,8 @@ class ResultCache:
     One JSON file per ``(spec, code fingerprint)`` pair under ``root``;
     the filename is the combined hash, the payload carries the spec and
     fingerprint back for inspection and for paranoid load-time
-    validation.
+    validation.  A result's span dicts are stored as rows of their
+    values (:func:`repro.obs.spans.span_rows`).
     """
 
     def __init__(self, root: Optional[os.PathLike] = None):
@@ -214,18 +215,26 @@ class ResultCache:
         if payload.get("fingerprint") != code_fingerprint():
             return None
         try:
-            return spec.result_from_dict(payload["result"])
-        except (KeyError, TypeError):
+            result = payload["result"]
+            if result.get("spans") is not None:
+                from repro.obs.spans import dicts_from_span_rows
+                result["spans"] = dicts_from_span_rows(result["spans"])
+            return spec.result_from_dict(result)
+        except (AttributeError, KeyError, TypeError):
             return None
 
     def store(self, spec: ExperimentSpec, result: RunResult) -> None:
         """Persist ``result`` atomically (rename over partial writes)."""
         self.root.mkdir(parents=True, exist_ok=True)
         path = self.path(spec)
+        data = result.to_dict()
+        if data.get("spans") is not None:
+            from repro.obs.spans import span_rows
+            data["spans"] = span_rows(data["spans"])
         payload = {
             "spec": spec.to_dict(),
             "fingerprint": code_fingerprint(),
-            "result": result.to_dict(),
+            "result": data,
         }
         tmp = path.with_suffix(f".tmp{os.getpid()}")
         tmp.write_text(json.dumps(payload, sort_keys=True),

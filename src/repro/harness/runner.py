@@ -273,6 +273,7 @@ def run_once(workload: str, system: str, threads: int, seed: int,
         from repro.obs import (collect_run_metrics,
                                record_provenance_metrics,
                                record_span_metrics)
+        from repro.obs.spans import span_dicts
         collect_run_metrics(registry, machine, tm, stats)
         # end-of-run folds: killer outcomes are only knowable once every
         # span has closed, and a histogram does not depend on the order
@@ -284,7 +285,7 @@ def run_once(workload: str, system: str, threads: int, seed: int,
         for alert in timeseries["alerts"]:
             registry.inc("obs_alerts_total", rule=alert["rule"])
         metrics_snapshot = registry.snapshot()
-        spans = [s.to_dict() for s in recorder.spans]
+        spans = span_dicts(recorder.spans)
         if flight is not None:
             flight.discard()
     if profiling:

@@ -287,7 +287,8 @@ class MVMController:
         if self.metrics is not None:
             # occupancy *after* this install (and its GC/coalescing):
             # what the hardware would actually have to store
-            self.metrics.observe("mvm_version_list_length", len(vlist))
+            self.metrics.observe("mvm_version_list_length",
+                                 len(vlist._timestamps))
 
     def newest_many(self, lines) -> Dict[int, Optional[LineData]]:
         """Newest committed data per line, one probe pass (commit merge).
@@ -355,7 +356,7 @@ class MVMController:
                         profiler.mvm_event("gc", line, dropped)
                 if metrics is not None:
                     self.metrics.observe("mvm_version_list_length",
-                                         len(vlist))
+                                         len(vlist._timestamps))
                 installed.append(line)
                 if on_installed is not None:
                     on_installed(line, data)

@@ -42,7 +42,7 @@ import json
 from typing import Callable, Dict, List, Optional
 
 from repro.common.errors import AbortCause
-from repro.obs.metrics import _Histogram
+from repro.obs.metrics import histogram_dict
 from repro.obs.spans import _merge_histogram_dicts
 from repro.sim.engine import Tracer
 from repro.tm.api import Txn
@@ -146,8 +146,9 @@ class _Window:
         self.commit_wait_cycles = 0
         self.escalations = 0
         self.wasted_cycles = 0
-        self.span_cycles = _Histogram()
-        self.versions = _Histogram()
+        #: attempt durations and sampled occupancies, bucketed by _row
+        self.span_cycles: List[int] = []
+        self.versions: List[int] = []
 
 
 #: integer counter fields of a window row, summed on merge
@@ -196,19 +197,22 @@ class TimeSeriesSampler(Tracer):
         self.alerts: List[dict] = []
         self._engine = None
         self._windows: Dict[int, _Window] = {}
+        #: window index -> its row, made when the window closed
+        self._rows: Dict[int, dict] = {}
         #: next window index to close (everything below is closed)
         self._closed_upto = 0
         #: per-thread last-seen clock (the watermark inputs)
         self._thread_clock: Dict[int, int] = {}
-        #: one ``(clock, thread_id)`` entry per thread not yet seen done;
-        #: an entry's clock may lag the thread's last-seen clock (clocks
-        #: only rise, so a lagging entry sorts no later than it should)
-        self._clock_heap: List[tuple] = []
+        #: one ``(clock, thread_id)`` entry per thread not yet seen done
+        #: (None until the first event); an entry's clock may lag the
+        #: thread's last-seen clock (clocks only rise, so a lagging entry
+        #: sorts no later than it should)
+        self._clock_heap: Optional[List[tuple]] = None
         #: the running thread whose last-seen clock is the watermark
         #: (None until the first event, and once every thread is done)
         self._holder: Optional[int] = None
-        #: per-thread open-transaction (begin_clock, label)
-        self._open: Dict[int, tuple] = {}
+        #: per-thread clock at the open attempt's begin
+        self._open: Dict[int, int] = {}
         #: per-thread last-harvested backoff/commit-wait totals
         self._last_backoff: Dict[int, int] = {}
         self._last_wait: Dict[int, int] = {}
@@ -220,42 +224,12 @@ class TimeSeriesSampler(Tracer):
         self._engine = engine
 
     # -- event plumbing --------------------------------------------------
-
-    def _clock(self, thread_id: int) -> int:
-        if self._engine is None:
-            return 0
-        return self._engine.threads[thread_id].clock
-
-    def _window(self, clock: int) -> _Window:
-        index = clock // self.window_cycles
-        window = self._windows.get(index)
-        if window is None:
-            window = self._windows[index] = _Window()
-        return window
-
-    def _note(self, thread_id: int, clock: int) -> None:
-        """Record the event clock and close fully-past windows."""
-        engine = self._engine
-        if engine is None:
-            return
-        threads = engine.threads
-        if not self._thread_clock:
-            # seed every thread at its current clock so an early event
-            # from a fast thread cannot advance the watermark past a
-            # thread that has not produced its first event yet
-            for thread in threads:
-                self._thread_clock[thread.thread_id] = thread.clock
-            self._clock_heap = [(thread.clock, thread.thread_id)
-                                for thread in threads]
-            heapq.heapify(self._clock_heap)
-        self._thread_clock[thread_id] = clock
-        holder = self._holder
-        if holder is not None and holder != thread_id \
-                and not threads[holder].done:
-            # clocks only rise, so an event from any other thread
-            # cannot lower the minimum the holder still pins
-            return
-        self._advance_watermark(threads)
+    #
+    # Each hook finds its thread's clock and window itself, and calls
+    # _advance_watermark only when the event may move the watermark:
+    # from the holder, or once the holder is done.  Clocks only rise, so
+    # an event from any other thread cannot lower the minimum the
+    # holder still pins.
 
     def _advance_watermark(self, threads) -> None:
         """Find the new holder: its clock moved or its thread finished.
@@ -266,6 +240,15 @@ class TimeSeriesSampler(Tracer):
         """
         heap = self._clock_heap
         clocks = self._thread_clock
+        if heap is None:
+            # the first event: seed every thread at its current clock so
+            # an early event from a fast thread cannot advance the
+            # watermark past a thread that has not produced one yet
+            for thread in threads:
+                clocks[thread.thread_id] = thread.clock
+            heap = self._clock_heap = [(thread.clock, thread.thread_id)
+                                       for thread in threads]
+            heapq.heapify(heap)
         while heap:
             clock, tid = heap[0]
             if threads[tid].done:
@@ -285,78 +268,90 @@ class TimeSeriesSampler(Tracer):
             self._close(self._closed_upto)
             self._closed_upto += 1
 
-    def _harvest(self, window: _Window, thread_id: int) -> None:
-        """Charge RunStats counter deltas for ``thread_id`` to ``window``."""
-        engine = self._engine
-        if engine is None:
-            return
-        tstats = engine.stats.threads[thread_id]
-        backoff = tstats.backoff_cycles
-        delta = backoff - self._last_backoff.get(thread_id, 0)
-        if delta:
-            window.backoff_cycles += delta
-            self._last_backoff[thread_id] = backoff
-        wait = tstats.commit_wait_cycles
-        delta = wait - self._last_wait.get(thread_id, 0)
-        if delta:
-            window.commit_wait_cycles += delta
-            self._last_wait[thread_id] = wait
-        escalations = engine.stats.escalations
-        if escalations != self._last_escalations:
-            window.escalations += escalations - self._last_escalations
-            self._last_escalations = escalations
-
     # -- tracer hooks ----------------------------------------------------
 
     def on_begin(self, txn: Txn) -> None:
         tid = txn.thread_id
-        clock = self._clock(tid)
-        self._open[tid] = (clock, txn.label)
-        self._window(clock).begins += 1
-        self._note(tid, clock)
+        threads = self._engine.threads
+        clock = threads[tid].clock
+        self._open[tid] = clock
+        index = clock // self.window_cycles
+        window = self._windows.get(index)
+        if window is None:
+            window = self._windows[index] = _Window()
+        window.begins += 1
+        self._thread_clock[tid] = clock
+        holder = self._holder
+        if holder is None or holder == tid or threads[holder].done:
+            self._advance_watermark(threads)
 
     def on_stall(self, thread_id: int, cycles: int) -> None:
-        clock = self._clock(thread_id)
-        window = self._window(clock)
+        threads = self._engine.threads
+        clock = threads[thread_id].clock
+        index = clock // self.window_cycles
+        window = self._windows.get(index)
+        if window is None:
+            window = self._windows[index] = _Window()
         window.begin_stalls += 1
         window.stall_cycles += cycles
-        self._note(thread_id, clock)
+        self._thread_clock[thread_id] = clock
+        holder = self._holder
+        if holder is None or holder == thread_id or threads[holder].done:
+            self._advance_watermark(threads)
 
-    def on_commit(self, txn: Txn) -> None:
+    def on_abort(self, txn: Txn, cause: Optional[AbortCause] = None,
+                 ) -> None:
+        """Window an attempt's end: an abort of ``cause``, or without
+        one a commit (``on_commit`` is this method)."""
         tid = txn.thread_id
-        clock = self._clock(tid)
-        window = self._window(clock)
-        window.commits += 1
-        opened = self._open.pop(tid, None)
-        if opened is not None:
-            window.span_cycles.observe(clock - opened[0])
-        self._harvest(window, tid)
-        if self.flight is not None and opened is not None:
+        engine = self._engine
+        threads = engine.threads
+        clock = threads[tid].clock
+        index = clock // self.window_cycles
+        window = self._windows.get(index)
+        if window is None:
+            window = self._windows[index] = _Window()
+        begun = self._open.pop(tid, None)
+        if cause is None:
+            window.commits += 1
+            name = None
+        else:
+            window.aborts += 1
+            name = cause.value
+            window.causes[name] = window.causes.get(name, 0) + 1
+        if begun is not None:
+            duration = clock - begun
+            window.span_cycles.append(duration)
+            if name is not None:
+                window.wasted_cycles += duration
+        # the RunStats counters' growth since this thread's last
+        # attempt: its backoff and commit-wait cycles, and escalations
+        tstats = engine.stats.threads[tid]
+        backoff = tstats.backoff_cycles
+        delta = backoff - self._last_backoff.get(tid, 0)
+        if delta:
+            window.backoff_cycles += delta
+            self._last_backoff[tid] = backoff
+        wait = tstats.commit_wait_cycles
+        delta = wait - self._last_wait.get(tid, 0)
+        if delta:
+            window.commit_wait_cycles += delta
+            self._last_wait[tid] = wait
+        escalations = engine.stats.escalations
+        if escalations != self._last_escalations:
+            window.escalations += escalations - self._last_escalations
+            self._last_escalations = escalations
+        if self.flight is not None and begun is not None:
             self.flight.note_span({
-                "thread": tid, "label": txn.label, "outcome": "commit",
-                "cause": None, "end_cycle": clock,
-                "cycles": clock - opened[0]})
-        self._note(tid, clock)
+                "thread": tid, "label": txn.label,
+                "outcome": "commit" if name is None else "abort",
+                "cause": name, "end_cycle": clock, "cycles": duration})
+        self._thread_clock[tid] = clock
+        holder = self._holder
+        if holder is None or holder == tid or threads[holder].done:
+            self._advance_watermark(threads)
 
-    def on_abort(self, txn: Txn, cause: AbortCause) -> None:
-        tid = txn.thread_id
-        clock = self._clock(tid)
-        window = self._window(clock)
-        window.aborts += 1
-        name = cause.value
-        window.causes[name] = window.causes.get(name, 0) + 1
-        opened = self._open.pop(tid, None)
-        if opened is not None:
-            duration = clock - opened[0]
-            window.span_cycles.observe(duration)
-            window.wasted_cycles += duration
-        self._harvest(window, tid)
-        if self.flight is not None and opened is not None:
-            self.flight.note_span({
-                "thread": tid, "label": txn.label, "outcome": "abort",
-                "cause": name, "end_cycle": clock,
-                "cycles": clock - opened[0]})
-        self._note(tid, clock)
+    on_commit = on_abort
 
     # -- window closing --------------------------------------------------
 
@@ -383,10 +378,8 @@ class TimeSeriesSampler(Tracer):
             "commit_wait_cycles": window.commit_wait_cycles,
             "escalations": window.escalations,
             "wasted_cycles": window.wasted_cycles,
-            "span_cycles": (window.span_cycles.to_dict()
-                            if window.span_cycles.count else None),
-            "versions": (window.versions.to_dict()
-                         if window.versions.count else None),
+            "span_cycles": histogram_dict(window.span_cycles),
+            "versions": histogram_dict(window.versions),
         }
 
     def _close(self, index: int) -> None:
@@ -395,10 +388,12 @@ class TimeSeriesSampler(Tracer):
         if engine is not None:
             # version-list occupancy, sampled once per window close (a
             # full occupancy scan per event would be prohibitive)
-            occupancy = engine.machine.mvm.max_live_versions()
-            self._window(index * self.window_cycles).versions.observe(
-                occupancy)
-        row = self._row(index)
+            window = self._windows.get(index)
+            if window is None:
+                window = self._windows[index] = _Window()
+            window.versions.append(engine.machine.mvm.max_live_versions())
+        # a closed window is final: export reuses its row
+        row = self._rows[index] = self._row(index)
         for alert in self.detector.observe(row):
             self.alerts.append(alert)
             if self.flight is not None:
@@ -421,7 +416,7 @@ class TimeSeriesSampler(Tracer):
     def export(self) -> dict:
         """The canonical, mergeable time-series document for this run."""
         self.finish()
-        rows = [self._row(index) for index in sorted(self._windows)]
+        rows = [self._rows[index] for index in sorted(self._windows)]
         return {
             "schema_version": TIMESERIES_SCHEMA_VERSION,
             "window_cycles": self.window_cycles,

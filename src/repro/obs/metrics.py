@@ -80,7 +80,8 @@ class _Histogram:
             return
         buckets = self.buckets
         for value in values:
-            bound = _bucket_bound(value)
+            # _bucket_bound, inlined: this loop buckets every observation
+            bound = 1 if value <= 1 else 1 << (int(value) - 1).bit_length()
             buckets[bound] = buckets.get(bound, 0) + 1
         self.count += len(values)
         self.total += sum(values)
@@ -99,38 +100,66 @@ class _Histogram:
         }
 
 
+def histogram_dict(values: Optional[List[int]]) -> Optional[dict]:
+    """The :meth:`_Histogram.to_dict` form of ``values`` (None when
+    there are none)."""
+    if not values:
+        return None
+    hist = _Histogram()
+    hist.observe_many(values)
+    return hist.to_dict()
+
+
 class MetricsRegistry:
     """One run's labeled counters, gauges and histograms.
 
     All mutators take the metric name plus keyword labels; instruments
     are created on first touch.  The registry is deliberately dumb —
     no types to declare up front, no background threads — because one
-    registry lives exactly as long as one simulation run.
+    registry lives exactly as long as one simulation run.  So a
+    histogram keeps its observations and buckets them when it is read
+    (its buckets do not depend on the order of its values), and the
+    canonical key of each label shape a call site uses is built once.
     """
 
     def __init__(self) -> None:
         self._counters: Dict[str, int] = {}
         self._gauges: Dict[str, float] = {}
-        self._histograms: Dict[str, _Histogram] = {}
+        #: histogram key -> its observations, in arrival order
+        self._histograms: Dict[str, List[int]] = {}
+        #: (name, *label items) as a call passed them -> metric_key
+        self._keys: Dict[tuple, str] = {}
+
+    def _new_key(self, name: str, labels: Dict[str, object]) -> str:
+        """:func:`metric_key`, remembered for this call's label shape."""
+        key = self._keys[(name, *labels.items())] = metric_key(name, labels)
+        return key
 
     # -- mutators --------------------------------------------------------
 
     def inc(self, name: str, amount: int = 1, **labels: object) -> None:
         """Add ``amount`` to the counter ``name{labels}``."""
-        key = metric_key(name, labels)
+        key = name if not labels else (
+            self._keys.get((name, *labels.items()))
+            or self._new_key(name, labels))
         self._counters[key] = self._counters.get(key, 0) + amount
 
     def set_gauge(self, name: str, value: float, **labels: object) -> None:
         """Set the gauge ``name{labels}`` to ``value``."""
-        self._gauges[metric_key(name, labels)] = value
+        key = name if not labels else (
+            self._keys.get((name, *labels.items()))
+            or self._new_key(name, labels))
+        self._gauges[key] = value
 
     def observe(self, name: str, value: int, **labels: object) -> None:
         """Record ``value`` into the histogram ``name{labels}``."""
-        key = metric_key(name, labels)
-        hist = self._histograms.get(key)
-        if hist is None:
-            hist = self._histograms[key] = _Histogram()
-        hist.observe(value)
+        key = name if not labels else (
+            self._keys.get((name, *labels.items()))
+            or self._new_key(name, labels))
+        values = self._histograms.get(key)
+        if values is None:
+            values = self._histograms[key] = []
+        values.append(value)
 
     def observe_many(self, name: str, values: List[int],
                      **labels: object) -> None:
@@ -138,11 +167,8 @@ class MetricsRegistry:
         is created when there are none)."""
         if not values:
             return
-        key = metric_key(name, labels)
-        hist = self._histograms.get(key)
-        if hist is None:
-            hist = self._histograms[key] = _Histogram()
-        hist.observe_many(values)
+        self._histograms.setdefault(metric_key(name, labels),
+                                    []).extend(values)
 
     # -- accessors ---------------------------------------------------------
 
@@ -156,8 +182,8 @@ class MetricsRegistry:
 
     def histogram(self, name: str, **labels: object) -> Optional[dict]:
         """Snapshot of one histogram (None when never observed)."""
-        hist = self._histograms.get(metric_key(name, labels))
-        return hist.to_dict() if hist else None
+        return histogram_dict(
+            self._histograms.get(metric_key(name, labels)))
 
     # -- serialization -----------------------------------------------------
 
@@ -172,7 +198,7 @@ class MetricsRegistry:
             "counters": {k: self._counters[k]
                          for k in sorted(self._counters)},
             "gauges": {k: self._gauges[k] for k in sorted(self._gauges)},
-            "histograms": {k: self._histograms[k].to_dict()
+            "histograms": {k: histogram_dict(self._histograms[k])
                            for k in sorted(self._histograms)},
         }
 

@@ -87,7 +87,9 @@ class CycleProfiler(Tracer):
     install/coalesce/GC.
     As a tracer, ``on_write`` maps lines to the source sites touching
     them and ``on_abort`` reads ``txn.conflict_line`` (stamped by the
-    backend that detected the conflict) into the per-line abort table.
+    backend that detected the conflict) into the per-line abort table,
+    and charges the attempt's cycles since the engine's
+    ``attempt_clock`` (its begin) to the wasted-cycle tally.
     """
 
     def __init__(self) -> None:
@@ -104,13 +106,12 @@ class CycleProfiler(Tracer):
         #: aborts whose detecting backend knew no single conflicting line
         self.unattributed_aborts = 0
         #: thread -> cycles burned inside attempts that ended in abort
-        #: (each abort charges end-clock minus begin-clock, the exact
-        #: wasted-work quantum the span recorder sees as abort-span
-        #: duration — the ledger reconciliation in the runner depends on
-        #: the two agreeing to the cycle)
+        #: (each abort charges its clock minus the thread state's
+        #: ``attempt_clock``, the exact wasted-work quantum the span
+        #: recorder sees as abort-span duration — the ledger
+        #: reconciliation in the runner depends on the two agreeing to
+        #: the cycle)
         self._wasted: Dict[int, int] = {}
-        #: thread -> clock at the most recent on_begin (open attempt)
-        self._attempt_begin: Dict[int, int] = {}
         self._amap = None
         self._words_per_line = 0
         self._engine = None
@@ -187,19 +188,6 @@ class CycleProfiler(Tracer):
 
     # -- tracer hooks (conflict heatmap + wasted-work tally) -------------
 
-    def _thread_clock(self, thread_id: int) -> Optional[int]:
-        if self._engine is None:
-            return None
-        return self._engine.threads[thread_id].clock
-
-    def on_begin(self, txn: Txn) -> None:
-        clock = self._thread_clock(txn.thread_id)
-        if clock is not None:
-            self._attempt_begin[txn.thread_id] = clock
-
-    def on_commit(self, txn: Txn) -> None:
-        self._attempt_begin.pop(txn.thread_id, None)
-
     def on_write(self, txn: Txn, addr: int, site: str,
                  value: object = None) -> None:
         if self._amap is None:
@@ -212,11 +200,9 @@ class CycleProfiler(Tracer):
 
     def on_abort(self, txn: Txn, cause: AbortCause) -> None:
         tid = txn.thread_id
-        begin = self._attempt_begin.pop(tid, None)
-        if begin is not None:
-            clock = self._thread_clock(tid)
-            if clock is not None:
-                self._wasted[tid] = self._wasted.get(tid, 0) + clock - begin
+        thread = self._engine.threads[tid]
+        self._wasted[tid] = (self._wasted.get(tid, 0)
+                             + thread.clock - thread.attempt_clock)
         line = txn.conflict_line
         if line is None:
             self.unattributed_aborts += 1

@@ -63,7 +63,7 @@ PROVENANCE_SCHEMA_VERSION = 1
 def classify_abort(span: Span,
                    outcome_by_uid: Dict[int, str]) -> str:
     """Classify one abort span given every span's final outcome."""
-    if not span.has_killer:
+    if span.killer_uid is None and span.killer_tid is None:
         return SELF_INFLICTED
     outcome = (outcome_by_uid.get(span.killer_uid)
                if span.killer_uid is not None else None)
@@ -72,6 +72,13 @@ def classify_abort(span: Span,
     if outcome == "abort":
         return CASCADING
     return UNRESOLVED
+
+
+def _classified_aborts(spans: Sequence[Span]) -> List[Tuple[Span, str]]:
+    """Every abort among ``spans``, in order, with its classification."""
+    outcome_by_uid = {span.uid: span.outcome for span in spans}
+    return [(span, classify_abort(span, outcome_by_uid))
+            for span in spans if span.outcome == "abort"]
 
 
 class ProvenanceReport:
@@ -94,31 +101,6 @@ class ProvenanceReport:
         self.by_class: Dict[str, int] = {}
         #: (killer_site, victim_site) -> aggregate
         self.edges: Dict[Tuple[str, str], Dict[str, object]] = {}
-
-    # -- construction ----------------------------------------------------
-
-    def _charge(self, span: Span, classification: str) -> None:
-        wasted = span.duration
-        self.aborts += 1
-        self.wasted_cycles += wasted
-        self.wasted_by_thread[span.thread_id] = \
-            self.wasted_by_thread.get(span.thread_id, 0) + wasted
-        self.by_class[classification] = \
-            self.by_class.get(classification, 0) + 1
-        killer_site = (span.killer_label or SELF_SITE
-                       if span.has_killer else SELF_SITE)
-        edge = self.edges.get((killer_site, span.label))
-        if edge is None:
-            edge = self.edges[(killer_site, span.label)] = {
-                "aborts": 0, "wasted_cycles": 0,
-                "classes": {}, "causes": {}}
-        edge["aborts"] += 1
-        edge["wasted_cycles"] += wasted
-        classes = edge["classes"]
-        classes[classification] = classes.get(classification, 0) + 1
-        cause = span.cause or "unknown"
-        causes = edge["causes"]
-        causes[cause] = causes.get(cause, 0) + 1
 
     # -- views -----------------------------------------------------------
 
@@ -195,20 +177,46 @@ class ProvenanceReport:
         return "\n".join(lines) + "\n"
 
 
-def build_provenance(spans: Sequence[Span]) -> ProvenanceReport:
-    """Aggregate spans (one run's, or merged) into a blame report."""
-    outcome_by_uid: Dict[int, str] = {}
-    for span in spans:
-        outcome_by_uid[span.uid] = span.outcome
+def build_provenance(spans: Sequence[Span],
+                     aborts: Optional[List[Tuple[Span, str]]] = None,
+                     ) -> ProvenanceReport:
+    """Aggregate spans (one run's, or merged) into a blame report.
+
+    Each abort's cycles are charged to its ``(killer site, victim
+    site)`` edge and to its thread; self-inflicted aborts charge the
+    :data:`SELF_SITE` pseudo-site.  ``aborts`` is the spans'
+    :func:`_classified_aborts`, when the caller already has it.
+    """
+    if aborts is None:
+        aborts = _classified_aborts(spans)
     report = ProvenanceReport()
-    for span in spans:
-        report.total_spans += 1
-        if span.outcome == "commit":
-            report.commits += 1
-        elif span.outcome == "abort":
-            report._charge(span, classify_abort(span, outcome_by_uid))
+    report.total_spans = len(spans)
+    report.commits = [span.outcome for span in spans].count("commit")
+    report.aborts = len(aborts)
+    by_thread = report.wasted_by_thread
+    by_class = report.by_class
+    for span, classification in aborts:
+        # an abort span is closed, so its duration is end - begin
+        wasted = span.end_cycle - span.begin_cycle
+        report.wasted_cycles += wasted
+        by_thread[span.thread_id] = by_thread.get(span.thread_id, 0) + wasted
+        by_class[classification] = by_class.get(classification, 0) + 1
+        killer_site = (SELF_SITE if classification == SELF_INFLICTED
+                       else span.killer_label or SELF_SITE)
+        edge = report.edges.get((killer_site, span.label))
+        if edge is None:
+            edge = report.edges[(killer_site, span.label)] = {
+                "aborts": 0, "wasted_cycles": 0,
+                "classes": {}, "causes": {}}
+        edge["aborts"] += 1
+        edge["wasted_cycles"] += wasted
+        classes = edge["classes"]
+        classes[classification] = classes.get(classification, 0) + 1
+        cause = span.cause or "unknown"
+        causes = edge["causes"]
+        causes[cause] = causes.get(cause, 0) + 1
     for cls in ABORT_CLASSES:
-        report.by_class.setdefault(cls, 0)
+        by_class.setdefault(cls, 0)
     return report
 
 
@@ -287,13 +295,11 @@ def record_provenance_metrics(registry, system: str,
     unknowable while its span is still open — so the hot path pays
     nothing.  Returns the built report for further use.
     """
-    outcome_by_uid = {span.uid: span.outcome for span in spans}
-    report = build_provenance(spans)
-    for span in spans:
-        if span.outcome != "abort":
-            continue
-        registry.inc("tm_wasted_cycles_total", span.duration,
+    aborts = _classified_aborts(spans)
+    for span, classification in aborts:
+        registry.inc("tm_wasted_cycles_total",
+                     span.end_cycle - span.begin_cycle,
                      system=system, cause=span.cause or "unknown")
         registry.inc("tm_aborts_by_outcome_total", 1, system=system,
-                     outcome=classify_abort(span, outcome_by_uid))
-    return report
+                     outcome=classification)
+    return build_provenance(spans, aborts)

@@ -142,7 +142,8 @@ class _ThreadState:
 
     __slots__ = ("thread_id", "specs", "stats", "spec", "txn", "gen",
                  "pending", "retries", "clock", "done", "redo_op",
-                 "first_attempt_clock", "consecutive_stalls", "queued",
+                 "first_attempt_clock", "attempt_clock",
+                 "consecutive_stalls", "queued",
                  "parked", "read_cycles", "write_cycles",
                  "compute_cycles", "stall_cycles")
 
@@ -164,6 +165,9 @@ class _ThreadState:
         #: clock at the current transaction's first successful begin —
         #: the retry policy's starvation-age watermark
         self.first_attempt_clock = 0
+        #: clock at the current attempt's successful begin (what the
+        #: profiler's wasted-cycle tally charges an abort from)
+        self.attempt_clock = 0
         #: begin stalls since the last successful begin (stall-storm
         #: starvation detection; stalls never abort, so attempt counting
         #: alone cannot see them)
@@ -467,6 +471,7 @@ class Engine:
         self._no_progress = 0
         if thread.retries == 0:
             thread.first_attempt_clock = thread.clock
+        thread.attempt_clock = thread.clock
         thread.txn = txn
         thread.gen = thread.spec.body_factory()
         thread.pending = None

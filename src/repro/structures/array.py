@@ -27,26 +27,28 @@ class TxArray(TxStructure):
         return IndexError(f"index {index} out of range [0,{self.size})")
 
     # ------------------------------------------------------------------
-    # transactional operations (the bound is tested inline: an access
-    # is one frame, so a helper call per access would double its cost)
+    # transactional operations
+
+    def addr(self, index: int) -> int:
+        """Address of cell ``index``; an index out of range raises
+        ``IndexError`` here, when the access is built.  A transaction
+        body yields ``Read``/``Write`` on it directly, so an access
+        costs the body no generator frame of its own."""
+        if not 0 <= index < self.size:
+            raise self._out_of_range(index)
+        return self.base + index
 
     def get(self, index: int) -> TxGen:
         """Transactionally load one cell."""
-        if not 0 <= index < self.size:
-            raise self._out_of_range(index)
-        return read(self.base + index, "array.get")
+        return read(self.addr(index), "array.get")
 
     def set(self, index: int, value: int) -> TxGen:
         """Transactionally store one cell."""
-        if not 0 <= index < self.size:
-            raise self._out_of_range(index)
-        return write(self.base + index, value, "array.set")
+        return write(self.addr(index), value, "array.set")
 
     def add(self, index: int, delta: int) -> TxGen:
         """Read-modify-write one cell."""
-        if not 0 <= index < self.size:
-            raise self._out_of_range(index)
-        addr = self.base + index
+        addr = self.addr(index)
         value = yield Read(addr, "array.add:read")
         yield Write(addr, value + delta, "array.add:write")
         return value + delta

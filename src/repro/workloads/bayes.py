@@ -22,7 +22,7 @@ from repro.common.rng import SplitRandom
 from repro.sim.engine import TransactionSpec
 from repro.sim.machine import Machine
 from repro.structures import TxArray
-from repro.tm.ops import Compute
+from repro.tm.ops import Compute, Read, Write
 from repro.workloads.base import (
     REGISTRY,
     Workload,
@@ -59,10 +59,11 @@ class BayesBench(Workload):
                 # read the node's full adjacency row + neighbour scores
                 degree = 0
                 for other in range(nodes):
-                    edge = yield from adjacency.get(node * row + other)
+                    edge = yield Read(adjacency.addr(node * row + other),
+                                      "array.get")
                     if edge:
                         degree += 1
-                        yield from scores.get(other * per_line)
+                        yield Read(scores.addr(other * per_line), "array.get")
                 yield Compute(120)  # score the candidate family
                 if not accept:
                     # most candidate changes score worse and are rejected:
@@ -73,23 +74,27 @@ class BayesBench(Workload):
                 # score; the peer's score is unaffected (the family that
                 # changed is the node's), so learns on different nodes
                 # have disjoint write sets
-                current = yield from adjacency.get(node * row + peer)
-                yield from adjacency.set(node * row + peer,
-                                         0 if current else 1)
-                node_score = yield from scores.get(node * per_line)
-                yield from scores.set(node * per_line,
-                                      node_score + (1 if current else -1))
+                current = yield Read(adjacency.addr(node * row + peer),
+                                     "array.get")
+                yield Write(adjacency.addr(node * row + peer),
+                            0 if current else 1, "array.set")
+                node_score = yield Read(scores.addr(node * per_line),
+                                        "array.get")
+                yield Write(scores.addr(node * per_line),
+                            node_score + (1 if current else -1), "array.set")
                 return degree
             return body
 
         def evaluate(node: int):
             def body():
                 # read-only: score the node's current family
-                total = yield from scores.get(node * per_line)
+                total = yield Read(scores.addr(node * per_line), "array.get")
                 for other in range(nodes):
-                    edge = yield from adjacency.get(node * row + other)
+                    edge = yield Read(adjacency.addr(node * row + other),
+                                      "array.get")
                     if edge:
-                        peer_score = yield from scores.get(other * per_line)
+                        peer_score = yield Read(scores.addr(other * per_line),
+                                                "array.get")
                         total += peer_score
                 yield Compute(80)
                 return total

@@ -25,7 +25,7 @@ from repro.common.rng import SplitRandom
 from repro.sim.engine import TransactionSpec
 from repro.sim.machine import Machine
 from repro.structures import TxArray, TxHashMap
-from repro.tm.ops import Compute
+from repro.tm.ops import Compute, Read, Write
 from repro.workloads.base import (
     REGISTRY,
     Workload,
@@ -75,13 +75,14 @@ class GenomeBench(Workload):
                 best = start % segments
                 for i in range(match_reads):
                     cell = (start + i) % segments
-                    value = yield from chain.get(cell * per_line)
+                    value = yield Read(chain.addr(cell * per_line),
+                                       "array.get")
                     seg = segment_pool[cell]
                     hit = yield from dedup.contains(seg)
                     if hit and value == 0:
                         best = cell
                 yield Compute(10)
-                yield from chain.set(link * per_line, best + 1)
+                yield Write(chain.addr(link * per_line), best + 1, "array.set")
             return body
 
         programs: List[List[TransactionSpec]] = []

@@ -31,7 +31,7 @@ from repro.common.rng import SplitRandom
 from repro.sim.engine import TransactionSpec
 from repro.sim.machine import Machine
 from repro.structures import TxArray, TxRedBlackTree
-from repro.tm.ops import Compute
+from repro.tm.ops import Compute, Read, Write
 from repro.workloads.base import (
     REGISTRY,
     Workload,
@@ -80,10 +80,11 @@ class IntruderBench(Workload):
                 known = yield from flow_tree.lookup(flow)
                 if known is None:
                     yield from flow_tree.insert(flow)
-                existing = yield from slots.get(slot_index(flow, fragment))
+                existing = yield Read(slots.addr(slot_index(flow, fragment)),
+                                      "array.get")
                 if existing == 0:
-                    yield from slots.set(slot_index(flow, fragment),
-                                         payload + 1)
+                    yield Write(slots.addr(slot_index(flow, fragment)),
+                                payload + 1, "array.set")
                 yield Compute(3)
             return body
 
@@ -91,13 +92,15 @@ class IntruderBench(Workload):
             def body():
                 present = 0
                 for fragment in range(FRAGMENTS_PER_FLOW):
-                    value = yield from slots.get(slot_index(flow, fragment))
+                    value = yield Read(slots.addr(slot_index(flow, fragment)),
+                                       "array.get")
                     if value:
                         present += 1
                 if present < FRAGMENTS_PER_FLOW:
                     return False
                 for fragment in range(FRAGMENTS_PER_FLOW):
-                    yield from slots.set(slot_index(flow, fragment), 0)
+                    yield Write(slots.addr(slot_index(flow, fragment)),
+                                0, "array.set")
                 yield from flow_tree.remove(flow)
                 yield Compute(40)  # signature detector on the payload
                 return True
@@ -108,7 +111,8 @@ class IntruderBench(Workload):
                 known = yield from flow_tree.lookup(flow)
                 count = 0
                 for fragment in range(FRAGMENTS_PER_FLOW):
-                    value = yield from slots.get(slot_index(flow, fragment))
+                    value = yield Read(slots.addr(slot_index(flow, fragment)),
+                                       "array.get")
                     if value:
                         count += 1
                 yield Compute(2)

@@ -21,7 +21,7 @@ from repro.common.rng import SplitRandom
 from repro.sim.engine import TransactionSpec
 from repro.sim.machine import Machine
 from repro.structures import TxArray
-from repro.tm.ops import Compute
+from repro.tm.ops import Compute, Read, Write
 from repro.workloads.base import (
     REGISTRY,
     Workload,
@@ -63,13 +63,15 @@ class KmeansBench(Workload):
                 # is a symmetric conflict no policy can dodge
                 base = centre * stride
                 for dim in range(DIMS):
-                    current = yield from accumulators.get(base + dim)
+                    current = yield Read(accumulators.addr(base + dim),
+                                         "array.get")
                     yield Compute(6)  # float add + loop bookkeeping
-                    yield from accumulators.set(base + dim,
-                                                current + point[dim])
-                count = yield from accumulators.get(base + DIMS)
+                    yield Write(accumulators.addr(base + dim),
+                                current + point[dim], "array.set")
+                count = yield Read(accumulators.addr(base + DIMS), "array.get")
                 yield Compute(3)
-                yield from accumulators.set(base + DIMS, count + 1)
+                yield Write(accumulators.addr(base + DIMS),
+                            count + 1, "array.set")
             return body
 
         programs: List[List[TransactionSpec]] = []

@@ -21,7 +21,7 @@ from repro.common.rng import SplitRandom
 from repro.sim.engine import TransactionSpec
 from repro.sim.machine import Machine
 from repro.structures import TxArray
-from repro.tm.ops import Compute
+from repro.tm.ops import Compute, Read, Write
 from repro.workloads.base import (
     REGISTRY,
     Workload,
@@ -67,14 +67,14 @@ class LabyrinthBench(Workload):
                 # expansion phase: read the corridor around the path
                 blocked = False
                 for cell in path:
-                    value = yield from grid.get(cell)
+                    value = yield Read(grid.addr(cell), "array.get")
                     if value:
                         blocked = True
                 yield Compute(60)  # Lee expansion / backtracking
                 if blocked:
                     return False
                 for cell in path:
-                    yield from grid.set(cell, 1)
+                    yield Write(grid.addr(cell), 1, "array.set")
                 return True
             return body
 

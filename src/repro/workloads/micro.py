@@ -27,7 +27,7 @@ from repro.common.rng import SplitRandom
 from repro.sim.engine import TransactionSpec
 from repro.sim.machine import Machine
 from repro.structures import TxArray, TxLinkedList, TxRedBlackTree
-from repro.tm.ops import Compute
+from repro.tm.ops import Read, Write
 from repro.workloads.base import (
     REGISTRY,
     Workload,
@@ -68,10 +68,10 @@ class ArrayBench(Workload):
 
         def update(a: int, b: int):
             def body():
-                va = yield from array.get(a)
-                yield from array.set(a, va + 1)
-                vb = yield from array.get(b)
-                yield from array.set(b, vb + 1)
+                va = yield Read(array.addr(a), "array.get")
+                yield Write(array.addr(a), va + 1, "array.set")
+                vb = yield Read(array.addr(b), "array.get")
+                yield Write(array.addr(b), vb + 1, "array.set")
             return body
 
         programs: List[List[TransactionSpec]] = []

@@ -20,7 +20,7 @@ from repro.common.rng import SplitRandom
 from repro.sim.engine import TransactionSpec
 from repro.sim.machine import Machine
 from repro.structures import TxArray
-from repro.tm.ops import Compute
+from repro.tm.ops import Compute, Read, Write
 from repro.workloads.base import (
     REGISTRY,
     Workload,
@@ -53,16 +53,17 @@ class SSCA2Bench(Workload):
         def add_edge(src: int, dst: int):
             def body():
                 base = src * stride
-                degree = yield from adjacency.get(base)
+                degree = yield Read(adjacency.addr(base), "array.get")
                 if degree < SLOTS:
-                    yield from adjacency.set(base + 1 + degree, dst + 1)
-                    yield from adjacency.set(base, degree + 1)
+                    yield Write(adjacency.addr(base + 1 + degree),
+                                dst + 1, "array.set")
+                    yield Write(adjacency.addr(base), degree + 1, "array.set")
                 yield Compute(2)
             return body
 
         def degree_query(src: int):
             def body():
-                degree = yield from adjacency.get(src * stride)
+                degree = yield Read(adjacency.addr(src * stride), "array.get")
                 yield Compute(1)
                 return degree
             return body

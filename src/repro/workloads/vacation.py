@@ -24,7 +24,7 @@ from repro.common.rng import SplitRandom
 from repro.sim.engine import TransactionSpec
 from repro.sim.machine import Machine
 from repro.structures import TxArray, TxHashMap
-from repro.tm.ops import Compute
+from repro.tm.ops import Compute, Read, Write
 from repro.workloads.base import (
     REGISTRY,
     Workload,
@@ -76,9 +76,10 @@ class VacationBench(Workload):
                         booked += 1
                 yield Compute(5)
                 if booked:
-                    held = yield from holdings.get(customer * per_line)
-                    yield from holdings.set(customer * per_line,
-                                            held + booked)
+                    held = yield Read(holdings.addr(customer * per_line),
+                                      "array.get")
+                    yield Write(holdings.addr(customer * per_line),
+                                held + booked, "array.set")
             return body
 
         def update_tables(type_idx: int, item: int, delta: int):
@@ -90,9 +91,11 @@ class VacationBench(Workload):
 
         def delete_customer(customer: int):
             def body():
-                held = yield from holdings.get(customer * per_line)
+                held = yield Read(holdings.addr(customer * per_line),
+                                  "array.get")
                 if held:
-                    yield from holdings.set(customer * per_line, 0)
+                    yield Write(holdings.addr(customer * per_line),
+                                0, "array.set")
                 yield Compute(3)
                 return held
             return body

@@ -24,7 +24,7 @@ from repro.common.rng import SplitRandom
 from repro.sim.engine import TransactionSpec
 from repro.sim.machine import Machine
 from repro.structures import TxArray
-from repro.tm.ops import Compute
+from repro.tm.ops import Compute, Read, Write
 from repro.workloads.base import (
     REGISTRY,
     Workload,
@@ -70,9 +70,10 @@ class YadaBench(Workload):
                     next_frontier = []
                     for tri in frontier:
                         base = tri * per_line
-                        quality = yield from mesh.get(base)
+                        quality = yield Read(mesh.addr(base), "array.get")
                         for n in range(NEIGHBOURS):
-                            neighbour = yield from mesh.get(base + 1 + n)
+                            neighbour = yield Read(mesh.addr(base + 1 + n),
+                                                   "array.get")
                             if quality % 2 == 0 and neighbour not in cavity:
                                 cavity.append(neighbour)
                                 next_frontier.append(neighbour)
@@ -81,9 +82,11 @@ class YadaBench(Workload):
                 # replace the cavity: refresh qualities, relink to the seed
                 for tri in cavity:
                     base = tri * per_line
-                    quality = yield from mesh.get(base)
-                    yield from mesh.set(base, (quality * 7 + 13) % 100)
-                    yield from mesh.set(base + 1, seed_triangle)
+                    quality = yield Read(mesh.addr(base), "array.get")
+                    yield Write(mesh.addr(base),
+                                (quality * 7 + 13) % 100, "array.set")
+                    yield Write(mesh.addr(base + 1),
+                                seed_triangle, "array.set")
                 return len(cavity)
             return body
 

@@ -44,6 +44,20 @@ class TestResultCache:
         cache.store(SPEC, result)
         assert cache.load(SPEC) == result
 
+    def test_observed_result_round_trips_through_span_rows(self, tmp_path):
+        """A result's span dicts are cached as rows of their values and
+        load back equal, killer fields only where the span had one."""
+        spec = ExperimentSpec("rbtree", "SI-TM", 4, 1, "test",
+                              telemetry=True, profiling=True)
+        cache = ResultCache(tmp_path)
+        result = spec.run()
+        assert any("killer_uid" in row for row in result.spans)
+        assert any("killer_uid" not in row for row in result.spans)
+        cache.store(spec, result)
+        stored = json.loads(cache.path(spec).read_text())["result"]
+        assert all(isinstance(row, list) for row in stored["spans"])
+        assert cache.load(spec) == result
+
     def test_miss_on_empty(self, tmp_path):
         assert ResultCache(tmp_path).load(SPEC) is None
 

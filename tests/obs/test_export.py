@@ -2,6 +2,7 @@
 
 import json
 
+from repro.harness.runner import run_once
 from repro.obs import (SPAN_SCHEMA_VERSION, Span, chrome_trace,
                        chrome_trace_events, load_spans_jsonl,
                        spans_to_jsonl, validate_span_log,
@@ -54,6 +55,16 @@ class TestValidateSpanLog:
                           cause="write-write", killer_tid=1, killer_uid=1,
                           killer_label="insert", killer_ts=2))
         assert validate_span_log(spans_to_jsonl(spans)) == []
+
+    def test_a_run_s_span_log_validates(self):
+        """A real telemetry run's span rows rebuild into spans whose
+        JSONL log is valid, and an abort among them names its killer."""
+        result = run_once("rbtree", "SI-TM", 4, 1, profile="test",
+                          telemetry=True)
+        spans = [Span.from_dict(row) for row in result.spans]
+        assert validate_span_log(spans_to_jsonl(spans)) == []
+        assert any(span.has_killer for span in spans
+                   if span.outcome == "abort"), "no killer attributed"
 
     def test_version_1_logs_without_schema_version_still_validate(self):
         # the pre-provenance shape: no schema_version, no killer keys

@@ -165,19 +165,25 @@ def test_sampler_rescans_only_when_the_watermark_holder_moves(monkeypatch):
     every thread's clock."""
     config, workload, system, threads, _ = WINDOW_CELL
     sampler = live.TimeSeriesSampler
-    note, rescan = sampler._note, sampler._advance_watermark
+    rescan = sampler._advance_watermark
     counts = {"events": 0, "from_holder": 0, "rescans": 0}
 
-    def counting_note(self, thread_id, clock):
-        counts["events"] += 1
-        counts["from_holder"] += thread_id == self._holder
-        note(self, thread_id, clock)
+    def counting(hook, thread_of):
+        def counted(self, *args):
+            counts["events"] += 1
+            counts["from_holder"] += thread_of(*args) == self._holder
+            hook(self, *args)
+        return counted
 
     def counting_rescan(self, engine_threads):
         counts["rescans"] += 1
         rescan(self, engine_threads)
 
-    monkeypatch.setattr(sampler, "_note", counting_note)
+    for hook in ("on_begin", "on_commit", "on_abort"):
+        monkeypatch.setattr(sampler, hook, counting(
+            getattr(sampler, hook), lambda txn, *cause: txn.thread_id))
+    monkeypatch.setattr(sampler, "on_stall", counting(
+        sampler.on_stall, lambda thread_id, cycles: thread_id))
     monkeypatch.setattr(sampler, "_advance_watermark", counting_rescan)
     runner.run_once(workload, system, threads, SEED, PROFILE,
                     CONFIGS[config], telemetry=True, profiling=True)

@@ -11,11 +11,17 @@ and the data structures they walk) are counted apart, against their
 own bare budget, which a helper call per access, traversal step or
 bound test fails.  A generator resumed counts as a call.
 
+Observers pay per attempt, so their own frames (``repro.obs``: the
+tracer hooks and every helper below them, and the end-of-run folds)
+are counted per attempt over a whole observed ``run_once``, against
+``OBSERVER_BUDGET``, which a helper call per hook fails.
+
 The counts are deterministic (a cell is a pure function of its seed)
 but depend a little on the interpreter (3.12 inlines comprehensions
 and profiles through ``sys.monitoring``); each bound sits just above
 the largest count over Python 3.10, 3.11 and 3.12, so a change that
-puts a helper back on the per-operation path fails here.
+puts a helper back on the per-operation or per-attempt path fails
+here.
 """
 
 import math
@@ -26,11 +32,14 @@ import pytest
 
 import repro
 import repro.harness.runner as runner
+# the observers' modules load before anything is counted
+from repro.obs import live, metrics, profile, provenance, spans  # noqa: F401
 from repro.sim.engine import Engine
 
 PACKAGE = os.path.dirname(repro.__file__) + os.sep
 PROGRAM = tuple(PACKAGE + part + os.sep
                 for part in ("workloads", "structures"))
+OBSERVERS = PACKAGE + "obs" + os.sep
 
 #: (workload, system) -> bound on repro calls per engine step
 BUDGET = {
@@ -42,13 +51,21 @@ BUDGET = {
 PROGRAM_BUDGET = {
     ("array", "2PL"): 2.05,
     ("list", "SONTM"): 1.05,
-    ("kmeans", "SI-TM"): 2.75,
+    ("kmeans", "SI-TM"): 1.55,
 }
 #: the same as BUDGET, with telemetry and profiling on
 OBSERVED_BUDGET = {
-    ("vacation", "2PL"): 6.0,
+    ("vacation", "2PL"): 5.85,
     ("list", "SI-TM"): 5.0,
-    ("kmeans", "SI-TM"): 8.5,
+    ("kmeans", "SI-TM"): 7.2,
+}
+
+#: (workload, system) -> bound on repro.obs calls per attempt over a
+#: whole observed run_once
+OBSERVER_BUDGET = {
+    ("kmeans", "SI-TM"): 24.5,
+    ("rbtree", "HybridHTM"): 79.0,
+    ("vacation", "2PL"): 21.8,
 }
 
 
@@ -110,3 +127,28 @@ def test_observed_calls_per_step(monkeypatch, workload, system):
     engine = counted_engine(monkeypatch, workload, system, True)
     per_step = engine.calls / engine.steps_taken
     assert per_step <= OBSERVED_BUDGET[workload, system], per_step
+
+
+def observer_calls_per_attempt(workload, system):
+    """``repro.obs`` calls per attempt over one observed ``run_once``."""
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call" \
+                and frame.f_code.co_filename.startswith(OBSERVERS):
+            calls += 1
+
+    sys.setprofile(count)
+    try:
+        result = runner.run_once(workload, system, 16, 1, "quick",
+                                 telemetry=True, profiling=True)
+    finally:
+        sys.setprofile(None)
+    return calls / (result.commits + result.aborts)
+
+
+@pytest.mark.parametrize("workload, system", sorted(OBSERVER_BUDGET))
+def test_observer_calls_per_attempt(workload, system):
+    per_attempt = observer_calls_per_attempt(workload, system)
+    assert per_attempt <= OBSERVER_BUDGET[workload, system], per_attempt
