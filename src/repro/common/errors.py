@@ -138,6 +138,10 @@ class AbortCause(enum.Enum):
     #: The user's transaction body requested an explicit abort/retry.
     EXPLICIT = "explicit"
 
+    # members are singletons: identity hashing agrees with equality and,
+    # unlike Enum.__hash__, runs no Python frame
+    __hash__ = object.__hash__
+
     @property
     def is_read_write(self) -> bool:
         """True when the cause counts as a read-write abort in Figure 1."""
@@ -147,6 +151,11 @@ class AbortCause(enum.Enum):
     def is_write_write(self) -> bool:
         """True when the cause counts as a write-write abort in Figure 1."""
         return self is AbortCause.WRITE_WRITE
+
+
+#: each cause's ``value``: reading ``cause.value`` runs the enum
+#: descriptor's frames, a lookup here runs none
+CAUSE_VALUES = {cause: cause.value for cause in AbortCause}
 
 
 class TransactionAborted(Exception):
@@ -160,5 +169,5 @@ class TransactionAborted(Exception):
     def __init__(self, cause: AbortCause, detail: str = ""):
         self.cause = cause
         self.detail = detail
-        super().__init__(f"transaction aborted ({cause.value})"
+        super().__init__(f"transaction aborted ({CAUSE_VALUES[cause]})"
                          + (f": {detail}" if detail else ""))

@@ -386,11 +386,9 @@ def _trace_results(args, profiling: bool = False):
 
 
 def _trace(args) -> str:
-    from repro.obs import Span, chrome_trace, write_chrome_trace
+    from repro.obs import chrome_trace, write_chrome_trace
     specs, results = _trace_results(args)
-    runs = [(str(spec),
-             [Span.from_dict(row) for row in results[spec].spans or []])
-            for spec in specs]
+    runs = [(str(spec), results[spec].spans or []) for spec in specs]
     trace = chrome_trace(runs)
     target = write_chrome_trace(args.out or "trace.json", trace)
     # --out names the trace file itself, not a text report copy
@@ -409,18 +407,16 @@ def _trace(args) -> str:
 
 
 def _metrics(args) -> str:
-    from repro.obs import (Span, abort_attribution, metrics_table,
-                           version_occupancy)
+    from repro.obs import abort_attribution, metrics_table, version_occupancy
     if args.format == "prom":
         return _metrics_prom(args)
     specs, results = _trace_results(args)
     sections = []
     for spec in specs:
         result = results[spec]
-        spans = [Span.from_dict(row) for row in result.spans or []]
         sections.append("\n".join([
             f"=== {spec} ===",
-            abort_attribution(spans),
+            abort_attribution(result.spans or []),
             "",
             version_occupancy(result.metrics or {}),
             "",
@@ -459,14 +455,12 @@ def _blame(args) -> str:
     killer→victim graph for Graphviz / machine consumption.
     """
     import json as json_module
-    from repro.obs import (Span, blame_table, build_provenance,
-                           merge_provenance)
+    from repro.obs import blame_table, build_provenance, merge_provenance
     specs, results = _trace_results(args)
     sections = []
     reports = []
     for spec in specs:
-        spans = [Span.from_dict(row) for row in results[spec].spans or []]
-        report = build_provenance(spans)
+        report = build_provenance(results[spec].spans or [])
         reports.append(report)
         sections.append(f"=== {spec} ===\n"
                         + blame_table(report, top=args.top))
@@ -489,20 +483,18 @@ def _blame(args) -> str:
 
 
 def _profile(args) -> str:
-    from repro.obs import (Span, collapsed_stacks, conflict_heatmap,
-                           phase_table)
+    from repro.obs import collapsed_stacks, conflict_heatmap, phase_table
     specs, results = _trace_results(args, profiling=True)
     sections = []
     stacks = []
     for spec in specs:
         result = results[spec]
-        spans = [Span.from_dict(row) for row in result.spans or []]
         snapshot = result.phases or {}
         sections.append("\n".join([
             f"=== {spec} ===",
             phase_table(snapshot),
             "",
-            conflict_heatmap(spans, snapshot),
+            conflict_heatmap(result.spans or [], snapshot),
         ]))
         if args.stacks:
             stacks.append(collapsed_stacks(snapshot, root=str(spec)))

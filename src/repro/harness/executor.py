@@ -93,7 +93,28 @@ def _run_spec_payload(payload: dict) -> dict:
     result = spec.run()
     live.publish(dict(_result_summary(result),
                       event="spec-done", spec=str(spec)))
-    return result.to_dict()
+    return _result_payload(result)
+
+
+def _result_payload(result) -> dict:
+    """``result.to_dict()`` with a run's spans as rows
+    (:func:`repro.obs.spans.span_rows`): what the result cache stores
+    and a pool worker returns."""
+    if getattr(result, "spans", None) is None:
+        return result.to_dict()
+    from repro.obs.spans import span_rows
+    return dict(dataclasses.replace(result, spans=None).to_dict(),
+                spans=span_rows(result.spans))
+
+
+def _result_from_payload(spec, data: dict):
+    """Inverse of :func:`_result_payload`."""
+    rows = data.pop("spans", None)
+    result = spec.result_from_dict(data)
+    if rows is not None:
+        from repro.obs.spans import spans_from_rows
+        result.spans = spans_from_rows(rows)
+    return result
 
 
 def _monitor_init(event_queue) -> None:
@@ -185,8 +206,8 @@ class ResultCache:
     One JSON file per ``(spec, code fingerprint)`` pair under ``root``;
     the filename is the combined hash, the payload carries the spec and
     fingerprint back for inspection and for paranoid load-time
-    validation.  A result's span dicts are stored as rows of their
-    values (:func:`repro.obs.spans.span_rows`).
+    validation.  A result's spans are stored as rows
+    (:func:`repro.obs.spans.span_rows`).
     """
 
     def __init__(self, root: Optional[os.PathLike] = None):
@@ -215,11 +236,7 @@ class ResultCache:
         if payload.get("fingerprint") != code_fingerprint():
             return None
         try:
-            result = payload["result"]
-            if result.get("spans") is not None:
-                from repro.obs.spans import dicts_from_span_rows
-                result["spans"] = dicts_from_span_rows(result["spans"])
-            return spec.result_from_dict(result)
+            return _result_from_payload(spec, payload["result"])
         except (AttributeError, KeyError, TypeError):
             return None
 
@@ -227,14 +244,10 @@ class ResultCache:
         """Persist ``result`` atomically (rename over partial writes)."""
         self.root.mkdir(parents=True, exist_ok=True)
         path = self.path(spec)
-        data = result.to_dict()
-        if data.get("spans") is not None:
-            from repro.obs.spans import span_rows
-            data["spans"] = span_rows(data["spans"])
         payload = {
             "spec": spec.to_dict(),
             "fingerprint": code_fingerprint(),
-            "result": data,
+            "result": _result_payload(result),
         }
         tmp = path.with_suffix(f".tmp{os.getpid()}")
         tmp.write_text(json.dumps(payload, sort_keys=True),
@@ -519,7 +532,8 @@ class Executor:
                                          f"{type(exc).__name__}: {exc}",
                                          outcomes, requeue)
                         else:
-                            outcomes[spec] = spec.result_from_dict(payload)
+                            outcomes[spec] = _result_from_payload(spec,
+                                                                  payload)
                 finally:
                     pool.shutdown(wait=not dead, cancel_futures=True)
                 queue = requeue + queue

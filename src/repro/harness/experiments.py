@@ -107,7 +107,7 @@ def figure1(profile: str = "quick", threads: int = 16,
     aborts are attributable to: the decisive/cascading/self-inflicted
     provenance split and the mean wasted cycles per run.
     """
-    from repro.obs import Span, build_provenance, merge_provenance
+    from repro.obs import build_provenance, merge_provenance
     executor = executor if executor is not None else serial_executor()
     specs = {name: seed_specs(name, "2PL", threads, profile, seeds,
                               telemetry=True)
@@ -123,9 +123,8 @@ def figure1(profile: str = "quick", threads: int = 16,
         total = rw + ww
         # classification happens per run (span uids restart each run);
         # the merged report then carries the provenance split
-        report = merge_provenance([
-            build_provenance([Span.from_dict(row) for row in r.spans])
-            for r in runs if r.spans is not None])
+        report = merge_provenance([build_provenance(r.spans)
+                                   for r in runs if r.spans is not None])
         aborts = report.aborts
         rows.append(Figure1Row(
             workload=name,

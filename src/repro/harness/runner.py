@@ -16,16 +16,19 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 from repro.common.config import SimConfig
-from repro.common.errors import AbortCause, ConfigError, SimulationError
+from repro.common.errors import CAUSE_VALUES, ConfigError, SimulationError
 from repro.common.rng import SplitRandom, derive_seed
 from repro.sim.engine import Engine
 from repro.sim.machine import Machine
 from repro.sim.stats import RunStats
 from repro.tm import SYSTEMS
 from repro.workloads import REGISTRY
+
+if TYPE_CHECKING:
+    from repro.obs.spans import Span
 
 #: seeds per cell in the paper's measurement protocol (section 6.1)
 PAPER_SEEDS = 5
@@ -58,11 +61,11 @@ class RunResult:
     #: cycles spent queued on the commit token (summed over threads)
     commit_wait_cycles: int = 0
     #: telemetry-only payloads (None when the spec ran without telemetry):
-    #: the canonical metrics snapshot and the per-attempt span dicts —
-    #: both JSON-safe so they survive the executor's cache/process
-    #: boundary byte-identically
+    #: the canonical metrics snapshot (JSON-safe) and the span recorder's
+    #: own per-attempt :class:`~repro.obs.spans.Span` objects, which
+    #: :meth:`to_dict` emits as the canonical span dicts
     metrics: Optional[dict] = None
-    spans: Optional[List[dict]] = None
+    spans: Optional[List[Span]] = None
     #: telemetry-only payload (None when the spec ran without
     #: telemetry): the windowed time-series export of
     #: :class:`repro.obs.live.TimeSeriesSampler` — exact window
@@ -90,12 +93,21 @@ class RunResult:
         return self.commits / (self.makespan_cycles / 1e6)
 
     def to_dict(self) -> dict:
-        """Shallow JSON-safe dict: run_once builds every value fresh."""
-        return dict(vars(self))
+        """Shallow JSON-safe dict: run_once builds every value fresh, and
+        the spans are emitted as their canonical dicts."""
+        data = dict(vars(self))
+        if self.spans is not None:
+            from repro.obs.spans import span_dicts
+            data["spans"] = span_dicts(self.spans)
+        return data
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunResult":
         """Inverse of :meth:`to_dict`; rejects unknown fields."""
+        if data.get("spans") is not None:
+            from repro.obs.spans import Span
+            data = dict(data, spans=[Span.from_dict(row)
+                                     for row in data["spans"]])
         return cls(**data)
 
 
@@ -273,7 +285,6 @@ def run_once(workload: str, system: str, threads: int, seed: int,
         from repro.obs import (collect_run_metrics,
                                record_provenance_metrics,
                                record_span_metrics)
-        from repro.obs.spans import span_dicts
         collect_run_metrics(registry, machine, tm, stats)
         # end-of-run folds: killer outcomes are only knowable once every
         # span has closed, and a histogram does not depend on the order
@@ -285,7 +296,7 @@ def run_once(workload: str, system: str, threads: int, seed: int,
         for alert in timeseries["alerts"]:
             registry.inc("obs_alerts_total", rule=alert["rule"])
         metrics_snapshot = registry.snapshot()
-        spans = span_dicts(recorder.spans)
+        spans = recorder.spans
         if flight is not None:
             flight.discard()
     if profiling:
@@ -308,7 +319,8 @@ def run_once(workload: str, system: str, threads: int, seed: int,
         verified=verified,
         mvm_stats=machine.mvm.stats(),
         census_rows=census_rows,
-        abort_causes={c.value: n for c, n in stats.abort_causes.items()},
+        abort_causes={CAUSE_VALUES[c]: n
+                      for c, n in stats.abort_causes.items()},
         backoff_cycles=sum(t.backoff_cycles for t in stats.threads),
         commit_wait_cycles=sum(t.commit_wait_cycles for t in stats.threads),
         metrics=metrics_snapshot,

@@ -41,7 +41,7 @@ import heapq
 import json
 from typing import Callable, Dict, List, Optional
 
-from repro.common.errors import AbortCause
+from repro.common.errors import CAUSE_VALUES, AbortCause
 from repro.obs.metrics import histogram_dict
 from repro.obs.spans import _merge_histogram_dicts
 from repro.sim.engine import Tracer
@@ -317,7 +317,7 @@ class TimeSeriesSampler(Tracer):
             name = None
         else:
             window.aborts += 1
-            name = cause.value
+            name = CAUSE_VALUES[cause]
             window.causes[name] = window.causes.get(name, 0) + 1
         if begun is not None:
             duration = clock - begun

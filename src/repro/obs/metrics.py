@@ -36,6 +36,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
+from repro.common.errors import CAUSE_VALUES
+
 __all__ = ["MetricsRegistry", "collect_run_metrics", "metric_key"]
 
 
@@ -228,10 +230,9 @@ def collect_run_metrics(registry: MetricsRegistry, machine, tm,
         registry.inc("tm_commit_wait_cycles_total",
                      thread.commit_wait_cycles, system=system)
     registry.inc("txn_commits_total", stats.total_commits, system=system)
-    for cause, count in sorted(stats.abort_causes.items(),
-                               key=lambda item: item[0].value):
-        registry.inc("txn_aborts_total", count, system=system,
-                     cause=cause.value)
+    for cause, count in sorted((CAUSE_VALUES[cause], count) for cause, count
+                               in stats.abort_causes.items()):
+        registry.inc("txn_aborts_total", count, system=system, cause=cause)
     for retries, count in sorted(stats.retry_histogram.items()):
         registry.inc("txn_retries_to_commit", count, retries=retries)
     # MVM controller counters (coalescing/GC reclaim, conflict filter)

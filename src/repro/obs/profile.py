@@ -48,7 +48,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from repro.common.errors import AbortCause, SimulationError
+from repro.common.errors import CAUSE_VALUES, AbortCause, SimulationError
 from repro.sim.engine import Tracer
 from repro.tm.api import Txn
 
@@ -210,7 +210,8 @@ class CycleProfiler(Tracer):
         causes = self._conflict_lines.get(line)
         if causes is None:
             causes = self._conflict_lines[line] = {}
-        causes[cause.value] = causes.get(cause.value, 0) + 1
+        name = CAUSE_VALUES[cause]
+        causes[name] = causes.get(name, 0) + 1
 
     # -- invariants ------------------------------------------------------
 

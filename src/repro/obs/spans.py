@@ -21,11 +21,11 @@ recorder must never change the history the checker sees
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from operator import itemgetter
+from dataclasses import dataclass, fields
+from operator import attrgetter
 from typing import Dict, List, Optional, Tuple
 
-from repro.common.errors import AbortCause
+from repro.common.errors import CAUSE_VALUES, AbortCause
 from repro.common.rng import derive_seed
 from repro.sim.engine import Tracer, resolve_hook
 from repro.tm.api import Txn
@@ -103,49 +103,36 @@ class Span:
 
 
 #: a span dict's keys, in the order :meth:`Span.to_dict` emits them
+#: (the order of :class:`Span`'s fields, ``thread`` naming ``thread_id``)
 SPAN_COLUMNS = ("uid", "thread", "label", "begin_cycle", "end_cycle",
                 "outcome", "cause", "retries", "reads", "writes",
                 "start_ts", "commit_ts", "conflict_line")
 #: the keys that follow them when the span has a killer
 KILLER_COLUMNS = ("killer_tid", "killer_uid", "killer_label", "killer_ts")
-_ROW = itemgetter(*SPAN_COLUMNS)
-_KILLER_ROW = itemgetter(*SPAN_COLUMNS, *KILLER_COLUMNS)
+_FIELDS = tuple(f.name for f in fields(Span))
+_ROW = attrgetter(*_FIELDS[:len(SPAN_COLUMNS)])
+_KILLER_ROW = attrgetter(*_FIELDS)
 
 
 def span_dicts(spans: List[Span]) -> List[dict]:
     """:meth:`Span.to_dict` of every span, in one call."""
-    rows = []
-    for span in spans:
-        row = {"uid": span.uid, "thread": span.thread_id,
-               "label": span.label, "begin_cycle": span.begin_cycle,
-               "end_cycle": span.end_cycle, "outcome": span.outcome,
-               "cause": span.cause, "retries": span.retries,
-               "reads": span.reads, "writes": span.writes,
-               "start_ts": span.start_ts, "commit_ts": span.commit_ts,
-               "conflict_line": span.conflict_line}
-        if span.killer_uid is not None or span.killer_tid is not None:
-            row["killer_tid"] = span.killer_tid
-            row["killer_uid"] = span.killer_uid
-            row["killer_label"] = span.killer_label
-            row["killer_ts"] = span.killer_ts
-        rows.append(row)
-    return rows
-
-
-def span_rows(dicts: List[dict]) -> List[tuple]:
-    """Each span dict as the tuple of its values: :data:`SPAN_COLUMNS`,
-    then :data:`KILLER_COLUMNS` when it has a killer (a dict without
-    one of its columns raises ``KeyError``).  The result cache stores
-    spans so: the same data, a third of the dicts' encoding time."""
-    short = len(SPAN_COLUMNS)
-    return [(_KILLER_ROW if len(row) > short else _ROW)(row)
-            for row in dicts]
-
-
-def dicts_from_span_rows(rows: List[list]) -> List[dict]:
-    """Inverse of :func:`span_rows`."""
     columns = SPAN_COLUMNS + KILLER_COLUMNS
-    return [dict(zip(columns, row)) for row in rows]
+    return [dict(zip(columns, row)) for row in span_rows(spans)]
+
+
+def span_rows(spans: List[Span]) -> List[tuple]:
+    """Each span as the tuple of its dict's values: :data:`SPAN_COLUMNS`,
+    then :data:`KILLER_COLUMNS` when it has a killer.  The result cache
+    and the executor's pool carry spans so: the same data, a third of
+    the dicts' encoding time."""
+    return [(_KILLER_ROW if span.killer_uid is not None
+             or span.killer_tid is not None else _ROW)(span)
+            for span in spans]
+
+
+def spans_from_rows(rows: List[list]) -> List[Span]:
+    """Inverse of :func:`span_rows` (a row's order is :class:`Span`'s)."""
+    return [Span(*row) for row in rows]
 
 
 class SpanRecorder(Tracer):
@@ -258,7 +245,7 @@ class SpanRecorder(Tracer):
             span.outcome = COMMIT
         else:
             span.outcome = ABORT
-            span.cause = cause.value
+            span.cause = CAUSE_VALUES[cause]
             span.killer_tid = txn.killer_tid
             span.killer_uid = txn.killer_uid
             span.killer_label = txn.killer_label

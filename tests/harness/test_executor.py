@@ -21,8 +21,12 @@ from repro.harness.executor import (
     serial_executor,
 )
 from repro.harness.spec import ExperimentSpec
+from repro.obs.spans import Span
 
 SPEC = ExperimentSpec("rbtree", "SI-TM", 2, 1, "test")
+#: a cell whose spans include aborts with and without a killer
+OBSERVED = ExperimentSpec("rbtree", "SI-TM", 4, 1, "test",
+                          telemetry=True, profiling=True)
 SPECS = [ExperimentSpec("list", "2PL", 2, seed, "test")
          for seed in (1, 2, 3)]
 
@@ -45,18 +49,21 @@ class TestResultCache:
         assert cache.load(SPEC) == result
 
     def test_observed_result_round_trips_through_span_rows(self, tmp_path):
-        """A result's span dicts are cached as rows of their values and
-        load back equal, killer fields only where the span had one."""
-        spec = ExperimentSpec("rbtree", "SI-TM", 4, 1, "test",
-                              telemetry=True, profiling=True)
+        """A result's spans are cached as the values of their canonical
+        dicts, in order (killer fields only where the span had one: the
+        format cache entries have always had), and load back as equal
+        Span objects."""
         cache = ResultCache(tmp_path)
-        result = spec.run()
-        assert any("killer_uid" in row for row in result.spans)
-        assert any("killer_uid" not in row for row in result.spans)
-        cache.store(spec, result)
-        stored = json.loads(cache.path(spec).read_text())["result"]
-        assert all(isinstance(row, list) for row in stored["spans"])
-        assert cache.load(spec) == result
+        result = OBSERVED.run()
+        assert any(span.has_killer for span in result.spans)
+        assert not all(span.has_killer for span in result.spans)
+        cache.store(OBSERVED, result)
+        stored = json.loads(cache.path(OBSERVED).read_text())["result"]
+        assert stored["spans"] == [list(row.values())
+                                   for row in result.to_dict()["spans"]]
+        loaded = cache.load(OBSERVED)
+        assert loaded == result
+        assert all(type(span) is Span for span in loaded.spans)
 
     def test_miss_on_empty(self, tmp_path):
         assert ResultCache(tmp_path).load(SPEC) is None
@@ -135,6 +142,13 @@ class TestDeterminismAcrossProcesses:
         for spec in SPECS:
             assert dataclasses.asdict(pooled[spec]) == \
                 dataclasses.asdict(inline[spec])
+
+    def test_pool_carries_spans_as_inline(self):
+        inline = OBSERVED.run()
+        pooled = Executor(jobs=2, cache=False).run([OBSERVED, SPEC])
+        assert pooled[OBSERVED].spans == inline.spans
+        assert any(span.has_killer for span in pooled[OBSERVED].spans)
+        assert all(type(span) is Span for span in pooled[OBSERVED].spans)
 
     def test_pool_with_custom_config(self):
         config = SimConfig(txn_overhead_cycles=10)

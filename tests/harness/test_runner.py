@@ -2,13 +2,19 @@
 
 import gc
 import json
+import tracemalloc
 
 import pytest
 
 from repro.common.config import MVMConfig, SimConfig, VersionCapPolicy
 from repro.common.errors import ConfigError
 from repro.harness.runner import RunResult, run_once, run_seeds
+from repro.obs.spans import KILLER_COLUMNS, SPAN_COLUMNS, Span
 from repro.sim.machine import Machine
+
+#: bound on the bytes an observed result holds per span (a slotted
+#: Span is about 290; the dict per span it replaced, about 580)
+MAX_BYTES_PER_SPAN = 400
 
 
 class TestRunOnce:
@@ -51,6 +57,34 @@ class TestRunOnce:
     def test_throughput_positive(self):
         result = run_once("ssca2", "SI-TM", 2, 1, profile="test")
         assert result.throughput > 0
+
+    def test_an_observed_result_keeps_its_spans_as_span_objects(self):
+        result = run_once("rbtree", "SI-TM", 4, 1, profile="test",
+                          telemetry=True)
+        assert result.spans
+        assert all(type(span) is Span for span in result.spans)
+        dicts = result.to_dict()["spans"]
+        assert dicts == [span.to_dict() for span in result.spans]
+        assert {tuple(row) for row in dicts} == {
+            SPAN_COLUMNS, SPAN_COLUMNS + KILLER_COLUMNS}
+
+    def test_an_observed_result_retains_few_bytes_per_span(self):
+        run_once("rbtree", "SI-TM", 4, 1, profile="test",
+                 telemetry=True)  # lazy imports load before tracing
+        tracemalloc.start()
+        try:
+            result = run_once("kmeans", "2PL", 16, 1, profile="quick",
+                              telemetry=True, profiling=True)
+            spans = len(result.spans)
+            gc.collect()
+            held, _ = tracemalloc.get_traced_memory()
+            result.spans = None
+            gc.collect()
+            without, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        per_span = (held - without) / spans
+        assert per_span <= MAX_BYTES_PER_SPAN, per_span
 
     def test_an_observed_result_round_trips_through_json(self):
         result = run_once("rbtree", "SI-TM", 4, 1, profile="test",

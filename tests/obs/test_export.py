@@ -57,11 +57,11 @@ class TestValidateSpanLog:
         assert validate_span_log(spans_to_jsonl(spans)) == []
 
     def test_a_run_s_span_log_validates(self):
-        """A real telemetry run's span rows rebuild into spans whose
-        JSONL log is valid, and an abort among them names its killer."""
+        """A real telemetry run's spans make a valid JSONL log, and an
+        abort among them names its killer."""
         result = run_once("rbtree", "SI-TM", 4, 1, profile="test",
                           telemetry=True)
-        spans = [Span.from_dict(row) for row in result.spans]
+        spans = result.spans
         assert validate_span_log(spans_to_jsonl(spans)) == []
         assert any(span.has_killer for span in spans
                    if span.outcome == "abort"), "no killer attributed"

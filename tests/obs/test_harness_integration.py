@@ -120,6 +120,30 @@ class TestCli:
         assert "Abort attribution" in out
         assert "Run metrics" in out
 
+    def test_blame_exports_a_conserving_graph_and_ledger(self, tmp_path,
+                                                         capsys):
+        """``blame`` on the pinned grid (rbtree, SI-TM, 4 threads): the
+        DOT graph is whole, and the JSON ledger conserves — edge cycles
+        sum to the wasted total, classes to the aborts."""
+        dot, ledger = tmp_path / "conflicts.dot", tmp_path / "blame.json"
+        assert main(["blame", "--experiment", "rbtree", "--backend",
+                     "sitm", "--profile", "test", "--threads", "4",
+                     "--top", "10", "--dot", str(dot),
+                     "--json", str(ledger)]) == 0
+        out = capsys.readouterr().out
+        assert "killer" in out
+        assert "conflict graph (DOT) written" in out
+        assert "provenance report (JSON) written" in out
+        merged = json.loads(ledger.read_text())["merged"]
+        assert merged["schema_version"] == 1
+        assert merged["aborts"] > 0, "pinned grid should abort"
+        assert sum(e["wasted_cycles"] for e in merged["edges"]) \
+            == merged["wasted_cycles"]
+        assert sum(merged["by_class"].values()) == merged["aborts"]
+        graph = dot.read_text()
+        assert graph.startswith("digraph conflicts {")
+        assert graph.rstrip().endswith("}")
+
     def test_backend_aliases_normalised(self, tmp_path):
         from repro.harness.cli import build_parser
         for alias, canon in (("sitm", "SI-TM"), ("2pl", "2PL"),

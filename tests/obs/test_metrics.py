@@ -117,10 +117,9 @@ class TestProvenanceCounters:
         # the outcome counter partitions the aborts exactly
         assert sum(outcomes.values()) == result.aborts
         # and the wasted ledger covers every abort span's cycles
-        spans = result.spans
         assert sum(wasted.values()) == sum(
-            (row["end_cycle"] - row["begin_cycle"])
-            for row in spans if row.get("outcome") == "abort")
+            span.duration for span in result.spans
+            if span.outcome == "abort")
 
     def test_snapshot_deterministic_across_identical_runs(self):
         first, _ = self._snapshot()

@@ -17,7 +17,7 @@ from repro.common.config import SimConfig
 from repro.common.errors import SimulationError
 from repro.common.rng import SplitRandom, derive_seed
 from repro.harness.runner import run_once
-from repro.obs import (CycleProfiler, MultiTracer, Span, SpanRecorder,
+from repro.obs import (CycleProfiler, MultiTracer, SpanRecorder,
                        collapsed_stacks, conflict_heatmap, phase_shares,
                        phase_table)
 from repro.obs.profile import PHASES, SUB_PHASES
@@ -28,6 +28,24 @@ from repro.workloads import REGISTRY
 
 SPEC = dict(workload="rbtree", system="SI-TM", threads=4, seed=1,
             profile="test")
+#: the contended cell the span-ledger and heatmap checks observe
+LIST_CELL = dict(workload="list", threads=4, seed=2, profile="test",
+                 telemetry=True, profiling=True)
+
+
+@pytest.fixture(scope="module")
+def shared():
+    """``shared(fn, *args, **kwargs)`` is ``fn``'s result, computed once
+    per distinct call for the whole module: the checks below only read
+    a run, so they share it."""
+    results = {}
+
+    def call(fn, *args, **kwargs):
+        key = (fn, args, tuple(sorted(kwargs.items())))
+        if key not in results:
+            results[key] = fn(*args, **kwargs)
+        return results[key]
+    return call
 
 
 def _run_engine(system, tracer=None, workload="rbtree", threads=4, seed=5):
@@ -45,22 +63,26 @@ def _run_engine(system, tracer=None, workload="rbtree", threads=4, seed=5):
     return engine.run()
 
 
+def _profiled_engine(system):
+    """(profiler, stats) of one profiled engine run."""
+    profiler = CycleProfiler()
+    return profiler, _run_engine(system, tracer=profiler)
+
+
 class TestConservation:
     @pytest.mark.parametrize("system", sorted(SYSTEMS))
-    def test_phase_cycles_sum_to_thread_clocks(self, system):
+    def test_phase_cycles_sum_to_thread_clocks(self, shared, system):
         """The invariant, checked for every backend: no cycle is lost
         or invented, and no sub-phase group exceeds its parent."""
-        profiler = CycleProfiler()
-        stats = _run_engine(system, tracer=profiler)
+        profiler, stats = shared(_profiled_engine, system)
         clocks = [t.cycles for t in stats.threads]
         profiler.check_conservation(clocks)  # raises on violation
         assert profiler.total_cycles() == sum(clocks)
         assert stats.total_commits > 0
 
     @pytest.mark.parametrize("system", sorted(SYSTEMS))
-    def test_only_known_phases_charged(self, system):
-        profiler = CycleProfiler()
-        _run_engine(system, tracer=profiler)
+    def test_only_known_phases_charged(self, shared, system):
+        profiler, _ = shared(_profiled_engine, system)
         snapshot = profiler.snapshot()
         for phases in snapshot["threads"].values():
             assert set(phases) <= set(PHASES)
@@ -98,7 +120,7 @@ class TestConservation:
             profiler.check_conservation([10])
 
     @pytest.mark.parametrize("system", sorted(SYSTEMS))
-    def test_wasted_cycles_reconcile_with_span_ledger(self, system):
+    def test_wasted_cycles_reconcile_with_span_ledger(self, shared, system):
         """Double-entry bookkeeping across observers: the profiler's
         per-thread wasted-cycle tally (clock at abort minus clock at
         begin) must equal the span ledger's per-victim-thread sum of
@@ -106,15 +128,12 @@ class TestConservation:
         enforces this via ``check_conservation(wasted_by_thread=...)``
         on every telemetry+profiling run — which is what this exercises
         end-to-end."""
-        result = run_once(workload="list", system=system, threads=4,
-                          seed=2, profile="test", telemetry=True,
-                          profiling=True)
+        result = shared(run_once, **LIST_CELL, system=system)
         by_thread = {}
-        for row in result.spans:
-            if row.get("outcome") == "abort":
-                by_thread[row["thread"]] = (
-                    by_thread.get(row["thread"], 0)
-                    + row["end_cycle"] - row["begin_cycle"])
+        for span in result.spans:
+            if span.outcome == "abort":
+                by_thread[span.thread_id] = (
+                    by_thread.get(span.thread_id, 0) + span.duration)
         assert by_thread, f"{system}: contended run should abort"
         snapshot = result.phases
         assert snapshot["version"] == 2
@@ -156,9 +175,9 @@ class TestConservation:
 
 
 class TestNonPerturbation:
-    def test_profiling_does_not_perturb_the_simulation(self):
-        bare = run_once(**SPEC)
-        profiled = run_once(**SPEC, profiling=True)
+    def test_profiling_does_not_perturb_the_simulation(self, shared):
+        bare = shared(run_once, **SPEC)
+        profiled = shared(run_once, **SPEC, profiling=True)
         assert (bare.commits, bare.aborts, bare.makespan_cycles) == (
             profiled.commits, profiled.aborts, profiled.makespan_cycles)
         assert bare.phases is None and profiled.phases is not None
@@ -178,9 +197,9 @@ class TestNonPerturbation:
         assert traced_history.to_dict() == plain_history.to_dict()
         assert profiler.total_cycles() > 0
 
-    def test_spans_identical_with_and_without_profiler(self):
-        solo = run_once(**SPEC, telemetry=True)
-        both = run_once(**SPEC, telemetry=True, profiling=True)
+    def test_spans_identical_with_and_without_profiler(self, shared):
+        solo = shared(run_once, **SPEC, telemetry=True)
+        both = shared(run_once, **SPEC, telemetry=True, profiling=True)
         assert solo.spans == both.spans
         assert solo.metrics == both.metrics
 
@@ -217,23 +236,22 @@ class TestMultiTracerComposition:
 
 
 class TestSnapshotAndExports:
-    def _snapshot(self):
-        return run_once(**SPEC, profiling=True).phases
+    @pytest.fixture
+    def snapshot(self, shared):
+        return shared(run_once, **SPEC, profiling=True).phases
 
-    def test_snapshot_json_round_trips_byte_identically(self):
-        snapshot = self._snapshot()
+    def test_snapshot_json_round_trips_byte_identically(self, snapshot):
         encoded = json.dumps(snapshot, sort_keys=True)
         assert json.dumps(json.loads(encoded), sort_keys=True) == encoded
         again = run_once(**SPEC, profiling=True).phases
         assert json.dumps(again, sort_keys=True) == encoded
 
-    def test_phase_shares_sum_to_one(self):
-        shares = phase_shares(self._snapshot())
+    def test_phase_shares_sum_to_one(self, snapshot):
+        shares = phase_shares(snapshot)
         assert shares and abs(sum(shares.values()) - 1.0) < 1e-9
         assert phase_shares({"threads": {}}) == {}
 
-    def test_collapsed_stacks_conserve_cycles(self):
-        snapshot = self._snapshot()
+    def test_collapsed_stacks_conserve_cycles(self, snapshot):
         stacks = collapsed_stacks(snapshot, root="run")
         total = 0
         for line in stacks.splitlines():
@@ -245,12 +263,11 @@ class TestSnapshotAndExports:
                     for entry in phases.values())
         assert total == grand
 
-    def test_collapsed_stacks_per_thread_frames(self):
-        stacks = collapsed_stacks(self._snapshot(), per_thread=True)
+    def test_collapsed_stacks_per_thread_frames(self, snapshot):
+        stacks = collapsed_stacks(snapshot, per_thread=True)
         assert ";thread-0;" in stacks
 
-    def test_phase_table_reports_conserved_total(self):
-        snapshot = self._snapshot()
+    def test_phase_table_reports_conserved_total(self, snapshot):
         table = phase_table(snapshot)
         grand = sum(entry["cycles"]
                     for phases in snapshot["threads"].values()
@@ -260,11 +277,9 @@ class TestSnapshotAndExports:
 
 
 class TestConflictHeatmap:
-    def test_heatmap_ranks_aborting_lines(self):
-        result = run_once(workload="list", system="SI-TM", threads=4,
-                          seed=2, profile="test", telemetry=True,
-                          profiling=True)
-        spans = [Span.from_dict(row) for row in result.spans]
+    def test_heatmap_ranks_aborting_lines(self, shared):
+        result = shared(run_once, **LIST_CELL, system="SI-TM")
+        spans = result.spans
         report = conflict_heatmap(spans, result.phases)
         assert "Conflict heatmap" in report
         aborted = [s for s in spans if s.outcome == "abort"
@@ -274,13 +289,12 @@ class TestConflictHeatmap:
                           key=lambda s: s.end_cycle - s.begin_cycle)
             assert f"0x{hottest.conflict_line:x}" in report
 
-    def test_heatmap_on_clean_run(self):
-        result = run_once(workload="array", system="SI-TM", threads=1,
-                          seed=1, profile="test", telemetry=True,
-                          profiling=True)
-        spans = [Span.from_dict(row) for row in result.spans]
+    def test_heatmap_on_clean_run(self, shared):
+        result = shared(run_once, workload="array", system="SI-TM",
+                        threads=1, seed=1, profile="test", telemetry=True,
+                        profiling=True)
         assert "no aborts observed" in conflict_heatmap(
-            spans, result.phases)
+            result.spans, result.phases)
 
 
 class TestHarnessIntegration:

@@ -243,7 +243,7 @@ def test_contended_run_attributes_every_conflict_abort():
     from repro.harness.runner import run_once
     result = run_once("rbtree", "SI-TM", 8, 1, profile="test",
                       telemetry=True)
-    spans = [Span.from_dict(row) for row in result.spans]
+    spans = result.spans
     ww = [s for s in spans if s.outcome == "abort"
           and s.cause == "write-write"]
     assert ww, "contended array workload should produce ww aborts"

@@ -14,7 +14,9 @@ bound test fails.  A generator resumed counts as a call.
 Observers pay per attempt, so their own frames (``repro.obs``: the
 tracer hooks and every helper below them, and the end-of-run folds)
 are counted per attempt over a whole observed ``run_once``, against
-``OBSERVER_BUDGET``, which a helper call per hook fails.
+``OBSERVER_BUDGET``, which a helper call per hook fails.  The same pass
+counts the ``enum`` module's frames, which an ``AbortCause.value`` read
+or a dict keyed by a cause would run, against ``ENUM_BUDGET``.
 
 The counts are deterministic (a cell is a pure function of its seed)
 but depend a little on the interpreter (3.12 inlines comprehensions
@@ -24,6 +26,7 @@ puts a helper back on the per-operation or per-attempt path fails
 here.
 """
 
+import enum
 import math
 import os
 import sys
@@ -40,6 +43,7 @@ PACKAGE = os.path.dirname(repro.__file__) + os.sep
 PROGRAM = tuple(PACKAGE + part + os.sep
                 for part in ("workloads", "structures"))
 OBSERVERS = PACKAGE + "obs" + os.sep
+ENUM = enum.__file__
 
 #: (workload, system) -> bound on repro calls per engine step
 BUDGET = {
@@ -67,6 +71,9 @@ OBSERVER_BUDGET = {
     ("rbtree", "HybridHTM"): 79.0,
     ("vacation", "2PL"): 21.8,
 }
+#: bound on enum-module calls per attempt over the same run_once: a
+#: cause's value is read from ``repro.common.errors.CAUSE_VALUES``
+ENUM_BUDGET = 0
 
 
 class CountingEngine(Engine):
@@ -130,14 +137,18 @@ def test_observed_calls_per_step(monkeypatch, workload, system):
 
 
 def observer_calls_per_attempt(workload, system):
-    """``repro.obs`` calls per attempt over one observed ``run_once``."""
-    calls = 0
+    """(``repro.obs`` calls, ``enum`` calls) per attempt over one
+    observed ``run_once``."""
+    calls = enum_calls = 0
 
     def count(frame, event, arg):
-        nonlocal calls
-        if event == "call" \
-                and frame.f_code.co_filename.startswith(OBSERVERS):
-            calls += 1
+        nonlocal calls, enum_calls
+        if event == "call":
+            name = frame.f_code.co_filename
+            if name.startswith(OBSERVERS):
+                calls += 1
+            elif name == ENUM:
+                enum_calls += 1
 
     sys.setprofile(count)
     try:
@@ -145,10 +156,13 @@ def observer_calls_per_attempt(workload, system):
                                  telemetry=True, profiling=True)
     finally:
         sys.setprofile(None)
-    return calls / (result.commits + result.aborts)
+    attempts = result.commits + result.aborts
+    return calls / attempts, enum_calls / attempts
 
 
 @pytest.mark.parametrize("workload, system", sorted(OBSERVER_BUDGET))
 def test_observer_calls_per_attempt(workload, system):
-    per_attempt = observer_calls_per_attempt(workload, system)
+    per_attempt, enum_per_attempt = observer_calls_per_attempt(workload,
+                                                               system)
     assert per_attempt <= OBSERVER_BUDGET[workload, system], per_attempt
+    assert enum_per_attempt <= ENUM_BUDGET, enum_per_attempt
