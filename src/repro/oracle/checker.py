@@ -76,10 +76,10 @@ class Violation:
 
 def check_history(history: History) -> List[Violation]:
     """Check ``history`` against its declared isolation level."""
-    from repro.tm.api import IsolationLevel
+    from repro.tm.api import ISOLATION_LEVELS, IsolationLevel
 
     violations = _check_abort_causes(history)
-    level = IsolationLevel(history.isolation)
+    level = ISOLATION_LEVELS[history.isolation]
     if level is IsolationLevel.CONFLICT_SERIALIZABLE:
         violations += _check_latest_reads(history)
         violations += _check_serializable(history, read_mode="latest")

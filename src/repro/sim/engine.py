@@ -39,13 +39,14 @@ from dataclasses import dataclass
 from typing import Callable, Generator, Iterable, Iterator, List, Optional
 
 from repro.common.errors import (
+    CAUSE_VALUES,
     AbortCause,
     SimulationError,
     TransactionAborted,
 )
 from repro.sim.stats import RunStats, ThreadStats
 from repro.tm.api import StallRequested, TMSystem, Txn
-from repro.tm.ops import Abort, Compute, Op, Read, Write
+from repro.tm.ops import ABORT, COMPUTE, READ, WRITE, Op
 
 #: a transaction body: called fresh per attempt, yields Ops
 BodyFactory = Callable[[], Generator[Op, object, None]]
@@ -253,9 +254,10 @@ class Engine:
         self.threads: List[_ThreadState] = [
             _ThreadState(i, iter(program), self.stats.threads[i])
             for i, program in enumerate(programs)]
-        # bound once: the step calls it per simulated load (a traced
-        # pass has wrapped the instance attribute by now)
+        # bound once: the step calls them per simulated access (a traced
+        # pass has wrapped the instance attributes by now)
         self._read = tm.read
+        self._write = tm.write
         self._steps = 0
         #: fault injector shared with the machine/MVM (None — the
         #: default — when the config carries no active plan)
@@ -307,12 +309,12 @@ class Engine:
         heapq.heapify(heap)
         self._heap_pushes += len(heap)
         # bound once per run: the loop uses them per simulated operation
-        # (a traced pass has wrapped tm.read by now)
-        read = self._read
+        # (a traced pass has wrapped tm.read and tm.write by now)
+        read, write = self._read, self._write
         profiler = self.profiler
-        on_read = self._on_read
+        on_read, on_write = self._on_read, self._on_write
         promote_sites = self.promote_sites
-        dispatch = self._dispatch
+        compute_cycles = self.machine.config.compute_cycles
         begin, commit, abort = self._begin, self._commit, self._abort
         while heap:
             tid = heappop(heap) % n
@@ -366,23 +368,45 @@ class Engine:
                         thread.pending = None
                         self._no_progress = 0
                         try:
-                            if type(op) is Read:
-                                # the dominant operation, executed here
-                                # rather than in _dispatch
-                                promote = (op.promote
+                            kind, addr, arg, arg2 = op
+                        except (TypeError, ValueError):
+                            raise SimulationError(
+                                f"unknown operation {op!r}") from None
+                        try:
+                            if kind is READ:
+                                # (READ, addr, site, promote)
+                                promote = (arg2
                                            or thread.spec.serializable
-                                           or (op.site in promote_sites
+                                           or (arg in promote_sites
                                                if promote_sites else False))
-                                value, cycles = read(txn, op.addr, promote)
+                                value, cycles = read(txn, addr, promote)
                                 thread.pending = value
                                 thread.clock += cycles
                                 if profiler is not None:
                                     thread.read_cycles += cycles
                                 thread.stats.reads += 1
                                 if on_read is not None:
-                                    on_read(txn, op.addr, op.site, value)
+                                    on_read(txn, addr, arg, value)
+                            elif kind is WRITE:
+                                # (WRITE, addr, value, site)
+                                cycles = write(txn, addr, arg)
+                                thread.clock += cycles
+                                if profiler is not None:
+                                    thread.write_cycles += cycles
+                                thread.stats.writes += 1
+                                if on_write is not None:
+                                    on_write(txn, addr, arg2, arg)
+                            elif kind is COMPUTE:
+                                # (COMPUTE, cycles, None, None)
+                                cycles = addr * compute_cycles
+                                thread.clock += cycles
+                                if profiler is not None:
+                                    thread.compute_cycles += cycles
+                            elif kind is ABORT:
+                                raise TransactionAborted(AbortCause.EXPLICIT)
                             else:
-                                dispatch(thread, txn, op)
+                                raise SimulationError(
+                                    f"unknown operation {op!r}")
                         except StallRequested as stall:
                             thread.clock += stall.cycles
                             if profiler is not None:
@@ -412,26 +436,6 @@ class Engine:
             + self.diagnostics())
 
     # ------------------------------------------------------------------
-
-    def _dispatch(self, thread: _ThreadState, txn: Txn, op: Op) -> None:
-        """Execute a Write, Compute or Abort (reads run in :meth:`run`)."""
-        if type(op) is Write:
-            cycles = self.tm.write(txn, op.addr, op.value)
-            thread.clock += cycles
-            if self.profiler is not None:
-                thread.write_cycles += cycles
-            thread.stats.writes += 1
-            if self._on_write is not None:
-                self._on_write(txn, op.addr, op.site, op.value)
-        elif type(op) is Compute:
-            cycles = op.cycles * self.machine.config.compute_cycles
-            thread.clock += cycles
-            if self.profiler is not None:
-                thread.compute_cycles += cycles
-        elif type(op) is Abort:
-            raise TransactionAborted(AbortCause.EXPLICIT)
-        else:
-            raise SimulationError(f"unknown operation {op!r}")
 
     def _begin(self, thread: _ThreadState) -> bool:
         """Begin ``thread``'s next attempt, or stall; True when it parked."""
@@ -731,8 +735,8 @@ class Engine:
                 for k, v in sorted(self.stats.retry_histogram.items()))
             lines.append(f"  retries-to-commit histogram: {retries}")
         if self.stats.abort_causes:
-            top = sorted(self.stats.abort_causes.items(),
-                         key=lambda item: (-item[1], item[0].value))[:5]
-            causes = " ".join(f"{cause.value}:{n}" for cause, n in top)
+            top = sorted((-n, CAUSE_VALUES[cause])
+                         for cause, n in self.stats.abort_causes.items())[:5]
+            causes = " ".join(f"{value}:{-n}" for n, value in top)
             lines.append(f"  top abort causes: {causes}")
         return "\n".join(lines)

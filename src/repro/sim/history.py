@@ -25,9 +25,9 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.common.errors import AbortCause
+from repro.common.errors import CAUSE_VALUES, AbortCause
 from repro.sim.engine import Tracer
-from repro.tm.api import TMSystem, Txn
+from repro.tm.api import ISOLATION_VALUES, TMSystem, Txn
 
 #: event kinds, as the short strings used in serialized histories
 BEGIN, READ, WRITE, COMMIT, ABORT = "begin", "read", "write", "commit", "abort"
@@ -235,8 +235,8 @@ class HistoryRecorder(Tracer):
                    initial: Optional[Dict[int, int]] = None
                    ) -> "HistoryRecorder":
         """A recorder carrying ``tm``'s declared isolation metadata."""
-        return cls(tm.name, tm.isolation.value,
-                   tuple(c.value for c in tm.ABORT_CAUSES), initial)
+        return cls(tm.name, ISOLATION_VALUES[tm.isolation],
+                   tuple(CAUSE_VALUES[c] for c in tm.ABORT_CAUSES), initial)
 
     def _append(self, kind: str, txn: Txn, addr: Optional[int] = None,
                 value: Optional[int] = None, site: str = "") -> HistoryEvent:
@@ -275,7 +275,7 @@ class HistoryRecorder(Tracer):
 
     def on_abort(self, txn: Txn, cause: AbortCause) -> None:
         event = self._append(ABORT, txn)
-        self.history.transactions[event.txn_uid].abort_cause = cause.value
+        self.history.transactions[event.txn_uid].abort_cause = CAUSE_VALUES[cause]
 
     def __len__(self) -> int:
         return len(self.history.events)

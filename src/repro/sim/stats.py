@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.common.errors import AbortCause
+from repro.common.errors import CAUSE_VALUES, AbortCause
 
 
 @dataclass
@@ -134,7 +134,8 @@ class RunStats:
         """Full serialisation: every counter, not just the summary."""
         return {
             "threads": [t.to_dict() for t in self.threads],
-            "abort_causes": {c.value: n for c, n in self.abort_causes.items()},
+            "abort_causes": {CAUSE_VALUES[c]: n
+                             for c, n in self.abort_causes.items()},
             "retry_histogram": {str(k): v
                                 for k, v in self.retry_histogram.items()},
             "per_label": {label: dict(counter)
@@ -166,7 +167,8 @@ class RunStats:
             "aborts": self.total_aborts,
             "abort_rate": self.abort_rate,
             "makespan_cycles": self.makespan_cycles,
-            "abort_causes": {c.value: n for c, n in self.abort_causes.items()},
+            "abort_causes": {CAUSE_VALUES[c]: n
+                             for c, n in self.abort_causes.items()},
             "reads": sum(t.reads for t in self.threads),
             "writes": sum(t.writes for t in self.threads),
             "backoff_cycles": sum(t.backoff_cycles for t in self.threads),

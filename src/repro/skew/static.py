@@ -34,7 +34,7 @@ from typing import Callable, Dict, FrozenSet, Generator, List, Set, Tuple
 
 from repro.common.errors import SkewToolError
 from repro.sim.machine import Machine
-from repro.tm.ops import Abort, Compute, Read, Write
+from repro.tm.ops import ABORT, COMPUTE, READ, WRITE
 
 
 @dataclass(frozen=True)
@@ -116,17 +116,22 @@ class FootprintAnalyzer:
         try:
             op = next(gen)
             while True:
-                if isinstance(op, Read):
-                    reads.add(op.addr)
-                    site_map.add((op.addr, op.site))
-                    value = shadow.get(op.addr,
-                                       self.machine.plain_load(op.addr))
+                try:
+                    kind, addr, arg, _ = op
+                except (TypeError, ValueError):
+                    kind = None
+                if kind is READ:
+                    # (READ, addr, site, promote)
+                    reads.add(addr)
+                    site_map.add((addr, arg))
+                    value = shadow.get(addr, self.machine.plain_load(addr))
                     op = gen.send(value)
-                elif isinstance(op, Write):
-                    writes.add(op.addr)
-                    shadow[op.addr] = op.value
+                elif kind is WRITE:
+                    # (WRITE, addr, value, site)
+                    writes.add(addr)
+                    shadow[addr] = arg
                     op = gen.send(None)
-                elif isinstance(op, (Compute, Abort)):
+                elif kind is COMPUTE or kind is ABORT:
                     op = gen.send(None)
                 else:
                     raise SkewToolError(f"unknown operation {op!r}")

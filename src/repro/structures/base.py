@@ -35,7 +35,7 @@ from typing import Generator
 
 from repro.common.errors import StructureCorrupted
 from repro.sim.machine import Machine
-from repro.tm.ops import Op, Read, Write
+from repro.tm.ops import READ, WRITE, Op, Read, Write
 
 NULL = 0
 
@@ -95,11 +95,11 @@ class TxStructure:
         try:
             op = next(gen)
             while True:
-                kind = type(op)
-                if kind is Read:
-                    op = gen.send(self.machine.plain_load(op.addr))
-                elif kind is Write:
-                    self.machine.plain_store(op.addr, op.value)
+                kind = op[0]
+                if kind is READ:
+                    op = gen.send(self.machine.plain_load(op[1]))
+                elif kind is WRITE:
+                    self.machine.plain_store(op[1], op[2])
                     op = gen.send(None)
                 else:
                     op = gen.send(None)

@@ -53,6 +53,16 @@ class IsolationLevel(enum.Enum):
     SNAPSHOT = "snapshot"
     SERIALIZABLE_SNAPSHOT = "serializable-snapshot"
 
+    # members are singletons: identity hashing agrees with equality and,
+    # unlike Enum.__hash__, runs no Python frame
+    __hash__ = object.__hash__
+
+
+#: each level's ``value``, and the level of each value: ``level.value``
+#: and ``IsolationLevel(value)`` run enum frames, these lookups none
+ISOLATION_VALUES = {level: level.value for level in IsolationLevel}
+ISOLATION_LEVELS = {value: level for level, value in ISOLATION_VALUES.items()}
+
 
 class StallRequested(Exception):
     """An operation must wait and be retried (NACK-style eager HTMs).

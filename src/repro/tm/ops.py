@@ -12,6 +12,12 @@ without threads or monkey-patching::
         if balance >= amount:
             yield Write(account_addr, balance - amount)
 
+A descriptor is a plain 4-tuple led by its kind: a run yields millions,
+so building one creates no instance, and the engine
+(:meth:`repro.sim.engine.Engine.run`) unpacks it once and executes every
+kind in its loop.  The four constructors below are the one way to write
+a descriptor.
+
 ``site`` is an optional source-location tag (e.g. ``"list.remove:unlink"``)
 used by the write-skew tool (section 5.1) to report *where* an anomalous
 read or write lives — the analogue of the paper's PIN callstack backtrace.
@@ -20,68 +26,39 @@ read or write lives — the analogue of the paper's PIN callstack backtrace.
 inserted into the write set for conflict detection but creates no new data
 version.
 
-The arguments are positional-only: ``Read(addr, site, promote)`` and
-``Write(addr, value, site)``.  A descriptor is built once per simulated
-access, and calling a class with keyword arguments makes the interpreter
-build a dict for them on every call, roughly doubling the construction
-cost; positional-only parameters leave one way to write a descriptor.
+The arguments are positional-only: a keyword call builds a dict per
+descriptor.
 """
 
 from __future__ import annotations
 
+#: the kinds that lead a descriptor
+READ = "Read"
+WRITE = "Write"
+COMPUTE = "Compute"
+ABORT = "Abort"
 
-class Op:
-    """Base class of all operation descriptors."""
+#: annotation alias: a descriptor is a tuple
+Op = tuple
 
-    __slots__ = ()
-
-
-class Read(Op):
-    """Transactional load of one word."""
-
-    __slots__ = ("addr", "site", "promote")
-
-    def __init__(self, addr: int, site: str = "", promote: bool = False,
-                 /):
-        self.addr = addr
-        self.site = site
-        self.promote = promote
-
-    def __repr__(self) -> str:
-        flags = ", promote=True" if self.promote else ""
-        return f"Read({self.addr:#x}{flags})"
+_ABORT = (ABORT, None, None, None)
 
 
-class Write(Op):
-    """Transactional store of one word."""
-
-    __slots__ = ("addr", "value", "site")
-
-    def __init__(self, addr: int, value: int, site: str = "", /):
-        self.addr = addr
-        self.value = value
-        self.site = site
-
-    def __repr__(self) -> str:
-        return f"Write({self.addr:#x}, {self.value})"
+def Read(addr: int, site: str = "", promote: bool = False, /) -> Op:
+    """Transactional load of one word: ``(READ, addr, site, promote)``."""
+    return (READ, addr, site, promote)
 
 
-class Compute(Op):
+def Write(addr: int, value: int, site: str = "", /) -> Op:
+    """Transactional store of one word: ``(WRITE, addr, value, site)``."""
+    return (WRITE, addr, value, site)
+
+
+def Compute(cycles: int = 1, /) -> Op:
     """Non-memory work inside a transaction, charged at ``cycles``."""
-
-    __slots__ = ("cycles",)
-
-    def __init__(self, cycles: int = 1):
-        self.cycles = cycles
-
-    def __repr__(self) -> str:
-        return f"Compute({self.cycles})"
+    return (COMPUTE, cycles, None, None)
 
 
-class Abort(Op):
+def Abort() -> Op:
     """Explicit user-requested abort/retry of the running transaction."""
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:
-        return "Abort()"
+    return _ABORT

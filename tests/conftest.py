@@ -10,7 +10,7 @@ from repro.sim.engine import Engine, TransactionSpec
 from repro.sim.history import History, HistoryRecorder
 from repro.sim.machine import Machine
 from repro.tm import SYSTEMS
-from repro.tm.ops import Read, Write
+from repro.tm.ops import READ, WRITE
 from repro.workloads import REGISTRY
 
 
@@ -60,10 +60,11 @@ def drive_plain(machine: Machine, gen):
     try:
         op = next(gen)
         while True:
-            if isinstance(op, Read):
-                op = gen.send(machine.plain_load(op.addr))
-            elif isinstance(op, Write):
-                machine.plain_store(op.addr, op.value)
+            kind = op[0]
+            if kind is READ:
+                op = gen.send(machine.plain_load(op[1]))
+            elif kind is WRITE:
+                machine.plain_store(op[1], op[2])
                 op = gen.send(None)
             else:
                 op = gen.send(None)

@@ -107,9 +107,18 @@ class TestCli:
                      "--no-cache"]) == 0
         doc = json.loads(out.read_text())
         events = doc["traceEvents"]
-        assert any(e["ph"] == "M" and e["name"] == "process_name"
-                   for e in events)
-        assert any(e["ph"] == "X" for e in events)
+        assert doc["displayTimeUnit"] == "ms"
+        procs = [e for e in events
+                 if e["ph"] == "M" and e["name"] == "process_name"]
+        tracks = [e for e in events
+                  if e["ph"] == "M" and e["name"] == "thread_name"]
+        slices = [e for e in events if e["ph"] == "X"]
+        assert procs and tracks and slices, (
+            len(procs), len(tracks), len(slices))
+        for e in slices:
+            assert {"name", "cat", "ts", "dur", "pid", "tid",
+                    "args"} <= set(e), e
+            assert e["cat"] in ("commit", "abort", "open"), e
         assert "Chrome trace written" in capsys.readouterr().out
 
     def test_metrics_command_prints_reports(self, capsys):
@@ -119,6 +128,7 @@ class TestCli:
         out = capsys.readouterr().out
         assert "Abort attribution" in out
         assert "Run metrics" in out
+        assert "mvm_versions_installed" in out
 
     def test_blame_exports_a_conserving_graph_and_ledger(self, tmp_path,
                                                          capsys):

@@ -1,5 +1,7 @@
 """Discrete-event engine tests: determinism, abort paths, accounting."""
 
+import re
+
 import pytest
 
 from repro.common.config import SimConfig, TMConfig
@@ -134,6 +136,25 @@ class TestAbortPaths:
         with pytest.raises(SimulationError):
             engine.run()
         assert engine.stats.per_label["mylabel"]["aborts"] >= 1
+
+
+class TestMalformedDescriptors:
+    @pytest.mark.parametrize("op", [
+        ("Fetch", 1, None, None),    # unknown kind
+        ("Read", 1, ""),             # three fields
+        ("Read", 1, "", False, 0),   # five fields
+        "Read",                      # a str unpacks to four characters
+        42,                          # not iterable
+    ], ids=["kind", "short", "long", "str", "int"])
+    def test_raises_simulation_error_naming_it(self, machine, op):
+        def body():
+            yield op
+
+        tm = SnapshotIsolationTM(machine, SplitRandom(1))
+        engine = Engine(tm, [[spec(body)]])
+        with pytest.raises(SimulationError,
+                           match="unknown operation " + re.escape(repr(op))):
+            engine.run()
 
 
 class TestScheduling:

@@ -16,7 +16,9 @@ tracer hooks and every helper below them, and the end-of-run folds)
 are counted per attempt over a whole observed ``run_once``, against
 ``OBSERVER_BUDGET``, which a helper call per hook fails.  The same pass
 counts the ``enum`` module's frames, which an ``AbortCause.value`` read
-or a dict keyed by a cause would run, against ``ENUM_BUDGET``.
+or a dict keyed by a cause would run, against ``ENUM_BUDGET``; so does
+a fuzz/oracle run (a schedule simulated under the history recorder,
+then checked) on every backend.
 
 The counts are deterministic (a cell is a pure function of its seed)
 but depend a little on the interpreter (3.12 inlines comprehensions
@@ -37,7 +39,9 @@ import repro
 import repro.harness.runner as runner
 # the observers' modules load before anything is counted
 from repro.obs import live, metrics, profile, provenance, spans  # noqa: F401
+from repro.oracle.fuzz import check_schedule_run, generate_schedule
 from repro.sim.engine import Engine
+from repro.tm import SYSTEMS
 
 PACKAGE = os.path.dirname(repro.__file__) + os.sep
 PROGRAM = tuple(PACKAGE + part + os.sep
@@ -47,9 +51,9 @@ ENUM = enum.__file__
 
 #: (workload, system) -> bound on repro calls per engine step
 BUDGET = {
-    ("list", "SONTM"): 5.4,
-    ("kmeans", "SI-TM"): 5.95,
-    ("vacation", "2PL"): 5.7,
+    ("list", "SONTM"): 5.36,
+    ("kmeans", "SI-TM"): 5.35,
+    ("vacation", "2PL"): 5.69,
 }
 #: (workload, system) -> bound on program-layer calls per engine step
 PROGRAM_BUDGET = {
@@ -59,9 +63,9 @@ PROGRAM_BUDGET = {
 }
 #: the same as BUDGET, with telemetry and profiling on
 OBSERVED_BUDGET = {
-    ("vacation", "2PL"): 5.85,
-    ("list", "SI-TM"): 5.0,
-    ("kmeans", "SI-TM"): 7.2,
+    ("vacation", "2PL"): 5.82,
+    ("list", "SI-TM"): 4.9,
+    ("kmeans", "SI-TM"): 6.6,
 }
 
 #: (workload, system) -> bound on repro.obs calls per attempt over a
@@ -71,8 +75,10 @@ OBSERVER_BUDGET = {
     ("rbtree", "HybridHTM"): 79.0,
     ("vacation", "2PL"): 21.8,
 }
-#: bound on enum-module calls per attempt over the same run_once: a
-#: cause's value is read from ``repro.common.errors.CAUSE_VALUES``
+#: bound on enum-module calls per attempt over the same run_once, and
+#: on those entered from ``repro`` over a fuzz/oracle run: a cause's
+#: value is read from ``repro.common.errors.CAUSE_VALUES``, an isolation
+#: level's from ``repro.tm.api.ISOLATION_VALUES``
 ENUM_BUDGET = 0
 
 
@@ -166,3 +172,32 @@ def test_observer_calls_per_attempt(workload, system):
                                                                system)
     assert per_attempt <= OBSERVER_BUDGET[workload, system], per_attempt
     assert enum_per_attempt <= ENUM_BUDGET, enum_per_attempt
+
+
+def test_fuzz_run_calls_no_enum():
+    """Enum frames entered from ``repro`` (not the checker's graph
+    library) per attempt over fuzz schedules run and checked on every
+    backend: the history recorder records each abort's cause."""
+    enum_calls = 0
+
+    def count(frame, event, arg):
+        nonlocal enum_calls
+        if (event == "call" and frame.f_code.co_filename == ENUM
+                and frame.f_back.f_code.co_filename.startswith(PACKAGE)):
+            enum_calls += 1
+
+    attempts = aborts = 0
+    sys.setprofile(count)
+    try:
+        for index in range(4):
+            schedule = generate_schedule(3, index)
+            for system in sorted(SYSTEMS):
+                violations, _, history = check_schedule_run(schedule,
+                                                            system)
+                assert violations == [], violations
+                attempts += len(history.transactions)
+                aborts += len(history.aborts())
+    finally:
+        sys.setprofile(None)
+    assert aborts > 0
+    assert enum_calls / attempts <= ENUM_BUDGET, enum_calls

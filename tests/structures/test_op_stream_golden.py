@@ -25,7 +25,7 @@ from repro.structures.linked_list import TxLinkedList
 from repro.structures.queue import TxCounter, TxQueue
 from repro.structures.rbtree import TxRedBlackTree
 from repro.structures.skiplist import TxSkipList
-from repro.tm.ops import Read, Write
+from repro.tm.ops import READ, WRITE
 from tests import golden as golden_corpus
 
 GOLDEN = golden_corpus.Corpus(
@@ -42,15 +42,16 @@ def _drive(machine, gen, sink):
     try:
         op = next(gen)
         while True:
-            if isinstance(op, Read):
-                sink.append(("Read", op.addr, None, op.site, op.promote))
-                op = gen.send(machine.plain_load(op.addr))
-            elif isinstance(op, Write):
-                sink.append(("Write", op.addr, op.value, op.site, None))
-                machine.plain_store(op.addr, op.value)
+            kind, addr, arg, arg2 = op
+            if kind is READ:
+                sink.append(("Read", addr, None, arg, arg2))
+                op = gen.send(machine.plain_load(addr))
+            elif kind is WRITE:
+                sink.append(("Write", addr, arg, arg2, None))
+                machine.plain_store(addr, arg)
                 op = gen.send(None)
             else:
-                sink.append((type(op).__name__, None, None, None, None))
+                sink.append((kind, None, None, None, None))
                 op = gen.send(None)
     except StopIteration as stop:
         return stop.value

@@ -23,12 +23,12 @@ from repro.sim.engine import _ThreadState
 from repro.sim.stats import ThreadStats
 from repro.tm.api import CommitToken, Txn
 from repro.tm.backoff import ExponentialBackoff, NoBackoff
-from repro.tm.ops import Abort, Compute, Op, Read, Write
 
-#: one entry per hot class: allocated per-attempt (Txn, Span), per-op
-#: (the Op hierarchy), per-thread (_ThreadState), per-line
-#: (VersionList), or consulted on every commit (GlobalClock,
-#: ActiveTransactionTable, CommitToken, backoff policies)
+#: one entry per hot class: allocated per-attempt (Txn, Span),
+#: per-thread (_ThreadState), per-line (VersionList), or consulted on
+#: every commit (GlobalClock, ActiveTransactionTable, CommitToken,
+#: backoff policies).  An operation descriptor is a plain tuple
+#: (repro.tm.ops), which carries no __dict__ by construction.
 HOT_CLASSES = [
     Txn,
     CommitToken,
@@ -39,11 +39,6 @@ HOT_CLASSES = [
     ExponentialBackoff,
     NoBackoff,
     Span,
-    Op,
-    Read,
-    Write,
-    Compute,
-    Abort,
 ]
 
 
