@@ -9,9 +9,10 @@ against the isolation level its system declared
   snapshot (the newest version committed at or before ``start_ts``, or
   the transaction's own earlier write), the first committer of two
   overlapping writers wins, no aborted or intermediate values are read
-  (Adya's G1a/G1b fall out of exact value replay), and no committed
-  cycle violates the SI theorem (every cycle must carry two consecutive
-  rw antidependencies — a pure ww/wr cycle would be a G1c violation);
+  (Adya's G1a/G1b fall out of exact value replay), and the committed
+  dependency graph has no cycle SI forbids (every cycle must carry two
+  adjacent rw antidependencies: ``(ww ∪ wr) ; rw?`` is acyclic — a pure
+  ww/wr cycle would be a G1c violation);
 * **conflict-serializable** (2PL, SONTM, LogTM) — committed reads
   observe the newest value committed before the read event, and the
   direct serialization graph (ww/wr/rw edges) is acyclic;
@@ -39,11 +40,9 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from repro.common.errors import SkewToolError
-
-# The simulator's history, the graph tools and networkx are imported
-# where a check needs them: the store's live monitor imports this
-# module for Violation alone and never replays a simulator history.
+# The simulator's history and the graph tools are imported where a check
+# needs them: the store's live monitor imports this module for Violation
+# alone and never replays a simulator history.
 if TYPE_CHECKING:
     from repro.sim.history import History
 
@@ -240,19 +239,24 @@ def _check_first_committer_wins(history: History) -> List[Violation]:
 
 
 def _check_si_cycles(history: History) -> List[Violation]:
-    """Committed SI cycles must obey the SI theorem (no G1c).
+    """Committed SI histories must have no cycle that SI forbids.
 
-    Write-skew cycles (two consecutive rw edges) are *legal* under plain
-    snapshot isolation; a cycle without them — e.g. one built purely from
-    ww/wr dependencies, Adya's G1c — is not.
+    Write-skew cycles (two adjacent rw antidependencies) are *legal*
+    under plain snapshot isolation; a cycle of ``(ww ∪ wr) ; rw?`` steps
+    is not — e.g. one built purely from ww/wr dependencies, Adya's G1c.
+    Unlike :func:`_check_first_committer_wins`, this rule does not
+    tolerate overlapping writers of the same value: their ww edge is a
+    dependency like any other.
     """
-    from repro.skew.serialization import si_anomaly_cycles
+    from repro.skew.serialization import si_violation
 
-    try:
-        si_anomaly_cycles(history)
-    except SkewToolError as exc:
-        return [Violation("si-cycle", str(exc))]
-    return []
+    edges = si_violation(history)
+    if edges is None:
+        return []
+    ring = ", ".join(f"{src} -{kind}-> {dst}" for src, dst, kind in edges)
+    return [Violation(
+        "si-cycle", f"cycle without two adjacent rw antidependencies: "
+        f"{ring}", tuple(src for src, _, _ in edges))]
 
 
 # ----------------------------------------------------------------------
@@ -298,14 +302,11 @@ def _check_latest_reads(history: History) -> List[Violation]:
 def _check_serializable(history: History,
                         read_mode: str) -> List[Violation]:
     """The direct serialization graph of committed txns must be acyclic."""
-    import networkx as nx
+    from repro.skew.serialization import find_cycle, precedence_graph
 
-    from repro.skew.serialization import precedence_graph
-
-    graph = precedence_graph(history, read_mode=read_mode)
-    if nx.is_directed_acyclic_graph(graph):
+    cycle = find_cycle(precedence_graph(history, read_mode=read_mode))
+    if cycle is None:
         return []
-    cycle = [edge[0] for edge in nx.find_cycle(graph)]
     labels = [history.transactions[uid].label for uid in cycle]
     return [Violation(
         "serialization-cycle",

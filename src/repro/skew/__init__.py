@@ -3,14 +3,12 @@
 from repro.skew.graph import (
     SkewReport,
     SkewWitness,
-    build_graph,
     find_write_skews,
 )
 from repro.skew.serialization import (
-    cycles,
     is_conflict_serializable,
     precedence_graph,
-    si_anomaly_cycles,
+    si_violation,
 )
 from repro.skew.static import (
     Footprint,
@@ -30,10 +28,8 @@ __all__ = [
     "SkewWitness",
     "ToolResult",
     "WriteSkewTool",
-    "build_graph",
-    "cycles",
     "find_write_skews",
     "is_conflict_serializable",
     "precedence_graph",
-    "si_anomaly_cycles",
+    "si_violation",
 ]

@@ -8,22 +8,22 @@ transactions).  A **cycle** in this graph is the necessary condition for a
 write skew; reporting cycles is safe but may include false positives,
 exactly as the paper says.
 
-Cycle enumeration uses :mod:`networkx` simple-cycle search on the (small)
-committed-transaction graph; for each cycle we collect the *reads that
+The graph is a plain dict ``{reader uid: {writer uid: [(addr, read site),
+...]}}``; a bounded depth-first search enumerates its short simple cycles
+(write skews are short), and for each cycle we collect the *reads that
 participate* — the paper's fix (read promotion) applies to precisely
-those reads, attributed by their source site.
+those reads, attributed by their source site.  Deciding whether a history
+is SI at all needs no enumeration: one search does it
+(:func:`~repro.skew.serialization.si_violation`).
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, FrozenSet, List, Set, Tuple
+from typing import Dict, FrozenSet, List, Set, Tuple
 
 from repro.sim.history import History, TxnRecord
-
-if TYPE_CHECKING:  # at run time, where a graph is built (serialization.py)
-    import networkx as nx
 
 
 @dataclass(frozen=True)
@@ -97,47 +97,45 @@ def rw_antidependency_edges(history: History):
                     yield reader, writer, addr, site
 
 
-def build_graph(history: History) -> "nx.MultiDiGraph":
-    """Build the write-skew dependency graph from a history."""
-    import networkx as nx
-    graph = nx.MultiDiGraph()
-    for txn in history.committed():
-        graph.add_node(txn.uid, label=txn.label)
-    for reader, writer, addr, site in rw_antidependency_edges(history):
-        graph.add_edge(reader.uid, writer.uid, addr=addr, site=site)
-    return graph
-
-
 def find_write_skews(history: History,
                      max_cycle_length: int = 6) -> SkewReport:
     """Analyse a history and report dependency cycles (skew witnesses).
 
     ``max_cycle_length`` bounds the cycle search: real write skews are
     short (the canonical anomaly is a 2-cycle); very long cycles are
-    overwhelmingly false positives and expensive to enumerate.
+    overwhelmingly false positives and expensive to enumerate.  Each
+    simple cycle is found once, rooted at its least uid; cycles through
+    the same transactions are reported once.
     """
-    import networkx as nx
-    graph = build_graph(history)
-    report = SkewReport(committed=graph.number_of_nodes(),
-                        edges=graph.number_of_edges())
+    labels = {txn.uid: txn.label for txn in history.committed()}
+    # reader uid -> writer uid -> [(addr, read site), ...]
+    graph: Dict[int, Dict[int, List[Tuple[int, str]]]] = {
+        uid: {} for uid in labels}
+    for reader, writer, addr, site in rw_antidependency_edges(history):
+        graph[reader.uid].setdefault(writer.uid, []).append((addr, site))
+    report = SkewReport(committed=len(labels), edges=sum(
+        len(pairs) for out in graph.values() for pairs in out.values()))
+
+    def cycles_from(path: List[int]):
+        for node in graph[path[-1]]:
+            if node == path[0]:
+                yield path
+            elif (node > path[0] and node not in path
+                  and len(path) < max_cycle_length):
+                yield from cycles_from(path + [node])
+
     seen: Set[FrozenSet[int]] = set()
-    for cycle in nx.simple_cycles(nx.DiGraph(graph)):
-        if len(cycle) > max_cycle_length:
-            continue
-        key = frozenset(cycle)
-        if key in seen:
-            continue
-        seen.add(key)
-        sites: Set[str] = set()
-        addrs: Set[int] = set()
-        ring = list(cycle) + [cycle[0]]
-        for src, dst in zip(ring, ring[1:]):
-            if graph.has_edge(src, dst):
-                for _, data in graph[src][dst].items():
-                    sites.add(data["site"])
-                    addrs.add(data["addr"])
-        labels = tuple(graph.nodes[uid]["label"] for uid in cycle)
-        report.witnesses.append(SkewWitness(
-            cycle=tuple(cycle), labels=labels,
-            read_sites=frozenset(sites), addrs=frozenset(addrs)))
+    for root in sorted(graph):
+        for cycle in cycles_from([root]):
+            key = frozenset(cycle)
+            if key in seen:
+                continue
+            seen.add(key)
+            pairs = [pair for src, dst in zip(cycle, cycle[1:] + cycle[:1])
+                     for pair in graph[src][dst]]
+            report.witnesses.append(SkewWitness(
+                cycle=tuple(cycle),
+                labels=tuple(labels[uid] for uid in cycle),
+                read_sites=frozenset(site for _, site in pairs),
+                addrs=frozenset(addr for addr, _ in pairs)))
     return report

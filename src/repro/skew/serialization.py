@@ -1,4 +1,4 @@
-"""Serialization-graph testing oracle.
+"""Dependency-graph oracle: conflict serializability and snapshot isolation.
 
 Builds the classic precedence (conflict) graph over the *committed*
 transactions of a recorded history: an edge ``A -> B`` means A must precede
@@ -9,13 +9,19 @@ B in any equivalent serial order, induced by
 * **wr** — B read the version A installed;
 * **rw** — A read a version that B overwrote (antidependency).
 
+The graph is a plain dict ``{uid: {successor uid: set of kinds}}`` with
+every committed uid as a key; an ordered pair keeps every kind it carries
+(a pair can be both ``ww`` and ``rw``).
+
 A history is conflict-serializable iff this graph is acyclic — so the
 graph is an *oracle*: run any workload under a TM system with a
 :class:`~repro.sim.history.HistoryRecorder` attached and assert acyclicity
-for the serializable systems (2PL, SONTM, SSI-TM, LogTM).  For plain
-SI-TM, cycles are exactly the write-skew anomalies of section 5 — and by
-the classic SI theorem every such cycle must contain two consecutive
-``rw`` edges, which :func:`si_anomaly_cycles` checks.
+for the serializable systems (2PL, SONTM, SSI-TM, LogTM).  Plain SI-TM may
+produce cycles (the write skews of section 5), but only cycles with two
+adjacent ``rw`` edges: a history is SI iff ``(ww ∪ wr) ; rw?`` is acyclic
+(Cerone and Gotsman's characterisation, restated by Raad, Lahav and
+Vafeiadis; PAPERS.md), which :func:`si_violation` tests.  Both questions
+are one depth-first search (:func:`find_cycle`); no cycle is enumerated.
 
 Which version a read observed depends on the system's read semantics:
 
@@ -31,17 +37,16 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import defaultdict
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
 from repro.common.errors import SkewToolError
 from repro.sim.history import READ, WRITE, History, TxnRecord
 
-if TYPE_CHECKING:
-    # imported inside the functions that build a graph: the store's live
-    # monitor loads this package and never builds one
-    import networkx as nx
-
 READ_MODES = ("latest", "snapshot")
+#: the kinds a step of ``(ww ∪ wr) ; rw?`` starts with
+DEPENDENCIES = frozenset({"ww", "wr"})
+
+Graph = Dict[int, Dict[int, Set[str]]]
 
 
 def _committed_writers(history: History):
@@ -84,23 +89,19 @@ def _read_events(history: History, txn: TxnRecord):
     return first_reads.items()
 
 
-def precedence_graph(history: History,
-                     read_mode: str = "latest") -> "nx.DiGraph":
+def precedence_graph(history: History, read_mode: str = "latest") -> Graph:
     """The conflict graph over committed transactions."""
-    import networkx as nx
     if read_mode not in READ_MODES:
         raise SkewToolError(
             f"unknown read mode {read_mode!r}; expected one of {READ_MODES}")
-    graph = nx.DiGraph()
     committed = history.committed()
-    for txn in committed:
-        graph.add_node(txn.uid, label=txn.label)
+    graph: Graph = {txn.uid: {} for txn in committed}
     by_addr = _committed_writers(history)
 
     # ww: writers of an address serialise in commit order
     for writers in by_addr.values():
         for (_, earlier), (_, later) in zip(writers, writers[1:]):
-            graph.add_edge(earlier, later, kind="ww")
+            graph[earlier].setdefault(later, set()).add("ww")
 
     for txn in committed:
         for addr, read_index in _read_events(history, txn):
@@ -111,51 +112,70 @@ def precedence_graph(history: History,
                          else txn.begin_index)
             position, writer_uid = _version_read(writers, reference)
             if writer_uid is not None and writer_uid != txn.uid:
-                graph.add_edge(writer_uid, txn.uid, kind="wr")
+                graph[writer_uid].setdefault(txn.uid, set()).add("wr")
             # antidependency to the next version's writer
             next_position = position + 1
             while next_position < len(writers) \
                     and writers[next_position][1] == txn.uid:
                 next_position += 1
             if next_position < len(writers):
-                graph.add_edge(txn.uid, writers[next_position][1],
-                               kind="rw")
+                graph[txn.uid].setdefault(
+                    writers[next_position][1], set()).add("rw")
     return graph
+
+
+def find_cycle(successors: Mapping[int, Iterable[int]]) -> Optional[List[int]]:
+    """One cycle of ``successors`` (every node -> its successors) as the
+    list of its nodes in order, or None.  Iterative, so a long dependency
+    chain cannot exhaust the interpreter's recursion limit."""
+    on_path: Dict[int, bool] = {}  # visited node -> still on the path
+    for root in successors:
+        if root in on_path:
+            continue
+        path, stack = [root], [iter(successors[root])]
+        on_path[root] = True
+        while stack:
+            node = next(stack[-1], None)
+            if node is None:
+                stack.pop()
+                on_path[path.pop()] = False
+            elif node not in on_path:
+                on_path[node] = True
+                path.append(node)
+                stack.append(iter(successors[node]))
+            elif on_path[node]:
+                return path[path.index(node):]
+    return None
 
 
 def is_conflict_serializable(history: History,
                              read_mode: str = "latest") -> bool:
     """True when the committed history has an acyclic conflict graph."""
-    import networkx as nx
-    return nx.is_directed_acyclic_graph(precedence_graph(history, read_mode))
+    return find_cycle(precedence_graph(history, read_mode)) is None
 
 
-def cycles(history: History, read_mode: str = "latest",
-           limit: int = 20) -> List[List[int]]:
-    """Up to ``limit`` simple cycles of the conflict graph."""
-    import networkx as nx
-    graph = precedence_graph(history, read_mode)
-    found = []
-    for cycle in nx.simple_cycles(graph):
-        found.append(cycle)
-        if len(found) >= limit:
-            break
-    return found
+def si_violation(history: History) -> Optional[List[Tuple[int, int, str]]]:
+    """The ``(src, dst, kind)`` edges of a cycle SI forbids, or None.
 
-
-def si_anomaly_cycles(history: History) -> List[List[int]]:
-    """Cycles of an SI history (snapshot reads) — each must contain two
-    consecutive ``rw`` edges, per the classic SI serializability theorem;
-    a violation would indicate an oracle or runtime bug."""
-    import networkx as nx
+    Under snapshot reads, a step of ``(ww ∪ wr) ; rw?`` is a ``ww`` or
+    ``wr`` edge, optionally followed by one ``rw`` edge; a cycle of such
+    steps is a graph cycle without two adjacent ``rw`` edges.
+    ``steps[a][c]`` holds the edges of one step ``a -> c``, a direct one
+    where there is one.
+    """
     graph = precedence_graph(history, read_mode="snapshot")
-    anomalies = []
-    for cycle in nx.simple_cycles(graph):
-        ring = list(cycle) + [cycle[0], cycle[1]]
-        kinds = [graph[a][b]["kind"] for a, b in zip(ring, ring[1:])]
-        if not any(kinds[i] == "rw" and kinds[i + 1] == "rw"
-                   for i in range(len(kinds) - 1)):
-            raise SkewToolError(
-                f"SI cycle without consecutive rw edges: {cycle} {kinds}")
-        anomalies.append(cycle)
-    return anomalies
+    steps: Dict[int, Dict[int, Tuple[Tuple[int, int, str], ...]]] = {}
+    for a, successors in graph.items():
+        step = steps[a] = {}
+        for b, kinds in successors.items():
+            if kinds & DEPENDENCIES:
+                first = (a, b, min(kinds & DEPENDENCIES))
+                step[b] = (first,)
+                for c, onward in graph[b].items():
+                    if "rw" in onward:
+                        step.setdefault(c, (first, (b, c, "rw")))
+    cycle = find_cycle(steps)
+    if cycle is None:
+        return None
+    return [edge for a, c in zip(cycle, cycle[1:] + cycle[:1])
+            for edge in steps[a][c]]

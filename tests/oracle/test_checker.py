@@ -9,6 +9,7 @@ interleaving and asserts exactly which rules fire.
 from repro.oracle.checker import Violation, check_history
 from repro.sim.history import (ABORT, BEGIN, COMMIT, READ, WRITE,
                                History, HistoryEvent, TxnRecord)
+from repro.skew.serialization import precedence_graph
 
 SI_CAUSES = ("write-write", "version-overflow", "snapshot-too-old",
              "timestamp-overflow", "explicit")
@@ -125,6 +126,26 @@ class TestSnapshotLevel:
         b.commit(t1, commit_ts=10)
         b.commit(t2, commit_ts=12)
         assert b.check() == []
+
+    def test_same_value_lost_update_is_an_si_cycle(self):
+        # Both read 0 and wrote 5: a lost update whose writers agree on
+        # the value.  First-committer-wins tolerates them; the cycle rule
+        # does not, because pair (t1, t2) keeps its ww kind beside rw:
+        # t1 -ww-> t2 -rw-> t1 is a (ww ∪ wr) ; rw? cycle.
+        b = Builder("snapshot", initial={A: 0})
+        t1 = b.begin(0, "t1", start_ts=1)
+        t2 = b.begin(1, "t2", start_ts=2)
+        b.read(t1, A, 0)
+        b.read(t2, A, 0)
+        b.write(t1, A, 5)
+        b.write(t2, A, 5)
+        b.commit(t1, commit_ts=10)
+        b.commit(t2, commit_ts=12)
+        assert precedence_graph(b.history, "snapshot") == {
+            t1: {t2: {"ww", "rw"}}, t2: {t1: {"rw"}}}
+        (violation,) = b.check()
+        assert violation.rule == "si-cycle"
+        assert sorted(violation.txns) == [t1, t2]
 
     def test_write_skew_is_legal_under_plain_si(self):
         b = Builder("snapshot", initial={A: 1, B: 1})

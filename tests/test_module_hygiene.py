@@ -17,7 +17,7 @@ STORE_NEVER_LOADS = (
     "repro.sim.engine", "repro.tm", "repro.skew", "repro.harness",
     "repro.workloads", "repro.structures", "repro.oracle.fuzz",
     "repro.oracle.shrink", "repro.obs.spans", "repro.obs.live",
-    "repro.obs.flight", "repro.obs.profile", "networkx")
+    "repro.obs.flight", "repro.obs.profile")
 
 
 def iter_modules():
